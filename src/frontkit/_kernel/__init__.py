@@ -4,7 +4,7 @@ The hot loop of the package is the single left-to-right pass over an event
 word (``trace``).  A Cython translation is built at install time when a C
 compiler is available; otherwise, or when ``FRONTKIT_PURE=1`` is set, the
 pure-Python implementation is used.  Both produce identical results (see
-``tests/test_kernel_parity.py`` and ``benchmarks/bench_kernels.py``).
+``tests/test_kernel.py`` and ``benchmarks/bench_kernels.py``).
 """
 
 from __future__ import annotations

@@ -19,7 +19,14 @@ from .front import (
     rotation,
     thurston_bennequin,
 )
-from .moves import Move, MoveScript, apply_move, enumerate_moves
+from .moves import (
+    Move,
+    MoveScript,
+    _rebuild,
+    _rewrite_word,
+    apply_move,
+    enumerate_moves,
+)
 from .standard import StandardFormDiagram, homology_vector, tb_standard
 
 # Moves that never grow the event word: all Reidemeister contractions,
@@ -62,11 +69,6 @@ class SearchResult:
     exhausted: bool = False
 
 
-def _key(d) -> Tuple:
-    # Exact dedup on the event word; level-true, collision-free.
-    return tuple(d.events)
-
-
 def _tb_of(d) -> int:
     if isinstance(d, StandardFormDiagram):
         return min(tb_standard(d, c) for c in d.components)
@@ -77,15 +79,16 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Breadth-first search for the highest tb reachable by reductions.
 
     Explores the closure of word-shrinking moves up to ``cfg.max_depth``,
-    deduplicating on the exact event word.  The returned witness script
-    replays from ``d`` to a diagram achieving ``best_tb``.  Raises
-    BudgetExhausted (carrying the partial result) when the node budget
-    runs out; the best found so far is still attached.
+    deduplicating on the exact event word before a child is traced, so
+    a word already seen costs one rewrite, not a rebuild.  The returned
+    witness script replays from ``d`` to a diagram achieving ``best_tb``.
+    Raises BudgetExhausted (carrying the partial result) when the node
+    budget runs out; the best found so far is still attached.
     """
     start_tb = _tb_of(d)
     best = (start_tb, MoveScript(()))
     frontier: List[Tuple[object, Tuple[Move, ...]]] = [(d, ())]
-    seen = {_key(d)}
+    seen = {d.events}
     nodes = 1
     for _depth in range(cfg.max_depth):
         nxt: List[Tuple[object, Tuple[Move, ...]]] = []
@@ -96,11 +99,11 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                         f"node budget {cfg.budget} exhausted",
                         SearchResult(best[0], best[1], nodes, exhausted=True),
                     )
-                child = apply_move(node, m)
-                k = _key(child)
-                if k in seen:
+                word = _rewrite_word(node, m)
+                if word in seen:
                     continue
-                seen.add(k)
+                seen.add(word)
+                child = _rebuild(node, word)
                 nodes += 1
                 child_path = path + (m,)
                 tb = _tb_of(child)

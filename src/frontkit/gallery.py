@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import DiagramError, ParameterOutOfRange
+from .errors import DiagramError, MoveError, ParameterOutOfRange
 from .front import (
     Event,
     FrontDiagram,
@@ -257,7 +257,7 @@ def step3_pipeline(m: int, n: int) -> Tuple[FrontDiagram, MoveScript]:
                 if pa in ps and pb in ps and ps[pa] == -ps[pb]:
                     try:
                         h = pull_off(h, hd.id, s)
-                    except Exception:
+                    except MoveError:
                         continue
                     moves.append(Move("PullOff", data=(hd.id, s)))
                     progressed = True

@@ -11,6 +11,7 @@ stabilization/destabilization:
 * R2b  [X(i), X(i+1), R(i)]   <->  [R(i+1)]  (right cusp past a strand)
 *      [X(i+1), X(i), R(i+1)] <->  [R(i)]
 * R3   [X(i), X(i+1), X(i)]   <->  [X(i+1), X(i), X(i+1)]
+* Destabilize  [L(i), R(i+1)] or [L(i+1), R(i)]  ->  []   (zigzag)
 
 Each preserves tb, rotation, component count, and (in a strip) the
 homology vector, because it replaces a pattern by one with the same
@@ -18,16 +19,25 @@ boundary behaviour, signed crossing sum, and cusp imbalance.  A pair of
 crossings [X(i), X(i)] is a clasp, not a bigon -- both crossings carry
 the same sign in a front -- so it is never a reduction site.
 
+One matcher finds them all: a single left-to-right scan over the
+``(kind, level)`` pairs of the word compares each window's levels with
+the patterns above, carries the slice width for the R2 expansions, and
+decides far-commutation in closed form (:func:`_slide`).
+:func:`enumerate_moves` runs it over the whole word; :func:`apply_move`
+runs it at the one index it is given, so a move applies exactly when
+enumeration lists it.  Stabilization sites are every (position, level)
+of the word.
+
 Handle moves (slide, cancellation, finger pull-off) operate on
 standard-form diagrams and live in the second half of this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from . import _kernel
 from .errors import (
     BandObstructed,
     DiagramError,
@@ -36,15 +46,13 @@ from .errors import (
     NotSteinFramed,
     OtherStrandsPresent,
 )
-from .front import Event, FrontDiagram, L, R, X, encode_word, rotation
+from .front import Event, FrontDiagram, L, R, X
 from .satellite import cable_expand
 from .standard import (
     OneHandle,
-    Port,
     StandardFormDiagram,
     SteinHandlebody,
     TwoHandleAttachment,
-    pass_signs,
     sorted_ports,
     tb_standard,
 )
@@ -89,10 +97,6 @@ class MoveScript:
         return current
 
 
-def _events_of(d: Diagram) -> Tuple[Event, ...]:
-    return d.events
-
-
 def _rebuild(d: Diagram, events: Sequence[Event]) -> Diagram:
     if isinstance(d, StandardFormDiagram):
         return StandardFormDiagram(d.handles, d.left_ports, events, d.right_ports)
@@ -107,24 +111,14 @@ def _slice_widths(d: Diagram) -> List[int]:
     """Slice width before each event position 0..len(events)."""
     out = [_n_initial(d)]
     for ev in d.events:
-        delta = 2 if ev.kind == "L" else -2 if ev.kind == "R" else 0
-        out.append(out[-1] + delta)
+        out.append(out[-1] + _DELTA[ev.kind])
     return out
 
 
-# -- pattern tables --------------------------------------------------------
+# -- the matcher -----------------------------------------------------------
 
-def _match_r1(events, idx) -> Optional[Move]:
-    if idx + 3 > len(events):
-        return None
-    a, b, c = events[idx : idx + 3]
-    i = b.level
-    if (a, b, c) == (L(i + 1), X(i), R(i + 1)):
-        return Move("R1a", idx, i)
-    if (a, b, c) == (L(i - 1), X(i), R(i - 1)) and i >= 2:
-        return Move("R1b", idx, i - 1)
-    return None
-
+# Change of slice width across each event kind.
+_DELTA = {"L": 2, "R": -2, "X": 0}
 
 _R2_CONTRACTIONS = {
     # (kind, variant): window builder and replacement, keyed off base level i
@@ -134,249 +128,213 @@ _R2_CONTRACTIONS = {
     ("R2b", "down"): (lambda i: (X(i + 1), X(i), R(i + 1)), lambda i: (R(i),)),
 }
 
+_WORD_KINDS = frozenset(
+    ("R1a", "R1b", "R2a", "R2b", "R3", "Slide", "Destabilize",
+     "StabilizePlus", "StabilizeMinus")
+)
 
-def _match_r2_contract(events, idx) -> List[Move]:
-    out = []
-    if idx + 3 > len(events):
-        return out
-    window = tuple(events[idx : idx + 3])
-    for (kind, variant), (lhs, _rhs) in _R2_CONTRACTIONS.items():
-        levels = [ev.level for ev in window]
-        base = min(levels)
-        for i in (base - 1, base, base + 1):
-            if i >= 1 and lhs(i) == window:
-                out.append(Move(kind, idx, i, ("contract", variant)))
-    return out
+_ORDER = attrgetter("index", "level", "kind", "data")
 
 
-def _match_r3(events, idx) -> List[Move]:
-    out = []
-    if idx + 3 > len(events):
-        return out
-    a, b, c = events[idx : idx + 3]
-    i = min(a.level, b.level)
-    if (a, b, c) == (X(i), X(i + 1), X(i)):
-        out.append(Move("R3", idx, i, ("up",)))
-    elif (a, b, c) == (X(i + 1), X(i), X(i + 1)):
-        out.append(Move("R3", idx, i, ("down",)))
-    return out
+def _slide(k1: str, i: int, k2: str, j: int) -> Optional[Tuple[str, int, str, int]]:
+    """Far commutation of the adjacent events ``k1(i)`` then ``k2(j)``.
 
-
-def _match_destabilize(events, idx) -> List[Move]:
-    out = []
-    if idx + 2 > len(events):
-        return out
-    a, b = events[idx : idx + 2]
-    if a.kind == "L" and b.kind == "R":
-        if b.level == a.level + 1:
-            out.append(Move("Destabilize", idx, a.level, ("down",)))
-        elif b.level == a.level - 1 and a.level >= 2:
-            out.append(Move("Destabilize", idx, a.level - 1, ("up",)))
-    return out
-
-
-# -- far commutation (Slide) ----------------------------------------------
-
-def _simulate_pair(width, first, second):
-    """Run two events on a labeled slice; None when levels are invalid.
-
-    Created strands are tagged by the event that made them, so the
-    signature is comparable across the two orderings.
+    Returns ``(k2, j', k1, i')`` such that ``k2(j')`` then ``k1(i')``
+    acts on the slice as the pair does, or None when the two share a
+    strand.  In the slice after the first event, each event has a
+    footprint from a top level to a bottom one: a first L or X spans
+    i..i+1, a first R is the gap i-1|i it left behind; a second X or R
+    spans j..j+1, a second L opens the gap j-1|j.  A second event wholly
+    above the first keeps its level and shifts the first by its own
+    width change; one wholly below is shifted back by the first's.
+    Testing "above" first settles ``R(i) L(i)``, the one pair that fits
+    both ways.
     """
-    slice_ = list(range(width))
-    records = []
-    for tag, ev in (first, second):
-        k = len(slice_)
-        i = ev.level
-        if ev.kind == "L":
-            if not 1 <= i <= k + 1:
-                return None
-            slice_[i - 1 : i - 1] = [(tag, 0), (tag, 1)]
-        elif ev.kind == "R":
-            if not 1 <= i <= k - 1:
-                return None
-            records.append((tag, "R", slice_[i - 1], slice_[i]))
-            del slice_[i - 1 : i + 1]
-        else:
-            if not 1 <= i <= k - 1:
-                return None
-            records.append((tag, "X", slice_[i - 1], slice_[i]))
-            slice_[i - 1], slice_[i] = slice_[i], slice_[i - 1]
-    return tuple(slice_), frozenset(records)
-
-
-def _commute(width, e1: Event, e2: Event) -> Optional[Tuple[Event, Event]]:
-    """Levels for applying e2 before e1 with identical effect, if any."""
-    target = _simulate_pair(width, ("a", e1), ("b", e2))
-    if target is None:
-        return None
-    for d2 in (0, -2, 2):
-        for d1 in (0, -2, 2):
-            j2, j1 = e2.level + d2, e1.level + d1
-            if j2 < 1 or j1 < 1:
-                continue
-            swapped = (Event(e2.kind, j2), Event(e1.kind, j1))
-            got = _simulate_pair(width, ("b", swapped[0]), ("a", swapped[1]))
-            if got == target:
-                return swapped
+    if (j - 1 if k2 == "L" else j + 1) < i:
+        return k2, j, k1, i + _DELTA[k2]
+    if j > (i - 1 if k1 == "R" else i + 1):
+        return k2, j - _DELTA[k1], k1, i
     return None
 
 
-# -- enumeration and application -------------------------------------------
+def _scan(events, width: int, lo: int, hi: int, kinds) -> List[Move]:
+    """Word moves of ``kinds`` whose window starts at an index in [lo, hi).
 
-_R_MOVE_KINDS = ("R1a", "R1b", "R2a", "R2b", "R3", "Slide")
-
-
-def _levels_fit(window, width: int) -> bool:
-    """Whether a run of events stays within level range starting from a
-    slice of ``width`` strands."""
-    k = width
-    for ev in window:
-        if ev.kind == "L":
-            if not 1 <= ev.level <= k + 1:
-                return False
-            k += 2
-        else:
-            if not 1 <= ev.level <= k - 1:
-                return False
-            if ev.kind == "R":
-                k -= 2
-    return True
+    One left-to-right pass over the ``(kind, level)`` pairs, matching
+    the windows of the module docstring by comparing levels; ``width``
+    is the slice width before ``events[lo]`` and is carried along (only
+    R2 expansions read it).  Stabilizations are not matched here.
+    """
+    r1a, r1b = "R1a" in kinds, "R1b" in kinds
+    r2a, r2b, r3 = "R2a" in kinds, "R2b" in kinds, "R3" in kinds
+    slide, destab = "Slide" in kinds, "Destabilize" in kinds
+    out: List[Move] = []
+    add = out.append
+    tail = events[lo:] + ((None, 0), (None, 0))
+    for idx, (k, l), (k2, l2), (k3, l3) in zip(
+        range(lo, hi), tail, tail[1:], tail[2:]
+    ):
+        if k == "L":
+            if r2a:
+                if l <= width:
+                    add(Move("R2a", idx, l, ("expand", "up")))
+                if l >= 2:
+                    add(Move("R2a", idx, l - 1, ("expand", "down")))
+                if k2 == "X" and k3 == "X" and l3 == l:
+                    if l2 == l - 1:
+                        add(Move("R2a", idx, l2, ("contract", "up")))
+                    elif l2 == l + 1:
+                        add(Move("R2a", idx, l, ("contract", "down")))
+            if k2 == "X" and k3 == "R" and l3 == l:
+                if l2 == l - 1 and r1a:
+                    add(Move("R1a", idx, l2))
+                elif l2 == l + 1 and r1b:
+                    add(Move("R1b", idx, l))
+            elif k2 == "R" and destab:
+                if l2 == l + 1:
+                    add(Move("Destabilize", idx, l, ("down",)))
+                elif l2 == l - 1:
+                    add(Move("Destabilize", idx, l2, ("up",)))
+            width += 2
+        elif k == "R":
+            if r2b:
+                if l >= 2:
+                    add(Move("R2b", idx, l - 1, ("expand", "up")))
+                if l <= width - 2:
+                    add(Move("R2b", idx, l, ("expand", "down")))
+            width -= 2
+        elif k2 == "X" and l3 == l:
+            if k3 == "X" and r3:
+                if l2 == l + 1:
+                    add(Move("R3", idx, l, ("up",)))
+                elif l2 == l - 1:
+                    add(Move("R3", idx, l2, ("down",)))
+            elif k3 == "R" and r2b:
+                if l2 == l + 1:
+                    add(Move("R2b", idx, l, ("contract", "up")))
+                elif l2 == l - 1:
+                    add(Move("R2b", idx, l2, ("contract", "down")))
+        if slide and k2 is not None:
+            swapped = _slide(k, l, k2, l2)
+            if swapped is not None:
+                add(Move("Slide", idx, min(l, l2), swapped))
+    return out
 
 
 def enumerate_moves(d: Diagram, kinds: Optional[Sequence[str]] = None) -> List[Move]:
-    """All applicable moves, ordered by (index, level, kind).
+    """All applicable moves, ordered by (index, level, kind, data).
 
     ``kinds`` filters the result; by default Reidemeister moves, slides,
     destabilizations, and stabilizations at every site are reported.
     """
-    events = _events_of(d)
-    widths = _slice_widths(d)
-    allowed = None if kinds is None else set(kinds)
-
-    def wanted(kind: str) -> bool:
-        return allowed is None or kind in allowed
-
-    out: List[Move] = []
-    for idx in range(len(events)):
-        m = _match_r1(events, idx)
-        if m:
-            out.append(m)
-        out.extend(_match_r2_contract(events, idx))
-        out.extend(_match_r3(events, idx))
-        out.extend(_match_destabilize(events, idx))
-        # R2 expansions seeded on a single cusp event.  Replacing one
-        # cusp by its three-event pattern keeps every later slice width,
-        # so applicability is a pure level-range check on the window.
-        ev = events[idx]
-        if ev.kind in "LR" and wanted("R2a" if ev.kind == "L" else "R2b"):
-            kind = "R2a" if ev.kind == "L" else "R2b"
-            for variant in ("up", "down"):
-                lhs, rhs = _R2_CONTRACTIONS[(kind, variant)]
-                for i in (ev.level - 1, ev.level):
-                    if (
-                        i >= 1
-                        and rhs(i) == (ev,)
-                        and _levels_fit(lhs(i), widths[idx])
-                    ):
-                        out.append(Move(kind, idx, i, ("expand", variant)))
-        if idx + 1 < len(events) and wanted("Slide"):
-            swapped = _commute(widths[idx], events[idx], events[idx + 1])
-            if swapped is not None:
-                out.append(
-                    Move(
-                        "Slide",
-                        idx,
-                        min(events[idx].level, events[idx + 1].level),
-                        (swapped[0].kind, swapped[0].level,
-                         swapped[1].kind, swapped[1].level),
-                    )
-                )
-    if wanted("StabilizePlus") or wanted("StabilizeMinus"):
-        for idx in range(len(events) + 1):
-            for lvl in range(1, widths[idx] + 1):
-                out.append(Move("StabilizePlus", idx, lvl))
-                out.append(Move("StabilizeMinus", idx, lvl))
-    if allowed is not None:
-        out = [m for m in out if m.kind in allowed]
-    out.sort(key=lambda m: (m.index, m.level, m.kind, m.data))
+    allowed = _WORD_KINDS if kinds is None else set(kinds)
+    out = _scan(d.events, _n_initial(d), 0, len(d.events), allowed)
+    plus, minus = "StabilizePlus" in allowed, "StabilizeMinus" in allowed
+    if plus or minus:
+        for idx, width in enumerate(_slice_widths(d)):
+            for lvl in range(1, width + 1):
+                if plus:
+                    out.append(Move("StabilizePlus", idx, lvl))
+                if minus:
+                    out.append(Move("StabilizeMinus", idx, lvl))
+    out.sort(key=_ORDER)
     return out
 
 
-def _try_apply(d: Diagram, m: Move) -> Optional[Diagram]:
-    try:
-        return apply_move(d, m)
-    except (MoveNotApplicable, DiagramError):
-        return None
+def _replacement(m: Move) -> Tuple[int, Tuple[Event, ...]]:
+    """Window length and new events of a move found by :func:`_scan`."""
+    i = m.level
+    if m.kind in ("R1a", "R1b"):
+        return 3, ()
+    if m.kind == "Destabilize":
+        return 2, ()
+    if m.kind == "R3":
+        if m.data == ("up",):
+            return 3, (X(i + 1), X(i), X(i + 1))
+        return 3, (X(i), X(i + 1), X(i))
+    if m.kind == "Slide":
+        k2, j2, k1, j1 = m.data
+        return 2, (Event(k2, j2), Event(k1, j1))
+    lhs, rhs = _R2_CONTRACTIONS[(m.kind, m.data[1])]
+    return (3, rhs(i)) if m.data[0] == "contract" else (1, lhs(i))
 
 
-def _rewrite_window(d: Diagram, idx: int, old_len: int, replacement) -> Diagram:
-    events = list(_events_of(d))
-    events[idx : idx + old_len] = list(replacement)
-    return _rebuild(d, events)
+def _rewrite_word(d: Diagram, m: Move) -> Tuple[Event, ...]:
+    """The event word ``apply_move(d, m)`` builds for a pattern move.
+
+    ``m`` is checked by the same scan that :func:`enumerate_moves` runs,
+    at its one window index.  Nothing is traced, so a caller can look
+    the word up before paying for the rebuild.  Empty ``data`` is
+    accepted wherever the site alone determines the rewrite (every kind
+    but R2, whose data picks the direction).
+    """
+    events = d.events
+    idx = m.index
+    if not 0 <= idx < len(events):
+        raise MoveNotApplicable(
+            f"{m.kind} index {idx} out of range 0..{len(events) - 1}"
+        )
+    # Only R2 expansions read the width.
+    width = _slice_widths(d)[idx] if m.data[:1] == ("expand",) else 0
+    for found in _scan(events, width, idx, idx + 1, (m.kind,)):
+        if found.level == m.level and (
+            m.data == found.data or not m.data and m.kind not in ("R2a", "R2b")
+        ):
+            old_len, new = _replacement(found)
+            return events[:idx] + new + events[idx + old_len :]
+    raise MoveNotApplicable(f"no {m} site")
 
 
-def apply_move(d: Diagram, m: Move) -> Diagram:
-    """Apply one move; raises MoveNotApplicable when the site mismatches."""
-    if m.kind == "HandleSlide":
-        k, circle, framing, site = m.data
-        return handle_slide(d, k, TwoHandleAttachment(circle, framing), site)
-    if m.kind == "PullOff":
-        hid, slot = m.data
-        return pull_off(d, hid, slot)
-    if m.kind == "CancelPair":
+# Handle moves: the types of their data fields and the diagram they act on.
+_HANDLE_MOVES = {
+    "HandleSlide": ((int, int, int, int), (SteinHandlebody,)),
+    "PullOff": ((object, int), (StandardFormDiagram, SteinHandlebody)),
+    "CancelPair": ((object, int, int), (SteinHandlebody,)),
+}
+
+
+def apply_move(d, m: Move):
+    """Apply one move.
+
+    Raises MoveNotApplicable when the move is malformed (index, level or
+    data of the wrong type, out of range, or of the wrong arity), does
+    not fit the kind of diagram, or its site mismatches.
+    """
+    if not (
+        isinstance(m.kind, str)
+        and isinstance(m.index, int)
+        and isinstance(m.level, int)
+        and isinstance(m.data, tuple)
+    ):
+        raise MoveNotApplicable(f"malformed move {m!r}")
+    if m.kind in _HANDLE_MOVES:
+        types, hosts = _HANDLE_MOVES[m.kind]
+        if len(m.data) != len(types) or not all(
+            isinstance(x, t) for x, t in zip(m.data, types)
+        ):
+            names = ", ".join(t.__name__ for t in types)
+            raise MoveNotApplicable(f"{m.kind} data must be ({names})")
+        if not isinstance(d, hosts):
+            raise MoveNotApplicable(
+                f"{m.kind} does not act on a {type(d).__name__}"
+            )
+        if m.kind == "HandleSlide":
+            k, circle, framing, site = m.data
+            return handle_slide(d, k, TwoHandleAttachment(circle, framing), site)
+        if m.kind == "PullOff":
+            return pull_off(d, *m.data)
         hid, circle, framing = m.data
         return cancel_pair(d, hid, TwoHandleAttachment(circle, framing))
-    events = _events_of(d)
-    idx, i = m.index, m.level
-    if m.kind in ("R1a", "R1b"):
-        found = _match_r1(events, idx)
-        if found != Move(m.kind, idx, i):
-            raise MoveNotApplicable(f"no {m.kind} kink at {idx}/{i}")
-        return _rewrite_window(d, idx, 3, ())
-    if m.kind in ("R2a", "R2b"):
-        if len(m.data) != 2:
-            raise MoveNotApplicable(f"{m.kind} needs (direction, variant) data")
-        direction, variant = m.data
-        lhs, rhs = _R2_CONTRACTIONS[(m.kind, variant)]
-        if direction == "contract":
-            if tuple(events[idx : idx + 3]) != lhs(i):
-                raise MoveNotApplicable(f"no {m.kind} pattern at {idx}/{i}")
-            return _rewrite_window(d, idx, 3, rhs(i))
-        if direction == "expand":
-            if tuple(events[idx : idx + 1]) != rhs(i):
-                raise MoveNotApplicable(f"no {m.kind} cusp at {idx}/{i}")
-            return _rewrite_window(d, idx, 1, lhs(i))
-        raise MoveNotApplicable(f"unknown {m.kind} direction {direction!r}")
-    if m.kind == "R3":
-        up = (X(i), X(i + 1), X(i))
-        down = (X(i + 1), X(i), X(i + 1))
-        window = tuple(events[idx : idx + 3])
-        if window == up:
-            return _rewrite_window(d, idx, 3, down)
-        if window == down:
-            return _rewrite_window(d, idx, 3, up)
-        raise MoveNotApplicable(f"no R3 triple at {idx}/{i}")
-    if m.kind == "Slide":
-        if idx + 2 > len(events):
-            raise MoveNotApplicable("slide window out of range")
-        swapped = _commute(_slice_widths(d)[idx], events[idx], events[idx + 1])
-        if swapped is None:
-            raise MoveNotApplicable(f"events at {idx} do not commute")
-        if m.data and m.data != (
-            swapped[0].kind, swapped[0].level, swapped[1].kind, swapped[1].level
-        ):
-            raise MoveNotApplicable("slide data does not match the site")
-        return _rewrite_window(d, idx, 2, swapped)
+    if m.kind not in _WORD_KINDS:
+        raise MoveNotApplicable(f"unknown move kind {m.kind!r}")
+    if not isinstance(d, (FrontDiagram, StandardFormDiagram)):
+        raise MoveNotApplicable(f"{m.kind} does not act on a {type(d).__name__}")
     if m.kind in ("StabilizePlus", "StabilizeMinus"):
+        if m.data or not 0 <= m.index <= len(d.events):
+            raise MoveNotApplicable(f"no {m} site")
         sign = 1 if m.kind == "StabilizePlus" else -1
-        return _stabilize_at(d, idx, i, sign)
-    if m.kind == "Destabilize":
-        for mv in _match_destabilize(events, idx):
-            if mv.level == i and (not m.data or m.data == mv.data):
-                return _rewrite_window(d, idx, 2, ())
-        raise MoveNotApplicable(f"no zigzag at {idx}/{i}")
-    raise MoveNotApplicable(f"unknown move kind {m.kind!r}")
+        return _stabilize_at(d, m.index, m.level, sign)
+    return _rebuild(d, _rewrite_word(d, m))
 
 
 def _strand_orientation_at(d: Diagram, idx: int, lvl: int) -> int:
@@ -393,7 +351,7 @@ def _stabilize_at(d: Diagram, idx: int, lvl: int, sign: int) -> Diagram:
         zigzag = (L(lvl + 1), R(lvl))
     else:
         zigzag = (L(lvl), R(lvl + 1))
-    events = list(_events_of(d))
+    events = list(d.events)
     events[idx:idx] = list(zigzag)
     return _rebuild(d, events)
 
@@ -418,7 +376,7 @@ def stabilize(
         c = 0
     if site is None:
         widths = _slice_widths(d)
-        for idx in range(len(_events_of(d)) + 1):
+        for idx in range(len(d.events) + 1):
             for lvl in range(1, widths[idx] + 1):
                 cur = _strand_id_at(d, idx, lvl)
                 if tr.strand_component[cur] == c:
@@ -438,7 +396,7 @@ def stabilize(
 def _strand_id_at(d: Diagram, idx: int, lvl: int) -> int:
     tr = d.trace
     cur = list(tr.initial_strands if isinstance(d, StandardFormDiagram) else [])
-    for j, ev in enumerate(_events_of(d)[:idx]):
+    for j, ev in enumerate(d.events[:idx]):
         i = ev.level
         if ev.kind == "L":
             cur[i - 1 : i - 1] = list(tr.event_strands[j])
@@ -458,7 +416,7 @@ def _slices(d: Diagram) -> List[List[int]]:
     tr = d.trace
     cur = list(tr.initial_strands)
     slices = [list(cur)]
-    for idx, ev in enumerate(_events_of(d)):
+    for idx, ev in enumerate(d.events):
         i = ev.level
         if ev.kind == "L":
             cur[i - 1 : i - 1] = list(tr.event_strands[idx])
@@ -798,7 +756,7 @@ def _pull_off(d: StandardFormDiagram, hid, slot: int):
     cusp_adj: Dict[int, List[int]] = {}
     for idx, ev in enumerate(d.events):
         if ev.kind in "LR":
-            u, v = tr.event_strands[idx] if ev.kind == "L" else _cusp_pair(d, idx)
+            u, v = tr.event_strands[idx]
             cusp_adj.setdefault(u, []).append(v)
             cusp_adj.setdefault(v, []).append(u)
     finger = set()
@@ -843,22 +801,6 @@ def _pull_off(d: StandardFormDiagram, hid, slot: int):
         new_events,
     )
     return new_d, cmap
-
-
-def _cusp_pair(d: StandardFormDiagram, idx: int) -> Tuple[int, int]:
-    """The two strand ids joined by the right cusp at event ``idx``."""
-    tr = d.trace
-    cur = list(tr.initial_strands)
-    for j, ev in enumerate(d.events[:idx]):
-        i = ev.level
-        if ev.kind == "L":
-            cur[i - 1 : i - 1] = list(tr.event_strands[j])
-        elif ev.kind == "R":
-            del cur[i - 1 : i + 1]
-        else:
-            cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    i = d.events[idx].level
-    return cur[i - 1], cur[i]
 
 
 def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):

@@ -1,17 +1,25 @@
 """Word rewrites and handle moves: applicability and exact bookkeeping."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_knot
+from conftest import random_front, random_knot
+from frontkit import gallery
 from frontkit.errors import (
+    DiagramError,
     GeometricPassNotOne,
+    MoveError,
     MoveNotApplicable,
     NotSteinFramed,
     OtherStrandsPresent,
 )
+from frontkit.explore import _FUZZ_KINDS, _REDUCING_KINDS, fuzz_moves
 from frontkit.front import (
+    Event,
     FrontDiagram,
     L,
     R,
@@ -24,6 +32,7 @@ from frontkit.front import (
 from frontkit.moves import (
     Move,
     MoveScript,
+    _slide,
     apply_move,
     band_sites,
     cancel_pair,
@@ -236,3 +245,229 @@ def test_pull_off_requires_opposite_passes():
     )
     with pytest.raises(MoveNotApplicable):
         pull_off(d, "H", 1)
+
+
+# --- the matcher against brute force ---------------------------------------
+
+
+def _simulate_pair(width, first, second):
+    """Run two events on a labeled slice; None when levels are invalid.
+
+    Created strands are tagged by the event that made them, so the
+    signature is comparable across the two orderings.
+    """
+    slice_ = list(range(width))
+    records = []
+    for tag, ev in (first, second):
+        k = len(slice_)
+        i = ev.level
+        if ev.kind == "L":
+            if not 1 <= i <= k + 1:
+                return None
+            slice_[i - 1 : i - 1] = [(tag, 0), (tag, 1)]
+        elif ev.kind == "R":
+            if not 1 <= i <= k - 1:
+                return None
+            records.append((tag, "R", slice_[i - 1], slice_[i]))
+            del slice_[i - 1 : i + 1]
+        else:
+            if not 1 <= i <= k - 1:
+                return None
+            records.append((tag, "X", slice_[i - 1], slice_[i]))
+            slice_[i - 1], slice_[i] = slice_[i], slice_[i - 1]
+    return tuple(slice_), frozenset(records)
+
+
+def _brute_commute(width, e1, e2):
+    """First level pair, over shifts (0, -2, 2), that runs e2 before e1
+    with the same effect on a slice of ``width`` strands."""
+    target = _simulate_pair(width, ("a", e1), ("b", e2))
+    for d2 in (0, -2, 2):
+        for d1 in (0, -2, 2):
+            j2, j1 = e2.level + d2, e1.level + d1
+            if j2 < 1 or j1 < 1:
+                continue
+            swapped = (Event(e2.kind, j2), Event(e1.kind, j1))
+            if _simulate_pair(width, ("b", swapped[0]), ("a", swapped[1])) == target:
+                return (e2.kind, j2, e1.kind, j1)
+    return None
+
+
+def _valid_events(width):
+    yield from (L(i) for i in range(1, width + 2))
+    yield from (e(i) for e in (R, X) for i in range(1, width))
+
+
+def test_closed_form_slide_matches_brute_force():
+    pairs = 0
+    for width in range(11):
+        for e1 in _valid_events(width):
+            after = width + {"L": 2, "R": -2, "X": 0}[e1.kind]
+            for e2 in _valid_events(after):
+                pairs += 1
+                assert _slide(e1.kind, e1.level, e2.kind, e2.level) == (
+                    _brute_commute(width, e1, e2)
+                ), (width, e1, e2)
+    assert pairs > 1000
+
+
+def _candidates(d, kinds):
+    """Every move of ``kinds`` a scan could plausibly report on ``d``,
+    and a few out-of-range ones, with the data enumeration uses."""
+    events = d.events
+    levels = range(0, d.trace.max_width + 3)
+    data = {
+        "R1a": [()],
+        "R1b": [()],
+        "R2a": [(a, b) for a in ("contract", "expand") for b in ("up", "down")],
+        "R3": [("up",), ("down",)],
+        "Destabilize": [("up",), ("down",)],
+    }
+    data["R2b"] = data["R2a"]
+    for idx in range(-1, len(events) + 2):
+        for kind in kinds:
+            if kind == "Slide":
+                if not 0 <= idx < len(events) - 1:
+                    continue
+                e1, e2 = events[idx], events[idx + 1]
+                options = [
+                    (e2.kind, e2.level + a, e1.kind, e1.level + b)
+                    for a in (-2, 0, 2) for b in (-2, 0, 2)
+                ]
+            else:
+                options = data.get(kind, [()])
+            for lvl in levels:
+                for extra in options:
+                    yield Move(kind, idx, lvl, extra)
+
+
+def _accepted(d, kinds):
+    out = set()
+    for m in _candidates(d, kinds):
+        try:
+            apply_move(d, m)
+        except MoveNotApplicable:
+            continue
+        out.add(m)
+    return sorted(out, key=lambda m: (m.index, m.level, m.kind, m.data))
+
+
+def _matcher_diagrams():
+    rng = random.Random(20)
+    fronts = [random_front(rng, steps=rng.randint(4, 22)) for _ in range(12)]
+    fronts += [
+        r3_site_diagram(),
+        FrontDiagram([L(1), L(1), X(2), R(1), R(1)]),  # an R1b kink
+        stabilize(stabilize(trefoil(), 0, 1), 0, -1),
+    ]
+    handlebodies = [
+        gallery.Z_m_handlebody(-3),
+        gallery.stein_rep_max(-5, 2),
+        gallery.stein_rep_variant(-7, 3),
+    ]
+    return fronts + [h.diagram for h in handlebodies]
+
+
+@pytest.mark.parametrize("kinds", [_REDUCING_KINDS, _FUZZ_KINDS])
+def test_enumeration_is_what_apply_accepts(kinds):
+    found = set()
+    for d in _matcher_diagrams():
+        ms = enumerate_moves(d, kinds)
+        assert ms == _accepted(d, kinds), d
+        found.update(m.kind for m in ms)
+    assert found == set(kinds)
+
+
+def test_kind_filter_matches_no_other_kind():
+    for d in _matcher_diagrams():
+        every = enumerate_moves(d)
+        for kind in _REDUCING_KINDS + ("StabilizePlus", "StabilizeMinus"):
+            assert enumerate_moves(d, (kind,)) == [
+                m for m in every if m.kind == kind
+            ]
+        assert enumerate_moves(d, ()) == []
+
+
+def test_stabilization_sites_are_what_apply_accepts():
+    kinds = ("StabilizePlus", "StabilizeMinus")
+    for d in _matcher_diagrams()[:4]:
+        assert enumerate_moves(d, kinds) == _accepted(d, kinds), d
+
+
+def test_fuzz_walk_is_pinned():
+    """The walk is a function of enumerate_moves' exact output order."""
+    rep = fuzz_moves(gallery.K_mn_cable_front(-5, 3), seed=1, steps=50)
+    word = " ".join(map(str, rep.final.events))
+    assert rep.steps_applied == 50
+    assert len(rep.final.events) == 557
+    assert hashlib.sha256(word.encode()).hexdigest() == (
+        "3189c33a628dd7388900ecaca207e040d9278a1fd21e045a6717bd8f002fa7da"
+    )
+
+
+# --- malformed moves fail typed ---------------------------------------------
+
+_TARGETS = {
+    "trefoil": trefoil(),
+    "handlebody": toy_handlebody(),
+    "strip": toy_handlebody().diagram,
+}
+_KINDS = (
+    "R1a", "R1b", "R2a", "R2b", "R3", "Slide", "Destabilize",
+    "StabilizePlus", "StabilizeMinus", "HandleSlide", "PullOff", "CancelPair",
+)
+_data_item = st.one_of(
+    st.integers(-3, 8),
+    st.sampled_from(
+        ("up", "down", "contract", "expand", "sideways", "H", "L", "R", "X")
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_TARGETS)),
+    st.one_of(st.sampled_from(_KINDS), st.text(max_size=4)),
+    st.integers(-3, 12),
+    st.integers(-3, 12),
+    st.lists(_data_item, max_size=5).map(tuple),
+)
+@example("trefoil", "R2a", 0, 1, ("contract", "sideways"))
+@example("trefoil", "R1a", -2, 1, ())
+@example("trefoil", "Destabilize", -1, 1, ())
+@example("trefoil", "StabilizePlus", -1, 1, ())
+@example("trefoil", "Slide", -1, 1, ())
+@example("handlebody", "HandleSlide", 0, 0, (1, 0))
+@example("trefoil", "PullOff", 0, 0, ("H", 1))
+@example("trefoil", "CancelPair", 0, 0, ("H", 0, -2))
+def test_malformed_moves_fail_typed(target, kind, index, level, data):
+    try:
+        apply_move(_TARGETS[target], Move(kind, index, level, data))
+    except (MoveError, DiagramError):
+        pass
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        Move("R2a", 0, 1, ("contract", "sideways")),
+        Move("R1a", -2, 1),
+        Move("Destabilize", -1, 1),
+        Move("StabilizePlus", -1, 1),
+        Move("StabilizePlus", 8, 1),
+        Move("StabilizePlus", 0, 1, ("extra",)),
+        Move("Slide", -1, 1),
+        Move("R1a", 0, 1, ("extra",)),
+        Move("HandleSlide", data=(1, 0)),
+        Move("PullOff", data=("H", 1)),
+        Move("CancelPair", data=("H", 0, -2)),
+    ],
+)
+def test_malformed_move_is_not_applicable(move):
+    with pytest.raises(MoveNotApplicable):
+        apply_move(trefoil(), move)
+
+
+def test_slide_index_out_of_range_says_so():
+    with pytest.raises(MoveNotApplicable, match="out of range"):
+        apply_move(trefoil(), Move("Slide", -1, 1))
