@@ -12,8 +12,8 @@ and extracts everything the rest of the package needs:
 * cusp directions, self-writhe, and pairwise inter-component crossing
   sums (twice the linking number).
 
-The compiled kernel in ``_fast.pyx`` implements the same routine; see
-``frontkit._kernel`` for how one of the two is selected.
+Event kinds are the same one-letter strings that ``frontkit.front.Event``
+carries, so a word of ``Event`` tuples is traced as it is stored.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ from __future__ import annotations
 from ..errors import DanglingStrand, DiagramError, LevelOutOfRange
 
 # Event kinds.
-LEFT_CUSP = 0
-RIGHT_CUSP = 1
-CROSSING = 2
-
-KIND_NAMES = {LEFT_CUSP: "L", RIGHT_CUSP: "R", CROSSING: "X"}
+LEFT_CUSP = "L"
+RIGHT_CUSP = "R"
+CROSSING = "X"
 
 
 class TraceResult:
@@ -76,7 +74,8 @@ def trace(events, n_initial=0, port_links=()):
     linked ends keep their traversal direction, cusps reverse it.
 
     Returns a :class:`TraceResult`.  Raises :class:`DiagramError` on the
-    first structural problem.
+    first structural problem, including an event that is not a pair or
+    whose level is not an int.
     """
     slice_ids = list(range(n_initial))
     next_id = n_initial
@@ -88,46 +87,54 @@ def trace(events, n_initial=0, port_links=()):
     right_cusp_of = []
     max_width = n_initial
 
-    for idx, (kind, level) in enumerate(events):
-        k = len(slice_ids)
-        if kind == LEFT_CUSP:
-            if not 1 <= level <= k + 1:
-                raise LevelOutOfRange(
-                    f"left cusp at level {level} with {k} strands", idx
-                )
-            upper = next_id
-            lower = next_id + 1
-            next_id += 2
-            slice_ids[level - 1 : level - 1] = [upper, lower]
-            joins.append((upper, lower, True))
-            left_cusp_of.append((idx, upper, lower))
-            event_strands.append((upper, lower))
-        elif kind == RIGHT_CUSP:
-            if not 1 <= level <= k - 1:
-                raise LevelOutOfRange(
-                    f"right cusp at level {level} with {k} strands", idx
-                )
-            upper = slice_ids[level - 1]
-            lower = slice_ids[level]
-            del slice_ids[level - 1 : level + 1]
-            joins.append((upper, lower, True))
-            right_cusp_of.append((idx, upper, lower))
-            event_strands.append((upper, lower))
-        elif kind == CROSSING:
-            if not 1 <= level <= k - 1:
-                raise LevelOutOfRange(
-                    f"crossing at level {level} with {k} strands", idx
-                )
-            desc = slice_ids[level - 1]
-            asc = slice_ids[level]
-            slice_ids[level - 1] = asc
-            slice_ids[level] = desc
-            crossing_events.append((idx, desc, asc))
-            event_strands.append((desc, asc))
-        else:  # pragma: no cover - guarded by event constructors
-            raise DiagramError(f"unknown event kind {kind}", idx)
-        if len(slice_ids) > max_width:
-            max_width = len(slice_ids)
+    idx = -1
+    try:
+        for idx, (kind, level) in enumerate(events):
+            k = len(slice_ids)
+            if kind == LEFT_CUSP:
+                if not 1 <= level <= k + 1:
+                    raise LevelOutOfRange(
+                        f"left cusp at level {level} with {k} strands", idx
+                    )
+                upper = next_id
+                lower = next_id + 1
+                next_id += 2
+                slice_ids[level - 1 : level - 1] = [upper, lower]
+                joins.append((upper, lower, True))
+                left_cusp_of.append((idx, upper, lower))
+                event_strands.append((upper, lower))
+            elif kind == RIGHT_CUSP:
+                if not 1 <= level <= k - 1:
+                    raise LevelOutOfRange(
+                        f"right cusp at level {level} with {k} strands", idx
+                    )
+                upper = slice_ids[level - 1]
+                lower = slice_ids[level]
+                del slice_ids[level - 1 : level + 1]
+                joins.append((upper, lower, True))
+                right_cusp_of.append((idx, upper, lower))
+                event_strands.append((upper, lower))
+            elif kind == CROSSING:
+                if not 1 <= level <= k - 1:
+                    raise LevelOutOfRange(
+                        f"crossing at level {level} with {k} strands", idx
+                    )
+                desc = slice_ids[level - 1]
+                asc = slice_ids[level]
+                slice_ids[level - 1] = asc
+                slice_ids[level] = desc
+                crossing_events.append((idx, desc, asc))
+                event_strands.append((desc, asc))
+            else:
+                raise DiagramError(f"unknown event kind {kind!r}", idx)
+            if len(slice_ids) > max_width:
+                max_width = len(slice_ids)
+    except (TypeError, ValueError) as exc:
+        # Raised only by a word that is not iterable, an item that is not
+        # a pair, or a level that is not an int (it cannot be compared
+        # with the width or used as a slice position).
+        what = f"malformed event {events[idx]!r}" if idx >= 0 else "malformed word"
+        raise DiagramError(what, idx) from exc
 
     expected_final = len(port_links)
     if len(slice_ids) != expected_final:

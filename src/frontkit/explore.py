@@ -20,12 +20,14 @@ from .front import (
     thurston_bennequin,
 )
 from .moves import (
+    _ORDER,
     Move,
+    MoveIndex,
     MoveScript,
+    _n_initial,
     _rebuild,
     _rewrite_word,
-    apply_move,
-    enumerate_moves,
+    _scan,
 )
 from .standard import StandardFormDiagram, homology_vector, tb_standard
 
@@ -36,12 +38,11 @@ _REDUCING_KINDS = ("R1a", "R1b", "R2a", "R2b", "R3", "Slide", "Destabilize")
 
 
 def _reducing_moves(d) -> List[Move]:
-    """Applicable word-shrinking moves, excluding R2 expansions."""
-    out = []
-    for m in enumerate_moves(d, _REDUCING_KINDS):
-        if m.kind in ("R2a", "R2b") and m.data[0] == "expand":
-            continue
-        out.append(m)
+    """``enumerate_moves(d, _REDUCING_KINDS)`` without the R2 expansions,
+    which are never matched."""
+    out = _scan(d.events, _n_initial(d), 0, len(d.events), _REDUCING_KINDS,
+                expand=False)
+    out.sort(key=_ORDER)
     return out
 
 
@@ -172,12 +173,12 @@ def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
     current = d
     violations: List[str] = []
     applied = 0
+    moves = MoveIndex(d, _FUZZ_KINDS)
     for step in range(steps):
-        moves = enumerate_moves(current, _FUZZ_KINDS)
         if not moves:
             break
         m = rng.choice(moves)
-        current = apply_move(current, m)
+        current = moves.apply(m)
         applied += 1
         got = _fingerprint(current)
         if got != want:

@@ -12,10 +12,9 @@ two-bridge positive trefoil word has writhe +3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import _kernel
-from ._kernel import CROSSING, LEFT_CUSP, RIGHT_CUSP
 from .errors import DiagramError, NotAKnot
 
 
@@ -29,8 +28,8 @@ class Event(NamedTuple):
         return f"{self.kind}{self.level}"
 
 
-_KIND_TO_CODE = {"L": LEFT_CUSP, "R": RIGHT_CUSP, "X": CROSSING}
-_CODE_TO_KIND = {v: k for k, v in _KIND_TO_CODE.items()}
+_KINDS = frozenset("LRX")
+_EVENT_TYPE = frozenset((Event,))
 
 
 def L(level: int) -> Event:
@@ -50,24 +49,32 @@ def X(level: int) -> Event:
 
 def event_from_string(text: str) -> Event:
     kind = text[:1].upper()
-    if kind not in _KIND_TO_CODE or not text[1:].isdigit():
+    if kind not in _KINDS or not text[1:].isdigit():
         raise ValueError(f"not an event: {text!r}")
     return Event(kind, int(text[1:]))
 
 
-def encode_word(events: Iterable[Event]):
-    """Internal kernel encoding of a word."""
-    out = []
-    for ev in events:
-        code = _KIND_TO_CODE.get(ev.kind)
-        if code is None:
-            raise DiagramError(f"unknown event kind {ev.kind!r}")
-        out.append((code, ev.level))
-    return out
+def encode_word(events: Iterable[Event]) -> Tuple[Event, ...]:
+    """The word as a tuple of :class:`Event`: the one form that diagrams
+    store and the trace kernel reads.
 
-
-def decode_word(pairs) -> tuple:
-    return tuple(Event(_CODE_TO_KIND[k], lv) for k, lv in pairs)
+    A tuple whose items are all Events is returned as it is, after one
+    type check; any other iterable of Events is copied into a tuple.
+    Raises :class:`DiagramError` naming the first item that is not an
+    Event, or when ``events`` is not iterable.
+    """
+    try:
+        word = events if type(events) is tuple else tuple(events)
+    except TypeError:
+        raise DiagramError(
+            f"a word is a sequence of events, not {type(events).__name__}"
+        ) from None
+    if set(map(type, word)) <= _EVENT_TYPE:
+        return word
+    for idx, ev in enumerate(word):
+        if not isinstance(ev, Event):
+            raise DiagramError(f"not an event: {ev!r}", idx)
+    return tuple(Event(*ev) for ev in word)
 
 
 @dataclass(frozen=True)
@@ -87,14 +94,16 @@ class FrontDiagram:
     """An immutable, validated closed front diagram.
 
     The word must start and end on the empty slice.  Validation and the
-    component trace run once, at construction.
+    component trace run once, at construction; a tuple of Events is
+    stored as given (see :func:`encode_word`).
     """
 
     __slots__ = ("events", "_trace")
 
     def __init__(self, events: Sequence[Event]):
-        object.__setattr__(self, "events", tuple(Event(e.kind, e.level) for e in events))
-        object.__setattr__(self, "_trace", _kernel.trace(encode_word(self.events)))
+        events = encode_word(events)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "_trace", _kernel.trace(events))
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("FrontDiagram is immutable")
@@ -134,7 +143,7 @@ class FrontDiagram:
 
 def validate(d: FrontDiagram) -> None:
     """Re-run structural validation (construction already does this)."""
-    _kernel.trace(encode_word(d.events))
+    _kernel.trace(d.events)
 
 
 def _component_arg(d: FrontDiagram, c: Optional[int]) -> int:

@@ -28,20 +28,34 @@ runs it at the one index it is given, so a move applies exactly when
 enumeration lists it.  Stabilization sites are every (position, level)
 of the word.
 
+A walk that applies one move after another keeps its move list in a
+:class:`MoveIndex` instead of enumerating every step.  The index holds
+the sorted list grouped by window index.  A move at ``idx`` rewrites at
+most three events, and every move keeps the slice width on both sides
+of its window, so after it only the windows starting in
+``[idx - 2, idx + new_len)`` can match differently; the later windows
+see the same events and width as before, at an index shifted by the
+change in length.  The index rescans those few windows and shifts the
+rest, and every step is still rebuilt and traced by :func:`apply_move`.
+
 Handle moves (slide, cancellation, finger pull-off) operate on
 standard-form diagrams and live in the second half of this module.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from itertools import accumulate
+from operator import attrgetter, itemgetter
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .errors import (
     BandObstructed,
     DiagramError,
     GeometricPassNotOne,
+    MoveError,
     MoveNotApplicable,
     NotSteinFramed,
     OtherStrandsPresent,
@@ -115,6 +129,12 @@ def _slice_widths(d: Diagram) -> List[int]:
     return out
 
 
+def _width_at(d: Diagram, idx: int) -> int:
+    """Slice width before ``d.events[idx]``, counted at C speed."""
+    kinds = list(map(_KIND_OF, d.events[:idx]))
+    return _n_initial(d) + 2 * (kinds.count("L") - kinds.count("R"))
+
+
 # -- the matcher -----------------------------------------------------------
 
 # Change of slice width across each event kind.
@@ -128,12 +148,14 @@ _R2_CONTRACTIONS = {
     ("R2b", "down"): (lambda i: (X(i + 1), X(i), R(i + 1)), lambda i: (R(i),)),
 }
 
-_WORD_KINDS = frozenset(
-    ("R1a", "R1b", "R2a", "R2b", "R3", "Slide", "Destabilize",
-     "StabilizePlus", "StabilizeMinus")
+# Moves that rewrite a window of at most three events, and all word moves.
+_WINDOW_KINDS = frozenset(
+    ("R1a", "R1b", "R2a", "R2b", "R3", "Slide", "Destabilize")
 )
+_WORD_KINDS = _WINDOW_KINDS | {"StabilizePlus", "StabilizeMinus"}
 
 _ORDER = attrgetter("index", "level", "kind", "data")
+_KIND_OF = itemgetter(0)
 
 
 def _slide(k1: str, i: int, k2: str, j: int) -> Optional[Tuple[str, int, str, int]]:
@@ -157,29 +179,33 @@ def _slide(k1: str, i: int, k2: str, j: int) -> Optional[Tuple[str, int, str, in
     return None
 
 
-def _scan(events, width: int, lo: int, hi: int, kinds) -> List[Move]:
+def _scan(events, width: int, lo: int, hi: int, kinds,
+          expand: bool = True) -> List[Move]:
     """Word moves of ``kinds`` whose window starts at an index in [lo, hi).
 
     One left-to-right pass over the ``(kind, level)`` pairs, matching
     the windows of the module docstring by comparing levels; ``width``
     is the slice width before ``events[lo]`` and is carried along (only
-    R2 expansions read it).  Stabilizations are not matched here.
+    R2 expansions read it).  ``expand=False`` leaves the R2 expansions
+    out.  Stabilizations are not matched here.
     """
     r1a, r1b = "R1a" in kinds, "R1b" in kinds
     r2a, r2b, r3 = "R2a" in kinds, "R2b" in kinds, "R3" in kinds
     slide, destab = "Slide" in kinds, "Destabilize" in kinds
+    r2a_expand, r2b_expand = r2a and expand, r2b and expand
     out: List[Move] = []
     add = out.append
-    tail = events[lo:] + ((None, 0), (None, 0))
+    tail = events[lo : hi + 2] + ((None, 0), (None, 0))
     for idx, (k, l), (k2, l2), (k3, l3) in zip(
         range(lo, hi), tail, tail[1:], tail[2:]
     ):
         if k == "L":
-            if r2a:
+            if r2a_expand:
                 if l <= width:
                     add(Move("R2a", idx, l, ("expand", "up")))
                 if l >= 2:
                     add(Move("R2a", idx, l - 1, ("expand", "down")))
+            if r2a:
                 if k2 == "X" and k3 == "X" and l3 == l:
                     if l2 == l - 1:
                         add(Move("R2a", idx, l2, ("contract", "up")))
@@ -197,7 +223,7 @@ def _scan(events, width: int, lo: int, hi: int, kinds) -> List[Move]:
                     add(Move("Destabilize", idx, l2, ("up",)))
             width += 2
         elif k == "R":
-            if r2b:
+            if r2b_expand:
                 if l >= 2:
                     add(Move("R2b", idx, l - 1, ("expand", "up")))
                 if l <= width - 2:
@@ -275,7 +301,7 @@ def _rewrite_word(d: Diagram, m: Move) -> Tuple[Event, ...]:
             f"{m.kind} index {idx} out of range 0..{len(events) - 1}"
         )
     # Only R2 expansions read the width.
-    width = _slice_widths(d)[idx] if m.data[:1] == ("expand",) else 0
+    width = _width_at(d, idx) if m.data[:1] == ("expand",) else 0
     for found in _scan(events, width, idx, idx + 1, (m.kind,)):
         if found.level == m.level and (
             m.data == found.data or not m.data and m.kind not in ("R2a", "R2b")
@@ -335,6 +361,74 @@ def apply_move(d, m: Move):
         sign = 1 if m.kind == "StabilizePlus" else -1
         return _stabilize_at(d, m.index, m.level, sign)
     return _rebuild(d, _rewrite_word(d, m))
+
+
+class MoveIndex(Sequence):
+    """``enumerate_moves(d, kinds)`` for a diagram that changes one move
+    at a time, kept current without rescanning the whole word.
+
+    Each window index holds its moves as sorted ``(level, kind, data)``
+    triples, which do not name the index, so the windows after a rewrite
+    only shift.  ``len(index)`` and ``index[k]`` give the k-th move of
+    the sorted list: ``rng.choice(index)`` draws exactly the move that
+    ``rng.choice(enumerate_moves(d, kinds))`` draws.  :meth:`apply`
+    rebuilds the diagram with :func:`apply_move`, so every step is
+    validated by a full trace, then rescans the windows the move can
+    have changed (see the module docstring).  Only window moves can be
+    listed: a stabilization is a site, not a window, and a handle move
+    rewrites more than the word.
+    """
+
+    def __init__(self, d: Diagram, kinds: Sequence[str]):
+        self._kinds = frozenset(kinds)
+        if not self._kinds <= _WINDOW_KINDS:
+            others = ", ".join(sorted(self._kinds - _WINDOW_KINDS))
+            raise MoveError(f"a MoveIndex lists window moves, not {others}")
+        self.diagram = d
+        self._groups = _grouped(enumerate_moves(d, self._kinds), 0, len(d.events))
+        self._ends = list(accumulate(map(len, self._groups)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k: int) -> Move:
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"move {k} out of range for {len(self)} moves")
+        idx = bisect_right(self._ends, k)
+        group = self._groups[idx]
+        level, kind, data = group[k - self._ends[idx] + len(group)]
+        return Move(kind, idx, level, data)
+
+    def apply(self, m: Move) -> Diagram:
+        """Apply ``m``, a move of one of the listed kinds, to the held
+        diagram and return the result, which the index then lists."""
+        if m.kind not in self._kinds:
+            raise MoveNotApplicable(f"{m.kind} is not a kind this index lists")
+        old = self.diagram
+        new = apply_move(old, m)
+        # The rewrite replaced at most 3 events at m.index, so old windows
+        # from hi on are the new windows from hi + shift on, unchanged.
+        shift = len(new.events) - len(old.events)
+        lo = max(m.index - 2, 0)
+        hi = min(m.index + 3, len(old.events))
+        found = _scan(new.events, _width_at(new, lo), lo, hi + shift, self._kinds)
+        self._groups[lo:hi] = _grouped(found, lo, hi + shift)
+        self._ends = list(accumulate(map(len, self._groups)))
+        self.diagram = new
+        return new
+
+
+def _grouped(moves: List[Move], lo: int, hi: int) -> List[List[Tuple]]:
+    """The moves of windows lo..hi-1, one sorted list of ``(level, kind,
+    data)`` per window."""
+    groups: List[List[Tuple]] = [[] for _ in range(lo, hi)]
+    for m in moves:
+        groups[m.index - lo].append((m.level, m.kind, m.data))
+    for group in groups:
+        group.sort()
+    return groups
 
 
 def _strand_orientation_at(d: Diagram, idx: int, lvl: int) -> int:

@@ -55,9 +55,7 @@ class StandardFormDiagram:
     ):
         object.__setattr__(self, "handles", tuple(handles))
         object.__setattr__(self, "left_ports", tuple(left_ports))
-        object.__setattr__(
-            self, "events", tuple(Event(e.kind, e.level) for e in events)
-        )
+        object.__setattr__(self, "events", encode_word(events))
         object.__setattr__(self, "right_ports", tuple(right_ports))
         object.__setattr__(self, "_trace", self._run_trace())
 
@@ -112,9 +110,7 @@ class StandardFormDiagram:
         right_pos = {p: i for i, p in enumerate(self.right_ports)}
         left_pos = {p: i for i, p in enumerate(self.left_ports)}
         port_links = [(right_pos[p], left_pos[p]) for p in sorted_ports(self)]
-        return _kernel.trace(
-            encode_word(self.events), len(self.left_ports), port_links
-        )
+        return _kernel.trace(self.events, len(self.left_ports), port_links)
 
     # -- simple accessors -----------------------------------------------
 

@@ -1,17 +1,24 @@
 """Move-graph search and invariance fuzzing."""
 
+import random
+
 import pytest
 
+from frontkit import gallery
 from frontkit.errors import BudgetExhausted
 from frontkit.explore import (
+    _FUZZ_KINDS,
+    _REDUCING_KINDS,
     SearchConfig,
+    _fingerprint,
+    _reducing_moves,
     bfs_max_tb,
     fuzz_moves,
     local_max_certificate,
 )
-from frontkit.front import thurston_bennequin, trefoil, unknot
+from frontkit.front import FrontDiagram, thurston_bennequin, trefoil, unknot
 from frontkit.gallery import K_m_front, K_mn_cable_front
-from frontkit.moves import stabilize
+from frontkit.moves import apply_move, enumerate_moves, stabilize
 
 
 def twice_stabilized_unknot():
@@ -91,3 +98,59 @@ def test_fuzz_trefoil_no_violations():
 def test_fuzz_twist_knot_no_violations():
     rep = fuzz_moves(K_m_front(-2), seed=3, steps=150)
     assert rep.violations == ()
+
+
+def _reference_fuzz(d, seed, steps):
+    """The walk as fuzz_moves defines it, with a full enumeration per
+    step: a uniform draw from enumerate_moves, then apply_move."""
+    rng = random.Random(seed)
+    want = _fingerprint(d)
+    current = d
+    violations = []
+    applied = 0
+    for step in range(steps):
+        moves = enumerate_moves(current, _FUZZ_KINDS)
+        if not moves:
+            break
+        m = rng.choice(moves)
+        current = apply_move(current, m)
+        applied += 1
+        got = _fingerprint(current)
+        if got != want:
+            violations.append(f"step {step} ({m.kind} at {m.index}): {want} -> {got}")
+            want = got
+    return applied, tuple(violations), current.events
+
+
+def test_fuzz_walk_matches_full_enumeration():
+    fronts = [
+        e.artifact
+        for e in gallery.gallery_manifest()
+        if isinstance(e.artifact, FrontDiagram)
+    ]
+    fronts.append(gallery.stein_rep_max(-5, 2).diagram)
+    for d in fronts:
+        steps = 25 if len(d.events) > 200 else 80
+        for seed in (1, 2, 3):
+            rep = fuzz_moves(d, seed, steps)
+            got = (rep.steps_applied, rep.violations, rep.final.events)
+            assert got == _reference_fuzz(d, seed, steps), (d, seed)
+
+
+def _reducing_sites():
+    out = []
+    for d in (unknot(), trefoil(), K_m_front(-1), K_m_front(-2)):
+        for a in (1, -1):
+            for b in (1, -1):
+                out.append(stabilize(stabilize(d, 0, a), 0, b))
+    out.append(gallery.stein_rep_max(-5, 2).diagram)
+    return out
+
+
+def test_reducing_moves_are_enumeration_without_expansions():
+    for d in _reducing_sites():
+        want = [
+            m for m in enumerate_moves(d, _REDUCING_KINDS)
+            if not (m.kind in ("R2a", "R2b") and m.data[0] == "expand")
+        ]
+        assert _reducing_moves(d) == want, d

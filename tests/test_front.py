@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from conftest import random_front, random_knot
 from frontkit.errors import DiagramError, NotAKnot
 from frontkit.front import (
+    Event,
     FrontDiagram,
     L,
     R,
     X,
     classical_invariants,
+    encode_word,
     event_from_string,
     linking_number,
     reflect,
@@ -24,6 +26,7 @@ from frontkit.front import (
     validate,
     writhe,
 )
+from frontkit.standard import StandardFormDiagram
 
 
 def test_unknot_invariants():
@@ -122,3 +125,31 @@ def test_rotation_parity(seed):
 def test_classical_invariants_bundle():
     inv = classical_invariants(trefoil())
     assert (inv.tb, inv.rotation, inv.writhe) == (1, 0, 3)
+
+
+def test_a_tuple_of_events_is_stored_as_given():
+    word = (L(1), L(3), X(2), X(2), X(2), R(1), R(1))
+    assert encode_word(word) is word
+    assert FrontDiagram(word).events is word
+    assert FrontDiagram(list(word)).events == word
+    assert encode_word(iter(word)) == word
+
+
+@pytest.mark.parametrize(
+    "build, index",
+    [
+        (lambda: FrontDiagram([("L", 1), ("R", 1)]), 0),
+        (lambda: FrontDiagram([L(1), ("R", 1)]), 1),
+        (lambda: FrontDiagram([Event("L", "1"), Event("R", 1)]), 0),
+        (lambda: StandardFormDiagram([], [], [Event("L", "1"), Event("R", 1)], []), 0),
+        (lambda: FrontDiagram([Event("L", 1.0), Event("R", 1)]), 0),
+        (lambda: FrontDiagram([L(1), Event("R", 1.0)]), 1),
+        (lambda: FrontDiagram([L(1), Event("Q", 1)]), 1),
+        (lambda: FrontDiagram("L1 R1"), 0),
+        (lambda: FrontDiagram(None), -1),
+    ],
+)
+def test_malformed_word_is_a_diagram_error(build, index):
+    with pytest.raises(DiagramError) as err:
+        build()
+    assert err.value.index == index

@@ -1,42 +1,12 @@
-"""Trace kernel: validation, orientation, and pure/compiled parity."""
-
-import random
+"""Trace kernel: validation, orientation, and typed errors."""
 
 import pytest
 
 from frontkit._kernel import pure
-from frontkit.errors import DanglingStrand, LevelOutOfRange
-
-try:
-    from frontkit._kernel import _fast
-except ImportError:
-    _fast = None
+from frontkit.errors import DanglingStrand, DiagramError, LevelOutOfRange
+from frontkit.front import L, R
 
 LC, RC, XC = pure.LEFT_CUSP, pure.RIGHT_CUSP, pure.CROSSING
-
-_FIELDS = (
-    "n_strands", "initial_strands", "final_strands", "event_strands",
-    "strand_component", "strand_orient", "n_components", "crossings",
-    "left_cusps", "right_cusps", "up_cusps", "down_cusps", "self_writhe",
-    "inter_sums", "max_width",
-)
-
-
-def random_word(rng, steps):
-    events, k = [], 0
-    for _ in range(steps):
-        if k < 2 or rng.random() < 0.4:
-            events.append((LC, rng.randint(1, k + 1)))
-            k += 2
-        elif rng.random() < 0.5:
-            events.append((XC, rng.randint(1, k - 1)))
-        else:
-            events.append((RC, rng.randint(1, k - 1)))
-            k -= 2
-    while k:
-        events.append((RC, rng.randint(1, k - 1)))
-        k -= 2
-    return events
 
 
 def test_unknot_trace():
@@ -97,32 +67,25 @@ def test_max_width():
     assert tr.max_width == 4
 
 
-@pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
-def test_backend_parity_random_words():
-    rng = random.Random(20260827)
-    for _ in range(300):
-        word = random_word(rng, rng.randint(1, 80))
-        a = pure.trace(word)
-        b = _fast.trace(word)
-        for name in _FIELDS:
-            assert getattr(a, name) == getattr(b, name), name
+def test_event_tuples_are_the_kernel_input():
+    word = [(LC, 1), (RC, 1)]
+    assert word == [L(1), R(1)]
+    a, b = pure.trace(word), pure.trace((L(1), R(1)))
+    assert (a.event_strands, a.up_cusps) == (b.event_strands, b.up_cusps)
 
 
-@pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
-def test_backend_parity_with_ports():
-    word = [(XC, 1), (LC, 2), (RC, 2)]
-    links = [(0, 1), (1, 0)]
-    a = pure.trace(word, n_initial=2, port_links=links)
-    b = _fast.trace(word, n_initial=2, port_links=links)
-    for name in _FIELDS:
-        assert getattr(a, name) == getattr(b, name), name
-
-
-@pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
-def test_backend_parity_errors():
-    for bad in ([(LC, 5)], [(LC, 1)], [(RC, 1)]):
-        with pytest.raises(Exception) as ea:
-            pure.trace(bad)
-        with pytest.raises(Exception) as eb:
-            _fast.trace(bad)
-        assert type(ea.value) is type(eb.value)
+@pytest.mark.parametrize(
+    "word, index",
+    [
+        ([(LC, "1"), (RC, 1)], 0),  # level is a str
+        ([(LC, 1), (RC, 1.0)], 1),  # level is a float
+        ([(LC, 1), (RC,)], 1),  # not a pair
+        ([(LC, 1), None], 1),  # not a sequence
+        ([(LC, 1), ("Q", 1)], 1),  # unknown kind
+        (None, -1),  # the word itself is not iterable
+    ],
+)
+def test_malformed_event_is_a_diagram_error(word, index):
+    with pytest.raises(DiagramError) as err:
+        pure.trace(word)
+    assert err.value.index == index

@@ -31,6 +31,7 @@ from frontkit.front import (
 )
 from frontkit.moves import (
     Move,
+    MoveIndex,
     MoveScript,
     _slide,
     apply_move,
@@ -392,6 +393,74 @@ def test_stabilization_sites_are_what_apply_accepts():
     kinds = ("StabilizePlus", "StabilizeMinus")
     for d in _matcher_diagrams()[:4]:
         assert enumerate_moves(d, kinds) == _accepted(d, kinds), d
+
+
+def _index_walk_diagrams():
+    rng = random.Random(33)
+    fronts = [random_front(rng, steps=rng.randint(4, 40)) for _ in range(10)]
+    fronts += [
+        FrontDiagram([L(1), L(1), X(2), R(1), R(1)]),  # an R1b kink
+        FrontDiagram([L(1), L(2), X(1), R(2), R(1)]),  # an R1a kink
+        stabilize(stabilize(trefoil(), 0, 1), 0, -1),
+        stabilize(stabilize(gallery.K_m_front(-2), 0, -1), 0, -1),
+    ]
+    fronts += [
+        e.artifact
+        for e in gallery.gallery_manifest()
+        if isinstance(e.artifact, FrontDiagram)
+    ]
+    strips = [gallery.Z_m_handlebody(-3).diagram, gallery.stein_rep_max(-5, 2).diagram]
+    assert all(len(d.left_ports) for d in strips)
+    return fronts + strips
+
+
+def _assert_index_is(index, d, kinds):
+    want = enumerate_moves(d, kinds)
+    assert index.diagram is d
+    assert len(index) == len(want)
+    assert list(index) == want
+    if want:
+        assert index[-1] == want[-1]
+    with pytest.raises(IndexError):
+        index[len(want)]
+
+
+@pytest.mark.parametrize("kinds", [_FUZZ_KINDS, _REDUCING_KINDS])
+def test_move_index_tracks_enumeration(kinds):
+    """After every step of seeded walks, the index lists what a full
+    enumeration lists.  Every third step takes a shrinking move when
+    there is one, so windows of every length are rewritten."""
+    for n, d in enumerate(_index_walk_diagrams()):
+        rng = random.Random(n)
+        index = MoveIndex(d, kinds)
+        _assert_index_is(index, d, kinds)
+        for step in range(15 if len(d.events) > 200 else 40):
+            if not index:
+                break
+            shrinking = [
+                m for m in index
+                if m.kind in ("R1a", "R1b", "Destabilize")
+                or m.data[:1] == ("contract",)
+            ]
+            pool = shrinking if step % 3 == 2 and shrinking else index
+            d = index.apply(rng.choice(pool))
+            _assert_index_is(index, d, kinds)
+
+
+def test_move_index_lists_window_moves_only():
+    for kinds in (("R3", "StabilizePlus"), ("PullOff",)):
+        with pytest.raises(MoveError):
+            MoveIndex(trefoil(), kinds)
+    index = MoveIndex(toy_handlebody().diagram, _FUZZ_KINDS)
+    for m in (
+        Move("PullOff", data=("H", 1)),
+        Move("StabilizePlus", 0, 1),
+        Move("Destabilize", 0, 1),
+        Move("R3", 0, 1),
+    ):
+        with pytest.raises(MoveNotApplicable):
+            index.apply(m)
+        assert list(index) == enumerate_moves(toy_handlebody().diagram, _FUZZ_KINDS)
 
 
 def test_fuzz_walk_is_pinned():
