@@ -14,6 +14,8 @@ and extracts everything the rest of the package needs:
 
 Event kinds are the same one-letter strings that ``frontkit.front.Event``
 carries, so a word of ``Event`` tuples is traced as it is stored.
+:func:`slices` rebuilds every vertical slice from the strands the trace
+recorded, on demand.
 """
 
 from __future__ import annotations
@@ -231,3 +233,26 @@ def trace(events, n_initial=0, port_links=()):
     res.inter_sums = inter_sums
     res.max_width = max_width
     return res
+
+
+def slices(events, result):
+    """The strand ids of every vertical slice of a traced word.
+
+    ``result`` is ``trace(events, ...)``.  Returns one tuple per word
+    position ``0..len(events)``: entry ``idx`` is the slice just before
+    ``events[idx]``, top level first, so the first entry is
+    ``result.initial_strands`` and the last is ``result.final_strands``.
+    The strands come from ``result.event_strands``; nothing is checked
+    again.  Built on demand, so ``trace`` itself stays one bare pass.
+    """
+    cur = list(result.initial_strands)
+    out = [tuple(cur)]
+    for (kind, level), (a, b) in zip(events, result.event_strands):
+        if kind == LEFT_CUSP:
+            cur[level - 1 : level - 1] = (a, b)
+        elif kind == RIGHT_CUSP:
+            del cur[level - 1 : level + 1]
+        else:
+            cur[level - 1 : level + 1] = (b, a)
+        out.append(tuple(cur))
+    return out

@@ -9,8 +9,8 @@ module derives from them is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from .errors import ParameterOutOfRange
 from .front import FrontDiagram, rotation, thurston_bennequin

@@ -2,14 +2,12 @@
 
 Exit codes: 0 success, 1 domain error (invalid diagram, inapplicable
 move, out-of-range parameters), 2 usage error.  A filename of ``-``
-reads standard input.  ``FRONTKIT_SEED`` supplies the default search
-seed.
+reads standard input.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -35,9 +33,7 @@ from .gallery import (
 from .moves import cancel_pair, handle_slide
 from .satellite import cable
 from .standard import (
-    StandardFormDiagram,
     SteinHandlebody,
-    TwoHandleAttachment,
     closure_to_sphere,
     homology_vector,
     stein_check,
@@ -139,9 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--depth", type=int, default=4)
     sp.add_argument("--budget", type=int, default=10_000)
-    sp.add_argument(
-        "--seed", type=int, default=int(os.environ.get("FRONTKIT_SEED", "0"))
-    )
 
     sp = sub.add_parser("gallery", help="emit a named example diagram")
     sp.add_argument("name", choices=sorted(_GALLERY) + ["list"])
@@ -200,9 +193,7 @@ def _run(args, out) -> int:
         )
     elif cmd == "search":
         d = parse(_read(args.file))
-        cfg = SearchConfig(
-            max_depth=args.depth, budget=args.budget, seed=args.seed
-        )
+        cfg = SearchConfig(max_depth=args.depth, budget=args.budget)
         try:
             res = bfs_max_tb(d, cfg)
         except BudgetExhausted as exc:

@@ -68,7 +68,10 @@ class NotAKnot(FrontkitError):
 
 
 class ParameterOutOfRange(FrontkitError):
-    """A gallery construction was asked for parameters it cannot realize."""
+    """A parameter is outside the range its operation accepts: gallery
+    parameters a construction cannot realize, a cable or copy count that
+    cannot be built, a negative genus, or a search budget that is not
+    positive."""
 
 
 class BudgetExhausted(FrontkitError):

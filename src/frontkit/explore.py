@@ -10,15 +10,11 @@ from search.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
-from .errors import BudgetExhausted
-from .front import (
-    FrontDiagram,
-    rotation,
-    thurston_bennequin,
-)
+from .errors import BudgetExhausted, ParameterOutOfRange
+from .front import rotation, thurston_bennequin
 from .moves import (
     _ORDER,
     Move,
@@ -48,16 +44,16 @@ def _reducing_moves(d) -> List[Move]:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds and determinism knobs for the breadth-first search."""
+    """Bounds of the breadth-first search."""
 
     max_depth: int = 4
     budget: int = 10_000
-    seed: int = 0
-    canonicalize: bool = True
 
     def __post_init__(self):
         if self.budget <= 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
+            raise ParameterOutOfRange(
+                f"budget must be positive, got {self.budget}"
+            )
 
 
 @dataclass(frozen=True)

@@ -218,16 +218,12 @@ def reflect(d: FrontDiagram) -> FrontDiagram:
     and every rotation number changes sign.
     """
     out = []
-    width = 0
-    for ev in d.events:
+    for ev, here in zip(d.events, _kernel.slices(d.events, d.trace)):
+        width = len(here)
         if ev.kind == "L":
             out.append(Event("L", width - ev.level + 2))
-            width += 2
-        elif ev.kind == "R":
-            out.append(Event("R", width - ev.level))
-            width -= 2
         else:
-            out.append(Event("X", width - ev.level))
+            out.append(Event(ev.kind, width - ev.level))
     return FrontDiagram(out)
 
 

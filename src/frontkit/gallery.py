@@ -9,8 +9,8 @@ and the standard-form handlebody presentations used to maximize tb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Tuple, Union
 
 from .errors import DiagramError, MoveError, ParameterOutOfRange
 from .front import (
@@ -20,7 +20,6 @@ from .front import (
     R,
     X,
     classical_invariants,
-    rotation,
     thurston_bennequin,
     trefoil,
     unknot,
@@ -29,14 +28,12 @@ from .moves import (
     Move,
     MoveScript,
     SteinHandlebody,
-    apply_move,
-    band_sites,
     cancel_pair,
     clean_band_sites,
     handle_slide,
     pull_off,
 )
-from .satellite import TwistBox, braid_events, cable, twist_box_expand
+from .satellite import cable
 from .standard import (
     OneHandle,
     StandardFormDiagram,

@@ -51,6 +51,7 @@ from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Set, Tuple, Union
 
+from . import _kernel
 from .errors import (
     BandObstructed,
     DiagramError,
@@ -119,14 +120,6 @@ def _rebuild(d: Diagram, events: Sequence[Event]) -> Diagram:
 
 def _n_initial(d: Diagram) -> int:
     return len(d.left_ports) if isinstance(d, StandardFormDiagram) else 0
-
-
-def _slice_widths(d: Diagram) -> List[int]:
-    """Slice width before each event position 0..len(events)."""
-    out = [_n_initial(d)]
-    for ev in d.events:
-        out.append(out[-1] + _DELTA[ev.kind])
-    return out
 
 
 def _width_at(d: Diagram, idx: int) -> int:
@@ -257,8 +250,8 @@ def enumerate_moves(d: Diagram, kinds: Optional[Sequence[str]] = None) -> List[M
     out = _scan(d.events, _n_initial(d), 0, len(d.events), allowed)
     plus, minus = "StabilizePlus" in allowed, "StabilizeMinus" in allowed
     if plus or minus:
-        for idx, width in enumerate(_slice_widths(d)):
-            for lvl in range(1, width + 1):
+        for idx, here in enumerate(_kernel.slices(d.events, d.trace)):
+            for lvl in range(1, len(here) + 1):
                 if plus:
                     out.append(Move("StabilizePlus", idx, lvl))
                 if minus:
@@ -356,10 +349,11 @@ def apply_move(d, m: Move):
     if not isinstance(d, (FrontDiagram, StandardFormDiagram)):
         raise MoveNotApplicable(f"{m.kind} does not act on a {type(d).__name__}")
     if m.kind in ("StabilizePlus", "StabilizeMinus"):
-        if m.data or not 0 <= m.index <= len(d.events):
+        if m.data:
             raise MoveNotApplicable(f"no {m} site")
         sign = 1 if m.kind == "StabilizePlus" else -1
-        return _stabilize_at(d, m.index, m.level, sign)
+        slices = _kernel.slices(d.events, d.trace)
+        return _stabilize_at(d, slices, m.index, m.level, sign)
     return _rebuild(d, _rewrite_word(d, m))
 
 
@@ -431,14 +425,19 @@ def _grouped(moves: List[Move], lo: int, hi: int) -> List[List[Tuple]]:
     return groups
 
 
-def _strand_orientation_at(d: Diagram, idx: int, lvl: int) -> int:
-    """Traversal direction of the strand at slice position idx, level lvl."""
-    return d.trace.strand_orient[_strand_id_at(d, idx, lvl)]
+def _strand_at(slices, idx: int, lvl: int) -> int:
+    """The strand at level ``lvl`` of slice ``idx``, or MoveNotApplicable."""
+    if not (0 <= idx < len(slices) and 1 <= lvl <= len(slices[idx])):
+        raise MoveNotApplicable(f"no strand at {idx}/{lvl}")
+    return slices[idx][lvl - 1]
 
 
-def _stabilize_at(d: Diagram, idx: int, lvl: int, sign: int) -> Diagram:
-    """Insert a zigzag on the strand at (idx, lvl); Δtb=-1, Δrot=sign."""
-    eps = _strand_orientation_at(d, idx, lvl)
+def _stabilize_at(d: Diagram, slices, idx: int, lvl: int, sign: int) -> Diagram:
+    """Insert a zigzag on the strand at (idx, lvl); Δtb=-1, Δrot=sign.
+
+    ``slices`` is ``_kernel.slices(d.events, d.trace)``.
+    """
+    eps = d.trace.strand_orient[_strand_at(slices, idx, lvl)]
     # Of the two zigzag shapes on a strand of direction eps, one raises
     # rotation and the other lowers it (both cusps point the same way).
     if sign * eps > 0:
@@ -468,59 +467,26 @@ def stabilize(
         if tr.n_components != 1:
             raise MoveNotApplicable("ambiguous component for stabilization")
         c = 0
+    comp = tr.strand_component
+    slices = _kernel.slices(d.events, tr)
     if site is None:
-        widths = _slice_widths(d)
-        for idx in range(len(d.events) + 1):
-            for lvl in range(1, widths[idx] + 1):
-                cur = _strand_id_at(d, idx, lvl)
-                if tr.strand_component[cur] == c:
-                    site = (idx, lvl)
-                    break
-            if site:
-                break
+        site = next(
+            (
+                (idx, lvl)
+                for idx, here in enumerate(slices)
+                for lvl, s in enumerate(here, 1)
+                if comp[s] == c
+            ),
+            None,
+        )
         if site is None:
             raise MoveNotApplicable(f"component {c} has no visible strand")
-    else:
-        cur = _strand_id_at(d, site[0], site[1])
-        if tr.strand_component[cur] != c:
-            raise MoveNotApplicable(f"site {site} is not on component {c}")
-    return _stabilize_at(d, site[0], site[1], sign)
-
-
-def _strand_id_at(d: Diagram, idx: int, lvl: int) -> int:
-    tr = d.trace
-    cur = list(tr.initial_strands if isinstance(d, StandardFormDiagram) else [])
-    for j, ev in enumerate(d.events[:idx]):
-        i = ev.level
-        if ev.kind == "L":
-            cur[i - 1 : i - 1] = list(tr.event_strands[j])
-        elif ev.kind == "R":
-            del cur[i - 1 : i + 1]
-        else:
-            cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    if not 1 <= lvl <= len(cur):
-        raise MoveNotApplicable(f"no strand at {idx}/{lvl}")
-    return cur[lvl - 1]
+    elif comp[_strand_at(slices, site[0], site[1])] != c:
+        raise MoveNotApplicable(f"site {site} is not on component {c}")
+    return _stabilize_at(d, slices, site[0], site[1], sign)
 
 
 # -- handle moves on standard-form diagrams ---------------------------------
-
-def _slices(d: Diagram) -> List[List[int]]:
-    """Strand ids of every vertical slice, one per word position 0..len."""
-    tr = d.trace
-    cur = list(tr.initial_strands)
-    slices = [list(cur)]
-    for idx, ev in enumerate(d.events):
-        i = ev.level
-        if ev.kind == "L":
-            cur[i - 1 : i - 1] = list(tr.event_strands[idx])
-        elif ev.kind == "R":
-            del cur[i - 1 : i + 1]
-        else:
-            cur[i - 1], cur[i] = cur[i], cur[i - 1]
-        slices.append(list(cur))
-    return slices
-
 
 def _markers(d: StandardFormDiagram) -> Dict[int, Tuple]:
     """A stable witness per component: a left-port position if it has
@@ -579,43 +545,40 @@ def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List
     """
     d2, _exp, (comp_k, _copies, _markers), sites = _slide_setup(h, k, a)
     tr = d2.trace
-    adj: Dict[int, List[int]] = {}
-    cur = list(range(len(d2.left_ports)))
-    for idx, ev in enumerate(d2.events):
-        i = ev.level
-        if ev.kind == "L":
-            u, v = tr.event_strands[idx]
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-            cur[i - 1 : i - 1] = [u, v]
-        elif ev.kind == "R":
-            u, v = cur[i - 1], cur[i]
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-            del cur[i - 1 : i + 1]
-        else:
-            cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    n_init = len(d2.left_ports)
-
-    def touches_port(s: int) -> bool:
-        seen: Set[int] = set()
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(adj.get(x, ()))
-        return any(x < n_init for x in seen)
-
-    slices = _slices(d2)
+    piece = _cusp_pieces(d2)
+    slices = _kernel.slices(d2.events, tr)
     out = []
     for idx2, (pos, lvl) in enumerate(sites):
         s1, s2 = slices[pos][lvl - 1], slices[pos][lvl]
         ks = s1 if tr.strand_component[s1] == comp_k else s2
-        if not touches_port(ks):
+        # A piece's label is its least strand id, and the left-port
+        # strands are ids 0..len(left_ports)-1.
+        if piece[ks] >= len(d2.left_ports):
             out.append(idx2)
     return out
+
+
+def _cusp_pieces(d: StandardFormDiagram) -> List[int]:
+    """A label per strand id: two strands share one exactly when a chain
+    of cusps joins them without running through a handle.
+
+    One union-find pass over the cusps the trace recorded; each label is
+    the least strand id of its piece.
+    """
+    tr = d.trace
+    label = list(range(tr.n_strands))
+
+    def root(s: int) -> int:
+        while label[s] != s:
+            label[s] = label[label[s]]
+            s = label[s]
+        return s
+
+    for (kind, _level), (u, v) in zip(d.events, tr.event_strands):
+        if kind != "X":
+            ru, rv = root(u), root(v)
+            label[max(ru, rv)] = min(ru, rv)
+    return [root(s) for s in range(tr.n_strands)]
 
 
 def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
@@ -675,7 +638,7 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
     )
     tr2 = d2.trace
     sites = []
-    for pos, slc in enumerate(_slices(d2)):
+    for pos, slc in enumerate(_kernel.slices(d2.events, tr2)):
         for lvl in range(1, len(slc)):
             pair = {tr2.strand_component[slc[lvl - 1]],
                     tr2.strand_component[slc[lvl]]}
@@ -738,20 +701,15 @@ def _split_word(d: StandardFormDiagram, doomed: Set[int], mixed: str):
     groups: "drop" them or "error" out.
     """
     tr = d.trace
-    cur = list(tr.initial_strands)
     main: List[Event] = []
     inner: List[Event] = []
-    for idx, ev in enumerate(d.events):
+    for idx, (ev, strands, here) in enumerate(
+        zip(d.events, tr.event_strands, _kernel.slices(d.events, tr))
+    ):
         i = ev.level
-        if ev.kind == "L":
-            strands = list(tr.event_strands[idx])
-        elif ev.kind == "R":
-            strands = [cur[i - 1], cur[i]]
-        else:
-            strands = [cur[i - 1], cur[i]]
         hit = [s in doomed for s in strands]
         if all(hit):
-            sub = 1 + sum(1 for s in cur[: i - 1] if s in doomed)
+            sub = 1 + sum(1 for s in here[: i - 1] if s in doomed)
             inner.append(Event(ev.kind, sub))
         elif any(hit):
             if mixed == "error" or ev.kind != "X":
@@ -760,14 +718,8 @@ def _split_word(d: StandardFormDiagram, doomed: Set[int], mixed: str):
                 )
             # dropped: an inter-component crossing erased with the circle
         else:
-            new_level = 1 + sum(1 for s in cur[: i - 1] if s not in doomed)
+            new_level = 1 + sum(1 for s in here[: i - 1] if s not in doomed)
             main.append(Event(ev.kind, new_level))
-        if ev.kind == "L":
-            cur[i - 1 : i - 1] = strands
-        elif ev.kind == "R":
-            del cur[i - 1 : i + 1]
-        else:
-            cur[i - 1], cur[i] = cur[i], cur[i - 1]
     return main, inner
 
 
@@ -847,22 +799,10 @@ def _pull_off(d: StandardFormDiagram, hid, slot: int):
         raise MoveNotApplicable("the two passes run the same way")
     # The finger: everything cusp-connected to the left-port strands
     # without going back through any handle.
-    cusp_adj: Dict[int, List[int]] = {}
-    for idx, ev in enumerate(d.events):
-        if ev.kind in "LR":
-            u, v = tr.event_strands[idx]
-            cusp_adj.setdefault(u, []).append(v)
-            cusp_adj.setdefault(v, []).append(u)
-    finger = set()
-    stack = [la]
-    while stack:
-        s = stack.pop()
-        if s in finger:
-            continue
-        finger.add(s)
-        stack.extend(cusp_adj.get(s, ()))
-    if lb not in finger:
+    piece = _cusp_pieces(d)
+    if piece[lb] != piece[la]:
         raise MoveNotApplicable("the two passes are not joined by a finger")
+    finger = {s for s, p in enumerate(piece) if p == piece[la]}
     # No finger strand may reach any other port.
     port_strands = set(range(len(d.left_ports))) | set(final)
     if finger & port_strands != {la, lb}:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from . import _kernel
 from .errors import (
@@ -153,7 +153,9 @@ def cable_expand(
     """
     if n < 1:
         raise ParameterOutOfRange(f"copy count {n} must be at least 1")
-    tr = _kernel.trace(encode_word(events), n_initial, port_links)
+    word = encode_word(events)
+    tr = _kernel.trace(word, n_initial, port_links)
+    slices = _kernel.slices(word, tr)
     if wide is None:
         wide = set(range(tr.n_strands))
 
@@ -161,18 +163,17 @@ def cable_expand(
         return n if s in wide else 1
 
     exp = Expansion()
-    slice_ids = list(range(n_initial))
-    exp.n_initial = sum(width(s) for s in slice_ids)
+    exp.n_initial = sum(width(s) for s in slices[0])
     pos = 0
-    for s in slice_ids:
+    for s in slices[0]:
         exp.initial_blocks.append((pos, width(s)))
         pos += width(s)
 
-    for idx, ev in enumerate(events):
-        i = ev.level
-        o = 1 + sum(width(s) for s in slice_ids[: i - 1])
+    for idx, (ev, (upper, lower), here) in enumerate(
+        zip(word, tr.event_strands, slices)
+    ):
+        o = 1 + sum(width(s) for s in here[: ev.level - 1])
         if ev.kind == "L":
-            upper, lower = tr.event_strands[idx]
             w = width(upper)
             if w == 1:
                 exp.emit(L(o), ("cusp", idx))
@@ -187,9 +188,7 @@ def cable_expand(
                 if exp.first_cusp_index is None:
                     exp.first_cusp_index = len(exp.events)
                     exp.first_cusp_offset = o
-            slice_ids[i - 1 : i - 1] = [upper, lower]
         elif ev.kind == "R":
-            upper, lower = slice_ids[i - 1], slice_ids[i]
             if width(upper) != width(lower):
                 raise DiagramError("cusp joins a wide strand to a narrow one", idx)
             if width(upper) == 1:
@@ -202,17 +201,14 @@ def cable_expand(
                         exp.emit(X(lvl), ("cusp_companion", idx))
                 for _ in range(n):
                     exp.emit(R(o), ("cusp", idx))
-            del slice_ids[i - 1 : i + 1]
         else:  # crossing: block transposition preserving internal order
-            a, b = slice_ids[i - 1], slice_ids[i]
-            wa, wb = width(a), width(b)
+            wa, wb = width(upper), width(lower)
             for k in range(wb):
                 for lvl in range(o + wa + k - 1, o + k - 1, -1):
                     exp.emit(X(lvl), ("crossing", idx))
-            slice_ids[i - 1], slice_ids[i] = b, a
 
     pos = 0
-    for s in slice_ids:
+    for s in slices[-1]:
         exp.final_blocks.append((pos, width(s)))
         pos += width(s)
     return exp
@@ -267,25 +263,8 @@ def n_copy_counts(d: FrontDiagram, n: int) -> CopyCounts:
     return CopyCounts(crossing, companion, cusps)
 
 
-def _slices_of(d: FrontDiagram) -> List[List[int]]:
-    """Strand ids of every vertical slice, one per word position 0..len."""
-    slices = [[]]
-    cur: List[int] = []
-    tr = d.trace
-    for idx, ev in enumerate(d.events):
-        i = ev.level
-        if ev.kind == "L":
-            cur[i - 1 : i - 1] = list(tr.event_strands[idx])
-        elif ev.kind == "R":
-            del cur[i - 1 : i + 1]
-        else:
-            cur[i - 1], cur[i] = cur[i], cur[i - 1]
-        slices.append(list(cur))
-    return slices
-
-
 def _site_is_parallel(d: FrontDiagram, index: int, top: int, n: int) -> bool:
-    slices = _slices_of(d)
+    slices = _kernel.slices(d.events, d.trace)
     if not 0 <= index <= len(d.events):
         return False
     here = slices[index]
@@ -299,7 +278,7 @@ def _site_is_parallel(d: FrontDiagram, index: int, top: int, n: int) -> bool:
 def default_braid_site(d: FrontDiagram, n: int) -> Tuple[int, int]:
     """The rightmost slice position where ``n`` adjacent strands run
     parallel (co-oriented), as an (event index, top level) pair."""
-    slices = _slices_of(d)
+    slices = _kernel.slices(d.events, d.trace)
     orient = d.trace.strand_orient
     for index in range(len(d.events), -1, -1):
         here = slices[index]

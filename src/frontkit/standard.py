@@ -149,10 +149,6 @@ def sorted_ports(d: StandardFormDiagram) -> List[Port]:
     return [p for h in d.handles for p in h.ports()]
 
 
-def validate_standard(d: StandardFormDiagram) -> None:
-    d._run_trace()
-
-
 def _component_arg(d: StandardFormDiagram, c: Optional[int]) -> int:
     if c is None:
         if d.n_components != 1:

@@ -22,13 +22,13 @@ byte-identical output.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
+from . import _kernel
 from .errors import FormatError
-from .front import Event, FrontDiagram, L, R, X
+from .front import Event, FrontDiagram
 from .standard import (
     OneHandle,
-    Port,
     StandardFormDiagram,
     SteinHandlebody,
     TwoHandleAttachment,
@@ -124,7 +124,7 @@ def print_text(obj: Document) -> str:
     """The canonical document: parse(print_text(x)) reproduces x."""
     if isinstance(obj, FrontDiagram):
         lines = ["front"]
-        lines += [f"{e.kind}{e.level}" for e in obj.events]
+        lines += [f"{e.kind}{e.level:d}" for e in obj.events]
         return "\n".join(lines) + "\n"
     attachments: Sequence[TwoHandleAttachment] = ()
     d = obj
@@ -133,7 +133,7 @@ def print_text(obj: Document) -> str:
     lines = ["standard"]
     lines += [f"handle {h.id} {h.slots}" for h in d.handles]
     lines += [f"P{hid}.{slot}" for hid, slot in d.left_ports]
-    lines += [f"{e.kind}{e.level}" for e in d.events]
+    lines += [f"{e.kind}{e.level:d}" for e in d.events]
     lines += [f"P{hid}.{slot}" for hid, slot in d.right_ports]
     lines += [f"attach {a.component} framing {a.framing}" for a in attachments]
     return "\n".join(lines) + "\n"
@@ -181,26 +181,6 @@ def parse_script(text: str) -> "MoveScript":
 # Rendering
 
 
-def _slice_levels(d: Document) -> Tuple[List[List[int]], int]:
-    """Strand ids of every slice (including initial), and the max width."""
-    if isinstance(d, SteinHandlebody):
-        d = d.diagram
-    tr = d.trace
-    cur = list(tr.initial_strands)
-    slices = [list(cur)]
-    for idx, ev in enumerate(d.events):
-        i = ev.level
-        if ev.kind == "L":
-            cur[i - 1 : i - 1] = list(tr.event_strands[idx])
-        elif ev.kind == "R":
-            del cur[i - 1 : i + 1]
-        else:
-            cur[i - 1], cur[i] = cur[i], cur[i - 1]
-        slices.append(list(cur))
-    width = max((len(s) for s in slices), default=0)
-    return slices, width
-
-
 def render(d: Document, mode: str = "ascii") -> str:
     """Draw the diagram; output depends only on the input object."""
     if mode == "ascii":
@@ -216,7 +196,8 @@ def _render_ascii(obj: Document) -> str:
     downward slope passes in front)."""
     d = obj.diagram if isinstance(obj, SteinHandlebody) else obj
     events = d.events
-    slices, width = _slice_levels(d)
+    slices = _kernel.slices(events, d.trace)
+    width = d.trace.max_width
     cols = 2 * len(events) + 1
     grid = [[" "] * cols for _ in range(max(width, 1))]
     for t, sl in enumerate(slices):
@@ -266,7 +247,8 @@ def _render_svg(obj: Document) -> str:
     """One polyline per strand on an integer grid; cusp mates share
     their endpoint, so turnbacks close up."""
     d = obj.diagram if isinstance(obj, SteinHandlebody) else obj
-    slices, width = _slice_levels(d)
+    slices = _kernel.slices(d.events, d.trace)
+    width = d.trace.max_width
     n_slices = len(slices)
     # points[s] = ordered (x, y) polyline for strand s.
     points: Dict[int, List[Tuple[int, int]]] = {}

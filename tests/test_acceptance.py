@@ -180,7 +180,7 @@ def test_criterion_11_reducibility_ledger():
 
 def test_criterion_12_search_recovery():
     d = stabilize(stabilize(unknot(), 0, 1), 0, -1)
-    cfg = SearchConfig(max_depth=4, budget=10_000, seed=0)
+    cfg = SearchConfig(max_depth=4, budget=10_000)
     res = bfs_max_tb(d, cfg)
     assert res.best_tb == -1
     assert res.nodes_expanded <= 10_000

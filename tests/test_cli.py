@@ -90,6 +90,15 @@ def test_domain_error_exits_1():
     assert code == 1
 
 
+def test_search_zero_budget_is_a_domain_error():
+    doc = "front\nL1\nL2\nR1\nR1\n"
+    code, out, err = run(["search", "-", "--budget", "0"], stdin=doc)
+    assert code == 1
+    assert out == ""
+    assert "budget must be positive" in err
+    assert "Traceback" not in err
+
+
 def test_render_flag():
     code, out, _ = run(["gallery", "unknot", "--render", "ascii"])
     assert code == 0

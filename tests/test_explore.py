@@ -61,7 +61,7 @@ def test_bfs_monotone_in_depth():
 
 def test_bfs_deterministic_witness():
     d = twice_stabilized_unknot()
-    cfg = SearchConfig(max_depth=4, budget=10_000, seed=5)
+    cfg = SearchConfig(max_depth=4, budget=10_000)
     a = bfs_max_tb(d, cfg)
     b = bfs_max_tb(d, cfg)
     assert a.witness == b.witness

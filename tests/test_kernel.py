@@ -1,10 +1,16 @@
-"""Trace kernel: validation, orientation, and typed errors."""
+"""Trace kernel: validation, orientation, typed errors, and the slices."""
+
+import random
 
 import pytest
 
+from conftest import random_front
+from frontkit import _kernel
 from frontkit._kernel import pure
 from frontkit.errors import DanglingStrand, DiagramError, LevelOutOfRange
 from frontkit.front import L, R
+from frontkit.gallery import gallery_manifest
+from frontkit.standard import SteinHandlebody
 
 LC, RC, XC = pure.LEFT_CUSP, pure.RIGHT_CUSP, pure.CROSSING
 
@@ -89,3 +95,39 @@ def test_malformed_event_is_a_diagram_error(word, index):
     with pytest.raises(DiagramError) as err:
         pure.trace(word)
     assert err.value.index == index
+
+
+def _sliced_diagrams():
+    rng = random.Random(41)
+    fronts = [random_front(rng, steps=rng.randint(1, 40)) for _ in range(20)]
+    artifacts = [e.artifact for e in gallery_manifest()]
+    strips = [a.diagram for a in artifacts if isinstance(a, SteinHandlebody)]
+    fronts += [a for a in artifacts if not isinstance(a, SteinHandlebody)]
+    assert len(strips) == 5
+    return fronts + strips
+
+
+def test_slices_follow_the_trace():
+    for d in _sliced_diagrams():
+        tr = d.trace
+        sl = _kernel.slices(d.events, tr)
+        assert len(sl) == len(d.events) + 1
+        assert sl[0] == tuple(tr.initial_strands)
+        assert sl[-1] == tuple(tr.final_strands)
+        assert max(map(len, sl)) == tr.max_width
+        for idx, ((kind, i), (a, b)) in enumerate(zip(d.events, tr.event_strands)):
+            before, after = sl[idx], sl[idx + 1]
+            if kind == LC:
+                assert len(after) - len(before) == 2
+                assert after[i - 1 : i + 1] == (a, b)
+                assert after[: i - 1] + after[i + 1 :] == before
+            elif kind == RC:
+                assert len(after) - len(before) == -2
+                assert before[i - 1 : i + 1] == (a, b)
+                assert before[: i - 1] + before[i + 1 :] == after
+            else:
+                assert len(after) == len(before)
+                assert before[i - 1 : i + 1] == (a, b)
+                assert after[i - 1 : i + 1] == (b, a)
+                assert after[: i - 1] == before[: i - 1]
+                assert after[i + 1 :] == before[i + 1 :]

@@ -33,7 +33,9 @@ from frontkit.moves import (
     Move,
     MoveIndex,
     MoveScript,
+    _cusp_pieces,
     _slide,
+    _slide_setup,
     apply_move,
     band_sites,
     cancel_pair,
@@ -245,6 +247,15 @@ def test_pull_off_requires_opposite_passes():
         [("H", 1), ("H", 2)],
     )
     with pytest.raises(MoveNotApplicable):
+        pull_off(d, "H", 1)
+
+
+def test_pull_off_needs_a_finger():
+    # Slots 1 and 2 pass opposite ways, but the slot-2 strand is joined by
+    # its cusp to slot 3, not to slot 1.
+    ports = [("H", 1), ("H", 2), ("H", 3)]
+    d = StandardFormDiagram([OneHandle("H", 3)], ports, [L(1), R(4)], ports)
+    with pytest.raises(MoveNotApplicable, match="not joined by a finger"):
         pull_off(d, "H", 1)
 
 
@@ -540,3 +551,153 @@ def test_malformed_move_is_not_applicable(move):
 def test_slide_index_out_of_range_says_so():
     with pytest.raises(MoveNotApplicable, match="out of range"):
         apply_move(trefoil(), Move("Slide", -1, 1))
+
+
+# --- the slice model against the hand replays it replaced --------------------
+
+
+def _replayed_slice(d, idx):
+    """The slice before ``d.events[idx]``, by replaying the word prefix."""
+    tr = d.trace
+    cur = list(tr.initial_strands)
+    for j, ev in enumerate(d.events[:idx]):
+        i = ev.level
+        if ev.kind == "L":
+            cur[i - 1 : i - 1] = list(tr.event_strands[j])
+        elif ev.kind == "R":
+            del cur[i - 1 : i + 1]
+        else:
+            cur[i - 1], cur[i] = cur[i], cur[i - 1]
+    return cur
+
+
+def _reference_clean_band_sites(h, k, a):
+    """clean_band_sites as it was: a cusp graph built by replaying the
+    doubled word, and a depth-first search from each site's strand."""
+    d2, _exp, (comp_k, _copies, _markers), sites = _slide_setup(h, k, a)
+    tr = d2.trace
+    adj = {}
+    cur = list(range(len(d2.left_ports)))
+    for idx, ev in enumerate(d2.events):
+        i = ev.level
+        if ev.kind == "L":
+            u, v = tr.event_strands[idx]
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+            cur[i - 1 : i - 1] = [u, v]
+        elif ev.kind == "R":
+            u, v = cur[i - 1], cur[i]
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+            del cur[i - 1 : i + 1]
+        else:
+            cur[i - 1], cur[i] = cur[i], cur[i - 1]
+    n_init = len(d2.left_ports)
+
+    def touches_port(s):
+        seen = set()
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            if x in seen:
+                continue
+            seen.add(x)
+            stack.extend(adj.get(x, ()))
+        return any(x < n_init for x in seen)
+
+    out = []
+    for idx2, (pos, lvl) in enumerate(sites):
+        here = _replayed_slice(d2, pos)
+        s1, s2 = here[lvl - 1], here[lvl]
+        ks = s1 if tr.strand_component[s1] == comp_k else s2
+        if not touches_port(ks):
+            out.append(idx2)
+    return out
+
+
+def _reference_finger(d, start):
+    """The strands cusp-connected to ``start``, found the way pull_off
+    used to find its finger: a depth-first search over the cusps."""
+    tr = d.trace
+    cusp_adj = {}
+    for idx, ev in enumerate(d.events):
+        if ev.kind in "LR":
+            u, v = tr.event_strands[idx]
+            cusp_adj.setdefault(u, []).append(v)
+            cusp_adj.setdefault(v, []).append(u)
+    finger = set()
+    stack = [start]
+    while stack:
+        s = stack.pop()
+        if s in finger:
+            continue
+        finger.add(s)
+        stack.extend(cusp_adj.get(s, ()))
+    return finger
+
+
+def _slide_cases():
+    """(handlebody, sliding component, attachment) for every gallery
+    handlebody with a free component, and again after one slide."""
+    cases = []
+    for e in gallery.gallery_manifest():
+        h = e.artifact
+        if not isinstance(h, SteinHandlebody):
+            continue
+        a = h.attachments[0]
+        for k in h.diagram.components:
+            if k == a.component:
+                continue
+            cases.append((h, k, a))
+            h1 = handle_slide(h, k, a, clean_band_sites(h, k, a)[0])
+            a1 = h1.attachments[0]
+            cases.append((h1, gallery.candidate_component(h1), a1))
+    assert len(cases) == 8
+    return cases
+
+
+def test_clean_band_sites_match_the_search_they_replaced():
+    for h, k, a in _slide_cases():
+        assert clean_band_sites(h, k, a) == _reference_clean_band_sites(h, k, a)
+
+
+def test_cusp_pieces_are_the_pull_off_fingers():
+    diagrams = [e.artifact.diagram for e in gallery.gallery_manifest()
+                if isinstance(e.artifact, SteinHandlebody)]
+    diagrams += [h.diagram for h, _k, _a in _slide_cases()]
+    for d in diagrams:
+        piece = _cusp_pieces(d)
+        for s in range(d.trace.n_strands):
+            finger = _reference_finger(d, s)
+            assert {t for t, p in enumerate(piece) if p == piece[s]} == finger
+            assert piece[s] == min(finger)
+
+
+def _reference_stabilize(d, c, sign):
+    """stabilize(d, c, sign) as it was: every site scanned in order, each
+    one replaying the word prefix, and the zigzag put on the first site
+    whose strand lies on ``c``."""
+    tr = d.trace
+    for idx in range(len(d.events) + 1):
+        here = _replayed_slice(d, idx)
+        for lvl, s in enumerate(here, 1):
+            if tr.strand_component[s] == c:
+                if sign * tr.strand_orient[s] > 0:
+                    zigzag = [L(lvl + 1), R(lvl)]
+                else:
+                    zigzag = [L(lvl), R(lvl + 1)]
+                return d.events[:idx] + tuple(zigzag) + d.events[idx:]
+    return None
+
+
+def test_stabilize_picks_the_first_site_on_each_component():
+    rng = random.Random(52)
+    diagrams = [random_front(rng, steps=rng.randint(2, 30)) for _ in range(15)]
+    diagrams += [e.artifact.diagram for e in gallery.gallery_manifest()
+                 if isinstance(e.artifact, SteinHandlebody)]
+    assert max(d.n_components for d in diagrams) >= 3
+    for d in diagrams:
+        for c in d.components:
+            for sign in (1, -1):
+                want = _reference_stabilize(d, c, sign)
+                assert stabilize(d, c, sign).events == want, (d, c, sign)

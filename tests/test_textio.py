@@ -5,10 +5,10 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from frontkit.errors import FormatError
-from frontkit.front import FrontDiagram, trefoil, unknot
+from frontkit.front import Event, FrontDiagram, trefoil, unknot
 from frontkit.gallery import gallery_manifest, step3_pipeline, stein_rep_max
 from frontkit.moves import MoveScript
-from frontkit.standard import StandardFormDiagram, SteinHandlebody
+from frontkit.standard import OneHandle, StandardFormDiagram, SteinHandlebody
 from frontkit.textio import (
     parse,
     parse_script,
@@ -61,6 +61,22 @@ def test_roundtrip_full_manifest():
     for entry in gallery_manifest():
         doc = print_text(entry.artifact)
         assert print_text(parse(doc)) == doc, entry.name
+
+
+def test_bool_levels_print_as_integers():
+    # bool is an int, so the constructors accept it as a level; the text
+    # must still say L1, not LTrue.
+    d = FrontDiagram([Event("L", True), Event("R", True)])
+    doc = print_text(d)
+    assert doc == "front\nL1\nR1\n"
+    assert parse(doc) == d
+    s = StandardFormDiagram(
+        [OneHandle("H", 1)], [("H", 1)],
+        [Event("L", 2), Event("X", True), Event("R", True)], [("H", 1)],
+    )
+    doc = print_text(s)
+    assert "\nX1\nR1\n" in doc
+    assert parse(doc) == s
 
 
 def test_script_roundtrip():
