@@ -20,7 +20,6 @@ from .front import (
     thurston_bennequin,
     trefoil,
     unknot,
-    validate,
     writhe,
 )
 from .standard import (

@@ -70,8 +70,8 @@ class NotAKnot(FrontkitError):
 class ParameterOutOfRange(FrontkitError):
     """A parameter is outside the range its operation accepts: gallery
     parameters a construction cannot realize, a cable or copy count that
-    cannot be built, a negative genus, or a search budget that is not
-    positive."""
+    cannot be built, a negative genus, a search budget that is not
+    positive, or an unknown render mode."""
 
 
 class BudgetExhausted(FrontkitError):

@@ -28,7 +28,6 @@ class Event(NamedTuple):
         return f"{self.kind}{self.level}"
 
 
-_KINDS = frozenset("LRX")
 _EVENT_TYPE = frozenset((Event,))
 
 
@@ -45,13 +44,6 @@ def R(level: int) -> Event:
 def X(level: int) -> Event:
     """Crossing: swaps the strands at ``level``, ``level + 1``."""
     return Event("X", level)
-
-
-def event_from_string(text: str) -> Event:
-    kind = text[:1].upper()
-    if kind not in _KINDS or not text[1:].isdigit():
-        raise ValueError(f"not an event: {text!r}")
-    return Event(kind, int(text[1:]))
 
 
 def encode_word(events: Iterable[Event]) -> Tuple[Event, ...]:
@@ -130,20 +122,6 @@ class FrontDiagram:
     def components(self) -> range:
         """Component indices, in order of first strand creation."""
         return range(self._trace.n_components)
-
-    def is_knot(self) -> bool:
-        return self._trace.n_components == 1
-
-    def crossing_count(self) -> int:
-        return len(self._trace.crossings)
-
-    def cusp_count(self) -> int:
-        return sum(self._trace.left_cusps) + sum(self._trace.right_cusps)
-
-
-def validate(d: FrontDiagram) -> None:
-    """Re-run structural validation (construction already does this)."""
-    _kernel.trace(d.events)
 
 
 def _component_arg(d: FrontDiagram, c: Optional[int]) -> int:

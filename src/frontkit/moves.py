@@ -40,6 +40,9 @@ rest, and every step is still rebuilt and traced by :func:`apply_move`.
 
 Handle moves (slide, cancellation, finger pull-off) operate on
 standard-form diagrams and live in the second half of this module.
+Each finds the components of its rebuilt diagram with
+:func:`frontkit.standard.carried_components`, from the (old strand, new
+strand) pairs its rewrite already knows.
 """
 
 from __future__ import annotations
@@ -49,12 +52,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter, itemgetter
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from . import _kernel
 from .errors import (
     BandObstructed,
-    DiagramError,
     GeometricPassNotOne,
     MoveError,
     MoveNotApplicable,
@@ -68,7 +70,9 @@ from .standard import (
     StandardFormDiagram,
     SteinHandlebody,
     TwoHandleAttachment,
-    sorted_ports,
+    carried_components,
+    geometric_passes,
+    port_links,
     tb_standard,
 )
 
@@ -481,6 +485,12 @@ def stabilize(
         )
         if site is None:
             raise MoveNotApplicable(f"component {c} has no visible strand")
+    elif not (
+        isinstance(site, Sequence)
+        and len(site) == 2
+        and all(isinstance(x, int) for x in site)
+    ):
+        raise MoveNotApplicable(f"site {site!r} is not an (index, level) pair")
     elif comp[_strand_at(slices, site[0], site[1])] != c:
         raise MoveNotApplicable(f"site {site} is not on component {c}")
     return _stabilize_at(d, slices, site[0], site[1], sign)
@@ -488,41 +498,22 @@ def stabilize(
 
 # -- handle moves on standard-form diagrams ---------------------------------
 
-def _markers(d: StandardFormDiagram) -> Dict[int, Tuple]:
-    """A stable witness per component: a left-port position if it has
-    one, else the event index of its creating left cusp."""
-    tr = d.trace
-    out: Dict[int, Tuple] = {}
-    for pos in range(len(d.left_ports)):
-        out.setdefault(tr.strand_component[pos], ("port", pos))
-    for idx, ev in enumerate(d.events):
-        if ev.kind == "L":
-            out.setdefault(
-                tr.strand_component[tr.event_strands[idx][0]], ("event", idx)
-            )
-    return out
-
-
-def _marker_component(d_new: StandardFormDiagram, exp, marker, copy: int = 0) -> int:
-    """Resolve a pre-expansion marker to a component of the rebuilt diagram."""
-    tr = d_new.trace
-    if marker[0] == "port":
-        pos = exp.initial_blocks[marker[1]][0] + copy
-        return tr.strand_component[pos]
-    idx = marker[1]
-    seen = 0
-    for j, org in enumerate(exp.origins):
-        if len(org) >= 2 and org[0] == "cusp" and org[1] == idx:
-            if seen == copy:
-                return tr.strand_component[tr.event_strands[j][0]]
-            seen += 1
-    raise DiagramError(f"marker {marker!r} lost in expansion")
-
-
-def _port_links_of(d: StandardFormDiagram):
-    right_pos = {p: i for i, p in enumerate(d.right_ports)}
-    left_pos = {p: i for i, p in enumerate(d.left_ports)}
-    return [(right_pos[p], left_pos[p]) for p in sorted_ports(d)]
+def _expansion_pairs(d: StandardFormDiagram, d_new: StandardFormDiagram, exp):
+    """(old strand, new strand) witnesses of a cable expansion of ``d``:
+    every left port with its block of copies, and every cusp with its
+    copies."""
+    old, new = d.trace.event_strands, d_new.trace.event_strands
+    pairs = [
+        (pos, start + j)
+        for pos, (start, width) in enumerate(exp.initial_blocks)
+        for j in range(width)
+    ]
+    pairs += [
+        (old[org[1]][0], new[j][0])
+        for j, org in enumerate(exp.origins)
+        if org[0] == "cusp"
+    ]
+    return pairs
 
 
 def band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> list:
@@ -532,7 +523,7 @@ def band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> list:
     where the sliding component runs adjacent to one push-off copy of
     the attaching circle.  Exposed so scripts can name sites stably.
     """
-    _d2, _exp, _comps, sites = _slide_setup(h, k, a)
+    _d2, _exp, _comp_k, sites = _slide_setup(h, k, a)
     return sites
 
 
@@ -543,7 +534,7 @@ def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List
     port would thread that finger through the push-off, blocking later
     pull-offs; this filter keeps only sites on port-free pieces.
     """
-    d2, _exp, (comp_k, _copies, _markers), sites = _slide_setup(h, k, a)
+    d2, _exp, comp_k, sites = _slide_setup(h, k, a)
     tr = d2.trace
     piece = _cusp_pieces(d2)
     slices = _kernel.slices(d2.events, tr)
@@ -596,9 +587,7 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
         )
     tr = d.trace
     wide = {s for s in range(tr.n_strands) if tr.strand_component[s] == a.component}
-    exp = cable_expand(
-        d.events, 2, len(d.left_ports), _port_links_of(d), wide
-    )
+    exp = cable_expand(d.events, 2, len(d.left_ports), port_links(d), wide)
     if exp.first_cusp_index is None:
         raise BandObstructed(
             "attaching circle has no left cusp to carry the framing kink"
@@ -630,22 +619,17 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
     new_left, new_right = split(d.left_ports), split(d.right_ports)
 
     d2 = StandardFormDiagram(new_handles, new_left, exp.events, new_right)
-    markers = _markers(d)
-    comp_k = _marker_component(d2, exp, markers[k])
-    copies = (
-        _marker_component(d2, exp, markers[a.component], 0),
-        _marker_component(d2, exp, markers[a.component], 1),
-    )
+    carried = carried_components(d, d2, _expansion_pairs(d, d2, exp))
+    (comp_k,), copies = carried[k], carried[a.component]
     tr2 = d2.trace
     sites = []
     for pos, slc in enumerate(_kernel.slices(d2.events, tr2)):
         for lvl in range(1, len(slc)):
             pair = {tr2.strand_component[slc[lvl - 1]],
                     tr2.strand_component[slc[lvl]]}
-            if comp_k in pair and (pair - {comp_k}) & set(copies):
+            if comp_k in pair and (pair - {comp_k}) & copies:
                 sites.append((pos, lvl))
-    comps = (comp_k, copies, markers)
-    return d2, exp, comps, sites
+    return d2, exp, comp_k, sites
 
 
 def handle_slide(
@@ -663,7 +647,7 @@ def handle_slide(
     :func:`band_sites`.  All invariants of the result are recomputed
     from the rewritten diagram.
     """
-    d2, exp, (comp_k, copies, markers), sites = _slide_setup(h, k, a)
+    d2, exp, _comp_k, sites = _slide_setup(h, k, a)
     if not sites:
         raise BandObstructed("no band location between the two curves")
     if not 0 <= site < len(sites):
@@ -673,36 +657,30 @@ def handle_slide(
     d3 = StandardFormDiagram(
         d2.handles, d2.left_ports, exp.events, d2.right_ports
     )
-    k_new = _marker_component(d3, exp, markers[k])
-    copy_comps = (
-        _marker_component(d3, exp, markers[a.component], 0),
-        _marker_component(d3, exp, markers[a.component], 1),
-    )
-    survivors = [c for c in copy_comps if c != k_new]
-    if len(survivors) != 1:
+    d = h.diagram
+    carried = carried_components(d, d3, _expansion_pairs(d, d3, exp))
+    # The circle went to its two copies; the band merged one into k.
+    carried[a.component] -= carried[k]
+    if len(carried[a.component]) != 1:
         raise BandObstructed("band did not merge exactly one push-off copy")
-    new_attachments = []
-    for b in h.attachments:
-        if b == a:
-            new_attachments.append(TwoHandleAttachment(survivors[0], b.framing))
-        else:
-            new_attachments.append(
-                TwoHandleAttachment(
-                    _marker_component(d3, exp, markers[b.component]), b.framing
-                )
-            )
-    return SteinHandlebody(d3, new_attachments)
+    return SteinHandlebody(
+        d3,
+        [TwoHandleAttachment(*carried[b.component], b.framing)
+         for b in h.attachments],
+    )
 
 
 def _split_word(d: StandardFormDiagram, doomed: Set[int], mixed: str):
     """Separate a word into events on surviving strands (levels
     compressed) and events entirely on doomed strands (finger-relative
     levels).  ``mixed`` says what to do with crossings between the two
-    groups: "drop" them or "error" out.
+    groups: "drop" them or "error" out.  Also returns the old index of
+    each surviving event.
     """
     tr = d.trace
     main: List[Event] = []
     inner: List[Event] = []
+    origin: List[int] = []
     for idx, (ev, strands, here) in enumerate(
         zip(d.events, tr.event_strands, _kernel.slices(d.events, tr))
     ):
@@ -720,45 +698,19 @@ def _split_word(d: StandardFormDiagram, doomed: Set[int], mixed: str):
         else:
             new_level = 1 + sum(1 for s in here[: i - 1] if s not in doomed)
             main.append(Event(ev.kind, new_level))
-    return main, inner
+            origin.append(idx)
+    return main, inner, origin
 
 
-def _component_map(
-    d: StandardFormDiagram,
-    dead_strands: Set[int],
-    port_rename,
-    d_new,
-    new_events: Sequence[Event],
-) -> Dict[int, int]:
-    """Old-component -> new-component map after deleting strands/ports.
-
-    ``port_rename`` maps an old port to its new name, or None when the
-    port was removed.  Components made entirely of dead strands are
-    absent from the result.
-    """
-    tr, tr_new = d.trace, d_new.trace
-    new_left = (
-        list(d_new.left_ports) if isinstance(d_new, StandardFormDiagram) else []
-    )
-    out: Dict[int, int] = {}
-    for pos, p in enumerate(d.left_ports):
-        c = tr.strand_component[pos]
-        q = port_rename(p)
-        if c in out or pos in dead_strands or q is None:
-            continue
-        out[c] = tr_new.strand_component[new_left.index(q)]
-    # Surviving left cusps keep their relative order in the new word.
-    survivor_l = [
-        idx for idx, ev in enumerate(d.events)
-        if ev.kind == "L" and not set(tr.event_strands[idx]) & dead_strands
-    ]
-    new_l = [j for j, ev in enumerate(new_events) if ev.kind == "L"]
-    for old_idx, new_idx in zip(survivor_l, new_l[: len(survivor_l)]):
-        c = tr.strand_component[tr.event_strands[old_idx][0]]
-        out.setdefault(
-            c, tr_new.strand_component[tr_new.event_strands[new_idx][0]]
-        )
-    return out
+def _kept_pairs(d: StandardFormDiagram, d_new: Diagram, kept_ports, origin):
+    """(old strand, new strand) witnesses of a rewrite that deleted
+    strands and ports: ``kept_ports`` are the old left-port positions
+    that are the new left ports in order, ``origin`` the old index of
+    each event that starts the new word."""
+    old, new = d.trace.event_strands, d_new.trace.event_strands
+    pairs = [(pos, j) for j, pos in enumerate(kept_ports)]
+    pairs += [(old[i][0], new[j][0]) for j, i in enumerate(origin)]
+    return pairs
 
 
 def pull_off(d, hid, slot: int):
@@ -774,10 +726,11 @@ def pull_off(d, hid, slot: int):
     Accepts a StandardFormDiagram or a SteinHandlebody.
     """
     if isinstance(d, SteinHandlebody):
-        new_d, cmap = _pull_off(d.diagram, hid, slot)
+        new_d, carried = _pull_off(d.diagram, hid, slot)
+        # An isotopy carries each component to one component.
         return SteinHandlebody(
             new_d,
-            [TwoHandleAttachment(cmap[b.component], b.framing)
+            [TwoHandleAttachment(*carried[b.component], b.framing)
              for b in d.attachments],
         )
     return _pull_off(d, hid, slot)[0]
@@ -807,7 +760,7 @@ def _pull_off(d: StandardFormDiagram, hid, slot: int):
     port_strands = set(range(len(d.left_ports))) | set(final)
     if finger & port_strands != {la, lb}:
         raise MoveNotApplicable("the finger is threaded through a handle")
-    main, inner = _split_word(d, finger, mixed="error")
+    main, inner, origin = _split_word(d, finger, mixed="error")
     # Rebuild ports and handles without the two cancelled slots.
     def keep(ports):
         return [p for p in ports if p not in (pa, pb)]
@@ -827,14 +780,9 @@ def _pull_off(d: StandardFormDiagram, hid, slot: int):
     appendix = [Event(ev.kind, base - 1 + ev.level) for ev in inner]
     new_events = main + appendix
     new_d = StandardFormDiagram(new_handles, new_left, new_events, new_right)
-    cmap = _component_map(
-        d,
-        finger,
-        lambda p: None if p in (pa, pb) else renumber(p),
-        new_d,
-        new_events,
-    )
-    return new_d, cmap
+    kept_ports = [pos for pos in range(len(d.left_ports)) if pos not in (la, lb)]
+    pairs = _kept_pairs(d, new_d, kept_ports, origin)
+    return new_d, carried_components(d, new_d, pairs)
 
 
 def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):
@@ -847,8 +795,6 @@ def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):
     survivors can measure internally.  Returns a plain closed front
     when the last 1-handle goes away.
     """
-    from .standard import geometric_passes
-
     d = h.diagram
     if a not in h.attachments:
         raise MoveNotApplicable("attachment is not part of the handlebody")
@@ -867,7 +813,7 @@ def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):
                 f"component {tr.strand_component[pos]} also runs through {hid!r}"
             )
     doomed = {s for s in range(tr.n_strands) if tr.strand_component[s] == c}
-    main, _inner = _split_word(d, doomed, mixed="drop")
+    main, _inner, origin = _split_word(d, doomed, mixed="drop")
     dead_ports = {
         p for pos, p in enumerate(d.left_ports)
         if tr.strand_component[pos] == c
@@ -890,15 +836,14 @@ def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):
         d_new = StandardFormDiagram(new_handles, new_left, main, new_right)
     else:
         d_new = FrontDiagram(main)
-    survivors = _component_map(
-        d,
-        doomed,
-        lambda p: slot_map.get(p),
-        d_new,
-        main,
+    kept_ports = [
+        pos for pos, p in enumerate(d.left_ports) if p not in dead_ports
+    ]
+    carried = carried_components(
+        d, d_new, _kept_pairs(d, d_new, kept_ports, origin)
     )
     new_attachments = [
-        TwoHandleAttachment(survivors[b.component], b.framing)
+        TwoHandleAttachment(*carried[b.component], b.framing)
         for b in h.attachments
         if b != a
     ]

@@ -115,16 +115,15 @@ class Expansion:
 
     ``origins[i]`` is one of ``("crossing", j)``, ``("cusp", j)``,
     ``("cusp_companion", j)`` with ``j`` the source event index, or a
-    caller-supplied tag for spliced material.  ``initial_blocks`` and
-    ``final_blocks`` give, per original edge position, the 0-based start
-    and width of its strand block in the expanded slice.
+    caller-supplied tag for spliced material.  ``initial_blocks`` gives,
+    per original left-edge position, the 0-based start and width of its
+    strand block in the expanded initial slice.
     """
 
     events: List[Event] = field(default_factory=list)
     origins: List[Tuple] = field(default_factory=list)
     n_initial: int = 0
     initial_blocks: List[Tuple[int, int]] = field(default_factory=list)
-    final_blocks: List[Tuple[int, int]] = field(default_factory=list)
     first_cusp_index: Optional[int] = None
     first_cusp_offset: Optional[int] = None
 
@@ -206,11 +205,6 @@ def cable_expand(
             for k in range(wb):
                 for lvl in range(o + wa + k - 1, o + k - 1, -1):
                     exp.emit(X(lvl), ("crossing", idx))
-
-    pos = 0
-    for s in slices[-1]:
-        exp.final_blocks.append((pos, width(s)))
-        pos += width(s)
     return exp
 
 

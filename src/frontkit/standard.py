@@ -13,7 +13,7 @@ increasing order on both edges (no twisting), each exactly once per side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import _kernel
 from .errors import DiagramError, PortMismatch
@@ -107,10 +107,7 @@ class StandardFormDiagram:
                         f"{side_name} slots of handle {hid!r} out of order (twisted)"
                     )
                 order[hid] = slot
-        right_pos = {p: i for i, p in enumerate(self.right_ports)}
-        left_pos = {p: i for i, p in enumerate(self.left_ports)}
-        port_links = [(right_pos[p], left_pos[p]) for p in sorted_ports(self)]
-        return _kernel.trace(self.events, len(self.left_ports), port_links)
+        return _kernel.trace(self.events, len(self.left_ports), port_links(self))
 
     # -- simple accessors -----------------------------------------------
 
@@ -125,12 +122,6 @@ class StandardFormDiagram:
     @property
     def components(self) -> range:
         return range(self._trace.n_components)
-
-    def handle(self, hid) -> OneHandle:
-        for h in self.handles:
-            if h.id == hid:
-                return h
-        raise DiagramError(f"no handle {hid!r}")
 
     def port_strands(self, port: Port) -> Tuple[int, int]:
         """(left-edge strand id, right-edge strand id) using this port."""
@@ -147,6 +138,35 @@ class StandardFormDiagram:
 def sorted_ports(d: StandardFormDiagram) -> List[Port]:
     """All ports in (handle declaration order, slot) order."""
     return [p for h in d.handles for p in h.ports()]
+
+
+def port_links(d: StandardFormDiagram) -> List[Tuple[int, int]]:
+    """The trace kernel's ``port_links`` of ``d``: one ``(final_pos,
+    initial_pos)`` pair of edge positions per port, in sorted-port order."""
+    right_pos = {p: i for i, p in enumerate(d.right_ports)}
+    left_pos = {p: i for i, p in enumerate(d.left_ports)}
+    return [(right_pos[p], left_pos[p]) for p in sorted_ports(d)]
+
+
+def carried_components(
+    d: StandardFormDiagram,
+    d_new: Union[StandardFormDiagram, FrontDiagram],
+    pairs: Iterable[Tuple[int, int]],
+) -> Dict[int, Set[int]]:
+    """Old component -> the set of new components a rewrite carried it to.
+
+    ``d`` and ``d_new`` are the diagrams before and after the rewrite
+    (``d_new`` may be a closed front), and ``pairs`` are ``(old strand,
+    new strand)`` witnesses: the new strand is a piece of the old one.
+    Every strand starts at a left port or at a left cusp, so witnesses
+    at the left ports and cusps the rewrite kept reach every component
+    that survives it; a component with no witness is absent.
+    """
+    old, new = d.trace.strand_component, d_new.trace.strand_component
+    out: Dict[int, Set[int]] = {}
+    for s, t in pairs:
+        out.setdefault(old[s], set()).add(new[t])
+    return out
 
 
 def _component_arg(d: StandardFormDiagram, c: Optional[int]) -> int:
@@ -315,27 +335,14 @@ def closure_to_sphere(
 
     closed = FrontDiagram(word)
 
-    # Identify the image of component c: the arc serving left_ports[j]
-    # was created by cusp event j' = n - 1 - j, whose strands are known.
-    t_closed = closed.trace
-    image = None
-    signs = pass_signs(d, c)
-    if signs:
-        port = next(iter(signs))
-        j = d.left_ports.index(port)
-        cusp_event = n - 1 - j
-        strand = t_closed.event_strands[cusp_event][0]
-        image = t_closed.strand_component[strand]
-    else:
-        # Interior component: locate it through its first strip event.
-        t = d.trace
-        for idx, ev in enumerate(d.events):
-            s = t.event_strands[idx][0]
-            if t.strand_component[s] == c:
-                image = t_closed.strand_component[t_closed.event_strands[n + idx][0]]
-                break
-    if image is None:
-        raise DiagramError("component has neither ports nor events")
-
+    # The arc serving left_ports[j] was created by cusp event n - 1 - j,
+    # and strip event i is event n + i of the closed word.
+    t, t_closed = d.trace, closed.trace
+    pairs = [(j, t_closed.event_strands[n - 1 - j][0]) for j in range(n)]
+    pairs += [
+        (t.event_strands[i][0], t_closed.event_strands[n + i][0])
+        for i in range(len(d.events))
+    ]
+    (image,) = carried_components(d, closed, pairs)[c]
     alpha = thurston_bennequin(closed, image) - tb_standard(d, c)
     return closed, alpha

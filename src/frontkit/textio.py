@@ -25,7 +25,7 @@ import re
 from typing import Dict, List, Sequence, Tuple, Union
 
 from . import _kernel
-from .errors import FormatError
+from .errors import FormatError, ParameterOutOfRange
 from .front import Event, FrontDiagram
 from .standard import (
     OneHandle,
@@ -131,11 +131,13 @@ def print_text(obj: Document) -> str:
     if isinstance(obj, SteinHandlebody):
         d, attachments = obj.diagram, obj.attachments
     lines = ["standard"]
-    lines += [f"handle {h.id} {h.slots}" for h in d.handles]
-    lines += [f"P{hid}.{slot}" for hid, slot in d.left_ports]
+    lines += [f"handle {h.id} {h.slots:d}" for h in d.handles]
+    lines += [f"P{hid}.{slot:d}" for hid, slot in d.left_ports]
     lines += [f"{e.kind}{e.level:d}" for e in d.events]
-    lines += [f"P{hid}.{slot}" for hid, slot in d.right_ports]
-    lines += [f"attach {a.component} framing {a.framing}" for a in attachments]
+    lines += [f"P{hid}.{slot:d}" for hid, slot in d.right_ports]
+    lines += [
+        f"attach {a.component:d} framing {a.framing:d}" for a in attachments
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -187,7 +189,7 @@ def render(d: Document, mode: str = "ascii") -> str:
         return _render_ascii(d)
     if mode == "svg":
         return _render_svg(d)
-    raise ValueError(f"unknown render mode {mode!r}")
+    raise ParameterOutOfRange(f"unknown render mode {mode!r}")
 
 
 def _render_ascii(obj: Document) -> str:

@@ -16,14 +16,12 @@ from frontkit.front import (
     X,
     classical_invariants,
     encode_word,
-    event_from_string,
     linking_number,
     reflect,
     rotation,
     thurston_bennequin,
     trefoil,
     unknot,
-    validate,
     writhe,
 )
 from frontkit.standard import StandardFormDiagram
@@ -87,18 +85,6 @@ def test_reflect_flips_writhe_of_trefoil_mirror():
 def test_component_index_out_of_range():
     with pytest.raises(DiagramError):
         thurston_bennequin(unknot(), 1)
-
-
-def test_event_from_string():
-    assert event_from_string("L3") == L(3)
-    assert event_from_string("X10") == X(10)
-    with pytest.raises(ValueError):
-        event_from_string("Q1")
-
-
-def test_validate_accepts_gallery_words():
-    validate(unknot())
-    validate(trefoil())
 
 
 @settings(max_examples=60, deadline=None)

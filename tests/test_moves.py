@@ -34,8 +34,12 @@ from frontkit.moves import (
     MoveIndex,
     MoveScript,
     _cusp_pieces,
+    _expansion_pairs,
+    _kept_pairs,
+    _pull_off,
     _slide,
     _slide_setup,
+    _split_word,
     apply_move,
     band_sites,
     cancel_pair,
@@ -50,7 +54,9 @@ from frontkit.standard import (
     StandardFormDiagram,
     SteinHandlebody,
     TwoHandleAttachment,
+    carried_components,
     homology_vector,
+    pass_signs,
     tb_standard,
 )
 
@@ -248,6 +254,12 @@ def test_pull_off_requires_opposite_passes():
     )
     with pytest.raises(MoveNotApplicable):
         pull_off(d, "H", 1)
+
+
+@pytest.mark.parametrize("site", [5, (0,), (0, 1, 2), "ab", (0, 1.0)])
+def test_stabilize_site_must_be_a_pair_of_ints(site):
+    with pytest.raises(MoveNotApplicable, match="not an \\(index, level\\) pair"):
+        stabilize(unknot(), 0, 1, site=site)
 
 
 def test_pull_off_needs_a_finger():
@@ -574,7 +586,7 @@ def _replayed_slice(d, idx):
 def _reference_clean_band_sites(h, k, a):
     """clean_band_sites as it was: a cusp graph built by replaying the
     doubled word, and a depth-first search from each site's strand."""
-    d2, _exp, (comp_k, _copies, _markers), sites = _slide_setup(h, k, a)
+    d2, _exp, comp_k, sites = _slide_setup(h, k, a)
     tr = d2.trace
     adj = {}
     cur = list(range(len(d2.left_ports)))
@@ -701,3 +713,204 @@ def test_stabilize_picks_the_first_site_on_each_component():
             for sign in (1, -1):
                 want = _reference_stabilize(d, c, sign)
                 assert stabilize(d, c, sign).events == want, (d, c, sign)
+
+
+# --- carried components against the lookups they replaced --------------------
+
+
+def _reference_markers(d):
+    """A witness per component, as handle_slide used to pick it: a
+    left-port position if it has one, else the index of its first left
+    cusp."""
+    tr = d.trace
+    out = {}
+    for pos in range(len(d.left_ports)):
+        out.setdefault(tr.strand_component[pos], ("port", pos))
+    for idx, ev in enumerate(d.events):
+        if ev.kind == "L":
+            out.setdefault(
+                tr.strand_component[tr.event_strands[idx][0]], ("event", idx)
+            )
+    return out
+
+
+def _reference_marker_component(d_new, exp, marker, copy=0):
+    """The component of ``d_new`` holding copy ``copy`` of a marker,
+    found by scanning the expansion's origins."""
+    tr = d_new.trace
+    if marker[0] == "port":
+        return tr.strand_component[exp.initial_blocks[marker[1]][0] + copy]
+    seen = 0
+    for j, org in enumerate(exp.origins):
+        if len(org) >= 2 and org[0] == "cusp" and org[1] == marker[1]:
+            if seen == copy:
+                return tr.strand_component[tr.event_strands[j][0]]
+            seen += 1
+    raise AssertionError(f"marker {marker!r} lost in expansion")
+
+
+def _reference_component_map(d, dead_strands, port_rename, d_new, new_events):
+    """Old -> new component after deleting strands and ports, as pull-off
+    and cancellation used to find it: renamed ports first, then the
+    surviving left cusps matched by their order."""
+    tr, tr_new = d.trace, d_new.trace
+    new_left = list(getattr(d_new, "left_ports", ()))
+    out = {}
+    for pos, p in enumerate(d.left_ports):
+        c = tr.strand_component[pos]
+        q = port_rename(p)
+        if c in out or pos in dead_strands or q is None:
+            continue
+        out[c] = tr_new.strand_component[new_left.index(q)]
+    survivor_l = [
+        idx for idx, ev in enumerate(d.events)
+        if ev.kind == "L" and not set(tr.event_strands[idx]) & dead_strands
+    ]
+    new_l = [j for j, ev in enumerate(new_events) if ev.kind == "L"]
+    for old_idx, new_idx in zip(survivor_l, new_l[: len(survivor_l)]):
+        c = tr.strand_component[tr.event_strands[old_idx][0]]
+        out.setdefault(
+            c, tr_new.strand_component[tr_new.event_strands[new_idx][0]]
+        )
+    return out
+
+
+def _assert_carried(carried, components, doubled=None):
+    """Every component in ``components`` is carried, each to one new
+    component except ``doubled``, which goes to two."""
+    assert set(carried) == set(components)
+    for c, new in carried.items():
+        assert len(new) == (2 if c == doubled else 1), (c, new)
+
+
+def _portless_slide_cases():
+    """Slides where a component runs through no handle: the toy
+    handlebody plus a free unknot below it, slid over the circle, and
+    the candidate slid while the unknot carries a 2-handle too."""
+    ports = [("H", 1), ("H", 2), ("H", 3)]
+    d = StandardFormDiagram(
+        [OneHandle("H", 3)], ports,
+        [R(1), L(1), L(4), X(3), R(3), L(4), R(4)], ports,
+    )
+    cand, circ, free = d.components
+    assert not pass_signs(d, free)
+    a = TwoHandleAttachment(circ, tb_standard(d, circ) - 1)
+    both = [a, TwoHandleAttachment(free, tb_standard(d, free) - 1)]
+    return [
+        (SteinHandlebody(d, [a]), free, a),
+        (SteinHandlebody(d, both), cand, a),
+        (SteinHandlebody(d, both), free, a),
+    ]
+
+
+def test_slide_carries_components_as_markers_did():
+    n_sites = 0
+    for h, k, a in _slide_cases() + _portless_slide_cases():
+        d = h.diagram
+        markers = _reference_markers(d)
+        for site in range(len(band_sites(h, k, a))):
+            d2, exp, comp_k, sites = _slide_setup(h, k, a)
+            carried = carried_components(d, d2, _expansion_pairs(d, d2, exp))
+            _assert_carried(carried, d.components, doubled=a.component)
+            assert carried[k] == {comp_k}
+            assert comp_k == _reference_marker_component(d2, exp, markers[k])
+            assert carried[a.component] == {
+                _reference_marker_component(d2, exp, markers[a.component], j)
+                for j in (0, 1)
+            }
+            # The band, spliced as handle_slide splices it.
+            pos, lvl = sites[site]
+            exp.splice(pos, [R(lvl), L(lvl)], ("band",))
+            h3 = handle_slide(h, k, a, site)
+            d3 = h3.diagram
+            assert d3.events == tuple(exp.events)
+            k_new = _reference_marker_component(d3, exp, markers[k])
+            copies = {
+                _reference_marker_component(d3, exp, markers[a.component], j)
+                for j in (0, 1)
+            }
+            want = [
+                TwoHandleAttachment(
+                    (copies - {k_new}).pop() if b == a else
+                    _reference_marker_component(d3, exp, markers[b.component]),
+                    b.framing,
+                )
+                for b in h.attachments
+            ]
+            assert list(h3.attachments) == want
+            carried = carried_components(d, d3, _expansion_pairs(d, d3, exp))
+            _assert_carried(carried, d.components, doubled=a.component)
+            assert carried[k] == {k_new}
+            assert carried[a.component] == copies
+            n_sites += 1
+    assert n_sites > 100
+
+
+def _check_pull_off(d, hid, slot):
+    pa, pb = (hid, slot), (hid, slot + 1)
+    piece = _cusp_pieces(d)
+    la = d.left_ports.index(pa)
+    finger = {s for s, p in enumerate(piece) if p == piece[la]}
+
+    def rename(p):
+        if p in (pa, pb):
+            return None
+        return (hid, p[1] - 2) if p[0] == hid and p[1] > slot + 1 else p
+
+    new_d, carried = _pull_off(d, hid, slot)
+    want = _reference_component_map(d, finger, rename, new_d, new_d.events)
+    _assert_carried(carried, d.components)
+    assert carried == {c: {w} for c, w in want.items()}
+
+
+def _check_cancel(h, hid, a):
+    d, c = h.diagram, a.component
+    tr = d.trace
+    doomed = {s for s in range(tr.n_strands) if tr.strand_component[s] == c}
+    dead = {p for pos, p in enumerate(d.left_ports) if tr.strand_component[pos] == c}
+    slot_map = {}
+    for x in d.handles:
+        if x.id != hid:
+            kept = [s for s in range(1, x.slots + 1) if (x.id, s) not in dead]
+            slot_map.update(((x.id, s), (x.id, j)) for j, s in enumerate(kept, 1))
+    out = cancel_pair(h, hid, a)
+    new_d = getattr(out, "diagram", out)
+    _main, _inner, origin = _split_word(d, doomed, mixed="drop")
+    kept_ports = [pos for pos, p in enumerate(d.left_ports) if p not in dead]
+    carried = carried_components(d, new_d, _kept_pairs(d, new_d, kept_ports, origin))
+    want = _reference_component_map(d, doomed, slot_map.get, new_d, new_d.events)
+    _assert_carried(carried, set(d.components) - {c})
+    assert carried == {c2: {w} for c2, w in want.items()}
+    if new_d is not out:
+        assert list(out.attachments) == [
+            TwoHandleAttachment(want[b.component], b.framing)
+            for b in h.attachments if b != a
+        ]
+
+
+@pytest.mark.parametrize("m, n", [(-5, 2), (-9, 3), (-13, 4)])
+def test_pull_off_and_cancel_carry_components_as_before(m, n):
+    _closed, script = gallery.step3_pipeline(m, n)
+    h = gallery.stein_rep_max(m, n)
+    for mv in script.moves:
+        if mv.kind == "PullOff":
+            _check_pull_off(h.diagram, *mv.data)
+        elif mv.kind == "CancelPair":
+            hid, c, framing = mv.data
+            _check_cancel(h, hid, TwoHandleAttachment(c, framing))
+        h = apply_move(h, mv)
+    assert [mv.kind for mv in script.moves][2:] == ["PullOff", "PullOff", "CancelPair"]
+
+
+def test_cancel_keeps_the_other_attachments():
+    # A straight strand through H, one through G, and a free unknot below;
+    # cancelling H leaves G's strand and the unknot, renumbered.
+    ports = [("H", 1), ("G", 1)]
+    d = StandardFormDiagram(
+        [OneHandle("H", 1), OneHandle("G", 1)], ports, [L(3), R(3)], ports
+    )
+    h = SteinHandlebody(
+        d, [TwoHandleAttachment(c, tb_standard(d, c) - 1) for c in d.components]
+    )
+    _check_cancel(h, "H", h.attachments[0])
+    assert [b.component for b in cancel_pair(h, "H", h.attachments[0]).attachments] == [0, 1]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from frontkit import gallery
 from frontkit.errors import DiagramError, PortMismatch
 from frontkit.front import L, R, X, thurston_bennequin
 from frontkit.moves import apply_move, enumerate_moves
@@ -10,6 +11,7 @@ from frontkit.standard import (
     StandardFormDiagram,
     SteinHandlebody,
     TwoHandleAttachment,
+    carried_components,
     closure_to_sphere,
     geometric_passes,
     homology_vector,
@@ -128,3 +130,54 @@ def test_closure_tb_shift_matches_alpha():
     )
     closed, alpha = closure_to_sphere(d, 0)
     assert thurston_bennequin(closed) == tb_standard(d, 0) + alpha
+
+
+def _reference_closure_image(d, c, closed):
+    """The image of ``c`` in the closed front, as closure_to_sphere used
+    to find it: through the arc of its first port, else through its first
+    strip event."""
+    n = len(d.left_ports)
+    t, t_closed = d.trace, closed.trace
+    signs = pass_signs(d, c)
+    if signs:
+        j = d.left_ports.index(next(iter(signs)))
+        return t_closed.strand_component[t_closed.event_strands[n - 1 - j][0]]
+    for idx in range(len(d.events)):
+        if t.strand_component[t.event_strands[idx][0]] == c:
+            return t_closed.strand_component[t_closed.event_strands[n + idx][0]]
+    raise AssertionError("component has neither ports nor events")
+
+
+def test_closure_carries_each_component_as_before():
+    strips = [
+        getattr(e.artifact, "diagram", e.artifact)
+        for e in gallery.gallery_manifest()
+        if isinstance(e.artifact, (StandardFormDiagram, SteinHandlebody))
+    ]
+    strips.append(straight_strand())
+    # A free unknot below the strand: a component with no port.
+    strips.append(StandardFormDiagram(
+        [OneHandle("H", 1)], [("H", 1)], [L(2), X(1), X(1), R(2)], [("H", 1)]
+    ))
+    portless = 0
+    for d in strips:
+        n = len(d.left_ports)
+        for c in d.components:
+            closed, alpha = closure_to_sphere(d, c)
+            image = _reference_closure_image(d, c, closed)
+            # The witnesses closure_to_sphere reads: left port j and the
+            # cusp of its arc, strip event i and closed event n + i.
+            t, t_closed = d.trace, closed.trace
+            pairs = [(j, t_closed.event_strands[n - 1 - j][0]) for j in range(n)]
+            pairs += [
+                (t.event_strands[i][0], t_closed.event_strands[n + i][0])
+                for i in range(len(d.events))
+            ]
+            carried = carried_components(d, closed, pairs)
+            assert set(carried) == set(d.components)
+            assert all(len(new) == 1 for new in carried.values())
+            assert carried[c] == {image}
+            assert alpha == thurston_bennequin(closed, image) - tb_standard(d, c)
+            portless += not pass_signs(d, c)
+    assert len(strips) == 7 and portless == 1
+

@@ -4,11 +4,16 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from frontkit.errors import FormatError
+from frontkit.errors import FormatError, ParameterOutOfRange
 from frontkit.front import Event, FrontDiagram, trefoil, unknot
 from frontkit.gallery import gallery_manifest, step3_pipeline, stein_rep_max
 from frontkit.moves import MoveScript
-from frontkit.standard import OneHandle, StandardFormDiagram, SteinHandlebody
+from frontkit.standard import (
+    OneHandle,
+    StandardFormDiagram,
+    SteinHandlebody,
+    TwoHandleAttachment,
+)
 from frontkit.textio import (
     parse,
     parse_script,
@@ -77,6 +82,17 @@ def test_bool_levels_print_as_integers():
     doc = print_text(s)
     assert "\nX1\nR1\n" in doc
     assert parse(doc) == s
+    # Slot counts, port slots and attachment numbers are ints too.
+    s = StandardFormDiagram(
+        [OneHandle("H", True)], [("H", True)],
+        [Event("L", 2), Event("R", 1)], [("H", True)],
+    )
+    h = SteinHandlebody(s, [TwoHandleAttachment(False, True)])
+    doc = print_text(h)
+    assert doc == "standard\nhandle H 1\nPH.1\nL2\nR1\nPH.1\nattach 0 framing 1\n"
+    back = parse(doc)
+    assert back.diagram == s
+    assert back.attachments == h.attachments
 
 
 def test_script_roundtrip():
@@ -111,3 +127,8 @@ def test_svg_is_well_formed_markup():
         root = ET.fromstring(render(d, "svg"))
         assert root.tag.endswith("svg")
         assert len(list(root)) >= 1
+
+
+def test_unknown_render_mode_is_a_domain_error():
+    with pytest.raises(ParameterOutOfRange, match="png"):
+        render(unknot(), "png")
