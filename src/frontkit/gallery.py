@@ -28,9 +28,10 @@ from .moves import (
     Move,
     MoveScript,
     SteinHandlebody,
+    _band_sum,
+    _clean_sites,
+    _slide_setup,
     cancel_pair,
-    clean_band_sites,
-    handle_slide,
     pull_off,
 )
 from .satellite import cable
@@ -227,8 +228,10 @@ def step3_pipeline(m: int, n: int) -> Tuple[FrontDiagram, MoveScript]:
     def slide(h: SteinHandlebody, want_zero: bool):
         a = h.attachments[0]
         k = candidate_component(h)
-        for site in clean_band_sites(h, k, a):
-            h2 = handle_slide(h, k, a, site)
+        # One doubled diagram serves every candidate site.
+        setup = _slide_setup(h, k, a)
+        for site in _clean_sites(setup):
+            h2 = _band_sum(h, k, a, setup, site)
             k2 = candidate_component(h2)
             if want_zero and any(homology_vector(h2.diagram, k2)):
                 continue

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import List, Optional, Set, Tuple, Union
@@ -534,7 +534,12 @@ def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List
     port would thread that finger through the push-off, blocking later
     pull-offs; this filter keeps only sites on port-free pieces.
     """
-    d2, _exp, comp_k, sites = _slide_setup(h, k, a)
+    return _clean_sites(_slide_setup(h, k, a))
+
+
+def _clean_sites(setup) -> List[int]:
+    """:func:`clean_band_sites` of a :func:`_slide_setup` result."""
+    d2, _exp, comp_k, sites = setup
     tr = d2.trace
     piece = _cusp_pieces(d2)
     slices = _kernel.slices(d2.events, tr)
@@ -647,18 +652,26 @@ def handle_slide(
     :func:`band_sites`.  All invariants of the result are recomputed
     from the rewritten diagram.
     """
-    d2, exp, _comp_k, sites = _slide_setup(h, k, a)
+    return _band_sum(h, k, a, _slide_setup(h, k, a), site)
+
+
+def _band_sum(h: SteinHandlebody, k: int, a: TwoHandleAttachment, setup,
+              site: int) -> SteinHandlebody:
+    """:func:`handle_slide` from a :func:`_slide_setup` result, which
+    it leaves untouched so that another site can reuse it."""
+    d2, exp, _comp_k, sites = setup
     if not sites:
         raise BandObstructed("no band location between the two curves")
     if not 0 <= site < len(sites):
         raise BandObstructed(f"band site {site} of {len(sites)} does not exist")
     pos, lvl = sites[site]
-    exp.splice(pos, [R(lvl), L(lvl)], ("band",))
+    band = replace(exp, events=list(exp.events), origins=list(exp.origins))
+    band.splice(pos, [R(lvl), L(lvl)], ("band",))
     d3 = StandardFormDiagram(
-        d2.handles, d2.left_ports, exp.events, d2.right_ports
+        d2.handles, d2.left_ports, band.events, d2.right_ports
     )
     d = h.diagram
-    carried = carried_components(d, d3, _expansion_pairs(d, d3, exp))
+    carried = carried_components(d, d3, _expansion_pairs(d, d3, band))
     # The circle went to its two copies; the band merged one into k.
     carried[a.component] -= carried[k]
     if len(carried[a.component]) != 1:
@@ -681,24 +694,28 @@ def _split_word(d: StandardFormDiagram, doomed: Set[int], mixed: str):
     main: List[Event] = []
     inner: List[Event] = []
     origin: List[int] = []
-    for idx, (ev, strands, here) in enumerate(
-        zip(d.events, tr.event_strands, _kernel.slices(d.events, tr))
-    ):
-        i = ev.level
-        hit = [s in doomed for s in strands]
-        if all(hit):
-            sub = 1 + sum(1 for s in here[: i - 1] if s in doomed)
-            inner.append(Event(ev.kind, sub))
-        elif any(hit):
-            if mixed == "error" or ev.kind != "X":
+    # gone[r]: whether the strand on row r of the current slice is
+    # doomed, so an event's level among its own group is one count.
+    gone = [s in doomed for s in tr.initial_strands]
+    for idx, ((kind, i), (a, b)) in enumerate(zip(d.events, tr.event_strands)):
+        hit = a in doomed
+        if hit != (b in doomed):
+            if mixed == "error" or kind != "X":
                 raise MoveNotApplicable(
                     f"event {idx} ties the finger to an outside strand"
                 )
             # dropped: an inter-component crossing erased with the circle
+        elif hit:
+            inner.append(Event(kind, 1 + gone[: i - 1].count(True)))
         else:
-            new_level = 1 + sum(1 for s in here[: i - 1] if s not in doomed)
-            main.append(Event(ev.kind, new_level))
+            main.append(Event(kind, 1 + gone[: i - 1].count(False)))
             origin.append(idx)
+        if kind == "L":
+            gone[i - 1 : i - 1] = (hit, hit)
+        elif kind == "R":
+            del gone[i - 1 : i + 1]
+        else:
+            gone[i - 1], gone[i] = gone[i], gone[i - 1]
     return main, inner, origin
 
 

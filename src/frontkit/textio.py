@@ -22,10 +22,10 @@ byte-identical output.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import List, Sequence, Tuple, Union
 
-from . import _kernel
-from .errors import FormatError, ParameterOutOfRange
+from .errors import DiagramError, FormatError, ParameterOutOfRange
 from .front import Event, FrontDiagram
 from .standard import (
     OneHandle,
@@ -58,7 +58,8 @@ def _fail(message: str, line: int, column: int = 1) -> None:
 
 def parse(text: str) -> Document:
     """Parse a document, raising FormatError with line/column on the
-    first offending token; semantic validation errors pass through."""
+    first offending token.  Validation errors keep their class and
+    ``index``; one that names an event also names its text line."""
     lines = _significant_lines(text)
     if not lines:
         _fail("empty document: expected 'front' or 'standard' header", 1)
@@ -78,7 +79,22 @@ def _parse_event(num: int, line: str) -> Event:
 
 
 def _parse_front(lines: List[Tuple[int, str]]) -> FrontDiagram:
-    return FrontDiagram([_parse_event(num, line) for num, line in lines])
+    events = [_parse_event(num, line) for num, line in lines]
+    with _event_lines([num for num, _line in lines]):
+        return FrontDiagram(events)
+
+
+@contextmanager
+def _event_lines(nums: List[int]):
+    """Prefix ``line N`` to a DiagramError raised inside the block that
+    names event ``index``, whose text line is ``nums[index]``.  Class,
+    ``index`` and errors about the whole word are left as they are."""
+    try:
+        yield
+    except DiagramError as exc:
+        if exc.index >= 0:
+            exc.args = (f"line {nums[exc.index]}, {exc}",)
+        raise
 
 
 def _parse_standard(lines: List[Tuple[int, str]]) -> Document:
@@ -114,7 +130,8 @@ def _parse_standard(lines: List[Tuple[int, str]]) -> Document:
     left = [p for _n, _k, p in body[:split_l]]
     events = [p for _n, _k, p in body[split_l:split_r]]
     right = [p for _n, _k, p in body[split_r:]]
-    d = StandardFormDiagram(handles, left, events, right)
+    with _event_lines([n for n, _k, _p in body[split_l:split_r]]):
+        d = StandardFormDiagram(handles, left, events, right)
     if attachments:
         return SteinHandlebody(d, attachments)
     return d
@@ -195,33 +212,36 @@ def render(d: Document, mode: str = "ascii") -> str:
 def _render_ascii(obj: Document) -> str:
     """Strands run left to right as `_` rows; `(`/`)` are cusps, `X`
     marks a crossing of the two adjacent rows (the strand of greater
-    downward slope passes in front)."""
+    downward slope passes in front).
+
+    Column ``2t`` draws slice ``t`` and column ``2t + 1`` draws event
+    ``t``.  Each is a closed form of the event and the width ``k`` of
+    the slice before it, with rows counted from 0 at the top: a slice
+    is ``k`` underscores; a left cusp at level ``i`` puts `(` on row
+    ``i`` of ``k + 2`` rows; a right cusp puts `)` on row ``i``, keeping
+    the rows of the ``k - 2`` survivors and the row above the cusp; a
+    crossing marks rows ``i - 1`` and ``i`` of ``k``.  Rows are the
+    columns transposed, right-stripped.
+    """
     d = obj.diagram if isinstance(obj, SteinHandlebody) else obj
-    events = d.events
-    slices = _kernel.slices(events, d.trace)
-    width = d.trace.max_width
-    cols = 2 * len(events) + 1
-    grid = [[" "] * cols for _ in range(max(width, 1))]
-    for t, sl in enumerate(slices):
-        for row in range(len(sl)):
-            grid[row][2 * t] = "_"
-    for idx, ev in enumerate(events):
-        col = 2 * idx + 1
-        i = ev.level
-        after = {s: row for row, s in enumerate(slices[idx + 1])}
-        for s in slices[idx]:
-            if s in after:
-                grid[after[s]][col] = "_"
-        if ev.kind == "L":
-            grid[i - 1][col] = "_"
-            grid[i][col] = "("
-        elif ev.kind == "R":
-            grid[i - 1][col] = "_"
-            grid[i][col] = ")"
+    k = len(d.trace.initial_strands)
+    cols = []
+    for kind, i in d.events:
+        cols.append("_" * k)
+        if kind == "L":
+            cols.append("_" * i + "(" + "_" * (k + 1 - i))
+            k += 2
+        elif kind == "R":
+            cols.append(("_" * i + ")").ljust(k - 2, "_"))
+            k -= 2
         else:
-            grid[i - 1][col] = "X"
-            grid[i][col] = "X"
-    lines = ["".join(row).rstrip() for row in grid]
+            cols.append("_" * (i - 1) + "XX" + "_" * (k - i - 1))
+    cols.append("_" * k)
+    height = max(d.trace.max_width, 1)
+    lines = [
+        "".join(row).rstrip()
+        for row in zip(*(col.ljust(height) for col in cols))
+    ]
     while lines and not lines[-1]:
         lines.pop()
     out = "\n".join(lines) + "\n"
@@ -247,40 +267,60 @@ _SVG_ROW = 16  # vertical pixels per level
 
 def _render_svg(obj: Document) -> str:
     """One polyline per strand on an integer grid; cusp mates share
-    their endpoint, so turnbacks close up."""
+    their endpoint, so turnbacks close up.
+
+    Slice ``t`` sits at x = 24(t + 1) and row ``r`` at y = 16(r + 1).
+    A strand's polyline is its left-cusp apex (half a step before its
+    first slice, on its own row), one point per slice it lives on, and
+    the tip of the right cusp that ends it.  One walk over the word
+    cuts the slice points into runs of constant row: a crossing ends
+    the runs of its two strands, and a cusp at level ``i`` ends the
+    runs of every strand on rows ``i - 1`` and below, which it moves or
+    ends.  Each run is written with one join over the slice x strings.
+    """
     d = obj.diagram if isinstance(obj, SteinHandlebody) else obj
-    slices = _kernel.slices(d.events, d.trace)
-    width = d.trace.max_width
-    n_slices = len(slices)
-    # points[s] = ordered (x, y) polyline for strand s.
-    points: Dict[int, List[Tuple[int, int]]] = {}
-    for t, sl in enumerate(slices):
-        x = _SVG_STEP * (t + 1)
-        for row, s in enumerate(sl):
-            y = _SVG_ROW * (row + 1)
-            pts = points.setdefault(s, [])
-            if not pts and t > 0:
-                # Born at a left cusp: start at the cusp apex.
-                pts.append((x - _SVG_STEP // 2, y))
-            pts.append((x, y))
-    for idx, ev in enumerate(d.events):
-        if ev.kind != "R":
+    tr = d.trace
+    n_slices = len(d.events) + 1
+    xs = [str(_SVG_STEP * (t + 1)) for t in range(n_slices)]
+    ys = [f",{_SVG_ROW * (r + 1)}" for r in range(tr.max_width)]
+    seps = [y + " " for y in ys]
+    parts: List[List[str]] = [[] for _ in range(tr.n_strands)]
+    cur = list(tr.initial_strands)
+    start = [0] * len(cur)  # per row: the slice where its run began
+
+    def cut(rows, t: int) -> None:
+        # End at slice t the runs of the strands on these rows.
+        for r in rows:
+            parts[cur[r]].append(seps[r].join(xs[start[r] : t + 1]) + ys[r])
+
+    for t, ((kind, i), (a, b)) in enumerate(zip(d.events, tr.event_strands)):
+        if kind == "X":
+            cut((i - 1, i), t)
+            cur[i - 1], cur[i] = b, a
+            start[i - 1] = start[i] = t + 1
             continue
-        upper, lower = d.trace.event_strands[idx]
-        x = _SVG_STEP * (idx + 1) + _SVG_STEP // 2
-        y = _SVG_ROW * ev.level + _SVG_ROW // 2
-        for s in (upper, lower):
-            points[s].append((x, y))
+        cut(range(i - 1, len(cur)), t)
+        x = _SVG_STEP * (t + 1) + _SVG_STEP // 2
+        if kind == "L":
+            parts[a].append(f"{x},{_SVG_ROW * i}")
+            parts[b].append(f"{x},{_SVG_ROW * (i + 1)}")
+            cur[i - 1 : i - 1] = (a, b)
+        else:
+            tip = f"{x},{_SVG_ROW * i + _SVG_ROW // 2}"
+            parts[a].append(tip)
+            parts[b].append(tip)
+            del cur[i - 1 : i + 1]
+        start[i - 1 :] = [t + 1] * (len(cur) - i + 1)
+    cut(range(len(cur)), n_slices - 1)
     w = _SVG_STEP * (n_slices + 1)
-    h = _SVG_ROW * (max(width, 1) + 1)
-    parts = [
+    h = _SVG_ROW * (max(tr.max_width, 1) + 1)
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}"'
         f' viewBox="0 0 {w} {h}">'
     ]
-    for s in sorted(points):
-        path = " ".join(f"{x},{y}" for x, y in points[s])
-        parts.append(
-            f'<polyline points="{path}" fill="none" stroke="black"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    out += [
+        f'<polyline points="{" ".join(p)}" fill="none" stroke="black"/>'
+        for p in parts
+    ]
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -90,6 +90,16 @@ def test_domain_error_exits_1():
     assert code == 1
 
 
+def test_invariants_names_the_line_of_a_bad_event(tmp_path):
+    p = tmp_path / "bad.front"
+    p.write_text("front\n# c\nL1\n\nL1\nR5\n")
+    code, out, err = run(["invariants", str(p)])
+    assert code == 1
+    assert out == ""
+    assert "line 6, event 2: right cusp at level 5" in err
+    assert "Traceback" not in err
+
+
 def test_search_zero_budget_is_a_domain_error():
     doc = "front\nL1\nL2\nR1\nR1\n"
     code, out, err = run(["search", "-", "--budget", "0"], stdin=doc)

@@ -1,13 +1,28 @@
 """Text format round-trips, positioned errors, and renderer determinism."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from frontkit.errors import FormatError, ParameterOutOfRange
+from frontkit import _kernel
+from frontkit.errors import (
+    DanglingStrand,
+    FormatError,
+    LevelOutOfRange,
+    ParameterOutOfRange,
+)
+from frontkit.explore import fuzz_moves
 from frontkit.front import Event, FrontDiagram, trefoil, unknot
-from frontkit.gallery import gallery_manifest, step3_pipeline, stein_rep_max
+from frontkit.gallery import (
+    K_m_front,
+    K_mn_cable_front,
+    gallery_manifest,
+    step3_pipeline,
+    stein_rep_max,
+)
 from frontkit.moves import MoveScript
+from frontkit.satellite import cable
 from frontkit.standard import (
     OneHandle,
     StandardFormDiagram,
@@ -33,6 +48,27 @@ def test_parse_reports_position():
     with pytest.raises(FormatError) as exc:
         parse("front\nL1\nQ9\n")
     assert exc.value.line == 3
+
+
+def test_front_event_errors_name_the_text_line():
+    with pytest.raises(LevelOutOfRange) as exc:
+        parse("front\n# c\nL1\n\nL1\nR5\n")
+    assert exc.value.index == 2
+    assert str(exc.value) == (
+        "line 6, event 2: right cusp at level 5 with 4 strands"
+    )
+    # An error about the whole word names no event and no line.
+    with pytest.raises(DanglingStrand) as exc:
+        parse("front\nL1\n")
+    assert str(exc.value) == "word ends with 2 strands, expected 0"
+
+
+def test_standard_event_errors_name_the_text_line():
+    doc = "standard\nhandle H 2\nPH.1\nPH.2\nL1\n# c\nX7\nR1\nPH.1\nPH.2\n"
+    with pytest.raises(LevelOutOfRange) as exc:
+        parse(doc)
+    assert exc.value.index == 1
+    assert str(exc.value).startswith("line 7, event 1: crossing at level 7")
 
 
 def test_parse_rejects_unknown_header():
@@ -132,3 +168,117 @@ def test_svg_is_well_formed_markup():
 def test_unknown_render_mode_is_a_domain_error():
     with pytest.raises(ParameterOutOfRange, match="png"):
         render(unknot(), "png")
+
+
+# -- the per-slice renderers, kept as byte references ----------------------
+
+
+def _reference_ascii(obj):
+    d = obj.diagram if isinstance(obj, SteinHandlebody) else obj
+    events = d.events
+    slices = _kernel.slices(events, d.trace)
+    width = d.trace.max_width
+    cols = 2 * len(events) + 1
+    grid = [[" "] * cols for _ in range(max(width, 1))]
+    for t, sl in enumerate(slices):
+        for row in range(len(sl)):
+            grid[row][2 * t] = "_"
+    for idx, ev in enumerate(events):
+        col = 2 * idx + 1
+        i = ev.level
+        after = {s: row for row, s in enumerate(slices[idx + 1])}
+        for s in slices[idx]:
+            if s in after:
+                grid[after[s]][col] = "_"
+        if ev.kind == "L":
+            grid[i - 1][col] = "_"
+            grid[i][col] = "("
+        elif ev.kind == "R":
+            grid[i - 1][col] = "_"
+            grid[i][col] = ")"
+        else:
+            grid[i - 1][col] = "X"
+            grid[i][col] = "X"
+    lines = ["".join(row).rstrip() for row in grid]
+    while lines and not lines[-1]:
+        lines.pop()
+    out = "\n".join(lines) + "\n"
+    if isinstance(obj, (StandardFormDiagram, SteinHandlebody)):
+        lines = [f"[{h.id}] {h.slots} slots" for h in d.handles]
+        lines.append("left:  " + " ".join(f"{h}.{s}" for h, s in d.left_ports))
+        lines.append("right: " + " ".join(f"{h}.{s}" for h, s in d.right_ports))
+        if isinstance(obj, SteinHandlebody):
+            for a in obj.attachments:
+                lines.append(
+                    f"attach component {a.component} framing {a.framing}"
+                )
+        out += "\n".join(lines) + "\n"
+    return out
+
+
+def _reference_svg(obj):
+    d = obj.diagram if isinstance(obj, SteinHandlebody) else obj
+    slices = _kernel.slices(d.events, d.trace)
+    width = d.trace.max_width
+    points = {}
+    for t, sl in enumerate(slices):
+        x = 24 * (t + 1)
+        for row, s in enumerate(sl):
+            y = 16 * (row + 1)
+            pts = points.setdefault(s, [])
+            if not pts and t > 0:
+                pts.append((x - 12, y))
+            pts.append((x, y))
+    for idx, ev in enumerate(d.events):
+        if ev.kind != "R":
+            continue
+        upper, lower = d.trace.event_strands[idx]
+        x = 24 * (idx + 1) + 12
+        y = 16 * ev.level + 8
+        for s in (upper, lower):
+            points[s].append((x, y))
+    w = 24 * (len(slices) + 1)
+    h = 16 * (max(width, 1) + 1)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}"'
+        f' viewBox="0 0 {w} {h}">'
+    ]
+    for s in sorted(points):
+        path = " ".join(f"{x},{y}" for x, y in points[s])
+        parts.append(f'<polyline points="{path}" fill="none" stroke="black"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# The perfbench pipeline grid: m from -4n+3 down to -4n-5, n in 2..4.
+_PIPELINE_GRID = [(-4 * n + 3 - k, n) for n in (2, 3, 4) for k in range(9)]
+
+
+def test_renderers_match_the_per_slice_reference():
+    docs = [entry.artifact for entry in gallery_manifest()]
+    h = stein_rep_max(-5, 2)
+    docs += [h, h.diagram]  # a handlebody with its legend, a bare standard form
+    for m, n in _PIPELINE_GRID:
+        docs += [step3_pipeline(m, n)[0], cable(K_m_front(m), n, -1)]
+    fronts = [d for d in docs if isinstance(d, FrontDiagram)]
+    for seed in range(20):
+        start = fronts[seed % len(fronts)]
+        docs.append(fuzz_moves(start, seed=seed, steps=40).final)
+    docs.append(FrontDiagram([]))
+    docs.append(StandardFormDiagram(
+        [OneHandle("H", 3)], [("H", 1), ("H", 2), ("H", 3)], [],
+        [("H", 1), ("H", 2), ("H", 3)],
+    ))
+    for d in docs:
+        assert render(d, "ascii") == _reference_ascii(d), print_text(d)
+        assert render(d, "svg") == _reference_svg(d), print_text(d)
+    # sha256 of the renders the per-slice renderers gave this cable.
+    d = K_mn_cable_front(-5, 3)
+    digests = [
+        hashlib.sha256(render(d, mode).encode()).hexdigest()
+        for mode in ("ascii", "svg")
+    ]
+    assert digests == [
+        "62938d0746a60ffe1adb8b67685739957e400ba8dbac92dd3eb672001ec4b487",
+        "1bf17a127c1902d7a43de58da6b49e30602c9c71e720b8014273c773a9f1980f",
+    ]
