@@ -33,6 +33,8 @@ from frontkit.moves import (
     Move,
     MoveIndex,
     MoveScript,
+    _band_sum,
+    _clean_sites,
     _cusp_pieces,
     _expansion_pairs,
     _kept_pairs,
@@ -671,6 +673,21 @@ def _slide_cases():
 def test_clean_band_sites_match_the_search_they_replaced():
     for h, k, a in _slide_cases():
         assert clean_band_sites(h, k, a) == _reference_clean_band_sites(h, k, a)
+
+
+def test_one_slide_setup_serves_every_site():
+    # The band is spliced into a copy, so each site sees the setup as
+    # _slide_setup built it.
+    for h, k, a in _slide_cases():
+        setup = _slide_setup(h, k, a)
+        word = list(setup[1].events)
+        assert _clean_sites(setup) == clean_band_sites(h, k, a)
+        for site in range(len(setup[3])):
+            got = _band_sum(h, k, a, setup, site)
+            want = handle_slide(h, k, a, site)
+            assert got.diagram == want.diagram
+            assert got.attachments == want.attachments
+        assert setup[1].events == word
 
 
 def test_cusp_pieces_are_the_pull_off_fingers():
