@@ -280,39 +280,6 @@ def step3_pipeline(m: int, n: int) -> Tuple[FrontDiagram, MoveScript]:
 
 
 @dataclass(frozen=True)
-class FramedRecord:
-    """A smooth framed-handlebody record with no Legendrian content."""
-
-    kind: str  # "X" or "Y"
-    n: int
-    k: int
-    contractible: bool
-    split_summands: Tuple = ()
-
-    def __str__(self):
-        tail = " contractible" if self.contractible else ""
-        return f"{self.kind}({self.n},{self.k}){tail}"
-
-
-def XY_handlebody(kind: str, n: int, k: int) -> FramedRecord:
-    """The framed records X(n,k) (contractible, homology-sphere
-    boundary) and Y(n,k) = X(n,k) # (-n-framed unknot)."""
-    if kind == "X":
-        return FramedRecord("X", n, k, contractible=True)
-    if kind == "Y":
-        return FramedRecord(
-            "Y", n, k, contractible=False,
-            split_summands=(("X", n, k), ("unknot", -n)),
-        )
-    raise ParameterOutOfRange(f"kind must be X or Y, got {kind!r}")
-
-
-def surgery_record(m: int, n: int) -> FramedRecord:
-    """The -n-surgery 4-manifold of the cable knot: Y(n, m+4n)."""
-    return XY_handlebody("Y", n, m + 4 * n)
-
-
-@dataclass(frozen=True)
 class GalleryEntry:
     """A named artifact plus its engine-recomputed invariants."""
 

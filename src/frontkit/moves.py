@@ -40,9 +40,13 @@ rest, and every step is still rebuilt and traced by :func:`apply_move`.
 
 Handle moves (slide, cancellation, finger pull-off) operate on
 standard-form diagrams and live in the second half of this module.
-Each finds the components of its rebuilt diagram with
+One function, :func:`_reslot`, rewrites the 1-handles and ports for all
+three: a slide doubles the ports of the circle, a pull-off or a
+cancellation deletes ports, and a 1-handle leaves only by cancellation.
+Each move finds the components of its rebuilt diagram with
 :func:`frontkit.standard.carried_components`, from the (old strand, new
-strand) pairs its rewrite already knows.
+strand) pairs its rewrite already knows, and moves the 2-handles along
+with :func:`_carried_attachments`.
 """
 
 from __future__ import annotations
@@ -498,6 +502,39 @@ def stabilize(
 
 # -- handle moves on standard-form diagrams ---------------------------------
 
+def _reslot(d: StandardFormDiagram, width, drop=None):
+    """The 1-handles and the left and right ports after a handle move.
+
+    Port ``p`` becomes ``width(p)`` adjacent slots of its handle (2 where
+    a slide doubles the circle, 0 where the move deletes the port), and
+    each handle renumbers its slots from 1.  Every handle but ``drop``
+    stays, even with no slot left: only cancellation removes one.
+    """
+    handles, slots = [], {}
+    for hd in d.handles:
+        n = 0
+        for p in hd.ports():
+            slots[p] = [(hd.id, n + j) for j in range(1, width(p) + 1)]
+            n += len(slots[p])
+        if hd.id != drop:
+            handles.append(OneHandle(hd.id, n))
+
+    def side(ports):
+        return [q for p in ports for q in slots[p]]
+
+    return handles, side(d.left_ports), side(d.right_ports)
+
+
+def _carried_attachments(h: SteinHandlebody, carried, drop=None):
+    """The attachments of ``h`` but ``drop``, each moved to the one new
+    component that ``carried`` maps its circle to."""
+    return [
+        TwoHandleAttachment(*carried[b.component], b.framing)
+        for b in h.attachments
+        if b != drop
+    ]
+
+
 def _expansion_pairs(d: StandardFormDiagram, d_new: StandardFormDiagram, exp):
     """(old strand, new strand) witnesses of a cable expansion of ``d``:
     every left port with its block of copies, and every cusp with its
@@ -604,26 +641,11 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
     exp.splice(exp.first_cusp_index, [X(o + 1), X(o + 1)], ("clasp",))
 
     # Split every port the circle passes into two adjacent subslots.
-    left_strand = {p: i for i, p in enumerate(d.left_ports)}
-    def port_width(p):
-        return 2 if tr.strand_component[left_strand[p]] == a.component else 1
-    new_handles = []
-    new_slot = {}  # old port -> first new slot number
-    for hd in d.handles:
-        pos = 1
-        for s in range(1, hd.slots + 1):
-            new_slot[(hd.id, s)] = pos
-            pos += port_width((hd.id, s))
-        new_handles.append(OneHandle(hd.id, pos - 1))
-    def split(ports):
-        out = []
-        for p in ports:
-            start = new_slot[p]
-            out.extend((p[0], start + j) for j in range(port_width(p)))
-        return out
-    new_left, new_right = split(d.left_ports), split(d.right_ports)
-
-    d2 = StandardFormDiagram(new_handles, new_left, exp.events, new_right)
+    owner = dict(zip(d.left_ports, tr.strand_component))
+    handles, left, right = _reslot(
+        d, lambda p: 2 if owner[p] == a.component else 1
+    )
+    d2 = StandardFormDiagram(handles, left, exp.events, right)
     carried = carried_components(d, d2, _expansion_pairs(d, d2, exp))
     (comp_k,), copies = carried[k], carried[a.component]
     tr2 = d2.trace
@@ -676,11 +698,7 @@ def _band_sum(h: SteinHandlebody, k: int, a: TwoHandleAttachment, setup,
     carried[a.component] -= carried[k]
     if len(carried[a.component]) != 1:
         raise BandObstructed("band did not merge exactly one push-off copy")
-    return SteinHandlebody(
-        d3,
-        [TwoHandleAttachment(*carried[b.component], b.framing)
-         for b in h.attachments],
-    )
+    return SteinHandlebody(d3, _carried_attachments(h, carried))
 
 
 def _split_word(d: StandardFormDiagram, doomed: Set[int], mixed: str):
@@ -739,17 +757,14 @@ def pull_off(d, hid, slot: int):
     handle and touching nothing outside itself.  The finger is carried
     through the handle: both ports disappear and the finger re-grows
     off the right edge of the strip, preserving every event shape.
-    This is an isotopy: tb, rotation, and homology are unchanged.
+    This is an isotopy: tb, rotation, and homology are unchanged, and
+    the handle stays even when it is left with no slot.
     Accepts a StandardFormDiagram or a SteinHandlebody.
     """
     if isinstance(d, SteinHandlebody):
         new_d, carried = _pull_off(d.diagram, hid, slot)
         # An isotopy carries each component to one component.
-        return SteinHandlebody(
-            new_d,
-            [TwoHandleAttachment(*carried[b.component], b.framing)
-             for b in d.attachments],
-        )
+        return SteinHandlebody(new_d, _carried_attachments(d, carried))
     return _pull_off(d, hid, slot)[0]
 
 
@@ -774,29 +789,18 @@ def _pull_off(d: StandardFormDiagram, hid, slot: int):
         raise MoveNotApplicable("the two passes are not joined by a finger")
     finger = {s for s, p in enumerate(piece) if p == piece[la]}
     # No finger strand may reach any other port.
-    port_strands = set(range(len(d.left_ports))) | set(final)
-    if finger & port_strands != {la, lb}:
+    edge_strands = set(range(len(d.left_ports))) | set(final)
+    if finger & edge_strands != {la, lb}:
         raise MoveNotApplicable("the finger is threaded through a handle")
     main, inner, origin = _split_word(d, finger, mixed="error")
-    # Rebuild ports and handles without the two cancelled slots.
-    def keep(ports):
-        return [p for p in ports if p not in (pa, pb)]
-    def renumber(p):
-        return (p[0], p[1] - 2) if p[0] == hid and p[1] > slot + 1 else p
-    new_left = [renumber(p) for p in keep(d.left_ports)]
-    new_right = [renumber(p) for p in keep(d.right_ports)]
-    new_handles = [
-        OneHandle(x.id, x.slots - 2) if x.id == hid else x for x in d.handles
-    ]
-    new_handles = [x for x in new_handles if x.slots > 0 or x.id != hid]
+    handles, left, right = _reslot(d, lambda p: 0 if p in (pa, pb) else 1)
     # The surviving strands that used to end at the removed right ports
     # now continue into the re-grown finger at the end of the word.
     base = min(
         1 + sum(1 for s in final[:pos] if s not in finger) for pos in (ra, rb)
     )
     appendix = [Event(ev.kind, base - 1 + ev.level) for ev in inner]
-    new_events = main + appendix
-    new_d = StandardFormDiagram(new_handles, new_left, new_events, new_right)
+    new_d = StandardFormDiagram(handles, left, main + appendix, right)
     kept_ports = [pos for pos in range(len(d.left_ports)) if pos not in (la, lb)]
     pairs = _kept_pairs(d, new_d, kept_ports, origin)
     return new_d, carried_components(d, new_d, pairs)
@@ -824,33 +828,19 @@ def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):
             f"circle passes handle {hid!r} {passes} times, need exactly 1"
         )
     tr = d.trace
-    for pos, p in enumerate(d.left_ports):
-        if p[0] == hid and tr.strand_component[pos] != c:
-            raise OtherStrandsPresent(
-                f"component {tr.strand_component[pos]} also runs through {hid!r}"
-            )
+    for p, k in zip(d.left_ports, tr.strand_component):
+        if p[0] == hid and k != c:
+            raise OtherStrandsPresent(f"component {k} also runs through {hid!r}")
     doomed = {s for s in range(tr.n_strands) if tr.strand_component[s] == c}
     main, _inner, origin = _split_word(d, doomed, mixed="drop")
     dead_ports = {
-        p for pos, p in enumerate(d.left_ports)
-        if tr.strand_component[pos] == c
+        p for p, k in zip(d.left_ports, tr.strand_component) if k == c
     }
-    # Renumber the slots of every handle the circle passed through.
-    new_handles = []
-    slot_map = {}
-    for x in d.handles:
-        if x.id == hid:
-            continue
-        kept = [s for s in range(1, x.slots + 1) if (x.id, s) not in dead_ports]
-        for j, s in enumerate(kept, start=1):
-            slot_map[(x.id, s)] = (x.id, j)
-        new_handles.append(OneHandle(x.id, len(kept)))
-    def remap(ports):
-        return [slot_map[p] for p in ports if p not in dead_ports and p[0] != hid]
-    new_left, new_right = remap(d.left_ports), remap(d.right_ports)
-
-    if new_handles:
-        d_new = StandardFormDiagram(new_handles, new_left, main, new_right)
+    handles, left, right = _reslot(
+        d, lambda p: 0 if p in dead_ports else 1, drop=hid
+    )
+    if handles:
+        d_new = StandardFormDiagram(handles, left, main, right)
     else:
         d_new = FrontDiagram(main)
     kept_ports = [
@@ -859,12 +849,8 @@ def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):
     carried = carried_components(
         d, d_new, _kept_pairs(d, d_new, kept_ports, origin)
     )
-    new_attachments = [
-        TwoHandleAttachment(*carried[b.component], b.framing)
-        for b in h.attachments
-        if b != a
-    ]
-    if not new_handles:
+    new_attachments = _carried_attachments(h, carried, drop=a)
+    if not handles:
         if new_attachments:
             raise MoveNotApplicable(
                 "2-handles remain but no 1-handles do; nothing to cancel into"

@@ -122,7 +122,6 @@ class Expansion:
 
     events: List[Event] = field(default_factory=list)
     origins: List[Tuple] = field(default_factory=list)
-    n_initial: int = 0
     initial_blocks: List[Tuple[int, int]] = field(default_factory=list)
     first_cusp_index: Optional[int] = None
     first_cusp_offset: Optional[int] = None
@@ -162,7 +161,6 @@ def cable_expand(
         return n if s in wide else 1
 
     exp = Expansion()
-    exp.n_initial = sum(width(s) for s in slices[0])
     pos = 0
     for s in slices[0]:
         exp.initial_blocks.append((pos, width(s)))

@@ -123,16 +123,9 @@ class StandardFormDiagram:
     def components(self) -> range:
         return range(self._trace.n_components)
 
-    def port_strands(self, port: Port) -> Tuple[int, int]:
-        """(left-edge strand id, right-edge strand id) using this port."""
-        t = self._trace
-        return (
-            t.initial_strands[self.left_ports.index(port)],
-            t.final_strands[self.right_ports.index(port)],
-        )
-
     def component_of_port(self, port: Port) -> int:
-        return self._trace.strand_component[self.port_strands(port)[0]]
+        # The left-port strands are ids 0..len(left_ports)-1.
+        return self._trace.strand_component[self.left_ports.index(port)]
 
 
 def sorted_ports(d: StandardFormDiagram) -> List[Port]:
@@ -192,13 +185,7 @@ def tb_standard(d: StandardFormDiagram, c: Optional[int] = None) -> int:
 
 def geometric_passes(d: StandardFormDiagram, c: Optional[int], hid) -> int:
     """How many times component ``c`` runs through handle ``hid``."""
-    c = _component_arg(d, c)
-    t = d.trace
-    return sum(
-        1
-        for (h, _s) in sorted_ports(d)
-        if h == hid and t.strand_component[d.port_strands((h, _s))[0]] == c
-    )
+    return sum(1 for h, _s in pass_signs(d, c) if h == hid)
 
 
 def pass_signs(d: StandardFormDiagram, c: Optional[int] = None) -> Dict[Port, int]:
@@ -211,12 +198,11 @@ def pass_signs(d: StandardFormDiagram, c: Optional[int] = None) -> Dict[Port, in
     """
     c = _component_arg(d, c)
     t = d.trace
-    out = {}
-    for p in sorted_ports(d):
-        lstrand, rstrand = d.port_strands(p)
-        if t.strand_component[lstrand] == c:
-            out[p] = t.strand_orient[rstrand]
-    return out
+    return {
+        p: t.strand_orient[t.final_strands[right]]
+        for p, (right, left) in zip(sorted_ports(d), port_links(d))
+        if t.strand_component[left] == c
+    }
 
 
 def homology_vector(d: StandardFormDiagram, c: Optional[int] = None) -> Tuple[int, ...]:

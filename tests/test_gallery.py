@@ -1,28 +1,29 @@
 """Parameterized families: every stated invariant recomputed."""
 
+import hashlib
+
 import pytest
 
 from frontkit.errors import ParameterOutOfRange
 from frontkit.front import FrontDiagram, rotation, thurston_bennequin
 from frontkit.gallery import (
-    FramedRecord,
     K_m_front,
     K_mn_cable_front,
-    XY_handlebody,
     Z_m_handlebody,
     candidate_component,
     gallery_manifest,
     stein_rep_max,
     stein_rep_variant,
     step3_pipeline,
-    surgery_record,
 )
+from frontkit.moves import apply_move
 from frontkit.standard import (
     geometric_passes,
     homology_vector,
     stein_check,
     tb_standard,
 )
+from frontkit.textio import print_script, print_text
 
 
 @pytest.mark.parametrize("m", range(-1, -11, -1))
@@ -85,15 +86,22 @@ def test_step3_pipeline_closes_at_minus_one():
     assert replay.events == closed.events
 
 
-def test_framed_records():
-    x = XY_handlebody("X", 2, 3)
-    assert x.contractible
-    y = XY_handlebody("Y", 2, 3)
-    assert not y.contractible
-    assert ("unknot", -2) in y.split_summands
-    assert surgery_record(-5, 2) == XY_handlebody("Y", 2, 3)
-    with pytest.raises(ParameterOutOfRange):
-        XY_handlebody("Q", 2, 3)
+def test_step3_pipeline_output_is_pinned():
+    # Every diagram along each script, slot numbering included, then the
+    # script itself: a handle move that renumbers a port differently
+    # changes the digest.
+    digest = hashlib.sha256()
+    for m, n in ((-5, 2), (-9, 3), (-13, 4)):
+        _closed, script = step3_pipeline(m, n)
+        current = stein_rep_max(m, n)
+        digest.update(print_text(current).encode())
+        for mv in script.moves:
+            current = apply_move(current, mv)
+            digest.update(print_text(current).encode())
+        digest.update(print_script(script).encode())
+    assert digest.hexdigest() == (
+        "ca584aeb1dcdd96868193be5d62bab586836f2ffd5cfdd19d693660ba8816398"
+    )
 
 
 def test_manifest_entries_carry_recomputed_invariants():

@@ -1,12 +1,14 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every module-level private name is used somewhere in the package.
 
 No linter ships with the package, so this walks the syntax trees with
-the standard library.  ``__init__.py`` files are exempt: their imports
-are re-exports.
+the standard library.  ``__init__.py`` files are exempt from the import
+check: their imports are re-exports.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import frontkit
 
@@ -40,3 +42,65 @@ def test_no_unused_module_imports():
         for line, name in _unused_imports(path.read_text(encoding="utf-8")):
             found.append(f"{path.relative_to(PACKAGE)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _references(node):
+    """Every name that ``node`` reads, imports or takes as an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def _private_definitions(tree):
+    """Module-level ``_name`` definitions (dunders exempt) -> their node."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            ]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                out[name] = node
+    return out
+
+
+def _unreferenced_private_names(sources):
+    """``path:line: name`` of each private name that no code outside its
+    own definition refers to, across all of ``sources`` (path -> text)."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    counts = Counter(r for tree in trees.values() for r in _references(tree))
+    found = []
+    for path, tree in trees.items():
+        for name, node in _private_definitions(tree).items():
+            if counts[name] == Counter(_references(node))[name]:
+                found.append(f"{path}:{node.lineno}: {name}")
+    return found
+
+
+def test_checker_finds_an_unreferenced_private_name():
+    sources = {
+        "a.py": "from b import _shared\n__all__ = []\n"
+        "def _dead(n):\n    return _dead(n - 1)\n",
+        "b.py": "_shared: int = 1\n_spare = 2\nclass _Used:\n    pass\n"
+        "def public():\n    return _Used()\n",
+    }
+    assert _unreferenced_private_names(sources) == ["a.py:3: _dead", "b.py:2: _spare"]
+
+
+def test_every_private_name_is_used():
+    sources = {
+        str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    found = _unreferenced_private_names(sources)
+    assert not found, "unreferenced private names:\n" + "\n".join(found)

@@ -57,10 +57,12 @@ from frontkit.standard import (
     SteinHandlebody,
     TwoHandleAttachment,
     carried_components,
+    closure_to_sphere,
     homology_vector,
     pass_signs,
     tb_standard,
 )
+from frontkit.textio import parse, print_text
 
 
 def _fingerprint(d):
@@ -262,6 +264,28 @@ def test_pull_off_requires_opposite_passes():
 def test_stabilize_site_must_be_a_pair_of_ints(site):
     with pytest.raises(MoveNotApplicable, match="not an \\(index, level\\) pair"):
         stabilize(unknot(), 0, 1, site=site)
+
+
+def test_a_handle_leaves_only_by_cancellation():
+    # A finger through both slots of H: pulling it off is an isotopy, so
+    # H stays, with no slot left, and the finger closes up in the strip.
+    ports = [("H", 1), ("H", 2)]
+    d = StandardFormDiagram([OneHandle("H", 2)], ports, [R(1), L(1)], ports)
+    out = pull_off(d, "H", 1)
+    assert out == StandardFormDiagram([OneHandle("H", 0)], [], [L(1), R(1)], [])
+    assert parse(print_text(out)) == out
+    closed, alpha = closure_to_sphere(out, 0)
+    assert closed.events == out.events and alpha == 0
+    # One circle through H and G once each: cancelling H erases the
+    # circle and H, and keeps G with no slot left.
+    ports = [("H", 1), ("G", 1)]
+    d = StandardFormDiagram(
+        [OneHandle("H", 1), OneHandle("G", 1)], ports, [X(1)], ports
+    )
+    h = SteinHandlebody(d, [TwoHandleAttachment(0, tb_standard(d, 0) - 1)])
+    out = cancel_pair(h, "H", h.attachments[0])
+    assert out.diagram == StandardFormDiagram([OneHandle("G", 0)], [], [], [])
+    assert out.attachments == ()
 
 
 def test_pull_off_needs_a_finger():

@@ -16,6 +16,7 @@ from frontkit.standard import (
     geometric_passes,
     homology_vector,
     pass_signs,
+    sorted_ports,
     stein_check,
     tb_standard,
 )
@@ -78,11 +79,61 @@ def test_double_pass_homology():
     assert homology_vector(d, 0) in ((0,), (2,), (-2,))
 
 
+def _reference_port_reads(d, c):
+    """``pass_signs(d, c)`` and the component of every port, read
+    without ``port_links``: a ``left_ports.index`` and a
+    ``right_ports.index`` scan per port."""
+    t = d.trace
+    signs, owner = {}, {}
+    for p in sorted_ports(d):
+        lstrand = t.initial_strands[d.left_ports.index(p)]
+        rstrand = t.final_strands[d.right_ports.index(p)]
+        owner[p] = t.strand_component[lstrand]
+        if owner[p] == c:
+            signs[p] = t.strand_orient[rstrand]
+    return signs, owner
+
+
+def _port_map_strips():
+    """Every gallery strip, the representatives of criteria 5-7, and
+    every handlebody a step-3 pipeline passes through on that grid."""
+    strips = [straight_strand()]
+    strips += [
+        e.artifact.diagram
+        for e in gallery.gallery_manifest()
+        if isinstance(e.artifact, SteinHandlebody)
+    ]
+    for n in (2, 3, 4):
+        strips.append(gallery.stein_rep_variant(-2 * n - 1, n).diagram)
+        for m in (-4 * n + 3, -4 * n - 2):
+            _closed, script = gallery.step3_pipeline(m, n)
+            h = gallery.stein_rep_max(m, n)
+            for mv in script.moves:
+                strips.append(h.diagram)
+                h = apply_move(h, mv)
+    return strips
+
+
 def test_pass_signs_cover_every_port():
     d = straight_strand()
     signs = pass_signs(d, 0)
     assert set(signs) == {("H", 1)}
     assert signs[("H", 1)] in (1, -1)
+    strips = _port_map_strips()
+    for d in strips:
+        for c in d.components:
+            signs, owner = _reference_port_reads(d, c)
+            assert pass_signs(d, c) == signs
+            per_handle = [
+                [v for (hid, _s), v in signs.items() if hid == hd.id]
+                for hd in d.handles
+            ]
+            assert homology_vector(d, c) == tuple(map(sum, per_handle))
+            assert [geometric_passes(d, c, hd.id) for hd in d.handles] == [
+                len(vs) for vs in per_handle
+            ]
+        assert {p: d.component_of_port(p) for p in owner} == owner
+    assert len(strips) == 1 + 5 + 3 + 6 * 5
 
 
 def test_stein_check_flags_wrong_framing():
