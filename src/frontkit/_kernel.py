@@ -1,8 +1,10 @@
-"""Pure-Python trace kernel.
+"""The trace kernel.
 
 A front word is a sequence of events acting on a vertical slice of strands,
-numbered from 1 at the top.  This module runs the word once, left to right,
-and extracts everything the rest of the package needs:
+numbered from 1 at the top.  The hot loop of the package is the single
+left-to-right pass over a word (:func:`trace`), tested in
+``tests/test_kernel.py``.  It extracts everything the rest of the package
+needs:
 
 * structural validation (levels in range, balanced strand count),
 * strand identities (a strand lives from its creation to the cusp or
@@ -12,15 +14,31 @@ and extracts everything the rest of the package needs:
 * cusp directions, self-writhe, and pairwise inter-component crossing
   sums (twice the linking number).
 
-Event kinds are the same one-letter strings that ``frontkit.front.Event``
-carries, so a word of ``Event`` tuples is traced as it is stored.
-:func:`slices` rebuilds every vertical slice from the strands the trace
-recorded, on demand.
+The slice pass keeps one record per event, the strand pair it acts on
+(``event_strands``); each cusp joins its pair in the strand graph as the
+pass meets it.  The counts come from one closing pass over the events and
+their strand pairs, once the orientations are known.
+
+The input is the word exactly as the package stores it: a sequence of
+``(kind, level)`` pairs whose kinds are the one-letter strings that
+``frontkit.front.Event`` carries, so an ``Event`` tuple needs no
+translation.  ``BACKEND`` names the implementation for reports.
+
+``slices(events, trace(events, ...))`` is the one slice model: the strand
+ids of every vertical slice, one tuple per word position, rebuilt on
+demand from the strands the trace recorded for each event.  Every module
+that needs to know which strand sits at which level reads it; ``trace``
+does not build it, so the hot loop pays nothing for it.
 """
 
 from __future__ import annotations
 
-from ..errors import DanglingStrand, DiagramError, LevelOutOfRange
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
+
+from .errors import DanglingStrand, DiagramError, LevelOutOfRange
+
+BACKEND = "pure"
 
 # Event kinds.
 LEFT_CUSP = "L"
@@ -28,49 +46,31 @@ RIGHT_CUSP = "R"
 CROSSING = "X"
 
 
+@dataclass(slots=True)
 class TraceResult:
     """Everything computed by one pass over a front word."""
 
-    __slots__ = (
-        "n_strands",
-        "initial_strands",
-        "final_strands",
-        "event_strands",
-        "strand_component",
-        "strand_orient",
-        "n_components",
-        "crossings",
-        "left_cusps",
-        "right_cusps",
-        "up_cusps",
-        "down_cusps",
-        "self_writhe",
-        "inter_sums",
-        "max_width",
-    )
-
-    def __init__(self):
-        self.n_strands = 0
-        self.initial_strands = []
-        self.final_strands = []
-        self.event_strands = []
-        self.strand_component = []
-        self.strand_orient = []
-        self.n_components = 0
-        self.crossings = []
-        self.left_cusps = []
-        self.right_cusps = []
-        self.up_cusps = []
-        self.down_cusps = []
-        self.self_writhe = []
-        self.inter_sums = {}
-        self.max_width = 0
+    n_strands: int
+    initial_strands: List[int]
+    final_strands: List[int]
+    event_strands: List[Tuple[int, int]]
+    strand_component: List[int]
+    strand_orient: List[int]
+    n_components: int
+    left_cusps: List[int]
+    right_cusps: List[int]
+    up_cusps: List[int]
+    down_cusps: List[int]
+    self_writhe: List[int]
+    inter_sums: Dict[Tuple[int, int], int]
+    max_width: int
 
 
 def trace(events, n_initial=0, port_links=()):
     """Run ``events`` over a slice of ``n_initial`` starting strands.
 
-    ``events`` is a sequence of ``(kind, level)`` pairs with 1-based levels.
+    ``events`` is a sequence of ``(kind, level)`` pairs with 1-based levels;
+    it is read twice, so it must not be a one-shot iterator.
     ``port_links`` is a list of ``(final_pos, initial_pos)`` index pairs
     (0-based slice positions) identifying strand ends through 1-handles;
     linked ends keep their traversal direction, cusps reverse it.
@@ -81,12 +81,9 @@ def trace(events, n_initial=0, port_links=()):
     """
     slice_ids = list(range(n_initial))
     next_id = n_initial
-    # joins: (strand_a, strand_b, flip) -- flip=True at cusps.
-    joins = []
+    # adj[s]: (strand, flip) for every strand joined to s; flip at cusps.
+    adj = [[] for _ in range(n_initial)]
     event_strands = []
-    crossing_events = []  # (event_index, desc, asc)
-    left_cusp_of = []  # (event_index, upper, lower)
-    right_cusp_of = []
     max_width = n_initial
 
     idx = -1
@@ -102,8 +99,8 @@ def trace(events, n_initial=0, port_links=()):
                 lower = next_id + 1
                 next_id += 2
                 slice_ids[level - 1 : level - 1] = [upper, lower]
-                joins.append((upper, lower, True))
-                left_cusp_of.append((idx, upper, lower))
+                adj.append([(lower, True)])
+                adj.append([(upper, True)])
                 event_strands.append((upper, lower))
             elif kind == RIGHT_CUSP:
                 if not 1 <= level <= k - 1:
@@ -113,8 +110,8 @@ def trace(events, n_initial=0, port_links=()):
                 upper = slice_ids[level - 1]
                 lower = slice_ids[level]
                 del slice_ids[level - 1 : level + 1]
-                joins.append((upper, lower, True))
-                right_cusp_of.append((idx, upper, lower))
+                adj[upper].append((lower, True))
+                adj[lower].append((upper, True))
                 event_strands.append((upper, lower))
             elif kind == CROSSING:
                 if not 1 <= level <= k - 1:
@@ -125,7 +122,6 @@ def trace(events, n_initial=0, port_links=()):
                 asc = slice_ids[level]
                 slice_ids[level - 1] = asc
                 slice_ids[level] = desc
-                crossing_events.append((idx, desc, asc))
                 event_strands.append((desc, asc))
             else:
                 raise DiagramError(f"unknown event kind {kind!r}", idx)
@@ -144,15 +140,12 @@ def trace(events, n_initial=0, port_links=()):
             f"word ends with {len(slice_ids)} strands, expected {expected_final}"
         )
     for final_pos, initial_pos in port_links:
-        joins.append((slice_ids[final_pos], initial_pos, False))
+        a = slice_ids[final_pos]
+        adj[a].append((initial_pos, False))
+        adj[initial_pos].append((a, False))
 
-    # --- components and orientations over the join graph ---------------
+    # --- components and orientations over the strand graph -------------
     n = next_id
-    adj = [[] for _ in range(n)]
-    for a, b, flip in joins:
-        adj[a].append((b, flip))
-        adj[b].append((a, flip))
-
     comp_of = [-1] * n
     orient = [0] * n
     n_components = 0
@@ -180,59 +173,54 @@ def trace(events, n_initial=0, port_links=()):
                         "inconsistent orientation around a component"
                     )
 
-    # --- per-component counts ------------------------------------------
+    # --- per-component counts, one closing pass -------------------------
     left_cusps = [0] * n_components
     right_cusps = [0] * n_components
     up_cusps = [0] * n_components
     down_cusps = [0] * n_components
     self_writhe = [0] * n_components
     inter_sums = {}
-    crossings = []
-
-    for _idx, upper, _lower in left_cusp_of:
-        c = comp_of[upper]
-        left_cusps[c] += 1
-        # Traversal runs lower-to-upper branch exactly when the upper
-        # branch leaves the cusp pointing right.
-        if orient[upper] > 0:
-            up_cusps[c] += 1
+    for (kind, _level), (a, b) in zip(events, event_strands):
+        c = comp_of[a]
+        if kind == CROSSING:
+            sign = orient[a] * orient[b]
+            cb = comp_of[b]
+            if c == cb:
+                self_writhe[c] += sign
+            else:
+                key = (c, cb) if c < cb else (cb, c)
+                inter_sums[key] = inter_sums.get(key, 0) + sign
+        elif kind == LEFT_CUSP:
+            left_cusps[c] += 1
+            # Traversal runs lower-to-upper branch exactly when the upper
+            # branch leaves the cusp pointing right.
+            if orient[a] > 0:
+                up_cusps[c] += 1
+            else:
+                down_cusps[c] += 1
         else:
-            down_cusps[c] += 1
-    for _idx, upper, _lower in right_cusp_of:
-        c = comp_of[upper]
-        right_cusps[c] += 1
-        if orient[upper] < 0:
-            up_cusps[c] += 1
-        else:
-            down_cusps[c] += 1
+            right_cusps[c] += 1
+            if orient[a] < 0:
+                up_cusps[c] += 1
+            else:
+                down_cusps[c] += 1
 
-    for idx, desc, asc in crossing_events:
-        sign = orient[desc] * orient[asc]
-        ca, cb = comp_of[desc], comp_of[asc]
-        crossings.append((idx, desc, asc, sign))
-        if ca == cb:
-            self_writhe[ca] += sign
-        else:
-            key = (ca, cb) if ca < cb else (cb, ca)
-            inter_sums[key] = inter_sums.get(key, 0) + sign
-
-    res = TraceResult()
-    res.n_strands = n
-    res.initial_strands = list(range(n_initial))
-    res.final_strands = slice_ids
-    res.event_strands = event_strands
-    res.strand_component = comp_of
-    res.strand_orient = orient
-    res.n_components = n_components
-    res.crossings = crossings
-    res.left_cusps = left_cusps
-    res.right_cusps = right_cusps
-    res.up_cusps = up_cusps
-    res.down_cusps = down_cusps
-    res.self_writhe = self_writhe
-    res.inter_sums = inter_sums
-    res.max_width = max_width
-    return res
+    return TraceResult(
+        n_strands=n,
+        initial_strands=list(range(n_initial)),
+        final_strands=slice_ids,
+        event_strands=event_strands,
+        strand_component=comp_of,
+        strand_orient=orient,
+        n_components=n_components,
+        left_cusps=left_cusps,
+        right_cusps=right_cusps,
+        up_cusps=up_cusps,
+        down_cusps=down_cusps,
+        self_writhe=self_writhe,
+        inter_sums=inter_sums,
+        max_width=max_width,
+    )
 
 
 def slices(events, result):

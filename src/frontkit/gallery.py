@@ -142,7 +142,7 @@ def _candidate_events(extra_zigzags: int = 0) -> List[Event]:
     return word
 
 
-def _stein_rep(m: int, n: int, finger_crossings: int, bound: int,
+def _stein_rep(m: int, n: int, finger_crossings: int,
                candidate_zigzags: int) -> SteinHandlebody:
     """Shared builder for the maximizing representatives.
 
@@ -153,9 +153,10 @@ def _stein_rep(m: int, n: int, finger_crossings: int, bound: int,
     if n < 2:
         raise ParameterOutOfRange(f"need n >= 2, got {n}")
     zigzags = -m - finger_crossings - 2
-    if m > bound or zigzags < 0:
+    if zigzags < 0:
         raise ParameterOutOfRange(
-            f"contact -1 framing unattainable: need m <= {bound}, got {m}"
+            "contact -1 framing unattainable: "
+            f"need m <= {-finger_crossings - 2}, got {m}"
         )
     word = _candidate_events(candidate_zigzags)
     word += _finger(3, finger_crossings)
@@ -196,8 +197,7 @@ def stein_rep_max(m: int, n: int) -> SteinHandlebody:
     builder raises.  The candidate component has tb_standard = -1 and
     zero homology vector.
     """
-    h = _stein_rep(m, n, finger_crossings=4 * n - 5, bound=-4 * n + 3,
-                   candidate_zigzags=0)
+    h = _stein_rep(m, n, finger_crossings=4 * n - 5, candidate_zigzags=0)
     cand = candidate_component(h)
     _require(tb_standard(h.diagram, cand) == -1, "candidate tb drifted")
     return h
@@ -206,8 +206,7 @@ def stein_rep_max(m: int, n: int) -> SteinHandlebody:
 def stein_rep_variant(m: int, n: int) -> SteinHandlebody:
     """The fallback representative with candidate tb_standard = -n+1,
     valid on the wider range m <= -2n-1."""
-    h = _stein_rep(m, n, finger_crossings=2 * n - 1, bound=-2 * n - 1,
-                   candidate_zigzags=n - 2)
+    h = _stein_rep(m, n, finger_crossings=2 * n - 1, candidate_zigzags=n - 2)
     cand = candidate_component(h)
     _require(tb_standard(h.diagram, cand) == -n + 1, "candidate tb drifted")
     return h

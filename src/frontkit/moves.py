@@ -76,7 +76,6 @@ from .standard import (
     TwoHandleAttachment,
     carried_components,
     geometric_passes,
-    port_links,
     tb_standard,
 )
 
@@ -629,7 +628,7 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
         )
     tr = d.trace
     wide = {s for s in range(tr.n_strands) if tr.strand_component[s] == a.component}
-    exp = cable_expand(d.events, 2, len(d.left_ports), port_links(d), wide)
+    exp = cable_expand(d, 2, wide)
     if exp.first_cusp_index is None:
         raise BandObstructed(
             "attaching circle has no left cusp to carry the framing kink"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from . import _kernel
 from .errors import (
@@ -36,9 +36,9 @@ from .front import (
     L,
     R,
     X,
-    encode_word,
     thurston_bennequin,
 )
+from .standard import StandardFormDiagram
 
 
 @dataclass(frozen=True)
@@ -136,23 +136,21 @@ class Expansion:
 
 
 def cable_expand(
-    events: Sequence[Event],
+    d: Union[FrontDiagram, StandardFormDiagram],
     n: int,
-    n_initial: int = 0,
-    port_links: Sequence[Tuple[int, int]] = (),
     wide: Optional[Set[int]] = None,
 ) -> Expansion:
-    """Replace selected strands of a word by ``n`` parallel copies.
+    """Replace selected strands of a diagram's word by ``n`` parallel copies.
 
-    ``wide`` is the set of strand ids (in trace numbering) to widen;
-    ``None`` widens everything.  Strands must be widened by whole
-    components: a cusp or port joining a wide strand to a narrow one is
-    a structural error.
+    ``d`` is a closed front or a strip; its stored trace gives the strands,
+    so the word is not traced again.  ``wide`` is the set of strand ids
+    (in trace numbering) to widen; ``None`` widens everything.  Strands
+    must be widened by whole components: a cusp or port joining a wide
+    strand to a narrow one is a structural error.
     """
     if n < 1:
         raise ParameterOutOfRange(f"copy count {n} must be at least 1")
-    word = encode_word(events)
-    tr = _kernel.trace(word, n_initial, port_links)
+    word, tr = d.events, d.trace
     slices = _kernel.slices(word, tr)
     if wide is None:
         wide = set(range(tr.n_strands))
@@ -216,7 +214,7 @@ def _require_knot(d: FrontDiagram) -> None:
 def n_copy_expansion(d: FrontDiagram, n: int) -> Expansion:
     """The tagged expansion behind :func:`n_copy` (all strands widened)."""
     _require_knot(d)
-    return cable_expand(d.events, n)
+    return cable_expand(d, n)
 
 
 def n_copy(d: FrontDiagram, n: int) -> FrontDiagram:
@@ -243,14 +241,14 @@ def n_copy_counts(d: FrontDiagram, n: int) -> CopyCounts:
     """Recount an n-copy by provenance: crossing part n^2 * writhe(d),
     cusp part n * cusps(d), companions -n(n-1) * left_cusps(d)."""
     exp = n_copy_expansion(d, n)
-    tr = _kernel.trace(encode_word(exp.events))
+    tr = FrontDiagram(exp.events).trace
+    orient = tr.strand_orient
     crossing = companion = 0
-    for idx, _desc, _asc, sign in tr.crossings:
-        tag = exp.origins[idx][0]
-        if tag == "crossing":
-            crossing += sign
-        elif tag == "cusp_companion":
-            companion += sign
+    for (a, b), org in zip(tr.event_strands, exp.origins):
+        if org[0] == "crossing":
+            crossing += orient[a] * orient[b]
+        elif org[0] == "cusp_companion":
+            companion += orient[a] * orient[b]
     cusps = sum(1 for org in exp.origins if org[0] == "cusp")
     return CopyCounts(crossing, companion, cusps)
 

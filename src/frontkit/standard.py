@@ -23,6 +23,7 @@ from .front import (
     L,
     R,
     X,
+    _component_arg,
     encode_word,
     thurston_bennequin,
 )
@@ -125,6 +126,8 @@ class StandardFormDiagram:
 
     def component_of_port(self, port: Port) -> int:
         # The left-port strands are ids 0..len(left_ports)-1.
+        if port not in self.left_ports:
+            raise PortMismatch(f"port {port!r} not declared")
         return self._trace.strand_component[self.left_ports.index(port)]
 
 
@@ -160,18 +163,6 @@ def carried_components(
     for s, t in pairs:
         out.setdefault(old[s], set()).add(new[t])
     return out
-
-
-def _component_arg(d: StandardFormDiagram, c: Optional[int]) -> int:
-    if c is None:
-        if d.n_components != 1:
-            raise DiagramError(
-                f"diagram has {d.n_components} components; pass an explicit one"
-            )
-        return 0
-    if not 0 <= c < d.n_components:
-        raise DiagramError(f"no component {c}")
-    return c
 
 
 def tb_standard(d: StandardFormDiagram, c: Optional[int] = None) -> int:

@@ -64,6 +64,18 @@ def test_stein_rep_max_contract():
 
 def test_stein_rep_max_range():
     stein_rep_max(-4 * 2 + 3, 2)  # boundary value is allowed
+    for build, bound in (
+        (stein_rep_max, lambda n: -4 * n + 3),
+        (stein_rep_variant, lambda n: -2 * n - 1),
+    ):
+        for n in (2, 3, 4):
+            build(bound(n), n)
+            with pytest.raises(ParameterOutOfRange) as err:
+                build(bound(n) + 1, n)
+            assert str(err.value) == (
+                "contact -1 framing unattainable: "
+                f"need m <= {bound(n)}, got {bound(n) + 1}"
+            )
     with pytest.raises(ParameterOutOfRange):
         stein_rep_max(-4, 2)
     with pytest.raises(ParameterOutOfRange):

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every module-level private name is used somewhere in the package.
+"""Every module-level import in the package is used by its module,
+every module-level private name is used somewhere in the package, and
+every module parses as the oldest Python that ``pyproject.toml`` admits.
 
 No linter ships with the package, so this walks the syntax trees with
 the standard library.  ``__init__.py`` files are exempt from the import
@@ -8,11 +9,13 @@ check: their imports are re-exports.
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 import frontkit
 
 PACKAGE = pathlib.Path(frontkit.__file__).parent
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def _unused_imports(source: str):
@@ -104,3 +107,36 @@ def test_every_private_name_is_used():
     }
     found = _unreferenced_private_names(sources)
     assert not found, "unreferenced private names:\n" + "\n".join(found)
+
+
+def _python_floor():
+    """The ``(major, minor)`` of ``requires-python = ">=X.Y"``."""
+    text = PYPROJECT.read_text(encoding="utf-8")
+    found = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', text)
+    return int(found[1]), int(found[2])
+
+
+def _too_new(source, floor):
+    """The ``SyntaxError`` text of the first construct ``floor`` cannot
+    parse, or None."""
+    try:
+        ast.parse(source, feature_version=floor)
+    except SyntaxError as exc:
+        return f"{exc.lineno}: {exc.msg}"
+    return None
+
+
+def test_floor_check_flags_newer_syntax():
+    assert _too_new("def f[T](x: T): ...\n", (3, 10))  # 3.12 type parameters
+    assert _too_new("try:\n    pass\nexcept* OSError:\n    pass\n", (3, 10))  # 3.11
+    assert _too_new("match x:\n    case 1:\n        pass\n", (3, 10)) is None
+
+
+def test_package_parses_at_the_declared_floor():
+    floor = _python_floor()
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        err = _too_new(path.read_text(encoding="utf-8"), floor)
+        if err:
+            found.append(f"{path.relative_to(PACKAGE)}:{err}")
+    assert not found, f"syntax newer than Python {floor}:\n" + "\n".join(found)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_front
 from frontkit import _kernel
-from frontkit._kernel import pure
+from frontkit import _kernel as pure
 from frontkit.errors import DanglingStrand, DiagramError, LevelOutOfRange
 from frontkit.front import L, R
 from frontkit.gallery import gallery_manifest

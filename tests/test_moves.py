@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_front, random_knot
-from frontkit import gallery
+from frontkit import _kernel, gallery
 from frontkit.errors import (
     DiagramError,
     GeometricPassNotOne,
@@ -51,6 +51,7 @@ from frontkit.moves import (
     pull_off,
     stabilize,
 )
+from frontkit.satellite import cable, n_copy, n_copy_counts
 from frontkit.standard import (
     OneHandle,
     StandardFormDiagram,
@@ -955,3 +956,28 @@ def test_cancel_keeps_the_other_attachments():
     )
     _check_cancel(h, "H", h.attachments[0])
     assert [b.component for b in cancel_pair(h, "H", h.attachments[0]).attachments] == [0, 1]
+
+
+def test_each_built_diagram_is_traced_once(monkeypatch):
+    front = gallery.K_m_front(-5)
+    h = gallery.stein_rep_max(-5, 2)
+    slide = (h, gallery.candidate_component(h), h.attachments[0])
+    calls = []
+    real = _kernel.trace
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def traces(op, *args):
+        calls.clear()
+        op(*args)
+        return len(calls)
+
+    monkeypatch.setattr(_kernel, "trace", counting)
+    assert traces(cable, front, 3, -1) == 1
+    assert traces(n_copy, front, 2) == 1
+    assert traces(n_copy_counts, front, 2) == 1
+    # The doubled strip, then the band sum.
+    assert traces(_slide_setup, *slide) == 1
+    assert traces(handle_slide, *slide) == 2

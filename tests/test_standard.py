@@ -3,7 +3,7 @@
 import pytest
 
 from frontkit import gallery
-from frontkit.errors import DiagramError, PortMismatch
+from frontkit.errors import DiagramError, NotAKnot, PortMismatch
 from frontkit.front import L, R, X, thurston_bennequin
 from frontkit.moves import apply_move, enumerate_moves
 from frontkit.standard import (
@@ -232,3 +232,20 @@ def test_closure_carries_each_component_as_before():
             portless += not pass_signs(d, c)
     assert len(strips) == 7 and portless == 1
 
+
+def test_component_of_undeclared_port_names_it():
+    with pytest.raises(PortMismatch, match=r"port \('G', 1\) not declared"):
+        straight_strand().component_of_port(("G", 1))
+
+
+@pytest.mark.parametrize(
+    "measure", [tb_standard, pass_signs, homology_vector, closure_to_sphere]
+)
+def test_strip_component_argument_is_checked(measure):
+    d = gallery.stein_rep_max(-5, 2).diagram
+    assert d.n_components == 2
+    # The same errors as on a closed front.
+    with pytest.raises(NotAKnot, match="2 components; pass an explicit one"):
+        measure(d)
+    with pytest.raises(DiagramError, match="no component 2"):
+        measure(d, 2)
