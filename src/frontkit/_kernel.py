@@ -15,9 +15,22 @@ needs:
   sums (twice the linking number).
 
 The slice pass keeps one record per event, the strand pair it acts on
-(``event_strands``); each cusp joins its pair in the strand graph as the
-pass meets it.  The counts come from one closing pass over the events and
-their strand pairs, once the orientations are known.
+(``event_strands``), and notes each right cusp's pair.  The strand graph
+is a disjoint union of cycles: every strand has one left end, a left cusp
+(whose mate is the other strand that cusp made, ids ``n_initial + 2j`` and
+``n_initial + 2j + 1``) or a left port, and one right end, a right cusp
+or a right port.  So one walk around each cycle, from its least strand,
+gives the components and orientations.  The counts come from one closing
+pass over the events and their strand pairs, once the orientations are
+known.
+
+The port links must pair the right-edge positions with the left-edge
+positions one to one, every position in range; :func:`trace` checks this
+before the walk and raises :class:`DiagramError` otherwise.  A repeated
+link end is reported as ``inconsistent orientation around a component``.
+Once the links are one to one no orientation can clash, because a cusp
+joins two right ends or two left ends and a port joins a right end to a
+left end.
 
 The input is the word exactly as the package stores it: a sequence of
 ``(kind, level)`` pairs whose kinds are the one-letter strings that
@@ -73,21 +86,25 @@ def trace(events, n_initial=0, port_links=()):
     it is read twice, so it must not be a one-shot iterator.
     ``port_links`` is a list of ``(final_pos, initial_pos)`` index pairs
     (0-based slice positions) identifying strand ends through 1-handles;
-    linked ends keep their traversal direction, cusps reverse it.
+    linked ends keep their traversal direction, cusps reverse it.  The
+    links pair the ``n_initial`` left-edge positions with the final ones
+    one to one.
 
     Returns a :class:`TraceResult`.  Raises :class:`DiagramError` on the
     first structural problem, including an event that is not a pair or
-    whose level is not an int.
+    whose level is not an int, and port links that are not one to one.
     """
     slice_ids = list(range(n_initial))
     next_id = n_initial
-    # adj[s]: (strand, flip) for every strand joined to s; flip at cusps.
-    adj = [[] for _ in range(n_initial)]
     event_strands = []
     max_width = n_initial
 
     idx = -1
     try:
+        # right[s]: the right-cusp mate of strand s, or ~q once a port
+        # carries s on to left-edge strand q.  Each event makes at most
+        # two strands.
+        right = [0] * (n_initial + 2 * len(events))
         for idx, (kind, level) in enumerate(events):
             k = len(slice_ids)
             if kind == LEFT_CUSP:
@@ -99,8 +116,6 @@ def trace(events, n_initial=0, port_links=()):
                 lower = next_id + 1
                 next_id += 2
                 slice_ids[level - 1 : level - 1] = [upper, lower]
-                adj.append([(lower, True)])
-                adj.append([(upper, True)])
                 event_strands.append((upper, lower))
             elif kind == RIGHT_CUSP:
                 if not 1 <= level <= k - 1:
@@ -110,8 +125,8 @@ def trace(events, n_initial=0, port_links=()):
                 upper = slice_ids[level - 1]
                 lower = slice_ids[level]
                 del slice_ids[level - 1 : level + 1]
-                adj[upper].append((lower, True))
-                adj[lower].append((upper, True))
+                right[upper] = lower
+                right[lower] = upper
                 event_strands.append((upper, lower))
             elif kind == CROSSING:
                 if not 1 <= level <= k - 1:
@@ -128,50 +143,70 @@ def trace(events, n_initial=0, port_links=()):
             if len(slice_ids) > max_width:
                 max_width = len(slice_ids)
     except (TypeError, ValueError) as exc:
-        # Raised only by a word that is not iterable, an item that is not
-        # a pair, or a level that is not an int (it cannot be compared
-        # with the width or used as a slice position).
+        # Raised only by a word that is not a sized iterable, an item that
+        # is not a pair, or a level that is not an int (it cannot be
+        # compared with the width or used as a slice position).
         what = f"malformed event {events[idx]!r}" if idx >= 0 else "malformed word"
         raise DiagramError(what, idx) from exc
 
-    expected_final = len(port_links)
-    if len(slice_ids) != expected_final:
+    n_final = len(slice_ids)
+    if n_final != len(port_links):
         raise DanglingStrand(
-            f"word ends with {len(slice_ids)} strands, expected {expected_final}"
+            f"word ends with {n_final} strands, expected {len(port_links)}"
         )
-    for final_pos, initial_pos in port_links:
-        a = slice_ids[final_pos]
-        adj[a].append((initial_pos, False))
-        adj[initial_pos].append((a, False))
+    if n_final != n_initial:
+        raise DiagramError(
+            f"{n_final} port links for {n_initial} left-edge strands"
+        )
+    # from_port[q]: the right-edge strand whose port carries it to q.
+    from_port = [-1] * n_initial
+    for link in port_links:
+        try:
+            final_pos, initial_pos = link
+            if not (0 <= final_pos < n_final and 0 <= initial_pos < n_initial):
+                raise DiagramError(f"port link {link!r} out of range")
+            p = slice_ids[final_pos]
+            repeated = right[p] < 0 or from_port[initial_pos] >= 0
+        except (TypeError, ValueError) as exc:
+            raise DiagramError(f"malformed port link {link!r}") from exc
+        if repeated:
+            # A repeated end: the links are not one to one.
+            raise DiagramError("inconsistent orientation around a component")
+        right[p] = ~initial_pos
+        from_port[initial_pos] = p
 
-    # --- components and orientations over the strand graph -------------
+    # --- components and orientations: one walk around each cycle ------
     n = next_id
     comp_of = [-1] * n
-    orient = [0] * n
+    orient = [1] * n
     n_components = 0
     # Strand ids increase in creation order (initial slice first, then by
     # event), so scanning ids in order roots each component at its
-    # first-created strand, which is oriented left-to-right.
+    # first-created strand, which is oriented left-to-right.  The walk
+    # is back at the root when it meets a visited strand rightwards.
     for root in range(n):
         if comp_of[root] >= 0:
             continue
         comp = n_components
         n_components += 1
-        comp_of[root] = comp
-        orient[root] = 1
-        stack = [root]
-        while stack:
-            s = stack.pop()
-            for t, flip in adj[s]:
-                want = -orient[s] if flip else orient[s]
-                if comp_of[t] < 0:
-                    comp_of[t] = comp
-                    orient[t] = want
-                    stack.append(t)
-                elif orient[t] != want:
-                    raise DiagramError(
-                        "inconsistent orientation around a component"
-                    )
+        s = root
+        while comp_of[s] < 0:
+            comp_of[s] = comp
+            t = right[s]
+            if t < 0:
+                # A port: on rightwards along the left-edge strand ~t.
+                s = ~t
+                continue
+            # A right cusp: back leftwards along t, and through each left
+            # port into the right-edge strand linked to it.
+            comp_of[t] = comp
+            orient[t] = -1
+            while t < n_initial:
+                t = from_port[t]
+                comp_of[t] = comp
+                orient[t] = -1
+            # A left cusp: rightwards along the strand made with t.
+            s = ((t - n_initial) ^ 1) + n_initial
 
     # --- per-component counts, one closing pass -------------------------
     left_cusps = [0] * n_components

@@ -70,8 +70,9 @@ class NotAKnot(FrontkitError):
 class ParameterOutOfRange(FrontkitError):
     """A parameter is outside the range its operation accepts: gallery
     parameters a construction cannot realize, a cable or copy count that
-    cannot be built, a negative genus, a search budget that is not
-    positive, or an unknown render mode."""
+    cannot be built, a negative genus, a search depth, search budget or
+    fuzz step count that is not an int in range, or an unknown render
+    mode."""
 
 
 class BudgetExhausted(FrontkitError):

@@ -22,8 +22,8 @@ from .moves import (
     MoveScript,
     _n_initial,
     _rebuild,
-    _rewrite_word,
     _scan,
+    _splice,
 )
 from .standard import StandardFormDiagram, homology_vector, tb_standard
 
@@ -42,18 +42,27 @@ def _reducing_moves(d) -> List[Move]:
     return out
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ParameterOutOfRange unless ``value`` is an int (not a bool)
+    of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        rule = "positive" if least == 1 else "non-negative"
+        raise ParameterOutOfRange(
+            f"{name} must be {rule} (an int >= {least}), got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds of the breadth-first search."""
+    """Bounds of the breadth-first search: ``max_depth`` is an int >= 0,
+    ``budget`` an int >= 1."""
 
     max_depth: int = 4
     budget: int = 10_000
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise ParameterOutOfRange(
-                f"budget must be positive, got {self.budget}"
-            )
+        _check_count("max_depth", self.max_depth, 0)
+        _check_count("budget", self.budget, 1)
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,8 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
 
     Explores the closure of word-shrinking moves up to ``cfg.max_depth``,
     deduplicating on the exact event word before a child is traced, so
-    a word already seen costs one rewrite, not a rebuild.  The returned
+    a word already seen costs one rewrite, not a rebuild.  Each move the
+    scan lists is spliced into the word as found, not matched again.  The returned
     witness script replays from ``d`` to a diagram achieving ``best_tb``.
     Raises BudgetExhausted (carrying the partial result) when the node
     budget runs out; the best found so far is still attached.
@@ -96,7 +106,7 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                         f"node budget {cfg.budget} exhausted",
                         SearchResult(best[0], best[1], nodes, exhausted=True),
                     )
-                word = _rewrite_word(node, m)
+                word = _splice(node.events, m)
                 if word in seen:
                     continue
                 seen.add(word)
@@ -161,9 +171,11 @@ def _fingerprint(d) -> Tuple:
 
 
 def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
-    """Apply ``steps`` uniformly random applicable Reidemeister moves
-    (both directions) and slides, checking the classical invariants
-    after every step.  A correct engine reports zero violations."""
+    """Apply ``steps`` (an int >= 0) uniformly random applicable
+    Reidemeister moves (both directions) and slides, checking the
+    classical invariants after every step.  A correct engine reports
+    zero violations."""
+    _check_count("steps", steps, 0)
     rng = random.Random(seed)
     want = _fingerprint(d)
     current = d

@@ -285,14 +285,20 @@ def _replacement(m: Move) -> Tuple[int, Tuple[Event, ...]]:
     return (3, rhs(i)) if m.data[0] == "contract" else (1, lhs(i))
 
 
+def _splice(events: Tuple[Event, ...], m: Move) -> Tuple[Event, ...]:
+    """``events`` rewritten by ``m``, a move :func:`_scan` found in them."""
+    old_len, new = _replacement(m)
+    return events[: m.index] + new + events[m.index + old_len :]
+
+
 def _rewrite_word(d: Diagram, m: Move) -> Tuple[Event, ...]:
     """The event word ``apply_move(d, m)`` builds for a pattern move.
 
     ``m`` is checked by the same scan that :func:`enumerate_moves` runs,
-    at its one window index.  Nothing is traced, so a caller can look
-    the word up before paying for the rebuild.  Empty ``data`` is
-    accepted wherever the site alone determines the rewrite (every kind
-    but R2, whose data picks the direction).
+    at its one window index, then spliced.  Nothing is traced, so a
+    caller can look the word up before paying for the rebuild.  Empty
+    ``data`` is accepted wherever the site alone determines the rewrite
+    (every kind but R2, whose data picks the direction).
     """
     events = d.events
     idx = m.index
@@ -306,8 +312,7 @@ def _rewrite_word(d: Diagram, m: Move) -> Tuple[Event, ...]:
         if found.level == m.level and (
             m.data == found.data or not m.data and m.kind not in ("R2a", "R2b")
         ):
-            old_len, new = _replacement(found)
-            return events[:idx] + new + events[idx + old_len :]
+            return _splice(events, found)
     raise MoveNotApplicable(f"no {m} site")
 
 

@@ -109,6 +109,15 @@ def test_search_zero_budget_is_a_domain_error():
     assert "Traceback" not in err
 
 
+def test_search_negative_depth_is_a_domain_error():
+    doc = "front\nL1\nL2\nR1\nR1\n"
+    code, out, err = run(["search", "-", "--depth", "-4"], stdin=doc)
+    assert code == 1
+    assert out == ""
+    assert "max_depth must be non-negative" in err
+    assert "Traceback" not in err
+
+
 def test_render_flag():
     code, out, _ = run(["gallery", "unknot", "--render", "ascii"])
     assert code == 0

@@ -1,11 +1,12 @@
 """Move-graph search and invariance fuzzing."""
 
+import hashlib
 import random
 
 import pytest
 
 from frontkit import gallery
-from frontkit.errors import BudgetExhausted
+from frontkit.errors import BudgetExhausted, ParameterOutOfRange
 from frontkit.explore import (
     _FUZZ_KINDS,
     _REDUCING_KINDS,
@@ -154,3 +155,52 @@ def test_reducing_moves_are_enumeration_without_expansions():
             if not (m.kind in ("R2a", "R2b") and m.data[0] == "expand")
         ]
         assert _reducing_moves(d) == want, d
+
+
+def _search_outcome(d, depth, budget):
+    try:
+        res = bfs_max_tb(d, SearchConfig(max_depth=depth, budget=budget))
+    except BudgetExhausted as exc:
+        res = exc.partial
+    return repr((res.best_tb, res.witness.moves, res.nodes_expanded, res.exhausted))
+
+
+def test_bfs_outputs_are_pinned():
+    # The 16 twice-stabilized knots at the search workload's bounds (5 of
+    # them run out of budget), then one deeper query that does not.
+    digest = hashlib.sha256()
+    for d in _reducing_sites()[:16]:
+        digest.update(_search_outcome(d, 3, 300).encode())
+    deep = stabilize(stabilize(K_m_front(-1), 0, 1), 0, 1)
+    digest.update(_search_outcome(deep, 4, 2000).encode())
+    assert digest.hexdigest() == (
+        "50c005a8ec4180b14ffff1bac6149d437196ba1b87e0210bb78b8fe3b2f9d47a"
+    )
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"max_depth": -1},
+        {"max_depth": "3"},
+        {"max_depth": 2.5},
+        {"max_depth": True},
+        {"budget": 0},
+        {"budget": "7"},
+        {"budget": True},
+    ],
+)
+def test_search_bounds_must_be_ints_in_range(bounds):
+    with pytest.raises(ParameterOutOfRange):
+        SearchConfig(**bounds)
+
+
+def test_negative_depth_certifies_nothing():
+    with pytest.raises(ParameterOutOfRange):
+        local_max_certificate(stabilize(trefoil(), 0, 1), -1)
+
+
+@pytest.mark.parametrize("steps", [-3, "3", 2.5, True])
+def test_fuzz_steps_must_be_an_int_in_range(steps):
+    with pytest.raises(ParameterOutOfRange):
+        fuzz_moves(trefoil(), 1, steps)

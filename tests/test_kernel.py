@@ -8,7 +8,7 @@ from conftest import random_front
 from frontkit import _kernel
 from frontkit import _kernel as pure
 from frontkit.errors import DanglingStrand, DiagramError, LevelOutOfRange
-from frontkit.front import L, R
+from frontkit.front import L, R, X
 from frontkit.gallery import gallery_manifest
 from frontkit.standard import SteinHandlebody
 
@@ -66,6 +66,30 @@ def test_port_links_keep_direction():
     tr = pure.trace([], n_initial=1, port_links=[(0, 0)])
     assert tr.n_components == 1
     assert tr.strand_orient == [1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ([], 1, [(5, 0)]),  # a right-edge position out of range
+        ([], 1, [(-1, 0)]),  # a negative position
+        ([], 1, [(0, 1)]),  # a left-edge position out of range
+        ([X(1)], 2, [(0, 0), (0, 1)]),  # one right-edge strand linked twice
+        ([R(1)], 2, []),  # left-edge strands with no link
+        ([], 1, [(0,)]),  # a link that is not a pair
+        ([], 1, [(0.0, 0)]),  # a position that is not an int
+    ],
+)
+def test_port_links_pair_the_edges_one_to_one(args):
+    with pytest.raises(DiagramError):
+        pure.trace(*args)
+
+
+def test_repeated_left_link_end_is_an_orientation_error():
+    # Valid at the reference kernel's DFS when no clash shows; now one
+    # check on the links, with the message the DFS gave on a clash.
+    with pytest.raises(DiagramError, match="inconsistent orientation"):
+        pure.trace([X(1)], 2, [(0, 0), (1, 0)])
 
 
 def test_max_width():

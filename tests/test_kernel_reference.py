@@ -275,6 +275,35 @@ def _strip_cases():
     return [(d.events, len(d.left_ports), port_links(d)) for d in strips]
 
 
+def _random_strip(rng):
+    """A random word over ``n`` left-edge strands that ends with ``n``
+    strands, and a random one-to-one pairing of the edge positions."""
+    n = rng.randint(1, 4)
+    width, word = n, []
+    for _ in range(rng.randint(0, 40)):
+        roll = rng.random()
+        if width >= 2 and roll < 0.45:
+            word.append(X(rng.randint(1, width - 1)))
+        elif width >= 2 and roll < 0.7:
+            word.append(R(rng.randint(1, width - 1)))
+            width -= 2
+        else:
+            word.append(L(rng.randint(1, width + 1)))
+            width += 2
+    while width != n:
+        if width > n:
+            word.append(R(rng.randint(1, width - 1)))
+            width -= 2
+        else:
+            word.append(L(rng.randint(1, width + 1)))
+            width += 2
+    finals = list(range(n))
+    rng.shuffle(finals)
+    links = list(zip(finals, range(n)))
+    rng.shuffle(links)
+    return word, n, links
+
+
 def test_fronts_and_broken_words_match_the_reference():
     cases = _front_cases()
     errors = [args for args in cases if isinstance(_outcome(_kernel.trace, args), tuple)]
@@ -287,6 +316,16 @@ def test_fronts_and_broken_words_match_the_reference():
 def test_strips_match_the_reference():
     cases = _strip_cases()
     assert len(cases) >= 5 + 3 * 4
+    for args in cases:
+        assert _mismatch(args) is None, args
+
+
+def test_random_strips_match_the_reference():
+    rng = random.Random(12)
+    cases = [_random_strip(rng) for _ in range(300)]
+    # Many strips close some component through more than one port.
+    several = [c for c in cases if _kernel.trace(*c).n_components < c[1]]
+    assert len(several) > 60
     for args in cases:
         assert _mismatch(args) is None, args
 
