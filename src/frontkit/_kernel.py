@@ -117,6 +117,9 @@ def trace(events, n_initial=0, port_links=()):
                 next_id += 2
                 slice_ids[level - 1 : level - 1] = [upper, lower]
                 event_strands.append((upper, lower))
+                # Only a left cusp widens the slice.
+                if k + 2 > max_width:
+                    max_width = k + 2
             elif kind == RIGHT_CUSP:
                 if not 1 <= level <= k - 1:
                     raise LevelOutOfRange(
@@ -140,8 +143,6 @@ def trace(events, n_initial=0, port_links=()):
                 event_strands.append((desc, asc))
             else:
                 raise DiagramError(f"unknown event kind {kind!r}", idx)
-            if len(slice_ids) > max_width:
-                max_width = len(slice_ids)
     except (TypeError, ValueError) as exc:
         # Raised only by a word that is not a sized iterable, an item that
         # is not a pair, or a level that is not an int (it cannot be

@@ -54,14 +54,19 @@ def adjunction_bound(cert: GenusCertificate) -> int:
 
 
 def certify_tb_max(d: FrontDiagram, c: int, cert: GenusCertificate) -> MaxTbCertificate:
-    """Compare tb(c) against the genus bound, never raising.
+    """Compare tb(c) against the genus bound.
 
     Certified means tb meets the bound exactly, so no Legendrian
     representative can do better and tb is maximal; meeting it forces
     rotation 0.  BoundOnly means the bound leaves room above.
     Inconsistent means tb + |rot| exceeds the bound, so the certificate
-    itself must be wrong.
+    itself must be wrong.  A certificate for another component than
+    ``c`` raises ParameterOutOfRange.
     """
+    if cert.component != c:
+        raise ParameterOutOfRange(
+            f"certificate is for component {cert.component}, not {c}"
+        )
     bound = adjunction_bound(cert)
     tb = thurston_bennequin(d, c)
     rot = rotation(d, c)

@@ -136,6 +136,15 @@ def _component_arg(d: FrontDiagram, c: Optional[int]) -> int:
     return c
 
 
+def _is_site(site) -> bool:
+    """Whether ``site`` is an (event index, level) pair of ints."""
+    return (
+        isinstance(site, Sequence)
+        and len(site) == 2
+        and all(isinstance(x, int) for x in site)
+    )
+
+
 def writhe(d: FrontDiagram, c: Optional[int] = None) -> int:
     """Signed count of self-crossings of component ``c``."""
     return d.trace.self_writhe[_component_arg(d, c)]

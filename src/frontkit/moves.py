@@ -40,20 +40,20 @@ rest, and every step is still rebuilt and traced by :func:`apply_move`.
 
 Handle moves (slide, cancellation, finger pull-off) operate on
 standard-form diagrams and live in the second half of this module.
-One function, :func:`_reslot`, rewrites the 1-handles and ports for all
-three: a slide doubles the ports of the circle, a pull-off or a
-cancellation deletes ports, and a 1-handle leaves only by cancellation.
-Each move finds the components of its rebuilt diagram with
-:func:`frontkit.standard.carried_components`, from the (old strand, new
-strand) pairs its rewrite already knows, and moves the 2-handles along
-with :func:`_carried_attachments`.
+Each ends in one rebuild, :func:`_after_handle_move`, which returns the
+new diagram and its :func:`frontkit.standard.carried_components` map.
+It is fed by origins: :func:`_reslot` names the old left port of each
+new port (a slide doubles the circle's ports, a pull-off or a
+cancellation deletes ports, and only cancellation removes a 1-handle),
+and the word rewrite names the old event each new event copies, or None
+for new material.  :func:`_carried_attachments` moves the 2-handles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import List, Optional, Set, Tuple, Union
@@ -67,7 +67,7 @@ from .errors import (
     NotSteinFramed,
     OtherStrandsPresent,
 )
-from .front import Event, FrontDiagram, L, R, X
+from .front import Event, FrontDiagram, L, R, X, _is_site
 from .satellite import cable_expand
 from .standard import (
     OneHandle,
@@ -329,7 +329,8 @@ def apply_move(d, m: Move):
 
     Raises MoveNotApplicable when the move is malformed (index, level or
     data of the wrong type, out of range, or of the wrong arity), does
-    not fit the kind of diagram, or its site mismatches.
+    not fit the kind of diagram, or its site mismatches.  A handle move
+    names its site in ``data``, so its index and level must be 0.
     """
     if not (
         isinstance(m.kind, str)
@@ -345,6 +346,10 @@ def apply_move(d, m: Move):
         ):
             names = ", ".join(t.__name__ for t in types)
             raise MoveNotApplicable(f"{m.kind} data must be ({names})")
+        if m.index != 0 or m.level != 0:
+            raise MoveNotApplicable(
+                f"{m.kind} has index 0 and level 0, not {m.index}/{m.level}"
+            )
         if not isinstance(d, hosts):
             raise MoveNotApplicable(
                 f"{m.kind} does not act on a {type(d).__name__}"
@@ -493,11 +498,7 @@ def stabilize(
         )
         if site is None:
             raise MoveNotApplicable(f"component {c} has no visible strand")
-    elif not (
-        isinstance(site, Sequence)
-        and len(site) == 2
-        and all(isinstance(x, int) for x in site)
-    ):
+    elif not _is_site(site):
         raise MoveNotApplicable(f"site {site!r} is not an (index, level) pair")
     elif comp[_strand_at(slices, site[0], site[1])] != c:
         raise MoveNotApplicable(f"site {site} is not on component {c}")
@@ -507,7 +508,8 @@ def stabilize(
 # -- handle moves on standard-form diagrams ---------------------------------
 
 def _reslot(d: StandardFormDiagram, width, drop=None):
-    """The 1-handles and the left and right ports after a handle move.
+    """The 1-handles, the left and right ports after a handle move, and
+    for each new left port the position of the old left port it came from.
 
     Port ``p`` becomes ``width(p)`` adjacent slots of its handle (2 where
     a slide doubles the circle, 0 where the move deletes the port), and
@@ -522,11 +524,33 @@ def _reslot(d: StandardFormDiagram, width, drop=None):
             n += len(slots[p])
         if hd.id != drop:
             handles.append(OneHandle(hd.id, n))
+    left = [q for p in d.left_ports for q in slots[p]]
+    right = [q for p in d.right_ports for q in slots[p]]
+    port_origin = [pos for pos, p in enumerate(d.left_ports) for _q in slots[p]]
+    return handles, left, right, port_origin
 
-    def side(ports):
-        return [q for p in ports for q in slots[p]]
 
-    return handles, side(d.left_ports), side(d.right_ports)
+def _after_handle_move(d: StandardFormDiagram, reslotted, events, event_origin):
+    """The diagram a handle move builds from ``d``, and the
+    :func:`carried_components` map from ``d`` to it.
+
+    ``reslotted`` is the :func:`_reslot` result and ``events`` the new
+    word; ``event_origin[j]`` is the index of the old event that new
+    event ``j`` copies, so that its upper strand is a piece of the old
+    event's, or None for new material.  The diagram is a closed front
+    once the move has removed the last 1-handle of ``d``.
+    """
+    handles, left, right, port_origin = reslotted
+    if handles or not d.handles:
+        d_new = StandardFormDiagram(handles, left, events, right)
+    else:
+        d_new = FrontDiagram(events)
+    old, new = d.trace.event_strands, d_new.trace.event_strands
+    pairs = [(pos, j) for j, pos in enumerate(port_origin)]
+    pairs += [
+        (old[i][0], new[j][0]) for j, i in enumerate(event_origin) if i is not None
+    ]
+    return d_new, carried_components(d, d_new, pairs)
 
 
 def _carried_attachments(h: SteinHandlebody, carried, drop=None):
@@ -539,24 +563,6 @@ def _carried_attachments(h: SteinHandlebody, carried, drop=None):
     ]
 
 
-def _expansion_pairs(d: StandardFormDiagram, d_new: StandardFormDiagram, exp):
-    """(old strand, new strand) witnesses of a cable expansion of ``d``:
-    every left port with its block of copies, and every cusp with its
-    copies."""
-    old, new = d.trace.event_strands, d_new.trace.event_strands
-    pairs = [
-        (pos, start + j)
-        for pos, (start, width) in enumerate(exp.initial_blocks)
-        for j in range(width)
-    ]
-    pairs += [
-        (old[org[1]][0], new[j][0])
-        for j, org in enumerate(exp.origins)
-        if org[0] == "cusp"
-    ]
-    return pairs
-
-
 def band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> list:
     """Deterministic list of band locations for handle_slide.
 
@@ -564,8 +570,7 @@ def band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> list:
     where the sliding component runs adjacent to one push-off copy of
     the attaching circle.  Exposed so scripts can name sites stably.
     """
-    _d2, _exp, _comp_k, sites = _slide_setup(h, k, a)
-    return sites
+    return _slide_setup(h, k, a)[-1]
 
 
 def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List[int]:
@@ -580,7 +585,7 @@ def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List
 
 def _clean_sites(setup) -> List[int]:
     """:func:`clean_band_sites` of a :func:`_slide_setup` result."""
-    d2, _exp, comp_k, sites = setup
+    d2, _reslotted, _origin, comp_k, sites = setup
     tr = d2.trace
     piece = _cusp_pieces(d2)
     slices = _kernel.slices(d2.events, tr)
@@ -646,11 +651,11 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
 
     # Split every port the circle passes into two adjacent subslots.
     owner = dict(zip(d.left_ports, tr.strand_component))
-    handles, left, right = _reslot(
-        d, lambda p: 2 if owner[p] == a.component else 1
-    )
-    d2 = StandardFormDiagram(handles, left, exp.events, right)
-    carried = carried_components(d, d2, _expansion_pairs(d, d2, exp))
+    reslotted = _reslot(d, lambda p: 2 if owner[p] == a.component else 1)
+    origin = [
+        org[1] if org[0] in ("cusp", "crossing") else None for org in exp.origins
+    ]
+    d2, carried = _after_handle_move(d, reslotted, exp.events, origin)
     (comp_k,), copies = carried[k], carried[a.component]
     tr2 = d2.trace
     sites = []
@@ -660,7 +665,7 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
                     tr2.strand_component[slc[lvl]]}
             if comp_k in pair and (pair - {comp_k}) & copies:
                 sites.append((pos, lvl))
-    return d2, exp, comp_k, sites
+    return d2, reslotted, origin, comp_k, sites
 
 
 def handle_slide(
@@ -685,19 +690,18 @@ def _band_sum(h: SteinHandlebody, k: int, a: TwoHandleAttachment, setup,
               site: int) -> SteinHandlebody:
     """:func:`handle_slide` from a :func:`_slide_setup` result, which
     it leaves untouched so that another site can reuse it."""
-    d2, exp, _comp_k, sites = setup
+    d2, reslotted, origin, _comp_k, sites = setup
     if not sites:
         raise BandObstructed("no band location between the two curves")
     if not 0 <= site < len(sites):
         raise BandObstructed(f"band site {site} of {len(sites)} does not exist")
     pos, lvl = sites[site]
-    band = replace(exp, events=list(exp.events), origins=list(exp.origins))
-    band.splice(pos, [R(lvl), L(lvl)], ("band",))
-    d3 = StandardFormDiagram(
-        d2.handles, d2.left_ports, band.events, d2.right_ports
+    d3, carried = _after_handle_move(
+        h.diagram,
+        reslotted,
+        d2.events[:pos] + (R(lvl), L(lvl)) + d2.events[pos:],
+        origin[:pos] + [None, None] + origin[pos:],
     )
-    d = h.diagram
-    carried = carried_components(d, d3, _expansion_pairs(d, d3, band))
     # The circle went to its two copies; the band merged one into k.
     carried[a.component] -= carried[k]
     if len(carried[a.component]) != 1:
@@ -741,17 +745,6 @@ def _split_word(d: StandardFormDiagram, doomed: Set[int], mixed: str):
     return main, inner, origin
 
 
-def _kept_pairs(d: StandardFormDiagram, d_new: Diagram, kept_ports, origin):
-    """(old strand, new strand) witnesses of a rewrite that deleted
-    strands and ports: ``kept_ports`` are the old left-port positions
-    that are the new left ports in order, ``origin`` the old index of
-    each event that starts the new word."""
-    old, new = d.trace.event_strands, d_new.trace.event_strands
-    pairs = [(pos, j) for j, pos in enumerate(kept_ports)]
-    pairs += [(old[i][0], new[j][0]) for j, i in enumerate(origin)]
-    return pairs
-
-
 def pull_off(d, hid, slot: int):
     """Pull a finger of one component back through a 1-handle.
 
@@ -773,6 +766,8 @@ def pull_off(d, hid, slot: int):
 
 
 def _pull_off(d: StandardFormDiagram, hid, slot: int):
+    if not isinstance(slot, int):
+        raise MoveNotApplicable(f"slot {slot!r} is not an int")
     pa, pb = (hid, slot), (hid, slot + 1)
     for p in (pa, pb):
         if p not in d.left_ports:
@@ -797,17 +792,16 @@ def _pull_off(d: StandardFormDiagram, hid, slot: int):
     if finger & edge_strands != {la, lb}:
         raise MoveNotApplicable("the finger is threaded through a handle")
     main, inner, origin = _split_word(d, finger, mixed="error")
-    handles, left, right = _reslot(d, lambda p: 0 if p in (pa, pb) else 1)
+    reslotted = _reslot(d, lambda p: 0 if p in (pa, pb) else 1)
     # The surviving strands that used to end at the removed right ports
     # now continue into the re-grown finger at the end of the word.
     base = min(
         1 + sum(1 for s in final[:pos] if s not in finger) for pos in (ra, rb)
     )
     appendix = [Event(ev.kind, base - 1 + ev.level) for ev in inner]
-    new_d = StandardFormDiagram(handles, left, main + appendix, right)
-    kept_ports = [pos for pos in range(len(d.left_ports)) if pos not in (la, lb)]
-    pairs = _kept_pairs(d, new_d, kept_ports, origin)
-    return new_d, carried_components(d, new_d, pairs)
+    return _after_handle_move(
+        d, reslotted, main + appendix, origin + [None] * len(appendix)
+    )
 
 
 def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):
@@ -832,29 +826,17 @@ def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):
             f"circle passes handle {hid!r} {passes} times, need exactly 1"
         )
     tr = d.trace
-    for p, k in zip(d.left_ports, tr.strand_component):
+    owner = dict(zip(d.left_ports, tr.strand_component))
+    for p, k in owner.items():
         if p[0] == hid and k != c:
             raise OtherStrandsPresent(f"component {k} also runs through {hid!r}")
     doomed = {s for s in range(tr.n_strands) if tr.strand_component[s] == c}
     main, _inner, origin = _split_word(d, doomed, mixed="drop")
-    dead_ports = {
-        p for p, k in zip(d.left_ports, tr.strand_component) if k == c
-    }
-    handles, left, right = _reslot(
-        d, lambda p: 0 if p in dead_ports else 1, drop=hid
-    )
-    if handles:
-        d_new = StandardFormDiagram(handles, left, main, right)
-    else:
-        d_new = FrontDiagram(main)
-    kept_ports = [
-        pos for pos, p in enumerate(d.left_ports) if p not in dead_ports
-    ]
-    carried = carried_components(
-        d, d_new, _kept_pairs(d, d_new, kept_ports, origin)
+    d_new, carried = _after_handle_move(
+        d, _reslot(d, lambda p: 0 if owner[p] == c else 1, drop=hid), main, origin
     )
     new_attachments = _carried_attachments(h, carried, drop=a)
-    if not handles:
+    if isinstance(d_new, FrontDiagram):
         if new_attachments:
             raise MoveNotApplicable(
                 "2-handles remain but no 1-handles do; nothing to cancel into"

@@ -36,6 +36,7 @@ from .front import (
     L,
     R,
     X,
+    _is_site,
     thurston_bennequin,
 )
 from .standard import StandardFormDiagram
@@ -115,14 +116,11 @@ class Expansion:
 
     ``origins[i]`` is one of ``("crossing", j)``, ``("cusp", j)``,
     ``("cusp_companion", j)`` with ``j`` the source event index, or a
-    caller-supplied tag for spliced material.  ``initial_blocks`` gives,
-    per original left-edge position, the 0-based start and width of its
-    strand block in the expanded initial slice.
+    caller-supplied tag for spliced material.
     """
 
     events: List[Event] = field(default_factory=list)
     origins: List[Tuple] = field(default_factory=list)
-    initial_blocks: List[Tuple[int, int]] = field(default_factory=list)
     first_cusp_index: Optional[int] = None
     first_cusp_offset: Optional[int] = None
 
@@ -159,11 +157,6 @@ def cable_expand(
         return n if s in wide else 1
 
     exp = Expansion()
-    pos = 0
-    for s in slices[0]:
-        exp.initial_blocks.append((pos, width(s)))
-        pos += width(s)
-
     for idx, (ev, (upper, lower), here) in enumerate(
         zip(word, tr.event_strands, slices)
     ):
@@ -292,6 +285,8 @@ def insert_braid(
     """
     if site is None:
         index, top = default_braid_site(d, braid.strands)
+    elif not _is_site(site):
+        raise SiteNotCableSlice(f"site {site!r} is not an (index, level) pair")
     else:
         index, top = site
         if not _site_is_parallel(d, index, top, braid.strands):

@@ -38,6 +38,12 @@ class OneHandle:
     id: object
     slots: int
 
+    def __post_init__(self):
+        if not isinstance(self.slots, int) or self.slots < 0:
+            raise PortMismatch(
+                f"handle {self.id!r} slot count {self.slots!r} is not an int >= 0"
+            )
+
     def ports(self) -> List[Port]:
         return [(self.id, s) for s in range(1, self.slots + 1)]
 

@@ -35,6 +35,11 @@ def test_genus_must_be_nonnegative():
         GenusCertificate(0, -1)
 
 
+def test_certificate_must_name_the_component():
+    with pytest.raises(ParameterOutOfRange, match="component 5, not 0"):
+        certify_tb_max(trefoil(), 0, GenusCertificate(component=5, genus=1))
+
+
 def test_unknot_certified_at_genus_zero():
     cert = certify_tb_max(unknot(), 0, GenusCertificate(0, 0))
     assert cert.verdict == CERTIFIED

@@ -2,8 +2,13 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
+
+from frontkit.gallery import step3_pipeline, stein_rep_max
+from frontkit.moves import MoveScript
+from frontkit.textio import print_script, print_text
 
 UNKNOT_DOC = "front\nL1\nR1\n"
 
@@ -38,6 +43,23 @@ def test_gallery_pipes_into_invariants():
     code, out, _ = run(["invariants", "-"], stdin=doc)
     assert code == 0
     assert "tb=-3" in out
+
+
+def test_apply_rejects_a_handle_move_with_an_index(tmp_path):
+    _closed, script = step3_pipeline(-5, 2)
+    h = MoveScript(script.moves[:2]).replay(stein_rep_max(-5, 2))
+    pull = script.moves[2]
+    assert pull.kind == "PullOff"
+    doc = tmp_path / "h.std"
+    doc.write_text(print_text(h))
+    good = tmp_path / "good.moves"
+    good.write_text(print_script(MoveScript((pull,))))
+    assert run(["apply", str(doc), str(good)])[0] == 0
+    bad = tmp_path / "bad.moves"
+    bad.write_text(print_script(MoveScript((replace(pull, index=42, level=42),))))
+    code, _, err = run(["apply", str(doc), str(bad)])
+    assert code == 1
+    assert "index 0 and level 0" in err
 
 
 def test_cable_command():

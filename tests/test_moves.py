@@ -36,8 +36,6 @@ from frontkit.moves import (
     _band_sum,
     _clean_sites,
     _cusp_pieces,
-    _expansion_pairs,
-    _kept_pairs,
     _pull_off,
     _slide,
     _slide_setup,
@@ -287,6 +285,14 @@ def test_a_handle_leaves_only_by_cancellation():
     out = cancel_pair(h, "H", h.attachments[0])
     assert out.diagram == StandardFormDiagram([OneHandle("G", 0)], [], [], [])
     assert out.attachments == ()
+
+
+@pytest.mark.parametrize("slot", ["1", 1.0, None])
+def test_pull_off_slot_must_be_an_int(slot):
+    h = toy_handlebody()
+    for target in (h, h.diagram):
+        with pytest.raises(MoveNotApplicable, match="is not an int"):
+            pull_off(target, "H", slot)
 
 
 def test_pull_off_needs_a_finger():
@@ -587,6 +593,17 @@ def test_malformed_move_is_not_applicable(move):
         apply_move(trefoil(), move)
 
 
+@pytest.mark.parametrize("index, level", [(99, -7), (0, 1), (1, 0)])
+def test_handle_moves_take_index_and_level_zero(index, level):
+    # Each step-3 move applies as written, and with no other index or level.
+    _closed, script = gallery.step3_pipeline(-5, 2)
+    h = gallery.stein_rep_max(-5, 2)
+    for mv in script.moves:
+        with pytest.raises(MoveNotApplicable, match="index 0 and level 0"):
+            apply_move(h, Move(mv.kind, index, level, mv.data))
+        h = apply_move(h, mv)
+
+
 def test_slide_index_out_of_range_says_so():
     with pytest.raises(MoveNotApplicable, match="out of range"):
         apply_move(trefoil(), Move("Slide", -1, 1))
@@ -613,7 +630,7 @@ def _replayed_slice(d, idx):
 def _reference_clean_band_sites(h, k, a):
     """clean_band_sites as it was: a cusp graph built by replaying the
     doubled word, and a depth-first search from each site's strand."""
-    d2, _exp, comp_k, sites = _slide_setup(h, k, a)
+    d2, _reslotted, _origin, comp_k, sites = _slide_setup(h, k, a)
     tr = d2.trace
     adj = {}
     cur = list(range(len(d2.left_ports)))
@@ -701,18 +718,20 @@ def test_clean_band_sites_match_the_search_they_replaced():
 
 
 def test_one_slide_setup_serves_every_site():
-    # The band is spliced into a copy, so each site sees the setup as
+    # The band is spliced into a new word, so each site sees the setup as
     # _slide_setup built it.
     for h, k, a in _slide_cases():
         setup = _slide_setup(h, k, a)
-        word = list(setup[1].events)
+        d2, _reslotted, origin, _comp_k, sites = setup
+        word, origin_before = d2.events, list(origin)
         assert _clean_sites(setup) == clean_band_sites(h, k, a)
-        for site in range(len(setup[3])):
+        for site in range(len(sites)):
             got = _band_sum(h, k, a, setup, site)
             want = handle_slide(h, k, a, site)
             assert got.diagram == want.diagram
             assert got.attachments == want.attachments
-        assert setup[1].events == word
+        assert d2.events == word
+        assert origin == origin_before
 
 
 def test_cusp_pieces_are_the_pull_off_fingers():
@@ -776,19 +795,29 @@ def _reference_markers(d):
     return out
 
 
-def _reference_marker_component(d_new, exp, marker, copy=0):
+def _reference_marker_component(d_new, port_origin, event_origin, marker, copy=0):
     """The component of ``d_new`` holding copy ``copy`` of a marker,
-    found by scanning the expansion's origins."""
+    found by scanning a slide's port and event origins."""
     tr = d_new.trace
+    origin = port_origin if marker[0] == "port" else event_origin
+    hits = [j for j, old in enumerate(origin) if old == marker[1]]
+    if copy >= len(hits):
+        raise AssertionError(f"marker {marker!r} lost in expansion")
     if marker[0] == "port":
-        return tr.strand_component[exp.initial_blocks[marker[1]][0] + copy]
-    seen = 0
-    for j, org in enumerate(exp.origins):
-        if len(org) >= 2 and org[0] == "cusp" and org[1] == marker[1]:
-            if seen == copy:
-                return tr.strand_component[tr.event_strands[j][0]]
-            seen += 1
-    raise AssertionError(f"marker {marker!r} lost in expansion")
+        return tr.strand_component[hits[copy]]
+    return tr.strand_component[tr.event_strands[hits[copy]][0]]
+
+
+def _witness_pairs(d, d_new, port_origin, event_origin):
+    """(old strand, new strand) pairs read off a move's origins: each new
+    left port with the old port it came from, and each copied event's
+    upper strand with the old event's."""
+    old, new = d.trace.event_strands, d_new.trace.event_strands
+    pairs = [(pos, j) for j, pos in enumerate(port_origin)]
+    pairs += [
+        (old[i][0], new[j][0]) for j, i in enumerate(event_origin) if i is not None
+    ]
+    return pairs
 
 
 def _reference_component_map(d, dead_strands, port_rename, d_new, new_events):
@@ -845,47 +874,135 @@ def _portless_slide_cases():
     ]
 
 
+def test_a_slide_in_a_strip_with_no_1_handle_stays_a_strip():
+    # Two stacked unknots: the slid diagram is a strip, not a closed
+    # front, though it has no 1-handle.
+    d = StandardFormDiagram([], [], [L(1), L(3), R(3), R(1)], [])
+    a = TwoHandleAttachment(1, tb_standard(d, 1) - 1)
+    h = SteinHandlebody(d, [a])
+    n_sites = len(band_sites(h, 0, a))
+    assert n_sites
+    for site in range(n_sites):
+        out = handle_slide(h, 0, a, site)
+        assert isinstance(out.diagram, StandardFormDiagram)
+        assert out.diagram.handles == ()
+
+
 def test_slide_carries_components_as_markers_did():
     n_sites = 0
     for h, k, a in _slide_cases() + _portless_slide_cases():
         d = h.diagram
         markers = _reference_markers(d)
         for site in range(len(band_sites(h, k, a))):
-            d2, exp, comp_k, sites = _slide_setup(h, k, a)
-            carried = carried_components(d, d2, _expansion_pairs(d, d2, exp))
+            d2, reslotted, origin, comp_k, sites = _slide_setup(h, k, a)
+            ports = reslotted[3]
+            carried = carried_components(
+                d, d2, _witness_pairs(d, d2, ports, origin)
+            )
             _assert_carried(carried, d.components, doubled=a.component)
             assert carried[k] == {comp_k}
-            assert comp_k == _reference_marker_component(d2, exp, markers[k])
+            assert comp_k == _reference_marker_component(
+                d2, ports, origin, markers[k]
+            )
             assert carried[a.component] == {
-                _reference_marker_component(d2, exp, markers[a.component], j)
+                _reference_marker_component(
+                    d2, ports, origin, markers[a.component], j
+                )
                 for j in (0, 1)
             }
             # The band, spliced as handle_slide splices it.
             pos, lvl = sites[site]
-            exp.splice(pos, [R(lvl), L(lvl)], ("band",))
+            origin = origin[:pos] + [None, None] + origin[pos:]
             h3 = handle_slide(h, k, a, site)
             d3 = h3.diagram
-            assert d3.events == tuple(exp.events)
-            k_new = _reference_marker_component(d3, exp, markers[k])
-            copies = {
-                _reference_marker_component(d3, exp, markers[a.component], j)
-                for j in (0, 1)
-            }
+            assert d3.events == d2.events[:pos] + (R(lvl), L(lvl)) + d2.events[pos:]
+
+            def marker_component(c, copy=0):
+                return _reference_marker_component(
+                    d3, ports, origin, markers[c], copy
+                )
+
+            k_new = marker_component(k)
+            copies = {marker_component(a.component, j) for j in (0, 1)}
             want = [
                 TwoHandleAttachment(
                     (copies - {k_new}).pop() if b == a else
-                    _reference_marker_component(d3, exp, markers[b.component]),
+                    marker_component(b.component),
                     b.framing,
                 )
                 for b in h.attachments
             ]
             assert list(h3.attachments) == want
-            carried = carried_components(d, d3, _expansion_pairs(d, d3, exp))
+            carried = carried_components(
+                d, d3, _witness_pairs(d, d3, ports, origin)
+            )
             _assert_carried(carried, d.components, doubled=a.component)
             assert carried[k] == {k_new}
             assert carried[a.component] == copies
             n_sites += 1
     assert n_sites > 100
+
+
+def _two_handle_strip():
+    """A straight strand through H, one through G, and a free unknot
+    below, each component carrying a Stein-framed 2-handle."""
+    ports = [("H", 1), ("G", 1)]
+    d = StandardFormDiagram(
+        [OneHandle("H", 1), OneHandle("G", 1)], ports, [L(3), R(3)], ports
+    )
+    return SteinHandlebody(
+        d, [TwoHandleAttachment(c, tb_standard(d, c) - 1) for c in d.components]
+    )
+
+
+def _cancel_records(h):
+    for hd in h.diagram.handles:
+        for b in h.attachments:
+            try:
+                yield print_text(cancel_pair(h, hd.id, b))
+            except MoveError as exc:
+                yield f"{type(exc).__name__}: {exc}\n"
+
+
+def _handle_move_records():
+    """A line per handle move output: the band sum at every site of each
+    slide case, then every pull-off (diagram and carried map) and every
+    cancellation that can follow it, or the error it raises; then every
+    cancellation along the step-3 scripts and on a two-handle strip."""
+    for h, k, a in _slide_cases() + _portless_slide_cases():
+        for site in range(len(band_sites(h, k, a))):
+            h3 = handle_slide(h, k, a, site)
+            yield print_text(h3)
+            d3 = h3.diagram
+            for hd in d3.handles:
+                for slot in range(1, hd.slots):
+                    try:
+                        new_d, carried = _pull_off(d3, hd.id, slot)
+                    except MoveError as exc:
+                        yield f"{type(exc).__name__}: {exc}\n"
+                        continue
+                    yield print_text(new_d)
+                    yield repr(sorted((c, sorted(v)) for c, v in carried.items()))
+            yield from _cancel_records(h3)
+    for m, n in ((-5, 2), (-9, 3), (-13, 4)):
+        _closed, script = gallery.step3_pipeline(m, n)
+        h = gallery.stein_rep_max(m, n)
+        for mv in script.moves:
+            yield from _cancel_records(h)
+            h = apply_move(h, mv)
+    yield from _cancel_records(_two_handle_strip())
+
+
+def test_handle_move_outputs_are_pinned():
+    digest = hashlib.sha256()
+    n_records = 0
+    for record in _handle_move_records():
+        digest.update(record.encode())
+        n_records += 1
+    assert n_records > 5000
+    assert digest.hexdigest() == (
+        "464242e988f27e697e446ee801d925a83e4e23aeca68131e78fc00c34cb3c441"
+    )
 
 
 def _check_pull_off(d, hid, slot):
@@ -919,7 +1036,9 @@ def _check_cancel(h, hid, a):
     new_d = getattr(out, "diagram", out)
     _main, _inner, origin = _split_word(d, doomed, mixed="drop")
     kept_ports = [pos for pos, p in enumerate(d.left_ports) if p not in dead]
-    carried = carried_components(d, new_d, _kept_pairs(d, new_d, kept_ports, origin))
+    carried = carried_components(
+        d, new_d, _witness_pairs(d, new_d, kept_ports, origin)
+    )
     want = _reference_component_map(d, doomed, slot_map.get, new_d, new_d.events)
     _assert_carried(carried, set(d.components) - {c})
     assert carried == {c2: {w} for c2, w in want.items()}
@@ -945,15 +1064,8 @@ def test_pull_off_and_cancel_carry_components_as_before(m, n):
 
 
 def test_cancel_keeps_the_other_attachments():
-    # A straight strand through H, one through G, and a free unknot below;
-    # cancelling H leaves G's strand and the unknot, renumbered.
-    ports = [("H", 1), ("G", 1)]
-    d = StandardFormDiagram(
-        [OneHandle("H", 1), OneHandle("G", 1)], ports, [L(3), R(3)], ports
-    )
-    h = SteinHandlebody(
-        d, [TwoHandleAttachment(c, tb_standard(d, c) - 1) for c in d.components]
-    )
+    # Cancelling H leaves G's strand and the unknot, renumbered.
+    h = _two_handle_strip()
     _check_cancel(h, "H", h.attachments[0])
     assert [b.component for b in cancel_pair(h, "H", h.attachments[0]).attachments] == [0, 1]
 

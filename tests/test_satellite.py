@@ -141,3 +141,9 @@ def test_insert_braid_rejects_non_parallel_site():
     with pytest.raises(SiteNotCableSlice):
         # Right after a left cusp the two branches are anti-parallel.
         insert_braid(d, BraidWord(2, (1,)), (1, 1))
+
+
+@pytest.mark.parametrize("site", [5, (1.5, 1), (0,), "ab"])
+def test_insert_braid_site_must_be_a_pair_of_ints(site):
+    with pytest.raises(SiteNotCableSlice, match="not an \\(index, level\\) pair"):
+        insert_braid(trefoil(), BraidWord(2, (1,)), site)

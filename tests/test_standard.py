@@ -49,6 +49,12 @@ def test_unknown_port_rejected():
         StandardFormDiagram([OneHandle("H", 1)], [("H", 2)], [], [("H", 2)])
 
 
+@pytest.mark.parametrize("slots", [-1, "2", 1.0, None])
+def test_slot_count_must_be_an_int_at_least_zero(slots):
+    with pytest.raises(PortMismatch, match="is not an int >= 0"):
+        StandardFormDiagram([OneHandle("H", slots)], [], [], [])
+
+
 def test_slot_order_must_increase():
     with pytest.raises(PortMismatch):
         StandardFormDiagram(
