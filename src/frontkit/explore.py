@@ -5,6 +5,15 @@ Reidemeister moves and only increases by removing zigzags, so a
 breadth-first sweep over word-shrinking moves plus slides recovers tb
 lost to stabilization.  Upper bounds come from genus certificates, not
 from search.
+
+The search runs on event words, not diagrams.  Every Reidemeister move
+and far commutation keeps the tb of each component, and a
+destabilization raises the tb of the one component it touches by
+exactly 1, so a child's tb follows from its parent's and the move.  No
+child is traced.  On a diagram of several components, closed or in a
+strip, a node is traced once, when it is expanded, to learn which
+component each of its zigzags lies on.  On one component nothing is
+traced until the witness is replayed, once, at the end.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import BudgetExhausted, ParameterOutOfRange
-from .front import rotation, thurston_bennequin
+from .errors import BudgetExhausted, MoveError, ParameterOutOfRange
+from .front import _is_int, rotation, thurston_bennequin
 from .moves import (
     _ORDER,
     Move,
@@ -33,11 +42,11 @@ from .standard import StandardFormDiagram, homology_vector, tb_standard
 _REDUCING_KINDS = ("R1a", "R1b", "R2a", "R2b", "R3", "Slide", "Destabilize")
 
 
-def _reducing_moves(d) -> List[Move]:
+def _reducing_moves(events, width: int) -> List[Move]:
     """``enumerate_moves(d, _REDUCING_KINDS)`` without the R2 expansions,
-    which are never matched."""
-    out = _scan(d.events, _n_initial(d), 0, len(d.events), _REDUCING_KINDS,
-                expand=False)
+    which are never matched, where ``d`` has the word ``events`` and its
+    first slice has ``width`` strands."""
+    out = _scan(events, width, 0, len(events), _REDUCING_KINDS, expand=False)
     out.sort(key=_ORDER)
     return out
 
@@ -45,7 +54,7 @@ def _reducing_moves(d) -> List[Move]:
 def _check_count(name: str, value, least: int) -> None:
     """Raise ParameterOutOfRange unless ``value`` is an int (not a bool)
     of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    if not _is_int(value) or value < least:
         rule = "positive" if least == 1 else "non-negative"
         raise ParameterOutOfRange(
             f"{name} must be {rule} (an int >= {least}), got {value!r}"
@@ -75,52 +84,90 @@ class SearchResult:
     exhausted: bool = False
 
 
+def _tbs(d) -> List[int]:
+    """The tb of each component of ``d``."""
+    tb = tb_standard if isinstance(d, StandardFormDiagram) else thurston_bennequin
+    return [tb(d, c) for c in d.components]
+
+
 def _tb_of(d) -> int:
-    if isinstance(d, StandardFormDiagram):
-        return min(tb_standard(d, c) for c in d.components)
-    return min(thurston_bennequin(d, c) for c in d.components)
+    return min(_tbs(d))
+
+
+def _destabilized_tbs(d) -> List[int]:
+    """Entry ``c``: the least tb over the components of ``d`` once a
+    zigzag on component ``c`` is removed."""
+    tbs = _tbs(d)
+    return [min(tb + (c == k) for c, tb in enumerate(tbs)) for k in d.components]
+
+
+def _witnessed(d, best_tb: int, path: Tuple[Move, ...], nodes: int,
+               exhausted: bool = False) -> SearchResult:
+    """The search result for the path to ``best_tb``, after replaying
+    the path from ``d`` and checking the tb it reaches."""
+    witness = MoveScript(path)
+    got = _tb_of(witness.replay(d))
+    if got != best_tb:
+        raise MoveError(
+            f"search carried tb {best_tb} along {len(path)} moves, "
+            f"but the replayed witness has tb {got}"
+        )
+    return SearchResult(best_tb, witness, nodes, exhausted)
 
 
 def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Breadth-first search for the highest tb reachable by reductions.
 
-    Explores the closure of word-shrinking moves up to ``cfg.max_depth``,
-    deduplicating on the exact event word before a child is traced, so
-    a word already seen costs one rewrite, not a rebuild.  Each move the
-    scan lists is spliced into the word as found, not matched again.  The returned
-    witness script replays from ``d`` to a diagram achieving ``best_tb``.
-    Raises BudgetExhausted (carrying the partial result) when the node
-    budget runs out; the best found so far is still attached.
+    Explores the closure of word-shrinking moves up to ``cfg.max_depth``
+    on event words, deduplicating on the exact word.  Each move the scan
+    lists is spliced into the word as found, not matched again, and no
+    child is traced: it carries its parent's tb, raised on the touched
+    component by a ``Destabilize``.  A node of several components is
+    traced when it is expanded, to name the component of each zigzag.
+    The witness script is replayed once from ``d``, and it reaches a
+    diagram achieving ``best_tb``.  Raises BudgetExhausted (carrying the
+    partial result) when the node budget runs out; the best found so far
+    is still attached, replayed the same way.
     """
+    width = _n_initial(d)
     start_tb = _tb_of(d)
-    best = (start_tb, MoveScript(()))
-    frontier: List[Tuple[object, Tuple[Move, ...]]] = [(d, ())]
+    best_tb, best_path = start_tb, ()
+    frontier: List[Tuple[tuple, int, Tuple[Move, ...]]] = [(d.events, start_tb, ())]
     seen = {d.events}
     nodes = 1
+    link = d.n_components > 1
     for _depth in range(cfg.max_depth):
-        nxt: List[Tuple[object, Tuple[Move, ...]]] = []
-        for node, path in frontier:
-            for m in _reducing_moves(node):
+        nxt: List[Tuple[tuple, int, Tuple[Move, ...]]] = []
+        for word, tb, path in frontier:
+            if link:
+                node = _rebuild(d, word) if path else d
+                raised = _destabilized_tbs(node)
+                comp, strands = node.trace.strand_component, node.trace.event_strands
+            for m in _reducing_moves(word, width):
                 if nodes >= cfg.budget:
                     raise BudgetExhausted(
                         f"node budget {cfg.budget} exhausted",
-                        SearchResult(best[0], best[1], nodes, exhausted=True),
+                        _witnessed(d, best_tb, best_path, nodes, exhausted=True),
                     )
-                word = _splice(node.events, m)
-                if word in seen:
+                child = _splice(word, m)
+                if child in seen:
                     continue
-                seen.add(word)
-                child = _rebuild(node, word)
+                seen.add(child)
                 nodes += 1
                 child_path = path + (m,)
-                tb = _tb_of(child)
-                if tb > best[0]:
-                    best = (tb, MoveScript(child_path))
-                nxt.append((child, child_path))
+                child_tb = tb
+                if m.kind == "Destabilize":
+                    if link:
+                        child_tb = raised[comp[strands[m.index][0]]]
+                    else:
+                        child_tb = tb + 1
+                    if child_tb > best_tb:
+                        best_tb, best_path = child_tb, child_path
+                nxt.append((child, child_tb, child_path))
         if not nxt:
             break
         frontier = nxt
-    return SearchResult(best[0], best[1], nodes)
+    return _witnessed(d, best_tb, best_path, nodes)
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,11 @@ def _component_arg(d: FrontDiagram, c: Optional[int]) -> int:
     return c
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is an int and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_site(site) -> bool:
     """Whether ``site`` is an (event index, level) pair of ints."""
     return (

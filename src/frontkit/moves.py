@@ -67,7 +67,7 @@ from .errors import (
     NotSteinFramed,
     OtherStrandsPresent,
 )
-from .front import Event, FrontDiagram, L, R, X, _is_site
+from .front import Event, FrontDiagram, L, R, X, _is_int, _is_site
 from .satellite import cable_expand
 from .standard import (
     OneHandle,
@@ -625,12 +625,15 @@ def _cusp_pieces(d: StandardFormDiagram) -> List[int]:
 
 def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
     d = h.diagram
-    if not 0 <= k < d.n_components or not 0 <= a.component < d.n_components:
+    if not _is_int(k):
+        raise MoveNotApplicable(f"component {k!r} is not an int")
+    # The handlebody checked the component of each of its attachments.
+    if a not in h.attachments:
+        raise MoveNotApplicable("attachment is not part of the handlebody")
+    if not 0 <= k < d.n_components:
         raise MoveNotApplicable("no such component")
     if a.component == k:
         raise MoveNotApplicable("cannot slide a component over itself")
-    if a not in h.attachments:
-        raise MoveNotApplicable("attachment is not part of the handlebody")
     tb_c = tb_standard(d, a.component)
     if a.framing != tb_c - 1:
         raise NotSteinFramed(
@@ -691,6 +694,8 @@ def _band_sum(h: SteinHandlebody, k: int, a: TwoHandleAttachment, setup,
     """:func:`handle_slide` from a :func:`_slide_setup` result, which
     it leaves untouched so that another site can reuse it."""
     d2, reslotted, origin, _comp_k, sites = setup
+    if not _is_int(site):
+        raise MoveNotApplicable(f"band site {site!r} is not an int")
     if not sites:
         raise BandObstructed("no band location between the two curves")
     if not 0 <= site < len(sites):

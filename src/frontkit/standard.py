@@ -12,6 +12,7 @@ increasing order on both edges (no twisting), each exactly once per side.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -28,17 +29,28 @@ from .front import (
     thurston_bennequin,
 )
 
-Port = Tuple[object, int]  # (handle id, slot)
+Port = Tuple[str, int]  # (handle id, slot)
+
+# A handle id is one word of the text format, and a port prints as
+# ``P<id>.<slot>``, so an id holds no whitespace and no dot.
+_HANDLE_ID = re.compile(r"[^\s.]+")
 
 
 @dataclass(frozen=True)
 class OneHandle:
-    """A 1-handle with ``slots`` strand positions through it."""
+    """A 1-handle with ``slots`` strand positions through it.  The id is
+    a non-empty str with no whitespace and no ``.``, so that it prints
+    and parses back as itself."""
 
-    id: object
+    id: str
     slots: int
 
     def __post_init__(self):
+        if not (isinstance(self.id, str) and _HANDLE_ID.fullmatch(self.id)):
+            raise PortMismatch(
+                f"handle id {self.id!r} is not a non-empty str without "
+                "whitespace or '.'"
+            )
         if not isinstance(self.slots, int) or self.slots < 0:
             raise PortMismatch(
                 f"handle {self.id!r} slot count {self.slots!r} is not an int >= 0"
@@ -241,6 +253,13 @@ class SteinHandlebody:
         attachments: Sequence[TwoHandleAttachment],
     ):
         for a in attachments:
+            if not isinstance(a, TwoHandleAttachment):
+                raise DiagramError(f"{a!r} is not a TwoHandleAttachment")
+            # bool is accepted, as everywhere a constructor takes an int.
+            if not isinstance(a.component, int):
+                raise DiagramError(
+                    f"attachment component {a.component!r} is not an int"
+                )
             if not 0 <= a.component < diagram.n_components:
                 raise DiagramError(f"attachment on missing component {a.component}")
         seen = set()

@@ -28,6 +28,7 @@ from typing import List, Sequence, Tuple, Union
 from .errors import DiagramError, FormatError, ParameterOutOfRange
 from .front import Event, FrontDiagram
 from .standard import (
+    _HANDLE_ID,
     OneHandle,
     StandardFormDiagram,
     SteinHandlebody,
@@ -37,8 +38,8 @@ from .standard import (
 Document = Union[FrontDiagram, StandardFormDiagram, SteinHandlebody]
 
 _EVENT_RE = re.compile(r"^([LRX])([0-9]+)$")
-_PORT_RE = re.compile(r"^P([^\s.]+)\.([0-9]+)$")
-_HANDLE_RE = re.compile(r"^handle\s+([^\s.]+)\s+([0-9]+)$")
+_PORT_RE = re.compile(rf"^P({_HANDLE_ID.pattern})\.([0-9]+)$")
+_HANDLE_RE = re.compile(rf"^handle\s+({_HANDLE_ID.pattern})\s+([0-9]+)$")
 _ATTACH_RE = re.compile(r"^attach\s+(-?[0-9]+)\s+framing\s+(-?[0-9]+)$")
 
 

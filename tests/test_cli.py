@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+from frontkit.front import trefoil
 from frontkit.gallery import step3_pipeline, stein_rep_max
-from frontkit.moves import MoveScript
+from frontkit.moves import MoveScript, stabilize
 from frontkit.textio import print_script, print_text
 
 UNKNOT_DOC = "front\nL1\nR1\n"
@@ -87,6 +88,29 @@ def test_search_command():
     code, out, _ = run(["search", "-", "--depth", "2"], stdin=doc)
     assert code == 0
     assert "best_tb=-1" in out
+
+
+# The stabilized knot, then the (-5, 2) strip with its candidate
+# (component 0) or its attaching circle (component 1) stabilized: only
+# the circle holds the least tb, so only its zigzag raises it.
+_SEARCHES = [
+    (lambda: stabilize(stabilize(trefoil(), None, 1), None, -1),
+     "best_tb=1 nodes=49\nDestabilize 1 1 down\nDestabilize 1 1 up\n"),
+    (lambda: stabilize(stein_rep_max(-5, 2).diagram, 0, -1),
+     "best_tb=-4 nodes=20\n\n"),
+    (lambda: stabilize(stein_rep_max(-5, 2).diagram, 1, -1),
+     "best_tb=-4 nodes=31\nDestabilize 0 3 down\n"),
+]
+
+
+@pytest.mark.parametrize("build, printed", _SEARCHES,
+                         ids=["knot", "strip-candidate", "strip-circle"])
+def test_search_output_is_pinned(tmp_path, build, printed):
+    doc = tmp_path / "d.txt"
+    doc.write_text(print_text(build()))
+    code, out, err = run(["search", str(doc), "--depth", "3", "--budget", "300"])
+    assert (code, err) == (0, "")
+    assert out == printed
 
 
 def test_closure_command():

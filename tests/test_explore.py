@@ -1,10 +1,14 @@
 """Move-graph search and invariance fuzzing."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_front
 from frontkit import gallery
 from frontkit.errors import BudgetExhausted, ParameterOutOfRange
 from frontkit.explore import (
@@ -13,13 +17,25 @@ from frontkit.explore import (
     SearchConfig,
     _fingerprint,
     _reducing_moves,
+    _tb_of,
+    _tbs,
     bfs_max_tb,
     fuzz_moves,
     local_max_certificate,
 )
 from frontkit.front import FrontDiagram, thurston_bennequin, trefoil, unknot
 from frontkit.gallery import K_m_front, K_mn_cable_front
-from frontkit.moves import apply_move, enumerate_moves, stabilize
+from frontkit.moves import (
+    MoveScript,
+    _n_initial,
+    _rebuild,
+    _scan,
+    _splice,
+    apply_move,
+    enumerate_moves,
+    stabilize,
+)
+from frontkit.satellite import n_copy
 
 
 def twice_stabilized_unknot():
@@ -154,7 +170,7 @@ def test_reducing_moves_are_enumeration_without_expansions():
             m for m in enumerate_moves(d, _REDUCING_KINDS)
             if not (m.kind in ("R2a", "R2b") and m.data[0] == "expand")
         ]
-        assert _reducing_moves(d) == want, d
+        assert _reducing_moves(d.events, _n_initial(d)) == want, d
 
 
 def _search_outcome(d, depth, budget):
@@ -176,6 +192,123 @@ def test_bfs_outputs_are_pinned():
     assert digest.hexdigest() == (
         "50c005a8ec4180b14ffff1bac6149d437196ba1b87e0210bb78b8fe3b2f9d47a"
     )
+
+
+def _reference_bfs(d, cfg):
+    """The search as it was before it carried tb: every new child is
+    rebuilt and traced, and its tb read from the trace."""
+    best = (_tb_of(d), MoveScript(()))
+    frontier = [(d, ())]
+    seen = {d.events}
+    nodes = 1
+    for _depth in range(cfg.max_depth):
+        nxt = []
+        for node, path in frontier:
+            for m in _reducing_moves(node.events, _n_initial(node)):
+                if nodes >= cfg.budget:
+                    raise BudgetExhausted(
+                        f"node budget {cfg.budget} exhausted",
+                        (best[0], best[1], nodes, True),
+                    )
+                word = _splice(node.events, m)
+                if word in seen:
+                    continue
+                seen.add(word)
+                child = _rebuild(node, word)
+                nodes += 1
+                child_path = path + (m,)
+                tb = _tb_of(child)
+                if tb > best[0]:
+                    best = (tb, MoveScript(child_path))
+                nxt.append((child, child_path))
+        if not nxt:
+            break
+        frontier = nxt
+    return (best[0], best[1], nodes, False)
+
+
+def _comparison_queries():
+    """128 searches: knots stabilized 1-3 times, links with one
+    component stabilized or all of them, the (-5, 2), (-6, 2) and (-9, 3)
+    strips, each at depth 3 / budget 300 and depth 4 / budget 3000, and
+    the (-5, 2) step-3 closed front at depth 4 under both budgets."""
+    fronts = []
+    for base in (unknot(), trefoil(), K_m_front(-1), K_m_front(-2)):
+        for k in (1, 2, 3):
+            for signs in itertools.product((1, -1), repeat=k):
+                d = base
+                for sign in signs:
+                    d = stabilize(d, None, sign)
+                fronts.append(d)
+    fronts += [
+        stabilize(n_copy(unknot(), 2), 0, 1),
+        stabilize(stabilize(n_copy(unknot(), 2), 0, 1), 1, -1),
+        n_copy(stabilize(unknot(), None, 1), 3),
+        stabilize(n_copy(trefoil(), 3), 2, -1),
+    ]
+    fronts += [
+        gallery.stein_rep_max(m, n).diagram for m, n in ((-5, 2), (-6, 2), (-9, 3))
+    ]
+    out = [(d, SearchConfig(3, 300)) for d in fronts]
+    out += [(d, SearchConfig(4, 3000)) for d in fronts]
+    closed = gallery.step3_pipeline(-5, 2)[0]
+    out += [(closed, SearchConfig(4, 300)), (closed, SearchConfig(4, 3000))]
+    return out
+
+
+def test_search_matches_the_traced_reference():
+    queries = _comparison_queries()
+    assert len(queries) == 128
+    exhausted = 0
+    for d, cfg in queries:
+        try:
+            res = bfs_max_tb(d, cfg)
+        except BudgetExhausted as exc:
+            res = exc.partial
+        try:
+            want = _reference_bfs(d, cfg)
+        except BudgetExhausted as exc:
+            want = exc.partial
+        got = (res.best_tb, res.witness, res.nodes_expanded, res.exhausted)
+        assert got == want, (d, cfg)
+        assert _tb_of(res.witness.replay(d)) == res.best_tb
+        exhausted += res.exhausted
+    # Partial results are compared too.
+    assert exhausted > 0
+
+
+def _search_sites(seed):
+    """A seeded random front or a step-3 strip, stabilized up to twice,
+    then walked a few random Reidemeister steps so that contractions
+    have sites."""
+    rng = random.Random(seed)
+    if rng.random() < 0.25:
+        d = gallery.stein_rep_max(*rng.choice(((-5, 2), (-6, 2), (-9, 3)))).diagram
+    else:
+        d = random_front(rng, rng.randint(4, 24))
+    for _ in range(rng.randint(0, 2)):
+        d = stabilize(d, rng.randrange(d.n_components), rng.choice((1, -1)))
+    return fuzz_moves(d, seed, rng.randint(0, 6)).final
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reductions_carry_tb(seed):
+    # What the search rests on: each listed reduction leaves the
+    # component count alone and keeps the tb of every component, except
+    # a Destabilize, which raises the touched component's tb by 1.
+    d = _search_sites(seed)
+    tr = d.trace
+    tbs = _tbs(d)
+    for m in _scan(d.events, _n_initial(d), 0, len(d.events), _REDUCING_KINDS,
+                   expand=False):
+        child = _rebuild(d, _splice(d.events, m))
+        assert child.n_components == d.n_components, m
+        want = list(tbs)
+        if m.kind == "Destabilize":
+            want[tr.strand_component[tr.event_strands[m.index][0]]] += 1
+        # Components may be renumbered, so compare the tb multisets.
+        assert sorted(_tbs(child)) == sorted(want), m
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_front, random_knot
-from frontkit import _kernel, gallery
+from frontkit import _kernel, explore, gallery
 from frontkit.errors import (
+    BudgetExhausted,
     DiagramError,
     GeometricPassNotOne,
     MoveError,
@@ -17,7 +18,7 @@ from frontkit.errors import (
     NotSteinFramed,
     OtherStrandsPresent,
 )
-from frontkit.explore import _FUZZ_KINDS, _REDUCING_KINDS, fuzz_moves
+from frontkit.explore import _FUZZ_KINDS, _REDUCING_KINDS, SearchConfig, fuzz_moves
 from frontkit.front import (
     Event,
     FrontDiagram,
@@ -102,6 +103,51 @@ def test_r3_is_an_involution():
     assert _fingerprint(d2) == _fingerprint(d)
     back = apply_move(d2, Move("R3", m.index, m.level))
     assert back.events == d.events
+
+
+_FLIP = {"up": "down", "down": "up", "expand": "contract", "contract": "expand"}
+
+
+def _inverse(d, m):
+    """The move that undoes ``m`` on ``apply_move(d, m)``: each of these
+    kinds is undone at the same index and level."""
+    if m.kind == "Slide":
+        (k1, i), (k2, j) = d.events[m.index : m.index + 2]
+        _k2, j2, _k1, i2 = m.data
+        return Move("Slide", m.index, min(j2, i2), (k1, i, k2, j))
+    # R3 flips its direction; R2 flips expand and contract, same variant.
+    return Move(m.kind, m.index, m.level, (_FLIP[m.data[0]],) + m.data[1:])
+
+
+def _unoriented(d):
+    """Sorted (tb, |rot|) per component.  A slide can swap the order in
+    which two left cusps are made, and with it the canonical orientation
+    of a component, which negates its rotation number."""
+    return sorted((tb, abs(rot)) for tb, rot in _fingerprint(d))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_r2_r3_and_slide_round_trips(seed):
+    # R2 expansion then contraction (and back), and the R3 and Slide
+    # involutions, on random fronts walked so that R2 and R3 sites occur.
+    rng = random.Random(seed)
+    d = random_front(rng, rng.randint(4, 20))
+    d = fuzz_moves(d, seed, rng.randint(0, 8)).final
+    for m in enumerate_moves(d, ("R2a", "R2b", "R3", "Slide")):
+        d2 = apply_move(d, m)
+        back, want = _inverse(d, m), d.events
+        if m.kind == "Slide" and back.data[:3] == ("L", back.data[3] + 2, "R"):
+            # R(i) L(i) is the one pair that commutes either way, and
+            # the scan lists it as L(i) R(i + 2), so L(i + 2) R(i)
+            # slides back to that word instead.
+            i = back.data[3]
+            back = Move("Slide", m.index, i, ("L", i, "R", i + 2))
+            want = want[: m.index] + (L(i), R(i + 2)) + want[m.index + 2 :]
+        assert back in enumerate_moves(d2, (m.kind,)), m
+        assert apply_move(d2, back).events == want, m
+        assert d2.n_components == d.n_components, m
+        assert _unoriented(d2) == _unoriented(d), m
 
 
 def test_slide_commutes_far_events():
@@ -285,6 +331,17 @@ def test_a_handle_leaves_only_by_cancellation():
     out = cancel_pair(h, "H", h.attachments[0])
     assert out.diagram == StandardFormDiagram([OneHandle("G", 0)], [], [], [])
     assert out.attachments == ()
+
+
+@pytest.mark.parametrize("bad", ["0", 1.0, True, None])
+def test_slide_component_and_site_must_be_ints(bad):
+    h = gallery.stein_rep_max(-5, 2)
+    k, a = gallery.candidate_component(h), h.attachments[0]
+    for op in (handle_slide, band_sites, clean_band_sites):
+        with pytest.raises(MoveNotApplicable, match="is not an int"):
+            op(h, bad, a)
+    with pytest.raises(MoveNotApplicable, match="is not an int"):
+        handle_slide(h, k, a, site=bad)
 
 
 @pytest.mark.parametrize("slot", ["1", 1.0, None])
@@ -1093,3 +1150,35 @@ def test_each_built_diagram_is_traced_once(monkeypatch):
     # The doubled strip, then the band sum.
     assert traces(_slide_setup, *slide) == 1
     assert traces(handle_slide, *slide) == 2
+
+
+def test_search_traces_no_child(monkeypatch):
+    # A knot is traced only along the witness replay.  A node of several
+    # components is traced when it is expanded (the start is traced
+    # already), and never when it is only generated.
+    knot = stabilize(stabilize(gallery.K_m_front(-1), 0, 1), 0, 1)
+    link = stabilize(n_copy(trefoil(), 3), 2, -1)
+    strip = stabilize(gallery.stein_rep_max(-5, 2).diagram, 1, -1)
+    traced, expanded = [], []
+    real_trace, real_reducing = _kernel.trace, explore._reducing_moves
+
+    def counting_trace(*args):
+        traced.append(args)
+        return real_trace(*args)
+
+    def counting_reducing(*args):
+        expanded.append(args)
+        return real_reducing(*args)
+
+    monkeypatch.setattr(_kernel, "trace", counting_trace)
+    monkeypatch.setattr(explore, "_reducing_moves", counting_reducing)
+    for d, several in ((knot, False), (link, True), (strip, True)):
+        traced.clear()
+        expanded.clear()
+        try:
+            res = explore.bfs_max_tb(d, SearchConfig(max_depth=4, budget=3000))
+        except BudgetExhausted as exc:
+            res = exc.partial
+        assert res.witness.moves and res.nodes_expanded > len(expanded) > 1
+        replays = len(res.witness.moves)
+        assert len(traced) == (len(expanded) - 1 if several else 0) + replays

@@ -20,6 +20,7 @@ from frontkit.standard import (
     stein_check,
     tb_standard,
 )
+from frontkit.textio import parse, print_text
 
 
 def straight_strand():
@@ -53,6 +54,33 @@ def test_unknown_port_rejected():
 def test_slot_count_must_be_an_int_at_least_zero(slots):
     with pytest.raises(PortMismatch, match="is not an int >= 0"):
         StandardFormDiagram([OneHandle("H", slots)], [], [], [])
+
+
+@pytest.mark.parametrize(
+    "hid", [["H"], "H.1", "H 1", "H\t", "", 5, True, None, ("H",)]
+)
+def test_handle_id_must_be_a_word_without_dots(hid):
+    # An unhashable id, an id that the text format cannot print as one
+    # word, and an id that would parse back as a str.
+    with pytest.raises(PortMismatch, match="handle id"):
+        StandardFormDiagram([OneHandle(hid, 1)], [(hid, 1)], [], [(hid, 1)])
+
+
+def test_a_valid_handle_id_round_trips():
+    d = StandardFormDiagram(
+        [OneHandle("H_1-a", 2)],
+        [("H_1-a", 1), ("H_1-a", 2)],
+        [X(1)],
+        [("H_1-a", 1), ("H_1-a", 2)],
+    )
+    assert parse(print_text(d)) == d
+
+
+@pytest.mark.parametrize("component", ["0", 1.0, None])
+def test_attachment_component_must_be_an_int(component):
+    d = gallery.stein_rep_max(-5, 2).diagram
+    with pytest.raises(DiagramError, match="is not an int"):
+        SteinHandlebody(d, [TwoHandleAttachment(component, -3)])
 
 
 def test_slot_order_must_increase():
