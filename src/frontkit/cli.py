@@ -49,11 +49,14 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _strip(obj):
+    """The diagram of a parsed document: a handlebody's strip, or the
+    front or strip itself."""
+    return obj.diagram if isinstance(obj, SteinHandlebody) else obj
+
+
 def _emit_invariants(obj, out) -> None:
-    if isinstance(obj, SteinHandlebody):
-        d = obj.diagram
-    else:
-        d = obj
+    d = _strip(obj)
     if isinstance(d, FrontDiagram):
         if d.n_components == 1:
             print(
@@ -158,7 +161,7 @@ def _run(args, out) -> int:
         result = script.replay(obj)
         out.write(print_text(result))
     elif cmd == "cable":
-        d = parse(_read(args.file))
+        d = _strip(parse(_read(args.file)))
         out.write(print_text(cable(d, args.n, args.q)))
     elif cmd == "slide":
         h = parse(_read(args.file))
@@ -175,14 +178,12 @@ def _run(args, out) -> int:
             raise FrontkitError("cancel needs a document with attach lines")
         out.write(print_text(cancel_pair(h, args.handle, h.attachments[0])))
     elif cmd == "closure":
-        d = parse(_read(args.file))
-        if isinstance(d, SteinHandlebody):
-            d = d.diagram
+        d = _strip(parse(_read(args.file)))
         closed, alpha = closure_to_sphere(d, args.component)
         print(f"alpha={alpha}", file=out)
         out.write(print_text(closed))
     elif cmd == "certify":
-        d = parse(_read(args.file))
+        d = _strip(parse(_read(args.file)))
         cert = certify_tb_max(
             d, args.component, GenusCertificate(args.component, args.genus)
         )
@@ -192,7 +193,7 @@ def _run(args, out) -> int:
             file=out,
         )
     elif cmd == "search":
-        d = parse(_read(args.file))
+        d = _strip(parse(_read(args.file)))
         cfg = SearchConfig(max_depth=args.depth, budget=args.budget)
         try:
             res = bfs_max_tb(d, cfg)

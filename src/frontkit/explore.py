@@ -22,19 +22,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import BudgetExhausted, MoveError, ParameterOutOfRange
-from .front import _is_int, rotation, thurston_bennequin
-from .moves import (
-    _ORDER,
-    Move,
-    MoveIndex,
-    MoveScript,
-    _n_initial,
-    _rebuild,
-    _scan,
-    _splice,
-)
-from .standard import StandardFormDiagram, homology_vector, tb_standard
+from .errors import BudgetExhausted, DiagramError, MoveError, ParameterOutOfRange
+from .front import _is_int, _require_diagram, rotation, thurston_bennequin
+from .moves import _ORDER, Move, MoveIndex, MoveScript, _rebuild, _scan, _splice
+from .standard import homology_vector
 
 # Moves that never grow the event word: all Reidemeister contractions,
 # far commutations (to expose patterns), and zigzag removal (the only
@@ -86,11 +77,13 @@ class SearchResult:
 
 def _tbs(d) -> List[int]:
     """The tb of each component of ``d``."""
-    tb = tb_standard if isinstance(d, StandardFormDiagram) else thurston_bennequin
-    return [tb(d, c) for c in d.components]
+    return [thurston_bennequin(d, c) for c in d.components]
 
 
 def _tb_of(d) -> int:
+    """The least tb over the components of ``d``, which has at least one."""
+    if not d.n_components:
+        raise DiagramError("a diagram with no components has no tb")
     return min(_tbs(d))
 
 
@@ -129,7 +122,8 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     partial result) when the node budget runs out; the best found so far
     is still attached, replayed the same way.
     """
-    width = _n_initial(d)
+    _require_diagram(d)
+    width = len(d.left_ports)
     start_tb = _tb_of(d)
     best_tb, best_path = start_tb, ()
     frontier: List[Tuple[tuple, int, Tuple[Move, ...]]] = [(d.events, start_tb, ())]
@@ -204,16 +198,22 @@ _FUZZ_KINDS = ("R1a", "R1b", "R2a", "R2b", "R3", "Slide")
 
 
 def _fingerprint(d) -> Tuple:
-    """The classical data a Reidemeister move must preserve, as a
-    component-order-free multiset."""
-    if isinstance(d, StandardFormDiagram):
-        per = sorted(
-            (tb_standard(d, c), homology_vector(d, c)) for c in d.components
-        )
-    else:
-        per = sorted(
-            (thurston_bennequin(d, c), rotation(d, c)) for c in d.components
-        )
+    """The classical data a Reidemeister move must preserve, free of
+    component order and orientation: per component, the tb and the tuple
+    ``v = (rotation, *homology)`` up to sign (the greater of ``v`` and
+    ``-v``), since a slide can reverse a component's canonical
+    orientation.  On a front, ``v`` is ``(rotation,)``, kept as
+    ``|rotation|``, and no port map is built."""
+    per = []
+    for c in d.components:
+        rot = rotation(d, c)
+        if d.handles:
+            v = (rot, *homology_vector(d, c))
+            v = max(v, tuple(-x for x in v))
+        else:
+            v = abs(rot)
+        per.append((thurston_bennequin(d, c), v))
+    per.sort()
     return (d.n_components, tuple(per))
 
 
@@ -222,6 +222,7 @@ def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
     Reidemeister moves (both directions) and slides, checking the
     classical invariants after every step.  A correct engine reports
     zero violations."""
+    _require_diagram(d)
     _check_count("steps", steps, 0)
     rng = random.Random(seed)
     want = _fingerprint(d)

@@ -7,6 +7,10 @@ so over/under data is implicit.  Crossing signs follow the determinant
 convention for the (descending, ascending) tangent pair; with it the
 one-crossing unknot word ``[L1, X1, R1]`` has writhe -1 and the standard
 two-bridge positive trefoil word has writhe +3.
+
+A closed front is the strip with no 1-handles: :class:`FrontDiagram` and
+:class:`frontkit.standard.StandardFormDiagram` share one core, whose
+ports are empty on a front, and the invariants here take either one.
 """
 
 from __future__ import annotations
@@ -82,33 +86,16 @@ class ClassicalInvariants:
     down_cusps: int
 
 
-class FrontDiagram:
-    """An immutable, validated closed front diagram.
-
-    The word must start and end on the empty slice.  Validation and the
-    component trace run once, at construction; a tuple of Events is
-    stored as given (see :func:`encode_word`).
-    """
+class _Diagram:
+    """The word, its trace and immutability, shared by a closed front and
+    a strip; a front is the strip with no 1-handles and no ports."""
 
     __slots__ = ("events", "_trace")
 
-    def __init__(self, events: Sequence[Event]):
-        events = encode_word(events)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "_trace", _kernel.trace(events))
+    handles = left_ports = right_ports = ()
 
     def __setattr__(self, name, value):  # immutability
-        raise AttributeError("FrontDiagram is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, FrontDiagram) and self.events == other.events
-
-    def __hash__(self):
-        return hash(self.events)
-
-    def __repr__(self):
-        word = " ".join(map(str, self.events))
-        return f"FrontDiagram({word!r})"
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def trace(self) -> _kernel.TraceResult:
@@ -124,7 +111,40 @@ class FrontDiagram:
         return range(self._trace.n_components)
 
 
-def _component_arg(d: FrontDiagram, c: Optional[int]) -> int:
+class FrontDiagram(_Diagram):
+    """An immutable, validated closed front diagram.
+
+    The word must start and end on the empty slice.  Validation and the
+    component trace run once, at construction; a tuple of Events is
+    stored as given (see :func:`encode_word`).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, events: Sequence[Event]):
+        events = encode_word(events)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "_trace", _kernel.trace(events))
+
+    def __eq__(self, other):
+        return isinstance(other, FrontDiagram) and self.events == other.events
+
+    def __hash__(self):
+        return hash(self.events)
+
+    def __repr__(self):
+        word = " ".join(map(str, self.events))
+        return f"FrontDiagram({word!r})"
+
+
+def _require_diagram(d) -> None:
+    """Raise DiagramError unless ``d`` is a closed front or a strip."""
+    if not isinstance(d, _Diagram):
+        raise DiagramError(f"expected a front or a strip, got a {type(d).__name__}")
+
+
+def _component_arg(d: _Diagram, c: Optional[int]) -> int:
+    _require_diagram(d)
     if c is None:
         if d.n_components != 1:
             raise NotAKnot(
@@ -150,18 +170,18 @@ def _is_site(site) -> bool:
     )
 
 
-def writhe(d: FrontDiagram, c: Optional[int] = None) -> int:
+def writhe(d: _Diagram, c: Optional[int] = None) -> int:
     """Signed count of self-crossings of component ``c``."""
     return d.trace.self_writhe[_component_arg(d, c)]
 
 
-def thurston_bennequin(d: FrontDiagram, c: Optional[int] = None) -> int:
+def thurston_bennequin(d: _Diagram, c: Optional[int] = None) -> int:
     """tb = writhe minus the number of left cusps."""
     c = _component_arg(d, c)
     return d.trace.self_writhe[c] - d.trace.left_cusps[c]
 
 
-def rotation(d: FrontDiagram, c: Optional[int] = None, reverse: bool = False) -> int:
+def rotation(d: _Diagram, c: Optional[int] = None, reverse: bool = False) -> int:
     """Rotation number: half the down-cusp minus up-cusp count.
 
     The canonical orientation points the first-created strand of the
@@ -176,7 +196,7 @@ def rotation(d: FrontDiagram, c: Optional[int] = None, reverse: bool = False) ->
     return -r2 // 2 if reverse else r2 // 2
 
 
-def classical_invariants(d: FrontDiagram, c: Optional[int] = None) -> ClassicalInvariants:
+def classical_invariants(d: _Diagram, c: Optional[int] = None) -> ClassicalInvariants:
     c = _component_arg(d, c)
     t = d.trace
     return ClassicalInvariants(
@@ -190,7 +210,7 @@ def classical_invariants(d: FrontDiagram, c: Optional[int] = None) -> ClassicalI
     )
 
 
-def linking_number(d: FrontDiagram, c1: int, c2: int) -> int:
+def linking_number(d: _Diagram, c1: int, c2: int) -> int:
     """Half the signed count of crossings between two components."""
     c1 = _component_arg(d, c1)
     c2 = _component_arg(d, c2)

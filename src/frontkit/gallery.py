@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
-from .errors import DiagramError, MoveError, ParameterOutOfRange
+from .errors import DiagramError, ParameterOutOfRange
 from .front import (
     Event,
     FrontDiagram,
@@ -221,50 +221,32 @@ def step3_pipeline(m: int, n: int) -> Tuple[FrontDiagram, MoveScript]:
     emitted front recomputes to tb = -1.  The returned MoveScript
     replays deterministically from stein_rep_max(m, n).
     """
-    h0 = stein_rep_max(m, n)
+    h = stein_rep_max(m, n)
     moves: List[Move] = []
-
-    def slide(h: SteinHandlebody, want_zero: bool):
+    # Two slides, each at the first clean band site, bring the
+    # candidate's homology back to zero.
+    for _ in range(2):
         a = h.attachments[0]
         k = candidate_component(h)
-        # One doubled diagram serves every candidate site.
         setup = _slide_setup(h, k, a)
-        for site in _clean_sites(setup):
-            h2 = _band_sum(h, k, a, setup, site)
-            k2 = candidate_component(h2)
-            if want_zero and any(homology_vector(h2.diagram, k2)):
-                continue
-            moves.append(
-                Move("HandleSlide", data=(k, a.component, a.framing, site))
-            )
-            return h2
-        raise DiagramError("no usable band site")  # pragma: no cover
-
-    h = slide(h0, want_zero=False)
-    h = slide(h, want_zero=True)
-
-    while True:
-        d = h.diagram
-        k = candidate_component(h)
-        ps = pass_signs(d, k)
-        if not ps:
-            break
-        progressed = False
-        for hd in d.handles:
-            for s in range(1, hd.slots):
-                pa, pb = (hd.id, s), (hd.id, s + 1)
-                if pa in ps and pb in ps and ps[pa] == -ps[pb]:
-                    try:
-                        h = pull_off(h, hd.id, s)
-                    except MoveError:
-                        continue
-                    moves.append(Move("PullOff", data=(hd.id, s)))
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:  # pragma: no cover - construction guarantees progress
-            raise DiagramError("candidate fingers cannot be retracted")
+        site = _clean_sites(setup)[0]
+        h = _band_sum(h, k, a, setup, site)
+        moves.append(Move("HandleSlide", data=(k, a.component, a.framing, site)))
+    _require(
+        not any(homology_vector(h.diagram, candidate_component(h))),
+        "candidate homology is not zero after two slides",
+    )
+    # Each pull-off retracts a finger through the first two adjacent
+    # slots that the candidate passes with opposite signs.
+    while ps := pass_signs(h.diagram, candidate_component(h)):
+        slot = [
+            (hd.id, s)
+            for hd in h.diagram.handles
+            for s in range(1, hd.slots)
+            if ps.get((hd.id, s), 0) * ps.get((hd.id, s + 1), 0) == -1
+        ][0]
+        h = pull_off(h, *slot)
+        moves.append(Move("PullOff", data=slot))
 
     a = h.attachments[0]
     hid = h.diagram.handles[0].id

@@ -56,7 +56,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter, itemgetter
-from typing import List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple
 
 from . import _kernel
 from .errors import (
@@ -67,7 +67,7 @@ from .errors import (
     NotSteinFramed,
     OtherStrandsPresent,
 )
-from .front import Event, FrontDiagram, L, R, X, _is_int, _is_site
+from .front import Event, FrontDiagram, L, R, X, _Diagram, _is_int, _is_site
 from .satellite import cable_expand
 from .standard import (
     OneHandle,
@@ -78,9 +78,6 @@ from .standard import (
     geometric_passes,
     tb_standard,
 )
-
-Diagram = Union[FrontDiagram, StandardFormDiagram]
-
 
 @dataclass(frozen=True)
 class Move:
@@ -119,20 +116,16 @@ class MoveScript:
         return current
 
 
-def _rebuild(d: Diagram, events: Sequence[Event]) -> Diagram:
+def _rebuild(d: _Diagram, events: Sequence[Event]) -> _Diagram:
     if isinstance(d, StandardFormDiagram):
         return StandardFormDiagram(d.handles, d.left_ports, events, d.right_ports)
     return FrontDiagram(events)
 
 
-def _n_initial(d: Diagram) -> int:
-    return len(d.left_ports) if isinstance(d, StandardFormDiagram) else 0
-
-
-def _width_at(d: Diagram, idx: int) -> int:
+def _width_at(d: _Diagram, idx: int) -> int:
     """Slice width before ``d.events[idx]``, counted at C speed."""
     kinds = list(map(_KIND_OF, d.events[:idx]))
-    return _n_initial(d) + 2 * (kinds.count("L") - kinds.count("R"))
+    return len(d.left_ports) + 2 * (kinds.count("L") - kinds.count("R"))
 
 
 # -- the matcher -----------------------------------------------------------
@@ -247,14 +240,14 @@ def _scan(events, width: int, lo: int, hi: int, kinds,
     return out
 
 
-def enumerate_moves(d: Diagram, kinds: Optional[Sequence[str]] = None) -> List[Move]:
+def enumerate_moves(d: _Diagram, kinds: Optional[Sequence[str]] = None) -> List[Move]:
     """All applicable moves, ordered by (index, level, kind, data).
 
     ``kinds`` filters the result; by default Reidemeister moves, slides,
     destabilizations, and stabilizations at every site are reported.
     """
     allowed = _WORD_KINDS if kinds is None else set(kinds)
-    out = _scan(d.events, _n_initial(d), 0, len(d.events), allowed)
+    out = _scan(d.events, len(d.left_ports), 0, len(d.events), allowed)
     plus, minus = "StabilizePlus" in allowed, "StabilizeMinus" in allowed
     if plus or minus:
         for idx, here in enumerate(_kernel.slices(d.events, d.trace)):
@@ -291,7 +284,7 @@ def _splice(events: Tuple[Event, ...], m: Move) -> Tuple[Event, ...]:
     return events[: m.index] + new + events[m.index + old_len :]
 
 
-def _rewrite_word(d: Diagram, m: Move) -> Tuple[Event, ...]:
+def _rewrite_word(d: _Diagram, m: Move) -> Tuple[Event, ...]:
     """The event word ``apply_move(d, m)`` builds for a pattern move.
 
     ``m`` is checked by the same scan that :func:`enumerate_moves` runs,
@@ -319,7 +312,7 @@ def _rewrite_word(d: Diagram, m: Move) -> Tuple[Event, ...]:
 # Handle moves: the types of their data fields and the diagram they act on.
 _HANDLE_MOVES = {
     "HandleSlide": ((int, int, int, int), (SteinHandlebody,)),
-    "PullOff": ((object, int), (StandardFormDiagram, SteinHandlebody)),
+    "PullOff": ((object, int), (_Diagram, SteinHandlebody)),
     "CancelPair": ((object, int, int), (SteinHandlebody,)),
 }
 
@@ -363,7 +356,7 @@ def apply_move(d, m: Move):
         return cancel_pair(d, hid, TwoHandleAttachment(circle, framing))
     if m.kind not in _WORD_KINDS:
         raise MoveNotApplicable(f"unknown move kind {m.kind!r}")
-    if not isinstance(d, (FrontDiagram, StandardFormDiagram)):
+    if not isinstance(d, _Diagram):
         raise MoveNotApplicable(f"{m.kind} does not act on a {type(d).__name__}")
     if m.kind in ("StabilizePlus", "StabilizeMinus"):
         if m.data:
@@ -390,7 +383,7 @@ class MoveIndex(Sequence):
     rewrites more than the word.
     """
 
-    def __init__(self, d: Diagram, kinds: Sequence[str]):
+    def __init__(self, d: _Diagram, kinds: Sequence[str]):
         self._kinds = frozenset(kinds)
         if not self._kinds <= _WINDOW_KINDS:
             others = ", ".join(sorted(self._kinds - _WINDOW_KINDS))
@@ -412,7 +405,7 @@ class MoveIndex(Sequence):
         level, kind, data = group[k - self._ends[idx] + len(group)]
         return Move(kind, idx, level, data)
 
-    def apply(self, m: Move) -> Diagram:
+    def apply(self, m: Move) -> _Diagram:
         """Apply ``m``, a move of one of the listed kinds, to the held
         diagram and return the result, which the index then lists."""
         if m.kind not in self._kinds:
@@ -449,7 +442,7 @@ def _strand_at(slices, idx: int, lvl: int) -> int:
     return slices[idx][lvl - 1]
 
 
-def _stabilize_at(d: Diagram, slices, idx: int, lvl: int, sign: int) -> Diagram:
+def _stabilize_at(d: _Diagram, slices, idx: int, lvl: int, sign: int) -> _Diagram:
     """Insert a zigzag on the strand at (idx, lvl); Δtb=-1, Δrot=sign.
 
     ``slices`` is ``_kernel.slices(d.events, d.trace)``.
@@ -467,11 +460,11 @@ def _stabilize_at(d: Diagram, slices, idx: int, lvl: int, sign: int) -> Diagram:
 
 
 def stabilize(
-    d: Diagram,
+    d: _Diagram,
     c: Optional[int] = None,
     sign: int = 1,
     site: Optional[Tuple[int, int]] = None,
-) -> Diagram:
+) -> _Diagram:
     """Stabilize component ``c``: tb drops by 1, rotation moves by ``sign``.
 
     ``site`` is an (event index, level) pair on the component; by default
@@ -761,7 +754,8 @@ def pull_off(d, hid, slot: int):
     off the right edge of the strip, preserving every event shape.
     This is an isotopy: tb, rotation, and homology are unchanged, and
     the handle stays even when it is left with no slot.
-    Accepts a StandardFormDiagram or a SteinHandlebody.
+    Accepts a strip, a closed front (which has no port to pull through)
+    or a SteinHandlebody.
     """
     if isinstance(d, SteinHandlebody):
         new_d, carried = _pull_off(d.diagram, hid, slot)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple
 
 from . import _kernel
 from .errors import (
@@ -36,10 +36,11 @@ from .front import (
     L,
     R,
     X,
+    _Diagram,
     _is_site,
+    _require_diagram,
     thurston_bennequin,
 )
-from .standard import StandardFormDiagram
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class Expansion:
 
 
 def cable_expand(
-    d: Union[FrontDiagram, StandardFormDiagram],
+    d: _Diagram,
     n: int,
     wide: Optional[Set[int]] = None,
 ) -> Expansion:
@@ -200,6 +201,7 @@ def cable_expand(
 # -- closed-front operations ----------------------------------------------
 
 def _require_knot(d: FrontDiagram) -> None:
+    _require_diagram(d)
     if d.n_components != 1:
         raise NotAKnot(f"expected a knot, got {d.n_components} components")
 

@@ -8,13 +8,17 @@ is therefore: the handles, an ordered list of left-edge ports (the
 initial slice), the event word of the strip, and an ordered list of
 right-edge ports (the final slice).  Slots of one handle appear in
 increasing order on both edges (no twisting), each exactly once per side.
+
+A closed front is the strip with no ports, so the strip functions here
+accept one: it has no homology (``()``), no pass (``{}``, 0), and it is
+its own closure, with alpha 0.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import _kernel
 from .errors import DiagramError, PortMismatch
@@ -25,6 +29,7 @@ from .front import (
     R,
     X,
     _component_arg,
+    _Diagram,
     encode_word,
     thurston_bennequin,
 )
@@ -60,10 +65,10 @@ class OneHandle:
         return [(self.id, s) for s in range(1, self.slots + 1)]
 
 
-class StandardFormDiagram:
+class StandardFormDiagram(_Diagram):
     """An immutable, validated standard-form diagram."""
 
-    __slots__ = ("handles", "left_ports", "events", "right_ports", "_trace")
+    __slots__ = ("handles", "left_ports", "right_ports")
 
     def __init__(
         self,
@@ -77,9 +82,6 @@ class StandardFormDiagram:
         object.__setattr__(self, "events", encode_word(events))
         object.__setattr__(self, "right_ports", tuple(right_ports))
         object.__setattr__(self, "_trace", self._run_trace())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StandardFormDiagram is immutable")
 
     def __eq__(self, other):
         return (
@@ -128,20 +130,6 @@ class StandardFormDiagram:
                 order[hid] = slot
         return _kernel.trace(self.events, len(self.left_ports), port_links(self))
 
-    # -- simple accessors -----------------------------------------------
-
-    @property
-    def trace(self) -> _kernel.TraceResult:
-        return self._trace
-
-    @property
-    def n_components(self) -> int:
-        return self._trace.n_components
-
-    @property
-    def components(self) -> range:
-        return range(self._trace.n_components)
-
     def component_of_port(self, port: Port) -> int:
         # The left-port strands are ids 0..len(left_ports)-1.
         if port not in self.left_ports:
@@ -149,12 +137,12 @@ class StandardFormDiagram:
         return self._trace.strand_component[self.left_ports.index(port)]
 
 
-def sorted_ports(d: StandardFormDiagram) -> List[Port]:
+def sorted_ports(d: _Diagram) -> List[Port]:
     """All ports in (handle declaration order, slot) order."""
     return [p for h in d.handles for p in h.ports()]
 
 
-def port_links(d: StandardFormDiagram) -> List[Tuple[int, int]]:
+def port_links(d: _Diagram) -> List[Tuple[int, int]]:
     """The trace kernel's ``port_links`` of ``d``: one ``(final_pos,
     initial_pos)`` pair of edge positions per port, in sorted-port order."""
     right_pos = {p: i for i, p in enumerate(d.right_ports)}
@@ -163,8 +151,8 @@ def port_links(d: StandardFormDiagram) -> List[Tuple[int, int]]:
 
 
 def carried_components(
-    d: StandardFormDiagram,
-    d_new: Union[StandardFormDiagram, FrontDiagram],
+    d: _Diagram,
+    d_new: _Diagram,
     pairs: Iterable[Tuple[int, int]],
 ) -> Dict[int, Set[int]]:
     """Old component -> the set of new components a rewrite carried it to.
@@ -183,21 +171,21 @@ def carried_components(
     return out
 
 
-def tb_standard(d: StandardFormDiagram, c: Optional[int] = None) -> int:
-    """Contact framing in standard form: strip writhe minus left cusps.
+def tb_standard(d: _Diagram, c: Optional[int] = None) -> int:
+    """Contact framing in standard form: strip writhe minus left cusps,
+    which is :func:`thurston_bennequin` of the strip.
 
     Travel through a 1-handle contributes nothing.
     """
-    c = _component_arg(d, c)
-    return d.trace.self_writhe[c] - d.trace.left_cusps[c]
+    return thurston_bennequin(d, c)
 
 
-def geometric_passes(d: StandardFormDiagram, c: Optional[int], hid) -> int:
+def geometric_passes(d: _Diagram, c: Optional[int], hid) -> int:
     """How many times component ``c`` runs through handle ``hid``."""
     return sum(1 for h, _s in pass_signs(d, c) if h == hid)
 
 
-def pass_signs(d: StandardFormDiagram, c: Optional[int] = None) -> Dict[Port, int]:
+def pass_signs(d: _Diagram, c: Optional[int] = None) -> Dict[Port, int]:
     """Signed pass through each port used by ``c``.
 
     +1 when the traversal runs rightward through the handle (it leaves
@@ -214,7 +202,7 @@ def pass_signs(d: StandardFormDiagram, c: Optional[int] = None) -> Dict[Port, in
     }
 
 
-def homology_vector(d: StandardFormDiagram, c: Optional[int] = None) -> Tuple[int, ...]:
+def homology_vector(d: _Diagram, c: Optional[int] = None) -> Tuple[int, ...]:
     """Signed pass counts of ``c`` over each 1-handle, in handle order.
 
     This is the class of the component in the first homology of the
@@ -297,7 +285,7 @@ def stein_check(h: SteinHandlebody) -> List[SteinViolation]:
 # -- closure to the three-sphere -----------------------------------------
 
 def closure_to_sphere(
-    d: StandardFormDiagram, c: Optional[int] = None
+    d: _Diagram, c: Optional[int] = None
 ) -> Tuple[FrontDiagram, int]:
     """Surger out every 1-handle, producing a closed front in the plane.
 

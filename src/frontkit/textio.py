@@ -165,16 +165,22 @@ def print_text(obj: Document) -> str:
 _INT_RE = re.compile(r"^-?[0-9]+$")
 
 
+def _token(x) -> str:
+    """A script token: an int (a bool too) as digits, anything else as
+    its str."""
+    return f"{x:d}" if isinstance(x, int) else str(x)
+
+
 def print_script(script: "MoveScript") -> str:
     """One move per line: kind, window index, level, then any
-    kind-specific data tokens."""
+    kind-specific data tokens.  Ints print as digits, as levels do in
+    :func:`print_text`, so a bool field parses back as its int."""
     lines = []
     if script.note:
         lines.append(f"# {script.note}")
     for m in script.moves:
-        tokens = [m.kind, str(m.index), str(m.level)]
-        tokens += [str(x) for x in m.data]
-        lines.append(" ".join(tokens))
+        fields = (m.index, m.level, *m.data)
+        lines.append(" ".join([m.kind, *map(_token, fields)]))
     return "\n".join(lines) + "\n"
 
 

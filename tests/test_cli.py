@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import pytest
 
+from frontkit import cli
 from frontkit.front import trefoil
 from frontkit.gallery import step3_pipeline, stein_rep_max
 from frontkit.moves import MoveScript, stabilize
+from frontkit.satellite import n_copy
 from frontkit.textio import print_script, print_text
 
 UNKNOT_DOC = "front\nL1\nR1\n"
@@ -181,3 +183,42 @@ def test_apply_command(tmp_path):
     code, out, _ = run(["apply", str(front), str(script)])
     assert code == 0
     assert out == "front\nL1\nR1\n"
+
+
+# Every subcommand that reads a document, on every kind of document: a
+# knot, an empty front, a link, a strip, a handlebody and an empty
+# strip.  Each run answers or fails with one "error:" line; none ends
+# in a traceback.
+_SWEEP_DOCS = {
+    "trefoil": lambda: print_text(trefoil()),
+    "empty-front": lambda: "front\n",
+    "link": lambda: print_text(n_copy(trefoil(), 2)),
+    "strip": lambda: print_text(stein_rep_max(-5, 2).diagram),
+    "handlebody": lambda: print_text(stein_rep_max(-5, 2)),
+    "empty-strip": lambda: "standard\n",
+}
+_SWEEP_ARGS = {
+    "invariants": [],
+    "apply": ["SCRIPT"],
+    "cable": ["-n", "2", "-q", "-1"],
+    "slide": ["--component", "0"],
+    "cancel": ["--handle", "H"],
+    "closure": [],
+    "certify": ["--genus", "1"],
+    "search": ["--depth", "2", "--budget", "300"],
+}
+
+
+@pytest.mark.parametrize("doc", sorted(_SWEEP_DOCS))
+@pytest.mark.parametrize("command", sorted(_SWEEP_ARGS))
+def test_every_subcommand_answers_or_names_its_error(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.txt"
+    path.write_text(_SWEEP_DOCS[doc]())
+    script = tmp_path / "s.moves"
+    script.write_text("StabilizePlus 0 1\n")
+    args = [str(script) if a == "SCRIPT" else a for a in _SWEEP_ARGS[command]]
+    code = cli.main([command, str(path), *args])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error: ")

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import random_front
 from frontkit import gallery
-from frontkit.errors import BudgetExhausted, ParameterOutOfRange
+from frontkit.certify import GenusCertificate, certify_tb_max
+from frontkit.errors import BudgetExhausted, DiagramError, ParameterOutOfRange
 from frontkit.explore import (
     _FUZZ_KINDS,
     _REDUCING_KINDS,
@@ -23,11 +24,10 @@ from frontkit.explore import (
     fuzz_moves,
     local_max_certificate,
 )
-from frontkit.front import FrontDiagram, thurston_bennequin, trefoil, unknot
+from frontkit.front import FrontDiagram, rotation, thurston_bennequin, trefoil, unknot
 from frontkit.gallery import K_m_front, K_mn_cable_front
 from frontkit.moves import (
     MoveScript,
-    _n_initial,
     _rebuild,
     _scan,
     _splice,
@@ -35,7 +35,8 @@ from frontkit.moves import (
     enumerate_moves,
     stabilize,
 )
-from frontkit.satellite import n_copy
+from frontkit.satellite import cable, n_copy
+from frontkit.standard import StandardFormDiagram, SteinHandlebody
 
 
 def twice_stabilized_unknot():
@@ -117,6 +118,50 @@ def test_fuzz_twist_knot_no_violations():
     assert rep.violations == ()
 
 
+def test_fuzz_allows_a_move_to_reverse_a_component():
+    # A slide that swaps two left cusps can change which strand of a
+    # component is created first, so its canonical orientation, and the
+    # sign of its rotation, flip although the knot did not change.
+    flipped = 0
+    for s in range(300):
+        rng = random.Random(s)
+        d = random_front(rng, rng.randint(4, 20))
+        rep = fuzz_moves(d, s, 30)
+        assert rep.violations == (), s
+        rots = [sorted(rotation(x, c) for c in x.components) for x in (d, rep.final)]
+        flipped += rots[0] != rots[1]
+    assert flipped > 0
+
+
+def test_fuzz_strips_check_rotation_and_homology():
+    strips = [
+        e.artifact.diagram for e in gallery.gallery_manifest()
+        if isinstance(e.artifact, SteinHandlebody)
+    ]
+    assert len(strips) == 5
+    for d in strips:
+        for seed in (1, 2):
+            assert fuzz_moves(d, seed, 200).violations == ()
+    # Two strips that differ only in the circle's rotation differ.
+    d = stabilize(strips[0], 0, 1)
+    assert _fingerprint(stabilize(d, 0, 1)) != _fingerprint(stabilize(d, 0, -1))
+
+
+def test_a_handlebody_or_an_empty_diagram_is_a_typed_error():
+    h = gallery.stein_rep_max(-5, 2)
+    for call in (
+        lambda: bfs_max_tb(h),
+        lambda: fuzz_moves(h, 1, 5),
+        lambda: cable(h, 2, -1),
+        lambda: certify_tb_max(h, 0, GenusCertificate(0, 0)),
+        lambda: bfs_max_tb(FrontDiagram([])),
+        lambda: bfs_max_tb(StandardFormDiagram([], [], [], [])),
+        lambda: local_max_certificate(FrontDiagram([]), 2),
+    ):
+        with pytest.raises(DiagramError):
+            call()
+
+
 def _reference_fuzz(d, seed, steps):
     """The walk as fuzz_moves defines it, with a full enumeration per
     step: a uniform draw from enumerate_moves, then apply_move."""
@@ -170,7 +215,7 @@ def test_reducing_moves_are_enumeration_without_expansions():
             m for m in enumerate_moves(d, _REDUCING_KINDS)
             if not (m.kind in ("R2a", "R2b") and m.data[0] == "expand")
         ]
-        assert _reducing_moves(d.events, _n_initial(d)) == want, d
+        assert _reducing_moves(d.events, len(d.left_ports)) == want, d
 
 
 def _search_outcome(d, depth, budget):
@@ -204,7 +249,7 @@ def _reference_bfs(d, cfg):
     for _depth in range(cfg.max_depth):
         nxt = []
         for node, path in frontier:
-            for m in _reducing_moves(node.events, _n_initial(node)):
+            for m in _reducing_moves(node.events, len(node.left_ports)):
                 if nodes >= cfg.budget:
                     raise BudgetExhausted(
                         f"node budget {cfg.budget} exhausted",
@@ -300,7 +345,7 @@ def test_reductions_carry_tb(seed):
     d = _search_sites(seed)
     tr = d.trace
     tbs = _tbs(d)
-    for m in _scan(d.events, _n_initial(d), 0, len(d.events), _REDUCING_KINDS,
+    for m in _scan(d.events, len(d.left_ports), 0, len(d.events), _REDUCING_KINDS,
                    expand=False):
         child = _rebuild(d, _splice(d.events, m))
         assert child.n_components == d.n_components, m

@@ -98,6 +98,24 @@ def test_step3_pipeline_closes_at_minus_one():
     assert replay.events == closed.events
 
 
+# (m, n) points that no other test runs: n = 5, 6, and m below -4n-5.
+_WIDER_GRID = [
+    (-4 * n + 3 - k, n)
+    for n in range(2, 7)
+    for k in range(12)
+    if n > 4 or k > 8
+]
+
+
+def test_step3_pipeline_closes_at_minus_one_on_a_wider_grid():
+    assert len(_WIDER_GRID) == 33
+    for m, n in _WIDER_GRID:
+        closed, script = step3_pipeline(m, n)
+        assert closed.n_components == 1
+        assert thurston_bennequin(closed) == -1, (m, n)
+        assert script.replay(stein_rep_max(m, n)) == closed, (m, n)
+
+
 def test_step3_pipeline_output_is_pinned():
     # Every diagram along each script, slot numbering included, then the
     # script itself: a handle move that renumbers a port differently

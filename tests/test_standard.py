@@ -3,9 +3,11 @@
 import pytest
 
 from frontkit import gallery
-from frontkit.errors import DiagramError, NotAKnot, PortMismatch
-from frontkit.front import L, R, X, thurston_bennequin
-from frontkit.moves import apply_move, enumerate_moves
+from frontkit.errors import DiagramError, MoveNotApplicable, NotAKnot, PortMismatch
+from frontkit.explore import fuzz_moves
+from frontkit.front import FrontDiagram, L, R, X, thurston_bennequin, trefoil
+from frontkit.moves import apply_move, enumerate_moves, pull_off
+from frontkit.satellite import n_copy
 from frontkit.standard import (
     OneHandle,
     StandardFormDiagram,
@@ -283,3 +285,72 @@ def test_strip_component_argument_is_checked(measure):
         measure(d)
     with pytest.raises(DiagramError, match="no component 2"):
         measure(d, 2)
+
+
+def test_closure_alpha_reads_only_the_port_pattern():
+    # The right ports list handles A and B the other way round from the
+    # left ports, so closing the arc of A.1 crosses the arc of B.1.  Two
+    # strip words with this port pattern, and seeded fuzz walks from
+    # each, give each component the same alpha.
+    handles = [OneHandle("A", 1), OneHandle("B", 1), OneHandle("C", 1)]
+    left, right = [("A", 1), ("B", 1), ("C", 1)], [("B", 1), ("A", 1), ("C", 1)]
+    strips = [
+        StandardFormDiagram(handles, left, word, right)
+        for word in ([L(4), X(3), R(4), X(2), X(2)], [L(2), R(1)])
+    ]
+    walked = [fuzz_moves(d, seed, 30).final for d in strips for seed in (1, 2)]
+    assert {w.events for w in walked}.isdisjoint({d.events for d in strips})
+    for d in strips + walked:
+        got = set()
+        for c in d.components:
+            closed, alpha = closure_to_sphere(d, c)
+            tail = closed.events[len(left) + len(d.events):]
+            assert [e.kind for e in tail] == ["X", "R", "R", "R"]
+            got.add((frozenset(pass_signs(d, c)), alpha))
+        assert got == {
+            (frozenset({("A", 1), ("B", 1)}), -1),
+            (frozenset({("C", 1)}), -1),
+        }
+
+
+def test_a_front_is_the_strip_with_no_ports():
+    word = trefoil().events
+    text = "".join(f"\n{e}" for e in word) + "\n"
+    front = FrontDiagram(word)
+    strip = StandardFormDiagram((), (), word, ())
+    assert not isinstance(front, StandardFormDiagram)
+    assert not isinstance(strip, FrontDiagram)
+    assert front == FrontDiagram(list(word)) and hash(front) == hash(word)
+    assert strip == StandardFormDiagram([], [], list(word), [])
+    assert hash(strip) == hash(((), (), word, ()))
+    # Same word, no ports: still never equal.
+    assert front != strip and strip != front
+    assert repr(front) == "FrontDiagram('L1 L3 X2 X2 X2 R1 R1')"
+    assert repr(strip) == (
+        "StandardFormDiagram(handles=[], left=[], "
+        "word='L1 L3 X2 X2 X2 R1 R1', right=[])"
+    )
+    assert print_text(front) == "front" + text
+    assert print_text(strip) == "standard" + text
+    for d in (front, strip):
+        assert (d.handles, d.left_ports, d.right_ports) == ((), (), ())
+        assert (d.n_components, d.components) == (1, range(1))
+        with pytest.raises(AttributeError, match=f"{type(d).__name__} is immutable"):
+            d.events = ()
+
+
+def test_strip_functions_read_a_front_as_a_strip_with_no_ports():
+    fronts = [
+        e.artifact for e in gallery.gallery_manifest()
+        if isinstance(e.artifact, FrontDiagram)
+    ]
+    fronts.append(n_copy(trefoil(), 2))
+    for d in fronts:
+        for c in d.components:
+            assert homology_vector(d, c) == ()
+            assert pass_signs(d, c) == {}
+            assert geometric_passes(d, c, "H") == 0
+            assert closure_to_sphere(d, c) == (d, 0)
+        with pytest.raises(MoveNotApplicable, match=r"no port \('H', 1\)"):
+            pull_off(d, "H", 1)
+    assert len(fronts) == 8

@@ -1,15 +1,23 @@
 """Text format round-trips, positioned errors, and renderer determinism."""
 
+import functools
 import hashlib
+import random
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_front
 
 from frontkit import _kernel
 from frontkit.errors import (
     DanglingStrand,
     FormatError,
     LevelOutOfRange,
+    MoveNotApplicable,
     ParameterOutOfRange,
 )
 from frontkit.explore import fuzz_moves
@@ -21,7 +29,7 @@ from frontkit.gallery import (
     step3_pipeline,
     stein_rep_max,
 )
-from frontkit.moves import MoveScript
+from frontkit.moves import Move, MoveScript, apply_move, enumerate_moves
 from frontkit.satellite import cable
 from frontkit.standard import (
     OneHandle,
@@ -136,6 +144,54 @@ def test_script_roundtrip():
     text = print_script(script)
     again = parse_script(text)
     assert again.moves == script.moves
+
+
+def _with_bools(d, m: Move, rng: random.Random):
+    """``m`` with some of its int fields that are 0 or 1 made bools, if
+    ``apply_move`` takes them so (a handle slide does not), and the
+    diagram it gives on ``d``."""
+    def flip(x):
+        return bool(x) if type(x) is int and x in (0, 1) and rng.random() < 0.5 else x
+
+    b = replace(m, index=flip(m.index), level=flip(m.level),
+                data=tuple(map(flip, m.data)))
+    try:
+        return b, apply_move(d, b)
+    except MoveNotApplicable:
+        return m, apply_move(d, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _step3(m, n):
+    return stein_rep_max(m, n), step3_pipeline(m, n)[1]
+
+
+def test_bool_move_fields_print_as_integers():
+    script = MoveScript((Move("PullOff", data=("H", True)), Move("R1a", True, 1)))
+    assert print_script(script) == "PullOff 0 0 H 1\nR1a 1 1\n"
+    assert parse_script(print_script(script)).moves == script.moves
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_printed_scripts_replay_to_the_same_diagram(seed):
+    # A walk of enumerated moves (stabilizations and R2 expansions too)
+    # on a random front, or a step-3 script, with some 0/1 fields as
+    # bools: the printed script replays to the diagram the script does.
+    rng = random.Random(seed)
+    if rng.random() < 0.25:
+        start, script = _step3(*rng.choice([(-5, 2), (-6, 2), (-9, 3)]))
+        steps = list(script.moves)
+    else:
+        start = random_front(rng, rng.randint(2, 16))
+        steps = [None] * rng.randint(1, 6)
+    current, moves = start, []
+    for m in steps:
+        m = m or rng.choice(enumerate_moves(current))
+        m, current = _with_bools(current, m, rng)
+        moves.append(m)
+    script = MoveScript(tuple(moves))
+    assert parse_script(print_script(script)).replay(start) == current
 
 
 def test_script_parse_error_positions():
