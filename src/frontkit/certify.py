@@ -19,11 +19,10 @@ from .front import FrontDiagram, rotation, thurston_bennequin
 @dataclass(frozen=True)
 class GenusCertificate:
     """An externally supplied bound: the knot bounds a genus-g surface
-    in a filling.  ``evidence`` is free-text provenance."""
+    in a filling."""
 
     component: int
     genus: int
-    evidence: str = ""
 
     def __post_init__(self):
         if self.genus < 0:
@@ -89,7 +88,6 @@ class ExternalFact:
     """A topological fact taken as input, never computed here."""
 
     statement: str
-    machine_verified: bool = False
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,5 @@ def report_text(claim: SurgeryClaim) -> str:
         f"slope_matches_coefficient = {claim.coefficient == claim.cable_slope}",
         f"coefficient_below_tb_max = {claim.coefficient < claim.tb_max}",
     ]
-    for fact in claim.facts:
-        tag = "verified" if fact.machine_verified else "not machine-verified"
-        lines.append(f"fact [{tag}]: {fact.statement}")
+    lines += [f"fact [not machine-verified]: {fact.statement}" for fact in claim.facts]
     return "\n".join(lines) + "\n"

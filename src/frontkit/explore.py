@@ -7,13 +7,12 @@ lost to stabilization.  Upper bounds come from genus certificates, not
 from search.
 
 The search runs on event words, not diagrams.  Every Reidemeister move
-and far commutation keeps the tb of each component, and a
-destabilization raises the tb of the one component it touches by
-exactly 1, so a child's tb follows from its parent's and the move.  No
-child is traced.  On a diagram of several components, closed or in a
-strip, a node is traced once, when it is expanded, to learn which
-component each of its zigzags lies on.  On one component nothing is
-traced until the witness is replayed, once, at the end.
+and far commutation keeps the tb of each component, so such a child
+carries its parent's tb untraced.  A destabilization raises the tb of
+the one component it touches by exactly 1: on one component that is
+the child's tb, and on several components, closed or in a strip, the
+child of a destabilization is traced to read its least tb.  Nothing
+else is traced until the witness is replayed, once, at the end.
 """
 
 from __future__ import annotations
@@ -24,20 +23,24 @@ from typing import List, Tuple
 
 from .errors import BudgetExhausted, DiagramError, MoveError, ParameterOutOfRange
 from .front import _is_int, _require_diagram, rotation, thurston_bennequin
-from .moves import _ORDER, Move, MoveIndex, MoveScript, _rebuild, _scan, _splice
+from .moves import (
+    _ORDER,
+    _WINDOW_KINDS,
+    Move,
+    MoveIndex,
+    MoveScript,
+    _rebuild,
+    _scan,
+    _splice,
+)
 from .standard import homology_vector
-
-# Moves that never grow the event word: all Reidemeister contractions,
-# far commutations (to expose patterns), and zigzag removal (the only
-# move that raises tb).
-_REDUCING_KINDS = ("R1a", "R1b", "R2a", "R2b", "R3", "Slide", "Destabilize")
 
 
 def _reducing_moves(events, width: int) -> List[Move]:
-    """``enumerate_moves(d, _REDUCING_KINDS)`` without the R2 expansions,
-    which are never matched, where ``d`` has the word ``events`` and its
-    first slice has ``width`` strands."""
-    out = _scan(events, width, 0, len(events), _REDUCING_KINDS, expand=False)
+    """The moves that never grow the word: ``enumerate_moves(d,
+    _WINDOW_KINDS)`` without the R2 expansions, where ``d`` has the word
+    ``events`` and its first slice has ``width`` strands."""
+    out = _scan(events, width, 0, len(events), _WINDOW_KINDS, expand=False)
     out.sort(key=_ORDER)
     return out
 
@@ -87,13 +90,6 @@ def _tb_of(d) -> int:
     return min(_tbs(d))
 
 
-def _destabilized_tbs(d) -> List[int]:
-    """Entry ``c``: the least tb over the components of ``d`` once a
-    zigzag on component ``c`` is removed."""
-    tbs = _tbs(d)
-    return [min(tb + (c == k) for c, tb in enumerate(tbs)) for k in d.components]
-
-
 def _witnessed(d, best_tb: int, path: Tuple[Move, ...], nodes: int,
                exhausted: bool = False) -> SearchResult:
     """The search result for the path to ``best_tb``, after replaying
@@ -113,14 +109,14 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
 
     Explores the closure of word-shrinking moves up to ``cfg.max_depth``
     on event words, deduplicating on the exact word.  Each move the scan
-    lists is spliced into the word as found, not matched again, and no
-    child is traced: it carries its parent's tb, raised on the touched
-    component by a ``Destabilize``.  A node of several components is
-    traced when it is expanded, to name the component of each zigzag.
-    The witness script is replayed once from ``d``, and it reaches a
-    diagram achieving ``best_tb``.  Raises BudgetExhausted (carrying the
-    partial result) when the node budget runs out; the best found so far
-    is still attached, replayed the same way.
+    lists is spliced into the word as found, not matched again.  A child
+    carries its parent's tb, one higher after a ``Destabilize`` of a
+    knot; the new child of a ``Destabilize`` of several components is
+    traced to read its least tb.  The witness script is replayed once
+    from ``d``, and it reaches a diagram achieving ``best_tb``.  Raises
+    BudgetExhausted (carrying the partial result) when the node budget
+    runs out; the best found so far is still attached, replayed the same
+    way.
     """
     _require_diagram(d)
     width = len(d.left_ports)
@@ -133,10 +129,6 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     for _depth in range(cfg.max_depth):
         nxt: List[Tuple[tuple, int, Tuple[Move, ...]]] = []
         for word, tb, path in frontier:
-            if link:
-                node = _rebuild(d, word) if path else d
-                raised = _destabilized_tbs(node)
-                comp, strands = node.trace.strand_component, node.trace.event_strands
             for m in _reducing_moves(word, width):
                 if nodes >= cfg.budget:
                     raise BudgetExhausted(
@@ -151,10 +143,7 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                 child_path = path + (m,)
                 child_tb = tb
                 if m.kind == "Destabilize":
-                    if link:
-                        child_tb = raised[comp[strands[m.index][0]]]
-                    else:
-                        child_tb = tb + 1
+                    child_tb = _tb_of(_rebuild(d, child)) if link else tb + 1
                     if child_tb > best_tb:
                         best_tb, best_path = child_tb, child_path
                 nxt.append((child, child_tb, child_path))

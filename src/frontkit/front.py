@@ -143,6 +143,12 @@ def _require_diagram(d) -> None:
         raise DiagramError(f"expected a front or a strip, got a {type(d).__name__}")
 
 
+def _require_front(d) -> None:
+    """Raise DiagramError unless ``d`` is a closed front."""
+    if not isinstance(d, FrontDiagram):
+        raise DiagramError(f"expected a closed front, got a {type(d).__name__}")
+
+
 def _component_arg(d: _Diagram, c: Optional[int]) -> int:
     _require_diagram(d)
     if c is None:
@@ -200,8 +206,8 @@ def classical_invariants(d: _Diagram, c: Optional[int] = None) -> ClassicalInvar
     c = _component_arg(d, c)
     t = d.trace
     return ClassicalInvariants(
-        tb=t.self_writhe[c] - t.left_cusps[c],
-        rotation=(t.down_cusps[c] - t.up_cusps[c]) // 2,
+        tb=thurston_bennequin(d, c),
+        rotation=rotation(d, c),
         writhe=t.self_writhe[c],
         left_cusps=t.left_cusps[c],
         right_cusps=t.right_cusps[c],
@@ -229,6 +235,7 @@ def reflect(d: FrontDiagram) -> FrontDiagram:
     Levels are renumbered top-for-bottom slice by slice; tb is preserved
     and every rotation number changes sign.
     """
+    _require_front(d)
     out = []
     for ev, here in zip(d.events, _kernel.slices(d.events, d.trace)):
         width = len(here)

@@ -67,7 +67,17 @@ from .errors import (
     NotSteinFramed,
     OtherStrandsPresent,
 )
-from .front import Event, FrontDiagram, L, R, X, _Diagram, _is_int, _is_site
+from .front import (
+    Event,
+    FrontDiagram,
+    L,
+    R,
+    X,
+    _Diagram,
+    _is_int,
+    _is_site,
+    _require_diagram,
+)
 from .satellite import cable_expand
 from .standard import (
     OneHandle,
@@ -246,6 +256,7 @@ def enumerate_moves(d: _Diagram, kinds: Optional[Sequence[str]] = None) -> List[
     ``kinds`` filters the result; by default Reidemeister moves, slides,
     destabilizations, and stabilizations at every site are reported.
     """
+    _require_diagram(d)
     allowed = _WORD_KINDS if kinds is None else set(kinds)
     out = _scan(d.events, len(d.left_ports), 0, len(d.events), allowed)
     plus, minus = "StabilizePlus" in allowed, "StabilizeMinus" in allowed
@@ -309,11 +320,12 @@ def _rewrite_word(d: _Diagram, m: Move) -> Tuple[Event, ...]:
     raise MoveNotApplicable(f"no {m} site")
 
 
-# Handle moves: the types of their data fields and the diagram they act on.
+# Handle moves: the names of their data fields and the diagrams they act
+# on.  Each move checks the values of its own fields.
 _HANDLE_MOVES = {
-    "HandleSlide": ((int, int, int, int), (SteinHandlebody,)),
-    "PullOff": ((object, int), (_Diagram, SteinHandlebody)),
-    "CancelPair": ((object, int, int), (SteinHandlebody,)),
+    "HandleSlide": (("k", "circle", "framing", "site"), (SteinHandlebody,)),
+    "PullOff": (("hid", "slot"), (_Diagram, SteinHandlebody)),
+    "CancelPair": (("hid", "circle", "framing"), (SteinHandlebody,)),
 }
 
 
@@ -333,12 +345,9 @@ def apply_move(d, m: Move):
     ):
         raise MoveNotApplicable(f"malformed move {m!r}")
     if m.kind in _HANDLE_MOVES:
-        types, hosts = _HANDLE_MOVES[m.kind]
-        if len(m.data) != len(types) or not all(
-            isinstance(x, t) for x, t in zip(m.data, types)
-        ):
-            names = ", ".join(t.__name__ for t in types)
-            raise MoveNotApplicable(f"{m.kind} data must be ({names})")
+        fields, hosts = _HANDLE_MOVES[m.kind]
+        if len(m.data) != len(fields):
+            raise MoveNotApplicable(f"{m.kind} data must be ({', '.join(fields)})")
         if m.index != 0 or m.level != 0:
             raise MoveNotApplicable(
                 f"{m.kind} has index 0 and level 0, not {m.index}/{m.level}"
@@ -470,6 +479,7 @@ def stabilize(
     ``site`` is an (event index, level) pair on the component; by default
     the first such site is used.
     """
+    _require_diagram(d)
     if sign not in (1, -1):
         raise MoveNotApplicable(f"stabilization sign must be ±1, got {sign}")
     tr = d.trace
@@ -563,7 +573,7 @@ def band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> list:
     where the sliding component runs adjacent to one push-off copy of
     the attaching circle.  Exposed so scripts can name sites stably.
     """
-    return _slide_setup(h, k, a)[-1]
+    return _slide_setup(h, k, a)[4]
 
 
 def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List[int]:
@@ -578,19 +588,11 @@ def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List
 
 def _clean_sites(setup) -> List[int]:
     """:func:`clean_band_sites` of a :func:`_slide_setup` result."""
-    d2, _reslotted, _origin, comp_k, sites = setup
-    tr = d2.trace
+    d2, *_rest, k_strands = setup
     piece = _cusp_pieces(d2)
-    slices = _kernel.slices(d2.events, tr)
-    out = []
-    for idx2, (pos, lvl) in enumerate(sites):
-        s1, s2 = slices[pos][lvl - 1], slices[pos][lvl]
-        ks = s1 if tr.strand_component[s1] == comp_k else s2
-        # A piece's label is its least strand id, and the left-port
-        # strands are ids 0..len(left_ports)-1.
-        if piece[ks] >= len(d2.left_ports):
-            out.append(idx2)
-    return out
+    # A piece's label is its least strand id, and the left-port strands
+    # are ids 0..len(left_ports)-1.
+    return [i for i, s in enumerate(k_strands) if piece[s] >= len(d2.left_ports)]
 
 
 def _cusp_pieces(d: StandardFormDiagram) -> List[int]:
@@ -617,6 +619,10 @@ def _cusp_pieces(d: StandardFormDiagram) -> List[int]:
 
 
 def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
+    """The doubled strip of a slide of ``k`` over ``a``, shared by every
+    band site: ``(d2, reslotted, origin, comp_k, sites, k_strands)``,
+    with ``k``'s component ``comp_k`` in ``d2``, the :func:`band_sites`
+    and ``k``'s strand at each of them."""
     d = h.diagram
     if not _is_int(k):
         raise MoveNotApplicable(f"component {k!r} is not an int")
@@ -643,25 +649,23 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
     # makes three half-twists between the copies, so the push-off links
     # the circle tb - 1 times (contact framing minus one).
     o = exp.first_cusp_offset
-    exp.splice(exp.first_cusp_index, [X(o + 1), X(o + 1)], ("clasp",))
+    exp.splice(exp.first_cusp_index, [X(o + 1), X(o + 1)])
 
     # Split every port the circle passes into two adjacent subslots.
     owner = dict(zip(d.left_ports, tr.strand_component))
     reslotted = _reslot(d, lambda p: 2 if owner[p] == a.component else 1)
-    origin = [
-        org[1] if org[0] in ("cusp", "crossing") else None for org in exp.origins
-    ]
-    d2, carried = _after_handle_move(d, reslotted, exp.events, origin)
+    d2, carried = _after_handle_move(d, reslotted, exp.events, exp.origins)
     (comp_k,), copies = carried[k], carried[a.component]
-    tr2 = d2.trace
-    sites = []
-    for pos, slc in enumerate(_kernel.slices(d2.events, tr2)):
+    comp2 = d2.trace.strand_component
+    sites, k_strands = [], []
+    for pos, slc in enumerate(_kernel.slices(d2.events, d2.trace)):
         for lvl in range(1, len(slc)):
-            pair = {tr2.strand_component[slc[lvl - 1]],
-                    tr2.strand_component[slc[lvl]]}
+            s1, s2 = slc[lvl - 1], slc[lvl]
+            pair = {comp2[s1], comp2[s2]}
             if comp_k in pair and (pair - {comp_k}) & copies:
                 sites.append((pos, lvl))
-    return d2, reslotted, origin, comp_k, sites
+                k_strands.append(s1 if comp2[s1] == comp_k else s2)
+    return d2, reslotted, exp.origins, comp_k, sites, k_strands
 
 
 def handle_slide(
@@ -686,7 +690,7 @@ def _band_sum(h: SteinHandlebody, k: int, a: TwoHandleAttachment, setup,
               site: int) -> SteinHandlebody:
     """:func:`handle_slide` from a :func:`_slide_setup` result, which
     it leaves untouched so that another site can reuse it."""
-    d2, reslotted, origin, _comp_k, sites = setup
+    d2, reslotted, origin, _comp_k, sites, _k_strands = setup
     if not _is_int(site):
         raise MoveNotApplicable(f"band site {site!r} is not an int")
     if not sites:

@@ -38,7 +38,7 @@ from .front import (
     X,
     _Diagram,
     _is_site,
-    _require_diagram,
+    _require_front,
     thurston_bennequin,
 )
 
@@ -115,23 +115,24 @@ def braid_events(braid: BraidWord, base: int = 1) -> List[Event]:
 class Expansion:
     """An expanded word plus the provenance of every emitted event.
 
-    ``origins[i]`` is one of ``("crossing", j)``, ``("cusp", j)``,
-    ``("cusp_companion", j)`` with ``j`` the source event index, or a
-    caller-supplied tag for spliced material.
+    ``origins[i]`` is the index of the source event whose expansion
+    emitted event ``i`` (a crossing emits a block of crossings, a cusp
+    its copies and their companion crossings), or None for spliced
+    material.
     """
 
     events: List[Event] = field(default_factory=list)
-    origins: List[Tuple] = field(default_factory=list)
+    origins: List[Optional[int]] = field(default_factory=list)
     first_cusp_index: Optional[int] = None
     first_cusp_offset: Optional[int] = None
 
-    def emit(self, event: Event, origin: Tuple) -> None:
+    def emit(self, event: Event, origin: int) -> None:
         self.events.append(event)
         self.origins.append(origin)
 
-    def splice(self, index: int, events: Sequence[Event], origin: Tuple) -> None:
+    def splice(self, index: int, events: Sequence[Event]) -> None:
         self.events[index:index] = list(events)
-        self.origins[index:index] = [origin] * len(events)
+        self.origins[index:index] = [None] * len(events)
 
 
 def cable_expand(
@@ -165,15 +166,15 @@ def cable_expand(
         if ev.kind == "L":
             w = width(upper)
             if w == 1:
-                exp.emit(L(o), ("cusp", idx))
+                exp.emit(L(o), idx)
             else:
                 for j in range(n):
-                    exp.emit(L(o + 2 * j), ("cusp", idx))
+                    exp.emit(L(o + 2 * j), idx)
                 # Interleave: lift copy j's upper branch above the lower
                 # branches of copies 1..j-1, restoring two parallel bundles.
                 for j in range(2, n + 1):
                     for lvl in range(o + 2 * j - 3, o + j - 2, -1):
-                        exp.emit(X(lvl), ("cusp_companion", idx))
+                        exp.emit(X(lvl), idx)
                 if exp.first_cusp_index is None:
                     exp.first_cusp_index = len(exp.events)
                     exp.first_cusp_offset = o
@@ -181,27 +182,27 @@ def cable_expand(
             if width(upper) != width(lower):
                 raise DiagramError("cusp joins a wide strand to a narrow one", idx)
             if width(upper) == 1:
-                exp.emit(R(o), ("cusp", idx))
+                exp.emit(R(o), idx)
             else:
                 # Un-interleave the two bundles back to alternating order,
                 # then close the copies with stacked cusps.
                 for j in range(1, n):
                     for lvl in range(o + n + j - 2, o + 2 * j - 2, -1):
-                        exp.emit(X(lvl), ("cusp_companion", idx))
+                        exp.emit(X(lvl), idx)
                 for _ in range(n):
-                    exp.emit(R(o), ("cusp", idx))
+                    exp.emit(R(o), idx)
         else:  # crossing: block transposition preserving internal order
             wa, wb = width(upper), width(lower)
             for k in range(wb):
                 for lvl in range(o + wa + k - 1, o + k - 1, -1):
-                    exp.emit(X(lvl), ("crossing", idx))
+                    exp.emit(X(lvl), idx)
     return exp
 
 
 # -- closed-front operations ----------------------------------------------
 
 def _require_knot(d: FrontDiagram) -> None:
-    _require_diagram(d)
+    _require_front(d)
     if d.n_components != 1:
         raise NotAKnot(f"expected a knot, got {d.n_components} components")
 
@@ -217,9 +218,6 @@ def n_copy(d: FrontDiagram, n: int) -> FrontDiagram:
 
     The result has n components; each pair links tb(d) times.
     """
-    if n == 1:
-        _require_knot(d)
-        return d
     return FrontDiagram(n_copy_expansion(d, n).events)
 
 
@@ -238,13 +236,14 @@ def n_copy_counts(d: FrontDiagram, n: int) -> CopyCounts:
     exp = n_copy_expansion(d, n)
     tr = FrontDiagram(exp.events).trace
     orient = tr.strand_orient
-    crossing = companion = 0
-    for (a, b), org in zip(tr.event_strands, exp.origins):
-        if org[0] == "crossing":
+    crossing = companion = cusps = 0
+    for ev, (a, b), j in zip(exp.events, tr.event_strands, exp.origins):
+        if ev.kind != "X":
+            cusps += 1
+        elif d.events[j].kind == "X":
             crossing += orient[a] * orient[b]
-        elif org[0] == "cusp_companion":
+        else:
             companion += orient[a] * orient[b]
-    cusps = sum(1 for org in exp.origins if org[0] == "cusp")
     return CopyCounts(crossing, companion, cusps)
 
 
@@ -263,6 +262,7 @@ def _site_is_parallel(d: FrontDiagram, index: int, top: int, n: int) -> bool:
 def default_braid_site(d: FrontDiagram, n: int) -> Tuple[int, int]:
     """The rightmost slice position where ``n`` adjacent strands run
     parallel (co-oriented), as an (event index, top level) pair."""
+    _require_front(d)
     slices = _kernel.slices(d.events, d.trace)
     orient = d.trace.strand_orient
     for index in range(len(d.events), -1, -1):
@@ -285,6 +285,7 @@ def insert_braid(
     the topmost of the ``braid.strands`` adjacent parallel strands the
     braid acts on; by default the rightmost such slice is used.
     """
+    _require_front(d)
     if site is None:
         index, top = default_braid_site(d, braid.strands)
     elif not _is_site(site):
@@ -325,7 +326,6 @@ def cable(d: FrontDiagram, n: int, q: int) -> FrontDiagram:
         exp.splice(
             exp.first_cusp_index,
             braid_events(braid, base=exp.first_cusp_offset),
-            ("twist",),
         )
     out = FrontDiagram(exp.events)
     expected = math.gcd(n, q)

@@ -36,16 +36,17 @@ from .front import (
 
 Port = Tuple[str, int]  # (handle id, slot)
 
-# A handle id is one word of the text format, and a port prints as
-# ``P<id>.<slot>``, so an id holds no whitespace and no dot.
-_HANDLE_ID = re.compile(r"[^\s.]+")
+# A handle id is one word of the text format, where ``#`` starts a
+# comment, and a port prints as ``P<id>.<slot>``, so an id holds no
+# whitespace, no ``#`` and no dot.
+_HANDLE_ID = re.compile(r"[^\s.#]+")
 
 
 @dataclass(frozen=True)
 class OneHandle:
     """A 1-handle with ``slots`` strand positions through it.  The id is
-    a non-empty str with no whitespace and no ``.``, so that it prints
-    and parses back as itself."""
+    a non-empty str with no whitespace, ``#`` or ``.``, so that it
+    prints and parses back as itself."""
 
     id: str
     slots: int
@@ -54,7 +55,7 @@ class OneHandle:
         if not (isinstance(self.id, str) and _HANDLE_ID.fullmatch(self.id)):
             raise PortMismatch(
                 f"handle id {self.id!r} is not a non-empty str without "
-                "whitespace or '.'"
+                "whitespace, '#' or '.'"
             )
         if not isinstance(self.slots, int) or self.slots < 0:
             raise PortMismatch(

@@ -186,7 +186,9 @@ def print_script(script: "MoveScript") -> str:
 
 def parse_script(text: str) -> "MoveScript":
     """Inverse of print_script; data tokens parse as ints when they
-    look like ints and as bare strings otherwise."""
+    look like ints and as bare strings otherwise, except the handle id
+    that leads the data of a PullOff or a CancelPair, which stays a
+    string even when it is made of digits."""
     from .moves import Move, MoveScript
 
     moves = []
@@ -196,8 +198,9 @@ def parse_script(text: str) -> "MoveScript":
             _INT_RE.match(tokens[1]) and _INT_RE.match(tokens[2])
         ):
             _fail("expected: <kind> <index> <level> [data...]", num)
-        data = tuple(
-            int(t) if _INT_RE.match(t) else t for t in tokens[3:]
+        start = 4 if tokens[0] in ("PullOff", "CancelPair") else 3
+        data = tuple(tokens[3:start]) + tuple(
+            int(t) if _INT_RE.match(t) else t for t in tokens[start:]
         )
         moves.append(Move(tokens[0], int(tokens[1]), int(tokens[2]), data))
     return MoveScript(tuple(moves))

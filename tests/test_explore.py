@@ -14,7 +14,6 @@ from frontkit.certify import GenusCertificate, certify_tb_max
 from frontkit.errors import BudgetExhausted, DiagramError, ParameterOutOfRange
 from frontkit.explore import (
     _FUZZ_KINDS,
-    _REDUCING_KINDS,
     SearchConfig,
     _fingerprint,
     _reducing_moves,
@@ -27,6 +26,7 @@ from frontkit.explore import (
 from frontkit.front import FrontDiagram, rotation, thurston_bennequin, trefoil, unknot
 from frontkit.gallery import K_m_front, K_mn_cable_front
 from frontkit.moves import (
+    _WINDOW_KINDS,
     MoveScript,
     _rebuild,
     _scan,
@@ -212,7 +212,7 @@ def _reducing_sites():
 def test_reducing_moves_are_enumeration_without_expansions():
     for d in _reducing_sites():
         want = [
-            m for m in enumerate_moves(d, _REDUCING_KINDS)
+            m for m in enumerate_moves(d, _WINDOW_KINDS)
             if not (m.kind in ("R2a", "R2b") and m.data[0] == "expand")
         ]
         assert _reducing_moves(d.events, len(d.left_ports)) == want, d
@@ -345,7 +345,7 @@ def test_reductions_carry_tb(seed):
     d = _search_sites(seed)
     tr = d.trace
     tbs = _tbs(d)
-    for m in _scan(d.events, len(d.left_ports), 0, len(d.events), _REDUCING_KINDS,
+    for m in _scan(d.events, len(d.left_ports), 0, len(d.events), _WINDOW_KINDS,
                    expand=False):
         child = _rebuild(d, _splice(d.events, m))
         assert child.n_components == d.n_components, m

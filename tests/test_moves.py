@@ -18,7 +18,7 @@ from frontkit.errors import (
     NotSteinFramed,
     OtherStrandsPresent,
 )
-from frontkit.explore import _FUZZ_KINDS, _REDUCING_KINDS, SearchConfig, fuzz_moves
+from frontkit.explore import _FUZZ_KINDS, SearchConfig, fuzz_moves
 from frontkit.front import (
     Event,
     FrontDiagram,
@@ -31,6 +31,8 @@ from frontkit.front import (
     unknot,
 )
 from frontkit.moves import (
+    _WINDOW_KINDS,
+    _WORD_KINDS,
     Move,
     MoveIndex,
     MoveScript,
@@ -482,7 +484,7 @@ def _matcher_diagrams():
     return fronts + [h.diagram for h in handlebodies]
 
 
-@pytest.mark.parametrize("kinds", [_REDUCING_KINDS, _FUZZ_KINDS])
+@pytest.mark.parametrize("kinds", [_WINDOW_KINDS, _FUZZ_KINDS])
 def test_enumeration_is_what_apply_accepts(kinds):
     found = set()
     for d in _matcher_diagrams():
@@ -495,7 +497,7 @@ def test_enumeration_is_what_apply_accepts(kinds):
 def test_kind_filter_matches_no_other_kind():
     for d in _matcher_diagrams():
         every = enumerate_moves(d)
-        for kind in _REDUCING_KINDS + ("StabilizePlus", "StabilizeMinus"):
+        for kind in sorted(_WORD_KINDS):
             assert enumerate_moves(d, (kind,)) == [
                 m for m in every if m.kind == kind
             ]
@@ -538,7 +540,7 @@ def _assert_index_is(index, d, kinds):
         index[len(want)]
 
 
-@pytest.mark.parametrize("kinds", [_FUZZ_KINDS, _REDUCING_KINDS])
+@pytest.mark.parametrize("kinds", [_FUZZ_KINDS, _WINDOW_KINDS])
 def test_move_index_tracks_enumeration(kinds):
     """After every step of seeded walks, the index lists what a full
     enumeration lists.  Every third step takes a shrinking move when
@@ -687,7 +689,7 @@ def _replayed_slice(d, idx):
 def _reference_clean_band_sites(h, k, a):
     """clean_band_sites as it was: a cusp graph built by replaying the
     doubled word, and a depth-first search from each site's strand."""
-    d2, _reslotted, _origin, comp_k, sites = _slide_setup(h, k, a)
+    d2, _reslotted, _origin, comp_k, sites, _k_strands = _slide_setup(h, k, a)
     tr = d2.trace
     adj = {}
     cur = list(range(len(d2.left_ports)))
@@ -779,7 +781,7 @@ def test_one_slide_setup_serves_every_site():
     # _slide_setup built it.
     for h, k, a in _slide_cases():
         setup = _slide_setup(h, k, a)
-        d2, _reslotted, origin, _comp_k, sites = setup
+        d2, _reslotted, origin, _comp_k, sites, _k_strands = setup
         word, origin_before = d2.events, list(origin)
         assert _clean_sites(setup) == clean_band_sites(h, k, a)
         for site in range(len(sites)):
@@ -951,7 +953,7 @@ def test_slide_carries_components_as_markers_did():
         d = h.diagram
         markers = _reference_markers(d)
         for site in range(len(band_sites(h, k, a))):
-            d2, reslotted, origin, comp_k, sites = _slide_setup(h, k, a)
+            d2, reslotted, origin, comp_k, sites, _k_strands = _slide_setup(h, k, a)
             ports = reslotted[3]
             carried = carried_components(
                 d, d2, _witness_pairs(d, d2, ports, origin)
@@ -1153,14 +1155,16 @@ def test_each_built_diagram_is_traced_once(monkeypatch):
 
 
 def test_search_traces_no_child(monkeypatch):
-    # A knot is traced only along the witness replay.  A node of several
-    # components is traced when it is expanded (the start is traced
-    # already), and never when it is only generated.
+    # A knot is traced only along the witness replay.  On several
+    # components, the new child of each Destabilize is traced too, and
+    # no other node: not the start, which is traced already, nor a node
+    # when it is expanded.
     knot = stabilize(stabilize(gallery.K_m_front(-1), 0, 1), 0, 1)
     link = stabilize(n_copy(trefoil(), 3), 2, -1)
     strip = stabilize(gallery.stein_rep_max(-5, 2).diagram, 1, -1)
-    traced, expanded = [], []
+    traced, expanded, spliced = [], [], []
     real_trace, real_reducing = _kernel.trace, explore._reducing_moves
+    real_splice = explore._splice
 
     def counting_trace(*args):
         traced.append(args)
@@ -1170,15 +1174,28 @@ def test_search_traces_no_child(monkeypatch):
         expanded.append(args)
         return real_reducing(*args)
 
+    def counting_splice(word, m):
+        child = real_splice(word, m)
+        spliced.append((m.kind, child))
+        return child
+
     monkeypatch.setattr(_kernel, "trace", counting_trace)
     monkeypatch.setattr(explore, "_reducing_moves", counting_reducing)
+    monkeypatch.setattr(explore, "_splice", counting_splice)
     for d, several in ((knot, False), (link, True), (strip, True)):
         traced.clear()
         expanded.clear()
+        spliced.clear()
         try:
             res = explore.bfs_max_tb(d, SearchConfig(max_depth=4, budget=3000))
         except BudgetExhausted as exc:
             res = exc.partial
         assert res.witness.moves and res.nodes_expanded > len(expanded) > 1
+        # Each splice gives a child that is new unless a word seen before.
+        seen, destabilized = {d.events}, 0
+        for kind, child in spliced:
+            destabilized += kind == "Destabilize" and child not in seen
+            seen.add(child)
+        assert destabilized and len(seen) == res.nodes_expanded
         replays = len(res.witness.moves)
-        assert len(traced) == (len(expanded) - 1 if several else 0) + replays
+        assert len(traced) == (destabilized if several else 0) + replays

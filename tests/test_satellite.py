@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import random_knot
+from frontkit import gallery
 from frontkit.errors import (
     ComponentCountMismatch,
     DiagramError,
@@ -18,11 +19,13 @@ from frontkit.front import (
     R,
     X,
     linking_number,
+    reflect,
     thurston_bennequin,
     trefoil,
     unknot,
     writhe,
 )
+from frontkit.moves import enumerate_moves, stabilize
 from frontkit.satellite import (
     BraidWord,
     TwistBox,
@@ -147,3 +150,26 @@ def test_insert_braid_rejects_non_parallel_site():
 def test_insert_braid_site_must_be_a_pair_of_ints(site):
     with pytest.raises(SiteNotCableSlice, match="not an \\(index, level\\) pair"):
         insert_braid(trefoil(), BraidWord(2, (1,)), site)
+
+
+def test_front_only_operations_name_a_closed_front():
+    # A strip or a handlebody is a typed error, not an AttributeError or
+    # a level error from a front built of the strip's word.
+    h = gallery.stein_rep_max(-5, 2)
+    calls = [
+        (reflect, ()),
+        (insert_braid, (BraidWord(2, (1,)),)),
+        (insert_braid, (BraidWord(2, (1,)), (0, 1))),
+        (default_braid_site, (2,)),
+        (n_copy, (1,)),
+        (n_copy, (2,)),
+        (n_copy_counts, (2,)),
+        (cable, (2, -1)),
+    ]
+    for d in (h, h.diagram):
+        for op, args in calls:
+            with pytest.raises(DiagramError, match="closed front"):
+                op(d, *args)
+    for op, args in ((stabilize, (0, 1)), (enumerate_moves, ())):
+        with pytest.raises(DiagramError, match="front or a strip"):
+            op(h, *args)

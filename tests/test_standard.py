@@ -59,7 +59,7 @@ def test_slot_count_must_be_an_int_at_least_zero(slots):
 
 
 @pytest.mark.parametrize(
-    "hid", [["H"], "H.1", "H 1", "H\t", "", 5, True, None, ("H",)]
+    "hid", [["H"], "H.1", "H 1", "H\t", "", 5, True, None, ("H",), "H#1"]
 )
 def test_handle_id_must_be_a_word_without_dots(hid):
     # An unhashable id, an id that the text format cannot print as one

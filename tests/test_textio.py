@@ -15,13 +15,14 @@ from conftest import random_front
 from frontkit import _kernel
 from frontkit.errors import (
     DanglingStrand,
+    DiagramError,
     FormatError,
     LevelOutOfRange,
     MoveNotApplicable,
     ParameterOutOfRange,
 )
 from frontkit.explore import fuzz_moves
-from frontkit.front import Event, FrontDiagram, trefoil, unknot
+from frontkit.front import Event, FrontDiagram, L, R, X, trefoil, unknot
 from frontkit.gallery import (
     K_m_front,
     K_mn_cable_front,
@@ -32,6 +33,7 @@ from frontkit.gallery import (
 from frontkit.moves import Move, MoveScript, apply_move, enumerate_moves
 from frontkit.satellite import cable
 from frontkit.standard import (
+    _HANDLE_ID,
     OneHandle,
     StandardFormDiagram,
     SteinHandlebody,
@@ -98,6 +100,70 @@ def test_standard_document_roundtrip():
     assert again.diagram == h.diagram
     assert tuple(again.attachments) == tuple(h.attachments)
     assert print_text(again) == doc
+
+
+def _random_strip(rng, ids):
+    """A strip on handles named ``ids``, each with 1 to 3 slots, whose
+    ports lie in a random order on each edge, with a random word: the
+    first that is valid of a few tries, else the empty word."""
+    handles = [OneHandle(hid, rng.randint(1, 3)) for hid in ids]
+
+    def edge():
+        # A random interleaving that keeps each handle's slots in order.
+        owners = [hd.id for hd in handles for _ in range(hd.slots)]
+        rng.shuffle(owners)
+        return [(hid, owners[: pos + 1].count(hid)) for pos, hid in enumerate(owners)]
+
+    left, right = edge(), edge()
+    n = len(left)
+    for _ in range(10):
+        width, word = n, []
+        for _ in range(rng.randint(0, 12)):
+            roll = rng.random()
+            if width >= 2 and roll < 0.4:
+                word.append(X(rng.randint(1, width - 1)))
+            elif width > n and roll < 0.7:
+                word.append(R(rng.randint(1, width - 1)))
+                width -= 2
+            else:
+                word.append(L(rng.randint(1, width + 1)))
+                width += 2
+        while width > n:
+            word.append(R(rng.randint(1, width - 1)))
+            width -= 2
+        try:
+            return StandardFormDiagram(handles, left, word, right)
+        except DiagramError:
+            continue
+    return StandardFormDiagram(handles, left, [], right)
+
+
+_handle_ids = st.lists(
+    st.one_of(st.from_regex(r"[0-9]{1,3}", fullmatch=True),
+              st.from_regex(_HANDLE_ID, fullmatch=True)),
+    max_size=3, unique=True,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), _handle_ids)
+def test_printed_documents_parse_back(seed, ids):
+    # A random front, a strip on random handle ids (digits only too), and
+    # the handlebody of random 2-handles on the strip.
+    rng = random.Random(seed)
+    front = random_front(rng, rng.randint(0, 16))
+    assert parse(print_text(front)) == front
+    strip = _random_strip(rng, ids)
+    assert parse(print_text(strip)) == strip
+    h = SteinHandlebody(strip, [
+        TwoHandleAttachment(c, rng.randint(-9, 9))
+        for c in strip.components if rng.random() < 0.5
+    ])
+    back = parse(print_text(h))
+    if h.attachments:
+        assert back.diagram == strip and back.attachments == h.attachments
+    else:
+        assert back == strip
 
 
 def test_port_lines_must_bracket_events():
@@ -192,6 +258,23 @@ def test_printed_scripts_replay_to_the_same_diagram(seed):
         moves.append(m)
     script = MoveScript(tuple(moves))
     assert parse_script(print_script(script)).replay(start) == current
+
+
+def test_a_handle_id_of_digits_stays_a_str_in_a_script():
+    ports = [("7", 1), ("7", 2)]
+    strip = StandardFormDiagram([OneHandle("7", 2)], ports, [R(1), L(1)], ports)
+    circle = StandardFormDiagram(
+        [OneHandle("12", 1)], [("12", 1)], [L(2), R(1)], [("12", 1)]
+    )
+    h = SteinHandlebody(circle, [TwoHandleAttachment(0, -1)])
+    for start, move in (
+        (strip, Move("PullOff", data=("7", 1))),
+        (h, Move("CancelPair", data=("12", 0, -1))),
+    ):
+        script = MoveScript((move,))
+        again = parse_script(print_script(script))
+        assert again.moves == script.moves
+        assert again.replay(start) == script.replay(start)
 
 
 def test_script_parse_error_positions():
