@@ -37,6 +37,12 @@ The input is the word exactly as the package stores it: a sequence of
 ``frontkit.front.Event`` carries, so an ``Event`` tuple needs no
 translation.  ``BACKEND`` names the implementation for reports.
 
+:func:`window_summary` runs the same slice pass and closing count pass
+over a few events as an open tangle, on the band of rows that
+:func:`band` finds they touch, and reports what a closed word that holds
+them can see: the pairing of the boundary ends by the arcs, and per arc
+and per pair of arcs the counts :func:`trace` makes per component.
+
 ``slices(events, trace(events, ...))`` is the one slice model: the strand
 ids of every vertical slice, one tuple per word position, rebuilt on
 demand from the strands the trace recorded for each event.  Every module
@@ -47,6 +53,8 @@ does not build it, so the hot loop pays nothing for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import sub
 from typing import Dict, List, Tuple
 
 from .errors import DanglingStrand, DiagramError, LevelOutOfRange
@@ -79,20 +87,15 @@ class TraceResult:
     max_width: int
 
 
-def trace(events, n_initial=0, port_links=()):
-    """Run ``events`` over a slice of ``n_initial`` starting strands.
+def _slice_pass(events, n_initial):
+    """The slice pass of :func:`trace`: run ``events`` over ``n_initial``
+    strands, checking every level.
 
-    ``events`` is a sequence of ``(kind, level)`` pairs with 1-based levels;
-    it is read twice, so it must not be a one-shot iterator.
-    ``port_links`` is a list of ``(final_pos, initial_pos)`` index pairs
-    (0-based slice positions) identifying strand ends through 1-handles;
-    linked ends keep their traversal direction, cusps reverse it.  The
-    links pair the ``n_initial`` left-edge positions with the final ones
-    one to one.
-
-    Returns a :class:`TraceResult`.  Raises :class:`DiagramError` on the
-    first structural problem, including an event that is not a pair or
-    whose level is not an int, and port links that are not one to one.
+    Returns ``(final_strands, event_strands, right, n_strands,
+    max_width)``, where ``right[s]`` is the right-cusp mate of strand
+    ``s`` (0 for a strand that reaches the right edge) and strands
+    ``n_initial + 2j`` and ``n_initial + 2j + 1`` are the two made by the
+    j-th left cusp.
     """
     slice_ids = list(range(n_initial))
     next_id = n_initial
@@ -101,9 +104,7 @@ def trace(events, n_initial=0, port_links=()):
 
     idx = -1
     try:
-        # right[s]: the right-cusp mate of strand s, or ~q once a port
-        # carries s on to left-edge strand q.  Each event makes at most
-        # two strands.
+        # Each event makes at most two strands.
         right = [0] * (n_initial + 2 * len(events))
         for idx, (kind, level) in enumerate(events):
             k = len(slice_ids)
@@ -149,43 +150,21 @@ def trace(events, n_initial=0, port_links=()):
         # compared with the width or used as a slice position).
         what = f"malformed event {events[idx]!r}" if idx >= 0 else "malformed word"
         raise DiagramError(what, idx) from exc
+    return slice_ids, event_strands, right, next_id, max_width
 
-    n_final = len(slice_ids)
-    if n_final != len(port_links):
-        raise DanglingStrand(
-            f"word ends with {n_final} strands, expected {len(port_links)}"
-        )
-    if n_final != n_initial:
-        raise DiagramError(
-            f"{n_final} port links for {n_initial} left-edge strands"
-        )
-    # from_port[q]: the right-edge strand whose port carries it to q.
-    from_port = [-1] * n_initial
-    for link in port_links:
-        try:
-            final_pos, initial_pos = link
-            if not (0 <= final_pos < n_final and 0 <= initial_pos < n_initial):
-                raise DiagramError(f"port link {link!r} out of range")
-            p = slice_ids[final_pos]
-            repeated = right[p] < 0 or from_port[initial_pos] >= 0
-        except (TypeError, ValueError) as exc:
-            raise DiagramError(f"malformed port link {link!r}") from exc
-        if repeated:
-            # A repeated end: the links are not one to one.
-            raise DiagramError("inconsistent orientation around a component")
-        right[p] = ~initial_pos
-        from_port[initial_pos] = p
 
-    # --- components and orientations: one walk around each cycle ------
-    n = next_id
-    comp_of = [-1] * n
-    orient = [1] * n
-    n_components = 0
-    # Strand ids increase in creation order (initial slice first, then by
-    # event), so scanning ids in order roots each component at its
-    # first-created strand, which is oriented left-to-right.  The walk
-    # is back at the root when it meets a visited strand rightwards.
-    for root in range(n):
+def _walk_cycles(right, from_port, n_initial, comp_of, orient, n_components):
+    """Number the strand cycles not yet in ``comp_of`` from
+    ``n_components`` on, orienting each, and return the new count.
+
+    ``right[s]`` is the right-cusp mate of ``s``, or ``~q`` once a port
+    carries ``s`` on to left-edge strand ``q``, and ``from_port[q]`` is
+    that ``s``.  Strand ids increase in creation order (initial slice
+    first, then by event), so scanning ids in order roots each cycle at
+    its first-created strand, which is oriented left-to-right.  The walk
+    is back at the root when it meets a visited strand rightwards.
+    """
+    for root in range(len(comp_of)):
         if comp_of[root] >= 0:
             continue
         comp = n_components
@@ -208,8 +187,13 @@ def trace(events, n_initial=0, port_links=()):
                 orient[t] = -1
             # A left cusp: rightwards along the strand made with t.
             s = ((t - n_initial) ^ 1) + n_initial
+    return n_components
 
-    # --- per-component counts, one closing pass -------------------------
+
+def _count_pass(events, event_strands, comp_of, orient, n_components):
+    """The closing pass of :func:`trace`: per component, the left, right,
+    up and down cusps and the self-writhe, and the signed crossing sum of
+    each pair of components, read from the oriented strands."""
     left_cusps = [0] * n_components
     right_cusps = [0] * n_components
     up_cusps = [0] * n_components
@@ -240,7 +224,58 @@ def trace(events, n_initial=0, port_links=()):
                 up_cusps[c] += 1
             else:
                 down_cusps[c] += 1
+    return left_cusps, right_cusps, up_cusps, down_cusps, self_writhe, inter_sums
 
+
+def trace(events, n_initial=0, port_links=()):
+    """Run ``events`` over a slice of ``n_initial`` starting strands.
+
+    ``events`` is a sequence of ``(kind, level)`` pairs with 1-based levels;
+    it is read twice, so it must not be a one-shot iterator.
+    ``port_links`` is a list of ``(final_pos, initial_pos)`` index pairs
+    (0-based slice positions) identifying strand ends through 1-handles;
+    linked ends keep their traversal direction, cusps reverse it.  The
+    links pair the ``n_initial`` left-edge positions with the final ones
+    one to one.
+
+    Returns a :class:`TraceResult`.  Raises :class:`DiagramError` on the
+    first structural problem, including an event that is not a pair or
+    whose level is not an int, and port links that are not one to one.
+    """
+    slice_ids, event_strands, right, n, max_width = _slice_pass(events, n_initial)
+
+    n_final = len(slice_ids)
+    if n_final != len(port_links):
+        raise DanglingStrand(
+            f"word ends with {n_final} strands, expected {len(port_links)}"
+        )
+    if n_final != n_initial:
+        raise DiagramError(
+            f"{n_final} port links for {n_initial} left-edge strands"
+        )
+    # from_port[q]: the right-edge strand whose port carries it to q.
+    from_port = [-1] * n_initial
+    for link in port_links:
+        try:
+            final_pos, initial_pos = link
+            if not (0 <= final_pos < n_final and 0 <= initial_pos < n_initial):
+                raise DiagramError(f"port link {link!r} out of range")
+            p = slice_ids[final_pos]
+            repeated = right[p] < 0 or from_port[initial_pos] >= 0
+        except (TypeError, ValueError) as exc:
+            raise DiagramError(f"malformed port link {link!r}") from exc
+        if repeated:
+            # A repeated end: the links are not one to one.
+            raise DiagramError("inconsistent orientation around a component")
+        right[p] = ~initial_pos
+        from_port[initial_pos] = p
+
+    comp_of = [-1] * n
+    orient = [1] * n
+    n_components = _walk_cycles(right, from_port, n_initial, comp_of, orient, 0)
+    left, right_c, up, down, writhe, inter = _count_pass(
+        events, event_strands, comp_of, orient, n_components
+    )
     return TraceResult(
         n_strands=n,
         initial_strands=list(range(n_initial)),
@@ -249,13 +284,120 @@ def trace(events, n_initial=0, port_links=()):
         strand_component=comp_of,
         strand_orient=orient,
         n_components=n_components,
-        left_cusps=left_cusps,
-        right_cusps=right_cusps,
-        up_cusps=up_cusps,
-        down_cusps=down_cusps,
-        self_writhe=self_writhe,
-        inter_sums=inter_sums,
+        left_cusps=left,
+        right_cusps=right_c,
+        up_cusps=up,
+        down_cusps=down,
+        self_writhe=writhe,
+        inter_sums=inter,
         max_width=max_width,
+    )
+
+
+def band(windows, width):
+    """The rows of a slice that some word of ``windows`` touches.
+
+    Every word runs from a slice of ``width`` strands.  Returns ``(skip,
+    n)``: the words leave the ``skip`` rows above the band and the rows
+    below it untouched and in order, so each word acts on rows ``skip +
+    1 .. skip + n`` alone, and :func:`window_summary` can run it over
+    those ``n`` strands.  Raises :class:`DiagramError` when an event
+    leaves the slice.
+    """
+    top, margin = width + 1, width
+    try:
+        for events in windows:
+            k = width
+            for kind, level in events:
+                # room: the untouched rows below the event.
+                if kind == LEFT_CUSP:
+                    room = k - level + 1
+                    k += 2
+                elif kind == RIGHT_CUSP or kind == CROSSING:
+                    room = k - level - 1
+                    if kind == RIGHT_CUSP:
+                        k -= 2
+                else:
+                    raise DiagramError(f"unknown event kind {kind!r}")
+                if level < top:
+                    top = level
+                if room < margin:
+                    margin = room
+    except (TypeError, ValueError) as exc:
+        raise DiagramError("malformed window") from exc
+    if top < 1 or margin < 0:
+        raise DiagramError("a window leaves the slice")
+    return top - 1, width - (top - 1) - margin
+
+
+def window_summary(events, skip, n_initial):
+    """What a closed word sees of the window ``events``: the word run as
+    an open tangle over the band of :func:`band`, rows ``skip + 1 ..
+    skip + n_initial``.
+
+    The slice pass of :func:`trace` runs over the band; each arc is then
+    walked from its first boundary end (the left ends ``0..n_initial-1``
+    come first, then the right ends), which fixes its orientation, and
+    the closing count pass of :func:`trace` counts over the arcs and any
+    closed loop.  Returns ``(n_out, pairing, arcs, sums, loops)``: the
+    out-width, the ends of each arc, per arc the writhe minus the left
+    cusps and the down minus the up cusps, the nonzero signed crossing
+    sum of each pair of arcs, and the sorted (tb, |2 rotation|) of the
+    closed loops.
+
+    Two windows with equal summaries over the same band of the same
+    slice make words whose components correspond, each with the same tb,
+    the same |rotation| and the same homology up to a common sign.
+    Outside the window the words are the same, so equal pairings join
+    the arcs into the same components, and each arc keeps its direction
+    relative to the rest of its component: a component can only reverse
+    as a whole, which negates its rotation and homology and keeps its tb
+    and every crossing sign.
+    """
+    events = [(kind, level - skip) for kind, level in events]
+    slice_ids, event_strands, right, n, _width = _slice_pass(events, n_initial)
+    for pos, s in enumerate(slice_ids):
+        right[s] = ~pos
+    comp_of = [-1] * n
+    orient = [1] * n
+    pairing = []
+    for end, s in enumerate(chain(range(n_initial), slice_ids)):
+        if comp_of[s] >= 0:
+            continue
+        arc = len(pairing)
+        if end >= n_initial:
+            # Both ends on the right: leftwards from the first, into the
+            # left cusp that made it.
+            comp_of[s] = arc
+            orient[s] = -1
+            s = ((s - n_initial) ^ 1) + n_initial
+        while True:
+            comp_of[s] = arc
+            t = right[s]
+            if t < 0:
+                other = n_initial + ~t
+                break
+            comp_of[t] = arc
+            orient[t] = -1
+            if t < n_initial:
+                other = t
+                break
+            s = ((t - n_initial) ^ 1) + n_initial
+        pairing.append((end, other))
+    arcs = len(pairing)
+    # What is left are closed loops, made and ended inside the window, so
+    # no walk reaches a left-edge strand and no port map is needed.
+    n_components = _walk_cycles(right, (), n_initial, comp_of, orient, arcs)
+    left, _right, up, down, writhe, inter = _count_pass(
+        events, event_strands, comp_of, orient, n_components
+    )
+    per = list(zip(map(sub, writhe, left), map(sub, down, up)))
+    return (
+        len(slice_ids),
+        pairing,
+        per[:arcs],
+        {key: v for key, v in inter.items() if v and key[1] < arcs},
+        sorted((tb, abs(rot2)) for tb, rot2 in per[arcs:]),
     )
 
 

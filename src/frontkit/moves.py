@@ -28,15 +28,21 @@ runs it at the one index it is given, so a move applies exactly when
 enumeration lists it.  Stabilization sites are every (position, level)
 of the word.
 
-A walk that applies one move after another keeps its move list in a
-:class:`MoveIndex` instead of enumerating every step.  The index holds
-the sorted list grouped by window index.  A move at ``idx`` rewrites at
-most three events, and every move keeps the slice width on both sides
-of its window, so after it only the windows starting in
+A walk that applies one move after another keeps its word and move list
+in a :class:`MoveIndex` instead of enumerating every step.  The index
+holds the sorted list grouped by window index.  A move at ``idx``
+rewrites at most three events, and every move keeps the slice width on
+both sides of its window, so after it only the windows starting in
 ``[idx - 2, idx + new_len)`` can match differently; the later windows
 see the same events and width as before, at an index shifted by the
 change in length.  The index rescans those few windows and shifts the
-rest, and every step is still rebuilt and traced by :func:`apply_move`.
+rest.  It checks each step on the window it rewrote: outside the window
+the word is the same, so when the old and the new window have equal
+:func:`frontkit._kernel.window_summary` over the band of rows they
+touch, every component keeps its tb, its |rotation| and its homology up
+to sign, and the new word is valid.  Only a step the window does not
+prove is rebuilt and traced at once; otherwise the diagram is built
+when it is asked for.
 
 Handle moves (slide, cancellation, finger pull-off) operate on
 standard-form diagrams and live in the second half of this module.
@@ -61,6 +67,7 @@ from typing import List, Optional, Set, Tuple
 from . import _kernel
 from .errors import (
     BandObstructed,
+    DiagramError,
     GeometricPassNotOne,
     MoveError,
     MoveNotApplicable,
@@ -132,10 +139,11 @@ def _rebuild(d: _Diagram, events: Sequence[Event]) -> _Diagram:
     return FrontDiagram(events)
 
 
-def _width_at(d: _Diagram, idx: int) -> int:
-    """Slice width before ``d.events[idx]``, counted at C speed."""
-    kinds = list(map(_KIND_OF, d.events[:idx]))
-    return len(d.left_ports) + 2 * (kinds.count("L") - kinds.count("R"))
+def _width_at(events, width: int, idx: int) -> int:
+    """Slice width before ``events[idx]`` of a word that starts on
+    ``width`` strands, counted at C speed."""
+    kinds = list(map(_KIND_OF, events[:idx]))
+    return width + 2 * (kinds.count("L") - kinds.count("R"))
 
 
 # -- the matcher -----------------------------------------------------------
@@ -250,14 +258,35 @@ def _scan(events, width: int, lo: int, hi: int, kinds,
     return out
 
 
+def _kind_set(kinds, allowed: frozenset, lister: str) -> frozenset:
+    """``kinds`` as a set, or MoveError when it is a str, is not a
+    collection, or names a kind outside ``allowed``; ``lister`` names
+    what lists ``allowed``."""
+    if isinstance(kinds, str):
+        raise MoveError(f"kinds are a collection of kinds, not the str {kinds!r}")
+    try:
+        out = frozenset(kinds)
+    except TypeError:
+        raise MoveError(f"kinds are a collection of kinds, not {kinds!r}") from None
+    if not out <= allowed:
+        others = ", ".join(sorted(map(repr, out - allowed)))
+        raise MoveError(f"{lister}, not {others}")
+    return out
+
+
 def enumerate_moves(d: _Diagram, kinds: Optional[Sequence[str]] = None) -> List[Move]:
     """All applicable moves, ordered by (index, level, kind, data).
 
     ``kinds`` filters the result; by default Reidemeister moves, slides,
     destabilizations, and stabilizations at every site are reported.
+    Raises MoveError when ``kinds`` is a str or names a kind that is not
+    a word move.
     """
     _require_diagram(d)
-    allowed = _WORD_KINDS if kinds is None else set(kinds)
+    allowed = (
+        _WORD_KINDS if kinds is None
+        else _kind_set(kinds, _WORD_KINDS, "enumerate_moves lists word moves")
+    )
     out = _scan(d.events, len(d.left_ports), 0, len(d.events), allowed)
     plus, minus = "StabilizePlus" in allowed, "StabilizeMinus" in allowed
     if plus or minus:
@@ -295,28 +324,28 @@ def _splice(events: Tuple[Event, ...], m: Move) -> Tuple[Event, ...]:
     return events[: m.index] + new + events[m.index + old_len :]
 
 
-def _rewrite_word(d: _Diagram, m: Move) -> Tuple[Event, ...]:
-    """The event word ``apply_move(d, m)`` builds for a pattern move.
+def _found(events, width: int, m: Move) -> Move:
+    """The move that :func:`_scan` finds at the site of the pattern move
+    ``m`` in a word that starts on ``width`` strands.
 
     ``m`` is checked by the same scan that :func:`enumerate_moves` runs,
-    at its one window index, then spliced.  Nothing is traced, so a
-    caller can look the word up before paying for the rebuild.  Empty
-    ``data`` is accepted wherever the site alone determines the rewrite
-    (every kind but R2, whose data picks the direction).
+    at its one window index.  Empty ``data`` is accepted wherever the
+    site alone determines the rewrite (every kind but R2, whose data
+    picks the direction); the move found carries the full data.
     """
-    events = d.events
     idx = m.index
     if not 0 <= idx < len(events):
         raise MoveNotApplicable(
             f"{m.kind} index {idx} out of range 0..{len(events) - 1}"
         )
     # Only R2 expansions read the width.
-    width = _width_at(d, idx) if m.data[:1] == ("expand",) else 0
+    if m.data[:1] == ("expand",):
+        width = _width_at(events, width, idx)
     for found in _scan(events, width, idx, idx + 1, (m.kind,)):
         if found.level == m.level and (
             m.data == found.data or not m.data and m.kind not in ("R2a", "R2b")
         ):
-            return _splice(events, found)
+            return found
     raise MoveNotApplicable(f"no {m} site")
 
 
@@ -373,38 +402,49 @@ def apply_move(d, m: Move):
         sign = 1 if m.kind == "StabilizePlus" else -1
         slices = _kernel.slices(d.events, d.trace)
         return _stabilize_at(d, slices, m.index, m.level, sign)
-    return _rebuild(d, _rewrite_word(d, m))
+    return _rebuild(d, _splice(d.events, _found(d.events, len(d.left_ports), m)))
 
 
 class MoveIndex(Sequence):
-    """``enumerate_moves(d, kinds)`` for a diagram that changes one move
-    at a time, kept current without rescanning the whole word.
+    """``enumerate_moves(d, kinds)`` for a word that changes one move at
+    a time, kept current without rescanning the whole word.
 
     Each window index holds its moves as sorted ``(level, kind, data)``
     triples, which do not name the index, so the windows after a rewrite
     only shift.  ``len(index)`` and ``index[k]`` give the k-th move of
     the sorted list: ``rng.choice(index)`` draws exactly the move that
     ``rng.choice(enumerate_moves(d, kinds))`` draws.  :meth:`apply`
-    rebuilds the diagram with :func:`apply_move`, so every step is
-    validated by a full trace, then rescans the windows the move can
-    have changed (see the module docstring).  Only window moves can be
-    listed: a stabilization is a site, not a window, and a handle move
-    rewrites more than the word.
+    splices the move into the held word, checks the rewritten window
+    (see the module docstring) and rescans the windows the move can
+    have changed.  ``index.diagram`` is the current word's diagram,
+    built and traced on first use.  Only window moves can be listed: a
+    stabilization is a site, not a window, and a handle move rewrites
+    more than the word.
     """
 
     def __init__(self, d: _Diagram, kinds: Sequence[str]):
-        self._kinds = frozenset(kinds)
-        if not self._kinds <= _WINDOW_KINDS:
-            others = ", ".join(sorted(self._kinds - _WINDOW_KINDS))
-            raise MoveError(f"a MoveIndex lists window moves, not {others}")
-        self.diagram = d
+        self._kinds = _kind_set(kinds, _WINDOW_KINDS, "a MoveIndex lists window moves")
         self._groups = _grouped(enumerate_moves(d, self._kinds), 0, len(d.events))
         self._ends = list(accumulate(map(len, self._groups)))
+        self._start = d
+        self._events = d.events
+        self._diagram = d
+
+    @property
+    def diagram(self) -> _Diagram:
+        """The diagram of the held word, built and traced on first use."""
+        if self._diagram is None:
+            self._diagram = _rebuild(self._start, self._events)
+        return self._diagram
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
 
-    def __getitem__(self, k: int) -> Move:
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        if not isinstance(k, int):
+            raise TypeError(f"move index {k!r} is not an int or a slice")
         if k < 0:
             k += len(self)
         if not 0 <= k < len(self):
@@ -414,23 +454,53 @@ class MoveIndex(Sequence):
         level, kind, data = group[k - self._ends[idx] + len(group)]
         return Move(kind, idx, level, data)
 
-    def apply(self, m: Move) -> _Diagram:
+    def apply(self, m: Move) -> bool:
         """Apply ``m``, a move of one of the listed kinds, to the held
-        diagram and return the result, which the index then lists."""
+        word, which the index then lists.
+
+        Returns True when the rewritten window proves that every
+        component keeps its tb, its |rotation| and its homology up to
+        sign; otherwise the new diagram is built and traced at once,
+        raising DiagramError on an invalid word, and False is returned.
+        """
         if m.kind not in self._kinds:
             raise MoveNotApplicable(f"{m.kind} is not a kind this index lists")
-        old = self.diagram
-        new = apply_move(old, m)
-        # The rewrite replaced at most 3 events at m.index, so old windows
+        events = self._events
+        width = len(self._start.left_ports)
+        found = _found(events, width, m)
+        idx = found.index
+        old_len, new = _replacement(found)
+        new_events = events[:idx] + new + events[idx + old_len :]
+        lo = max(idx - 2, 0)
+        width_lo = _width_at(events, width, lo)
+        width_idx = width_lo + sum(_DELTA[kind] for kind, _ in events[lo:idx])
+        proven = _same_window(events[idx : idx + old_len], new, width_idx)
+        diagram = None if proven else _rebuild(self._start, new_events)
+        # The rewrite replaced at most 3 events at idx, so old windows
         # from hi on are the new windows from hi + shift on, unchanged.
-        shift = len(new.events) - len(old.events)
-        lo = max(m.index - 2, 0)
-        hi = min(m.index + 3, len(old.events))
-        found = _scan(new.events, _width_at(new, lo), lo, hi + shift, self._kinds)
-        self._groups[lo:hi] = _grouped(found, lo, hi + shift)
+        shift = len(new) - old_len
+        hi = min(idx + 3, len(events))
+        rescanned = _scan(new_events, width_lo, lo, hi + shift, self._kinds)
+        self._groups[lo:hi] = _grouped(rescanned, lo, hi + shift)
         self._ends = list(accumulate(map(len, self._groups)))
-        self.diagram = new
-        return new
+        self._events = new_events
+        self._diagram = diagram
+        return proven
+
+
+def _same_window(old, new, width: int) -> bool:
+    """Whether putting the window ``new`` in place of ``old``, both run
+    from a slice of ``width`` strands, provably keeps the components and,
+    for each, its tb, |rotation| and homology up to sign: whether the two
+    windows have equal :func:`_kernel.window_summary` over one band.
+    False when they differ or ``new`` leaves the slice."""
+    try:
+        skip, n = _kernel.band((old, new), width)
+        return (
+            _kernel.window_summary(old, skip, n) == _kernel.window_summary(new, skip, n)
+        )
+    except DiagramError:
+        return False
 
 
 def _grouped(moves: List[Move], lo: int, hi: int) -> List[List[Tuple]]:

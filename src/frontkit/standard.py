@@ -262,6 +262,16 @@ class SteinHandlebody:
     def __setattr__(self, name, value):
         raise AttributeError("SteinHandlebody is immutable")
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, SteinHandlebody)
+            and self.diagram == other.diagram
+            and self.attachments == other.attachments
+        )
+
+    def __hash__(self):
+        return hash((self.diagram, self.attachments))
+
     def __repr__(self):
         return (
             f"SteinHandlebody({self.diagram!r}, attachments="

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_front
-from frontkit import gallery
+from frontkit import gallery, moves
 from frontkit.certify import GenusCertificate, certify_tb_max
 from frontkit.errors import BudgetExhausted, DiagramError, ParameterOutOfRange
 from frontkit.explore import (
@@ -23,10 +23,20 @@ from frontkit.explore import (
     fuzz_moves,
     local_max_certificate,
 )
-from frontkit.front import FrontDiagram, rotation, thurston_bennequin, trefoil, unknot
+from frontkit.front import (
+    FrontDiagram,
+    L,
+    R,
+    X,
+    rotation,
+    thurston_bennequin,
+    trefoil,
+    unknot,
+)
 from frontkit.gallery import K_m_front, K_mn_cable_front
 from frontkit.moves import (
     _WINDOW_KINDS,
+    MoveIndex,
     MoveScript,
     _rebuild,
     _scan,
@@ -197,6 +207,137 @@ def test_fuzz_walk_matches_full_enumeration():
             rep = fuzz_moves(d, seed, steps)
             got = (rep.steps_applied, rep.violations, rep.final.events)
             assert got == _reference_fuzz(d, seed, steps), (d, seed)
+
+
+def _gallery_strips():
+    return [
+        e.artifact.diagram for e in gallery.gallery_manifest()
+        if isinstance(e.artifact, SteinHandlebody)
+    ]
+
+
+def _criterion_9_fronts():
+    return [
+        e.artifact for e in gallery.gallery_manifest()
+        if isinstance(e.artifact, FrontDiagram)
+    ]
+
+
+def _wrong_replacement(monkeypatch, kind, rewrite):
+    """Make every move ``m`` of ``kind`` splice ``rewrite(m, new)`` in
+    place of its right new events ``new``."""
+    right = moves._replacement
+
+    def replacement(m):
+        old_len, new = right(m)
+        return old_len, rewrite(m, new) if m.kind == kind else new
+
+    monkeypatch.setattr(moves, "_replacement", replacement)
+
+
+def _expansion(variant, extra):
+    """An R2a expansion of ``variant`` followed by ``extra(i)``."""
+    return lambda m, new: (
+        new + extra(m.level) if m.data == ("expand", variant) else new
+    )
+
+
+# Wrong rewrites, each seen by a different part of the window summary.
+_WRONG = {
+    # The pairing and the crossing sums.
+    "an R3 that drops its last crossing": ("R3", lambda m, new: new[:2]),
+    # Only a crossing sum: after an "up" expansion the cusp's lower
+    # branch and the strand it passed lie on rows i + 1 and i + 2.
+    "an R2 expansion with a clasp": (
+        "R2a", _expansion("up", lambda i: (X(i + 1), X(i + 1)))
+    ),
+    # Only one arc's tb and rotation.
+    "an R2 expansion with a zigzag": (
+        "R2a", _expansion("down", lambda i: (L(i + 1), R(i)))
+    ),
+    # Only the closed loops: a new unknot.
+    "an R2 expansion with an unknot": (
+        "R2a", _expansion("up", lambda i: (L(i), R(i)))
+    ),
+    # Only the pairing: the cusp lands on the other side of the strand.
+    "an R2 contraction past no strand": (
+        "R2a",
+        lambda m, new: (
+            (L(m.level + (m.data[1] == "up")),) if m.data[0] == "contract" else new
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_WRONG))
+def test_fuzz_reports_a_wrong_rewrite_as_the_reference_does(monkeypatch, fault):
+    _wrong_replacement(monkeypatch, *_WRONG[fault])
+    fronts = [trefoil(), K_m_front(-2), _criterion_9_fronts()[3]]
+    fronts += [random_front(random.Random(s), 16) for s in (4, 5)]
+    fronts.append(gallery.stein_rep_max(-5, 2).diagram)
+    violations = 0
+    for d in fronts:
+        for seed in (1, 2, 3):
+            rep = fuzz_moves(d, seed, 40)
+            got = (rep.steps_applied, rep.violations, rep.final.events)
+            assert got == _reference_fuzz(d, seed, 40), (d, seed)
+            violations += len(rep.violations)
+    assert violations
+
+
+@pytest.mark.parametrize("level", [0, 99])
+def test_a_rewrite_off_the_slice_raises_what_the_rebuild_raises(monkeypatch, level):
+    _wrong_replacement(
+        monkeypatch, "Slide", lambda m, new: (new[0]._replace(level=level),) + new[1:]
+    )
+    for d in (K_m_front(-2), gallery.stein_rep_max(-5, 2).diagram):
+        index = MoveIndex(d, _FUZZ_KINDS)
+        before = list(index)
+        m = next(m for m in before if m.kind == "Slide")
+        with pytest.raises(DiagramError) as want:
+            apply_move(d, m)
+        with pytest.raises(DiagramError) as got:
+            index.apply(m)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        # Nothing changed: the index lists the same moves of the same word.
+        assert list(index) == before
+        assert index.diagram is d
+        with pytest.raises(DiagramError) as walked:
+            fuzz_moves(d, 7, 50)
+        with pytest.raises(DiagramError) as reference:
+            _reference_fuzz(d, 7, 50)
+        assert str(walked.value) == str(reference.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_proven_step_keeps_the_fingerprint(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        d = rng.choice(_gallery_strips())
+    else:
+        d = random_front(rng, rng.randint(4, 30))
+    index = MoveIndex(d, _FUZZ_KINDS)
+    want = _fingerprint(d)
+    for _step in range(25):
+        if not index:
+            break
+        proven = index.apply(rng.choice(index))
+        got = _fingerprint(index.diagram)
+        assert got == want or not proven
+        want = got
+
+
+def test_every_step_of_the_criterion_9_walks_is_proven():
+    for d in _criterion_9_fronts():
+        rng = random.Random(1)
+        index = MoveIndex(d, _FUZZ_KINDS)
+        steps = 0
+        while index and steps < 1000:
+            assert index.apply(rng.choice(index)) is True, (d, steps)
+            steps += 1
+        assert steps == (1000 if len(d.events) > 2 else 0)
 
 
 def _reducing_sites():

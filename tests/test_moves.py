@@ -529,9 +529,8 @@ def _index_walk_diagrams():
     return fronts + strips
 
 
-def _assert_index_is(index, d, kinds):
-    want = enumerate_moves(d, kinds)
-    assert index.diagram is d
+def _assert_index_is(index, kinds):
+    want = enumerate_moves(index.diagram, kinds)
     assert len(index) == len(want)
     assert list(index) == want
     if want:
@@ -548,7 +547,8 @@ def test_move_index_tracks_enumeration(kinds):
     for n, d in enumerate(_index_walk_diagrams()):
         rng = random.Random(n)
         index = MoveIndex(d, kinds)
-        _assert_index_is(index, d, kinds)
+        assert index.diagram is d
+        _assert_index_is(index, kinds)
         for step in range(15 if len(d.events) > 200 else 40):
             if not index:
                 break
@@ -558,8 +558,8 @@ def test_move_index_tracks_enumeration(kinds):
                 or m.data[:1] == ("contract",)
             ]
             pool = shrinking if step % 3 == 2 and shrinking else index
-            d = index.apply(rng.choice(pool))
-            _assert_index_is(index, d, kinds)
+            index.apply(rng.choice(pool))
+            _assert_index_is(index, kinds)
 
 
 def test_move_index_lists_window_moves_only():
@@ -576,6 +576,35 @@ def test_move_index_lists_window_moves_only():
         with pytest.raises(MoveNotApplicable):
             index.apply(m)
         assert list(index) == enumerate_moves(toy_handlebody().diagram, _FUZZ_KINDS)
+
+
+@pytest.mark.parametrize(
+    "kinds", ["Slide", "R3", ["Bogus"], ("R3", "Bogus"), ["HandleSlide"], 3, [["R3"]]]
+)
+def test_kinds_are_a_collection_of_known_kinds(kinds):
+    with pytest.raises(MoveError):
+        enumerate_moves(trefoil(), kinds)
+    with pytest.raises(MoveError):
+        MoveIndex(trefoil(), kinds)
+
+
+def test_a_str_of_kinds_is_named_as_a_str():
+    with pytest.raises(MoveError, match="not the str 'R3'"):
+        MoveIndex(trefoil(), "R3")
+    with pytest.raises(MoveError, match="window moves, not 'StabilizePlus'"):
+        MoveIndex(trefoil(), ["R3", "StabilizePlus"])
+
+
+def test_move_index_takes_slices():
+    d = gallery.K_m_front(-2)
+    index = MoveIndex(d, _FUZZ_KINDS)
+    want = enumerate_moves(d, _FUZZ_KINDS)
+    assert index[0:2] == want[0:2]
+    assert index[::-3] == want[::-3]
+    assert index[5:1] == []
+    for k in ("1", 1.0, None):
+        with pytest.raises(TypeError, match=f"move index {k!r}"):
+            index[k]
 
 
 def test_fuzz_walk_is_pinned():
