@@ -6,13 +6,22 @@ breadth-first sweep over word-shrinking moves plus slides recovers tb
 lost to stabilization.  Upper bounds come from genus certificates, not
 from search.
 
-The search runs on event words, not diagrams.  Every Reidemeister move
-and far commutation keeps the tb of each component, so such a child
-carries its parent's tb untraced.  A destabilization raises the tb of
-the one component it touches by exactly 1: on one component that is
-the child's tb, and on several components, closed or in a strip, the
-child of a destabilization is traced to read its least tb.  Nothing
-else is traced until the witness is replayed, once, at the end.
+The search runs on event words, not diagrams.  It lists the moves that
+never grow a word (every window move but the R2 expansions) as the
+index-free groups of :func:`frontkit.moves._scan`, and a node gets its
+groups from its parent's when it is expanded: the five windows around
+the rewrite that made it are rescanned and the rest shifted, as a
+:class:`frontkit.moves.MoveIndex` does along a walk.  A child is the
+parent's word with the cached rewrite of a triple spliced in, and a
+:class:`frontkit.moves.Move` is built only for a child not seen before.
+
+Every Reidemeister move and far commutation keeps the tb of each
+component, so such a child carries its parent's tb untraced.  A
+destabilization raises the tb of the one component it touches by
+exactly 1: on one component that is the child's tb, and on several
+components, closed or in a strip, the child of a destabilization is
+traced to read its least tb.  Nothing else is traced until the witness
+is replayed, once, at the end.
 """
 
 from __future__ import annotations
@@ -24,25 +33,17 @@ from typing import List, Tuple
 from .errors import BudgetExhausted, DiagramError, MoveError, ParameterOutOfRange
 from .front import _is_int, _require_diagram, rotation, thurston_bennequin
 from .moves import (
-    _ORDER,
+    _REWRITES,
     _WINDOW_KINDS,
     Move,
     MoveIndex,
     MoveScript,
     _rebuild,
+    _regrouped,
+    _rewrite,
     _scan,
-    _splice,
 )
 from .standard import homology_vector
-
-
-def _reducing_moves(events, width: int) -> List[Move]:
-    """The moves that never grow the word: ``enumerate_moves(d,
-    _WINDOW_KINDS)`` without the R2 expansions, where ``d`` has the word
-    ``events`` and its first slice has ``width`` strands."""
-    out = _scan(events, width, 0, len(events), _WINDOW_KINDS, expand=False)
-    out.sort(key=_ORDER)
-    return out
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -108,45 +109,69 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Breadth-first search for the highest tb reachable by reductions.
 
     Explores the closure of word-shrinking moves up to ``cfg.max_depth``
-    on event words, deduplicating on the exact word.  Each move the scan
-    lists is spliced into the word as found, not matched again.  A child
-    carries its parent's tb, one higher after a ``Destabilize`` of a
-    knot; the new child of a ``Destabilize`` of several components is
-    traced to read its least tb.  The witness script is replayed once
-    from ``d``, and it reaches a diagram achieving ``best_tb``.  Raises
-    BudgetExhausted (carrying the partial result) when the node budget
-    runs out; the best found so far is still attached, replayed the same
-    way.
+    on event words, in the order of ``enumerate_moves``, deduplicating on
+    the exact word.  Each move the scan lists is spliced into the word as
+    found, not matched again.  ``cfg`` must be a SearchConfig
+    (ParameterOutOfRange otherwise).  A child carries its parent's tb,
+    one higher after a ``Destabilize`` of a knot; the new child of a
+    ``Destabilize`` of several components is traced to read its least
+    tb.  The witness script is replayed once from ``d``, and it reaches
+    a diagram achieving ``best_tb``.  Raises BudgetExhausted (carrying
+    the partial result) when the node budget runs out; the best found so
+    far is still attached, replayed the same way.
     """
     _require_diagram(d)
-    width = len(d.left_ports)
+    if not isinstance(cfg, SearchConfig):
+        raise ParameterOutOfRange(
+            f"search bounds must be a SearchConfig, not a {type(cfg).__name__}"
+        )
+    budget = cfg.budget
     start_tb = _tb_of(d)
     best_tb, best_path = start_tb, ()
-    frontier: List[Tuple[tuple, int, Tuple[Move, ...]]] = [(d.events, start_tb, ())]
+    # A frontier entry: the word, its tb, the path to it, and its
+    # parent's groups with the index and the length change of the rewrite
+    # that made it from the parent's word.  The start has no parent.
+    frontier: List[tuple] = [(d.events, start_tb, (), None, 0, 0)]
     seen = {d.events}
     nodes = 1
     link = d.n_components > 1
     for _depth in range(cfg.max_depth):
-        nxt: List[Tuple[tuple, int, Tuple[Move, ...]]] = []
-        for word, tb, path in frontier:
-            for m in _reducing_moves(word, width):
-                if nodes >= cfg.budget:
-                    raise BudgetExhausted(
-                        f"node budget {cfg.budget} exhausted",
-                        _witnessed(d, best_tb, best_path, nodes, exhausted=True),
-                    )
-                child = _splice(word, m)
-                if child in seen:
+        nxt: List[tuple] = []
+        for word, tb, path, parent, site, shift in frontier:
+            if parent is None:
+                groups = _scan(
+                    word, len(d.left_ports), 0, len(word), _WINDOW_KINDS, expand=False
+                )
+            else:
+                groups = _regrouped(parent, word, site, shift, _WINDOW_KINDS)
+            for idx, group in enumerate(groups):
+                if not group:
                     continue
-                seen.add(child)
-                nodes += 1
-                child_path = path + (m,)
-                child_tb = tb
-                if m.kind == "Destabilize":
-                    child_tb = _tb_of(_rebuild(d, child)) if link else tb + 1
-                    if child_tb > best_tb:
-                        best_tb, best_path = child_tb, child_path
-                nxt.append((child, child_tb, child_path))
+                head = word[:idx]
+                for triple in group:
+                    if nodes >= budget:
+                        raise BudgetExhausted(
+                            f"node budget {budget} exhausted",
+                            _witnessed(d, best_tb, best_path, nodes, exhausted=True),
+                        )
+                    old_len, new = _REWRITES.get(triple) or _rewrite(triple)
+                    child = head + new + word[idx + old_len :]
+                    # ``seen`` holds the ``nodes`` words found so far, so
+                    # one hash of the child tells whether it is new.
+                    seen.add(child)
+                    if len(seen) == nodes:
+                        continue
+                    nodes += 1
+                    level, kind, data = triple
+                    child_path = path + (Move(kind, idx, level, data),)
+                    child_tb = tb
+                    if kind == "Destabilize":
+                        child_tb = _tb_of(_rebuild(d, child)) if link else tb + 1
+                        if child_tb > best_tb:
+                            best_tb, best_path = child_tb, child_path
+                    nxt.append(
+                        (child, child_tb, child_path, groups, idx, len(new) - old_len)
+                    )
         if not nxt:
             break
         frontier = nxt
@@ -208,7 +233,8 @@ def _fingerprint(d) -> Tuple:
 
 def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
     """Apply ``steps`` (an int >= 0) uniformly random applicable
-    Reidemeister moves (both directions) and slides, checking the
+    Reidemeister moves (both directions) and slides, drawn by a
+    ``random.Random`` seeded with the int ``seed``, checking the
     classical invariants after every step.  A correct engine reports
     zero violations.
 
@@ -218,6 +244,10 @@ def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
     is traced once, at the end.
     """
     _require_diagram(d)
+    if not _is_int(seed):
+        raise ParameterOutOfRange(
+            f"seed must be an int, so that the walk can be repeated, got {seed!r}"
+        )
     _check_count("steps", steps, 0)
     rng = random.Random(seed)
     want = _fingerprint(d)

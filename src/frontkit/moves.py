@@ -22,21 +22,27 @@ the same sign in a front -- so it is never a reduction site.
 One matcher finds them all: a single left-to-right scan over the
 ``(kind, level)`` pairs of the word compares each window's levels with
 the patterns above, carries the slice width for the R2 expansions, and
-decides far-commutation in closed form (:func:`_slide`).
-:func:`enumerate_moves` runs it over the whole word; :func:`apply_move`
-runs it at the one index it is given, so a move applies exactly when
-enumeration lists it.  Stabilization sites are every (position, level)
-of the word.
+decides far-commutation in closed form (:func:`_slide`).  It lists the
+moves of each window index as one sorted group of ``(level, kind,
+data)`` triples, which do not name the index.  :func:`enumerate_moves`
+runs it over the whole word and turns the groups into moves;
+:func:`apply_move` runs it at the one index it is given, so a move
+applies exactly when enumeration lists it.  Stabilization sites are
+every (position, level) of the word.
 
-A walk that applies one move after another keeps its word and move list
-in a :class:`MoveIndex` instead of enumerating every step.  The index
-holds the sorted list grouped by window index.  A move at ``idx``
-rewrites at most three events, and every move keeps the slice width on
-both sides of its window, so after it only the windows starting in
-``[idx - 2, idx + new_len)`` can match differently; the later windows
-see the same events and width as before, at an index shifted by the
-change in length.  The index rescans those few windows and shifts the
-rest.  It checks each step on the window it rewrote: outside the window
+A word rewritten by one move gets its groups from the groups of the
+word before it (:func:`_regrouped`).  A move at ``idx`` rewrites at most
+three events, and every move keeps the slice width on both sides of its
+window, so after it only the windows starting in ``[idx - 2, idx +
+new_len)`` can match differently; the later windows see the same events
+and width as before, at an index shifted by the change in length, and
+their index-free groups are the same lists.  So five old windows are
+rescanned and the rest are shifted.  Two callers derive move lists this
+way: a walk keeps its word and groups in a :class:`MoveIndex` instead of
+enumerating every step, and the search (:func:`frontkit.explore.bfs_max_tb`)
+derives each child's groups from its parent's.
+
+The index checks each step on the window it rewrote: outside the window
 the word is the same, so when the old and the new window have equal
 :func:`frontkit._kernel.window_summary` over the band of rows they
 touch, every component keeps its tb, its |rotation| and its homology up
@@ -61,8 +67,8 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter, itemgetter
-from typing import List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import _kernel
 from .errors import (
@@ -165,7 +171,6 @@ _WINDOW_KINDS = frozenset(
 )
 _WORD_KINDS = _WINDOW_KINDS | {"StabilizePlus", "StabilizeMinus"}
 
-_ORDER = attrgetter("index", "level", "kind", "data")
 _KIND_OF = itemgetter(0)
 
 
@@ -191,8 +196,9 @@ def _slide(k1: str, i: int, k2: str, j: int) -> Optional[Tuple[str, int, str, in
 
 
 def _scan(events, width: int, lo: int, hi: int, kinds,
-          expand: bool = True) -> List[Move]:
-    """Word moves of ``kinds`` whose window starts at an index in [lo, hi).
+          expand: bool = True) -> List[List[Tuple]]:
+    """Word moves of ``kinds`` at window indices lo..hi-1, one sorted
+    list of ``(level, kind, data)`` triples per window.
 
     One left-to-right pass over the ``(kind, level)`` pairs, matching
     the windows of the module docstring by comparing levels; ``width``
@@ -204,58 +210,79 @@ def _scan(events, width: int, lo: int, hi: int, kinds,
     r2a, r2b, r3 = "R2a" in kinds, "R2b" in kinds, "R3" in kinds
     slide, destab = "Slide" in kinds, "Destabilize" in kinds
     r2a_expand, r2b_expand = r2a and expand, r2b and expand
-    out: List[Move] = []
-    add = out.append
+    groups: List[List[Tuple]] = []
     tail = events[lo : hi + 2] + ((None, 0), (None, 0))
-    for idx, (k, l), (k2, l2), (k3, l3) in zip(
-        range(lo, hi), tail, tail[1:], tail[2:]
-    ):
+    for (k, l), (k2, l2), (k3, l3) in zip(tail[: hi - lo], tail[1:], tail[2:]):
+        group: List[Tuple] = []
+        add = group.append
         if k == "L":
             if r2a_expand:
                 if l <= width:
-                    add(Move("R2a", idx, l, ("expand", "up")))
+                    add((l, "R2a", ("expand", "up")))
                 if l >= 2:
-                    add(Move("R2a", idx, l - 1, ("expand", "down")))
+                    add((l - 1, "R2a", ("expand", "down")))
             if r2a:
                 if k2 == "X" and k3 == "X" and l3 == l:
                     if l2 == l - 1:
-                        add(Move("R2a", idx, l2, ("contract", "up")))
+                        add((l2, "R2a", ("contract", "up")))
                     elif l2 == l + 1:
-                        add(Move("R2a", idx, l, ("contract", "down")))
+                        add((l, "R2a", ("contract", "down")))
             if k2 == "X" and k3 == "R" and l3 == l:
                 if l2 == l - 1 and r1a:
-                    add(Move("R1a", idx, l2))
+                    add((l2, "R1a", ()))
                 elif l2 == l + 1 and r1b:
-                    add(Move("R1b", idx, l))
+                    add((l, "R1b", ()))
             elif k2 == "R" and destab:
                 if l2 == l + 1:
-                    add(Move("Destabilize", idx, l, ("down",)))
+                    add((l, "Destabilize", ("down",)))
                 elif l2 == l - 1:
-                    add(Move("Destabilize", idx, l2, ("up",)))
+                    add((l2, "Destabilize", ("up",)))
             width += 2
         elif k == "R":
             if r2b_expand:
                 if l >= 2:
-                    add(Move("R2b", idx, l - 1, ("expand", "up")))
+                    add((l - 1, "R2b", ("expand", "up")))
                 if l <= width - 2:
-                    add(Move("R2b", idx, l, ("expand", "down")))
+                    add((l, "R2b", ("expand", "down")))
             width -= 2
         elif k2 == "X" and l3 == l:
             if k3 == "X" and r3:
                 if l2 == l + 1:
-                    add(Move("R3", idx, l, ("up",)))
+                    add((l, "R3", ("up",)))
                 elif l2 == l - 1:
-                    add(Move("R3", idx, l2, ("down",)))
+                    add((l2, "R3", ("down",)))
             elif k3 == "R" and r2b:
                 if l2 == l + 1:
-                    add(Move("R2b", idx, l, ("contract", "up")))
+                    add((l, "R2b", ("contract", "up")))
                 elif l2 == l - 1:
-                    add(Move("R2b", idx, l2, ("contract", "down")))
+                    add((l2, "R2b", ("contract", "down")))
         if slide and k2 is not None:
             swapped = _slide(k, l, k2, l2)
             if swapped is not None:
-                add(Move("Slide", idx, min(l, l2), swapped))
-    return out
+                add((min(l, l2), "Slide", swapped))
+        if len(group) > 1:
+            group.sort()
+        groups.append(group)
+    return groups
+
+
+def _regrouped(groups, events, idx: int, shift: int, kinds,
+               width: Optional[int] = None) -> List[List[Tuple]]:
+    """``_scan(events, ...)`` over the whole word, from the ``groups`` of
+    the word that a window move at ``idx`` turned into ``events``,
+    changing its length by ``shift``.
+
+    Only the old windows starting in ``[idx - 2, idx + 3)`` are
+    rescanned; the rest are the same lists, shifted (see the module
+    docstring).  ``width`` is the slice width before ``events[idx]``,
+    which only the R2 expansions read: without it they are left out.
+    """
+    lo = max(idx - 2, 0)
+    hi = min(idx + 3, len(groups))
+    expand = width is not None
+    width_lo = width - sum(_DELTA[kind] for kind, _ in events[lo:idx]) if expand else 0
+    rescanned = _scan(events, width_lo, lo, hi + shift, kinds, expand)
+    return groups[:lo] + rescanned + groups[hi:]
 
 
 def _kind_set(kinds, allowed: frozenset, lister: str) -> frozenset:
@@ -287,21 +314,27 @@ def enumerate_moves(d: _Diagram, kinds: Optional[Sequence[str]] = None) -> List[
         _WORD_KINDS if kinds is None
         else _kind_set(kinds, _WORD_KINDS, "enumerate_moves lists word moves")
     )
-    out = _scan(d.events, len(d.left_ports), 0, len(d.events), allowed)
-    plus, minus = "StabilizePlus" in allowed, "StabilizeMinus" in allowed
-    if plus or minus:
-        for idx, here in enumerate(_kernel.slices(d.events, d.trace)):
-            for lvl in range(1, len(here) + 1):
-                if plus:
-                    out.append(Move("StabilizePlus", idx, lvl))
-                if minus:
-                    out.append(Move("StabilizeMinus", idx, lvl))
-    out.sort(key=_ORDER)
-    return out
+    groups = _scan(d.events, len(d.left_ports), 0, len(d.events), allowed)
+    stabilizations = [
+        kind for kind in ("StabilizePlus", "StabilizeMinus") if kind in allowed
+    ]
+    if stabilizations:
+        groups.append([])  # the sites after the last event
+        for group, here in zip(groups, _kernel.slices(d.events, d.trace)):
+            group += [
+                (lvl, kind, ()) for lvl in range(1, len(here) + 1)
+                for kind in stabilizations
+            ]
+            group.sort()
+    return [
+        Move(kind, idx, level, data)
+        for idx, group in enumerate(groups)
+        for level, kind, data in group
+    ]
 
 
 def _replacement(m: Move) -> Tuple[int, Tuple[Event, ...]]:
-    """Window length and new events of a move found by :func:`_scan`."""
+    """Window length and new events of a window move."""
     i = m.level
     if m.kind in ("R1a", "R1b"):
         return 3, ()
@@ -316,6 +349,20 @@ def _replacement(m: Move) -> Tuple[int, Tuple[Event, ...]]:
         return 2, (Event(k2, j2), Event(k1, j1))
     lhs, rhs = _R2_CONTRACTIONS[(m.kind, m.data[1])]
     return (3, rhs(i)) if m.data[0] == "contract" else (1, lhs(i))
+
+
+# The (old_len, new events) of each (level, kind, data) triple the search
+# has rewritten, at any index.  A value depends on its key alone, so every
+# search shares it, and the keys are bounded by the levels in use.
+_REWRITES: Dict[Tuple, Tuple[int, Tuple[Event, ...]]] = {}
+
+
+def _rewrite(triple: Tuple) -> Tuple[int, Tuple[Event, ...]]:
+    """:func:`_replacement` of the window move that the ``(level, kind,
+    data)`` triple names, kept in ``_REWRITES``."""
+    level, kind, data = triple
+    _REWRITES[triple] = out = _replacement(Move(kind, 0, level, data))
+    return out
 
 
 def _splice(events: Tuple[Event, ...], m: Move) -> Tuple[Event, ...]:
@@ -341,11 +388,11 @@ def _found(events, width: int, m: Move) -> Move:
     # Only R2 expansions read the width.
     if m.data[:1] == ("expand",):
         width = _width_at(events, width, idx)
-    for found in _scan(events, width, idx, idx + 1, (m.kind,)):
-        if found.level == m.level and (
-            m.data == found.data or not m.data and m.kind not in ("R2a", "R2b")
+    for level, kind, data in _scan(events, width, idx, idx + 1, (m.kind,))[0]:
+        if level == m.level and (
+            m.data == data or not m.data and kind not in ("R2a", "R2b")
         ):
-            return found
+            return Move(kind, idx, level, data)
     raise MoveNotApplicable(f"no {m} site")
 
 
@@ -358,21 +405,29 @@ _HANDLE_MOVES = {
 }
 
 
-def apply_move(d, m: Move):
-    """Apply one move.
-
-    Raises MoveNotApplicable when the move is malformed (index, level or
-    data of the wrong type, out of range, or of the wrong arity), does
-    not fit the kind of diagram, or its site mismatches.  A handle move
-    names its site in ``data``, so its index and level must be 0.
-    """
+def _require_move(m) -> None:
+    """Raise MoveNotApplicable unless ``m`` is a :class:`Move` with a str
+    kind, int index and level, and tuple data."""
     if not (
-        isinstance(m.kind, str)
+        isinstance(m, Move)
+        and isinstance(m.kind, str)
         and isinstance(m.index, int)
         and isinstance(m.level, int)
         and isinstance(m.data, tuple)
     ):
         raise MoveNotApplicable(f"malformed move {m!r}")
+
+
+def apply_move(d, m: Move):
+    """Apply one move.
+
+    Raises MoveNotApplicable when the move is malformed (not a Move, or
+    index, level or data of the wrong type, out of range, or of the
+    wrong arity), does not fit the kind of diagram, or its site
+    mismatches.  A handle move names its site in ``data``, so its index
+    and level must be 0.
+    """
+    _require_move(m)
     if m.kind in _HANDLE_MOVES:
         fields, hosts = _HANDLE_MOVES[m.kind]
         if len(m.data) != len(fields):
@@ -424,7 +479,8 @@ class MoveIndex(Sequence):
 
     def __init__(self, d: _Diagram, kinds: Sequence[str]):
         self._kinds = _kind_set(kinds, _WINDOW_KINDS, "a MoveIndex lists window moves")
-        self._groups = _grouped(enumerate_moves(d, self._kinds), 0, len(d.events))
+        _require_diagram(d)
+        self._groups = _scan(d.events, len(d.left_ports), 0, len(d.events), self._kinds)
         self._ends = list(accumulate(map(len, self._groups)))
         self._start = d
         self._events = d.events
@@ -462,7 +518,10 @@ class MoveIndex(Sequence):
         component keeps its tb, its |rotation| and its homology up to
         sign; otherwise the new diagram is built and traced at once,
         raising DiagramError on an invalid word, and False is returned.
+        Raises MoveNotApplicable when ``m`` is malformed, of a kind the
+        index does not list, or has no site in the word.
         """
+        _require_move(m)
         if m.kind not in self._kinds:
             raise MoveNotApplicable(f"{m.kind} is not a kind this index lists")
         events = self._events
@@ -471,17 +530,12 @@ class MoveIndex(Sequence):
         idx = found.index
         old_len, new = _replacement(found)
         new_events = events[:idx] + new + events[idx + old_len :]
-        lo = max(idx - 2, 0)
-        width_lo = _width_at(events, width, lo)
-        width_idx = width_lo + sum(_DELTA[kind] for kind, _ in events[lo:idx])
+        width_idx = _width_at(events, width, idx)
         proven = _same_window(events[idx : idx + old_len], new, width_idx)
         diagram = None if proven else _rebuild(self._start, new_events)
-        # The rewrite replaced at most 3 events at idx, so old windows
-        # from hi on are the new windows from hi + shift on, unchanged.
-        shift = len(new) - old_len
-        hi = min(idx + 3, len(events))
-        rescanned = _scan(new_events, width_lo, lo, hi + shift, self._kinds)
-        self._groups[lo:hi] = _grouped(rescanned, lo, hi + shift)
+        self._groups = _regrouped(
+            self._groups, new_events, idx, len(new) - old_len, self._kinds, width_idx
+        )
         self._ends = list(accumulate(map(len, self._groups)))
         self._events = new_events
         self._diagram = diagram
@@ -501,17 +555,6 @@ def _same_window(old, new, width: int) -> bool:
         )
     except DiagramError:
         return False
-
-
-def _grouped(moves: List[Move], lo: int, hi: int) -> List[List[Tuple]]:
-    """The moves of windows lo..hi-1, one sorted list of ``(level, kind,
-    data)`` per window."""
-    groups: List[List[Tuple]] = [[] for _ in range(lo, hi)]
-    for m in moves:
-        groups[m.index - lo].append((m.level, m.kind, m.data))
-    for group in groups:
-        group.sort()
-    return groups
 
 
 def _strand_at(slices, idx: int, lvl: int) -> int:

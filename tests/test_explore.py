@@ -16,7 +16,6 @@ from frontkit.explore import (
     _FUZZ_KINDS,
     SearchConfig,
     _fingerprint,
-    _reducing_moves,
     _tb_of,
     _tbs,
     bfs_max_tb,
@@ -36,6 +35,7 @@ from frontkit.front import (
 from frontkit.gallery import K_m_front, K_mn_cable_front
 from frontkit.moves import (
     _WINDOW_KINDS,
+    Move,
     MoveIndex,
     MoveScript,
     _rebuild,
@@ -350,6 +350,18 @@ def _reducing_sites():
     return out
 
 
+def _reducing_moves(events, width):
+    """The moves that never grow the word: ``enumerate_moves(d,
+    _WINDOW_KINDS)`` without the R2 expansions, where ``d`` has the word
+    ``events`` and its first slice has ``width`` strands."""
+    groups = _scan(events, width, 0, len(events), _WINDOW_KINDS, expand=False)
+    return [
+        Move(kind, idx, level, data)
+        for idx, group in enumerate(groups)
+        for level, kind, data in group
+    ]
+
+
 def test_reducing_moves_are_enumeration_without_expansions():
     for d in _reducing_sites():
         want = [
@@ -486,8 +498,7 @@ def test_reductions_carry_tb(seed):
     d = _search_sites(seed)
     tr = d.trace
     tbs = _tbs(d)
-    for m in _scan(d.events, len(d.left_ports), 0, len(d.events), _WINDOW_KINDS,
-                   expand=False):
+    for m in _reducing_moves(d.events, len(d.left_ports)):
         child = _rebuild(d, _splice(d.events, m))
         assert child.n_components == d.n_components, m
         want = list(tbs)
@@ -517,6 +528,21 @@ def test_search_bounds_must_be_ints_in_range(bounds):
 def test_negative_depth_certifies_nothing():
     with pytest.raises(ParameterOutOfRange):
         local_max_certificate(stabilize(trefoil(), 0, 1), -1)
+
+
+@pytest.mark.parametrize("cfg", [{"max_depth": 2}, None, "3", (3, 300)])
+def test_search_bounds_must_be_a_search_config(cfg):
+    with pytest.raises(ParameterOutOfRange, match=type(cfg).__name__):
+        bfs_max_tb(stabilize(trefoil(), 0, 1), cfg)
+    with pytest.raises(ParameterOutOfRange):
+        local_max_certificate(stabilize(trefoil(), 0, 1), cfg)
+
+
+@pytest.mark.parametrize("seed", [None, [1], "1", 1.5, True])
+def test_fuzz_seed_must_be_an_int(seed):
+    # A walk is repeated from its seed, so only an int seeds one.
+    with pytest.raises(ParameterOutOfRange, match="seed"):
+        fuzz_moves(trefoil(), seed, 3)
 
 
 @pytest.mark.parametrize("steps", [-3, "3", 2.5, True])

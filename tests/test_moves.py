@@ -40,9 +40,13 @@ from frontkit.moves import (
     _clean_sites,
     _cusp_pieces,
     _pull_off,
+    _regrouped,
+    _replacement,
+    _scan,
     _slide,
     _slide_setup,
     _split_word,
+    _width_at,
     apply_move,
     band_sites,
     cancel_pair,
@@ -562,6 +566,40 @@ def test_move_index_tracks_enumeration(kinds):
             _assert_index_is(index, kinds)
 
 
+def _regroup_sites(rng):
+    """A seeded random front or link, a step-3 strip, or two parallel
+    copies of a random knot, walked a few random steps."""
+    roll = rng.random()
+    if roll < 0.25:
+        d = gallery.stein_rep_max(*rng.choice(((-5, 2), (-6, 2), (-9, 3)))).diagram
+    elif roll < 0.4:
+        d = n_copy(random_knot(rng, rng.randint(4, 12)), 2)
+    else:
+        d = random_front(rng, rng.randint(2, 30))
+    return fuzz_moves(d, rng.randrange(2**32), rng.randint(0, 6)).final
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_regrouped_is_a_full_scan_of_the_child(seed, expand):
+    # The rescan-and-shift invariant of the module docstring: after any
+    # listed move, rescanning the windows around it and shifting the
+    # rest gives what a scan of the whole new word gives.
+    d = _regroup_sites(random.Random(seed))
+    events, width = d.events, len(d.left_ports)
+    groups = _scan(events, width, 0, len(events), _WINDOW_KINDS, expand)
+    for idx, group in enumerate(groups):
+        for level, kind, data in group:
+            m = Move(kind, idx, level, data)
+            old_len, new = _replacement(m)
+            child = events[:idx] + new + events[idx + old_len :]
+            site_width = _width_at(events, width, idx) if expand else None
+            got = _regrouped(
+                groups, child, idx, len(new) - old_len, _WINDOW_KINDS, site_width
+            )
+            assert got == _scan(child, width, 0, len(child), _WINDOW_KINDS, expand), m
+
+
 def test_move_index_lists_window_moves_only():
     for kinds in (("R3", "StabilizePlus"), ("PullOff",)):
         with pytest.raises(MoveError):
@@ -679,6 +717,33 @@ def test_malformed_moves_fail_typed(target, kind, index, level, data):
 def test_malformed_move_is_not_applicable(move):
     with pytest.raises(MoveNotApplicable):
         apply_move(trefoil(), move)
+
+
+def _apply_by_index(d, m):
+    return MoveIndex(d, _WINDOW_KINDS).apply(m)
+
+
+def _apply_by_script(d, m):
+    return MoveScript((m,)).replay(d)
+
+
+@pytest.mark.parametrize("apply", [apply_move, _apply_by_index, _apply_by_script])
+@pytest.mark.parametrize(
+    "move",
+    [
+        "R3",
+        "x",
+        None,
+        ("R3", 2, 1, ("up",)),
+        Move("R3", "a", 1),
+        Move("R3", 2, 1, None),
+        Move("R3", 2, 1.0, ("up",)),
+        Move(3, 2, 1),
+    ],
+)
+def test_a_value_that_is_not_a_well_formed_move_is_not_applicable(apply, move):
+    with pytest.raises(MoveNotApplicable, match="malformed move"):
+        apply(trefoil(), move)
 
 
 @pytest.mark.parametrize("index, level", [(99, -7), (0, 1), (1, 0)])
@@ -1191,40 +1256,41 @@ def test_search_traces_no_child(monkeypatch):
     knot = stabilize(stabilize(gallery.K_m_front(-1), 0, 1), 0, 1)
     link = stabilize(n_copy(trefoil(), 3), 2, -1)
     strip = stabilize(gallery.stein_rep_max(-5, 2).diagram, 1, -1)
-    traced, expanded, spliced = [], [], []
-    real_trace, real_reducing = _kernel.trace, explore._reducing_moves
-    real_splice = explore._splice
+    traced, expanded, built = [], [], []
+    real_trace, real_scan = _kernel.trace, explore._scan
+    real_regrouped, real_move = explore._regrouped, explore.Move
 
     def counting_trace(*args):
         traced.append(args)
         return real_trace(*args)
 
-    def counting_reducing(*args):
+    def counting_scan(*args, **kwargs):
         expanded.append(args)
-        return real_reducing(*args)
+        return real_scan(*args, **kwargs)
 
-    def counting_splice(word, m):
-        child = real_splice(word, m)
-        spliced.append((m.kind, child))
-        return child
+    def counting_regrouped(*args):
+        expanded.append(args)
+        return real_regrouped(*args)
+
+    def counting_move(*args):
+        built.append(real_move(*args))
+        return built[-1]
 
     monkeypatch.setattr(_kernel, "trace", counting_trace)
-    monkeypatch.setattr(explore, "_reducing_moves", counting_reducing)
-    monkeypatch.setattr(explore, "_splice", counting_splice)
+    monkeypatch.setattr(explore, "_scan", counting_scan)
+    monkeypatch.setattr(explore, "_regrouped", counting_regrouped)
+    monkeypatch.setattr(explore, "Move", counting_move)
     for d, several in ((knot, False), (link, True), (strip, True)):
         traced.clear()
         expanded.clear()
-        spliced.clear()
+        built.clear()
         try:
             res = explore.bfs_max_tb(d, SearchConfig(max_depth=4, budget=3000))
         except BudgetExhausted as exc:
             res = exc.partial
         assert res.witness.moves and res.nodes_expanded > len(expanded) > 1
-        # Each splice gives a child that is new unless a word seen before.
-        seen, destabilized = {d.events}, 0
-        for kind, child in spliced:
-            destabilized += kind == "Destabilize" and child not in seen
-            seen.add(child)
-        assert destabilized and len(seen) == res.nodes_expanded
+        # A move is built for each new child and for no other.
+        destabilized = sum(m.kind == "Destabilize" for m in built)
+        assert destabilized and len(built) + 1 == res.nodes_expanded
         replays = len(res.witness.moves)
         assert len(traced) == (destabilized if several else 0) + replays
