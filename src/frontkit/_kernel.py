@@ -38,10 +38,13 @@ The input is the word exactly as the package stores it: a sequence of
 translation.  ``BACKEND`` names the implementation for reports.
 
 :func:`window_summary` runs the same slice pass and closing count pass
-over a few events as an open tangle, on the band of rows that
-:func:`band` finds they touch, and reports what a closed word that holds
-them can see: the pairing of the boundary ends by the arcs, and per arc
-and per pair of arcs the counts :func:`trace` makes per component.
+over a few events as an open tangle, from the whole slice before them,
+and reports what a closed word that holds them can see: the pairing of
+the boundary ends by the arcs, and per arc and per pair of arcs the
+counts :func:`trace` makes per component.  A row the events do not touch
+is one straight arc, the same in two windows run from one slice, so
+their summaries differ only where the rows they touch do; an event that
+leaves the slice raises in the slice pass.
 
 ``slices(events, trace(events, ...))`` is the one slice model: the strand
 ids of every vertical slice, one tuple per word position, rebuilt on
@@ -294,48 +297,12 @@ def trace(events, n_initial=0, port_links=()):
     )
 
 
-def band(windows, width):
-    """The rows of a slice that some word of ``windows`` touches.
-
-    Every word runs from a slice of ``width`` strands.  Returns ``(skip,
-    n)``: the words leave the ``skip`` rows above the band and the rows
-    below it untouched and in order, so each word acts on rows ``skip +
-    1 .. skip + n`` alone, and :func:`window_summary` can run it over
-    those ``n`` strands.  Raises :class:`DiagramError` when an event
-    leaves the slice.
-    """
-    top, margin = width + 1, width
-    try:
-        for events in windows:
-            k = width
-            for kind, level in events:
-                # room: the untouched rows below the event.
-                if kind == LEFT_CUSP:
-                    room = k - level + 1
-                    k += 2
-                elif kind == RIGHT_CUSP or kind == CROSSING:
-                    room = k - level - 1
-                    if kind == RIGHT_CUSP:
-                        k -= 2
-                else:
-                    raise DiagramError(f"unknown event kind {kind!r}")
-                if level < top:
-                    top = level
-                if room < margin:
-                    margin = room
-    except (TypeError, ValueError) as exc:
-        raise DiagramError("malformed window") from exc
-    if top < 1 or margin < 0:
-        raise DiagramError("a window leaves the slice")
-    return top - 1, width - (top - 1) - margin
-
-
-def window_summary(events, skip, n_initial):
+def window_summary(events, n_initial):
     """What a closed word sees of the window ``events``: the word run as
-    an open tangle over the band of :func:`band`, rows ``skip + 1 ..
-    skip + n_initial``.
+    an open tangle from a slice of ``n_initial`` strands.
 
-    The slice pass of :func:`trace` runs over the band; each arc is then
+    The slice pass of :func:`trace` runs over the slice, raising
+    :class:`DiagramError` when an event leaves it; each arc is then
     walked from its first boundary end (the left ends ``0..n_initial-1``
     come first, then the right ends), which fixes its orientation, and
     the closing count pass of :func:`trace` counts over the arcs and any
@@ -345,16 +312,15 @@ def window_summary(events, skip, n_initial):
     sum of each pair of arcs, and the sorted (tb, |2 rotation|) of the
     closed loops.
 
-    Two windows with equal summaries over the same band of the same
-    slice make words whose components correspond, each with the same tb,
-    the same |rotation| and the same homology up to a common sign.
+    Two windows with equal summaries from the same slice make words
+    whose components correspond, each with the same tb, the same
+    |rotation| and the same homology up to a common sign.
     Outside the window the words are the same, so equal pairings join
     the arcs into the same components, and each arc keeps its direction
     relative to the rest of its component: a component can only reverse
     as a whole, which negates its rotation and homology and keeps its tb
     and every crossing sign.
     """
-    events = [(kind, level - skip) for kind, level in events]
     slice_ids, event_strands, right, n, _width = _slice_pass(events, n_initial)
     for pos, s in enumerate(slice_ids):
         right[s] = ~pos

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import ParameterOutOfRange
-from .front import FrontDiagram, rotation, thurston_bennequin
+from .front import FrontDiagram, _check_int, rotation, thurston_bennequin
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class GenusCertificate:
     genus: int
 
     def __post_init__(self):
-        if self.genus < 0:
-            raise ParameterOutOfRange(f"genus must be >= 0, got {self.genus}")
+        _check_int(0, genus=self.genus)
 
 
 CERTIFIED = "Certified"
@@ -111,6 +110,7 @@ def reducibility_report(m: int, n: int) -> SurgeryClaim:
     the (n-1)-times-stabilized representative, so the coefficient sits
     n-1 below the maximum -- a gap that grows without bound in n.
     """
+    _check_int(m=m, n=n)
     if n < 2:
         raise ParameterOutOfRange(f"need n >= 2, got {n}")
     if m > -4 * n + 3:

@@ -39,7 +39,7 @@ from .standard import (
     stein_check,
     tb_standard,
 )
-from .textio import parse, parse_script, print_script, print_text, render
+from .textio import _strip, parse, parse_script, print_script, print_text, render
 
 
 def _read(path: str) -> str:
@@ -47,12 +47,6 @@ def _read(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _strip(obj):
-    """The diagram of a parsed document: a handlebody's strip, or the
-    front or strip itself."""
-    return obj.diagram if isinstance(obj, SteinHandlebody) else obj
 
 
 def _emit_invariants(obj, out) -> None:

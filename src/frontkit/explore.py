@@ -12,7 +12,8 @@ index-free groups of :func:`frontkit.moves._scan`, and a node gets its
 groups from its parent's when it is expanded: the five windows around
 the rewrite that made it are rescanned and the rest shifted, as a
 :class:`frontkit.moves.MoveIndex` does along a walk.  A child is the
-parent's word with the cached rewrite of a triple spliced in, and a
+parent's word with the memoised rewrite of a triple
+(:func:`frontkit.moves._rewrite`) spliced in, and a
 :class:`frontkit.moves.Move` is built only for a child not seen before.
 
 Every Reidemeister move and far commutation keeps the tb of each
@@ -31,9 +32,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import BudgetExhausted, DiagramError, MoveError, ParameterOutOfRange
-from .front import _is_int, _require_diagram, rotation, thurston_bennequin
+from .front import _check_int, _require_diagram, rotation, thurston_bennequin
 from .moves import (
-    _REWRITES,
     _WINDOW_KINDS,
     Move,
     MoveIndex,
@@ -46,16 +46,6 @@ from .moves import (
 from .standard import homology_vector
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ParameterOutOfRange unless ``value`` is an int (not a bool)
-    of at least ``least``."""
-    if not _is_int(value) or value < least:
-        rule = "positive" if least == 1 else "non-negative"
-        raise ParameterOutOfRange(
-            f"{name} must be {rule} (an int >= {least}), got {value!r}"
-        )
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Bounds of the breadth-first search: ``max_depth`` is an int >= 0,
@@ -65,8 +55,8 @@ class SearchConfig:
     budget: int = 10_000
 
     def __post_init__(self):
-        _check_count("max_depth", self.max_depth, 0)
-        _check_count("budget", self.budget, 1)
+        _check_int(0, max_depth=self.max_depth)
+        _check_int(1, budget=self.budget)
 
 
 @dataclass(frozen=True)
@@ -139,9 +129,7 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         nxt: List[tuple] = []
         for word, tb, path, parent, site, shift in frontier:
             if parent is None:
-                groups = _scan(
-                    word, len(d.left_ports), 0, len(word), _WINDOW_KINDS, expand=False
-                )
+                groups = _scan(word, None, 0, len(word), _WINDOW_KINDS)
             else:
                 groups = _regrouped(parent, word, site, shift, _WINDOW_KINDS)
             for idx, group in enumerate(groups):
@@ -154,7 +142,7 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                             f"node budget {budget} exhausted",
                             _witnessed(d, best_tb, best_path, nodes, exhausted=True),
                         )
-                    old_len, new = _REWRITES.get(triple) or _rewrite(triple)
+                    old_len, new = _rewrite(triple)
                     child = head + new + word[idx + old_len :]
                     # ``seen`` holds the ``nodes`` words found so far, so
                     # one hash of the child tells whether it is new.
@@ -244,11 +232,9 @@ def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
     is traced once, at the end.
     """
     _require_diagram(d)
-    if not _is_int(seed):
-        raise ParameterOutOfRange(
-            f"seed must be an int, so that the walk can be repeated, got {seed!r}"
-        )
-    _check_count("steps", steps, 0)
+    # An int seed, so that the walk can be repeated.
+    _check_int(seed=seed)
+    _check_int(0, steps=steps)
     rng = random.Random(seed)
     want = _fingerprint(d)
     violations: List[str] = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import _kernel
-from .errors import DiagramError, NotAKnot
+from .errors import DiagramError, NotAKnot, ParameterOutOfRange
 
 
 class Event(NamedTuple):
@@ -150,6 +150,8 @@ def _require_front(d) -> None:
 
 
 def _component_arg(d: _Diagram, c: Optional[int]) -> int:
+    """Component ``c`` of ``d``, or its one component when ``c`` is None;
+    DiagramError unless ``c`` is an int (a bool too) naming one."""
     _require_diagram(d)
     if c is None:
         if d.n_components != 1:
@@ -157,6 +159,8 @@ def _component_arg(d: _Diagram, c: Optional[int]) -> int:
                 f"diagram has {d.n_components} components; pass an explicit one"
             )
         return 0
+    if not isinstance(c, int):
+        raise DiagramError(f"component {c!r} is not an int")
     if not 0 <= c < d.n_components:
         raise DiagramError(f"no component {c} in a {d.n_components}-component diagram")
     return c
@@ -165,6 +169,21 @@ def _component_arg(d: _Diagram, c: Optional[int]) -> int:
 def _is_int(x) -> bool:
     """Whether ``x`` is an int and not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_int(least: Optional[int] = None, /, **values) -> None:
+    """The one check of integer parameters: ParameterOutOfRange unless
+    each named value is an int (not a bool) of at least ``least``, if
+    given."""
+    for name, value in values.items():
+        if _is_int(value) and (least is None or value >= least):
+            continue
+        if least is None:
+            raise ParameterOutOfRange(f"{name} must be an int, got {value!r}")
+        rule = "positive" if least == 1 else "non-negative"
+        raise ParameterOutOfRange(
+            f"{name} must be {rule} (an int >= {least}), got {value!r}"
+        )
 
 
 def _is_site(site) -> bool:

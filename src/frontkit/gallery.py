@@ -19,6 +19,7 @@ from .front import (
     L,
     R,
     X,
+    _check_int,
     classical_invariants,
     thurston_bennequin,
     trefoil,
@@ -61,6 +62,7 @@ def K_m_front(m: int) -> FrontDiagram:
     cusp pair, and the clasp crossing count is balanced so the whole
     front recomputes to tb = -1.
     """
+    _check_int(m=m)
     if m > -1:
         raise ParameterOutOfRange(f"K_m needs m <= -1, got {m}")
     kappa = 2 * (1 - m)  # left-handed half twists in the box
@@ -85,6 +87,7 @@ def K_m_front(m: int) -> FrontDiagram:
 
 def K_mn_cable_front(m: int, n: int) -> FrontDiagram:
     """The (n,-1)-cable of K_m_front(m); recomputes to tb = -2n+1."""
+    _check_int(n=n)
     if n < 2:
         raise ParameterOutOfRange(f"cable needs n >= 2, got {n}")
     d = cable(K_m_front(m), n, -1)
@@ -116,6 +119,7 @@ def Z_m_handlebody(m: int) -> SteinHandlebody:
     This is framed data only -- the framing is whatever ``m`` says, with
     no contact condition imposed or checked.
     """
+    _check_int(m=m)
     word: List[Event] = [L(2)]
     if m <= 0:
         word += [X(1)] * (2 * -m)
@@ -197,6 +201,7 @@ def stein_rep_max(m: int, n: int) -> SteinHandlebody:
     builder raises.  The candidate component has tb_standard = -1 and
     zero homology vector.
     """
+    _check_int(m=m, n=n)
     h = _stein_rep(m, n, finger_crossings=4 * n - 5, candidate_zigzags=0)
     cand = candidate_component(h)
     _require(tb_standard(h.diagram, cand) == -1, "candidate tb drifted")
@@ -206,6 +211,7 @@ def stein_rep_max(m: int, n: int) -> SteinHandlebody:
 def stein_rep_variant(m: int, n: int) -> SteinHandlebody:
     """The fallback representative with candidate tb_standard = -n+1,
     valid on the wider range m <= -2n-1."""
+    _check_int(m=m, n=n)
     h = _stein_rep(m, n, finger_crossings=2 * n - 1, candidate_zigzags=n - 2)
     cand = candidate_component(h)
     _require(tb_standard(h.diagram, cand) == -n + 1, "candidate tb drifted")

@@ -25,10 +25,12 @@ the patterns above, carries the slice width for the R2 expansions, and
 decides far-commutation in closed form (:func:`_slide`).  It lists the
 moves of each window index as one sorted group of ``(level, kind,
 data)`` triples, which do not name the index.  :func:`enumerate_moves`
-runs it over the whole word and turns the groups into moves;
-:func:`apply_move` runs it at the one index it is given, so a move
-applies exactly when enumeration lists it.  Stabilization sites are
-every (position, level) of the word.
+runs it over the whole word and turns the groups into moves.
+:func:`_match` picks the triple a move names out of the group of its
+window, which :func:`apply_move` scans and a :class:`MoveIndex` holds,
+so a move applies exactly when enumeration lists it; :func:`_rewrite`
+is the one table from a triple to its window length and new events.
+Stabilization sites are every (position, level) of the word.
 
 A word rewritten by one move gets its groups from the groups of the
 word before it (:func:`_regrouped`).  A move at ``idx`` rewrites at most
@@ -43,12 +45,13 @@ enumerating every step, and the search (:func:`frontkit.explore.bfs_max_tb`)
 derives each child's groups from its parent's.
 
 The index checks each step on the window it rewrote: outside the window
-the word is the same, so when the old and the new window have equal
-:func:`frontkit._kernel.window_summary` over the band of rows they
-touch, every component keeps its tb, its |rotation| and its homology up
-to sign, and the new word is valid.  Only a step the window does not
-prove is rebuilt and traced at once; otherwise the diagram is built
-when it is asked for.
+the word is the same, so when the old and the new window, each run from
+the whole slice before it, have equal
+:func:`frontkit._kernel.window_summary`, every component keeps its tb,
+its |rotation| and its homology up to sign, and the new word is valid.
+Only a step the window does not prove is rebuilt and traced at once
+(a new window that leaves the slice is such a step); otherwise the
+diagram is built when it is asked for.
 
 Handle moves (slide, cancellation, finger pull-off) operate on
 standard-form diagrams and live in the second half of this module.
@@ -66,9 +69,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from . import _kernel
 from .errors import (
@@ -195,21 +199,23 @@ def _slide(k1: str, i: int, k2: str, j: int) -> Optional[Tuple[str, int, str, in
     return None
 
 
-def _scan(events, width: int, lo: int, hi: int, kinds,
-          expand: bool = True) -> List[List[Tuple]]:
+def _scan(events, width: Optional[int], lo: int, hi: int,
+          kinds) -> List[List[Tuple]]:
     """Word moves of ``kinds`` at window indices lo..hi-1, one sorted
     list of ``(level, kind, data)`` triples per window.
 
     One left-to-right pass over the ``(kind, level)`` pairs, matching
     the windows of the module docstring by comparing levels; ``width``
     is the slice width before ``events[lo]`` and is carried along (only
-    R2 expansions read it).  ``expand=False`` leaves the R2 expansions
-    out.  Stabilizations are not matched here.
+    R2 expansions read it).  With ``width`` None the R2 expansions are
+    left out.  Stabilizations are not matched here.
     """
     r1a, r1b = "R1a" in kinds, "R1b" in kinds
     r2a, r2b, r3 = "R2a" in kinds, "R2b" in kinds, "R3" in kinds
     slide, destab = "Slide" in kinds, "Destabilize" in kinds
+    expand = width is not None
     r2a_expand, r2b_expand = r2a and expand, r2b and expand
+    width = width or 0  # carried, but read only by the expansions
     groups: List[List[Tuple]] = []
     tail = events[lo : hi + 2] + ((None, 0), (None, 0))
     for (k, l), (k2, l2), (k3, l3) in zip(tail[: hi - lo], tail[1:], tail[2:]):
@@ -279,9 +285,9 @@ def _regrouped(groups, events, idx: int, shift: int, kinds,
     """
     lo = max(idx - 2, 0)
     hi = min(idx + 3, len(groups))
-    expand = width is not None
-    width_lo = width - sum(_DELTA[kind] for kind, _ in events[lo:idx]) if expand else 0
-    rescanned = _scan(events, width_lo, lo, hi + shift, kinds, expand)
+    if width is not None:
+        width -= sum(_DELTA[kind] for kind, _ in events[lo:idx])
+    rescanned = _scan(events, width, lo, hi + shift, kinds)
     return groups[:lo] + rescanned + groups[hi:]
 
 
@@ -333,66 +339,46 @@ def enumerate_moves(d: _Diagram, kinds: Optional[Sequence[str]] = None) -> List[
     ]
 
 
-def _replacement(m: Move) -> Tuple[int, Tuple[Event, ...]]:
-    """Window length and new events of a window move."""
-    i = m.level
-    if m.kind in ("R1a", "R1b"):
+@lru_cache(maxsize=None)
+def _rewrite(triple: Tuple) -> Tuple[int, Tuple[Event, ...]]:
+    """The window length and new events of the window move that the
+    ``(level, kind, data)`` triple names, at any index; memoised for
+    every caller, since the keys are bounded by the levels in use."""
+    i, kind, data = triple
+    if kind in ("R1a", "R1b"):
         return 3, ()
-    if m.kind == "Destabilize":
+    if kind == "Destabilize":
         return 2, ()
-    if m.kind == "R3":
-        if m.data == ("up",):
+    if kind == "R3":
+        if data == ("up",):
             return 3, (X(i + 1), X(i), X(i + 1))
         return 3, (X(i), X(i + 1), X(i))
-    if m.kind == "Slide":
-        k2, j2, k1, j1 = m.data
+    if kind == "Slide":
+        k2, j2, k1, j1 = data
         return 2, (Event(k2, j2), Event(k1, j1))
-    lhs, rhs = _R2_CONTRACTIONS[(m.kind, m.data[1])]
-    return (3, rhs(i)) if m.data[0] == "contract" else (1, lhs(i))
+    lhs, rhs = _R2_CONTRACTIONS[(kind, data[1])]
+    return (3, rhs(i)) if data[0] == "contract" else (1, lhs(i))
 
 
-# The (old_len, new events) of each (level, kind, data) triple the search
-# has rewritten, at any index.  A value depends on its key alone, so every
-# search shares it, and the keys are bounded by the levels in use.
-_REWRITES: Dict[Tuple, Tuple[int, Tuple[Event, ...]]] = {}
+def _window_index(m: Move, n: int) -> int:
+    """The window index of ``m`` in a word of ``n`` events, or
+    MoveNotApplicable when it is out of range."""
+    if not 0 <= m.index < n:
+        raise MoveNotApplicable(f"{m.kind} index {m.index} out of range 0..{n - 1}")
+    return m.index
 
 
-def _rewrite(triple: Tuple) -> Tuple[int, Tuple[Event, ...]]:
-    """:func:`_replacement` of the window move that the ``(level, kind,
-    data)`` triple names, kept in ``_REWRITES``."""
-    level, kind, data = triple
-    _REWRITES[triple] = out = _replacement(Move(kind, 0, level, data))
-    return out
-
-
-def _splice(events: Tuple[Event, ...], m: Move) -> Tuple[Event, ...]:
-    """``events`` rewritten by ``m``, a move :func:`_scan` found in them."""
-    old_len, new = _replacement(m)
-    return events[: m.index] + new + events[m.index + old_len :]
-
-
-def _found(events, width: int, m: Move) -> Move:
-    """The move that :func:`_scan` finds at the site of the pattern move
-    ``m`` in a word that starts on ``width`` strands.
-
-    ``m`` is checked by the same scan that :func:`enumerate_moves` runs,
-    at its one window index.  Empty ``data`` is accepted wherever the
-    site alone determines the rewrite (every kind but R2, whose data
-    picks the direction); the move found carries the full data.
-    """
-    idx = m.index
-    if not 0 <= idx < len(events):
-        raise MoveNotApplicable(
-            f"{m.kind} index {idx} out of range 0..{len(events) - 1}"
-        )
-    # Only R2 expansions read the width.
-    if m.data[:1] == ("expand",):
-        width = _width_at(events, width, idx)
-    for level, kind, data in _scan(events, width, idx, idx + 1, (m.kind,))[0]:
-        if level == m.level and (
+def _match(group: List[Tuple], m: Move) -> Tuple:
+    """The triple that the pattern move ``m`` names in ``group``, the
+    :func:`_scan` group of its window, or MoveNotApplicable.  Empty
+    ``data`` is accepted wherever the site alone determines the rewrite
+    (every kind but R2, whose data picks the direction)."""
+    for triple in group:
+        level, kind, data = triple
+        if kind == m.kind and level == m.level and (
             m.data == data or not m.data and kind not in ("R2a", "R2b")
         ):
-            return Move(kind, idx, level, data)
+            return triple
     raise MoveNotApplicable(f"no {m} site")
 
 
@@ -457,7 +443,11 @@ def apply_move(d, m: Move):
         sign = 1 if m.kind == "StabilizePlus" else -1
         slices = _kernel.slices(d.events, d.trace)
         return _stabilize_at(d, slices, m.index, m.level, sign)
-    return _rebuild(d, _splice(d.events, _found(d.events, len(d.left_ports), m)))
+    events = d.events
+    idx = _window_index(m, len(events))
+    width = _width_at(events, len(d.left_ports), idx)
+    old_len, new = _rewrite(_match(_scan(events, width, idx, idx + 1, (m.kind,))[0], m))
+    return _rebuild(d, events[:idx] + new + events[idx + old_len :])
 
 
 class MoveIndex(Sequence):
@@ -469,9 +459,10 @@ class MoveIndex(Sequence):
     only shift.  ``len(index)`` and ``index[k]`` give the k-th move of
     the sorted list: ``rng.choice(index)`` draws exactly the move that
     ``rng.choice(enumerate_moves(d, kinds))`` draws.  :meth:`apply`
-    splices the move into the held word, checks the rewritten window
-    (see the module docstring) and rescans the windows the move can
-    have changed.  ``index.diagram`` is the current word's diagram,
+    finds the move in the group it holds for its window, splices the
+    rewrite into the held word, checks the rewritten window (see the
+    module docstring) and rescans the windows the move can have
+    changed.  ``index.diagram`` is the current word's diagram,
     built and traced on first use.  Only window moves can be listed: a
     stabilization is a site, not a window, and a handle move rewrites
     more than the word.
@@ -525,16 +516,14 @@ class MoveIndex(Sequence):
         if m.kind not in self._kinds:
             raise MoveNotApplicable(f"{m.kind} is not a kind this index lists")
         events = self._events
-        width = len(self._start.left_ports)
-        found = _found(events, width, m)
-        idx = found.index
-        old_len, new = _replacement(found)
+        idx = _window_index(m, len(events))
+        old_len, new = _rewrite(_match(self._groups[idx], m))
         new_events = events[:idx] + new + events[idx + old_len :]
-        width_idx = _width_at(events, width, idx)
-        proven = _same_window(events[idx : idx + old_len], new, width_idx)
+        width = _width_at(events, len(self._start.left_ports), idx)
+        proven = _same_window(events[idx : idx + old_len], new, width)
         diagram = None if proven else _rebuild(self._start, new_events)
         self._groups = _regrouped(
-            self._groups, new_events, idx, len(new) - old_len, self._kinds, width_idx
+            self._groups, new_events, idx, len(new) - old_len, self._kinds, width
         )
         self._ends = list(accumulate(map(len, self._groups)))
         self._events = new_events
@@ -546,13 +535,10 @@ def _same_window(old, new, width: int) -> bool:
     """Whether putting the window ``new`` in place of ``old``, both run
     from a slice of ``width`` strands, provably keeps the components and,
     for each, its tb, |rotation| and homology up to sign: whether the two
-    windows have equal :func:`_kernel.window_summary` over one band.
-    False when they differ or ``new`` leaves the slice."""
+    windows have equal :func:`_kernel.window_summary` over the whole
+    slice.  False when they differ or ``new`` leaves the slice."""
     try:
-        skip, n = _kernel.band((old, new), width)
-        return (
-            _kernel.window_summary(old, skip, n) == _kernel.window_summary(new, skip, n)
-        )
+        return _kernel.window_summary(old, width) == _kernel.window_summary(new, width)
     except DiagramError:
         return False
 

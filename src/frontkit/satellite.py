@@ -36,6 +36,7 @@ from .front import (
     L,
     R,
     X,
+    _check_int,
     _Diagram,
     _is_site,
     _require_front,
@@ -55,8 +56,10 @@ class BraidWord:
     letters: Tuple[int, ...] = ()
 
     def __post_init__(self):
+        _check_int(strands=self.strands)
         object.__setattr__(self, "letters", tuple(self.letters))
         for w in self.letters:
+            _check_int(letter=w)
             if not 1 <= abs(w) < self.strands:
                 raise DiagramError(
                     f"braid letter {w} out of range for {self.strands} strands"
@@ -84,6 +87,7 @@ class TwistBox:
 
 def twist_box_expand(box: TwistBox) -> BraidWord:
     """The uniform-sign braid word (sigma_1 ... sigma_{n-1})^amount."""
+    _check_int(strands=box.strands, amount=box.amount)
     n = box.strands
     if box.amount >= 0:
         block = tuple(range(1, n))
@@ -148,8 +152,7 @@ def cable_expand(
     must be widened by whole components: a cusp or port joining a wide
     strand to a narrow one is a structural error.
     """
-    if n < 1:
-        raise ParameterOutOfRange(f"copy count {n} must be at least 1")
+    _check_int(1, copies=n)
     word, tr = d.events, d.trace
     slices = _kernel.slices(word, tr)
     if wide is None:
@@ -286,6 +289,8 @@ def insert_braid(
     braid acts on; by default the rightmost such slice is used.
     """
     _require_front(d)
+    if not isinstance(braid, BraidWord):
+        raise ParameterOutOfRange(f"braid {braid!r} is not a BraidWord")
     if site is None:
         index, top = default_braid_site(d, braid.strands)
     elif not _is_site(site):
@@ -312,6 +317,7 @@ def cable(d: FrontDiagram, n: int, q: int) -> FrontDiagram:
     recomputed rather than asserted.
     """
     _require_knot(d)
+    _check_int(n=n, q=q)
     tb = thurston_bennequin(d)
     t = q - n * tb
     if n == 1:

@@ -107,6 +107,8 @@ class StandardFormDiagram(_Diagram):
     # -- validation -----------------------------------------------------
 
     def _run_trace(self):
+        if not all(isinstance(h, OneHandle) for h in self.handles):
+            raise PortMismatch(f"handles {self.handles!r} are not all OneHandles")
         ids = {h.id for h in self.handles}
         if len(ids) != len(self.handles):
             raise PortMismatch("duplicate handle ids")
@@ -114,7 +116,11 @@ class StandardFormDiagram(_Diagram):
         for side_name, side in (("left", self.left_ports), ("right", self.right_ports)):
             seen = set()
             for p in side:
-                if p not in declared:
+                try:
+                    undeclared = p not in declared
+                except TypeError:  # unhashable, so no (handle id, slot) pair
+                    undeclared = True
+                if undeclared:
                     raise PortMismatch(f"{side_name} port {p!r} not declared")
                 if p in seen:
                     raise PortMismatch(f"{side_name} port {p!r} used twice")
@@ -241,13 +247,17 @@ class SteinHandlebody:
         diagram: StandardFormDiagram,
         attachments: Sequence[TwoHandleAttachment],
     ):
+        if not isinstance(diagram, StandardFormDiagram):
+            raise DiagramError(f"expected a strip, got a {type(diagram).__name__}")
+        if not isinstance(attachments, Sequence):
+            raise DiagramError(f"attachments {attachments!r} are not a sequence")
         for a in attachments:
             if not isinstance(a, TwoHandleAttachment):
                 raise DiagramError(f"{a!r} is not a TwoHandleAttachment")
-            # bool is accepted, as everywhere a constructor takes an int.
-            if not isinstance(a.component, int):
+            # A bool is accepted, as front._component_arg accepts one.
+            if not (isinstance(a.component, int) and isinstance(a.framing, int)):
                 raise DiagramError(
-                    f"attachment component {a.component!r} is not an int"
+                    f"{a!r} has a component or framing that is not an int"
                 )
             if not 0 <= a.component < diagram.n_components:
                 raise DiagramError(f"attachment on missing component {a.component}")

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from .errors import DiagramError, FormatError, ParameterOutOfRange
-from .front import Event, FrontDiagram
+from .front import Event, FrontDiagram, _Diagram, _require_diagram
 from .standard import (
     _HANDLE_ID,
     OneHandle,
@@ -44,7 +44,10 @@ _ATTACH_RE = re.compile(r"^attach\s+(-?[0-9]+)\s+framing\s+(-?[0-9]+)$")
 
 
 def _significant_lines(text: str) -> List[Tuple[int, str]]:
-    """(1-based line number, stripped content) with comments removed."""
+    """(1-based line number, stripped content) with comments removed.
+    FormatError when ``text`` is not a str."""
+    if not isinstance(text, str):
+        _fail(f"expected text (a str), got {type(text).__name__}", 1)
     out = []
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -138,16 +141,23 @@ def _parse_standard(lines: List[Tuple[int, str]]) -> Document:
     return d
 
 
+def _strip(obj: Document) -> _Diagram:
+    """The diagram of a document: a handlebody's strip, or the front or
+    strip itself.  DiagramError for anything else."""
+    if isinstance(obj, SteinHandlebody):
+        return obj.diagram
+    _require_diagram(obj)
+    return obj
+
+
 def print_text(obj: Document) -> str:
     """The canonical document: parse(print_text(x)) reproduces x."""
+    d = _strip(obj)
     if isinstance(obj, FrontDiagram):
         lines = ["front"]
         lines += [f"{e.kind}{e.level:d}" for e in obj.events]
         return "\n".join(lines) + "\n"
-    attachments: Sequence[TwoHandleAttachment] = ()
-    d = obj
-    if isinstance(obj, SteinHandlebody):
-        d, attachments = obj.diagram, obj.attachments
+    attachments = obj.attachments if isinstance(obj, SteinHandlebody) else ()
     lines = ["standard"]
     lines += [f"handle {h.id} {h.slots:d}" for h in d.handles]
     lines += [f"P{hid}.{slot:d}" for hid, slot in d.left_ports]
@@ -233,7 +243,7 @@ def _render_ascii(obj: Document) -> str:
     crossing marks rows ``i - 1`` and ``i`` of ``k``.  Rows are the
     columns transposed, right-stripped.
     """
-    d = obj.diagram if isinstance(obj, SteinHandlebody) else obj
+    d = _strip(obj)
     k = len(d.trace.initial_strands)
     cols = []
     for kind, i in d.events:
@@ -261,7 +271,7 @@ def _render_ascii(obj: Document) -> str:
 
 
 def _port_legend(obj: Document) -> str:
-    d = obj.diagram if isinstance(obj, SteinHandlebody) else obj
+    d = _strip(obj)
     lines = [f"[{h.id}] {h.slots} slots" for h in d.handles]
     lines.append("left:  " + " ".join(f"{h}.{s}" for h, s in d.left_ports))
     lines.append("right: " + " ".join(f"{h}.{s}" for h, s in d.right_ports))
@@ -288,7 +298,7 @@ def _render_svg(obj: Document) -> str:
     runs of every strand on rows ``i - 1`` and below, which it moves or
     ends.  Each run is written with one join over the slice x strings.
     """
-    d = obj.diagram if isinstance(obj, SteinHandlebody) else obj
+    d = _strip(obj)
     tr = d.trace
     n_slices = len(d.events) + 1
     xs = [str(_SVG_STEP * (t + 1)) for t in range(n_slices)]

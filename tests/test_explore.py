@@ -40,7 +40,6 @@ from frontkit.moves import (
     MoveScript,
     _rebuild,
     _scan,
-    _splice,
     apply_move,
     enumerate_moves,
     stabilize,
@@ -225,14 +224,16 @@ def _criterion_9_fronts():
 
 def _wrong_replacement(monkeypatch, kind, rewrite):
     """Make every move ``m`` of ``kind`` splice ``rewrite(m, new)`` in
-    place of its right new events ``new``."""
-    right = moves._replacement
+    place of its right new events ``new``, by patching the one rewrite
+    of a window move."""
+    right = moves._rewrite
 
-    def replacement(m):
-        old_len, new = right(m)
-        return old_len, rewrite(m, new) if m.kind == kind else new
+    def wrong(triple):
+        old_len, new = right(triple)
+        level, k, data = triple
+        return old_len, rewrite(Move(k, 0, level, data), new) if k == kind else new
 
-    monkeypatch.setattr(moves, "_replacement", replacement)
+    monkeypatch.setattr(moves, "_rewrite", wrong)
 
 
 def _expansion(variant, extra):
@@ -350,11 +351,17 @@ def _reducing_sites():
     return out
 
 
-def _reducing_moves(events, width):
+def _splice(events, m):
+    """``events`` rewritten by ``m``, a window move the scan lists."""
+    old_len, new = moves._rewrite((m.level, m.kind, m.data))
+    return events[: m.index] + new + events[m.index + old_len :]
+
+
+def _reducing_moves(events):
     """The moves that never grow the word: ``enumerate_moves(d,
     _WINDOW_KINDS)`` without the R2 expansions, where ``d`` has the word
-    ``events`` and its first slice has ``width`` strands."""
-    groups = _scan(events, width, 0, len(events), _WINDOW_KINDS, expand=False)
+    ``events``."""
+    groups = _scan(events, None, 0, len(events), _WINDOW_KINDS)
     return [
         Move(kind, idx, level, data)
         for idx, group in enumerate(groups)
@@ -368,7 +375,7 @@ def test_reducing_moves_are_enumeration_without_expansions():
             m for m in enumerate_moves(d, _WINDOW_KINDS)
             if not (m.kind in ("R2a", "R2b") and m.data[0] == "expand")
         ]
-        assert _reducing_moves(d.events, len(d.left_ports)) == want, d
+        assert _reducing_moves(d.events) == want, d
 
 
 def _search_outcome(d, depth, budget):
@@ -402,7 +409,7 @@ def _reference_bfs(d, cfg):
     for _depth in range(cfg.max_depth):
         nxt = []
         for node, path in frontier:
-            for m in _reducing_moves(node.events, len(node.left_ports)):
+            for m in _reducing_moves(node.events):
                 if nodes >= cfg.budget:
                     raise BudgetExhausted(
                         f"node budget {cfg.budget} exhausted",
@@ -498,7 +505,7 @@ def test_reductions_carry_tb(seed):
     d = _search_sites(seed)
     tr = d.trace
     tbs = _tbs(d)
-    for m in _reducing_moves(d.events, len(d.left_ports)):
+    for m in _reducing_moves(d.events):
         child = _rebuild(d, _splice(d.events, m))
         assert child.n_components == d.n_components, m
         want = list(tbs)

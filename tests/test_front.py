@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_front, random_knot
-from frontkit.errors import DiagramError, NotAKnot
+from frontkit import certify, gallery, satellite, standard, textio
+from frontkit.errors import (
+    DiagramError,
+    FormatError,
+    NotAKnot,
+    ParameterOutOfRange,
+    PortMismatch,
+)
 from frontkit.front import (
     Event,
     FrontDiagram,
@@ -139,3 +146,115 @@ def test_malformed_word_is_a_diagram_error(build, index):
     with pytest.raises(DiagramError) as err:
         build()
     assert err.value.index == index
+
+
+
+def _strip():
+    return gallery.stein_rep_max(-5, 2).diagram
+
+
+_FAMILY = ParameterOutOfRange
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        # A component or a document of the wrong type.
+        pytest.param(lambda: rotation(trefoil(), 0.0), DiagramError, id="rotation"),
+        pytest.param(
+            lambda: linking_number(satellite.n_copy(trefoil(), 2), "a", 1),
+            DiagramError,
+            id="linking_number",
+        ),
+        pytest.param(
+            lambda: standard.closure_to_sphere(_strip(), "a"),
+            DiagramError,
+            id="closure_to_sphere",
+        ),
+        pytest.param(
+            lambda: standard.geometric_passes(_strip(), "a", "H"),
+            DiagramError,
+            id="geometric_passes",
+        ),
+        pytest.param(
+            lambda: certify.certify_tb_max(
+                trefoil(), "a", certify.GenusCertificate("a", 1)
+            ),
+            DiagramError,
+            id="certify_tb_max",
+        ),
+        pytest.param(lambda: textio.parse(123), FormatError, id="parse"),
+        pytest.param(lambda: textio.parse_script(5), FormatError, id="parse_script"),
+        pytest.param(lambda: textio.print_text("front"), DiagramError, id="print_text"),
+        pytest.param(lambda: textio.render("front"), DiagramError, id="render"),
+        pytest.param(
+            lambda: standard.SteinHandlebody("x", []), DiagramError, id="handlebody-str"
+        ),
+        pytest.param(
+            lambda: standard.SteinHandlebody(trefoil(), []),
+            DiagramError,
+            id="handlebody-front",
+        ),
+        pytest.param(
+            lambda: standard.SteinHandlebody(_strip(), None),
+            DiagramError,
+            id="handlebody-None",
+        ),
+        pytest.param(
+            lambda: standard.SteinHandlebody(
+                _strip(), [standard.TwoHandleAttachment(0, "x")]
+            ),
+            DiagramError,
+            id="attachment-framing",
+        ),
+        pytest.param(
+            lambda: standard.StandardFormDiagram(["H"], [], [], []),
+            PortMismatch,
+            id="handle-str",
+        ),
+        pytest.param(
+            lambda: standard.StandardFormDiagram(
+                [standard.OneHandle("H", 1)], [["H", 1]], [L(1), R(1)], [["H", 1]]
+            ),
+            PortMismatch,
+            id="port-unhashable",
+        ),
+        # An integer family parameter of the wrong type.
+        pytest.param(lambda: gallery.K_m_front("a"), _FAMILY, id="K_m_front"),
+        pytest.param(
+            lambda: gallery.K_mn_cable_front(-1, 2.0), _FAMILY, id="K_mn_cable_front"
+        ),
+        pytest.param(lambda: gallery.Z_m_handlebody("a"), _FAMILY, id="Z_m_handlebody"),
+        pytest.param(
+            lambda: gallery.stein_rep_max(-5, "a"), _FAMILY, id="stein_rep_max"
+        ),
+        pytest.param(
+            lambda: gallery.stein_rep_variant("a", 2), _FAMILY, id="stein_rep_variant"
+        ),
+        pytest.param(
+            lambda: gallery.step3_pipeline(-5.0, 2), _FAMILY, id="step3_pipeline"
+        ),
+        pytest.param(lambda: satellite.n_copy(trefoil(), 1.5), _FAMILY, id="n_copy"),
+        pytest.param(lambda: satellite.cable(trefoil(), 2, "x"), _FAMILY, id="cable"),
+        pytest.param(lambda: satellite.BraidWord(2, ("a",)), _FAMILY, id="BraidWord"),
+        pytest.param(
+            lambda: satellite.twist_box_expand(satellite.TwistBox(2, "x")),
+            _FAMILY,
+            id="twist_box_expand",
+        ),
+        pytest.param(
+            lambda: satellite.insert_braid(trefoil(), "x"), _FAMILY, id="insert_braid"
+        ),
+        pytest.param(
+            lambda: certify.GenusCertificate(0, "1"), _FAMILY, id="GenusCertificate"
+        ),
+        pytest.param(
+            lambda: certify.reducibility_report("a", 2),
+            _FAMILY,
+            id="reducibility_report",
+        ),
+    ],
+)
+def test_a_value_of_the_wrong_type_raises_a_typed_error(call, error):
+    with pytest.raises(error):
+        call()

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module,
-every module-level private name is used somewhere in the package, and
-every module parses as the oldest Python that ``pyproject.toml`` admits.
+every module-level private name is used somewhere in the package, every
+module parses as the oldest Python that ``pyproject.toml`` admits, and
+no docstring or README reference names something that is gone.
 
 No linter ships with the package, so this walks the syntax trees with
 the standard library.  ``__init__.py`` files are exempt from the import
@@ -8,14 +9,18 @@ check: their imports are re-exports.
 """
 
 import ast
+import builtins
+import importlib
 import pathlib
 import re
+import types
 from collections import Counter
 
 import frontkit
 
 PACKAGE = pathlib.Path(frontkit.__file__).parent
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 
 def _unused_imports(source: str):
@@ -140,3 +145,97 @@ def test_package_parses_at_the_declared_floor():
         if err:
             found.append(f"{path.relative_to(PACKAGE)}:{err}")
     assert not found, f"syntax newer than Python {floor}:\n" + "\n".join(found)
+
+
+_ROLE_REF = re.compile(r":(?:func|class|meth):`~?([\w.]+)`")
+
+
+def _resolves(name: str, scopes) -> bool:
+    """Whether the dotted ``name`` is an attribute chain from one of
+    ``scopes`` (objects searched in order), from the ``frontkit``
+    package, or from the builtins."""
+    first, *rest = name.split(".")
+    for scope in (*scopes, types.SimpleNamespace(frontkit=frontkit), builtins):
+        obj = getattr(scope, first, None)
+        if obj is None:
+            continue
+        for part in rest:
+            obj = getattr(obj, part, None)
+            if obj is None:
+                break
+        else:
+            return True
+    return False
+
+
+def _stale_docstring_references(source: str, module) -> list:
+    """``line: reference`` of each ``:func:``, ``:class:`` or ``:meth:``
+    reference in a docstring of ``source`` that resolves neither against
+    the class that holds the docstring nor against ``module``."""
+    found = []
+
+    def visit(node, cls):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(cls or module, node.name, None)
+            scopes = (cls, module) if cls is not None else (module,)
+            for ref in _ROLE_REF.findall(doc or ""):
+                if not _resolves(ref, scopes):
+                    found.append(f"{getattr(node, 'lineno', 1)}: {ref}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_checker_finds_a_stale_docstring_reference():
+    source = (
+        '"""See :func:`helper`, :class:`ValueError` and :func:`gone`."""\n'
+        "def helper():\n    pass\n"
+        "class A:\n"
+        '    """:meth:`b` and :meth:`A.b`, not :meth:`c`."""\n'
+        "    def b(self):\n        pass\n"
+    )
+    module = types.ModuleType("sample")
+    exec(source, module.__dict__)
+    assert _stale_docstring_references(source, module) == ["1: gone", "4: c"]
+
+
+def _package_modules():
+    """``(path, module)`` of every module of the package, imported, so
+    that each is also an attribute of the package."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        yield path, importlib.import_module(".".join(parts))
+
+
+def test_every_docstring_reference_resolves():
+    found = []
+    for path, module in _package_modules():
+        source = path.read_text(encoding="utf-8")
+        for ref in _stale_docstring_references(source, module):
+            found.append(f"{path.relative_to(PACKAGE)}:{ref}")
+    assert not found, "docstring references to missing names:\n" + "\n".join(found)
+
+
+def _readme_module_references(text: str) -> list:
+    """Each backticked ``module.name`` of ``text`` whose first part is
+    ``frontkit`` or one of its modules."""
+    modules = {"frontkit"} | {p.stem for p in PACKAGE.glob("*.py")}
+    return [
+        ref for ref in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+        if ref.split(".")[0] in modules
+    ]
+
+
+def test_every_readme_module_reference_resolves():
+    refs = _readme_module_references(README.read_text(encoding="utf-8"))
+    assert refs
+    list(_package_modules())
+    stale = [ref for ref in refs if not _resolves(ref, (frontkit,))]
+    assert not stale, "README references to missing names: " + ", ".join(stale)

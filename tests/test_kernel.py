@@ -157,22 +157,13 @@ def test_slices_follow_the_trace():
                 assert after[i + 1 :] == before[i + 1 :]
 
 
-def test_band_holds_every_row_a_window_touches():
-    # A slide of X(2) past X(5) on 6 strands touches rows 2 to 6.
-    assert pure.band(([X(2), X(5)], [X(5), X(2)]), 6) == (1, 5)
-    # An R2 expansion of L(2) on 4 strands passes the one strand on row 2.
-    assert pure.band(([L(2)], [L(3), X(2), X(3)]), 4) == (1, 1)
-    # An empty window touches nothing.
-    assert pure.band(([L(3), X(2), R(3)], []), 4) == (1, 1)
-
-
 @pytest.mark.parametrize(
     "new",
     [[X(0)], [X(4)], [L(6)], [R(1), R(1), X(1)], [(LC, "2")], [("Q", 1)]],
 )
-def test_band_rejects_a_window_that_leaves_the_slice(new):
+def test_window_summary_rejects_a_window_that_leaves_the_slice(new):
     with pytest.raises(DiagramError):
-        pure.band(([X(1)], new), 4)
+        pure.window_summary(new, 4)
 
 
 def test_a_closed_word_as_a_window_is_its_loops():
@@ -189,19 +180,28 @@ def test_a_closed_word_as_a_window_is_its_loops():
             )
             for c in d.components
         )
-        assert pure.window_summary(d.events, 0, 0) == (0, [], [], {}, loops)
+        assert pure.window_summary(d.events, 0) == (0, [], [], {}, loops)
 
 
 def test_window_summaries_of_a_move_agree():
     # R3 on 3 strands: the two sides are one tangle.
     up, down = [X(1), X(2), X(1)], [X(2), X(1), X(2)]
-    assert pure.window_summary(up, 0, 3) == pure.window_summary(down, 0, 3)
-    # Levels are read relative to the band.
-    assert pure.window_summary(up, 0, 3) == pure.window_summary(
-        [X(3), X(4), X(3)], 2, 3
+    assert pure.window_summary(up, 3) == pure.window_summary(down, 3)
+    # Rows the windows do not touch are straight arcs in both: R3 on
+    # rows 3 to 5 of 6, a slide of X(2) past X(5) on 6 strands, an R2
+    # expansion of L(2) on 4 strands, and an R1 kink on row 2 of 4.
+    assert pure.window_summary([X(3), X(4), X(3)], 6) == pure.window_summary(
+        [X(4), X(3), X(4)], 6
     )
+    assert pure.window_summary([X(2), X(5)], 6) == pure.window_summary(
+        [X(5), X(2)], 6
+    )
+    assert pure.window_summary([L(2)], 4) == pure.window_summary(
+        [L(3), X(2), X(3)], 4
+    )
+    assert pure.window_summary([L(3), X(2), R(3)], 4) == pure.window_summary([], 4)
     # A clasp is not the identity: the pairing agrees, the crossing sum
     # does not.
-    clasp = pure.window_summary([X(1), X(1)], 0, 2)
-    straight = pure.window_summary([], 0, 2)
+    clasp = pure.window_summary([X(1), X(1)], 2)
+    straight = pure.window_summary([], 2)
     assert clasp[1] == straight[1] and clasp != straight

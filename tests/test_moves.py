@@ -2,13 +2,15 @@
 
 import hashlib
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_front, random_knot
-from frontkit import _kernel, explore, gallery
+from frontkit import _kernel, explore, gallery, moves
 from frontkit.errors import (
     BudgetExhausted,
     DiagramError,
@@ -41,7 +43,7 @@ from frontkit.moves import (
     _cusp_pieces,
     _pull_off,
     _regrouped,
-    _replacement,
+    _rewrite,
     _scan,
     _slide,
     _slide_setup,
@@ -587,17 +589,94 @@ def test_regrouped_is_a_full_scan_of_the_child(seed, expand):
     # rest gives what a scan of the whole new word gives.
     d = _regroup_sites(random.Random(seed))
     events, width = d.events, len(d.left_ports)
-    groups = _scan(events, width, 0, len(events), _WINDOW_KINDS, expand)
+    # A width of None leaves the R2 expansions out.
+    scan_width = width if expand else None
+    groups = _scan(events, scan_width, 0, len(events), _WINDOW_KINDS)
     for idx, group in enumerate(groups):
-        for level, kind, data in group:
-            m = Move(kind, idx, level, data)
-            old_len, new = _replacement(m)
+        for triple in group:
+            old_len, new = _rewrite(triple)
             child = events[:idx] + new + events[idx + old_len :]
             site_width = _width_at(events, width, idx) if expand else None
             got = _regrouped(
                 groups, child, idx, len(new) - old_len, _WINDOW_KINDS, site_width
             )
-            assert got == _scan(child, width, 0, len(child), _WINDOW_KINDS, expand), m
+            want = _scan(child, scan_width, 0, len(child), _WINDOW_KINDS)
+            assert got == want, (idx, triple)
+
+
+def test_an_index_step_scans_once(monkeypatch):
+    # The window of the move is matched in the group the index holds,
+    # so the rescan after the rewrite is the step's one scan, and the
+    # slice width at the window is counted once, expansions included.
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(moves, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(moves, name, wrapper)
+
+    for d in (gallery.K_m_front(-2), gallery.stein_rep_max(-5, 2).diagram):
+        index = MoveIndex(d, _WINDOW_KINDS)
+        counted("_scan")
+        counted("_width_at")
+        rng = random.Random(5)
+        kinds = Counter()
+        for _step in range(60):
+            m = rng.choice(index)
+            kinds[m.data[:1] == ("expand",)] += 1
+            calls.clear()
+            index.apply(m)
+            assert calls == {"_scan": 1, "_width_at": 1}, m
+        assert kinds[True] and kinds[False]
+        monkeypatch.undo()
+
+
+def _near_misses(m):
+    """``m`` with its level, index or data off by one, or with no data."""
+    yield replace(m, level=m.level + 1)
+    yield replace(m, level=m.level - 1)
+    yield replace(m, index=m.index + 1)
+    yield replace(m, data=())
+    if m.data:
+        last = m.data[-1]
+        if isinstance(last, int):
+            last += 1
+        else:
+            last = "down" if last == "up" else "up"
+        yield replace(m, data=m.data[:-1] + (last,))
+
+
+def _outcome(apply):
+    """The word that ``apply()`` makes, or the type and text of the
+    error it raises."""
+    try:
+        return "word", apply().events
+    except MoveError as exc:
+        return "error", type(exc), str(exc)
+
+
+def _after_index_step(d, m):
+    index = MoveIndex(d, _WINDOW_KINDS)
+    index.apply(m)
+    return index.diagram
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_an_index_applies_a_move_as_apply_move_does(seed):
+    rng = random.Random(seed)
+    d = _regroup_sites(rng)
+    listed = enumerate_moves(d, _WINDOW_KINDS)
+    tried = rng.sample(listed, min(len(listed), 8))
+    tried += [miss for m in tried for miss in _near_misses(m)]
+    for m in tried:
+        want = _outcome(lambda: apply_move(d, m))
+        assert _outcome(lambda: _after_index_step(d, m)) == want, m
+        assert want[0] == "word" or m not in listed, m
 
 
 def test_move_index_lists_window_moves_only():
