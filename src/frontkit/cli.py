@@ -80,16 +80,31 @@ def _emit_invariants(obj, out) -> None:
             print(f"violation: {v}", file=out)
 
 
+# Each gallery family: the function that makes it and the -m/-n flags it takes.
 _GALLERY = {
-    "K": lambda a: K_m_front(a.m),
-    "cable": lambda a: K_mn_cable_front(a.m, a.n),
-    "Z": lambda a: Z_m_handlebody(a.m),
-    "stein-max": lambda a: stein_rep_max(a.m, a.n),
-    "stein-variant": lambda a: stein_rep_variant(a.m, a.n),
-    "step3": lambda a: step3_pipeline(a.m, a.n)[0],
-    "unknot": lambda a: unknot(),
-    "trefoil": lambda a: trefoil(),
+    "K": (K_m_front, "m"),
+    "cable": (K_mn_cable_front, "mn"),
+    "Z": (Z_m_handlebody, "m"),
+    "stein-max": (stein_rep_max, "mn"),
+    "stein-variant": (stein_rep_variant, "mn"),
+    "step3": (lambda m, n: step3_pipeline(m, n)[0], "mn"),
+    "unknot": (unknot, ""),
+    "trefoil": (trefoil, ""),
 }
+
+
+def _gallery_params(parser, args) -> None:
+    """Give a gallery family the -m/-n defaults it takes, or exit with a
+    usage error naming a flag that it does not take (``list`` takes
+    none)."""
+    takes = _GALLERY.get(args.name, (None, ""))[1]
+    for flag, default in (("m", -1), ("n", 2)):
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag not in takes:
+            parser.error(f"gallery {args.name} takes no -{flag}")
+    if args.name == "list" and args.render:
+        parser.error("gallery list takes no --render")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,8 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gallery", help="emit a named example diagram")
     sp.add_argument("name", choices=sorted(_GALLERY) + ["list"])
-    sp.add_argument("-m", type=int, default=-1)
-    sp.add_argument("-n", type=int, default=2)
+    sp.add_argument("-m", type=int)
+    sp.add_argument("-n", type=int)
     sp.add_argument("--render", choices=["ascii", "svg"])
 
     sp = sub.add_parser("report", help="reducible-surgery arithmetic ledger")
@@ -204,7 +219,8 @@ def _run(args, out) -> int:
                 inv = " ".join(f"{k}={v}" for k, v in sorted(e.invariants.items()))
                 print(f"{e.name} {e.parameters} {inv}", file=out)
             return 0
-        obj = _GALLERY[args.name](args)
+        build, takes = _GALLERY[args.name]
+        obj = build(*(getattr(args, flag) for flag in takes))
         if args.render:
             out.write(render(obj, args.render))
         else:
@@ -218,6 +234,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "gallery":
+            _gallery_params(parser, args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -2,26 +2,32 @@
 
 The word-level moves are the Legendrian Reidemeister moves in event
 form, plus far-commutation of independent adjacent events ("Slide") and
-stabilization/destabilization:
+stabilization/destabilization.  The window moves are the rows of
+``_PATTERNS``, at levels counted from a base level i:
 
-* R1a  [L(i+1), X(i), R(i+1)]  ->  []        (kink with two cusps)
-* R1b  [L(i), X(i+1), R(i)]    ->  []
-* R2a  [L(i+1), X(i), X(i+1)] <->  [L(i)]    (left cusp past a strand)
-*      [L(i), X(i+1), X(i)]   <->  [L(i+1)]
-* R2b  [X(i), X(i+1), R(i)]   <->  [R(i+1)]  (right cusp past a strand)
-*      [X(i+1), X(i), R(i+1)] <->  [R(i)]
-* R3   [X(i), X(i+1), X(i)]   <->  [X(i+1), X(i), X(i+1)]
-* Destabilize  [L(i), R(i+1)] or [L(i+1), R(i)]  ->  []   (zigzag)
+* R1a: [L(i+1), X(i), R(i+1)] -> []
+* R1b: [L(i), X(i+1), R(i)] -> []
+* R2a contract up: [L(i+1), X(i), X(i+1)] -> [L(i)]
+* R2a contract down: [L(i), X(i+1), X(i)] -> [L(i+1)]
+* R2b contract up: [X(i), X(i+1), R(i)] -> [R(i+1)]
+* R2b contract down: [X(i+1), X(i), R(i+1)] -> [R(i)]
+* R3 up: [X(i), X(i+1), X(i)] -> [X(i+1), X(i), X(i+1)]
+* R3 down: [X(i+1), X(i), X(i+1)] -> [X(i), X(i+1), X(i)]
+* Destabilize up: [L(i+1), R(i)] -> []
+* Destabilize down: [L(i), R(i+1)] -> []
 
-Each preserves tb, rotation, component count, and (in a strip) the
-homology vector, because it replaces a pattern by one with the same
-boundary behaviour, signed crossing sum, and cusp imbalance.  A pair of
-crossings [X(i), X(i)] is a clasp, not a bigon -- both crossings carry
-the same sign in a front -- so it is never a reduction site.
+Each R2 row run backwards is an expansion (data ``("expand", ...)``),
+and a stabilization inserts the old window of a Destabilize row.  Every
+move but a (de)stabilization preserves tb, rotation, component count,
+and (in a strip) the homology vector, because it replaces a pattern by
+one with the same boundary behaviour, signed crossing sum, and cusp
+imbalance.  A pair of crossings [X(i), X(i)] is a clasp, not a bigon --
+both crossings carry the same sign in a front -- so it is never a
+reduction site.
 
 One matcher finds them all: a single left-to-right scan over the
-``(kind, level)`` pairs of the word compares each window's levels with
-the patterns above, carries the slice width for the R2 expansions, and
+``(kind, level)`` pairs of the word looks each window up in a map built
+from the rows, carries the slice width for the R2 expansions, and
 decides far-commutation in closed form (:func:`_slide`).  It lists the
 moves of each window index as one sorted group of ``(level, kind,
 data)`` triples, which do not name the index.  :func:`enumerate_moves`
@@ -29,8 +35,8 @@ runs it over the whole word and turns the groups into moves.
 :func:`_match` picks the triple a move names out of the group of its
 window, which :func:`apply_move` scans and a :class:`MoveIndex` holds,
 so a move applies exactly when enumeration lists it; :func:`_rewrite`
-is the one table from a triple to its window length and new events.
-Stabilization sites are every (position, level) of the word.
+turns a triple into its window length and new events from the same
+rows.  Stabilization sites are every (position, level) of the word.
 
 A word rewritten by one move gets its groups from the groups of the
 word before it (:func:`_regrouped`).  A move at ``idx`` rewrites at most
@@ -161,19 +167,49 @@ def _width_at(events, width: int, idx: int) -> int:
 # Change of slice width across each event kind.
 _DELTA = {"L": 2, "R": -2, "X": 0}
 
-_R2_CONTRACTIONS = {
-    # (kind, variant): window builder and replacement, keyed off base level i
-    ("R2a", "up"): (lambda i: (L(i + 1), X(i), X(i + 1)), lambda i: (L(i),)),
-    ("R2a", "down"): (lambda i: (L(i), X(i + 1), X(i)), lambda i: (L(i + 1),)),
-    ("R2b", "up"): (lambda i: (X(i), X(i + 1), R(i)), lambda i: (R(i + 1),)),
-    ("R2b", "down"): (lambda i: (X(i + 1), X(i), R(i + 1)), lambda i: (R(i),)),
-}
+# The window moves at base level i = 0: (kind, data, old window, new
+# window).  An event at level v here is at level i + v in a word.
+_PATTERNS = (
+    ("R1a", (), (L(1), X(0), R(1)), ()),
+    ("R1b", (), (L(0), X(1), R(0)), ()),
+    ("R2a", ("contract", "up"), (L(1), X(0), X(1)), (L(0),)),
+    ("R2a", ("contract", "down"), (L(0), X(1), X(0)), (L(1),)),
+    ("R2b", ("contract", "up"), (X(0), X(1), R(0)), (R(1),)),
+    ("R2b", ("contract", "down"), (X(1), X(0), R(1)), (R(0),)),
+    ("R3", ("up",), (X(0), X(1), X(0)), (X(1), X(0), X(1))),
+    ("R3", ("down",), (X(1), X(0), X(1)), (X(0), X(1), X(0))),
+    ("Destabilize", ("up",), (L(1), R(0)), ()),
+    ("Destabilize", ("down",), (L(0), R(1)), ()),
+)
+
+
+def _tables():
+    """``_WINDOWS[(kind, data)]``: the ``(old, new)`` windows of a move,
+    an R2 expansion being its contraction run backwards.
+    ``_MATCHES[(k1, k2, l2 - l1, k3 or None)]``: the ``(l1, kind, data)``
+    of each row whose old window is ``k1(l1) k2(l2)``, then ``k3(l1)``."""
+    windows, matches = {}, {}
+    for kind, data, old, new in _PATTERNS:
+        windows[kind, data] = old, new
+        if data[:1] == ("contract",):
+            windows[kind, ("expand",) + data[1:]] = new, old
+        (k1, l1), (k2, l2), *rest = old
+        # The two rules that :func:`_scan` builds its lookup key from.
+        assert len(old) == (2 if k2 == "R" else 3), kind
+        assert not rest or rest[0].level == l1, kind
+        key = (k1, k2, l2 - l1, rest[0].kind if rest else None)
+        matches.setdefault(key, []).append((l1, kind, data))
+    return windows, matches
+
+
+_WINDOWS, _MATCHES = _tables()
 
 # Moves that rewrite a window of at most three events, and all word moves.
-_WINDOW_KINDS = frozenset(
-    ("R1a", "R1b", "R2a", "R2b", "R3", "Slide", "Destabilize")
-)
+_WINDOW_KINDS = frozenset(kind for kind, *_ in _PATTERNS) | {"Slide"}
 _WORD_KINDS = _WINDOW_KINDS | {"StabilizePlus", "StabilizeMinus"}
+
+# The kinds whose data, not the site alone, picks the rewrite.
+_DIRECTED = frozenset(kind for kind, data in _WINDOWS if "expand" in data)
 
 _KIND_OF = itemgetter(0)
 
@@ -204,45 +240,35 @@ def _scan(events, width: Optional[int], lo: int, hi: int,
     """Word moves of ``kinds`` at window indices lo..hi-1, one sorted
     list of ``(level, kind, data)`` triples per window.
 
-    One left-to-right pass over the ``(kind, level)`` pairs, matching
-    the windows of the module docstring by comparing levels; ``width``
-    is the slice width before ``events[lo]`` and is carried along (only
-    R2 expansions read it).  With ``width`` None the R2 expansions are
-    left out.  Stabilizations are not matched here.
+    One left-to-right pass over the ``(kind, level)`` pairs that looks
+    each window up in ``_MATCHES``; ``width`` is the slice width before
+    ``events[lo]`` and is carried along (only R2 expansions read it).
+    With ``width`` None the R2 expansions are left out.  Stabilizations
+    are not matched here.
     """
-    r1a, r1b = "R1a" in kinds, "R1b" in kinds
-    r2a, r2b, r3 = "R2a" in kinds, "R2b" in kinds, "R3" in kinds
-    slide, destab = "Slide" in kinds, "Destabilize" in kinds
+    slide = "Slide" in kinds
     expand = width is not None
-    r2a_expand, r2b_expand = r2a and expand, r2b and expand
+    r2a_expand, r2b_expand = expand and "R2a" in kinds, expand and "R2b" in kinds
     width = width or 0  # carried, but read only by the expansions
     groups: List[List[Tuple]] = []
     tail = events[lo : hi + 2] + ((None, 0), (None, 0))
     for (k, l), (k2, l2), (k3, l3) in zip(tail[: hi - lo], tail[1:], tail[2:]):
         group: List[Tuple] = []
         add = group.append
+        # A three-event row ends on its first level, and only a two-event
+        # row has a right cusp second (both checked by ``_tables``).
+        if k2 == "R" or l3 == l:
+            for offset, kind, data in _MATCHES.get(
+                (k, k2, l2 - l, None if k2 == "R" else k3), ()
+            ):
+                if kind in kinds:
+                    add((l - offset, kind, data))
         if k == "L":
             if r2a_expand:
                 if l <= width:
                     add((l, "R2a", ("expand", "up")))
                 if l >= 2:
                     add((l - 1, "R2a", ("expand", "down")))
-            if r2a:
-                if k2 == "X" and k3 == "X" and l3 == l:
-                    if l2 == l - 1:
-                        add((l2, "R2a", ("contract", "up")))
-                    elif l2 == l + 1:
-                        add((l, "R2a", ("contract", "down")))
-            if k2 == "X" and k3 == "R" and l3 == l:
-                if l2 == l - 1 and r1a:
-                    add((l2, "R1a", ()))
-                elif l2 == l + 1 and r1b:
-                    add((l, "R1b", ()))
-            elif k2 == "R" and destab:
-                if l2 == l + 1:
-                    add((l, "Destabilize", ("down",)))
-                elif l2 == l - 1:
-                    add((l2, "Destabilize", ("up",)))
             width += 2
         elif k == "R":
             if r2b_expand:
@@ -251,17 +277,6 @@ def _scan(events, width: Optional[int], lo: int, hi: int,
                 if l <= width - 2:
                     add((l, "R2b", ("expand", "down")))
             width -= 2
-        elif k2 == "X" and l3 == l:
-            if k3 == "X" and r3:
-                if l2 == l + 1:
-                    add((l, "R3", ("up",)))
-                elif l2 == l - 1:
-                    add((l2, "R3", ("down",)))
-            elif k3 == "R" and r2b:
-                if l2 == l + 1:
-                    add((l, "R2b", ("contract", "up")))
-                elif l2 == l - 1:
-                    add((l2, "R2b", ("contract", "down")))
         if slide and k2 is not None:
             swapped = _slide(k, l, k2, l2)
             if swapped is not None:
@@ -345,19 +360,11 @@ def _rewrite(triple: Tuple) -> Tuple[int, Tuple[Event, ...]]:
     ``(level, kind, data)`` triple names, at any index; memoised for
     every caller, since the keys are bounded by the levels in use."""
     i, kind, data = triple
-    if kind in ("R1a", "R1b"):
-        return 3, ()
-    if kind == "Destabilize":
-        return 2, ()
-    if kind == "R3":
-        if data == ("up",):
-            return 3, (X(i + 1), X(i), X(i + 1))
-        return 3, (X(i), X(i + 1), X(i))
     if kind == "Slide":
         k2, j2, k1, j1 = data
         return 2, (Event(k2, j2), Event(k1, j1))
-    lhs, rhs = _R2_CONTRACTIONS[(kind, data[1])]
-    return (3, rhs(i)) if data[0] == "contract" else (1, lhs(i))
+    old, new = _WINDOWS[kind, data]
+    return len(old), tuple(Event(k, i + v) for k, v in new)
 
 
 def _window_index(m: Move, n: int) -> int:
@@ -376,7 +383,7 @@ def _match(group: List[Tuple], m: Move) -> Tuple:
     for triple in group:
         level, kind, data = triple
         if kind == m.kind and level == m.level and (
-            m.data == data or not m.data and kind not in ("R2a", "R2b")
+            m.data == data or not m.data and kind not in _DIRECTED
         ):
             return triple
     raise MoveNotApplicable(f"no {m} site")
@@ -558,12 +565,9 @@ def _stabilize_at(d: _Diagram, slices, idx: int, lvl: int, sign: int) -> _Diagra
     eps = d.trace.strand_orient[_strand_at(slices, idx, lvl)]
     # Of the two zigzag shapes on a strand of direction eps, one raises
     # rotation and the other lowers it (both cusps point the same way).
-    if sign * eps > 0:
-        zigzag = (L(lvl + 1), R(lvl))
-    else:
-        zigzag = (L(lvl), R(lvl + 1))
+    zigzag, _ = _WINDOWS["Destabilize", ("up",) if sign * eps > 0 else ("down",)]
     events = list(d.events)
-    events[idx:idx] = list(zigzag)
+    events[idx:idx] = [Event(k, lvl + v) for k, v in zigzag]
     return _rebuild(d, events)
 
 
@@ -738,8 +742,7 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
             f"attachment framing {a.framing} is not tb - 1 = {tb_c - 1}"
         )
     tr = d.trace
-    wide = {s for s in range(tr.n_strands) if tr.strand_component[s] == a.component}
-    exp = cable_expand(d, 2, wide)
+    exp = cable_expand(d, 2, a.component)
     if exp.first_cusp_index is None:
         raise BandObstructed(
             "attaching circle has no left cusp to carry the framing kink"
@@ -888,11 +891,8 @@ def _pull_off(d: StandardFormDiagram, hid, slot: int):
     piece = _cusp_pieces(d)
     if piece[lb] != piece[la]:
         raise MoveNotApplicable("the two passes are not joined by a finger")
+    # One arc whose two ends are the passes: it reaches no other port.
     finger = {s for s, p in enumerate(piece) if p == piece[la]}
-    # No finger strand may reach any other port.
-    edge_strands = set(range(len(d.left_ports))) | set(final)
-    if finger & edge_strands != {la, lb}:
-        raise MoveNotApplicable("the finger is threaded through a handle")
     main, inner, origin = _split_word(d, finger, mixed="error")
     reslotted = _reslot(d, lambda p: 0 if p in (pa, pb) else 1)
     # The surviving strands that used to end at the removed right ports

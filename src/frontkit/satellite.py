@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import _kernel
 from .errors import (
@@ -142,33 +142,31 @@ class Expansion:
 def cable_expand(
     d: _Diagram,
     n: int,
-    wide: Optional[Set[int]] = None,
+    component: Optional[int] = None,
 ) -> Expansion:
-    """Replace selected strands of a diagram's word by ``n`` parallel copies.
+    """Replace the strands of one component of a diagram's word, or of
+    every component when ``component`` is None, by ``n`` parallel copies.
 
     ``d`` is a closed front or a strip; its stored trace gives the strands,
-    so the word is not traced again.  ``wide`` is the set of strand ids
-    (in trace numbering) to widen; ``None`` widens everything.  Strands
-    must be widened by whole components: a cusp or port joining a wide
-    strand to a narrow one is a structural error.
+    so the word is not traced again.  A whole component is widened, so no
+    cusp joins a wide strand to a narrow one.
     """
     _check_int(1, copies=n)
+    if component is not None and component not in d.components:
+        raise ParameterOutOfRange(f"no component {component!r} to widen")
     word, tr = d.events, d.trace
     slices = _kernel.slices(word, tr)
-    if wide is None:
-        wide = set(range(tr.n_strands))
-
-    def width(s: int) -> int:
-        return n if s in wide else 1
+    width = [
+        n if component is None or c == component else 1 for c in tr.strand_component
+    ]
 
     exp = Expansion()
     for idx, (ev, (upper, lower), here) in enumerate(
         zip(word, tr.event_strands, slices)
     ):
-        o = 1 + sum(width(s) for s in here[: ev.level - 1])
+        o = 1 + sum(width[s] for s in here[: ev.level - 1])
         if ev.kind == "L":
-            w = width(upper)
-            if w == 1:
+            if width[upper] == 1:
                 exp.emit(L(o), idx)
             else:
                 for j in range(n):
@@ -182,9 +180,7 @@ def cable_expand(
                     exp.first_cusp_index = len(exp.events)
                     exp.first_cusp_offset = o
         elif ev.kind == "R":
-            if width(upper) != width(lower):
-                raise DiagramError("cusp joins a wide strand to a narrow one", idx)
-            if width(upper) == 1:
+            if width[upper] == 1:
                 exp.emit(R(o), idx)
             else:
                 # Un-interleave the two bundles back to alternating order,
@@ -195,7 +191,7 @@ def cable_expand(
                 for _ in range(n):
                     exp.emit(R(o), idx)
         else:  # crossing: block transposition preserving internal order
-            wa, wb = width(upper), width(lower)
+            wa, wb = width[upper], width[lower]
             for k in range(wb):
                 for lvl in range(o + wa + k - 1, o + k - 1, -1):
                     exp.emit(X(lvl), idx)

@@ -8,11 +8,11 @@ the end; any attachment promotes the result to a handlebody.
 
     front          |  standard
     L1             |  handle H 2
-    R1             |  P H.1
-                   |  P H.2
+    R1             |  PH.1
+                   |  PH.2
                    |  X1
-                   |  P H.1
-                   |  P H.2
+                   |  PH.1
+                   |  PH.2
                    |  attach 0 framing -3
 
 Renderers are pure functions of the input: identical diagrams give

@@ -7,8 +7,14 @@ from dataclasses import replace
 import pytest
 
 from frontkit import cli
-from frontkit.front import trefoil
-from frontkit.gallery import step3_pipeline, stein_rep_max
+from frontkit.front import trefoil, unknot
+from frontkit.gallery import (
+    K_m_front,
+    K_mn_cable_front,
+    Z_m_handlebody,
+    step3_pipeline,
+    stein_rep_max,
+)
 from frontkit.moves import MoveScript, stabilize
 from frontkit.satellite import n_copy
 from frontkit.textio import print_script, print_text
@@ -222,3 +228,37 @@ def test_every_subcommand_answers_or_names_its_error(tmp_path, capsys, command, 
     assert code in (0, 1)
     if code == 1:
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["unknot", "-m", "5", "-n", "9"], "-m"),
+        (["list", "-m", "3"], "-m"),
+        (["Z", "-n", "7"], "-n"),
+        (["K", "-m", "-2", "-n", "3"], "-n"),
+        (["trefoil", "-n", "2"], "-n"),
+        (["list", "--render", "svg"], "--render"),
+    ],
+)
+def test_gallery_rejects_a_flag_its_family_does_not_take(capsys, args, flag):
+    assert cli.main(["gallery", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"gallery {args[0]} takes no {flag}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        (["K"], lambda: K_m_front(-1)),
+        (["K", "-m", "-3"], lambda: K_m_front(-3)),
+        (["cable"], lambda: K_mn_cable_front(-1, 2)),
+        (["Z", "-m", "-2"], lambda: Z_m_handlebody(-2)),
+        (["stein-max", "-m", "-5"], lambda: stein_rep_max(-5, 2)),
+        (["unknot"], unknot),
+    ],
+)
+def test_gallery_takes_its_flags_with_their_defaults(capsys, args, want):
+    assert cli.main(["gallery", *args]) == 0
+    assert capsys.readouterr().out == print_text(want())

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_front, random_knot
-from frontkit import certify, gallery, satellite, standard, textio
+from frontkit import _kernel, certify, gallery, moves, satellite, standard, textio
 from frontkit.errors import (
+    BandObstructed,
     DiagramError,
     FormatError,
+    MoveNotApplicable,
     NotAKnot,
     ParameterOutOfRange,
     PortMismatch,
+    SiteNotCableSlice,
 )
 from frontkit.front import (
     Event,
@@ -31,7 +34,12 @@ from frontkit.front import (
     unknot,
     writhe,
 )
-from frontkit.standard import StandardFormDiagram
+from frontkit.standard import (
+    OneHandle,
+    StandardFormDiagram,
+    SteinHandlebody,
+    TwoHandleAttachment,
+)
 
 
 def test_unknot_invariants():
@@ -258,3 +266,204 @@ _FAMILY = ParameterOutOfRange
 def test_a_value_of_the_wrong_type_raises_a_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def _link():
+    return satellite.n_copy(trefoil(), 2)
+
+
+def _handlebody():
+    """One 1-handle and two components; the attachment is on component 1."""
+    return gallery.stein_rep_max(-5, 2)
+
+
+def _site_on_component_1():
+    d = _link()
+    return next(
+        (idx, lvl)
+        for idx, here in enumerate(_kernel.slices(d.events, d.trace))
+        for lvl, s in enumerate(here, 1)
+        if d.trace.strand_component[s] == 1
+    )
+
+
+def _slide_over_a_circle_without_left_cusp():
+    # The strand through the one port closes up through the handle with
+    # no cusp; the cusp pair below it is the other component.
+    port = [("H", 1)]
+    d = StandardFormDiagram([OneHandle("H", 1)], port, [L(2), R(2)], port)
+    h = SteinHandlebody(d, [TwoHandleAttachment(0, standard.tb_standard(d, 0) - 1)])
+    return moves.handle_slide(h, 1, h.attachments[0])
+
+
+def _both_attached():
+    # One component through the handle once, and a cusp pair below it.
+    port = [("H", 1)]
+    d = StandardFormDiagram([OneHandle("H", 1)], port, [L(2), R(2)], port)
+    return SteinHandlebody(
+        d, [TwoHandleAttachment(c, standard.tb_standard(d, c) - 1) for c in (0, 1)]
+    )
+
+
+def _finger_crossed_by_another_strand():
+    # Slots 1 and 2 are joined by a right cusp, after the slot-2 strand
+    # crossed the slot-3 strand twice.
+    ports = [("H", 1), ("H", 2), ("H", 3)]
+    d = StandardFormDiagram([OneHandle("H", 3)], ports, [X(2), X(2), R(1), L(1)], ports)
+    return moves.pull_off(d, "H", 1)
+
+
+def _slots_apart():
+    ports = [("H", 1), ("G", 1), ("H", 2)]
+    d = StandardFormDiagram([OneHandle("H", 2), OneHandle("G", 1)], ports, [], ports)
+    return moves.pull_off(d, "H", 1)
+
+
+_ATTACHED = TwoHandleAttachment(1, -5)
+_OUTSIDE = TwoHandleAttachment(5, 0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: moves.stabilize(unknot(), sign=2),
+            MoveNotApplicable, "stabilization sign must be ±1, got 2",
+            id="stabilize-sign",
+        ),
+        pytest.param(
+            lambda: moves.stabilize(_link()),
+            MoveNotApplicable, "ambiguous component for stabilization",
+            id="stabilize-link",
+        ),
+        pytest.param(
+            lambda: moves.stabilize(_link(), 0, site=_site_on_component_1()),
+            MoveNotApplicable, "site (2, 3) is not on component 0", id="stabilize-site",
+        ),
+        pytest.param(
+            lambda: moves.stabilize(trefoil(), 5),
+            MoveNotApplicable, "component 5 has no visible strand",
+            id="stabilize-component",
+        ),
+        pytest.param(
+            lambda: moves.handle_slide(_handlebody(), 0, _OUTSIDE),
+            MoveNotApplicable, "attachment is not part of the handlebody",
+            id="slide-attachment",
+        ),
+        pytest.param(
+            lambda: moves.handle_slide(_handlebody(), 9, _ATTACHED),
+            MoveNotApplicable, "no such component", id="slide-component",
+        ),
+        pytest.param(
+            lambda: moves.handle_slide(_handlebody(), 1, _ATTACHED),
+            MoveNotApplicable, "cannot slide a component over itself", id="slide-self",
+        ),
+        pytest.param(
+            lambda: moves.handle_slide(_handlebody(), 0, _ATTACHED, 999),
+            BandObstructed, "band site 999 of 22 does not exist", id="slide-site",
+        ),
+        pytest.param(
+            _slide_over_a_circle_without_left_cusp,
+            BandObstructed,
+            "attaching circle has no left cusp to carry the framing kink",
+            id="slide-no-left-cusp",
+        ),
+        pytest.param(
+            lambda: moves.cancel_pair(_handlebody(), "H", _OUTSIDE),
+            MoveNotApplicable, "attachment is not part of the handlebody",
+            id="cancel-attachment",
+        ),
+        pytest.param(
+            lambda: moves.cancel_pair(_handlebody(), "G", _ATTACHED),
+            MoveNotApplicable, "no handle 'G'", id="cancel-handle",
+        ),
+        pytest.param(
+            lambda: moves.cancel_pair(
+                _both_attached(), "H", TwoHandleAttachment(0, -1)
+            ),
+            MoveNotApplicable,
+            "2-handles remain but no 1-handles do; nothing to cancel into",
+            id="cancel-last-handle",
+        ),
+        pytest.param(
+            _finger_crossed_by_another_strand,
+            MoveNotApplicable, "event 0 ties the finger to an outside strand",
+            id="pull-off-crossed",
+        ),
+        pytest.param(
+            _slots_apart,
+            MoveNotApplicable, "handle slots are not adjacent at the edges",
+            id="pull-off-slots",
+        ),
+        pytest.param(
+            lambda: StandardFormDiagram([OneHandle("H", 1)] * 2, [], [], []),
+            PortMismatch, "duplicate handle ids", id="strip-ids",
+        ),
+        pytest.param(
+            lambda: StandardFormDiagram(
+                [OneHandle("H", 2)], [("H", 1)], [], [("H", 1)]
+            ),
+            PortMismatch, "left ports missing: ('H', 2)", id="strip-port",
+        ),
+        pytest.param(
+            lambda: SteinHandlebody(_handlebody().diagram, ["x"]),
+            DiagramError, "'x' is not a TwoHandleAttachment", id="handlebody-item",
+        ),
+        pytest.param(
+            lambda: SteinHandlebody(_handlebody().diagram, [TwoHandleAttachment(7, 0)]),
+            DiagramError, "attachment on missing component 7",
+            id="handlebody-component",
+        ),
+        pytest.param(
+            lambda: SteinHandlebody(
+                _handlebody().diagram,
+                [TwoHandleAttachment(0, -1), TwoHandleAttachment(0, -2)],
+            ),
+            DiagramError, "component 0 attached twice", id="handlebody-twice",
+        ),
+        pytest.param(
+            lambda: textio.parse(""),
+            FormatError,
+            "line 1, column 1: empty document: expected 'front' or 'standard' header",
+            id="parse-empty",
+        ),
+        pytest.param(
+            lambda: textio.parse("standard\nhandle H 1\nPH.1\nhandle G 1\n"),
+            FormatError, "line 4, column 1: handle declarations must precede the body",
+            id="parse-handle",
+        ),
+        pytest.param(
+            lambda: textio.parse(
+                "standard\nhandle H 1\nPH.1\nattach 0 framing -1\nPH.1\n"
+            ),
+            FormatError, "line 5, column 1: attach lines must come last",
+            id="parse-attach",
+        ),
+        pytest.param(
+            lambda: gallery.K_mn_cable_front(-1, 1),
+            ParameterOutOfRange, "cable needs n >= 2, got 1", id="cable-front-n",
+        ),
+        pytest.param(
+            lambda: gallery.candidate_component(_both_attached()),
+            DiagramError, "expected one free component, found 0",
+            id="no-free-component",
+        ),
+        pytest.param(
+            lambda: satellite.BraidWord(2) * satellite.BraidWord(3),
+            DiagramError, "braid words on different strand counts", id="braid-product",
+        ),
+        pytest.param(
+            lambda: satellite.default_braid_site(unknot(), 3),
+            SiteNotCableSlice, "no slice carries 3 parallel strands", id="braid-site",
+        ),
+        pytest.param(
+            lambda: satellite.cable_expand(trefoil(), 2, 5),
+            ParameterOutOfRange, "no component 5 to widen", id="cable-expand-component",
+        ),
+    ],
+)
+def test_each_typed_error_is_raised_with_its_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

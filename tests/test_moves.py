@@ -33,7 +33,9 @@ from frontkit.front import (
     unknot,
 )
 from frontkit.moves import (
+    _PATTERNS,
     _WINDOW_KINDS,
+    _WINDOWS,
     _WORD_KINDS,
     Move,
     MoveIndex,
@@ -369,6 +371,52 @@ def test_pull_off_needs_a_finger():
         pull_off(d, "H", 1)
 
 
+def _random_one_handle_strip(rng):
+    """A seeded random strip through the ``k`` slots of one handle."""
+    k = rng.randint(1, 5)
+    events, width = [], k
+    for _ in range(rng.randint(0, 14)):
+        roll = rng.random()
+        if width < 2 or roll < 0.35:
+            events.append(L(rng.randint(1, width + 1)))
+            width += 2
+        elif roll < 0.7:
+            events.append(X(rng.randint(1, width - 1)))
+        else:
+            events.append(R(rng.randint(1, width - 1)))
+            width -= 2
+    while width > k:
+        events.append(R(rng.randint(1, width - 1)))
+        width -= 2
+    while width < k:
+        events.append(L(rng.randint(1, width + 1)))
+        width += 2
+    ports = [("H", slot) for slot in range(1, k + 1)]
+    return StandardFormDiagram([OneHandle("H", k)], ports, events, ports)
+
+
+def test_a_finger_holding_both_passes_reaches_no_other_port():
+    # Why pull_off needs no "threaded through a handle" check: a cusp
+    # piece holding the strands of two left ports is one arc whose ends
+    # are those two ports, run in opposite directions.
+    rng = random.Random(61)
+    joined = 0
+    for _ in range(3000):
+        d = _random_one_handle_strip(rng)
+        tr = d.trace
+        piece = _cusp_pieces(d)
+        edge = set(range(len(d.left_ports))) | set(tr.final_strands)
+        for la in range(len(d.left_ports) - 1):
+            lb = la + 1
+            if piece[la] != piece[lb]:
+                continue
+            joined += 1
+            finger = {s for s, p in enumerate(piece) if p == piece[la]}
+            assert finger & edge == {la, lb}, d
+            assert tr.strand_orient[la] == -tr.strand_orient[lb], d
+    assert joined > 300
+
+
 # --- the matcher against brute force ---------------------------------------
 
 
@@ -508,6 +556,115 @@ def test_kind_filter_matches_no_other_kind():
                 m for m in every if m.kind == kind
             ]
         assert enumerate_moves(d, ()) == []
+
+
+def _at(window, i):
+    """A ``_PATTERNS`` window put at base level ``i``."""
+    return tuple(Event(kind, i + v) for kind, v in window)
+
+
+def _fits(window, width):
+    """Whether every event of ``window`` lies inside the slice it meets,
+    run from a slice of ``width`` strands."""
+    for kind, level in window:
+        if not 1 <= level <= (width + 1 if kind == "L" else width - 1):
+            return False
+        width += {"L": 2, "R": -2, "X": 0}[kind]
+    return True
+
+
+def test_every_window_row_keeps_the_window_summary():
+    # Every row but a Destabilize (which raises tb by design), and every
+    # R2 expansion derived from a row, keeps what the rest of a word
+    # sees of its window, at every base level where the old window fits
+    # (and, for an expansion, the new one too: no other is listed).
+    checked = Counter()
+    for (kind, data), (old, new) in _WINDOWS.items():
+        if kind == "Destabilize":
+            continue
+        for width in range(9):
+            for i in range(1, width + 2):
+                if not _fits(_at(old, i), width):
+                    continue
+                if "expand" in data and not _fits(_at(new, i), width):
+                    continue
+                want = _kernel.window_summary(_at(old, i), width)
+                assert _kernel.window_summary(_at(new, i), width) == want, (
+                    kind, data, i, width,
+                )
+                checked[kind, data] += 1
+    assert len(checked) == len(_WINDOWS) - 2
+    assert min(checked.values()) >= 20
+
+
+def test_the_module_docstring_lists_the_window_rows():
+    def shown(window):
+        return ", ".join(
+            f"{kind}(i+{v})" if v else f"{kind}(i)" for kind, v in window
+        )
+
+    rows = [
+        f"* {' '.join((kind,) + data)}: [{shown(old)}] -> [{shown(new)}]"
+        for kind, data, old, new in _PATTERNS
+    ]
+    listed = [line for line in moves.__doc__.splitlines() if line.startswith("* ")]
+    assert listed == rows
+
+
+def _brute_groups(events, width):
+    """The ``_scan`` groups of every kind, found by comparing each row
+    and expansion with the events at every index and base level, plus
+    the closed-form slides; ``width`` None leaves the expansions out."""
+    top = max((ev.level for ev in events), default=0) + 1
+    here = width or 0
+    groups = []
+    for idx, ev in enumerate(events):
+        group = []
+        for (kind, data), (old, new) in _WINDOWS.items():
+            expansion = "expand" in data
+            if expansion and width is None:
+                continue
+            for i in range(1, top + 1):
+                if events[idx : idx + len(old)] != _at(old, i):
+                    continue
+                if expansion and not _fits(_at(new, i), here):
+                    continue
+                group.append((i, kind, data))
+        if idx + 1 < len(events):
+            nxt = events[idx + 1]
+            swapped = _slide(ev.kind, ev.level, nxt.kind, nxt.level)
+            if swapped is not None:
+                group.append((min(ev.level, nxt.level), "Slide", swapped))
+        groups.append(sorted(group))
+        here += {"L": 2, "R": -2, "X": 0}[ev.kind]
+    return groups
+
+
+_KIND_FILTERS = [(kind,) for kind in sorted(_WINDOW_KINDS)] + [
+    _FUZZ_KINDS, _WINDOW_KINDS, (),
+]
+
+
+@pytest.mark.parametrize("expand", [True, False])
+def test_scan_is_the_brute_force_matcher(expand):
+    rng = random.Random(71)
+    diagrams = _matcher_diagrams()
+    diagrams += [_regroup_sites(rng) for _ in range(60)]
+    found = Counter()
+    for d in diagrams:
+        events, width = d.events, len(d.left_ports)
+        brute = _brute_groups(events, width if expand else None)
+        found.update(kind for group in brute for _level, kind, _data in group)
+        lo = rng.randrange(len(events)) if events else 0
+        hi = rng.randint(lo, len(events))
+        lo_width = _width_at(events, width, lo) if expand else None
+        for kinds in _KIND_FILTERS:
+            want = [[t for t in group if t[1] in kinds] for group in brute]
+            got = _scan(events, width if expand else None, 0, len(events), kinds)
+            assert got == want, (d, kinds)
+            part = _scan(events, lo_width, lo, hi, kinds)
+            assert part == want[lo:hi], (d, kinds, lo, hi)
+    assert set(found) == set(_WINDOW_KINDS)
 
 
 def test_stabilization_sites_are_what_apply_accepts():

@@ -31,6 +31,7 @@ from frontkit.satellite import (
     TwistBox,
     braid_events,
     cable,
+    cable_expand,
     default_braid_site,
     insert_braid,
     n_copy,
@@ -173,3 +174,18 @@ def test_front_only_operations_name_a_closed_front():
     for op, args in ((stabilize, (0, 1)), (enumerate_moves, ())):
         with pytest.raises(DiagramError, match="front or a strip"):
             op(h, *args)
+
+
+def test_cable_expand_widens_one_whole_component():
+    # Each widened component becomes two push-off copies with its tb;
+    # the other component is left as it was.
+    link = n_copy(stabilize(trefoil(), 0, 1), 2)
+    stabilized = stabilize(link, 1, -1)
+    tbs = [thurston_bennequin(stabilized, c) for c in stabilized.components]
+    assert tbs[0] != tbs[1]
+    for c in stabilized.components:
+        wide = FrontDiagram(cable_expand(stabilized, 2, c).events)
+        got = sorted(thurston_bennequin(wide, k) for k in wide.components)
+        assert got == sorted(tbs + [tbs[c]])
+    every = FrontDiagram(cable_expand(stabilized, 2).events)
+    assert every.n_components == 4

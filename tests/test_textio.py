@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_front
 
-from frontkit import _kernel
+from frontkit import _kernel, textio
 from frontkit.errors import (
     DanglingStrand,
     DiagramError,
@@ -52,6 +52,13 @@ def test_parse_unknot():
     d = parse("front\nL1\nR1\n")
     assert isinstance(d, FrontDiagram)
     assert d.events == unknot().events
+
+
+def test_the_module_docstring_example_parses_and_round_trips():
+    rows = [line.split("|") for line in textio.__doc__.splitlines() if "|" in line]
+    for column in zip(*rows):
+        doc = "".join(cell.strip() + "\n" for cell in column if cell.strip())
+        assert print_text(parse(doc)) == doc
 
 
 def test_parse_reports_position():
