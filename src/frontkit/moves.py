@@ -57,7 +57,14 @@ the whole slice before it, have equal
 its |rotation| and its homology up to sign, and the new word is valid.
 Only a step the window does not prove is rebuilt and traced at once
 (a new window that leaves the slice is such a step); otherwise the
-diagram is built when it is asked for.
+diagram is built when it is asked for.  The proof (:func:`_same_window`)
+is a pure function of the two windows and the slice width, memoised
+for every caller as :func:`_rewrite` is: the keys are bounded by the
+window rows, the levels and the widths in use, and a key holds the
+actual new window, so a wrong rewrite is a new key and is checked
+afresh.  The index also keeps the slice width before every event; a
+step keeps the widths on both sides of its window, so it rewrites only
+the widths inside it.
 
 Handle moves (slide, cancellation, finger pull-off) operate on
 standard-form diagrams and live in the second half of this module.
@@ -160,6 +167,13 @@ def _width_at(events, width: int, idx: int) -> int:
     ``width`` strands, counted at C speed."""
     kinds = list(map(_KIND_OF, events[:idx]))
     return width + 2 * (kinds.count("L") - kinds.count("R"))
+
+
+def _widths(events, width: int) -> List[int]:
+    """The slice width before each of ``events`` and after the last, of
+    a word that starts on ``width`` strands."""
+    deltas = map(_DELTA.__getitem__, map(_KIND_OF, events))
+    return list(accumulate(deltas, initial=width))
 
 
 # -- the matcher -----------------------------------------------------------
@@ -465,11 +479,13 @@ class MoveIndex(Sequence):
     triples, which do not name the index, so the windows after a rewrite
     only shift.  ``len(index)`` and ``index[k]`` give the k-th move of
     the sorted list: ``rng.choice(index)`` draws exactly the move that
-    ``rng.choice(enumerate_moves(d, kinds))`` draws.  :meth:`apply`
-    finds the move in the group it holds for its window, splices the
-    rewrite into the held word, checks the rewritten window (see the
-    module docstring) and rescans the windows the move can have
-    changed.  ``index.diagram`` is the current word's diagram,
+    ``rng.choice(enumerate_moves(d, kinds))`` draws.  The index also
+    holds the slice width before every event and after the last.
+    :meth:`apply` finds the move in the group it holds for its window,
+    splices the rewrite into the held word, checks the rewritten window
+    (see the module docstring), rescans the windows the move can have
+    changed and splices the widths inside the window.
+    ``index.diagram`` is the current word's diagram,
     built and traced on first use.  Only window moves can be listed: a
     stabilization is a site, not a window, and a handle move rewrites
     more than the word.
@@ -480,6 +496,7 @@ class MoveIndex(Sequence):
         _require_diagram(d)
         self._groups = _scan(d.events, len(d.left_ports), 0, len(d.events), self._kinds)
         self._ends = list(accumulate(map(len, self._groups)))
+        self._widths = _widths(d.events, len(d.left_ports))
         self._start = d
         self._events = d.events
         self._diagram = d
@@ -514,10 +531,16 @@ class MoveIndex(Sequence):
 
         Returns True when the rewritten window proves that every
         component keeps its tb, its |rotation| and its homology up to
-        sign; otherwise the new diagram is built and traced at once,
-        raising DiagramError on an invalid word, and False is returned.
-        Raises MoveNotApplicable when ``m`` is malformed, of a kind the
-        index does not list, or has no site in the word.
+        sign (the memoised :func:`_same_window`, run from the held width
+        before the window); otherwise the new diagram is built and
+        traced at once, raising DiagramError on an invalid word, and
+        False is returned.  Raises MoveNotApplicable when ``m`` is
+        malformed, of a kind the index does not list, or has no site in
+        the word.  A step that raises leaves the index unchanged.
+        Otherwise the widths inside the window are rewritten from the
+        new events.  The width after the window stays: a proven window
+        has the old out-width, and an unproven step that changed it
+        would leave the word's last slice wrong, so its rebuild raised.
         """
         _require_move(m)
         if m.kind not in self._kinds:
@@ -526,24 +549,28 @@ class MoveIndex(Sequence):
         idx = _window_index(m, len(events))
         old_len, new = _rewrite(_match(self._groups[idx], m))
         new_events = events[:idx] + new + events[idx + old_len :]
-        width = _width_at(events, len(self._start.left_ports), idx)
+        width = self._widths[idx]
         proven = _same_window(events[idx : idx + old_len], new, width)
         diagram = None if proven else _rebuild(self._start, new_events)
         self._groups = _regrouped(
             self._groups, new_events, idx, len(new) - old_len, self._kinds, width
         )
         self._ends = list(accumulate(map(len, self._groups)))
+        self._widths[idx : idx + old_len + 1] = _widths(new, width)
         self._events = new_events
         self._diagram = diagram
         return proven
 
 
-def _same_window(old, new, width: int) -> bool:
+@lru_cache(maxsize=None)
+def _same_window(old: Tuple[Event, ...], new: Tuple[Event, ...], width: int) -> bool:
     """Whether putting the window ``new`` in place of ``old``, both run
     from a slice of ``width`` strands, provably keeps the components and,
     for each, its tb, |rotation| and homology up to sign: whether the two
     windows have equal :func:`_kernel.window_summary` over the whole
-    slice.  False when they differ or ``new`` leaves the slice."""
+    slice.  False when they differ or ``new`` leaves the slice.
+    Memoised, since the keys are bounded by the window rows, the levels
+    and the widths in use."""
     try:
         return _kernel.window_summary(old, width) == _kernel.window_summary(new, width)
     except DiagramError:

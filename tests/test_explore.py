@@ -9,9 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_front
-from frontkit import gallery, moves
+from frontkit import _kernel, gallery, moves
 from frontkit.certify import GenusCertificate, certify_tb_max
-from frontkit.errors import BudgetExhausted, DiagramError, ParameterOutOfRange
+from frontkit.errors import (
+    BudgetExhausted,
+    DiagramError,
+    MoveError,
+    ParameterOutOfRange,
+)
 from frontkit.explore import (
     _FUZZ_KINDS,
     SearchConfig,
@@ -102,6 +107,15 @@ def test_budget_exhaustion_carries_partial_result():
     partial = exc.value.partial
     assert partial.exhausted
     assert partial.best_tb >= -3
+
+
+def test_a_witness_that_replays_to_another_tb_is_an_error(monkeypatch):
+    # A mutation of the replay: the witness of a search that destabilized
+    # twice replays to its start, whose tb is 2 lower than the tb the
+    # search carried, and the replay check names the difference.
+    monkeypatch.setattr(MoveScript, "replay", lambda script, start: start)
+    with pytest.raises(MoveError, match="carried tb -1 along 2 moves.*tb -3"):
+        bfs_max_tb(twice_stabilized_unknot())
 
 
 def test_local_max_certificates():
@@ -270,20 +284,74 @@ _WRONG = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(_WRONG))
-def test_fuzz_reports_a_wrong_rewrite_as_the_reference_does(monkeypatch, fault):
-    _wrong_replacement(monkeypatch, *_WRONG[fault])
+def _fault_walks():
+    """Seeded 40-step walks, as ``(d, seed)``, on which every fault of
+    ``_WRONG`` shows."""
     fronts = [trefoil(), K_m_front(-2), _criterion_9_fronts()[3]]
     fronts += [random_front(random.Random(s), 16) for s in (4, 5)]
     fronts.append(gallery.stein_rep_max(-5, 2).diagram)
+    return [(d, seed) for d in fronts for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("fault", sorted(_WRONG))
+def test_fuzz_reports_a_wrong_rewrite_as_the_reference_does(monkeypatch, fault):
+    _wrong_replacement(monkeypatch, *_WRONG[fault])
     violations = 0
-    for d in fronts:
-        for seed in (1, 2, 3):
-            rep = fuzz_moves(d, seed, 40)
-            got = (rep.steps_applied, rep.violations, rep.final.events)
-            assert got == _reference_fuzz(d, seed, 40), (d, seed)
-            violations += len(rep.violations)
+    for d, seed in _fault_walks():
+        rep = fuzz_moves(d, seed, 40)
+        got = (rep.steps_applied, rep.violations, rep.final.events)
+        assert got == _reference_fuzz(d, seed, 40), (d, seed)
+        violations += len(rep.violations)
     assert violations
+
+
+@pytest.fixture
+def fresh_window_proofs():
+    """The memo of ``moves._same_window`` emptied before and after the
+    test, so that proofs made with a patched summary neither meet the
+    entries of earlier tests nor reach later ones."""
+    moves._same_window.cache_clear()
+    yield
+    moves._same_window.cache_clear()
+
+
+# Each part of the window summary, by its place in the tuple, and the
+# fault of ``_WRONG`` that only this part sees.
+_SUMMARY_PARTS = {
+    "the pairing": (1, "an R2 contraction past no strand"),
+    "the per-arc counts": (2, "an R2 expansion with a zigzag"),
+    "the crossing sums": (3, "an R2 expansion with a clasp"),
+    "the loops": (4, "an R2 expansion with an unknot"),
+}
+
+
+@pytest.mark.parametrize("part", sorted(_SUMMARY_PARTS))
+def test_a_summary_without_one_part_misses_what_only_it_sees(
+    monkeypatch, fresh_window_proofs, part
+):
+    # A mutation of the proof: with one part of the summary dropped, the
+    # walks of the wrong-rewrite test no longer report what the
+    # reference reports, so the memoised proof still runs the summary
+    # on every new window and hides no weakened check.
+    place, fault = _SUMMARY_PARTS[part]
+    _wrong_replacement(monkeypatch, *_WRONG[fault])
+    summary = _kernel.window_summary
+
+    def without_part(events, width):
+        out = list(summary(events, width))
+        out[place] = None
+        return tuple(out)
+
+    monkeypatch.setattr(_kernel, "window_summary", without_part)
+    missed = 0
+    for d, seed in _fault_walks():
+        rep = fuzz_moves(d, seed, 40)
+        applied, violations, final = _reference_fuzz(d, seed, 40)
+        # The walk draws the same moves; only the reports differ.
+        assert (rep.steps_applied, rep.final.events) == (applied, final)
+        assert len(rep.violations) <= len(violations)
+        missed += len(violations) - len(rep.violations)
+    assert missed
 
 
 @pytest.mark.parametrize("level", [0, 99])
@@ -293,7 +361,7 @@ def test_a_rewrite_off_the_slice_raises_what_the_rebuild_raises(monkeypatch, lev
     )
     for d in (K_m_front(-2), gallery.stein_rep_max(-5, 2).diagram):
         index = MoveIndex(d, _FUZZ_KINDS)
-        before = list(index)
+        before, widths = list(index), list(index._widths)
         m = next(m for m in before if m.kind == "Slide")
         with pytest.raises(DiagramError) as want:
             apply_move(d, m)
@@ -301,8 +369,10 @@ def test_a_rewrite_off_the_slice_raises_what_the_rebuild_raises(monkeypatch, lev
             index.apply(m)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
-        # Nothing changed: the index lists the same moves of the same word.
+        # Nothing changed: the index lists the same moves of the same word
+        # and holds the same slice widths.
         assert list(index) == before
+        assert index._widths == widths
         assert index.diagram is d
         with pytest.raises(DiagramError) as walked:
             fuzz_moves(d, 7, 50)
@@ -328,6 +398,39 @@ def test_a_proven_step_keeps_the_fingerprint(seed):
         got = _fingerprint(index.diagram)
         assert got == want or not proven
         want = got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_an_index_step_reads_a_memoised_proof_and_spliced_widths(seed):
+    # After every step the memoised proof of the rewritten window is a
+    # fresh one, and the widths the index splices are the widths a
+    # count from the start of the new word gives.
+    rng = random.Random(seed)
+    roll = rng.random()
+    if roll < 0.15:
+        d = gallery.stein_rep_max(-5, 2).diagram
+    elif roll < 0.35:
+        d = rng.choice(_gallery_strips())
+    else:
+        d = random_front(rng, rng.randint(4, 30))
+    start = len(d.left_ports)
+    index = MoveIndex(d, _WINDOW_KINDS)
+    for _step in range(25):
+        if not index:
+            break
+        m = rng.choice(index)
+        events = index._events
+        old_len, new = moves._rewrite(moves._match(index._groups[m.index], m))
+        old = events[m.index : m.index + old_len]
+        width = moves._width_at(events, start, m.index)
+        proven = index.apply(m)
+        fresh = moves._same_window.__wrapped__(old, new, width)
+        assert proven == moves._same_window(old, new, width) == fresh, m
+        events = index._events
+        assert index._widths == [
+            moves._width_at(events, start, i) for i in range(len(events) + 1)
+        ], m
 
 
 def test_every_step_of_the_criterion_9_walks_is_proven():

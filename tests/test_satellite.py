@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import random_knot
-from frontkit import gallery
+from frontkit import gallery, satellite
 from frontkit.errors import (
     ComponentCountMismatch,
     DiagramError,
@@ -111,6 +111,18 @@ def test_cable_component_count_gcd():
 
             c = cable(unknot(), n, q)
             assert c.n_components == math.gcd(n, q)
+
+
+def test_a_cable_without_its_twists_is_a_component_count_error(monkeypatch):
+    # A mutation of the twist box: with no twists spliced in, the
+    # (n, -1)-cable of the unknot is the n-copy, n components where
+    # gcd(n, -1) = 1 promises one, and the count check names it.
+    monkeypatch.setattr(
+        satellite, "twist_box_expand", lambda box: BraidWord(box.strands)
+    )
+    for n in (2, 3):
+        with pytest.raises(ComponentCountMismatch, match=f"traced to {n} components"):
+            cable(unknot(), n, -1)
 
 
 def test_cable_of_trefoil():
