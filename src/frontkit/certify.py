@@ -25,7 +25,7 @@ class GenusCertificate:
     genus: int
 
     def __post_init__(self):
-        _check_int(0, genus=self.genus)
+        _check_int(0, component=self.component, genus=self.genus)
 
 
 CERTIFIED = "Certified"
@@ -59,8 +59,11 @@ def certify_tb_max(d: FrontDiagram, c: int, cert: GenusCertificate) -> MaxTbCert
     rotation 0.  BoundOnly means the bound leaves room above.
     Inconsistent means tb + |rot| exceeds the bound, so the certificate
     itself must be wrong.  A certificate for another component than
-    ``c`` raises ParameterOutOfRange.
+    ``c``, or a ``cert`` that is not a GenusCertificate, raises
+    ParameterOutOfRange.
     """
+    if not isinstance(cert, GenusCertificate):
+        raise ParameterOutOfRange(f"{cert!r} is not a GenusCertificate")
     if cert.component != c:
         raise ParameterOutOfRange(
             f"certificate is for component {cert.component}, not {c}"

@@ -70,9 +70,11 @@ class NotAKnot(FrontkitError):
 class ParameterOutOfRange(FrontkitError):
     """A parameter is outside the range its operation accepts: gallery
     parameters a construction cannot realize, a cable or copy count that
-    cannot be built, a negative genus, a search depth, search budget or
-    fuzz step count that is not an int in range, or an unknown render
-    mode."""
+    cannot be built, a genus certificate whose component or genus is not
+    a non-negative int, a certificate that is not a GenusCertificate, a
+    braid-site strand count that is not an int, a search depth, search
+    budget or fuzz step count that is not an int in range, or an unknown
+    render mode."""
 
 
 class BudgetExhausted(FrontkitError):

@@ -25,16 +25,7 @@ from .front import (
     trefoil,
     unknot,
 )
-from .moves import (
-    Move,
-    MoveScript,
-    SteinHandlebody,
-    _band_sum,
-    _clean_sites,
-    _slide_setup,
-    cancel_pair,
-    pull_off,
-)
+from .moves import Move, MoveScript, SteinHandlebody, apply_move, clean_band_sites
 from .satellite import cable
 from .standard import (
     OneHandle,
@@ -224,7 +215,8 @@ def step3_pipeline(m: int, n: int) -> Tuple[FrontDiagram, MoveScript]:
 
     The two slides use opposite-direction splices so the candidate's
     homology returns to zero, and the whole sequence is tb-neutral: the
-    emitted front recomputes to tb = -1.  The returned MoveScript
+    emitted front recomputes to tb = -1.  Each move is applied through
+    apply_move, so the returned MoveScript is the moves as applied and
     replays deterministically from stein_rep_max(m, n).
     """
     h = stein_rep_max(m, n)
@@ -234,10 +226,9 @@ def step3_pipeline(m: int, n: int) -> Tuple[FrontDiagram, MoveScript]:
     for _ in range(2):
         a = h.attachments[0]
         k = candidate_component(h)
-        setup = _slide_setup(h, k, a)
-        site = _clean_sites(setup)[0]
-        h = _band_sum(h, k, a, setup, site)
+        site = clean_band_sites(h, k, a)[0]
         moves.append(Move("HandleSlide", data=(k, a.component, a.framing, site)))
+        h = apply_move(h, moves[-1])
     _require(
         not any(homology_vector(h.diagram, candidate_component(h))),
         "candidate homology is not zero after two slides",
@@ -251,13 +242,12 @@ def step3_pipeline(m: int, n: int) -> Tuple[FrontDiagram, MoveScript]:
             for s in range(1, hd.slots)
             if ps.get((hd.id, s), 0) * ps.get((hd.id, s + 1), 0) == -1
         ][0]
-        h = pull_off(h, *slot)
         moves.append(Move("PullOff", data=slot))
+        h = apply_move(h, moves[-1])
 
     a = h.attachments[0]
-    hid = h.diagram.handles[0].id
-    closed = cancel_pair(h, hid, a)
-    moves.append(Move("CancelPair", data=(hid, a.component, a.framing)))
+    moves.append(Move("CancelPair", data=(h.diagram.handles[0].id, a.component, a.framing)))
+    closed = apply_move(h, moves[-1])
     _require(isinstance(closed, FrontDiagram), "cancellation left handles behind")
     _require(closed.n_components == 1, "closed front is not a knot")
     tb = thurston_bennequin(closed)

@@ -140,13 +140,22 @@ class Move:
 
 @dataclass(frozen=True)
 class MoveScript:
-    """An ordered, replayable list of moves with a provenance note."""
+    """An ordered, replayable list of moves with a provenance note.
+
+    Raises MoveNotApplicable unless ``moves`` is an iterable of
+    well-formed moves (see :func:`apply_move`)."""
 
     moves: Tuple[Move, ...]
     note: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(self.moves))
+        try:
+            moves = tuple(self.moves)
+        except TypeError:
+            raise MoveNotApplicable(f"moves {self.moves!r} are not a sequence") from None
+        for m in moves:
+            _require_move(m)
+        object.__setattr__(self, "moves", moves)
 
     def replay(self, start):
         """Apply every move in order, returning the final object."""
@@ -403,12 +412,12 @@ def _match(group: List[Tuple], m: Move) -> Tuple:
     raise MoveNotApplicable(f"no {m} site")
 
 
-# Handle moves: the names of their data fields and the diagrams they act
-# on.  Each move checks the values of its own fields.
+# Handle moves: the names of their data fields.  Each move checks its
+# host and the values of its own fields.
 _HANDLE_MOVES = {
-    "HandleSlide": (("k", "circle", "framing", "site"), (SteinHandlebody,)),
-    "PullOff": (("hid", "slot"), (_Diagram, SteinHandlebody)),
-    "CancelPair": (("hid", "circle", "framing"), (SteinHandlebody,)),
+    "HandleSlide": ("k", "circle", "framing", "site"),
+    "PullOff": ("hid", "slot"),
+    "CancelPair": ("hid", "circle", "framing"),
 }
 
 
@@ -436,16 +445,12 @@ def apply_move(d, m: Move):
     """
     _require_move(m)
     if m.kind in _HANDLE_MOVES:
-        fields, hosts = _HANDLE_MOVES[m.kind]
+        fields = _HANDLE_MOVES[m.kind]
         if len(m.data) != len(fields):
             raise MoveNotApplicable(f"{m.kind} data must be ({', '.join(fields)})")
         if m.index != 0 or m.level != 0:
             raise MoveNotApplicable(
                 f"{m.kind} has index 0 and level 0, not {m.index}/{m.level}"
-            )
-        if not isinstance(d, hosts):
-            raise MoveNotApplicable(
-                f"{m.kind} does not act on a {type(d).__name__}"
             )
         if m.kind == "HandleSlide":
             k, circle, framing, site = m.data
@@ -703,7 +708,7 @@ def band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> list:
     where the sliding component runs adjacent to one push-off copy of
     the attaching circle.  Exposed so scripts can name sites stably.
     """
-    return _slide_setup(h, k, a)[4]
+    return list(_slide_setup(h, k, a)[3])
 
 
 def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List[int]:
@@ -713,12 +718,7 @@ def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List
     port would thread that finger through the push-off, blocking later
     pull-offs; this filter keeps only sites on port-free pieces.
     """
-    return _clean_sites(_slide_setup(h, k, a))
-
-
-def _clean_sites(setup) -> List[int]:
-    """:func:`clean_band_sites` of a :func:`_slide_setup` result."""
-    d2, *_rest, k_strands = setup
+    d2, _reslotted, _origin, _sites, k_strands = _slide_setup(h, k, a)
     piece = _cusp_pieces(d2)
     # A piece's label is its least strand id, and the left-port strands
     # are ids 0..len(left_ports)-1.
@@ -749,10 +749,10 @@ def _cusp_pieces(d: StandardFormDiagram) -> List[int]:
 
 
 def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
-    """The doubled strip of a slide of ``k`` over ``a``, shared by every
-    band site: ``(d2, reslotted, origin, comp_k, sites, k_strands)``,
-    with ``k``'s component ``comp_k`` in ``d2``, the :func:`band_sites`
-    and ``k``'s strand at each of them."""
+    """:func:`_doubled_strip` of a slide of ``k`` over ``a``, once the
+    slide is checked."""
+    if not isinstance(h, SteinHandlebody):
+        raise MoveNotApplicable(f"a handle slide does not act on a {type(h).__name__}")
     d = h.diagram
     if not _is_int(k):
         raise MoveNotApplicable(f"component {k!r} is not an int")
@@ -768,7 +768,17 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
         raise NotSteinFramed(
             f"attachment framing {a.framing} is not tb - 1 = {tb_c - 1}"
         )
-    tr = d.trace
+    return _doubled_strip(h, k, a)
+
+
+@lru_cache(maxsize=1)
+def _doubled_strip(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
+    """The doubled strip of a checked slide, shared by every band site:
+    ``(d2, reslotted, origin, sites, k_strands)``, with the band sites
+    and ``k``'s strand at each.  Its readers leave it untouched; it is
+    memoised for the last slide, so clean_band_sites then handle_slide
+    on one handlebody build it once."""
+    d = h.diagram
     exp = cable_expand(d, 2, a.component)
     if exp.first_cusp_index is None:
         raise BandObstructed(
@@ -781,7 +791,7 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
     exp.splice(exp.first_cusp_index, [X(o + 1), X(o + 1)])
 
     # Split every port the circle passes into two adjacent subslots.
-    owner = dict(zip(d.left_ports, tr.strand_component))
+    owner = dict(zip(d.left_ports, d.trace.strand_component))
     reslotted = _reslot(d, lambda p: 2 if owner[p] == a.component else 1)
     d2, carried = _after_handle_move(d, reslotted, exp.events, exp.origins)
     (comp_k,), copies = carried[k], carried[a.component]
@@ -794,7 +804,7 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
             if comp_k in pair and (pair - {comp_k}) & copies:
                 sites.append((pos, lvl))
                 k_strands.append(s1 if comp2[s1] == comp_k else s2)
-    return d2, reslotted, exp.origins, comp_k, sites, k_strands
+    return d2, reslotted, exp.origins, sites, k_strands
 
 
 def handle_slide(
@@ -812,14 +822,7 @@ def handle_slide(
     :func:`band_sites`.  All invariants of the result are recomputed
     from the rewritten diagram.
     """
-    return _band_sum(h, k, a, _slide_setup(h, k, a), site)
-
-
-def _band_sum(h: SteinHandlebody, k: int, a: TwoHandleAttachment, setup,
-              site: int) -> SteinHandlebody:
-    """:func:`handle_slide` from a :func:`_slide_setup` result, which
-    it leaves untouched so that another site can reuse it."""
-    d2, reslotted, origin, _comp_k, sites, _k_strands = setup
+    d2, reslotted, origin, sites, _k_strands = _slide_setup(h, k, a)
     if not _is_int(site):
         raise MoveNotApplicable(f"band site {site!r} is not an int")
     if not sites:
@@ -894,6 +897,8 @@ def pull_off(d, hid, slot: int):
         new_d, carried = _pull_off(d.diagram, hid, slot)
         # An isotopy carries each component to one component.
         return SteinHandlebody(new_d, _carried_attachments(d, carried))
+    if not isinstance(d, _Diagram):
+        raise MoveNotApplicable(f"a pull-off does not act on a {type(d).__name__}")
     return _pull_off(d, hid, slot)[0]
 
 
@@ -943,6 +948,8 @@ def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):
     survivors can measure internally.  Returns a plain closed front
     when the last 1-handle goes away.
     """
+    if not isinstance(h, SteinHandlebody):
+        raise MoveNotApplicable(f"a cancellation does not act on a {type(h).__name__}")
     d = h.diagram
     if a not in h.attachments:
         raise MoveNotApplicable("attachment is not part of the handlebody")

@@ -262,6 +262,7 @@ def default_braid_site(d: FrontDiagram, n: int) -> Tuple[int, int]:
     """The rightmost slice position where ``n`` adjacent strands run
     parallel (co-oriented), as an (event index, top level) pair."""
     _require_front(d)
+    _check_int(n=n)
     slices = _kernel.slices(d.events, d.trace)
     orient = d.trace.strand_orient
     for index in range(len(d.events), -1, -1):

@@ -295,6 +295,8 @@ def stein_check(h: SteinHandlebody) -> List[SteinViolation]:
     An empty list means every 2-handle is attached with contact framing
     minus one.
     """
+    if not isinstance(h, SteinHandlebody):
+        raise DiagramError(f"expected a SteinHandlebody, got a {type(h).__name__}")
     out = []
     for i, a in enumerate(h.attachments):
         tb = tb_standard(h.diagram, a.component)

@@ -25,7 +25,7 @@ import re
 from contextlib import contextmanager
 from typing import List, Tuple, Union
 
-from .errors import DiagramError, FormatError, ParameterOutOfRange
+from .errors import DiagramError, FormatError, MoveError, ParameterOutOfRange
 from .front import Event, FrontDiagram, _Diagram, _require_diagram
 from .standard import (
     _HANDLE_ID,
@@ -184,7 +184,12 @@ def _token(x) -> str:
 def print_script(script: "MoveScript") -> str:
     """One move per line: kind, window index, level, then any
     kind-specific data tokens.  Ints print as digits, as levels do in
-    :func:`print_text`, so a bool field parses back as its int."""
+    :func:`print_text`, so a bool field parses back as its int.  Raises
+    MoveError when ``script`` is not a MoveScript."""
+    from .moves import MoveScript
+
+    if not isinstance(script, MoveScript):
+        raise MoveError(f"expected a MoveScript, got a {type(script).__name__}")
     lines = []
     if script.note:
         lines.append(f"# {script.note}")

@@ -12,6 +12,7 @@ from frontkit.errors import (
     BandObstructed,
     DiagramError,
     FormatError,
+    MoveError,
     MoveNotApplicable,
     NotAKnot,
     ParameterOutOfRange,
@@ -186,10 +187,18 @@ _FAMILY = ParameterOutOfRange
         ),
         pytest.param(
             lambda: certify.certify_tb_max(
-                trefoil(), "a", certify.GenusCertificate("a", 1)
+                trefoil(), 0.0, certify.GenusCertificate(0, 1)
             ),
             DiagramError,
             id="certify_tb_max",
+        ),
+        pytest.param(
+            lambda: certify.certify_tb_max(trefoil(), 0, "g"),
+            _FAMILY,
+            id="certify_tb_max-certificate",
+        ),
+        pytest.param(
+            lambda: standard.stein_check(_strip()), DiagramError, id="stein_check"
         ),
         pytest.param(lambda: textio.parse(123), FormatError, id="parse"),
         pytest.param(lambda: textio.parse_script(5), FormatError, id="parse_script"),
@@ -255,6 +264,16 @@ _FAMILY = ParameterOutOfRange
         ),
         pytest.param(
             lambda: certify.GenusCertificate(0, "1"), _FAMILY, id="GenusCertificate"
+        ),
+        pytest.param(
+            lambda: certify.GenusCertificate("0", 0),
+            _FAMILY,
+            id="GenusCertificate-component",
+        ),
+        pytest.param(
+            lambda: satellite.default_braid_site(trefoil(), "2"),
+            _FAMILY,
+            id="default_braid_site",
         ),
         pytest.param(
             lambda: certify.reducibility_report("a", 2),
@@ -323,6 +342,15 @@ _ATTACHED = TwoHandleAttachment(1, -5)
 _OUTSIDE = TwoHandleAttachment(5, 0)
 
 
+def _slide_between_nested_unknots():
+    # Component 1 sits between 0 and 2 in every slice, so no band site
+    # joins 0 to a push-off copy of 2.
+    d = StandardFormDiagram([], [], [L(1), L(3), L(5), R(5), R(3), R(1)], [])
+    h = SteinHandlebody(d, [TwoHandleAttachment(2, -2)])
+    assert moves.band_sites(h, 0, h.attachments[0]) == []
+    return moves.handle_slide(h, 0, h.attachments[0])
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -367,6 +395,57 @@ _OUTSIDE = TwoHandleAttachment(5, 0)
             BandObstructed,
             "attaching circle has no left cusp to carry the framing kink",
             id="slide-no-left-cusp",
+        ),
+        pytest.param(
+            _slide_between_nested_unknots,
+            BandObstructed, "no band location between the two curves",
+            id="slide-no-band-site",
+        ),
+        pytest.param(
+            lambda: moves.handle_slide(_strip(), 0, _ATTACHED),
+            MoveNotApplicable, "a handle slide does not act on a StandardFormDiagram",
+            id="slide-strip",
+        ),
+        pytest.param(
+            lambda: moves.band_sites(_strip(), 0, _ATTACHED),
+            MoveNotApplicable, "a handle slide does not act on a StandardFormDiagram",
+            id="band-sites-strip",
+        ),
+        pytest.param(
+            lambda: moves.clean_band_sites(_strip(), 0, _ATTACHED),
+            MoveNotApplicable, "a handle slide does not act on a StandardFormDiagram",
+            id="clean-band-sites-strip",
+        ),
+        pytest.param(
+            lambda: moves.cancel_pair(_strip(), "H", _ATTACHED),
+            MoveNotApplicable, "a cancellation does not act on a StandardFormDiagram",
+            id="cancel-strip",
+        ),
+        pytest.param(
+            lambda: moves.cancel_pair(trefoil(), "H", _ATTACHED),
+            MoveNotApplicable, "a cancellation does not act on a FrontDiagram",
+            id="cancel-front",
+        ),
+        pytest.param(
+            lambda: moves.pull_off(5, "H", 1),
+            MoveNotApplicable, "a pull-off does not act on a int", id="pull-off-int",
+        ),
+        pytest.param(
+            lambda: moves.pull_off(None, "H", 1),
+            MoveNotApplicable, "a pull-off does not act on a NoneType",
+            id="pull-off-None",
+        ),
+        pytest.param(
+            lambda: moves.MoveScript(5),
+            MoveNotApplicable, "moves 5 are not a sequence", id="script-int",
+        ),
+        pytest.param(
+            lambda: textio.print_script(moves.MoveScript((1,))),
+            MoveNotApplicable, "malformed move 1", id="script-item",
+        ),
+        pytest.param(
+            lambda: textio.print_script([1, 2]),
+            MoveError, "expected a MoveScript, got a list", id="print-script-list",
         ),
         pytest.param(
             lambda: moves.cancel_pair(_handlebody(), "H", _OUTSIDE),

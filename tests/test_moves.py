@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_front, random_knot
 from frontkit import _kernel, explore, gallery, moves
 from frontkit.errors import (
+    BandObstructed,
     BudgetExhausted,
     DiagramError,
     GeometricPassNotOne,
@@ -40,8 +41,6 @@ from frontkit.moves import (
     Move,
     MoveIndex,
     MoveScript,
-    _band_sum,
-    _clean_sites,
     _cusp_pieces,
     _pull_off,
     _regrouped,
@@ -1020,7 +1019,10 @@ def _replayed_slice(d, idx):
 def _reference_clean_band_sites(h, k, a):
     """clean_band_sites as it was: a cusp graph built by replaying the
     doubled word, and a depth-first search from each site's strand."""
-    d2, _reslotted, _origin, comp_k, sites, _k_strands = _slide_setup(h, k, a)
+    d2, reslotted, origin, sites, _k_strands = _slide_setup(h, k, a)
+    comp_k = _reference_marker_component(
+        d2, reslotted[3], origin, _reference_markers(h.diagram)[k]
+    )
     tr = d2.trace
     adj = {}
     cur = list(range(len(d2.left_ports)))
@@ -1107,21 +1109,69 @@ def test_clean_band_sites_match_the_search_they_replaced():
         assert clean_band_sites(h, k, a) == _reference_clean_band_sites(h, k, a)
 
 
-def test_one_slide_setup_serves_every_site():
-    # The band is spliced into a new word, so each site sees the setup as
-    # _slide_setup built it.
+def _counted_cable_expands(monkeypatch):
+    """The argument tuples of every later moves.cable_expand call."""
+    expanded = []
+    real = moves.cable_expand
+
+    def counting(*args):
+        expanded.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(moves, "cable_expand", counting)
+    return expanded
+
+
+def test_one_slide_setup_serves_every_site(monkeypatch):
+    # The doubled strip is memoised for the last slide asked about: the
+    # clean sites and the band sum at every site share one build, each
+    # site sees it as it was built, and band_sites hands out a copy.
+    expanded = _counted_cable_expands(monkeypatch)
     for h, k, a in _slide_cases():
-        setup = _slide_setup(h, k, a)
-        d2, _reslotted, origin, _comp_k, sites, _k_strands = setup
-        word, origin_before = d2.events, list(origin)
-        assert _clean_sites(setup) == clean_band_sites(h, k, a)
-        for site in range(len(sites)):
-            got = _band_sum(h, k, a, setup, site)
-            want = handle_slide(h, k, a, site)
-            assert got.diagram == want.diagram
-            assert got.attachments == want.attachments
-        assert d2.events == word
-        assert origin == origin_before
+        moves._doubled_strip.cache_clear()
+        expanded.clear()
+        clean_band_sites(h, k, a)
+        sites = band_sites(h, k, a)
+        got = [handle_slide(h, k, a, site) for site in range(len(sites))]
+        assert len(expanded) == 1
+        for site, out in enumerate(got):
+            moves._doubled_strip.cache_clear()
+            assert out == handle_slide(h, k, a, site)
+        want = list(sites)
+        sites.clear()
+        assert band_sites(h, k, a) == want
+
+
+def test_step3_builds_one_doubled_strip_per_slide(monkeypatch):
+    expanded = _counted_cable_expands(monkeypatch)
+    gallery.step3_pipeline(-5, 2)
+    assert len(expanded) == 2
+
+
+def test_a_band_that_merges_both_push_off_copies_is_obstructed(monkeypatch):
+    # A mutation of the doubled strip: it already carries a band from k
+    # to one push-off copy, so the band at the first site, to the other
+    # copy, merges both copies into k, and the check names it.
+    h = gallery.stein_rep_max(-5, 2)
+    k, a = gallery.candidate_component(h), h.attachments[0]
+    d2, reslotted, origin, sites, k_strands = _slide_setup(h, k, a)
+    comp = d2.trace.strand_component
+    slices = _kernel.slices(d2.events, d2.trace)
+    copies = [
+        ({comp[s] for s in slices[pos][lvl - 1 : lvl + 1]} - {comp[ks]}).pop()
+        for (pos, lvl), ks in zip(sites, k_strands)
+    ]
+    pos, lvl = sites[next(j for j, c in enumerate(copies) if c != copies[0])]
+    assert pos > sites[0][0]
+    banded = StandardFormDiagram(
+        d2.handles, d2.left_ports,
+        d2.events[:pos] + (R(lvl), L(lvl)) + d2.events[pos:], d2.right_ports,
+    )
+    mutated = (banded, reslotted, origin[:pos] + [None, None] + origin[pos:],
+               sites[:1], k_strands[:1])
+    monkeypatch.setattr(moves, "_doubled_strip", lambda *args: mutated)
+    with pytest.raises(BandObstructed, match="band did not merge exactly one push-off copy"):
+        handle_slide(h, k, a, 0)
 
 
 def test_cusp_pieces_are_the_pull_off_fingers():
@@ -1284,16 +1334,16 @@ def test_slide_carries_components_as_markers_did():
         d = h.diagram
         markers = _reference_markers(d)
         for site in range(len(band_sites(h, k, a))):
-            d2, reslotted, origin, comp_k, sites, _k_strands = _slide_setup(h, k, a)
+            d2, reslotted, origin, sites, k_strands = _slide_setup(h, k, a)
             ports = reslotted[3]
             carried = carried_components(
                 d, d2, _witness_pairs(d, d2, ports, origin)
             )
             _assert_carried(carried, d.components, doubled=a.component)
-            assert carried[k] == {comp_k}
-            assert comp_k == _reference_marker_component(
-                d2, ports, origin, markers[k]
-            )
+            assert carried[k] == {
+                _reference_marker_component(d2, ports, origin, markers[k])
+            }
+            assert {d2.trace.strand_component[s] for s in k_strands} == carried[k]
             assert carried[a.component] == {
                 _reference_marker_component(
                     d2, ports, origin, markers[a.component], j
@@ -1480,9 +1530,13 @@ def test_each_built_diagram_is_traced_once(monkeypatch):
     assert traces(cable, front, 3, -1) == 1
     assert traces(n_copy, front, 2) == 1
     assert traces(n_copy_counts, front, 2) == 1
-    # The doubled strip, then the band sum.
-    assert traces(_slide_setup, *slide) == 1
+    # The doubled strip, then the band sum; after clean_band_sites the
+    # doubled strip is memoised.
+    moves._doubled_strip.cache_clear()
     assert traces(handle_slide, *slide) == 2
+    moves._doubled_strip.cache_clear()
+    assert traces(clean_band_sites, *slide) == 1
+    assert traces(handle_slide, *slide) == 1
 
 
 def test_search_traces_no_child(monkeypatch):
