@@ -37,27 +37,36 @@ The input is the word exactly as the package stores it: a sequence of
 ``frontkit.front.Event`` carries, so an ``Event`` tuple needs no
 translation.  ``BACKEND`` names the implementation for reports.
 
-:func:`window_summary` runs the same slice pass and closing count pass
-over a few events as an open tangle, from the whole slice before them,
-and reports what a closed word that holds them can see: the pairing of
-the boundary ends by the arcs, and per arc and per pair of arcs the
-counts :func:`trace` makes per component.  A row the events do not touch
-is one straight arc, the same in two windows run from one slice, so
-their summaries differ only where the rows they touch do; an event that
-leaves the slice raises in the slice pass.
+:func:`arcs` runs the same slice pass over a few events as an open
+tangle, from the whole slice before them, and labels each strand with
+its arc, walked from its first boundary end, or its closed loop; the
+pieces of a slide's strip and the finger of a pull-off are its arcs.
+:func:`window_summary` runs the closing count pass over them and reports
+what a closed word that holds the events can see: the pairing of the
+boundary ends by the arcs, and per arc and per pair of arcs the counts
+:func:`trace` makes per component.  A row the events do not touch is one
+straight arc, the same in two windows run from one slice, so their
+summaries differ only where the rows they touch do; an event that leaves
+the slice raises in the slice pass.
 
-``slices(events, trace(events, ...))`` is the one slice model: the strand
-ids of every vertical slice, one tuple per word position, rebuilt on
-demand from the strands the trace recorded for each event.  Every module
-that needs to know which strand sits at which level reads it; ``trace``
-does not build it, so the hot loop pays nothing for it.
+The one slice model is built on demand, so ``trace`` pays nothing for
+it: ``slices(events, trace(events, ...))`` gives the strand ids of every
+slice, one tuple per word position, from the strands the trace recorded;
+:func:`widths` the width of every slice, from the event kinds and
+``WIDTH_CHANGE`` alone; and :func:`arcs` the arcs.  Every module reads
+them, but for three walks kept apart for speed: ``moves._scan`` carries
+the width along its own pass, the hot loop of the move index and the
+search; ``moves._split_word`` keeps one flag per row, as
+:func:`slices` made step 3's pull-offs and cancellations slower; and
+``textio._render_svg`` keeps its current slice, as :func:`slices` alone
+costs over a tenth of the SVG render of a large cable front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import sub
+from itertools import accumulate, chain
+from operator import itemgetter, sub
 from typing import Dict, List, Tuple
 
 from .errors import DanglingStrand, DiagramError, LevelOutOfRange
@@ -68,6 +77,9 @@ BACKEND = "pure"
 LEFT_CUSP = "L"
 RIGHT_CUSP = "R"
 CROSSING = "X"
+
+# Change of slice width across each event kind.
+WIDTH_CHANGE = {LEFT_CUSP: 2, RIGHT_CUSP: -2, CROSSING: 0}
 
 
 @dataclass(slots=True)
@@ -297,20 +309,67 @@ def trace(events, n_initial=0, port_links=()):
     )
 
 
+def arcs(events, n_initial):
+    """The arcs and closed loops of ``events`` run as an open tangle from
+    a slice of ``n_initial`` strands.
+
+    The slice pass of :func:`trace` runs over the slice, raising
+    :class:`DiagramError` when an event leaves it.  Each arc is then
+    walked from its first boundary end, which fixes its orientation: the
+    left ends ``0..n_initial-1`` come first, then the right ends, the one
+    at final position ``q`` numbered ``n_initial + q``.  The closed loops
+    are numbered after the arcs and oriented as :func:`trace` orients a
+    component.  Returns ``(label, ends, orient, n_pieces,
+    event_strands)``: per strand its arc or loop, the two ends of each
+    arc, per strand its direction, the number of arcs and loops, and the
+    strand pair of each event.  Two strands share a label exactly when a
+    chain of cusps joins them.
+    """
+    slice_ids, event_strands, right, n, _width = _slice_pass(events, n_initial)
+    for pos, s in enumerate(slice_ids):
+        right[s] = ~pos
+    label = [-1] * n
+    orient = [1] * n
+    ends = []
+    for end, s in enumerate(chain(range(n_initial), slice_ids)):
+        if label[s] >= 0:
+            continue
+        arc = len(ends)
+        if end >= n_initial:
+            # Both ends on the right: leftwards from the first, into the
+            # left cusp that made it.
+            label[s] = arc
+            orient[s] = -1
+            s = ((s - n_initial) ^ 1) + n_initial
+        while True:
+            label[s] = arc
+            t = right[s]
+            if t < 0:
+                other = n_initial + ~t
+                break
+            label[t] = arc
+            orient[t] = -1
+            if t < n_initial:
+                other = t
+                break
+            s = ((t - n_initial) ^ 1) + n_initial
+        ends.append((end, other))
+    # What is left are closed loops, made and ended inside the window, so
+    # no walk reaches a left-edge strand and no port map is needed.
+    n_pieces = _walk_cycles(right, (), n_initial, label, orient, len(ends))
+    return label, ends, orient, n_pieces, event_strands
+
+
 def window_summary(events, n_initial):
     """What a closed word sees of the window ``events``: the word run as
     an open tangle from a slice of ``n_initial`` strands.
 
-    The slice pass of :func:`trace` runs over the slice, raising
-    :class:`DiagramError` when an event leaves it; each arc is then
-    walked from its first boundary end (the left ends ``0..n_initial-1``
-    come first, then the right ends), which fixes its orientation, and
-    the closing count pass of :func:`trace` counts over the arcs and any
-    closed loop.  Returns ``(n_out, pairing, arcs, sums, loops)``: the
-    out-width, the ends of each arc, per arc the writhe minus the left
-    cusps and the down minus the up cusps, the nonzero signed crossing
-    sum of each pair of arcs, and the sorted (tb, |2 rotation|) of the
-    closed loops.
+    The arcs and loops come from :func:`arcs`, and the closing count
+    pass of :func:`trace` counts over them.  Returns ``(n_out, pairing,
+    arcs, sums, loops)``: the out-width, the ends of each arc, per arc
+    the writhe minus the left cusps and the down minus the up cusps, the
+    nonzero signed crossing sum of each pair of arcs, and the sorted
+    (tb, |2 rotation|) of the closed loops.
 
     Two windows with equal summaries from the same slice make words
     whose components correspond, each with the same tb, the same
@@ -321,50 +380,29 @@ def window_summary(events, n_initial):
     as a whole, which negates its rotation and homology and keeps its tb
     and every crossing sign.
     """
-    slice_ids, event_strands, right, n, _width = _slice_pass(events, n_initial)
-    for pos, s in enumerate(slice_ids):
-        right[s] = ~pos
-    comp_of = [-1] * n
-    orient = [1] * n
-    pairing = []
-    for end, s in enumerate(chain(range(n_initial), slice_ids)):
-        if comp_of[s] >= 0:
-            continue
-        arc = len(pairing)
-        if end >= n_initial:
-            # Both ends on the right: leftwards from the first, into the
-            # left cusp that made it.
-            comp_of[s] = arc
-            orient[s] = -1
-            s = ((s - n_initial) ^ 1) + n_initial
-        while True:
-            comp_of[s] = arc
-            t = right[s]
-            if t < 0:
-                other = n_initial + ~t
-                break
-            comp_of[t] = arc
-            orient[t] = -1
-            if t < n_initial:
-                other = t
-                break
-            s = ((t - n_initial) ^ 1) + n_initial
-        pairing.append((end, other))
-    arcs = len(pairing)
-    # What is left are closed loops, made and ended inside the window, so
-    # no walk reaches a left-edge strand and no port map is needed.
-    n_components = _walk_cycles(right, (), n_initial, comp_of, orient, arcs)
+    label, pairing, orient, n_pieces, event_strands = arcs(events, n_initial)
     left, _right, up, down, writhe, inter = _count_pass(
-        events, event_strands, comp_of, orient, n_components
+        events, event_strands, label, orient, n_pieces
     )
+    n_arcs = len(pairing)
     per = list(zip(map(sub, writhe, left), map(sub, down, up)))
     return (
-        len(slice_ids),
+        # Every boundary end is an end of one arc.
+        2 * n_arcs - n_initial,
         pairing,
-        per[:arcs],
-        {key: v for key, v in inter.items() if v and key[1] < arcs},
-        sorted((tb, abs(rot2)) for tb, rot2 in per[arcs:]),
+        per[:n_arcs],
+        {key: v for key, v in inter.items() if v and key[1] < n_arcs},
+        sorted((tb, abs(rot2)) for tb, rot2 in per[n_arcs:]),
     )
+
+
+def widths(events, n_initial):
+    """The slice width before each of ``events`` and after the last, of
+    a word that starts on ``n_initial`` strands: the lengths of
+    :func:`slices`, read from the event kinds alone, so nothing is
+    traced or checked."""
+    deltas = map(WIDTH_CHANGE.__getitem__, map(itemgetter(0), events))
+    return list(accumulate(deltas, initial=n_initial))
 
 
 def slices(events, result):

@@ -256,8 +256,7 @@ def reflect(d: FrontDiagram) -> FrontDiagram:
     """
     _require_front(d)
     out = []
-    for ev, here in zip(d.events, _kernel.slices(d.events, d.trace)):
-        width = len(here)
+    for ev, width in zip(d.events, _kernel.widths(d.events, 0)):
         if ev.kind == "L":
             out.append(Event("L", width - ev.level + 2))
         else:

@@ -36,7 +36,8 @@ runs it over the whole word and turns the groups into moves.
 window, which :func:`apply_move` scans and a :class:`MoveIndex` holds,
 so a move applies exactly when enumeration lists it; :func:`_rewrite`
 turns a triple into its window length and new events from the same
-rows.  Stabilization sites are every (position, level) of the word.
+rows.  Stabilization sites are every (position, level) of the word,
+up to the slice widths that :func:`frontkit._kernel.widths` counts.
 
 A word rewritten by one move gets its groups from the groups of the
 word before it (:func:`_regrouped`).  A move at ``idx`` rewrites at most
@@ -62,9 +63,11 @@ is a pure function of the two windows and the slice width, memoised
 for every caller as :func:`_rewrite` is: the keys are bounded by the
 window rows, the levels and the widths in use, and a key holds the
 actual new window, so a wrong rewrite is a new key and is checked
-afresh.  The index also keeps the slice width before every event; a
-step keeps the widths on both sides of its window, so it rewrites only
-the widths inside it.
+afresh.  The index also keeps the slice width before every event and
+after the last, as :func:`frontkit._kernel.widths` counts them; a step
+keeps the widths on both sides of its window, so it rewrites only the
+widths inside it, and its rescan reads the width at the first
+rescanned window from the held list.
 
 Handle moves (slide, cancellation, finger pull-off) operate on
 standard-form diagrams and live in the second half of this module.
@@ -84,10 +87,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import itemgetter
 from typing import List, Optional, Set, Tuple
 
 from . import _kernel
+from ._kernel import WIDTH_CHANGE
 from .errors import (
     BandObstructed,
     DiagramError,
@@ -143,12 +146,17 @@ class MoveScript:
     """An ordered, replayable list of moves with a provenance note.
 
     Raises MoveNotApplicable unless ``moves`` is an iterable of
-    well-formed moves (see :func:`apply_move`)."""
+    well-formed moves (see :func:`apply_move`), and MoveError unless
+    ``note`` is a str that ``str.splitlines`` keeps as one line, so a
+    printed script carries it on its first line."""
 
     moves: Tuple[Move, ...]
     note: str = ""
 
     def __post_init__(self):
+        note = self.note
+        if not isinstance(note, str) or note.splitlines() not in ([], [note]):
+            raise MoveError(f"note {note!r} is not one line of text")
         try:
             moves = tuple(self.moves)
         except TypeError:
@@ -171,24 +179,7 @@ def _rebuild(d: _Diagram, events: Sequence[Event]) -> _Diagram:
     return FrontDiagram(events)
 
 
-def _width_at(events, width: int, idx: int) -> int:
-    """Slice width before ``events[idx]`` of a word that starts on
-    ``width`` strands, counted at C speed."""
-    kinds = list(map(_KIND_OF, events[:idx]))
-    return width + 2 * (kinds.count("L") - kinds.count("R"))
-
-
-def _widths(events, width: int) -> List[int]:
-    """The slice width before each of ``events`` and after the last, of
-    a word that starts on ``width`` strands."""
-    deltas = map(_DELTA.__getitem__, map(_KIND_OF, events))
-    return list(accumulate(deltas, initial=width))
-
-
 # -- the matcher -----------------------------------------------------------
-
-# Change of slice width across each event kind.
-_DELTA = {"L": 2, "R": -2, "X": 0}
 
 # The window moves at base level i = 0: (kind, data, old window, new
 # window).  An event at level v here is at level i + v in a word.
@@ -234,8 +225,6 @@ _WORD_KINDS = _WINDOW_KINDS | {"StabilizePlus", "StabilizeMinus"}
 # The kinds whose data, not the site alone, picks the rewrite.
 _DIRECTED = frozenset(kind for kind, data in _WINDOWS if "expand" in data)
 
-_KIND_OF = itemgetter(0)
-
 
 def _slide(k1: str, i: int, k2: str, j: int) -> Optional[Tuple[str, int, str, int]]:
     """Far commutation of the adjacent events ``k1(i)`` then ``k2(j)``.
@@ -252,9 +241,9 @@ def _slide(k1: str, i: int, k2: str, j: int) -> Optional[Tuple[str, int, str, in
     both ways.
     """
     if (j - 1 if k2 == "L" else j + 1) < i:
-        return k2, j, k1, i + _DELTA[k2]
+        return k2, j, k1, i + WIDTH_CHANGE[k2]
     if j > (i - 1 if k1 == "R" else i + 1):
-        return k2, j - _DELTA[k1], k1, i
+        return k2, j - WIDTH_CHANGE[k1], k1, i
     return None
 
 
@@ -311,20 +300,21 @@ def _scan(events, width: Optional[int], lo: int, hi: int,
 
 
 def _regrouped(groups, events, idx: int, shift: int, kinds,
-               width: Optional[int] = None) -> List[List[Tuple]]:
+               widths: Optional[List[int]] = None) -> List[List[Tuple]]:
     """``_scan(events, ...)`` over the whole word, from the ``groups`` of
     the word that a window move at ``idx`` turned into ``events``,
     changing its length by ``shift``.
 
     Only the old windows starting in ``[idx - 2, idx + 3)`` are
     rescanned; the rest are the same lists, shifted (see the module
-    docstring).  ``width`` is the slice width before ``events[idx]``,
-    which only the R2 expansions read: without it they are left out.
+    docstring).  ``widths`` are the slice widths of the word before the
+    move, as a :class:`MoveIndex` holds them; the move leaves the width
+    at the first rescanned window as it was.  Only the R2 expansions
+    read it: without ``widths`` they are left out.
     """
     lo = max(idx - 2, 0)
     hi = min(idx + 3, len(groups))
-    if width is not None:
-        width -= sum(_DELTA[kind] for kind, _ in events[lo:idx])
+    width = None if widths is None else widths[lo]
     rescanned = _scan(events, width, lo, hi + shift, kinds)
     return groups[:lo] + rescanned + groups[hi:]
 
@@ -364,9 +354,9 @@ def enumerate_moves(d: _Diagram, kinds: Optional[Sequence[str]] = None) -> List[
     ]
     if stabilizations:
         groups.append([])  # the sites after the last event
-        for group, here in zip(groups, _kernel.slices(d.events, d.trace)):
+        for group, width in zip(groups, _kernel.widths(d.events, len(d.left_ports))):
             group += [
-                (lvl, kind, ()) for lvl in range(1, len(here) + 1)
+                (lvl, kind, ()) for lvl in range(1, width + 1)
                 for kind in stabilizations
             ]
             group.sort()
@@ -471,7 +461,7 @@ def apply_move(d, m: Move):
         return _stabilize_at(d, slices, m.index, m.level, sign)
     events = d.events
     idx = _window_index(m, len(events))
-    width = _width_at(events, len(d.left_ports), idx)
+    width = _kernel.widths(events, len(d.left_ports))[idx]
     old_len, new = _rewrite(_match(_scan(events, width, idx, idx + 1, (m.kind,))[0], m))
     return _rebuild(d, events[:idx] + new + events[idx + old_len :])
 
@@ -501,7 +491,7 @@ class MoveIndex(Sequence):
         _require_diagram(d)
         self._groups = _scan(d.events, len(d.left_ports), 0, len(d.events), self._kinds)
         self._ends = list(accumulate(map(len, self._groups)))
-        self._widths = _widths(d.events, len(d.left_ports))
+        self._widths = _kernel.widths(d.events, len(d.left_ports))
         self._start = d
         self._events = d.events
         self._diagram = d
@@ -557,11 +547,10 @@ class MoveIndex(Sequence):
         width = self._widths[idx]
         proven = _same_window(events[idx : idx + old_len], new, width)
         diagram = None if proven else _rebuild(self._start, new_events)
-        self._groups = _regrouped(
-            self._groups, new_events, idx, len(new) - old_len, self._kinds, width
-        )
+        self._groups = _regrouped(self._groups, new_events, idx, len(new) - old_len,
+                                  self._kinds, self._widths)
         self._ends = list(accumulate(map(len, self._groups)))
-        self._widths[idx : idx + old_len + 1] = _widths(new, width)
+        self._widths[idx : idx + old_len + 1] = _kernel.widths(new, width)
         self._events = new_events
         self._diagram = diagram
         return proven
@@ -716,36 +705,15 @@ def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List
 
     A band attached to a piece of ``k`` that is cusp-connected to a left
     port would thread that finger through the push-off, blocking later
-    pull-offs; this filter keeps only sites on port-free pieces.
+    pull-offs; this filter keeps only sites on pieces whose arc, in the
+    doubled word run as an open tangle (:func:`_kernel.arcs`), has no
+    left end.
     """
     d2, _reslotted, _origin, _sites, k_strands = _slide_setup(h, k, a)
-    piece = _cusp_pieces(d2)
-    # A piece's label is its least strand id, and the left-port strands
-    # are ids 0..len(left_ports)-1.
-    return [i for i, s in enumerate(k_strands) if piece[s] >= len(d2.left_ports)]
-
-
-def _cusp_pieces(d: StandardFormDiagram) -> List[int]:
-    """A label per strand id: two strands share one exactly when a chain
-    of cusps joins them without running through a handle.
-
-    One union-find pass over the cusps the trace recorded; each label is
-    the least strand id of its piece.
-    """
-    tr = d.trace
-    label = list(range(tr.n_strands))
-
-    def root(s: int) -> int:
-        while label[s] != s:
-            label[s] = label[label[s]]
-            s = label[s]
-        return s
-
-    for (kind, _level), (u, v) in zip(d.events, tr.event_strands):
-        if kind != "X":
-            ru, rv = root(u), root(v)
-            label[max(ru, rv)] = min(ru, rv)
-    return [root(s) for s in range(tr.n_strands)]
+    label = _kernel.arcs(d2.events, len(d2.left_ports))[0]
+    # The left ends are the strands 0..len(left_ports)-1.
+    port_arcs = set(label[: len(d2.left_ports)])
+    return [i for i, s in enumerate(k_strands) if label[s] not in port_arcs]
 
 
 def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
@@ -918,13 +886,13 @@ def _pull_off(d: StandardFormDiagram, hid, slot: int):
     orient = tr.strand_orient
     if orient[final[ra]] == orient[final[rb]]:
         raise MoveNotApplicable("the two passes run the same way")
-    # The finger: everything cusp-connected to the left-port strands
-    # without going back through any handle.
-    piece = _cusp_pieces(d)
-    if piece[lb] != piece[la]:
+    # The finger: the arc of the word, run as an open tangle, through
+    # both passes; its two ends are the passes, so it reaches no other
+    # port.
+    label = _kernel.arcs(d.events, len(d.left_ports))[0]
+    if label[lb] != label[la]:
         raise MoveNotApplicable("the two passes are not joined by a finger")
-    # One arc whose two ends are the passes: it reaches no other port.
-    finger = {s for s, p in enumerate(piece) if p == piece[la]}
+    finger = {s for s, p in enumerate(label) if p == label[la]}
     main, inner, origin = _split_word(d, finger, mixed="error")
     reslotted = _reslot(d, lambda p: 0 if p in (pa, pb) else 1)
     # The surviving strands that used to end at the removed right ports

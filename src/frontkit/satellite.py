@@ -165,35 +165,29 @@ def cable_expand(
         zip(word, tr.event_strands, slices)
     ):
         o = 1 + sum(width[s] for s in here[: ev.level - 1])
+        w = width[upper]
         if ev.kind == "L":
-            if width[upper] == 1:
-                exp.emit(L(o), idx)
-            else:
-                for j in range(n):
-                    exp.emit(L(o + 2 * j), idx)
-                # Interleave: lift copy j's upper branch above the lower
-                # branches of copies 1..j-1, restoring two parallel bundles.
-                for j in range(2, n + 1):
-                    for lvl in range(o + 2 * j - 3, o + j - 2, -1):
-                        exp.emit(X(lvl), idx)
-                if exp.first_cusp_index is None:
-                    exp.first_cusp_index = len(exp.events)
-                    exp.first_cusp_offset = o
+            for j in range(w):
+                exp.emit(L(o + 2 * j), idx)
+            # Interleave: lift copy j's upper branch above the lower
+            # branches of copies 1..j-1, restoring two parallel bundles.
+            for j in range(2, w + 1):
+                for lvl in range(o + 2 * j - 3, o + j - 2, -1):
+                    exp.emit(X(lvl), idx)
+            if w > 1 and exp.first_cusp_index is None:
+                exp.first_cusp_index = len(exp.events)
+                exp.first_cusp_offset = o
         elif ev.kind == "R":
-            if width[upper] == 1:
+            # Un-interleave the two bundles back to alternating order,
+            # then close the copies with stacked cusps.
+            for j in range(1, w):
+                for lvl in range(o + w + j - 2, o + 2 * j - 2, -1):
+                    exp.emit(X(lvl), idx)
+            for _ in range(w):
                 exp.emit(R(o), idx)
-            else:
-                # Un-interleave the two bundles back to alternating order,
-                # then close the copies with stacked cusps.
-                for j in range(1, n):
-                    for lvl in range(o + n + j - 2, o + 2 * j - 2, -1):
-                        exp.emit(X(lvl), idx)
-                for _ in range(n):
-                    exp.emit(R(o), idx)
         else:  # crossing: block transposition preserving internal order
-            wa, wb = width[upper], width[lower]
-            for k in range(wb):
-                for lvl in range(o + wa + k - 1, o + k - 1, -1):
+            for k in range(width[lower]):
+                for lvl in range(o + w + k - 1, o + k - 1, -1):
                     exp.emit(X(lvl), idx)
     return exp
 
@@ -246,16 +240,11 @@ def n_copy_counts(d: FrontDiagram, n: int) -> CopyCounts:
     return CopyCounts(crossing, companion, cusps)
 
 
-def _site_is_parallel(d: FrontDiagram, index: int, top: int, n: int) -> bool:
-    slices = _kernel.slices(d.events, d.trace)
-    if not 0 <= index <= len(d.events):
-        return False
-    here = slices[index]
-    if not 1 <= top <= len(here) - n + 1:
-        return False
-    orient = d.trace.strand_orient
-    band = here[top - 1 : top - 1 + n]
-    return len({orient[s] for s in band}) == 1
+def _parallel(d: FrontDiagram, here, top: int, n: int) -> bool:
+    """Whether slice ``here`` of ``d`` holds ``n`` co-oriented strands
+    from level ``top`` down."""
+    orients = {d.trace.strand_orient[s] for s in here[top - 1 : top - 1 + n]}
+    return 1 <= top <= len(here) - n + 1 and len(orients) == 1
 
 
 def default_braid_site(d: FrontDiagram, n: int) -> Tuple[int, int]:
@@ -264,12 +253,9 @@ def default_braid_site(d: FrontDiagram, n: int) -> Tuple[int, int]:
     _require_front(d)
     _check_int(n=n)
     slices = _kernel.slices(d.events, d.trace)
-    orient = d.trace.strand_orient
     for index in range(len(d.events), -1, -1):
-        here = slices[index]
-        for top in range(1, len(here) - n + 2):
-            band = here[top - 1 : top - 1 + n]
-            if len({orient[s] for s in band}) == 1:
+        for top in range(1, len(slices[index]) - n + 2):
+            if _parallel(d, slices[index], top, n):
                 return index, top
     raise SiteNotCableSlice(f"no slice carries {n} parallel strands")
 
@@ -294,7 +280,9 @@ def insert_braid(
         raise SiteNotCableSlice(f"site {site!r} is not an (index, level) pair")
     else:
         index, top = site
-        if not _site_is_parallel(d, index, top, braid.strands):
+        if not (0 <= index <= len(d.events) and _parallel(
+            d, _kernel.slices(d.events, d.trace)[index], top, braid.strands
+        )):
             raise SiteNotCableSlice(
                 f"slice {index} levels {top}..{top + braid.strands - 1} "
                 "does not cut the cable in parallel strands"

@@ -25,6 +25,7 @@ import re
 from contextlib import contextmanager
 from typing import List, Tuple, Union
 
+from . import _kernel
 from .errors import DiagramError, FormatError, MoveError, ParameterOutOfRange
 from .front import Event, FrontDiagram, _Diagram, _require_diagram
 from .standard import (
@@ -183,7 +184,8 @@ def _token(x) -> str:
 
 def print_script(script: "MoveScript") -> str:
     """One move per line: kind, window index, level, then any
-    kind-specific data tokens.  Ints print as digits, as levels do in
+    kind-specific data tokens, after a first line ``# <note>`` when the
+    script has a note.  Ints print as digits, as levels do in
     :func:`print_text`, so a bool field parses back as its int.  Raises
     MoveError when ``script`` is not a MoveScript."""
     from .moves import MoveScript
@@ -200,14 +202,17 @@ def print_script(script: "MoveScript") -> str:
 
 
 def parse_script(text: str) -> "MoveScript":
-    """Inverse of print_script; data tokens parse as ints when they
-    look like ints and as bare strings otherwise, except the handle id
-    that leads the data of a PullOff or a CancelPair, which stays a
-    string even when it is made of digits."""
+    """Inverse of print_script; a first line that starts with ``# `` is
+    the note, and every other comment is dropped.  Data tokens parse as
+    ints when they look like ints and as bare strings otherwise, except
+    the handle id that leads the data of a PullOff or a CancelPair,
+    which stays a string even when it is made of digits."""
     from .moves import Move, MoveScript
 
+    lines = _significant_lines(text)
+    head = (text.splitlines() or [""])[0]
     moves = []
-    for num, line in _significant_lines(text):
+    for num, line in lines:
         tokens = line.split()
         if len(tokens) < 3 or not (
             _INT_RE.match(tokens[1]) and _INT_RE.match(tokens[2])
@@ -218,7 +223,7 @@ def parse_script(text: str) -> "MoveScript":
             int(t) if _INT_RE.match(t) else t for t in tokens[start:]
         )
         moves.append(Move(tokens[0], int(tokens[1]), int(tokens[2]), data))
-    return MoveScript(tuple(moves))
+    return MoveScript(tuple(moves), head[2:] if head.startswith("# ") else "")
 
 
 # ---------------------------------------------------------------------------
@@ -241,27 +246,26 @@ def _render_ascii(obj: Document) -> str:
 
     Column ``2t`` draws slice ``t`` and column ``2t + 1`` draws event
     ``t``.  Each is a closed form of the event and the width ``k`` of
-    the slice before it, with rows counted from 0 at the top: a slice
-    is ``k`` underscores; a left cusp at level ``i`` puts `(` on row
-    ``i`` of ``k + 2`` rows; a right cusp puts `)` on row ``i``, keeping
-    the rows of the ``k - 2`` survivors and the row above the cusp; a
-    crossing marks rows ``i - 1`` and ``i`` of ``k``.  Rows are the
-    columns transposed, right-stripped.
+    the slice before it, read from :func:`frontkit._kernel.widths`, with
+    rows counted from 0 at the top: a slice is ``k`` underscores; a left
+    cusp at level ``i`` puts `(` on row ``i`` of ``k + 2`` rows; a right
+    cusp puts `)` on row ``i``, keeping the rows of the ``k - 2``
+    survivors and the row above the cusp; a crossing marks rows
+    ``i - 1`` and ``i`` of ``k``.  Rows are the columns transposed,
+    right-stripped.
     """
     d = _strip(obj)
-    k = len(d.trace.initial_strands)
+    widths = _kernel.widths(d.events, len(d.left_ports))
     cols = []
-    for kind, i in d.events:
+    for (kind, i), k in zip(d.events, widths):
         cols.append("_" * k)
         if kind == "L":
             cols.append("_" * i + "(" + "_" * (k + 1 - i))
-            k += 2
         elif kind == "R":
             cols.append(("_" * i + ")").ljust(k - 2, "_"))
-            k -= 2
         else:
             cols.append("_" * (i - 1) + "XX" + "_" * (k - i - 1))
-    cols.append("_" * k)
+    cols.append("_" * widths[-1])
     height = max(d.trace.max_width, 1)
     lines = [
         "".join(row).rstrip()

@@ -423,14 +423,14 @@ def test_an_index_step_reads_a_memoised_proof_and_spliced_widths(seed):
         events = index._events
         old_len, new = moves._rewrite(moves._match(index._groups[m.index], m))
         old = events[m.index : m.index + old_len]
-        width = moves._width_at(events, start, m.index)
+        width = len(_kernel.slices(events, index.diagram.trace)[m.index])
         proven = index.apply(m)
         fresh = moves._same_window.__wrapped__(old, new, width)
         assert proven == moves._same_window(old, new, width) == fresh, m
         events = index._events
-        assert index._widths == [
-            moves._width_at(events, start, i) for i in range(len(events) + 1)
-        ], m
+        assert index._widths == list(
+            map(len, _kernel.slices(events, index.diagram.trace))
+        ), m
 
 
 def test_every_step_of_the_criterion_9_walks_is_proven():

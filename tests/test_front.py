@@ -129,6 +129,20 @@ def test_classical_invariants_bundle():
     assert (inv.tb, inv.rotation, inv.writhe) == (1, 0, 3)
 
 
+def test_an_odd_count_in_a_patched_trace_raises():
+    # A closed component turns at an even number of cusps and two closed
+    # components cross an even number of times, so no word reaches these
+    # checks: each runs on a trace patched by one count.
+    d = unknot()
+    d.trace.down_cusps[0] += 1
+    with pytest.raises(DiagramError, match="odd cusp imbalance; component is not closed"):
+        rotation(d)
+    link = FrontDiagram([L(1), L(3), X(2), X(2), R(1), R(1)])
+    link.trace.inter_sums[0, 1] += 1
+    with pytest.raises(DiagramError, match="odd inter-component crossing sum"):
+        linking_number(link, 0, 1)
+
+
 def test_a_tuple_of_events_is_stored_as_given():
     word = (L(1), L(3), X(2), X(2), X(2), R(1), R(1))
     assert encode_word(word) is word
@@ -442,6 +456,18 @@ def _slide_between_nested_unknots():
         pytest.param(
             lambda: textio.print_script(moves.MoveScript((1,))),
             MoveNotApplicable, "malformed move 1", id="script-item",
+        ),
+        pytest.param(
+            lambda: moves.MoveScript((), note="a\nb"),
+            MoveError, "note 'a\\nb' is not one line of text", id="script-note-lines",
+        ),
+        pytest.param(
+            lambda: moves.MoveScript((), note="a\n"),
+            MoveError, "note 'a\\n' is not one line of text", id="script-note-newline",
+        ),
+        pytest.param(
+            lambda: moves.MoveScript((), note=5),
+            MoveError, "note 5 is not one line of text", id="script-note-int",
         ),
         pytest.param(
             lambda: textio.print_script([1, 2]),

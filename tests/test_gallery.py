@@ -1,10 +1,12 @@
 """Parameterized families: every stated invariant recomputed."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from frontkit.errors import ParameterOutOfRange
+from frontkit import gallery
+from frontkit.errors import DiagramError, ParameterOutOfRange
 from frontkit.front import FrontDiagram, rotation, thurston_bennequin
 from frontkit.gallery import (
     K_m_front,
@@ -24,6 +26,28 @@ from frontkit.standard import (
     tb_standard,
 )
 from frontkit.textio import print_script, print_text
+
+
+def test_a_drifted_reconstruction_raises(monkeypatch):
+    # The builders recompute what they state; with the invariants patched
+    # to drift, the check raises instead of returning the front.
+    real = gallery.classical_invariants
+    monkeypatch.setattr(
+        gallery, "classical_invariants",
+        lambda d: dataclasses.replace(real(d), tb=0),
+    )
+    with pytest.raises(
+        DiagramError, match="gallery reconstruction drifted: K_-2 recomputed tb 0 != -1"
+    ):
+        K_m_front(-2)
+
+
+@pytest.mark.parametrize("crossings", [0, 2, -1])
+def test_a_finger_needs_an_odd_crossing_count(crossings):
+    # The builders ask only for odd counts (4n - 5), so the check is
+    # run on the helper itself.
+    with pytest.raises(DiagramError, match="finger needs an odd crossing count"):
+        gallery._finger(3, crossings)
 
 
 @pytest.mark.parametrize("m", range(-1, -11, -1))

@@ -157,6 +157,53 @@ def test_slices_follow_the_trace():
                 assert after[i + 1 :] == before[i + 1 :]
 
 
+def test_widths_are_the_lengths_of_the_slices():
+    for d in _sliced_diagrams():
+        want = list(map(len, _kernel.slices(d.events, d.trace)))
+        assert _kernel.widths(d.events, len(d.left_ports)) == want
+
+
+def _cusp_pieces(d):
+    """A label per strand id, the least id of its piece: two strands
+    share one exactly when a chain of cusps joins them.  One union-find
+    pass over the cusps the trace recorded."""
+    tr = d.trace
+    label = list(range(tr.n_strands))
+
+    def root(s):
+        while label[s] != s:
+            label[s] = label[label[s]]
+            s = label[s]
+        return s
+
+    for (kind, _level), (u, v) in zip(d.events, tr.event_strands):
+        if kind != XC:
+            ru, rv = root(u), root(v)
+            label[max(ru, rv)] = min(ru, rv)
+    return [root(s) for s in range(tr.n_strands)]
+
+
+def _partition(labels):
+    parts = {}
+    for s, p in enumerate(labels):
+        parts.setdefault(p, set()).add(s)
+    return sorted(map(sorted, parts.values()))
+
+
+def test_arcs_are_the_cusp_pieces():
+    for d in _sliced_diagrams():
+        tr, n_initial = d.trace, len(d.left_ports)
+        label, ends, _orient, n_pieces, _strands = _kernel.arcs(d.events, n_initial)
+        assert _partition(label) == _partition(_cusp_pieces(d))
+        assert set(label) == set(range(n_pieces))
+        # Every boundary end is an end of one arc, and an arc holds the
+        # strands at its two ends.
+        boundary = list(range(n_initial)) + list(tr.final_strands)
+        assert sorted(e for pair in ends for e in pair) == list(range(len(boundary)))
+        for arc, pair in enumerate(ends):
+            assert {label[boundary[e]] for e in pair} == {arc}
+
+
 @pytest.mark.parametrize(
     "new",
     [[X(0)], [X(4)], [L(6)], [R(1), R(1), X(1)], [(LC, "2")], [("Q", 1)]],

@@ -41,7 +41,6 @@ from frontkit.moves import (
     Move,
     MoveIndex,
     MoveScript,
-    _cusp_pieces,
     _pull_off,
     _regrouped,
     _rewrite,
@@ -49,7 +48,6 @@ from frontkit.moves import (
     _slide,
     _slide_setup,
     _split_word,
-    _width_at,
     apply_move,
     band_sites,
     cancel_pair,
@@ -403,7 +401,7 @@ def test_a_finger_holding_both_passes_reaches_no_other_port():
     for _ in range(3000):
         d = _random_one_handle_strip(rng)
         tr = d.trace
-        piece = _cusp_pieces(d)
+        piece = _kernel.arcs(d.events, len(d.left_ports))[0]
         edge = set(range(len(d.left_ports))) | set(tr.final_strands)
         for la in range(len(d.left_ports) - 1):
             lb = la + 1
@@ -656,7 +654,7 @@ def test_scan_is_the_brute_force_matcher(expand):
         found.update(kind for group in brute for _level, kind, _data in group)
         lo = rng.randrange(len(events)) if events else 0
         hi = rng.randint(lo, len(events))
-        lo_width = _width_at(events, width, lo) if expand else None
+        lo_width = _kernel.widths(events, width)[lo] if expand else None
         for kinds in _KIND_FILTERS:
             want = [[t for t in group if t[1] in kinds] for group in brute]
             got = _scan(events, width if expand else None, 0, len(events), kinds)
@@ -748,13 +746,13 @@ def test_regrouped_is_a_full_scan_of_the_child(seed, expand):
     # A width of None leaves the R2 expansions out.
     scan_width = width if expand else None
     groups = _scan(events, scan_width, 0, len(events), _WINDOW_KINDS)
+    widths = _kernel.widths(events, width) if expand else None
     for idx, group in enumerate(groups):
         for triple in group:
             old_len, new = _rewrite(triple)
             child = events[:idx] + new + events[idx + old_len :]
-            site_width = _width_at(events, width, idx) if expand else None
             got = _regrouped(
-                groups, child, idx, len(new) - old_len, _WINDOW_KINDS, site_width
+                groups, child, idx, len(new) - old_len, _WINDOW_KINDS, widths
             )
             want = _scan(child, scan_width, 0, len(child), _WINDOW_KINDS)
             assert got == want, (idx, triple)
@@ -763,31 +761,33 @@ def test_regrouped_is_a_full_scan_of_the_child(seed, expand):
 def test_an_index_step_scans_once(monkeypatch):
     # The window of the move is matched in the group the index holds,
     # so the rescan after the rewrite is the step's one scan, and the
-    # slice width at the window is read from the widths the index
-    # holds, never counted from the start of the word.
+    # slice widths are counted only over the new window: the width at
+    # the window is read from the widths the index holds, never counted
+    # from the start of the word.
     calls = Counter()
 
-    def counted(name):
-        real = getattr(moves, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[name, len(args[0]) if name == "widths" else None] += 1
             return real(*args)
 
-        monkeypatch.setattr(moves, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     for d in (gallery.K_m_front(-2), gallery.stein_rep_max(-5, 2).diagram):
         index = MoveIndex(d, _WINDOW_KINDS)
-        counted("_scan")
-        counted("_width_at")
+        counted(moves, "_scan")
+        counted(_kernel, "widths")
         rng = random.Random(5)
         kinds = Counter()
         for _step in range(60):
             m = rng.choice(index)
             kinds[m.data[:1] == ("expand",)] += 1
+            new = _rewrite(moves._match(index._groups[m.index], m))[1]
             calls.clear()
             index.apply(m)
-            assert calls == {"_scan": 1}, m
+            assert calls == {("_scan", None): 1, ("widths", len(new)): 1}, m
         assert kinds[True] and kinds[False]
         monkeypatch.undo()
 
@@ -1179,11 +1179,10 @@ def test_cusp_pieces_are_the_pull_off_fingers():
                 if isinstance(e.artifact, SteinHandlebody)]
     diagrams += [h.diagram for h, _k, _a in _slide_cases()]
     for d in diagrams:
-        piece = _cusp_pieces(d)
+        piece = _kernel.arcs(d.events, len(d.left_ports))[0]
         for s in range(d.trace.n_strands):
             finger = _reference_finger(d, s)
             assert {t for t, p in enumerate(piece) if p == piece[s]} == finger
-            assert piece[s] == min(finger)
 
 
 def _reference_stabilize(d, c, sign):
@@ -1447,7 +1446,7 @@ def test_handle_move_outputs_are_pinned():
 
 def _check_pull_off(d, hid, slot):
     pa, pb = (hid, slot), (hid, slot + 1)
-    piece = _cusp_pieces(d)
+    piece = _kernel.arcs(d.events, len(d.left_ports))[0]
     la = d.left_ports.index(pa)
     finger = {s for s, p in enumerate(piece) if p == piece[la]}
 

@@ -339,6 +339,13 @@ def test_a_front_is_the_strip_with_no_ports():
             d.events = ()
 
 
+def test_a_handlebody_is_immutable():
+    h = gallery.Z_m_handlebody(-1)
+    with pytest.raises(AttributeError, match="SteinHandlebody is immutable"):
+        h.attachments = ()
+    assert h == gallery.Z_m_handlebody(-1)
+
+
 def test_strip_functions_read_a_front_as_a_strip_with_no_ports():
     fronts = [
         e.artifact for e in gallery.gallery_manifest()

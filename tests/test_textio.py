@@ -210,10 +210,14 @@ def test_bool_levels_print_as_integers():
 
 
 def test_script_roundtrip():
-    _closed, script = step3_pipeline(-5, 2)
-    text = print_script(script)
-    again = parse_script(text)
-    assert again.moves == script.moves
+    for m, n in ((-5, 2), (-6, 2), (-9, 3)):
+        script = _step3(m, n)[1]
+        text = print_script(script)
+        assert parse_script(text) == script
+        assert text.startswith(f"# step3 m={m} n={n}\n")
+    # Only a first line "# ..." is the note; other comments are dropped.
+    assert parse_script("#step3\n" + text).note == ""
+    assert parse_script("R1a 0 1\n# a comment\n").note == ""
 
 
 def _with_bools(d, m: Move, rng: random.Random):
@@ -242,12 +246,16 @@ def test_bool_move_fields_print_as_integers():
     assert parse_script(print_script(script)).moves == script.moves
 
 
+_NOTES = st.text(max_size=12).filter(lambda t: t.splitlines() in ([], [t]))
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_printed_scripts_replay_to_the_same_diagram(seed):
+@given(st.integers(0, 2**32 - 1), _NOTES)
+def test_printed_scripts_replay_to_the_same_diagram(seed, note):
     # A walk of enumerated moves (stabilizations and R2 expansions too)
     # on a random front, or a step-3 script, with some 0/1 fields as
-    # bools: the printed script replays to the diagram the script does.
+    # bools and a note: the printed script parses back to the script
+    # and replays to the diagram the script does.
     rng = random.Random(seed)
     if rng.random() < 0.25:
         start, script = _step3(*rng.choice([(-5, 2), (-6, 2), (-9, 3)]))
@@ -260,8 +268,10 @@ def test_printed_scripts_replay_to_the_same_diagram(seed):
         m = m or rng.choice(enumerate_moves(current))
         m, current = _with_bools(current, m, rng)
         moves.append(m)
-    script = MoveScript(tuple(moves))
-    assert parse_script(print_script(script)).replay(start) == current
+    script = MoveScript(tuple(moves), note)
+    again = parse_script(print_script(script))
+    assert again == script
+    assert again.replay(start) == current
 
 
 def test_a_handle_id_of_digits_stays_a_str_in_a_script():
