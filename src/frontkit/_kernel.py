@@ -37,11 +37,13 @@ The input is the word exactly as the package stores it: a sequence of
 ``frontkit.front.Event`` carries, so an ``Event`` tuple needs no
 translation.  ``BACKEND`` names the implementation for reports.
 
-:func:`arcs` runs the same slice pass over a few events as an open
-tangle, from the whole slice before them, and labels each strand with
-its arc, walked from its first boundary end, or its closed loop; the
-pieces of a slide's strip and the finger of a pull-off are its arcs.
-:func:`window_summary` runs the closing count pass over them and reports
+:func:`arcs` reads a word run as an open tangle, from the fields the
+slice pass gave, and labels each strand with its arc, walked from its
+first boundary end, or its closed loop; the pieces of a slide's strip
+and the finger of a pull-off are the arcs of the strip's stored trace,
+so that word is not run again.  :func:`window_summary` runs the slice
+pass over a few events, from the whole slice before them, takes their
+arcs, and runs the closing count pass over them; it reports
 what a closed word that holds the events can see: the pairing of the
 boundary ends by the arcs, and per arc and per pair of arcs the counts
 :func:`trace` makes per component.  A row the events do not touch is one
@@ -84,12 +86,18 @@ WIDTH_CHANGE = {LEFT_CUSP: 2, RIGHT_CUSP: -2, CROSSING: 0}
 
 @dataclass(slots=True)
 class TraceResult:
-    """Everything computed by one pass over a front word."""
+    """Everything computed by one pass over a front word.
+
+    ``right[s]`` is the right-cusp mate of strand ``s``, or ``~q`` when a
+    port carries ``s`` from the right edge on to left-edge position
+    ``q``; :func:`arcs` reads it.
+    """
 
     n_strands: int
     initial_strands: List[int]
     final_strands: List[int]
     event_strands: List[Tuple[int, int]]
+    right: List[int]
     strand_component: List[int]
     strand_orient: List[int]
     n_components: int
@@ -107,10 +115,10 @@ def _slice_pass(events, n_initial):
     strands, checking every level.
 
     Returns ``(final_strands, event_strands, right, n_strands,
-    max_width)``, where ``right[s]`` is the right-cusp mate of strand
-    ``s`` (0 for a strand that reaches the right edge) and strands
-    ``n_initial + 2j`` and ``n_initial + 2j + 1`` are the two made by the
-    j-th left cusp.
+    max_width)``, where ``right[s]``, one entry per strand, is the
+    right-cusp mate of strand ``s`` (0 for a strand that reaches the
+    right edge) and strands ``n_initial + 2j`` and ``n_initial + 2j + 1``
+    are the two made by the j-th left cusp.
     """
     slice_ids = list(range(n_initial))
     next_id = n_initial
@@ -165,6 +173,7 @@ def _slice_pass(events, n_initial):
         # compared with the width or used as a slice position).
         what = f"malformed event {events[idx]!r}" if idx >= 0 else "malformed word"
         raise DiagramError(what, idx) from exc
+    del right[next_id:]
     return slice_ids, event_strands, right, next_id, max_width
 
 
@@ -296,6 +305,7 @@ def trace(events, n_initial=0, port_links=()):
         initial_strands=list(range(n_initial)),
         final_strands=slice_ids,
         event_strands=event_strands,
+        right=right,
         strand_component=comp_of,
         strand_orient=orient,
         n_components=n_components,
@@ -309,29 +319,33 @@ def trace(events, n_initial=0, port_links=()):
     )
 
 
-def arcs(events, n_initial):
-    """The arcs and closed loops of ``events`` run as an open tangle from
-    a slice of ``n_initial`` strands.
+def arcs(final_strands, right, n_initial):
+    """The arcs and closed loops of a word run as an open tangle from a
+    slice of ``n_initial`` strands.
 
-    The slice pass of :func:`trace` runs over the slice, raising
-    :class:`DiagramError` when an event leaves it.  Each arc is then
+    The word is given by what its slice pass found: the strands of its
+    last slice and, per strand, its right-cusp mate ``right``, either as
+    :func:`_slice_pass` returns it or as a :class:`TraceResult` keeps it;
+    the entries of the strands in ``final_strands`` are not read, and
+    ``right`` is not changed.  So the arcs of a traced strip come from its
+    stored trace, with no second pass over the word.  Each arc is
     walked from its first boundary end, which fixes its orientation: the
     left ends ``0..n_initial-1`` come first, then the right ends, the one
     at final position ``q`` numbered ``n_initial + q``.  The closed loops
     are numbered after the arcs and oriented as :func:`trace` orients a
-    component.  Returns ``(label, ends, orient, n_pieces,
-    event_strands)``: per strand its arc or loop, the two ends of each
-    arc, per strand its direction, the number of arcs and loops, and the
-    strand pair of each event.  Two strands share a label exactly when a
-    chain of cusps joins them.
+    component.  Returns ``(label, ends, orient, n_pieces)``: per strand
+    its arc or loop, the two ends of each arc, per strand its direction,
+    and the number of arcs and loops.  Two strands share a label exactly
+    when a chain of cusps joins them.
     """
-    slice_ids, event_strands, right, n, _width = _slice_pass(events, n_initial)
-    for pos, s in enumerate(slice_ids):
+    right = list(right)
+    for pos, s in enumerate(final_strands):
         right[s] = ~pos
+    n = len(right)
     label = [-1] * n
     orient = [1] * n
     ends = []
-    for end, s in enumerate(chain(range(n_initial), slice_ids)):
+    for end, s in enumerate(chain(range(n_initial), final_strands)):
         if label[s] >= 0:
             continue
         arc = len(ends)
@@ -357,15 +371,17 @@ def arcs(events, n_initial):
     # What is left are closed loops, made and ended inside the window, so
     # no walk reaches a left-edge strand and no port map is needed.
     n_pieces = _walk_cycles(right, (), n_initial, label, orient, len(ends))
-    return label, ends, orient, n_pieces, event_strands
+    return label, ends, orient, n_pieces
 
 
 def window_summary(events, n_initial):
     """What a closed word sees of the window ``events``: the word run as
     an open tangle from a slice of ``n_initial`` strands.
 
-    The arcs and loops come from :func:`arcs`, and the closing count
-    pass of :func:`trace` counts over them.  Returns ``(n_out, pairing,
+    The slice pass of :func:`trace` runs over the slice, raising
+    :class:`DiagramError` when an event leaves it; the arcs and loops
+    come from :func:`arcs`, and the closing count pass of :func:`trace`
+    counts over them.  Returns ``(n_out, pairing,
     arcs, sums, loops)``: the out-width, the ends of each arc, per arc
     the writhe minus the left cusps and the down minus the up cusps, the
     nonzero signed crossing sum of each pair of arcs, and the sorted
@@ -380,7 +396,8 @@ def window_summary(events, n_initial):
     as a whole, which negates its rotation and homology and keeps its tb
     and every crossing sign.
     """
-    label, pairing, orient, n_pieces, event_strands = arcs(events, n_initial)
+    final_strands, event_strands, right, _n, _width = _slice_pass(events, n_initial)
+    label, pairing, orient, n_pieces = arcs(final_strands, right, n_initial)
     left, _right, up, down, writhe, inter = _count_pass(
         events, event_strands, label, orient, n_pieces
     )

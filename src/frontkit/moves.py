@@ -710,7 +710,8 @@ def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List
     left end.
     """
     d2, _reslotted, _origin, _sites, k_strands = _slide_setup(h, k, a)
-    label = _kernel.arcs(d2.events, len(d2.left_ports))[0]
+    tr = d2.trace
+    label = _kernel.arcs(tr.final_strands, tr.right, len(d2.left_ports))[0]
     # The left ends are the strands 0..len(left_ports)-1.
     port_arcs = set(label[: len(d2.left_ports)])
     return [i for i, s in enumerate(k_strands) if label[s] not in port_arcs]
@@ -889,7 +890,7 @@ def _pull_off(d: StandardFormDiagram, hid, slot: int):
     # The finger: the arc of the word, run as an open tangle, through
     # both passes; its two ends are the passes, so it reaches no other
     # port.
-    label = _kernel.arcs(d.events, len(d.left_ports))[0]
+    label = _kernel.arcs(final, tr.right, len(d.left_ports))[0]
     if label[lb] != label[la]:
         raise MoveNotApplicable("the two passes are not joined by a finger")
     finger = {s for s, p in enumerate(label) if p == label[la]}

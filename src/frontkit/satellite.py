@@ -117,22 +117,20 @@ def braid_events(braid: BraidWord, base: int = 1) -> List[Event]:
 
 @dataclass
 class Expansion:
-    """An expanded word plus the provenance of every emitted event.
+    """An expanded word plus the provenance of every event in it.
 
-    ``origins[i]`` is the index of the source event whose expansion
-    emitted event ``i`` (a crossing emits a block of crossings, a cusp
+    ``origins[i]`` is the index of the source event whose block holds
+    event ``i`` (a crossing expands to a block of crossings, a cusp to
     its copies and their companion crossings), or None for spliced
-    material.
+    material.  ``first_cusp_index`` is the position just past the block
+    of the first widened left cusp, and ``first_cusp_offset`` the level
+    of that block's top copy.
     """
 
     events: List[Event] = field(default_factory=list)
     origins: List[Optional[int]] = field(default_factory=list)
     first_cusp_index: Optional[int] = None
     first_cusp_offset: Optional[int] = None
-
-    def emit(self, event: Event, origin: int) -> None:
-        self.events.append(event)
-        self.origins.append(origin)
 
     def splice(self, index: int, events: Sequence[Event]) -> None:
         self.events[index:index] = list(events)
@@ -150,6 +148,12 @@ def cable_expand(
     ``d`` is a closed front or a strip; its stored trace gives the strands,
     so the word is not traced again.  A whole component is widened, so no
     cusp joins a wide strand to a narrow one.
+
+    Each source event expands to one block, written as slices of three
+    per-call lists that hold ``L(i)``, ``R(i)`` and ``X(i)`` at index
+    ``i``: a run of crossings that descends from level ``a`` to level
+    ``b`` is ``Xs[a : b - 1 : -1]``, and every such stop is at least 0,
+    so no slice wraps around.
     """
     _check_int(1, copies=n)
     if component is not None and component not in d.components:
@@ -159,36 +163,39 @@ def cable_expand(
     width = [
         n if component is None or c == component else 1 for c in tr.strand_component
     ]
+    # No level of the expanded word reaches n * max_width + 1.
+    top = n * tr.max_width + 2
+    Ls = [L(i) for i in range(top)]
+    Rs = [R(i) for i in range(top)]
+    Xs = [X(i) for i in range(top)]
 
     exp = Expansion()
+    events, origins = exp.events, exp.origins
     for idx, (ev, (upper, lower), here) in enumerate(
         zip(word, tr.event_strands, slices)
     ):
+        start = len(events)
         o = 1 + sum(width[s] for s in here[: ev.level - 1])
         w = width[upper]
         if ev.kind == "L":
-            for j in range(w):
-                exp.emit(L(o + 2 * j), idx)
+            events += Ls[o : o + 2 * w : 2]
             # Interleave: lift copy j's upper branch above the lower
             # branches of copies 1..j-1, restoring two parallel bundles.
             for j in range(2, w + 1):
-                for lvl in range(o + 2 * j - 3, o + j - 2, -1):
-                    exp.emit(X(lvl), idx)
+                events += Xs[o + 2 * j - 3 : o + j - 2 : -1]
             if w > 1 and exp.first_cusp_index is None:
-                exp.first_cusp_index = len(exp.events)
+                exp.first_cusp_index = len(events)
                 exp.first_cusp_offset = o
         elif ev.kind == "R":
             # Un-interleave the two bundles back to alternating order,
             # then close the copies with stacked cusps.
             for j in range(1, w):
-                for lvl in range(o + w + j - 2, o + 2 * j - 2, -1):
-                    exp.emit(X(lvl), idx)
-            for _ in range(w):
-                exp.emit(R(o), idx)
+                events += Xs[o + w + j - 2 : o + 2 * j - 2 : -1]
+            events += [Rs[o]] * w
         else:  # crossing: block transposition preserving internal order
             for k in range(width[lower]):
-                for lvl in range(o + w + k - 1, o + k - 1, -1):
-                    exp.emit(X(lvl), idx)
+                events += Xs[o + w + k - 1 : o + k - 1 : -1]
+        origins += [idx] * (len(events) - start)
     return exp
 
 

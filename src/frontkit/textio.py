@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from typing import List, Tuple, Union
+from types import MappingProxyType
+from typing import List, Sequence, Tuple, Union
 
 from . import _kernel
 from .errors import DiagramError, FormatError, MoveError, ParameterOutOfRange
@@ -39,6 +40,14 @@ from .standard import (
 Document = Union[FrontDiagram, StandardFormDiagram, SteinHandlebody]
 
 _EVENT_RE = re.compile(r"^([LRX])([0-9]+)$")
+# The one token table: the text of every event at levels 1..256, read
+# one way to parse and the other way to print.  No gallery or benchmark
+# front is wider than 24 strands; a level past the table, and a token
+# such as ``L01``, takes the regular expression or the f-string.
+_TOKEN_EVENT = MappingProxyType(
+    {f"{k}{i}": Event(k, i) for k in "LRX" for i in range(1, 257)}
+)
+_EVENT_TOKEN = MappingProxyType({ev: tok for tok, ev in _TOKEN_EVENT.items()})
 _PORT_RE = re.compile(rf"^P({_HANDLE_ID.pattern})\.([0-9]+)$")
 _HANDLE_RE = re.compile(rf"^handle\s+({_HANDLE_ID.pattern})\s+([0-9]+)$")
 _ATTACH_RE = re.compile(r"^attach\s+(-?[0-9]+)\s+framing\s+(-?[0-9]+)$")
@@ -49,12 +58,11 @@ def _significant_lines(text: str) -> List[Tuple[int, str]]:
     FormatError when ``text`` is not a str."""
     if not isinstance(text, str):
         _fail(f"expected text (a str), got {type(text).__name__}", 1)
-    out = []
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((num, line))
-    return out
+    return [
+        (num, line)
+        for num, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.partition("#")[0].strip())
+    ]
 
 
 def _fail(message: str, line: int, column: int = 1) -> None:
@@ -64,7 +72,12 @@ def _fail(message: str, line: int, column: int = 1) -> None:
 def parse(text: str) -> Document:
     """Parse a document, raising FormatError with line/column on the
     first offending token.  Validation errors keep their class and
-    ``index``; one that names an event also names its text line."""
+    ``index``; one that names an event also names its text line.
+
+    An event line is looked up in the token table first, one dict
+    lookup; a line the table does not hold is matched by the regular
+    expression, so ``L01`` still reads as ``L1``, a level past the table
+    still parses, and a bad token still names its line."""
     lines = _significant_lines(text)
     if not lines:
         _fail("empty document: expected 'front' or 'standard' header", 1)
@@ -77,6 +90,9 @@ def parse(text: str) -> Document:
 
 
 def _parse_event(num: int, line: str) -> Event:
+    ev = _TOKEN_EVENT.get(line)
+    if ev is not None:
+        return ev
     m = _EVENT_RE.match(line)
     if not m:
         _fail(f"expected an event like L1, R2, or X3, got {line!r}", num)
@@ -151,18 +167,31 @@ def _strip(obj: Document) -> _Diagram:
     return obj
 
 
+def _event_tokens(events: Sequence[Event]) -> List[str]:
+    """The text of each event, from the token table; a level past the
+    table prints as its digits."""
+    try:
+        return list(map(_EVENT_TOKEN.__getitem__, events))
+    except KeyError:
+        return [_EVENT_TOKEN.get(e) or f"{e.kind}{e.level:d}" for e in events]
+
+
 def print_text(obj: Document) -> str:
-    """The canonical document: parse(print_text(x)) reproduces x."""
+    """The canonical document: parse(print_text(x)) reproduces x.
+
+    Each event's text is read from the token table that :func:`parse`
+    reads the other way, so a level prints as its digits, a bool level
+    as 1."""
     d = _strip(obj)
     if isinstance(obj, FrontDiagram):
         lines = ["front"]
-        lines += [f"{e.kind}{e.level:d}" for e in obj.events]
+        lines += _event_tokens(obj.events)
         return "\n".join(lines) + "\n"
     attachments = obj.attachments if isinstance(obj, SteinHandlebody) else ()
     lines = ["standard"]
     lines += [f"handle {h.id} {h.slots:d}" for h in d.handles]
     lines += [f"P{hid}.{slot:d}" for hid, slot in d.left_ports]
-    lines += [f"{e.kind}{e.level:d}" for e in d.events]
+    lines += _event_tokens(d.events)
     lines += [f"P{hid}.{slot:d}" for hid, slot in d.right_ports]
     lines += [
         f"attach {a.component:d} framing {a.framing:d}" for a in attachments
@@ -252,25 +281,29 @@ def _render_ascii(obj: Document) -> str:
     cusp puts `)` on row ``i``, keeping the rows of the ``k - 2``
     survivors and the row above the cusp; a crossing marks rows
     ``i - 1`` and ``i`` of ``k``.  Rows are the columns transposed,
-    right-stripped.
+    right-stripped.  A column pair depends only on the event and ``k``,
+    so each distinct pair is drawn and padded to the height once per
+    call: a cable repeats a few dozen pairs thousands of times.
     """
     d = _strip(obj)
     widths = _kernel.widths(d.events, len(d.left_ports))
-    cols = []
-    for (kind, i), k in zip(d.events, widths):
-        cols.append("_" * k)
-        if kind == "L":
-            cols.append("_" * i + "(" + "_" * (k + 1 - i))
-        elif kind == "R":
-            cols.append(("_" * i + ")").ljust(k - 2, "_"))
-        else:
-            cols.append("_" * (i - 1) + "XX" + "_" * (k - i - 1))
-    cols.append("_" * widths[-1])
     height = max(d.trace.max_width, 1)
-    lines = [
-        "".join(row).rstrip()
-        for row in zip(*(col.ljust(height) for col in cols))
-    ]
+    drawn = {}
+    cols = []
+    for ev, k in zip(d.events, widths):
+        pair = drawn.get((ev, k))
+        if pair is None:
+            kind, i = ev
+            if kind == "L":
+                col = "_" * i + "(" + "_" * (k + 1 - i)
+            elif kind == "R":
+                col = ("_" * i + ")").ljust(k - 2, "_")
+            else:
+                col = "_" * (i - 1) + "XX" + "_" * (k - i - 1)
+            pair = drawn[ev, k] = (("_" * k).ljust(height), col.ljust(height))
+        cols += pair
+    cols.append(("_" * widths[-1]).ljust(height))
+    lines = ["".join(row).rstrip() for row in zip(*cols)]
     while lines and not lines[-1]:
         lines.pop()
     out = "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from frontkit import _kernel as pure
 from frontkit.errors import DanglingStrand, DiagramError, LevelOutOfRange
 from frontkit.front import L, R, X
 from frontkit.gallery import gallery_manifest
-from frontkit.standard import SteinHandlebody
+from frontkit.standard import OneHandle, StandardFormDiagram, SteinHandlebody
 
 LC, RC, XC = pure.LEFT_CUSP, pure.RIGHT_CUSP, pure.CROSSING
 
@@ -191,9 +191,23 @@ def _partition(labels):
 
 
 def test_arcs_are_the_cusp_pieces():
-    for d in _sliced_diagrams():
+    # A strip whose ports leave in the other order than they came, so
+    # the trace links final position q to another left-edge position.
+    crossed = StandardFormDiagram(
+        [OneHandle("A", 1), OneHandle("B", 1)], [("A", 1), ("B", 1)],
+        [L(2), X(1), R(2)], [("B", 1), ("A", 1)],
+    )
+    assert crossed.trace.right[crossed.trace.final_strands[0]] == ~1
+    for d in _sliced_diagrams() + [crossed]:
         tr, n_initial = d.trace, len(d.left_ports)
-        label, ends, _orient, n_pieces, _strands = _kernel.arcs(d.events, n_initial)
+        right = list(tr.right)
+        got = _kernel.arcs(tr.final_strands, tr.right, n_initial)
+        # The stored trace gives the arcs that a fresh slice pass gives,
+        # and reading it changes nothing.
+        final, _strands, fresh, _n, _w = _kernel._slice_pass(d.events, n_initial)
+        assert got == _kernel.arcs(final, fresh, n_initial)
+        assert tr.right == right
+        label, ends, _orient, n_pieces = got
         assert _partition(label) == _partition(_cusp_pieces(d))
         assert set(label) == set(range(n_pieces))
         # Every boundary end is an end of one arc, and an arc holds the

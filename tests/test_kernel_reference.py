@@ -32,6 +32,7 @@ class _ReferenceResult:
         "initial_strands",
         "final_strands",
         "event_strands",
+        "right",
         "strand_component",
         "strand_orient",
         "n_components",
@@ -179,6 +180,13 @@ def _reference_trace(events, n_initial=0, port_links=()):
     res.initial_strands = list(range(n_initial))
     res.final_strands = slice_ids
     res.event_strands = event_strands
+    # Per strand: its right-cusp mate, or ~q when a port carries it on to
+    # left-edge position q.
+    res.right = [0] * n
+    for _idx, upper, lower in right_cusp_of:
+        res.right[upper], res.right[lower] = lower, upper
+    for final_pos, initial_pos in port_links:
+        res.right[slice_ids[final_pos]] = ~initial_pos
     res.strand_component = comp_of
     res.strand_orient = orient
     res.n_components = n_components

@@ -401,7 +401,7 @@ def test_a_finger_holding_both_passes_reaches_no_other_port():
     for _ in range(3000):
         d = _random_one_handle_strip(rng)
         tr = d.trace
-        piece = _kernel.arcs(d.events, len(d.left_ports))[0]
+        piece = _kernel.arcs(tr.final_strands, tr.right, len(d.left_ports))[0]
         edge = set(range(len(d.left_ports))) | set(tr.final_strands)
         for la in range(len(d.left_ports) - 1):
             lb = la + 1
@@ -1179,7 +1179,8 @@ def test_cusp_pieces_are_the_pull_off_fingers():
                 if isinstance(e.artifact, SteinHandlebody)]
     diagrams += [h.diagram for h, _k, _a in _slide_cases()]
     for d in diagrams:
-        piece = _kernel.arcs(d.events, len(d.left_ports))[0]
+        tr = d.trace
+        piece = _kernel.arcs(tr.final_strands, tr.right, len(d.left_ports))[0]
         for s in range(d.trace.n_strands):
             finger = _reference_finger(d, s)
             assert {t for t, p in enumerate(piece) if p == piece[s]} == finger
@@ -1446,7 +1447,8 @@ def test_handle_move_outputs_are_pinned():
 
 def _check_pull_off(d, hid, slot):
     pa, pb = (hid, slot), (hid, slot + 1)
-    piece = _kernel.arcs(d.events, len(d.left_ports))[0]
+    tr = d.trace
+    piece = _kernel.arcs(tr.final_strands, tr.right, len(d.left_ports))[0]
     la = d.left_ports.index(pa)
     finger = {s for s, p in enumerate(piece) if p == piece[la]}
 

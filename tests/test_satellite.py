@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import random_knot
-from frontkit import gallery, satellite
+from frontkit import _kernel, gallery, satellite
 from frontkit.errors import (
     ComponentCountMismatch,
     DiagramError,
@@ -28,6 +28,7 @@ from frontkit.front import (
 from frontkit.moves import enumerate_moves, stabilize
 from frontkit.satellite import (
     BraidWord,
+    Expansion,
     TwistBox,
     braid_events,
     cable,
@@ -201,3 +202,77 @@ def test_cable_expand_widens_one_whole_component():
         assert got == sorted(tbs + [tbs[c]])
     every = FrontDiagram(cable_expand(stabilized, 2).events)
     assert every.n_components == 4
+
+
+# -- the per-event expansion, kept as a reference ---------------------------
+
+
+def _reference_cable_expand(d, n, component=None):
+    """:func:`cable_expand` as it was written before it emitted blocks:
+    one event and one origin appended at a time."""
+    word, tr = d.events, d.trace
+    slices = _kernel.slices(word, tr)
+    width = [
+        n if component is None or c == component else 1
+        for c in tr.strand_component
+    ]
+    exp = Expansion()
+
+    def emit(event, origin):
+        exp.events.append(event)
+        exp.origins.append(origin)
+
+    for idx, (ev, (upper, lower), here) in enumerate(
+        zip(word, tr.event_strands, slices)
+    ):
+        o = 1 + sum(width[s] for s in here[: ev.level - 1])
+        w = width[upper]
+        if ev.kind == "L":
+            for j in range(w):
+                emit(L(o + 2 * j), idx)
+            for j in range(2, w + 1):
+                for lvl in range(o + 2 * j - 3, o + j - 2, -1):
+                    emit(X(lvl), idx)
+            if w > 1 and exp.first_cusp_index is None:
+                exp.first_cusp_index = len(exp.events)
+                exp.first_cusp_offset = o
+        elif ev.kind == "R":
+            for j in range(1, w):
+                for lvl in range(o + w + j - 2, o + 2 * j - 2, -1):
+                    emit(X(lvl), idx)
+            for _ in range(w):
+                emit(R(o), idx)
+        else:
+            for k in range(width[lower]):
+                for lvl in range(o + w + k - 1, o + k - 1, -1):
+                    emit(X(lvl), idx)
+    return exp
+
+
+def _expansion_fields(exp):
+    return (exp.events, exp.origins, exp.first_cusp_index, exp.first_cusp_offset)
+
+
+def test_cable_expand_matches_the_per_event_reference():
+    rng = random.Random(21)
+    diagrams = [random_knot(rng, steps=rng.randint(2, 40)) for _ in range(30)]
+    # A 2-component link, and a front and a strip whose cusps sit at
+    # level 1, so a block starts at the top level (o = 1).
+    diagrams += [
+        stabilize(n_copy(stabilize(trefoil(), 0, 1), 2), 1, -1),
+        FrontDiagram([L(1), L(1), X(2), R(1), R(1)]),
+        gallery.stein_rep_max(-5, 2).diagram,
+    ]
+    assert any(
+        ev.level == 1 and ev.kind != "X" for d in diagrams[:30] for ev in d.events
+    )
+    assert diagrams[30].n_components == 2
+    for d in diagrams:
+        for n in range(1, 5):
+            for component in (None, *d.components):
+                got = cable_expand(d, n, component)
+                want = _reference_cable_expand(d, n, component)
+                assert _expansion_fields(got) == _expansion_fields(want), (
+                    d.events, n, component,
+                )
+

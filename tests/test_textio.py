@@ -61,6 +61,36 @@ def test_the_module_docstring_example_parses_and_round_trips():
         assert print_text(parse(doc)) == doc
 
 
+def test_the_token_table_agrees_with_the_regular_expression():
+    table = textio._TOKEN_EVENT
+    assert len(table) == 3 * 256
+    for token, ev in table.items():
+        m = textio._EVENT_RE.match(token)
+        assert Event(m.group(1), int(m.group(2))) == ev
+        assert textio._EVENT_TOKEN[ev] == token
+    with pytest.raises(TypeError):
+        table["L1"] = Event("R", 1)
+
+
+def test_tokens_off_the_table_take_the_regular_expression():
+    # A leading zero is no table token but still reads as its level.
+    assert parse("front\nL01\nR001\n").events == (L(1), R(1))
+    # A digit outside 0-9 and an unknown kind are errors on their line.
+    for bad in ("L\u0663", "Q9"):
+        with pytest.raises(FormatError) as exc:
+            parse(f"front\nL1\n{bad}\nR1\n")
+        assert exc.value.line == 3
+        assert repr(bad) in str(exc.value)
+    # A level past the table prints as its digits and parses back.
+    d = FrontDiagram(
+        [L(1)] * 129 + [L(259), X(258), X(258), R(259)] + [R(1)] * 129
+    )
+    doc = print_text(d)
+    assert "\nL259\nX258\nX258\nR259\n" in doc
+    assert parse(doc) == d
+    assert print_text(parse(doc)) == doc
+
+
 def test_parse_reports_position():
     with pytest.raises(FormatError) as exc:
         parse("front\nL1\nQ9\n")
