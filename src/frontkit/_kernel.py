@@ -54,14 +54,16 @@ the slice raises in the slice pass.
 The one slice model is built on demand, so ``trace`` pays nothing for
 it: ``slices(events, trace(events, ...))`` gives the strand ids of every
 slice, one tuple per word position, from the strands the trace recorded;
+:func:`slice_at` one of them, walked back from the last slice;
 :func:`widths` the width of every slice, from the event kinds and
 ``WIDTH_CHANGE`` alone; and :func:`arcs` the arcs.  Every module reads
-them, but for three walks kept apart for speed: ``moves._scan`` carries
+them, but for four walks kept apart for speed: ``moves._scan`` carries
 the width along its own pass, the hot loop of the move index and the
 search; ``moves._split_word`` keeps one flag per row, as
-:func:`slices` made step 3's pull-offs and cancellations slower; and
-``textio._render_svg`` keeps its current slice, as :func:`slices` alone
-costs over a tenth of the SVG render of a large cable front.
+:func:`slices` made step 3's pull-offs and cancellations slower;
+``satellite.cable_expand`` keeps the widened width of each row, likewise;
+and ``textio._render_svg`` keeps its current slice and the slice where
+each row's run began, so it writes only the points where a strand turns.
 """
 
 from __future__ import annotations
@@ -121,8 +123,10 @@ def _slice_pass(events, n_initial):
     are the two made by the j-th left cusp.
     """
     slice_ids = list(range(n_initial))
+    k = n_initial  # the width of the current slice
     next_id = n_initial
     event_strands = []
+    add = event_strands.append
     max_width = n_initial
 
     idx = -1
@@ -130,8 +134,18 @@ def _slice_pass(events, n_initial):
         # Each event makes at most two strands.
         right = [0] * (n_initial + 2 * len(events))
         for idx, (kind, level) in enumerate(events):
-            k = len(slice_ids)
-            if kind == LEFT_CUSP:
+            # Crossings are most of a word, so they are tested first.
+            if kind == CROSSING:
+                if not 1 <= level <= k - 1:
+                    raise LevelOutOfRange(
+                        f"crossing at level {level} with {k} strands", idx
+                    )
+                desc = slice_ids[level - 1]
+                asc = slice_ids[level]
+                slice_ids[level - 1] = asc
+                slice_ids[level] = desc
+                add((desc, asc))
+            elif kind == LEFT_CUSP:
                 if not 1 <= level <= k + 1:
                     raise LevelOutOfRange(
                         f"left cusp at level {level} with {k} strands", idx
@@ -140,10 +154,11 @@ def _slice_pass(events, n_initial):
                 lower = next_id + 1
                 next_id += 2
                 slice_ids[level - 1 : level - 1] = [upper, lower]
-                event_strands.append((upper, lower))
+                add((upper, lower))
+                k += 2
                 # Only a left cusp widens the slice.
-                if k + 2 > max_width:
-                    max_width = k + 2
+                if k > max_width:
+                    max_width = k
             elif kind == RIGHT_CUSP:
                 if not 1 <= level <= k - 1:
                     raise LevelOutOfRange(
@@ -154,17 +169,8 @@ def _slice_pass(events, n_initial):
                 del slice_ids[level - 1 : level + 1]
                 right[upper] = lower
                 right[lower] = upper
-                event_strands.append((upper, lower))
-            elif kind == CROSSING:
-                if not 1 <= level <= k - 1:
-                    raise LevelOutOfRange(
-                        f"crossing at level {level} with {k} strands", idx
-                    )
-                desc = slice_ids[level - 1]
-                asc = slice_ids[level]
-                slice_ids[level - 1] = asc
-                slice_ids[level] = desc
-                event_strands.append((desc, asc))
+                add((upper, lower))
+                k -= 2
             else:
                 raise DiagramError(f"unknown event kind {kind!r}", idx)
     except (TypeError, ValueError) as exc:
@@ -443,3 +449,21 @@ def slices(events, result):
             cur[level - 1 : level + 1] = (b, a)
         out.append(tuple(cur))
     return out
+
+
+def slice_at(events, result, index):
+    """Entry ``index`` of :func:`slices`, and only that one, for ``index``
+    in ``0..len(events)``: walked back from ``result.final_strands`` over
+    the events after it, building no other slice.  Braid sites lie near
+    the right end of a cable, where the walk is short."""
+    strands = result.event_strands
+    cur = list(result.final_strands)
+    for idx in range(len(events) - 1, index - 1, -1):
+        kind, level = events[idx]
+        if kind == LEFT_CUSP:
+            del cur[level - 1 : level + 1]
+        elif kind == RIGHT_CUSP:
+            cur[level - 1 : level - 1] = strands[idx]
+        else:
+            cur[level - 1 : level + 1] = strands[idx]
+    return tuple(cur)

@@ -769,10 +769,14 @@ def _doubled_strip(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
     for pos, slc in enumerate(_kernel.slices(d2.events, d2.trace)):
         for lvl in range(1, len(slc)):
             s1, s2 = slc[lvl - 1], slc[lvl]
-            pair = {comp2[s1], comp2[s2]}
-            if comp_k in pair and (pair - {comp_k}) & copies:
+            c1, c2 = comp2[s1], comp2[s2]
+            # k and the copies are carried to distinct components.
+            if c1 == comp_k and c2 in copies:
                 sites.append((pos, lvl))
-                k_strands.append(s1 if comp2[s1] == comp_k else s2)
+                k_strands.append(s1)
+            elif c2 == comp_k and c1 in copies:
+                sites.append((pos, lvl))
+                k_strands.append(s2)
     return d2, reslotted, exp.origins, sites, k_strands
 
 

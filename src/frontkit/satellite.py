@@ -147,7 +147,9 @@ def cable_expand(
 
     ``d`` is a closed front or a strip; its stored trace gives the strands,
     so the word is not traced again.  A whole component is widened, so no
-    cusp joins a wide strand to a narrow one.
+    cusp joins a wide strand to a narrow one.  The widened width of each
+    row of the current slice is kept in one list, updated per event, so a
+    block's top level is one plus the sum of the widths above it.
 
     Each source event expands to one block, written as slices of three
     per-call lists that hold ``L(i)``, ``R(i)`` and ``X(i)`` at index
@@ -159,10 +161,11 @@ def cable_expand(
     if component is not None and component not in d.components:
         raise ParameterOutOfRange(f"no component {component!r} to widen")
     word, tr = d.events, d.trace
-    slices = _kernel.slices(word, tr)
     width = [
         n if component is None or c == component else 1 for c in tr.strand_component
     ]
+    # row_w[r]: the width of the strand on row r of the current slice.
+    row_w = [width[s] for s in tr.initial_strands]
     # No level of the expanded word reaches n * max_width + 1.
     top = n * tr.max_width + 2
     Ls = [L(i) for i in range(top)]
@@ -171,13 +174,11 @@ def cable_expand(
 
     exp = Expansion()
     events, origins = exp.events, exp.origins
-    for idx, (ev, (upper, lower), here) in enumerate(
-        zip(word, tr.event_strands, slices)
-    ):
+    for idx, ((kind, i), (upper, lower)) in enumerate(zip(word, tr.event_strands)):
         start = len(events)
-        o = 1 + sum(width[s] for s in here[: ev.level - 1])
+        o = 1 + sum(row_w[: i - 1])
         w = width[upper]
-        if ev.kind == "L":
+        if kind == "L":
             events += Ls[o : o + 2 * w : 2]
             # Interleave: lift copy j's upper branch above the lower
             # branches of copies 1..j-1, restoring two parallel bundles.
@@ -186,15 +187,20 @@ def cable_expand(
             if w > 1 and exp.first_cusp_index is None:
                 exp.first_cusp_index = len(events)
                 exp.first_cusp_offset = o
-        elif ev.kind == "R":
+            # A cusp's two strands belong to one component.
+            row_w[i - 1 : i - 1] = (w, w)
+        elif kind == "R":
             # Un-interleave the two bundles back to alternating order,
             # then close the copies with stacked cusps.
             for j in range(1, w):
                 events += Xs[o + w + j - 2 : o + 2 * j - 2 : -1]
             events += [Rs[o]] * w
+            del row_w[i - 1 : i + 1]
         else:  # crossing: block transposition preserving internal order
-            for k in range(width[lower]):
+            v = width[lower]
+            for k in range(v):
                 events += Xs[o + w + k - 1 : o + k - 1 : -1]
+            row_w[i - 1], row_w[i] = v, w
         origins += [idx] * (len(events) - start)
     return exp
 
@@ -276,7 +282,8 @@ def insert_braid(
 
     ``site`` is an (event index, top level) pair naming the slice and
     the topmost of the ``braid.strands`` adjacent parallel strands the
-    braid acts on; by default the rightmost such slice is used.
+    braid acts on; by default the rightmost such slice is used.  A named
+    site reads only its own slice (:func:`frontkit._kernel.slice_at`).
     """
     _require_front(d)
     if not isinstance(braid, BraidWord):
@@ -288,7 +295,7 @@ def insert_braid(
     else:
         index, top = site
         if not (0 <= index <= len(d.events) and _parallel(
-            d, _kernel.slices(d.events, d.trace)[index], top, braid.strands
+            d, _kernel.slice_at(d.events, d.trace, index), top, braid.strands
         )):
             raise SiteNotCableSlice(
                 f"slice {index} levels {top}..{top + braid.strands - 1} "

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from operator import add
 from types import MappingProxyType
 from typing import List, Sequence, Tuple, Union
 
@@ -283,7 +284,9 @@ def _render_ascii(obj: Document) -> str:
     ``i - 1`` and ``i`` of ``k``.  Rows are the columns transposed,
     right-stripped.  A column pair depends only on the event and ``k``,
     so each distinct pair is drawn and padded to the height once per
-    call: a cable repeats a few dozen pairs thousands of times.
+    call, as one tuple of two-character row cells: a cable repeats a few
+    dozen pairs thousands of times, and the transpose zips one item per
+    event rather than two.
     """
     d = _strip(obj)
     widths = _kernel.widths(d.events, len(d.left_ports))
@@ -300,8 +303,10 @@ def _render_ascii(obj: Document) -> str:
                 col = ("_" * i + ")").ljust(k - 2, "_")
             else:
                 col = "_" * (i - 1) + "XX" + "_" * (k - i - 1)
-            pair = drawn[ev, k] = (("_" * k).ljust(height), col.ljust(height))
-        cols += pair
+            pair = drawn[ev, k] = tuple(
+                map(add, ("_" * k).ljust(height), col.ljust(height))
+            )
+        cols.append(pair)
     cols.append(("_" * widths[-1]).ljust(height))
     lines = ["".join(row).rstrip() for row in zip(*cols)]
     while lines and not lines[-1]:
@@ -333,19 +338,19 @@ def _render_svg(obj: Document) -> str:
 
     Slice ``t`` sits at x = 24(t + 1) and row ``r`` at y = 16(r + 1).
     A strand's polyline is its left-cusp apex (half a step before its
-    first slice, on its own row), one point per slice it lives on, and
-    the tip of the right cusp that ends it.  One walk over the word
-    cuts the slice points into runs of constant row: a crossing ends
-    the runs of its two strands, and a cusp at level ``i`` ends the
-    runs of every strand on rows ``i - 1`` and below, which it moves or
-    ends.  Each run is written with one join over the slice x strings.
+    first slice, on its own row), its turn points, and the tip of the
+    right cusp that ends it.  One walk over the word cuts the strand's
+    slices into runs of constant row: a crossing ends the runs of its
+    two strands, and a cusp at level ``i`` ends the runs of every strand
+    on rows ``i - 1`` and below, which it moves or ends.  Each run is
+    written as its first and last slice points, or as one point when it
+    spans one slice, so a polyline keeps only the points where it turns.
     """
     d = _strip(obj)
     tr = d.trace
     n_slices = len(d.events) + 1
     xs = [str(_SVG_STEP * (t + 1)) for t in range(n_slices)]
     ys = [f",{_SVG_ROW * (r + 1)}" for r in range(tr.max_width)]
-    seps = [y + " " for y in ys]
     parts: List[List[str]] = [[] for _ in range(tr.n_strands)]
     cur = list(tr.initial_strands)
     start = [0] * len(cur)  # per row: the slice where its run began
@@ -353,7 +358,11 @@ def _render_svg(obj: Document) -> str:
     def cut(rows, t: int) -> None:
         # End at slice t the runs of the strands on these rows.
         for r in rows:
-            parts[cur[r]].append(seps[r].join(xs[start[r] : t + 1]) + ys[r])
+            s = start[r]
+            if s == t:
+                parts[cur[r]].append(xs[t] + ys[r])
+            else:
+                parts[cur[r]] += (xs[s] + ys[r], xs[t] + ys[r])
 
     for t, ((kind, i), (a, b)) in enumerate(zip(d.events, tr.event_strands)):
         if kind == "X":

@@ -53,6 +53,47 @@ def test_level_out_of_range():
         pure.trace([(LC, 1), (XC, 2), (RC, 1)])
 
 
+@pytest.mark.parametrize("prefix, n_initial", [([(LC, 1)], 0), ([], 3)])
+def test_slice_pass_errors_keep_class_index_and_message(prefix, n_initial):
+    # The event under test meets a slice of k strands at position idx.
+    k = len(prefix) * 2 + n_initial
+    idx = len(prefix)
+    names = {LC: "left cusp", RC: "right cusp", XC: "crossing"}
+    for kind, name in names.items():
+        top = k + 1 if kind == LC else k - 1
+        # k - 0.5 is past the last level a crossing or right cusp takes.
+        for level in (0, k, k + 1, k + 2) + ((k - 0.5,) if kind != LC else ()):
+            events = prefix + [(kind, level)]
+            if 1 <= level <= top:
+                out = pure._slice_pass(events, n_initial)
+                assert out[3] == n_initial + 2 * sum(e[0] == LC for e in events)
+                continue
+            with pytest.raises(LevelOutOfRange) as info:
+                pure._slice_pass(events, n_initial)
+            assert info.value.index == idx
+            assert str(info.value) == (
+                f"event {idx}: {name} at level {level} with {k} strands"
+            )
+    bad = [
+        (("Q", 1), "unknown event kind 'Q'"),
+        ((LC, "1"), "malformed event ('L', '1')"),
+        ((RC, 1.0), "malformed event ('R', 1.0)"),
+        ((XC, None), "malformed event ('X', None)"),
+        ((LC, 1.5), "malformed event ('L', 1.5)"),
+        ((LC,), "malformed event ('L',)"),
+    ]
+    for event, message in bad:
+        with pytest.raises(DiagramError) as info:
+            pure._slice_pass(prefix + [event], n_initial)
+        assert type(info.value) is DiagramError
+        assert info.value.index == idx
+        assert str(info.value) == f"event {idx}: {message}"
+    with pytest.raises(DiagramError) as info:
+        pure._slice_pass(None, n_initial)
+    assert type(info.value) is DiagramError
+    assert (info.value.index, str(info.value)) == (-1, "malformed word")
+
+
 def test_dangling_strands():
     with pytest.raises(DanglingStrand):
         pure.trace([(LC, 1)])
@@ -266,3 +307,10 @@ def test_window_summaries_of_a_move_agree():
     clasp = pure.window_summary([X(1), X(1)], 2)
     straight = pure.window_summary([], 2)
     assert clasp[1] == straight[1] and clasp != straight
+
+
+def test_slice_at_is_one_entry_of_the_slices():
+    for d in _sliced_diagrams():
+        want = _kernel.slices(d.events, d.trace)
+        got = [_kernel.slice_at(d.events, d.trace, i) for i in range(len(want))]
+        assert got == want
