@@ -54,7 +54,6 @@ the slice raises in the slice pass.
 The one slice model is built on demand, so ``trace`` pays nothing for
 it: ``slices(events, trace(events, ...))`` gives the strand ids of every
 slice, one tuple per word position, from the strands the trace recorded;
-:func:`slice_at` one of them, walked back from the last slice;
 :func:`widths` the width of every slice, from the event kinds and
 ``WIDTH_CHANGE`` alone; and :func:`arcs` the arcs.  Every module reads
 them, but for four walks kept apart for speed: ``moves._scan`` carries
@@ -450,20 +449,3 @@ def slices(events, result):
         out.append(tuple(cur))
     return out
 
-
-def slice_at(events, result, index):
-    """Entry ``index`` of :func:`slices`, and only that one, for ``index``
-    in ``0..len(events)``: walked back from ``result.final_strands`` over
-    the events after it, building no other slice.  Braid sites lie near
-    the right end of a cable, where the walk is short."""
-    strands = result.event_strands
-    cur = list(result.final_strands)
-    for idx in range(len(events) - 1, index - 1, -1):
-        kind, level = events[idx]
-        if kind == LEFT_CUSP:
-            del cur[level - 1 : level + 1]
-        elif kind == RIGHT_CUSP:
-            cur[level - 1 : level - 1] = strands[idx]
-        else:
-            cur[level - 1 : level + 1] = strands[idx]
-    return tuple(cur)

@@ -282,8 +282,7 @@ def insert_braid(
 
     ``site`` is an (event index, top level) pair naming the slice and
     the topmost of the ``braid.strands`` adjacent parallel strands the
-    braid acts on; by default the rightmost such slice is used.  A named
-    site reads only its own slice (:func:`frontkit._kernel.slice_at`).
+    braid acts on; by default the rightmost such slice is used.
     """
     _require_front(d)
     if not isinstance(braid, BraidWord):
@@ -295,7 +294,7 @@ def insert_braid(
     else:
         index, top = site
         if not (0 <= index <= len(d.events) and _parallel(
-            d, _kernel.slice_at(d.events, d.trace, index), top, braid.strands
+            d, _kernel.slices(d.events, d.trace)[index], top, braid.strands
         )):
             raise SiteNotCableSlice(
                 f"slice {index} levels {top}..{top + braid.strands - 1} "

@@ -307,10 +307,3 @@ def test_window_summaries_of_a_move_agree():
     clasp = pure.window_summary([X(1), X(1)], 2)
     straight = pure.window_summary([], 2)
     assert clasp[1] == straight[1] and clasp != straight
-
-
-def test_slice_at_is_one_entry_of_the_slices():
-    for d in _sliced_diagrams():
-        want = _kernel.slices(d.events, d.trace)
-        got = [_kernel.slice_at(d.events, d.trace, i) for i in range(len(want))]
-        assert got == want
