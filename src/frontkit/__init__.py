@@ -53,7 +53,7 @@ from .certify import (
     reducibility_report,
     surgery_coefficient,
 )
-from .explore import SearchConfig, bfs_max_tb, fuzz_moves, local_max_certificate
+from .explore import SearchConfig, bfs_max_tb, fuzz_moves
 from .gallery import (
     K_m_front,
     K_mn_cable_front,

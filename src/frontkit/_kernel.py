@@ -53,12 +53,13 @@ the slice raises in the slice pass.
 
 The one slice model is built on demand, so ``trace`` pays nothing for
 it: ``slices(events, trace(events, ...))`` gives the strand ids of every
-slice, one tuple per word position, from the strands the trace recorded;
-:func:`widths` the width of every slice, from the event kinds and
-``WIDTH_CHANGE`` alone; and :func:`arcs` the arcs.  Every module reads
-them, but for four walks kept apart for speed: ``moves._scan`` carries
-the width along its own pass, the hot loop of the move index and the
-search; ``moves._split_word`` keeps one flag per row, as
+slice, one tuple per word position, from the strands the trace recorded,
+and :func:`slice_at` the one slice at a position; :func:`widths` the
+width of every slice, from the event kinds and ``WIDTH_CHANGE`` alone;
+and :func:`arcs` the arcs.  Every module reads them, but for four walks
+kept apart for speed: ``moves._scan`` carries the width along its own
+pass, the hot loop of the move index and the search;
+``moves._split_word`` keeps one flag per row, as
 :func:`slices` made step 3's pull-offs and cancellations slower;
 ``satellite.cable_expand`` keeps the widened width of each row, likewise;
 and ``textio._render_svg`` keeps its current slice and the slice where
@@ -449,3 +450,23 @@ def slices(events, result):
         out.append(tuple(cur))
     return out
 
+
+def slice_at(events, result, idx):
+    """Entry ``idx`` of ``slices(events, result)``, for a word position
+    ``idx`` in ``0..len(events)``: the slices of the first half of the
+    word are built from ``result.initial_strands`` as :func:`slices`
+    builds them, and a slice of the second half alone, walked back from
+    ``result.final_strands``.  Nothing is checked again."""
+    if 2 * idx <= len(events):
+        return slices(events[:idx], result)[idx]
+    # Back across each event: a left cusp's pair goes, a right cusp's
+    # pair comes back, and a crossing's pair is put back in order.
+    cur = list(result.final_strands)
+    pairs = result.event_strands
+    for j in range(len(events) - 1, idx - 1, -1):
+        kind, level = events[j]
+        if kind == LEFT_CUSP:
+            del cur[level - 1 : level + 1]
+        else:
+            cur[level - 1 : level - 1 if kind == RIGHT_CUSP else level + 1] = pairs[j]
+    return tuple(cur)

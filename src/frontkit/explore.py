@@ -6,33 +6,38 @@ breadth-first sweep over word-shrinking moves plus slides recovers tb
 lost to stabilization.  Upper bounds come from genus certificates, not
 from search.
 
-The search runs on event words, not diagrams.  It lists the moves that
-never grow a word (every window move but the R2 expansions) as the
-index-free groups of :func:`frontkit.moves._scan`, and a node gets its
-groups from its parent's when it is expanded: the five windows around
-the rewrite that made it are rescanned and the rest shifted, as a
-:class:`frontkit.moves.MoveIndex` does along a walk.  A child is the
-parent's word with the memoised rewrite of a triple
-(:func:`frontkit.moves._rewrite`) spliced in, and a
-:class:`frontkit.moves.Move` is built only for a child not seen before.
+The search runs on coded words, not diagrams: a word is a tuple of
+small ints, one per event, so deduplication hashes ints.  It lists the
+moves that never grow a word (every window move but the R2 expansions)
+as the index-free groups of :func:`frontkit.moves._scan`, and a node
+gets its groups from its parent's when it is expanded: the five windows
+around the rewrite that made it are rescanned and the rest shifted, as
+a :class:`frontkit.moves.MoveIndex` does along a walk; only the few
+events the rescan reads are decoded.  A child is the parent's word with
+the coded rewrite of a triple (memoised from
+:func:`frontkit.moves._rewrite`) spliced in.  A new child links to its
+parent by the index and triple of its move, and is queued only when a
+later depth expands it; a :class:`frontkit.moves.Move` is built only for
+the witness, by walking the links back from the best node.
 
 Every Reidemeister move and far commutation keeps the tb of each
 component, so such a child carries its parent's tb untraced.  A
 destabilization raises the tb of the one component it touches by
 exactly 1: on one component that is the child's tb, and on several
 components, closed or in a strip, the child of a destabilization is
-traced to read its least tb.  Nothing else is traced until the witness
-is replayed, once, at the end.
+decoded and traced to read its least tb.  Nothing else is traced until
+the witness is replayed, once, at the end.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 from .errors import BudgetExhausted, DiagramError, MoveError, ParameterOutOfRange
-from .front import _check_int, _require_diagram, rotation, thurston_bennequin
+from .front import Event, _check_int, _require_diagram, rotation, thurston_bennequin
 from .moves import (
     _WINDOW_KINDS,
     Move,
@@ -81,11 +86,66 @@ def _tb_of(d) -> int:
     return min(_tbs(d))
 
 
-def _witnessed(d, best_tb: int, path: Tuple[Move, ...], nodes: int,
+# Inside the search a word is a tuple of small ints, one per event: the
+# code of ``Event(kind, level)`` is ``3 * level`` plus the place of
+# ``kind`` in ``_KINDS``, so dedup hashes ints, not event tuples.
+_KINDS = "LRX"
+_KIND_CODES = {kind: k for k, kind in enumerate(_KINDS)}
+
+
+def _encode(events) -> Tuple[int, ...]:
+    """The coded word of ``events``."""
+    return tuple(3 * level + _KIND_CODES[kind] for kind, level in events)
+
+
+@lru_cache(maxsize=None)
+def _event(code: int) -> Event:
+    """The event that ``code`` names; memoised, since the codes are
+    bounded by the levels in use."""
+    level, kind = divmod(code, 3)
+    return Event(_KINDS[kind], level)
+
+
+def _decode(word) -> Tuple[Event, ...]:
+    """The events of the coded ``word``."""
+    # From a list, the tuple is built at its size; ``tuple(map(...))``
+    # grows a guess and shrinks it, which raised the search's peak RSS.
+    return tuple([_event(code) for code in word])
+
+
+@lru_cache(maxsize=None)
+def _coded_rewrite(triple: Tuple) -> Tuple[int, Tuple[int, ...], int]:
+    """The window length, the coded new events and the change in length
+    of the rewrite :func:`_rewrite` gives for ``triple``; memoised as
+    that is."""
+    old_len, new = _rewrite(triple)
+    return old_len, _encode(new), len(new) - old_len
+
+
+class _Window:
+    """A coded word as :func:`_scan` reads it: it takes one run of
+    events from the word, by a slice, and only that run is decoded."""
+
+    __slots__ = ("word",)
+
+    def __init__(self, word: Tuple[int, ...]):
+        self.word = word
+
+    def __getitem__(self, where: slice) -> Tuple[Event, ...]:
+        return _decode(self.word[where])
+
+
+def _witnessed(d, best_tb: int, link, nodes: int,
                exhausted: bool = False) -> SearchResult:
     """The search result for the path to ``best_tb``, after replaying
-    the path from ``d`` and checking the tb it reaches."""
-    witness = MoveScript(path)
+    it from ``d`` and checking the tb it reaches.  ``link`` is None at
+    ``d``, or the ``(parent link, index, triple)`` of the last move; the
+    moves of the path are built here, walking the links back."""
+    path = []
+    while link is not None:
+        link, idx, (level, kind, data) = link
+        path.append(Move(kind, idx, level, data))
+    witness = MoveScript(path[::-1])
     got = _tb_of(witness.replay(d))
     if got != best_tb:
         raise MoveError(
@@ -99,16 +159,19 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Breadth-first search for the highest tb reachable by reductions.
 
     Explores the closure of word-shrinking moves up to ``cfg.max_depth``
-    on event words, in the order of ``enumerate_moves``, deduplicating on
+    on coded words, in the order of ``enumerate_moves``, deduplicating on
     the exact word.  Each move the scan lists is spliced into the word as
     found, not matched again.  ``cfg`` must be a SearchConfig
     (ParameterOutOfRange otherwise).  A child carries its parent's tb,
     one higher after a ``Destabilize`` of a knot; the new child of a
     ``Destabilize`` of several components is traced to read its least
-    tb.  The witness script is replayed once from ``d``, and it reaches
-    a diagram achieving ``best_tb``.  Raises BudgetExhausted (carrying
-    the partial result) when the node budget runs out; the best found so
-    far is still attached, replayed the same way.
+    tb.  A node links to its parent by the move that made it, and the
+    moves of the best path alone are built, at the end.  A child at the
+    last depth is counted, deduplicated and scored, but not queued.  The
+    witness script is replayed once from ``d``, and it reaches a diagram
+    achieving ``best_tb``.  Raises BudgetExhausted (carrying the partial
+    result) when the node budget runs out; the best found so far is
+    still attached, replayed the same way.
     """
     _require_diagram(d)
     if not isinstance(cfg, SearchConfig):
@@ -116,22 +179,26 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
             f"search bounds must be a SearchConfig, not a {type(cfg).__name__}"
         )
     budget = cfg.budget
+    last = cfg.max_depth - 1
     start_tb = _tb_of(d)
-    best_tb, best_path = start_tb, ()
-    # A frontier entry: the word, its tb, the path to it, and its
-    # parent's groups with the index and the length change of the rewrite
-    # that made it from the parent's word.  The start has no parent.
-    frontier: List[tuple] = [(d.events, start_tb, (), None, 0, 0)]
-    seen = {d.events}
+    best_tb, best_link = start_tb, None
+    start = _encode(d.events)
+    # A frontier entry: the coded word, its tb, its link, and its parent's
+    # groups with the index and the length change of the rewrite that
+    # made it from the parent's word.  The start has no parent.
+    frontier: List[tuple] = [(start, start_tb, None, None, 0, 0)]
+    seen = {start}
+    add = seen.add
     nodes = 1
-    link = d.n_components > 1
-    for _depth in range(cfg.max_depth):
+    several = d.n_components > 1
+    for depth in range(cfg.max_depth):
         nxt: List[tuple] = []
-        for word, tb, path, parent, site, shift in frontier:
+        queue = depth < last
+        for word, tb, link, parent, site, shift in frontier:
             if parent is None:
-                groups = _scan(word, None, 0, len(word), _WINDOW_KINDS)
+                groups = _scan(d.events, None, 0, len(word), _WINDOW_KINDS)
             else:
-                groups = _regrouped(parent, word, site, shift, _WINDOW_KINDS)
+                groups = _regrouped(parent, _Window(word), site, shift, _WINDOW_KINDS)
             for idx, group in enumerate(groups):
                 if not group:
                     continue
@@ -140,50 +207,31 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                     if nodes >= budget:
                         raise BudgetExhausted(
                             f"node budget {budget} exhausted",
-                            _witnessed(d, best_tb, best_path, nodes, exhausted=True),
+                            _witnessed(d, best_tb, best_link, nodes, exhausted=True),
                         )
-                    old_len, new = _rewrite(triple)
+                    old_len, new, change = _coded_rewrite(triple)
                     child = head + new + word[idx + old_len :]
                     # ``seen`` holds the ``nodes`` words found so far, so
                     # one hash of the child tells whether it is new.
-                    seen.add(child)
+                    add(child)
                     if len(seen) == nodes:
                         continue
                     nodes += 1
-                    level, kind, data = triple
-                    child_path = path + (Move(kind, idx, level, data),)
                     child_tb = tb
-                    if kind == "Destabilize":
-                        child_tb = _tb_of(_rebuild(d, child)) if link else tb + 1
+                    if triple[1] == "Destabilize":
+                        child_tb = (
+                            _tb_of(_rebuild(d, _decode(child))) if several else tb + 1
+                        )
                         if child_tb > best_tb:
-                            best_tb, best_path = child_tb, child_path
-                    nxt.append(
-                        (child, child_tb, child_path, groups, idx, len(new) - old_len)
-                    )
+                            best_tb, best_link = child_tb, (link, idx, triple)
+                    if queue:
+                        nxt.append(
+                            (child, child_tb, (link, idx, triple), groups, idx, change)
+                        )
         if not nxt:
             break
         frontier = nxt
-    return _witnessed(d, best_tb, best_path, nodes)
-
-
-@dataclass(frozen=True)
-class LocalMaxCertificate:
-    """No diagram within ``depth`` moves has higher tb.  This says
-    nothing about the global maximum."""
-
-    tb: int
-    depth: int
-    is_local_max: bool
-    nodes_expanded: int
-
-
-def local_max_certificate(d, depth: int,
-                          budget: int = 100_000) -> LocalMaxCertificate:
-    """Sweep the depth-bounded move neighborhood for a tb improvement."""
-    res = bfs_max_tb(d, SearchConfig(max_depth=depth, budget=budget))
-    start = _tb_of(d)
-    return LocalMaxCertificate(start, depth, res.best_tb <= start,
-                               res.nodes_expanded)
+    return _witnessed(d, best_tb, best_link, nodes)
 
 
 @dataclass(frozen=True)

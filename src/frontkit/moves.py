@@ -86,7 +86,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import List, Optional, Set, Tuple
 
 from . import _kernel
@@ -457,8 +457,7 @@ def apply_move(d, m: Move):
         if m.data:
             raise MoveNotApplicable(f"no {m} site")
         sign = 1 if m.kind == "StabilizePlus" else -1
-        slices = _kernel.slices(d.events, d.trace)
-        return _stabilize_at(d, slices, m.index, m.level, sign)
+        return _stabilize_at(d, m.index, m.level, _strand_at(d, m.index, m.level), sign)
     events = d.events
     idx = _window_index(m, len(events))
     width = _kernel.widths(events, len(d.left_ports))[idx]
@@ -571,19 +570,20 @@ def _same_window(old: Tuple[Event, ...], new: Tuple[Event, ...], width: int) -> 
         return False
 
 
-def _strand_at(slices, idx: int, lvl: int) -> int:
-    """The strand at level ``lvl`` of slice ``idx``, or MoveNotApplicable."""
-    if not (0 <= idx < len(slices) and 1 <= lvl <= len(slices[idx])):
-        raise MoveNotApplicable(f"no strand at {idx}/{lvl}")
-    return slices[idx][lvl - 1]
+def _strand_at(d: _Diagram, idx: int, lvl: int) -> int:
+    """The strand at level ``lvl`` of slice ``idx`` of ``d``, or
+    MoveNotApplicable."""
+    if 0 <= idx <= len(d.events):
+        here = _kernel.slice_at(d.events, d.trace, idx)
+        if 1 <= lvl <= len(here):
+            return here[lvl - 1]
+    raise MoveNotApplicable(f"no strand at {idx}/{lvl}")
 
 
-def _stabilize_at(d: _Diagram, slices, idx: int, lvl: int, sign: int) -> _Diagram:
-    """Insert a zigzag on the strand at (idx, lvl); Δtb=-1, Δrot=sign.
-
-    ``slices`` is ``_kernel.slices(d.events, d.trace)``.
-    """
-    eps = d.trace.strand_orient[_strand_at(slices, idx, lvl)]
+def _stabilize_at(d: _Diagram, idx: int, lvl: int, strand: int, sign: int) -> _Diagram:
+    """Insert a zigzag on ``strand``, the strand at (idx, lvl); Δtb=-1,
+    Δrot=sign."""
+    eps = d.trace.strand_orient[strand]
     # Of the two zigzag shapes on a strand of direction eps, one raises
     # rotation and the other lowers it (both cusps point the same way).
     zigzag, _ = _WINDOWS["Destabilize", ("up",) if sign * eps > 0 else ("down",)]
@@ -612,24 +612,39 @@ def stabilize(
             raise MoveNotApplicable("ambiguous component for stabilization")
         c = 0
     comp = tr.strand_component
-    slices = _kernel.slices(d.events, tr)
     if site is None:
-        site = next(
-            (
-                (idx, lvl)
-                for idx, here in enumerate(slices)
-                for lvl, s in enumerate(here, 1)
-                if comp[s] == c
+        # The first slice that holds a strand of c is the left edge, or
+        # else the slice just after the left cusp that makes c's first
+        # strands, the upper one at the cusp's level: no other event
+        # makes a strand.
+        first = next(
+            chain(
+                (
+                    (0, lvl, s)
+                    for lvl, s in enumerate(tr.initial_strands, 1)
+                    if comp[s] == c
+                ),
+                (
+                    (idx + 1, lvl, s)
+                    for idx, ((_kind, lvl), (s, _)) in enumerate(
+                        zip(d.events, tr.event_strands)
+                    )
+                    if comp[s] == c
+                ),
             ),
             None,
         )
-        if site is None:
+        if first is None:
             raise MoveNotApplicable(f"component {c} has no visible strand")
+        idx, lvl, strand = first
     elif not _is_site(site):
         raise MoveNotApplicable(f"site {site!r} is not an (index, level) pair")
-    elif comp[_strand_at(slices, site[0], site[1])] != c:
-        raise MoveNotApplicable(f"site {site} is not on component {c}")
-    return _stabilize_at(d, slices, site[0], site[1], sign)
+    else:
+        idx, lvl = site
+        strand = _strand_at(d, idx, lvl)
+        if comp[strand] != c:
+            raise MoveNotApplicable(f"site {site} is not on component {c}")
+    return _stabilize_at(d, idx, lvl, strand, sign)
 
 
 # -- handle moves on standard-form diagrams ---------------------------------

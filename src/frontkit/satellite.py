@@ -294,7 +294,7 @@ def insert_braid(
     else:
         index, top = site
         if not (0 <= index <= len(d.events) and _parallel(
-            d, _kernel.slices(d.events, d.trace)[index], top, braid.strands
+            d, _kernel.slice_at(d.events, d.trace, index), top, braid.strands
         )):
             raise SiteNotCableSlice(
                 f"slice {index} levels {top}..{top + braid.strands - 1} "

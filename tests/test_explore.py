@@ -25,7 +25,6 @@ from frontkit.explore import (
     _tbs,
     bfs_max_tb,
     fuzz_moves,
-    local_max_certificate,
 )
 from frontkit.front import (
     FrontDiagram,
@@ -118,12 +117,6 @@ def test_a_witness_that_replays_to_another_tb_is_an_error(monkeypatch):
         bfs_max_tb(twice_stabilized_unknot())
 
 
-def test_local_max_certificates():
-    assert local_max_certificate(unknot(), 3).is_local_max
-    d = stabilize(unknot(), 0, 1)
-    assert not local_max_certificate(d, 1).is_local_max
-
-
 def test_fuzz_zero_steps_is_identity():
     rep = fuzz_moves(trefoil(), seed=0, steps=0)
     assert rep.steps_applied == 0
@@ -179,7 +172,6 @@ def test_a_handlebody_or_an_empty_diagram_is_a_typed_error():
         lambda: certify_tb_max(h, 0, GenusCertificate(0, 0)),
         lambda: bfs_max_tb(FrontDiagram([])),
         lambda: bfs_max_tb(StandardFormDiagram([], [], [], [])),
-        lambda: local_max_certificate(FrontDiagram([]), 2),
     ):
         with pytest.raises(DiagramError):
             call()
@@ -635,17 +627,10 @@ def test_search_bounds_must_be_ints_in_range(bounds):
         SearchConfig(**bounds)
 
 
-def test_negative_depth_certifies_nothing():
-    with pytest.raises(ParameterOutOfRange):
-        local_max_certificate(stabilize(trefoil(), 0, 1), -1)
-
-
 @pytest.mark.parametrize("cfg", [{"max_depth": 2}, None, "3", (3, 300)])
 def test_search_bounds_must_be_a_search_config(cfg):
     with pytest.raises(ParameterOutOfRange, match=type(cfg).__name__):
         bfs_max_tb(stabilize(trefoil(), 0, 1), cfg)
-    with pytest.raises(ParameterOutOfRange):
-        local_max_certificate(stabilize(trefoil(), 0, 1), cfg)
 
 
 @pytest.mark.parametrize("seed", [None, [1], "1", 1.5, True])

@@ -198,6 +198,15 @@ def test_slices_follow_the_trace():
                 assert after[i + 1 :] == before[i + 1 :]
 
 
+def test_one_slice_is_that_slice_of_slices():
+    # Random fronts, the gallery's fronts and its five strips, at every
+    # position: both halves of each word, and both ends.
+    for d in _sliced_diagrams():
+        tr = d.trace
+        sl = _kernel.slices(d.events, tr)
+        assert [_kernel.slice_at(d.events, tr, idx) for idx in range(len(sl))] == sl
+
+
 def test_widths_are_the_lengths_of_the_slices():
     for d in _sliced_diagrams():
         want = list(map(len, _kernel.slices(d.events, d.trace)))

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -1540,17 +1541,42 @@ def test_each_built_diagram_is_traced_once(monkeypatch):
     assert traces(handle_slide, *slide) == 1
 
 
+def _destabilized_children(d, cfg):
+    """How many new children a search of ``d`` within ``cfg`` makes by a
+    Destabilize before it ends or runs out of budget: a plain
+    breadth-first search over event words, each scanned whole."""
+    frontier, seen, count = [d.events], {d.events}, 0
+    for _depth in range(cfg.max_depth):
+        nxt = []
+        for word in frontier:
+            groups = _scan(word, None, 0, len(word), _WINDOW_KINDS)
+            for idx, group in enumerate(groups):
+                for triple in group:
+                    if len(seen) >= cfg.budget:
+                        return count
+                    old_len, new = _rewrite(triple)
+                    child = word[:idx] + new + word[idx + old_len :]
+                    if child not in seen:
+                        seen.add(child)
+                        nxt.append(child)
+                        count += triple[1] == "Destabilize"
+        frontier = nxt
+    return count
+
+
 def test_search_traces_no_child(monkeypatch):
     # A knot is traced only along the witness replay.  On several
     # components, the new child of each Destabilize is traced too, and
     # no other node: not the start, which is traced already, nor a node
-    # when it is expanded.
+    # when it is expanded.  The moves of the witness are the only moves
+    # built, and no child of the last depth is queued.
     knot = stabilize(stabilize(gallery.K_m_front(-1), 0, 1), 0, 1)
     link = stabilize(n_copy(trefoil(), 3), 2, -1)
     strip = stabilize(gallery.stein_rep_max(-5, 2).diagram, 1, -1)
-    traced, expanded, built = [], [], []
+    traced, expanded, built, queued = [], [], [], []
     real_trace, real_scan = _kernel.trace, explore._scan
     real_regrouped, real_move = explore._regrouped, explore.Move
+    real_witnessed = explore._witnessed
 
     def counting_trace(*args):
         traced.append(args)
@@ -1568,21 +1594,37 @@ def test_search_traces_no_child(monkeypatch):
         built.append(real_move(*args))
         return built[-1]
 
+    def counting_witnessed(*args, **kwargs):
+        # The search's own frame: the depth it ends at, and the children
+        # it queued there.
+        search = sys._getframe(1).f_locals
+        queued.append((search["depth"], len(search["nxt"])))
+        return real_witnessed(*args, **kwargs)
+
     monkeypatch.setattr(_kernel, "trace", counting_trace)
     monkeypatch.setattr(explore, "_scan", counting_scan)
     monkeypatch.setattr(explore, "_regrouped", counting_regrouped)
     monkeypatch.setattr(explore, "Move", counting_move)
+    monkeypatch.setattr(explore, "_witnessed", counting_witnessed)
+    cfg = SearchConfig(max_depth=4, budget=3000)
     for d, several in ((knot, False), (link, True), (strip, True)):
         traced.clear()
         expanded.clear()
         built.clear()
+        queued.clear()
         try:
-            res = explore.bfs_max_tb(d, SearchConfig(max_depth=4, budget=3000))
+            res = explore.bfs_max_tb(d, cfg)
         except BudgetExhausted as exc:
             res = exc.partial
         assert res.witness.moves and res.nodes_expanded > len(expanded) > 1
-        # A move is built for each new child and for no other.
-        destabilized = sum(m.kind == "Destabilize" for m in built)
-        assert destabilized and len(built) + 1 == res.nodes_expanded
+        # The moves built are the witness's, the partial one's when the
+        # budget ran out.
+        assert built == list(res.witness.moves)
+        # A search that ran its last depth queued nothing there.
+        (depth, left), = queued
+        if not res.exhausted:
+            assert (depth, left) == (cfg.max_depth - 1, 0)
         replays = len(res.witness.moves)
+        destabilized = _destabilized_children(d, cfg)
+        assert destabilized
         assert len(traced) == (destabilized if several else 0) + replays
