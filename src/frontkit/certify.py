@@ -110,8 +110,9 @@ def reducibility_report(m: int, n: int) -> SurgeryClaim:
 
     The cable knot's maximal tb is -1 (certified at genus 0), the cable
     slope is p*q = -n, and -n surgery is integral Legendrian surgery on
-    the (n-1)-times-stabilized representative, so the coefficient sits
-    n-1 below the maximum -- a gap that grows without bound in n.
+    the (n-2)-times-stabilized representative (tb -n + 1, coefficient
+    tb - 1), so the coefficient sits n-1 below the maximum -- a gap that
+    grows without bound in n.
     """
     _check_int(m=m, n=n)
     if n < 2:
@@ -119,7 +120,7 @@ def reducibility_report(m: int, n: int) -> SurgeryClaim:
     if m > -4 * n + 3:
         raise ParameterOutOfRange(f"need m <= {-4 * n + 3}, got {m}")
     tb_max = -1
-    coefficient = -n  # tb of the (n-1)-times-stabilized representative, minus 1
+    coefficient = -n  # tb of the (n-2)-times-stabilized representative, minus 1
     slope = n * -1
     facts = (
         ExternalFact(

@@ -252,17 +252,12 @@ def _fingerprint(d) -> Tuple:
     component order and orientation: per component, the tb and the tuple
     ``v = (rotation, *homology)`` up to sign (the greater of ``v`` and
     ``-v``), since a slide can reverse a component's canonical
-    orientation.  On a front, ``v`` is ``(rotation,)``, kept as
-    ``|rotation|``, and no port map is built."""
+    orientation.  A front has no handles, so there ``v`` is
+    ``(rotation,)`` and counts as ``|rotation|``."""
     per = []
     for c in d.components:
-        rot = rotation(d, c)
-        if d.handles:
-            v = (rot, *homology_vector(d, c))
-            v = max(v, tuple(-x for x in v))
-        else:
-            v = abs(rot)
-        per.append((thurston_bennequin(d, c), v))
+        v = (rotation(d, c), *homology_vector(d, c))
+        per.append((thurston_bennequin(d, c), max(v, tuple(-x for x in v))))
     per.sort()
     return (d.n_components, tuple(per))
 

@@ -2,9 +2,10 @@
 
 No generator trusts a stored number: each construction re-derives its
 tb/rotation/homology claims from the emitted diagram and raises if the
-reconstruction drifts.  The knot family here is a twist-knot-like
-series K_m (a clasp plus a 2-strand twist region), its (n,-1)-cables,
-and the standard-form handlebody presentations used to maximize tb.
+reconstruction drifts.  The knot family here is a series of words K_m
+(a positive clasp plus a Legendrian box of left-handed half twists),
+its (n,-1)-cables, and the standard-form handlebody presentations used
+to maximize tb.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ def _require(condition: bool, message: str) -> None:
 
 
 def K_m_front(m: int) -> FrontDiagram:
-    """A tb = -1, rotation 0 representative of the twist knot K_m.
+    """The front K_m: a positive clasp of 2κ + 1 crossings and a box of
+    κ = 2(1 - m) left-handed half twists, recomputed to tb = -1 and
+    rotation 0.
 
-    Two strands clasp positively and run through a box of m - 1
-    right-handed full twists (left-handed, since m <= -1).  The twist
-    box is Legendrian: each left-handed half twist detours through a
-    cusp pair, and the clasp crossing count is balanced so the whole
-    front recomputes to tb = -1.
+    The twist box is Legendrian: each left-handed half twist detours one
+    strand through a cusp pair, and the clasp crossing count is balanced
+    so the whole front recomputes to tb = -1.
     """
     _check_int(m=m)
     if m > -1:

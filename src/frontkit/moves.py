@@ -86,7 +86,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import List, Optional, Set, Tuple
 
 from . import _kernel
@@ -613,30 +613,22 @@ def stabilize(
         c = 0
     comp = tr.strand_component
     if site is None:
-        # The first slice that holds a strand of c is the left edge, or
-        # else the slice just after the left cusp that makes c's first
-        # strands, the upper one at the cusp's level: no other event
-        # makes a strand.
-        first = next(
-            chain(
-                (
-                    (0, lvl, s)
-                    for lvl, s in enumerate(tr.initial_strands, 1)
-                    if comp[s] == c
-                ),
-                (
-                    (idx + 1, lvl, s)
-                    for idx, ((_kind, lvl), (s, _)) in enumerate(
-                        zip(d.events, tr.event_strands)
-                    )
-                    if comp[s] == c
-                ),
-            ),
-            None,
-        )
-        if first is None:
-            raise MoveNotApplicable(f"component {c} has no visible strand")
-        idx, lvl, strand = first
+        # c's least strand s names the first slice that holds c: each
+        # component is rooted at its least strand, and only a left cusp
+        # makes strands.  With n initial strands, s < n sits on the left
+        # edge at level s + 1; any other s is the upper strand of left
+        # cusp (s - n) // 2, at that cusp's level just after it.
+        try:
+            strand = comp.index(c)
+        except ValueError:
+            raise MoveNotApplicable(f"component {c} has no visible strand") from None
+        n = len(tr.initial_strands)
+        if strand < n:
+            idx, lvl = 0, strand + 1
+        else:
+            lefts = [i for i, ev in enumerate(d.events) if ev.kind == "L"]
+            j = lefts[(strand - n) // 2]
+            idx, lvl = j + 1, d.events[j].level
     elif not _is_site(site):
         raise MoveNotApplicable(f"site {site!r} is not an (index, level) pair")
     else:

@@ -1,10 +1,13 @@
 """Line-oriented text format and deterministic renderers.
 
 The format is diff-friendly: one declaration or event per line, `#`
-comments, and a `front` or `standard` header.  Standard-form documents
-list left ports (`P<handle>.<slot>` lines) before the first event,
-right ports after the last one, and optional 2-handle attachments at
-the end; any attachment promotes the result to a handlebody.
+comments, and a `front` or `standard` header.  Every document has one
+layout: handle declarations, left ports (`P<handle>.<slot>` lines)
+before the first event, the events, right ports after the last one,
+and optional 2-handle attachments at the end; any attachment promotes
+the result to a handlebody.  A front is the strip with no handles and
+no ports, so a `front` document holds event lines only, and one reader
+and one writer serve both headers.
 
     front          |  standard
     L1             |  handle H 2
@@ -75,35 +78,73 @@ def parse(text: str) -> Document:
     first offending token.  Validation errors keep their class and
     ``index``; one that names an event also names its text line.
 
-    An event line is looked up in the token table first, one dict
-    lookup; a line the table does not hold is matched by the regular
-    expression, so ``L01`` still reads as ``L1``, a level past the table
-    still parses, and a bad token still names its line."""
+    One pass reads both headers.  A line in the token table, before any
+    right port or attachment, is an event: one lookup and two appends.
+    Any other line is a handle, attachment or port (standard documents
+    only) or an event read by the regular expression, so ``L01`` reads
+    as ``L1``.  A port between events is reported after the pass, so a
+    later bad token wins; with no events, half the ports are left ones."""
     lines = _significant_lines(text)
     if not lines:
         _fail("empty document: expected 'front' or 'standard' header", 1)
     num, header = lines[0]
-    if header == "front":
-        return _parse_front(lines[1:])
-    if header == "standard":
-        return _parse_standard(lines[1:])
-    _fail(f"unknown header {header!r}: expected 'front' or 'standard'", num)
+    if header not in ("front", "standard"):
+        _fail(f"unknown header {header!r}: expected 'front' or 'standard'", num)
+    standard = header == "standard"
+    handles, left, events, right, attachments = [], [], [], [], []
+    nums = []  # the text line of each event
+    first_right = misplaced = 0  # text lines, so 0 is none
+    lookup = _TOKEN_EVENT.get
+    for num, line in lines[1:]:
+        ev = lookup(line)
+        if ev is not None and not (right or attachments):
+            events.append(ev)
+            nums.append(num)
+            continue
+        if standard:
+            if m := _HANDLE_RE.match(line):
+                if left or events or right or attachments:
+                    _fail("handle declarations must precede the body", num)
+                handles.append(OneHandle(m.group(1), int(m.group(2))))
+                continue
+            if m := _ATTACH_RE.match(line):
+                attachments.append(
+                    TwoHandleAttachment(int(m.group(1)), int(m.group(2)))
+                )
+                continue
+            if attachments:
+                _fail("attach lines must come last", num)
+            if m := _PORT_RE.match(line):
+                port = (m.group(1), int(m.group(2)))
+                if events:
+                    first_right = first_right or num
+                    right.append(port)
+                else:
+                    left.append(port)
+                continue
+        events.append(ev or _parse_event(num, line))
+        nums.append(num)
+        misplaced = misplaced or first_right
+    if misplaced:
+        _fail("port lines must lead or trail the event word", misplaced)
+    if not events:
+        half = len(left) // 2
+        left, right = left[:half], left[half:]
+    with _event_lines(nums):
+        if not standard:
+            return FrontDiagram(events)
+        d = StandardFormDiagram(handles, left, events, right)
+    if attachments:
+        return SteinHandlebody(d, attachments)
+    return d
 
 
 def _parse_event(num: int, line: str) -> Event:
-    ev = _TOKEN_EVENT.get(line)
-    if ev is not None:
-        return ev
+    """An event line that the token table does not hold."""
     m = _EVENT_RE.match(line)
     if not m:
         _fail(f"expected an event like L1, R2, or X3, got {line!r}", num)
     return Event(m.group(1), int(m.group(2)))
-
-
-def _parse_front(lines: List[Tuple[int, str]]) -> FrontDiagram:
-    events = [_parse_event(num, line) for num, line in lines]
-    with _event_lines([num for num, _line in lines]):
-        return FrontDiagram(events)
 
 
 @contextmanager
@@ -117,46 +158,6 @@ def _event_lines(nums: List[int]):
         if exc.index >= 0:
             exc.args = (f"line {nums[exc.index]}, {exc}",)
         raise
-
-
-def _parse_standard(lines: List[Tuple[int, str]]) -> Document:
-    handles: List[OneHandle] = []
-    body: List[Tuple[int, str, object]] = []  # (line, kind, payload)
-    attachments: List[TwoHandleAttachment] = []
-    for num, line in lines:
-        if m := _HANDLE_RE.match(line):
-            if body or attachments:
-                _fail("handle declarations must precede the body", num)
-            handles.append(OneHandle(m.group(1), int(m.group(2))))
-            continue
-        if m := _ATTACH_RE.match(line):
-            attachments.append(
-                TwoHandleAttachment(int(m.group(1)), int(m.group(2)))
-            )
-            continue
-        if attachments:
-            _fail("attach lines must come last", num)
-        if m := _PORT_RE.match(line):
-            body.append((num, "port", (m.group(1), int(m.group(2)))))
-        else:
-            body.append((num, "event", _parse_event(num, line)))
-    event_at = [i for i, (_, kind, _p) in enumerate(body) if kind == "event"]
-    if event_at:
-        first, last = event_at[0], event_at[-1]
-        for num, kind, _p in body[first:last]:
-            if kind == "port":
-                _fail("port lines must lead or trail the event word", num)
-        split_l, split_r = first, last + 1
-    else:
-        split_l = split_r = len(body) // 2
-    left = [p for _n, _k, p in body[:split_l]]
-    events = [p for _n, _k, p in body[split_l:split_r]]
-    right = [p for _n, _k, p in body[split_r:]]
-    with _event_lines([n for n, _k, _p in body[split_l:split_r]]):
-        d = StandardFormDiagram(handles, left, events, right)
-    if attachments:
-        return SteinHandlebody(d, attachments)
-    return d
 
 
 def _strip(obj: Document) -> _Diagram:
@@ -180,16 +181,14 @@ def _event_tokens(events: Sequence[Event]) -> List[str]:
 def print_text(obj: Document) -> str:
     """The canonical document: parse(print_text(x)) reproduces x.
 
-    Each event's text is read from the token table that :func:`parse`
-    reads the other way, so a level prints as its digits, a bool level
-    as 1."""
+    One layout for every document: the header its class names, then the
+    handles, the left ports, the events, the right ports and the
+    attachments, all but the events empty on a front.  Each event's text
+    is read from the token table that :func:`parse` reads the other way,
+    so a level prints as its digits, a bool level as 1."""
     d = _strip(obj)
-    if isinstance(obj, FrontDiagram):
-        lines = ["front"]
-        lines += _event_tokens(obj.events)
-        return "\n".join(lines) + "\n"
     attachments = obj.attachments if isinstance(obj, SteinHandlebody) else ()
-    lines = ["standard"]
+    lines = ["front" if isinstance(obj, FrontDiagram) else "standard"]
     lines += [f"handle {h.id} {h.slots:d}" for h in d.handles]
     lines += [f"P{hid}.{slot:d}" for hid, slot in d.left_ports]
     lines += _event_tokens(d.events)

@@ -111,6 +111,19 @@ def test_reducibility_report_arithmetic():
     assert report_text(claim).count("fact [not machine-verified]: ") == 3
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_reducibility_coefficient_is_the_front_stabilized_n_minus_2_times(n):
+    # The step-3 front has tb -1, so its surgery coefficient is -2; n - 2
+    # stabilizations bring it to the ledger's -n, a gap of n - 1.
+    m = -4 * n + 3
+    d = step3_pipeline(m, n)[0]
+    for _ in range(n - 2):
+        d = stabilize(d, 0, 1)
+    claim = reducibility_report(m, n)
+    assert surgery_coefficient(d) == claim.coefficient == -n
+    assert claim.gap == n - 1
+
+
 def test_reducibility_report_range():
     with pytest.raises(ParameterOutOfRange):
         reducibility_report(-5, 1)

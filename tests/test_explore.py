@@ -163,6 +163,12 @@ def test_fuzz_strips_check_rotation_and_homology():
     assert _fingerprint(stabilize(d, 0, 1)) != _fingerprint(stabilize(d, 0, -1))
 
 
+def test_a_front_fingerprints_rotation_up_to_sign():
+    # A front has no handles, so v is (rotation,), kept up to sign.
+    up, down = stabilize(unknot(), 0, 1), stabilize(unknot(), 0, -1)
+    assert _fingerprint(up) == _fingerprint(down) == (1, ((-2, (1,)),))
+
+
 def test_a_handlebody_or_an_empty_diagram_is_a_typed_error():
     h = gallery.stein_rep_max(-5, 2)
     for call in (

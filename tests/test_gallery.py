@@ -6,7 +6,14 @@ import hashlib
 import pytest
 
 from frontkit import gallery
+from frontkit.certify import (
+    CERTIFIED,
+    INCONSISTENT,
+    GenusCertificate,
+    certify_tb_max,
+)
 from frontkit.errors import DiagramError, ParameterOutOfRange
+from frontkit.explore import SearchConfig, bfs_max_tb
 from frontkit.front import FrontDiagram, rotation, thurston_bennequin
 from frontkit.gallery import (
     K_m_front,
@@ -18,7 +25,7 @@ from frontkit.gallery import (
     stein_rep_variant,
     step3_pipeline,
 )
-from frontkit.moves import apply_move
+from frontkit.moves import Move, apply_move
 from frontkit.standard import (
     geometric_passes,
     homology_vector,
@@ -120,6 +127,43 @@ def test_step3_pipeline_closes_at_minus_one():
     assert thurston_bennequin(closed) == -1
     replay = script.replay(stein_rep_max(-5, 2))
     assert replay.events == closed.events
+
+
+# At each criterion 5-8 point the step-3 front, stated as tb -1 maximal
+# and certified so at genus 0, destabilizes twice to tb 1 at its tail,
+# which contradicts that certificate.  These pins are expected to change
+# only when the construction is rebuilt.
+_STEP3_NODES = {
+    (-5, 2): 80, (-10, 2): 550, (-9, 3): 138,
+    (-14, 3): 688, (-13, 4): 212, (-18, 4): 842,
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(_STEP3_NODES))
+def test_step3_front_destabilizes_past_its_certificate(m, n):
+    front = step3_pipeline(m, n)[0]
+    result = bfs_max_tb(front, SearchConfig(2, 2000))
+    assert result.best_tb == 1
+    assert not result.exhausted
+    assert result.nodes_expanded == _STEP3_NODES[m, n]
+    idx = len(front.events) - 5
+    assert result.witness.moves == (
+        Move("Destabilize", idx, 1, ("down",)),
+        Move("Destabilize", idx, 2, ("down",)),
+    )
+    genus0 = GenusCertificate(0, 0)
+    assert certify_tb_max(front, 0, genus0).verdict == CERTIFIED
+    witness = certify_tb_max(result.witness.replay(front), 0, genus0)
+    assert (witness.tb, witness.verdict) == (1, INCONSISTENT)
+
+
+def test_K_m_front_reaches_tb_3():
+    # K_m_front(-1) is stated at tb -1, yet search reaches tb 3.
+    result = bfs_max_tb(K_m_front(-1), SearchConfig(12, 30000))
+    assert result.best_tb == 3
+    assert not result.exhausted
+    assert result.nodes_expanded == 21471
+    assert thurston_bennequin(result.witness.replay(K_m_front(-1))) == 3
 
 
 # (m, n) points that no other test runs: n = 5, 6, and m below -4n-5.

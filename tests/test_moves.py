@@ -1217,6 +1217,33 @@ def test_stabilize_picks_the_first_site_on_each_component():
                 assert stabilize(d, c, sign).events == want, (d, c, sign)
 
 
+def test_stabilize_defaults_to_the_first_slice_that_holds_the_component():
+    # The default site comes from the component's least strand id; the
+    # reference reads every slice of the kernel's slice model and takes
+    # the first one that holds a strand of c, at that strand's level.
+    rng = random.Random(53)
+    diagrams = [random_front(rng, steps=rng.randint(2, 40)) for _ in range(40)]
+    diagrams += [e.artifact.diagram for e in gallery.gallery_manifest()
+                 if isinstance(e.artifact, SteinHandlebody)]
+    diagrams += [gallery.K_m_front(-2), gallery.stein_rep_max(-9, 3).diagram]
+    sites = 0
+    for d in diagrams:
+        comp = d.trace.strand_component
+        here = _kernel.slices(d.events, d.trace)
+        for c in d.components:
+            site = next(
+                (idx, lvl)
+                for idx, cut in enumerate(here)
+                for lvl, s in enumerate(cut, 1)
+                if comp[s] == c
+            )
+            sites += site[0] > 0
+            for sign in (1, -1):
+                want = stabilize(d, c, sign, site=site)
+                assert stabilize(d, c, sign) == want, (d, c, sign, site)
+    assert sites > 100  # most sites follow a left cusp
+
+
 # --- carried components against the lookups they replaced --------------------
 
 

@@ -209,6 +209,29 @@ def test_port_lines_must_bracket_events():
         parse(bad)
 
 
+def test_a_later_bad_token_wins_over_a_port_between_events():
+    # The port on line 5 sits between the events, but the bad token on
+    # line 7 is reported: misplaced ports are judged after every line.
+    with pytest.raises(FormatError) as exc:
+        parse("standard\nhandle H 1\nPH.1\nL2\nPH.1\nR1\nQ9\n")
+    assert exc.value.line == 7
+    assert "expected an event like L1, R2, or X3, got 'Q9'" in str(exc.value)
+    with pytest.raises(FormatError) as exc:
+        parse("standard\nhandle H 1\nPH.1\nL2\nPH.1\nR1\n")
+    assert exc.value.line == 5
+    assert "port lines must lead or trail the event word" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "line", ["PH.1", "handle H 1", "attach 0 framing -1"]
+)
+def test_a_front_admits_event_lines_only(line):
+    with pytest.raises(FormatError) as exc:
+        parse(f"front\nL1\n{line}\nR1\n")
+    assert exc.value.line == 3
+    assert f"expected an event like L1, R2, or X3, got {line!r}" in str(exc.value)
+
+
 def test_roundtrip_full_manifest():
     for entry in gallery_manifest():
         doc = print_text(entry.artifact)
