@@ -54,7 +54,8 @@ the slice raises in the slice pass.
 The one slice model is built on demand, so ``trace`` pays nothing for
 it: ``slices(events, trace(events, ...))`` gives the strand ids of every
 slice, one tuple per word position, from the strands the trace recorded,
-and :func:`slice_at` the one slice at a position; :func:`widths` the
+:func:`slice_at` the one slice at a position, and :func:`slices_back`
+the slices from the right end, as far as a reader walks; :func:`widths` the
 width of every slice, from the event kinds and ``WIDTH_CHANGE`` alone;
 and :func:`arcs` the arcs.  Every module reads them, but for four walks
 kept apart for speed: ``moves._scan`` carries the width along its own
@@ -459,14 +460,26 @@ def slice_at(events, result, idx):
     ``result.final_strands``.  Nothing is checked again."""
     if 2 * idx <= len(events):
         return slices(events[:idx], result)[idx]
-    # Back across each event: a left cusp's pair goes, a right cusp's
-    # pair comes back, and a crossing's pair is put back in order.
+    for here in slices_back(events, result, idx):
+        pass
+    return tuple(here)
+
+
+def slices_back(events, result, stop=0):
+    """Entries ``len(events)`` down to ``stop`` of ``slices(events,
+    result)``, last first, walked back from ``result.final_strands``.
+    Each is yielded as the one list that the walk then rewrites in
+    place, so a reader copies what it keeps.  Nothing is checked again.
+    """
     cur = list(result.final_strands)
     pairs = result.event_strands
-    for j in range(len(events) - 1, idx - 1, -1):
+    yield cur
+    # Back across each event: a left cusp's pair goes, a right cusp's
+    # pair comes back, and a crossing's pair is put back in order.
+    for j in range(len(events) - 1, stop - 1, -1):
         kind, level = events[j]
         if kind == LEFT_CUSP:
             del cur[level - 1 : level + 1]
         else:
             cur[level - 1 : level - 1 if kind == RIGHT_CUSP else level + 1] = pairs[j]
-    return tuple(cur)
+        yield cur

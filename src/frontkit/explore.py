@@ -13,7 +13,10 @@ as the index-free groups of :func:`frontkit.moves._scan`, and a node
 gets its groups from its parent's when it is expanded: the five windows
 around the rewrite that made it are rescanned and the rest shifted, as
 a :class:`frontkit.moves.MoveIndex` does along a walk; only the few
-events the rescan reads are decoded.  A child is the parent's word with
+events the rescan reads are decoded.  A rescan looks each window up in
+the matcher's memoised table, so the groups are lists shared with every
+other node, walk and scan that met the same window: the search reads
+them and never changes one.  A child is the parent's word with
 the coded rewrite of a triple (memoised from
 :func:`frontkit.moves._rewrite`) spliced in.  A new child links to its
 parent by the index and triple of its move, and is queued only when a

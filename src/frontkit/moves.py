@@ -26,12 +26,23 @@ both crossings carry the same sign in a front -- so it is never a
 reduction site.
 
 One matcher finds them all: a single left-to-right scan over the
-``(kind, level)`` pairs of the word looks each window up in a map built
-from the rows, carries the slice width for the R2 expansions, and
-decides far-commutation in closed form (:func:`_slide`).  It lists the
-moves of each window index as one sorted group of ``(level, kind,
-data)`` triples, which do not name the index.  :func:`enumerate_moves`
-runs it over the whole word and turns the groups into moves.
+windows of three events of the word (:func:`_scan`) looks each window
+up in one memoised table per ``(kinds, expansions on)``.  A window's
+moves are a pure function of its events and, when a cusp opens it and
+the R2 expansions are listed, of whether the expansion fits the slice,
+so the key holds exactly that and the scan carries the slice width
+for it.  A window met for the first time is matched by
+:func:`_window_group`, which looks it up in a map built from the rows
+and decides far-commutation in closed form (:func:`_slide`).  The
+tables are unbounded, as the :func:`_rewrite` memo is, since the
+levels and widths in use bound their keys.  The scan lists the moves
+of each window index as one sorted group of ``(level, kind, data)``
+triples, which do not name the index.  The groups are shared by every
+scan that meets their window, and windows with the same moves (every
+window with none, say) share one list, so no caller may change one.
+:func:`enumerate_moves` runs the scan over the whole word and turns
+the groups into moves, copying a group before it adds the
+stabilization sites.
 :func:`_match` picks the triple a move names out of the group of its
 window, which :func:`apply_move` scans and a :class:`MoveIndex` holds,
 so a move applies exactly when enumeration lists it; :func:`_rewrite`
@@ -86,7 +97,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import List, Optional, Set, Tuple
 
 from . import _kernel
@@ -247,56 +258,102 @@ def _slide(k1: str, i: int, k2: str, j: int) -> Optional[Tuple[str, int, str, in
     return None
 
 
+# The group of every window :func:`_scan` has met, one table per
+# ``(kinds, expansions on)``: unbounded, as ``_rewrite`` is, since the
+# keys are bounded by the levels and widths in use.
+_GROUPS: dict = {}
+
+# Every group built so far, by its triples: windows with the same moves,
+# such as every window with none, share one list, so the tables stay
+# small.
+_SAME_MOVES: dict = {}
+
+# The two events past the end of a word, so every window has three.
+_PAD = ((None, 0), (None, 0))
+
+
 def _scan(events, width: Optional[int], lo: int, hi: int,
           kinds) -> List[List[Tuple]]:
     """Word moves of ``kinds`` at window indices lo..hi-1, one sorted
     list of ``(level, kind, data)`` triples per window.
 
-    One left-to-right pass over the ``(kind, level)`` pairs that looks
-    each window up in ``_MATCHES``; ``width`` is the slice width before
-    ``events[lo]`` and is carried along (only R2 expansions read it).
+    One left-to-right pass that looks each window up in the memoised
+    table of ``(kinds, width is not None)``, and builds the group of a
+    window it has not met with :func:`_window_group`.  ``width`` is the
+    slice width before ``events[lo]`` and is carried along; only the R2
+    expansions read it, so the key of a window that opens with a cusp
+    also holds whether the up (``L``) or down (``R``) expansion fits.
     With ``width`` None the R2 expansions are left out.  Stabilizations
-    are not matched here.
+    are not matched here.  The groups are shared by every scan that
+    meets their window: no caller may change one.
     """
-    slide = "Slide" in kinds
     expand = width is not None
-    r2a_expand, r2b_expand = expand and "R2a" in kinds, expand and "R2b" in kinds
-    width = width or 0  # carried, but read only by the expansions
+    table = _GROUPS.get((kinds, expand))
+    if table is None:
+        table = _GROUPS[kinds, expand] = {}
+    get = table.get
     groups: List[List[Tuple]] = []
-    tail = events[lo : hi + 2] + ((None, 0), (None, 0))
-    for (k, l), (k2, l2), (k3, l3) in zip(tail[: hi - lo], tail[1:], tail[2:]):
-        group: List[Tuple] = []
-        add = group.append
-        # A three-event row ends on its first level, and only a two-event
-        # row has a right cusp second (both checked by ``_tables``).
-        if k2 == "R" or l3 == l:
-            for offset, kind, data in _MATCHES.get(
-                (k, k2, l2 - l, None if k2 == "R" else k3), ()
-            ):
-                if kind in kinds:
-                    add((l - offset, kind, data))
-        if k == "L":
-            if r2a_expand:
-                if l <= width:
-                    add((l, "R2a", ("expand", "up")))
-                if l >= 2:
-                    add((l - 1, "R2a", ("expand", "down")))
+    add = groups.append
+    tail = events[lo : hi + 2] + _PAD
+    windows = zip(tail[: hi - lo], tail[1:], tail[2:])
+    if not expand:
+        for window in windows:
+            group = get(window)
+            if group is None:
+                group = table[window] = _window_group(window, None, kinds)
+            add(group)
+        return groups
+    for window in windows:
+        k, l = window[0]
+        if k == "X":
+            key = window
+        elif k == "L":
+            key = window, l <= width
             width += 2
-        elif k == "R":
-            if r2b_expand:
-                if l >= 2:
-                    add((l - 1, "R2b", ("expand", "up")))
-                if l <= width - 2:
-                    add((l, "R2b", ("expand", "down")))
+        else:
+            key = window, l <= width - 2
             width -= 2
-        if slide and k2 is not None:
-            swapped = _slide(k, l, k2, l2)
-            if swapped is not None:
-                add((min(l, l2), "Slide", swapped))
-        if len(group) > 1:
-            group.sort()
-        groups.append(group)
+        group = get(key)
+        if group is None:
+            # ``width`` is already the width after the window's first event.
+            group = table[key] = _window_group(window, width - WIDTH_CHANGE[k], kinds)
+        add(group)
     return groups
+
+
+def _window_group(window, width: Optional[int], kinds) -> List[Tuple]:
+    """The sorted ``(level, kind, data)`` triples of ``kinds`` at the
+    three events ``window`` (padded past the end of the word), run from
+    a slice of ``width`` strands; with ``width`` None the R2 expansions
+    are left out.  The :func:`_scan` of one window."""
+    (k, l), (k2, l2), (k3, l3) = window
+    group: List[Tuple] = []
+    add = group.append
+    # A three-event row ends on its first level, and only a two-event
+    # row has a right cusp second (both checked by ``_tables``).
+    if k2 == "R" or l3 == l:
+        for offset, kind, data in _MATCHES.get(
+            (k, k2, l2 - l, None if k2 == "R" else k3), ()
+        ):
+            if kind in kinds:
+                add((l - offset, kind, data))
+    if width is not None:
+        if k == "L" and "R2a" in kinds:
+            if l <= width:
+                add((l, "R2a", ("expand", "up")))
+            if l >= 2:
+                add((l - 1, "R2a", ("expand", "down")))
+        elif k == "R" and "R2b" in kinds:
+            if l >= 2:
+                add((l - 1, "R2b", ("expand", "up")))
+            if l <= width - 2:
+                add((l, "R2b", ("expand", "down")))
+    if "Slide" in kinds and k2 is not None:
+        swapped = _slide(k, l, k2, l2)
+        if swapped is not None:
+            add((min(l, l2), "Slide", swapped))
+    group.sort()
+    return _SAME_MOVES.setdefault(tuple(group), group)
 
 
 def _regrouped(groups, events, idx: int, shift: int, kinds,
@@ -353,13 +410,16 @@ def enumerate_moves(d: _Diagram, kinds: Optional[Sequence[str]] = None) -> List[
         kind for kind in ("StabilizePlus", "StabilizeMinus") if kind in allowed
     ]
     if stabilizations:
-        groups.append([])  # the sites after the last event
-        for group, width in zip(groups, _kernel.widths(d.events, len(d.left_ports))):
-            group += [
+        # New lists: the scanned groups are shared, never changed.
+        groups = [
+            sorted(group + [
                 (lvl, kind, ()) for lvl in range(1, width + 1)
                 for kind in stabilizations
-            ]
-            group.sort()
+            ])
+            # The last slice holds the sites after the last event.
+            for group, width in zip(groups + [[]],
+                                    _kernel.widths(d.events, len(d.left_ports)))
+        ]
     return [
         Move(kind, idx, level, data)
         for idx, group in enumerate(groups)
@@ -469,16 +529,19 @@ class MoveIndex(Sequence):
     """``enumerate_moves(d, kinds)`` for a word that changes one move at
     a time, kept current without rescanning the whole word.
 
-    Each window index holds its moves as sorted ``(level, kind, data)``
-    triples, which do not name the index, so the windows after a rewrite
-    only shift.  ``len(index)`` and ``index[k]`` give the k-th move of
-    the sorted list: ``rng.choice(index)`` draws exactly the move that
-    ``rng.choice(enumerate_moves(d, kinds))`` draws.  The index also
-    holds the slice width before every event and after the last.
+    Each window index holds its moves as the shared :func:`_scan` group
+    of sorted ``(level, kind, data)`` triples, which do not name the
+    index, so the windows after a rewrite only shift.  ``len(index)``
+    and ``index[k]`` give the k-th move of the sorted list, found from
+    the count of moves before each window: ``rng.choice(index)`` draws
+    exactly the move that ``rng.choice(enumerate_moves(d, kinds))``
+    draws.  The index also holds the slice width before every event and
+    after the last.
     :meth:`apply` finds the move in the group it holds for its window,
     splices the rewrite into the held word, checks the rewritten window
     (see the module docstring), rescans the windows the move can have
-    changed and splices the widths inside the window.
+    changed, recounts the moves before each window from the first
+    rescanned one on, and splices the widths inside the window.
     ``index.diagram`` is the current word's diagram,
     built and traced on first use.  Only window moves can be listed: a
     stabilization is a site, not a window, and a handle move rewrites
@@ -489,7 +552,8 @@ class MoveIndex(Sequence):
         self._kinds = _kind_set(kinds, _WINDOW_KINDS, "a MoveIndex lists window moves")
         _require_diagram(d)
         self._groups = _scan(d.events, len(d.left_ports), 0, len(d.events), self._kinds)
-        self._ends = list(accumulate(map(len, self._groups)))
+        # ``_ends[i]``: the number of moves in the windows before ``i``.
+        self._ends = list(accumulate(map(len, self._groups), initial=0))
         self._widths = _kernel.widths(d.events, len(d.left_ports))
         self._start = d
         self._events = d.events
@@ -503,7 +567,7 @@ class MoveIndex(Sequence):
         return self._diagram
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return self._ends[-1]
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -514,9 +578,8 @@ class MoveIndex(Sequence):
             k += len(self)
         if not 0 <= k < len(self):
             raise IndexError(f"move {k} out of range for {len(self)} moves")
-        idx = bisect_right(self._ends, k)
-        group = self._groups[idx]
-        level, kind, data = group[k - self._ends[idx] + len(group)]
+        idx = bisect_right(self._ends, k) - 1
+        level, kind, data = self._groups[idx][k - self._ends[idx]]
         return Move(kind, idx, level, data)
 
     def apply(self, m: Move) -> bool:
@@ -548,7 +611,10 @@ class MoveIndex(Sequence):
         diagram = None if proven else _rebuild(self._start, new_events)
         self._groups = _regrouped(self._groups, new_events, idx, len(new) - old_len,
                                   self._kinds, self._widths)
-        self._ends = list(accumulate(map(len, self._groups)))
+        # The windows before the first rescanned one kept their moves.
+        lo = max(idx - 2, 0)
+        ends = self._ends
+        ends[lo:] = accumulate(map(len, islice(self._groups, lo, None)), initial=ends[lo])
         self._widths[idx : idx + old_len + 1] = _kernel.widths(new, width)
         self._events = new_events
         self._diagram = diagram

@@ -262,13 +262,15 @@ def _parallel(d: FrontDiagram, here, top: int, n: int) -> bool:
 
 def default_braid_site(d: FrontDiagram, n: int) -> Tuple[int, int]:
     """The rightmost slice position where ``n`` adjacent strands run
-    parallel (co-oriented), as an (event index, top level) pair."""
+    parallel (co-oriented), as an (event index, top level) pair.  The
+    slices are walked back from the right end, up to the first that
+    carries the strands."""
     _require_front(d)
     _check_int(n=n)
-    slices = _kernel.slices(d.events, d.trace)
-    for index in range(len(d.events), -1, -1):
-        for top in range(1, len(slices[index]) - n + 2):
-            if _parallel(d, slices[index], top, n):
+    walk = _kernel.slices_back(d.events, d.trace)
+    for index, here in zip(range(len(d.events), -1, -1), walk):
+        for top in range(1, len(here) - n + 2):
+            if _parallel(d, here, top, n):
                 return index, top
     raise SiteNotCableSlice(f"no slice carries {n} parallel strands")
 

@@ -665,6 +665,56 @@ def test_scan_is_the_brute_force_matcher(expand):
     assert set(found) == set(_WINDOW_KINDS)
 
 
+def test_enumeration_leaves_the_shared_groups_as_they_were():
+    # ``_scan`` hands out one group object per window, shared by every
+    # later scan that meets the window; enumerate_moves adds the
+    # stabilization sites to new lists, so the groups still hold the
+    # window moves alone, for enumeration and for a fresh index alike.
+    strips = [
+        e.artifact.diagram
+        for e in gallery.gallery_manifest()
+        if isinstance(e.artifact, SteinHandlebody)
+    ]
+    diagrams = _matcher_diagrams() + strips
+    firsts = [enumerate_moves(d) for d in diagrams]
+    assert any(m.kind == "StabilizePlus" for ms in firsts for m in ms)
+    for d, first in zip(diagrams, firsts):
+        events, width = d.events, len(d.left_ports)
+        brute = _brute_groups(events, width)
+        assert _scan(events, width, 0, len(events), _WORD_KINDS) == brute, d
+        assert MoveIndex(d, _WINDOW_KINDS)._groups == brute, d
+        assert enumerate_moves(d) == first, d
+
+
+def test_the_width_keys_only_the_cusp_windows():
+    # A window that opens with a cusp is keyed on whether its R2
+    # expansion fits the slice, so one window scanned at widths on both
+    # sides of the fit gets both groups, and at every width on one side
+    # of it one group; a crossing window is keyed on its events alone,
+    # so it has one entry at every width.  Windows with the same moves,
+    # such as every window with none, share one list.
+    def scanned(events, width):
+        group = _scan(events, width, 0, 1, _WINDOW_KINDS)[0]
+        assert [group] == _brute_groups(events, width)[:1], (events, width)
+        return group
+
+    up = (L(2), X(1), X(2))  # the up expansion fits from width 2
+    down = (R(1), L(1), X(1))  # the down expansion fits from width 3
+    for events, widths in ((up, (2, 1, 4)), (down, (4, 2, 6))):
+        fits, misses, fits_wider = (scanned(events, w) for w in widths)
+        assert fits != misses
+        assert fits_wider is fits
+    crossing = (X(1), X(2), X(1))
+    assert scanned(crossing, 2) is scanned(crossing, 6)
+    assert scanned((X(1), R(1)), 2) is scanned((X(1), X(1)), 2) == []
+    for key in moves._GROUPS[_WINDOW_KINDS, True]:
+        if len(key) == 2:
+            window, fit = key
+            assert window[0].kind in "LR" and isinstance(fit, bool), key
+        else:
+            assert key[0].kind == "X", key
+
+
 def test_stabilization_sites_are_what_apply_accepts():
     kinds = ("StabilizePlus", "StabilizeMinus")
     for d in _matcher_diagrams()[:4]:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_knot
+from conftest import random_front, random_knot
 from frontkit import _kernel, gallery, satellite
 from frontkit.errors import (
     ComponentCountMismatch,
@@ -164,6 +164,47 @@ def test_insert_braid_rejects_non_parallel_site():
 def test_insert_braid_site_must_be_a_pair_of_ints(site):
     with pytest.raises(SiteNotCableSlice, match="not an \\(index, level\\) pair"):
         insert_braid(trefoil(), BraidWord(2, (1,)), site)
+
+
+def _braid_site_of_every_slice(d, n):
+    """The rightmost (index, top) where ``n`` adjacent strands of
+    ``_kernel.slices`` are co-oriented, or None."""
+    orient = d.trace.strand_orient
+    slices = _kernel.slices(d.events, d.trace)
+    for index in range(len(slices) - 1, -1, -1):
+        here = slices[index]
+        for top in range(1, len(here) - n + 2):
+            if len({orient[s] for s in here[top - 1 : top - 1 + n]}) == 1:
+                return index, top
+    return None
+
+
+def test_default_braid_site_is_the_scan_of_every_slice():
+    # The walk back from the right end stops at the first slice that
+    # carries the strands; it must name the site a scan of every slice
+    # names, or raise where that scan finds none.
+    rng = random.Random(41)
+    fronts = [
+        e.artifact
+        for e in gallery.gallery_manifest()
+        if isinstance(e.artifact, FrontDiagram)
+    ]
+    fronts += [unknot(), trefoil(), cable(trefoil(), 2, -11), cable(unknot(), 3, -2)]
+    fronts += [gallery.K_mn_cable_front(-5, 3), gallery.K_mn_cable_front(-9, 4)]
+    fronts += [random_front(rng, rng.randint(2, 40)) for _ in range(40)]
+    outcomes = set()
+    for d in fronts:
+        walked = [tuple(here) for here in _kernel.slices_back(d.events, d.trace)]
+        assert walked == _kernel.slices(d.events, d.trace)[::-1]
+        for n in range(1, 5):
+            want = _braid_site_of_every_slice(d, n)
+            outcomes.add(want is None)
+            if want is None:
+                with pytest.raises(SiteNotCableSlice):
+                    default_braid_site(d, n)
+            else:
+                assert default_braid_site(d, n) == want, (d, n)
+    assert outcomes == {True, False}
 
 
 def test_front_only_operations_name_a_closed_front():
