@@ -34,7 +34,7 @@ from .standard import (
     stein_check,
     tb_standard,
 )
-from .satellite import BraidWord, TwistBox, cable, insert_braid, n_copy
+from .satellite import BraidWord, TwistBox, cable, n_copy
 from .moves import (
     Move,
     MoveScript,

@@ -18,7 +18,7 @@ from .certify import (
     report_text,
     surgery_coefficient,
 )
-from .errors import BudgetExhausted, FrontkitError
+from .errors import BudgetExhausted, FormatError, FrontkitError
 from .explore import SearchConfig, bfs_max_tb
 from .front import FrontDiagram, rotation, thurston_bennequin, trefoil, unknot
 from .gallery import (
@@ -43,10 +43,23 @@ from .textio import _strip, parse, parse_script, print_script, print_text, rende
 
 
 def _read(path: str) -> str:
+    """The text of file ``path``, or of standard input for ``-``;
+    FormatError, with the file and byte offset, if it is not UTF-8."""
     if path == "-":
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            # One read decodes the whole file, so ``exc.object`` is its bytes.
+            head = exc.object[: exc.start]
+            line = head[head.rfind(b"\n") + 1 :].decode("utf-8")
+            raise FormatError(
+                f"{path} is not UTF-8: byte {exc.start} is "
+                f"{exc.object[exc.start]:#04x}",
+                head.count(b"\n") + 1,
+                len(line) + 1,
+            ) from None
 
 
 def _emit_invariants(obj, out) -> None:

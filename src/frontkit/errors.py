@@ -55,10 +55,6 @@ class OtherStrandsPresent(MoveError):
     """Cancellation is blocked by bystander strands through the handle."""
 
 
-class SiteNotCableSlice(MoveError):
-    """A braid insertion site does not cut the cable in parallel strands."""
-
-
 class ComponentCountMismatch(FrontkitError):
     """A constructed diagram traced to an unexpected number of components."""
 
@@ -72,9 +68,8 @@ class ParameterOutOfRange(FrontkitError):
     parameters a construction cannot realize, a cable or copy count that
     cannot be built, a genus certificate whose component or genus is not
     a non-negative int, a certificate that is not a GenusCertificate, a
-    braid-site strand count that is not an int, a search depth, search
-    budget or fuzz step count that is not an int in range, or an unknown
-    render mode."""
+    search depth, search budget or fuzz step count that is not an int in
+    range, or an unknown render mode."""
 
 
 class BudgetExhausted(FrontkitError):

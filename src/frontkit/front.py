@@ -151,7 +151,7 @@ def _require_front(d) -> None:
 
 def _component_arg(d: _Diagram, c: Optional[int]) -> int:
     """Component ``c`` of ``d``, or its one component when ``c`` is None;
-    DiagramError unless ``c`` is an int (a bool too) naming one."""
+    DiagramError unless ``c`` is an int (not a bool) naming one."""
     _require_diagram(d)
     if c is None:
         if d.n_components != 1:
@@ -159,7 +159,7 @@ def _component_arg(d: _Diagram, c: Optional[int]) -> int:
                 f"diagram has {d.n_components} components; pass an explicit one"
             )
         return 0
-    if not isinstance(c, int):
+    if not _is_int(c):
         raise DiagramError(f"component {c!r} is not an int")
     if not 0 <= c < d.n_components:
         raise DiagramError(f"no component {c} in a {d.n_components}-component diagram")
@@ -188,11 +188,7 @@ def _check_int(least: Optional[int] = None, /, **values) -> None:
 
 def _is_site(site) -> bool:
     """Whether ``site`` is an (event index, level) pair of ints."""
-    return (
-        isinstance(site, Sequence)
-        and len(site) == 2
-        and all(isinstance(x, int) for x in site)
-    )
+    return isinstance(site, Sequence) and len(site) == 2 and all(map(_is_int, site))
 
 
 def writhe(d: _Diagram, c: Optional[int] = None) -> int:

@@ -477,8 +477,8 @@ def _require_move(m) -> None:
     if not (
         isinstance(m, Move)
         and isinstance(m.kind, str)
-        and isinstance(m.index, int)
-        and isinstance(m.level, int)
+        and _is_int(m.index)
+        and _is_int(m.level)
         and isinstance(m.data, tuple)
     ):
         raise MoveNotApplicable(f"malformed move {m!r}")
@@ -790,6 +790,13 @@ def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List
     return [i for i, s in enumerate(k_strands) if label[s] not in port_arcs]
 
 
+def _require_attachment(h: SteinHandlebody, a) -> None:
+    """MoveNotApplicable unless ``a`` is one of ``h``'s attachments.  It
+    holds ints, so an ``a`` with a bool, equal as it is, names none."""
+    if a not in h.attachments or not (_is_int(a.component) and _is_int(a.framing)):
+        raise MoveNotApplicable("attachment is not part of the handlebody")
+
+
 def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
     """:func:`_doubled_strip` of a slide of ``k`` over ``a``, once the
     slide is checked."""
@@ -799,8 +806,7 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
     if not _is_int(k):
         raise MoveNotApplicable(f"component {k!r} is not an int")
     # The handlebody checked the component of each of its attachments.
-    if a not in h.attachments:
-        raise MoveNotApplicable("attachment is not part of the handlebody")
+    _require_attachment(h, a)
     if not 0 <= k < d.n_components:
         raise MoveNotApplicable("no such component")
     if a.component == k:
@@ -949,7 +955,7 @@ def pull_off(d, hid, slot: int):
 
 
 def _pull_off(d: StandardFormDiagram, hid, slot: int):
-    if not isinstance(slot, int):
+    if not _is_int(slot):
         raise MoveNotApplicable(f"slot {slot!r} is not an int")
     pa, pb = (hid, slot), (hid, slot + 1)
     for p in (pa, pb):
@@ -997,8 +1003,7 @@ def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):
     if not isinstance(h, SteinHandlebody):
         raise MoveNotApplicable(f"a cancellation does not act on a {type(h).__name__}")
     d = h.diagram
-    if a not in h.attachments:
-        raise MoveNotApplicable("attachment is not part of the handlebody")
+    _require_attachment(h, a)
     if not any(x.id == hid for x in d.handles):
         raise MoveNotApplicable(f"no handle {hid!r}")
     c = a.component

@@ -1,4 +1,4 @@
-"""Parallel copies, twist insertion, and cables of front diagrams.
+"""Parallel copies and cables of front diagrams.
 
 The n-copy of a front replaces every strand by ``n`` parallel strands.
 Each original crossing becomes an ``n x n`` block of crossings of the
@@ -10,8 +10,9 @@ writhe: summed over a knot they contribute -n(n-1) times the left cusp
 count to the total writhe of the cable region.
 
 A (n,q)-cable is the n-copy with t = q - n*tb(d) elementary twists
-spliced into a slice where the cable runs parallel; each elementary
-twist is the braid (sigma_1 ... sigma_{n-1}), one n-th of a full twist.
+spliced into the upper bundle of its first widened left cusp, where the
+copies run parallel; each elementary twist is the braid
+(sigma_1 ... sigma_{n-1}), one n-th of a full twist.
 Negative twists are realized in Legendrian form, which costs one cusp
 pair per negative letter.
 """
@@ -22,13 +23,11 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from . import _kernel
 from .errors import (
     ComponentCountMismatch,
     DiagramError,
     NotAKnot,
     ParameterOutOfRange,
-    SiteNotCableSlice,
 )
 from .front import (
     Event,
@@ -38,7 +37,6 @@ from .front import (
     X,
     _check_int,
     _Diagram,
-    _is_site,
     _require_front,
     thurston_bennequin,
 )
@@ -64,14 +62,6 @@ class BraidWord:
                 raise DiagramError(
                     f"braid letter {w} out of range for {self.strands} strands"
                 )
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-w for w in reversed(self.letters)))
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.strands != other.strands:
-            raise DiagramError("braid words on different strand counts")
-        return BraidWord(self.strands, self.letters + other.letters)
 
 
 @dataclass(frozen=True)
@@ -251,60 +241,6 @@ def n_copy_counts(d: FrontDiagram, n: int) -> CopyCounts:
         else:
             companion += orient[a] * orient[b]
     return CopyCounts(crossing, companion, cusps)
-
-
-def _parallel(d: FrontDiagram, here, top: int, n: int) -> bool:
-    """Whether slice ``here`` of ``d`` holds ``n`` co-oriented strands
-    from level ``top`` down."""
-    orients = {d.trace.strand_orient[s] for s in here[top - 1 : top - 1 + n]}
-    return 1 <= top <= len(here) - n + 1 and len(orients) == 1
-
-
-def default_braid_site(d: FrontDiagram, n: int) -> Tuple[int, int]:
-    """The rightmost slice position where ``n`` adjacent strands run
-    parallel (co-oriented), as an (event index, top level) pair.  The
-    slices are walked back from the right end, up to the first that
-    carries the strands."""
-    _require_front(d)
-    _check_int(n=n)
-    walk = _kernel.slices_back(d.events, d.trace)
-    for index, here in zip(range(len(d.events), -1, -1), walk):
-        for top in range(1, len(here) - n + 2):
-            if _parallel(d, here, top, n):
-                return index, top
-    raise SiteNotCableSlice(f"no slice carries {n} parallel strands")
-
-
-def insert_braid(
-    d: FrontDiagram,
-    braid: BraidWord,
-    site: Optional[Tuple[int, int]] = None,
-) -> FrontDiagram:
-    """Splice a braid word into a vertical slice of ``d``.
-
-    ``site`` is an (event index, top level) pair naming the slice and
-    the topmost of the ``braid.strands`` adjacent parallel strands the
-    braid acts on; by default the rightmost such slice is used.
-    """
-    _require_front(d)
-    if not isinstance(braid, BraidWord):
-        raise ParameterOutOfRange(f"braid {braid!r} is not a BraidWord")
-    if site is None:
-        index, top = default_braid_site(d, braid.strands)
-    elif not _is_site(site):
-        raise SiteNotCableSlice(f"site {site!r} is not an (index, level) pair")
-    else:
-        index, top = site
-        if not (0 <= index <= len(d.events) and _parallel(
-            d, _kernel.slice_at(d.events, d.trace, index), top, braid.strands
-        )):
-            raise SiteNotCableSlice(
-                f"slice {index} levels {top}..{top + braid.strands - 1} "
-                "does not cut the cable in parallel strands"
-            )
-    word = list(d.events)
-    word[index:index] = braid_events(braid, base=top)
-    return FrontDiagram(word)
 
 
 def cable(d: FrontDiagram, n: int, q: int) -> FrontDiagram:

@@ -30,6 +30,7 @@ from .front import (
     X,
     _component_arg,
     _Diagram,
+    _is_int,
     encode_word,
     thurston_bennequin,
 )
@@ -57,13 +58,21 @@ class OneHandle:
                 f"handle id {self.id!r} is not a non-empty str without "
                 "whitespace, '#' or '.'"
             )
-        if not isinstance(self.slots, int) or self.slots < 0:
+        if not _is_int(self.slots) or self.slots < 0:
             raise PortMismatch(
                 f"handle {self.id!r} slot count {self.slots!r} is not an int >= 0"
             )
 
     def ports(self) -> List[Port]:
         return [(self.id, s) for s in range(1, self.slots + 1)]
+
+
+def _as_tuple(name: str, items) -> tuple:
+    """``items`` as a tuple, or PortMismatch naming the argument."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise PortMismatch(f"{name} are a sequence, not {type(items).__name__}") from None
 
 
 class StandardFormDiagram(_Diagram):
@@ -78,10 +87,10 @@ class StandardFormDiagram(_Diagram):
         events: Sequence[Event],
         right_ports: Sequence[Port],
     ):
-        object.__setattr__(self, "handles", tuple(handles))
-        object.__setattr__(self, "left_ports", tuple(left_ports))
+        object.__setattr__(self, "handles", _as_tuple("handles", handles))
+        object.__setattr__(self, "left_ports", _as_tuple("left ports", left_ports))
         object.__setattr__(self, "events", encode_word(events))
-        object.__setattr__(self, "right_ports", tuple(right_ports))
+        object.__setattr__(self, "right_ports", _as_tuple("right ports", right_ports))
         object.__setattr__(self, "_trace", self._run_trace())
 
     def __eq__(self, other):
@@ -254,8 +263,7 @@ class SteinHandlebody:
         for a in attachments:
             if not isinstance(a, TwoHandleAttachment):
                 raise DiagramError(f"{a!r} is not a TwoHandleAttachment")
-            # A bool is accepted, as front._component_arg accepts one.
-            if not (isinstance(a.component, int) and isinstance(a.framing, int)):
+            if not (_is_int(a.component) and _is_int(a.framing)):
                 raise DiagramError(
                     f"{a!r} has a component or framing that is not an int"
                 )

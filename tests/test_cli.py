@@ -154,6 +154,16 @@ def test_invariants_names_the_line_of_a_bad_event(tmp_path):
     assert "Traceback" not in err
 
 
+def test_a_file_that_is_not_utf8_is_a_domain_error(tmp_path):
+    p = tmp_path / "bad.front"
+    p.write_bytes(b"front\nL1\xff\nR1\n")
+    code, out, err = run(["invariants", str(p)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: line 2, column 3: {p} is not UTF-8: byte 8 is 0xff\n"
+    assert "Traceback" not in err
+
+
 def test_search_zero_budget_is_a_domain_error():
     doc = "front\nL1\nL2\nR1\nR1\n"
     code, out, err = run(["search", "-", "--budget", "0"], stdin=doc)

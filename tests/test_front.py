@@ -17,7 +17,6 @@ from frontkit.errors import (
     NotAKnot,
     ParameterOutOfRange,
     PortMismatch,
-    SiteNotCableSlice,
 )
 from frontkit.front import (
     Event,
@@ -274,9 +273,6 @@ _FAMILY = ParameterOutOfRange
             id="twist_box_expand",
         ),
         pytest.param(
-            lambda: satellite.insert_braid(trefoil(), "x"), _FAMILY, id="insert_braid"
-        ),
-        pytest.param(
             lambda: certify.GenusCertificate(0, "1"), _FAMILY, id="GenusCertificate"
         ),
         pytest.param(
@@ -285,14 +281,50 @@ _FAMILY = ParameterOutOfRange
             id="GenusCertificate-component",
         ),
         pytest.param(
-            lambda: satellite.default_braid_site(trefoil(), "2"),
-            _FAMILY,
-            id="default_braid_site",
-        ),
-        pytest.param(
             lambda: certify.reducibility_report("a", 2),
             _FAMILY,
             id="reducibility_report",
+        ),
+        # A bool is not an int, though it equals one.
+        pytest.param(
+            lambda: thurston_bennequin(satellite.n_copy(trefoil(), 2), True),
+            DiagramError,
+            id="component-bool",
+        ),
+        pytest.param(
+            lambda: moves.stabilize(trefoil(), 0, 1, (True, 1)),
+            MoveNotApplicable,
+            id="stabilize-site-bool",
+        ),
+        pytest.param(
+            lambda: moves.pull_off(_strip(), "H", True),
+            MoveNotApplicable,
+            id="pull_off-slot-bool",
+        ),
+        pytest.param(
+            lambda: moves.apply_move(
+                gallery.stein_rep_max(-5, 2),
+                moves.Move("HandleSlide", data=(0, True, -5, 1)),
+            ),
+            MoveNotApplicable,
+            id="slide-circle-bool",
+        ),
+        pytest.param(
+            lambda: OneHandle("H", True), PortMismatch, id="handle-slots-bool"
+        ),
+        pytest.param(
+            lambda: SteinHandlebody(_strip(), [TwoHandleAttachment(True, -5)]),
+            DiagramError,
+            id="attachment-component-bool",
+        ),
+        # The port lists and handles of a strip are sequences.
+        pytest.param(
+            lambda: StandardFormDiagram([OneHandle("H", 1)], None, [], None),
+            PortMismatch,
+            id="ports-None",
+        ),
+        pytest.param(
+            lambda: StandardFormDiagram(5, [], [], []), PortMismatch, id="handles-int"
         ),
     ],
 )
@@ -552,14 +584,6 @@ def _slide_between_nested_unknots():
             lambda: gallery.candidate_component(_both_attached()),
             DiagramError, "expected one free component, found 0",
             id="no-free-component",
-        ),
-        pytest.param(
-            lambda: satellite.BraidWord(2) * satellite.BraidWord(3),
-            DiagramError, "braid words on different strand counts", id="braid-product",
-        ),
-        pytest.param(
-            lambda: satellite.default_braid_site(unknot(), 3),
-            SiteNotCableSlice, "no slice carries 3 parallel strands", id="braid-site",
         ),
         pytest.param(
             lambda: satellite.cable_expand(trefoil(), 2, 5),

@@ -1026,6 +1026,7 @@ def _apply_by_script(d, m):
         Move("R3", 2, 1, None),
         Move("R3", 2, 1.0, ("up",)),
         Move(3, 2, 1),
+        Move("R1a", True, 1),
     ],
 )
 def test_a_value_that_is_not_a_well_formed_move_is_not_applicable(apply, move):

@@ -1,17 +1,16 @@
-"""Cables, n-copies, braid insertion, and twist boxes."""
+"""Cables, n-copies, braid words, and twist boxes."""
 
 import random
 
 import pytest
 
-from conftest import random_front, random_knot
+from conftest import random_knot
 from frontkit import _kernel, gallery, satellite
 from frontkit.errors import (
     ComponentCountMismatch,
     DiagramError,
     NotAKnot,
     ParameterOutOfRange,
-    SiteNotCableSlice,
 )
 from frontkit.front import (
     FrontDiagram,
@@ -33,18 +32,10 @@ from frontkit.satellite import (
     braid_events,
     cable,
     cable_expand,
-    default_braid_site,
-    insert_braid,
     n_copy,
     n_copy_counts,
     twist_box_expand,
 )
-
-
-def test_braid_word_inverse_and_product():
-    b = BraidWord(3, (1, -2, 1))
-    assert b.inverse().letters == (-1, 2, -1)
-    assert (b * b.inverse()).letters == (1, -2, 1, -1, 2, -1)
 
 
 def test_braid_word_validates_letters():
@@ -140,82 +131,12 @@ def test_cable_n1_identity():
         cable(unknot(), 1, 0)
 
 
-def _total_writhe(d):
-    tr = d.trace
-    return sum(tr.self_writhe) + sum(tr.inter_sums.values())
-
-
-def test_insert_braid_positive_letters_add_writhe():
-    d = cable(unknot(), 2, -2)  # two parallel strands somewhere
-    site = default_braid_site(d, 2)
-    d2 = insert_braid(d, BraidWord(2, (1, 1)), site)
-    assert d2.n_components in (1, 2)
-    assert _total_writhe(d2) == _total_writhe(d) + 2
-
-
-def test_insert_braid_rejects_non_parallel_site():
-    d = trefoil()
-    with pytest.raises(SiteNotCableSlice):
-        # Right after a left cusp the two branches are anti-parallel.
-        insert_braid(d, BraidWord(2, (1,)), (1, 1))
-
-
-@pytest.mark.parametrize("site", [5, (1.5, 1), (0,), "ab"])
-def test_insert_braid_site_must_be_a_pair_of_ints(site):
-    with pytest.raises(SiteNotCableSlice, match="not an \\(index, level\\) pair"):
-        insert_braid(trefoil(), BraidWord(2, (1,)), site)
-
-
-def _braid_site_of_every_slice(d, n):
-    """The rightmost (index, top) where ``n`` adjacent strands of
-    ``_kernel.slices`` are co-oriented, or None."""
-    orient = d.trace.strand_orient
-    slices = _kernel.slices(d.events, d.trace)
-    for index in range(len(slices) - 1, -1, -1):
-        here = slices[index]
-        for top in range(1, len(here) - n + 2):
-            if len({orient[s] for s in here[top - 1 : top - 1 + n]}) == 1:
-                return index, top
-    return None
-
-
-def test_default_braid_site_is_the_scan_of_every_slice():
-    # The walk back from the right end stops at the first slice that
-    # carries the strands; it must name the site a scan of every slice
-    # names, or raise where that scan finds none.
-    rng = random.Random(41)
-    fronts = [
-        e.artifact
-        for e in gallery.gallery_manifest()
-        if isinstance(e.artifact, FrontDiagram)
-    ]
-    fronts += [unknot(), trefoil(), cable(trefoil(), 2, -11), cable(unknot(), 3, -2)]
-    fronts += [gallery.K_mn_cable_front(-5, 3), gallery.K_mn_cable_front(-9, 4)]
-    fronts += [random_front(rng, rng.randint(2, 40)) for _ in range(40)]
-    outcomes = set()
-    for d in fronts:
-        walked = [tuple(here) for here in _kernel.slices_back(d.events, d.trace)]
-        assert walked == _kernel.slices(d.events, d.trace)[::-1]
-        for n in range(1, 5):
-            want = _braid_site_of_every_slice(d, n)
-            outcomes.add(want is None)
-            if want is None:
-                with pytest.raises(SiteNotCableSlice):
-                    default_braid_site(d, n)
-            else:
-                assert default_braid_site(d, n) == want, (d, n)
-    assert outcomes == {True, False}
-
-
 def test_front_only_operations_name_a_closed_front():
     # A strip or a handlebody is a typed error, not an AttributeError or
     # a level error from a front built of the strip's word.
     h = gallery.stein_rep_max(-5, 2)
     calls = [
         (reflect, ()),
-        (insert_braid, (BraidWord(2, (1,)),)),
-        (insert_braid, (BraidWord(2, (1,)), (0, 1))),
-        (default_braid_site, (2,)),
         (n_copy, (1,)),
         (n_copy, (2,)),
         (n_copy_counts, (2,)),

@@ -252,12 +252,13 @@ def test_bool_levels_print_as_integers():
     doc = print_text(s)
     assert "\nX1\nR1\n" in doc
     assert parse(doc) == s
-    # Slot counts, port slots and attachment numbers are ints too.
+    # Port slots are ints too.  A slot count or an attachment number
+    # that is a bool is refused (the wrong-type table of test_front).
     s = StandardFormDiagram(
-        [OneHandle("H", True)], [("H", True)],
+        [OneHandle("H", 1)], [("H", True)],
         [Event("L", 2), Event("R", 1)], [("H", True)],
     )
-    h = SteinHandlebody(s, [TwoHandleAttachment(False, True)])
+    h = SteinHandlebody(s, [TwoHandleAttachment(0, 1)])
     doc = print_text(h)
     assert doc == "standard\nhandle H 1\nPH.1\nL2\nR1\nPH.1\nattach 0 framing 1\n"
     assert parse(doc) == h
@@ -295,7 +296,9 @@ def _step3(m, n):
 
 
 def test_bool_move_fields_print_as_integers():
-    script = MoveScript((Move("PullOff", data=("H", True)), Move("R1a", True, 1)))
+    # A script holds no bool index or level (test_moves refuses one), so
+    # only the data can carry one.
+    script = MoveScript((Move("PullOff", data=("H", True)), Move("R1a", 1, 1)))
     assert print_script(script) == "PullOff 0 0 H 1\nR1a 1 1\n"
     assert parse_script(print_script(script)).moves == script.moves
 
