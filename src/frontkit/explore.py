@@ -10,10 +10,13 @@ The search runs on coded words, not diagrams: a word is a tuple of
 small ints, one per event, so deduplication hashes ints.  It lists the
 moves that never grow a word (every window move but the R2 expansions)
 as the index-free groups of :func:`frontkit.moves._scan`, and a node
-gets its groups from its parent's when it is expanded: the five windows
-around the rewrite that made it are rescanned and the rest shifted, as
-a :class:`frontkit.moves.MoveIndex` does along a walk; only the few
-events the rescan reads are decoded.  A rescan looks each window up in
+gets its groups from its parent's when it is expanded: the windows
+from two before the rewrite that made it to the end of the longest
+window a move rewrites are rescanned and the rest shifted, into a new
+list, since its siblings share the parent's groups (a
+:class:`frontkit.moves.MoveIndex` along a walk splices the same rescan
+into the one list it holds, in place); only the few events the rescan
+reads are decoded.  A rescan looks each window up in
 the matcher's memoised table, so the groups are lists shared with every
 other node, walk and scan that met the same window: the search reads
 them and never changes one.  A child is the parent's word with
@@ -272,10 +275,20 @@ def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
     classical invariants after every step.  A correct engine reports
     zero violations.
 
-    Each step is checked on the window it rewrote (see
-    :meth:`frontkit.moves.MoveIndex.apply`); a step that the window does
-    not prove is rebuilt, traced and fingerprinted.  The final diagram
-    is traced once, at the end.
+    The word and its moves are held in a :class:`frontkit.moves.MoveIndex`.
+    A step draws the position ``k = rng.randrange(len(index))`` of its
+    move in the sorted move list and steps on the window and triple at
+    ``k``, as :meth:`frontkit.moves.MoveIndex.apply` does once it has
+    found them, so no :class:`frontkit.moves.Move` is built or matched
+    again.  On a non-empty list, ``rng.choice(seq)`` returns
+    ``seq[rng._randbelow(len(seq))]`` and ``rng.randrange(n)`` returns
+    ``rng._randbelow(n)``, so the draw is the move that
+    ``rng.choice(enumerate_moves(...))`` would draw, and a walk repeats
+    the walk of that reference move for move.
+    Each step is checked on the window it rewrote, splicing the rewrite
+    and the rescanned windows into the index in place; a step that the
+    window does not prove is rebuilt, traced and fingerprinted.  The
+    final diagram is traced once, at the end.
     """
     _require_diagram(d)
     # An int seed, so that the walk can be repeated.
@@ -287,17 +300,18 @@ def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
     applied = 0
     moves = MoveIndex(d, _FUZZ_KINDS)
     for step in range(steps):
-        if not moves:
+        n = len(moves)
+        if not n:
             break
-        m = rng.choice(moves)
-        proven = moves.apply(m)
+        idx, triple = moves._site(rng.randrange(n))
+        proven = moves._step(idx, triple)
         applied += 1
         if proven:
             continue
         got = _fingerprint(moves.diagram)
         if got != want:
             violations.append(
-                f"step {step} ({m.kind} at {m.index}): {want} -> {got}"
+                f"step {step} ({triple[1]} at {idx}): {want} -> {got}"
             )
             want = got
     return FuzzReport(steps, applied, tuple(violations), moves.diagram)

@@ -51,16 +51,20 @@ rows.  Stabilization sites are every (position, level) of the word,
 up to the slice widths that :func:`frontkit._kernel.widths` counts.
 
 A word rewritten by one move gets its groups from the groups of the
-word before it (:func:`_regrouped`).  A move at ``idx`` rewrites at most
-three events, and every move keeps the slice width on both sides of its
-window, so after it only the windows starting in ``[idx - 2, idx +
-new_len)`` can match differently; the later windows see the same events
-and width as before, at an index shifted by the change in length, and
-their index-free groups are the same lists.  So five old windows are
-rescanned and the rest are shifted.  Two callers derive move lists this
-way: a walk keeps its word and groups in a :class:`MoveIndex` instead of
-enumerating every step, and the search (:func:`frontkit.explore.bfs_max_tb`)
-derives each child's groups from its parent's.
+word before it.  A move at ``idx`` rewrites ``old_len`` events, at most
+three, into ``new_len``, and every move keeps the slice width on both
+sides of its window, so only the old windows starting in ``[idx - 2,
+idx + old_len)`` read a rewritten event, and the new windows starting
+in ``[idx - 2, idx + new_len)`` take their place (:func:`_rescanned`);
+the later windows see the same events and width as before, at an index
+shifted by ``new_len - old_len``, and their index-free groups are the
+same lists.  Two callers derive move lists this way: a walk keeps its
+word and groups in a :class:`MoveIndex` instead of enumerating every
+step, and splices the rescanned windows into the lists it holds, in
+place; the search (:func:`frontkit.explore.bfs_max_tb`) builds each
+child's groups as a new list from its parent's (:func:`_regrouped`),
+since siblings share them, and knowing only the change in length it
+rescans the old windows up to ``idx + 3``, the longest window.
 
 The index checks each step on the window it rewrote: outside the window
 the word is the same, so when the old and the new window, each run from
@@ -294,7 +298,9 @@ def _scan(events, width: Optional[int], lo: int, hi: int,
     get = table.get
     groups: List[List[Tuple]] = []
     add = groups.append
-    tail = events[lo : hi + 2] + _PAD
+    # A no-copy call on a tuple, such as a search's decoded run; one copy
+    # of the few events a step rescans from the list a MoveIndex holds.
+    tail = tuple(events[lo : hi + 2]) + _PAD
     windows = zip(tail[: hi - lo], tail[1:], tail[2:])
     if not expand:
         for window in windows:
@@ -356,21 +362,33 @@ def _window_group(window, width: Optional[int], kinds) -> List[Tuple]:
     return _SAME_MOVES.setdefault(tuple(group), group)
 
 
+# The longest window a move rewrites.
+_LONGEST = 3
+
+
+def _rescanned(idx: int, old_len: int, n: int) -> Tuple[int, int]:
+    """``(lo, hi)``: the windows ``lo..hi-1`` of a word of ``n`` windows
+    that read an event of the ``old_len`` a window move at ``idx``
+    rewrites.  The new windows from ``lo`` up to ``hi`` plus the change
+    in length replace them (see the module docstring)."""
+    return max(idx - 2, 0), min(idx + old_len, n)
+
+
 def _regrouped(groups, events, idx: int, shift: int, kinds,
                widths: Optional[List[int]] = None) -> List[List[Tuple]]:
     """``_scan(events, ...)`` over the whole word, from the ``groups`` of
     the word that a window move at ``idx`` turned into ``events``,
     changing its length by ``shift``.
 
-    Only the old windows starting in ``[idx - 2, idx + 3)`` are
-    rescanned; the rest are the same lists, shifted (see the module
-    docstring).  ``widths`` are the slice widths of the word before the
-    move, as a :class:`MoveIndex` holds them; the move leaves the width
-    at the first rescanned window as it was.  Only the R2 expansions
-    read it: without ``widths`` they are left out.
+    A new list, so the ``groups`` stay the parent's: only the windows
+    that :func:`_rescanned` names for the longest window a move rewrites
+    are rescanned, and the rest are the same lists, shifted.  ``widths``
+    are the slice widths of the word before the move, as a
+    :class:`MoveIndex` holds them; the move leaves the width at the
+    first rescanned window as it was.  Only the R2 expansions read it:
+    without ``widths`` they are left out.
     """
-    lo = max(idx - 2, 0)
-    hi = min(idx + 3, len(groups))
+    lo, hi = _rescanned(idx, _LONGEST, len(groups))
     width = None if widths is None else widths[lo]
     rescanned = _scan(events, width, lo, hi + shift, kinds)
     return groups[:lo] + rescanned + groups[hi:]
@@ -537,11 +555,15 @@ class MoveIndex(Sequence):
     exactly the move that ``rng.choice(enumerate_moves(d, kinds))``
     draws.  The index also holds the slice width before every event and
     after the last.
-    :meth:`apply` finds the move in the group it holds for its window,
-    splices the rewrite into the held word, checks the rewritten window
-    (see the module docstring), rescans the windows the move can have
-    changed, recounts the moves before each window from the first
-    rescanned one on, and splices the widths inside the window.
+    :meth:`apply` finds the move in the group it holds for its window;
+    then one step checks the rewritten window (see the module
+    docstring), splices the rewrite into the held word in place,
+    rescans the windows from two before the rewrite to its last new
+    event and splices them into the held groups in place, and splices
+    the widths inside the window.  It recounts the moves before each
+    window from the first rescanned one on, unless the word kept its
+    length and the rescanned windows their count of moves, when the
+    counts after them stay.
     ``index.diagram`` is the current word's diagram,
     built and traced on first use.  Only window moves can be listed: a
     stabilization is a site, not a window, and a handle move rewrites
@@ -556,7 +578,7 @@ class MoveIndex(Sequence):
         self._ends = list(accumulate(map(len, self._groups), initial=0))
         self._widths = _kernel.widths(d.events, len(d.left_ports))
         self._start = d
-        self._events = d.events
+        self._events = list(d.events)
         self._diagram = d
 
     @property
@@ -578,9 +600,15 @@ class MoveIndex(Sequence):
             k += len(self)
         if not 0 <= k < len(self):
             raise IndexError(f"move {k} out of range for {len(self)} moves")
-        idx = bisect_right(self._ends, k) - 1
-        level, kind, data = self._groups[idx][k - self._ends[idx]]
+        idx, (level, kind, data) = self._site(k)
         return Move(kind, idx, level, data)
+
+    def _site(self, k: int) -> Tuple[int, Tuple]:
+        """The window index and the ``(level, kind, data)`` triple of
+        move ``k``, for ``0 <= k < len(self)``."""
+        ends = self._ends
+        idx = bisect_right(ends, k) - 1
+        return idx, self._groups[idx][k - ends[idx]]
 
     def apply(self, m: Move) -> bool:
         """Apply ``m``, a move of one of the listed kinds, to the held
@@ -602,21 +630,36 @@ class MoveIndex(Sequence):
         _require_move(m)
         if m.kind not in self._kinds:
             raise MoveNotApplicable(f"{m.kind} is not a kind this index lists")
-        events = self._events
-        idx = _window_index(m, len(events))
-        old_len, new = _rewrite(_match(self._groups[idx], m))
-        new_events = events[:idx] + new + events[idx + old_len :]
-        width = self._widths[idx]
-        proven = _same_window(events[idx : idx + old_len], new, width)
-        diagram = None if proven else _rebuild(self._start, new_events)
-        self._groups = _regrouped(self._groups, new_events, idx, len(new) - old_len,
-                                  self._kinds, self._widths)
-        # The windows before the first rescanned one kept their moves.
-        lo = max(idx - 2, 0)
-        ends = self._ends
-        ends[lo:] = accumulate(map(len, islice(self._groups, lo, None)), initial=ends[lo])
-        self._widths[idx : idx + old_len + 1] = _kernel.widths(new, width)
-        self._events = new_events
+        idx = _window_index(m, len(self._events))
+        return self._step(idx, _match(self._groups[idx], m))
+
+    def _step(self, idx: int, triple: Tuple) -> bool:
+        """:meth:`apply` of the move ``triple`` of the group at window
+        ``idx``, which the index lists, so nothing is checked again."""
+        old_len, new = _rewrite(triple)
+        events, groups, ends, widths = self._events, self._groups, self._ends, self._widths
+        end = idx + old_len
+        width = widths[idx]
+        proven = _same_window(tuple(events[idx:end]), new, width)
+        # Built before anything changes, so a step that raises changes nothing.
+        diagram = (
+            None if proven
+            else _rebuild(self._start, [*events[:idx], *new, *events[end:]])
+        )
+        events[idx:end] = new
+        lo, hi = _rescanned(idx, old_len, len(groups))
+        shift = len(new) - old_len
+        rescanned = _scan(events, widths[lo], lo, hi + shift, self._kinds)
+        # The windows before the first rescanned one kept their moves; when
+        # the rescanned ones kept their count in a word of the same length,
+        # so did every window after them.
+        kept = not shift and sum(map(len, rescanned)) == ends[hi] - ends[lo]
+        groups[lo:hi] = rescanned
+        if kept:
+            ends[lo : hi + 1] = accumulate(map(len, rescanned), initial=ends[lo])
+        else:
+            ends[lo:] = accumulate(map(len, islice(groups, lo, None)), initial=ends[lo])
+        widths[idx : end + 1] = _kernel.widths(new, width)
         self._diagram = diagram
         return proven
 
@@ -667,11 +710,12 @@ def stabilize(
     """Stabilize component ``c``: tb drops by 1, rotation moves by ``sign``.
 
     ``site`` is an (event index, level) pair on the component; by default
-    the first such site is used.
+    the first such site is used.  Raises MoveNotApplicable unless
+    ``sign`` is the int 1 or -1 (not a bool or a float).
     """
     _require_diagram(d)
-    if sign not in (1, -1):
-        raise MoveNotApplicable(f"stabilization sign must be ±1, got {sign}")
+    if not (_is_int(sign) and sign in (1, -1)):
+        raise MoveNotApplicable(f"stabilization sign must be ±1, got {sign!r}")
     tr = d.trace
     if c is None:
         if tr.n_components != 1:

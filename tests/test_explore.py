@@ -360,6 +360,7 @@ def test_a_rewrite_off_the_slice_raises_what_the_rebuild_raises(monkeypatch, lev
     for d in (K_m_front(-2), gallery.stein_rep_max(-5, 2).diagram):
         index = MoveIndex(d, _FUZZ_KINDS)
         before, widths = list(index), list(index._widths)
+        held = list(index._events), list(index._groups), list(index._ends)
         m = next(m for m in before if m.kind == "Slide")
         with pytest.raises(DiagramError) as want:
             apply_move(d, m)
@@ -368,9 +369,10 @@ def test_a_rewrite_off_the_slice_raises_what_the_rebuild_raises(monkeypatch, lev
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         # Nothing changed: the index lists the same moves of the same word
-        # and holds the same slice widths.
+        # and holds the same slice widths, word, groups and move counts.
         assert list(index) == before
         assert index._widths == widths
+        assert (index._events, index._groups, index._ends) == held
         assert index.diagram is d
         with pytest.raises(DiagramError) as walked:
             fuzz_moves(d, 7, 50)
@@ -418,14 +420,14 @@ def test_an_index_step_reads_a_memoised_proof_and_spliced_widths(seed):
         if not index:
             break
         m = rng.choice(index)
-        events = index._events
+        events = tuple(index._events)
         old_len, new = moves._rewrite(moves._match(index._groups[m.index], m))
         old = events[m.index : m.index + old_len]
         width = len(_kernel.slices(events, index.diagram.trace)[m.index])
         proven = index.apply(m)
         fresh = moves._same_window.__wrapped__(old, new, width)
         assert proven == moves._same_window(old, new, width) == fresh, m
-        events = index._events
+        events = tuple(index._events)
         assert index._widths == list(
             map(len, _kernel.slices(events, index.diagram.trace))
         ), m

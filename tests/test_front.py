@@ -405,6 +405,14 @@ def _slide_between_nested_unknots():
             MoveNotApplicable, "stabilization sign must be ±1, got 2",
             id="stabilize-sign",
         ),
+        *(
+            pytest.param(
+                lambda sign=sign: moves.stabilize(trefoil(), 0, sign),
+                MoveNotApplicable, f"stabilization sign must be ±1, got {sign!r}",
+                id=f"stabilize-sign-{sign!r}",
+            )
+            for sign in (True, False, 1.0, -1.0)
+        ),
         pytest.param(
             lambda: moves.stabilize(_link()),
             MoveNotApplicable, "ambiguous component for stabilization",

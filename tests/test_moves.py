@@ -811,7 +811,8 @@ def test_regrouped_is_a_full_scan_of_the_child(seed, expand):
 
 def test_an_index_step_scans_once(monkeypatch):
     # The window of the move is matched in the group the index holds,
-    # so the rescan after the rewrite is the step's one scan, and the
+    # so the rescan after the rewrite is the step's one scan, over the
+    # new windows from two before the rewrite to its last event, and the
     # slice widths are counted only over the new window: the width at
     # the window is read from the widths the index holds, never counted
     # from the start of the word.
@@ -821,7 +822,8 @@ def test_an_index_step_scans_once(monkeypatch):
         real = getattr(module, name)
 
         def wrapper(*args):
-            calls[name, len(args[0]) if name == "widths" else None] += 1
+            # The window range of a scan, the word length of a count.
+            calls[name, args[2:4] if name == "_scan" else len(args[0])] += 1
             return real(*args)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -838,7 +840,8 @@ def test_an_index_step_scans_once(monkeypatch):
             new = _rewrite(moves._match(index._groups[m.index], m))[1]
             calls.clear()
             index.apply(m)
-            assert calls == {("_scan", None): 1, ("widths", len(new)): 1}, m
+            span = (max(m.index - 2, 0), m.index + len(new))
+            assert calls == {("_scan", span): 1, ("widths", len(new)): 1}, m
         assert kinds[True] and kinds[False]
         monkeypatch.undo()
 
