@@ -63,8 +63,9 @@ pass, the hot loop of the move index and the search;
 ``moves._split_word`` keeps one flag per row, as
 :func:`slices` made step 3's pull-offs and cancellations slower;
 ``satellite.cable_expand`` keeps the widened width of each row, likewise;
-and ``textio._render_svg`` keeps its current slice and the slice where
-each row's run began, so it writes only the points where a strand turns.
+and ``textio._render_svg`` keeps, for each row of its current slice,
+the list of points of the strand on it and the slice where the row's
+run began, so it writes only the points where a strand turns.
 """
 
 from __future__ import annotations

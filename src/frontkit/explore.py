@@ -11,16 +11,15 @@ small ints, one per event, so deduplication hashes ints.  It lists the
 moves that never grow a word (every window move but the R2 expansions)
 as the index-free groups of :func:`frontkit.moves._scan`, and a node
 gets its groups from its parent's when it is expanded: the windows
-from two before the rewrite that made it to the end of the longest
-window a move rewrites are rescanned and the rest shifted, into a new
-list, since its siblings share the parent's groups (a
-:class:`frontkit.moves.MoveIndex` along a walk splices the same rescan
-into the one list it holds, in place); only the few events the rescan
-reads are decoded.  A rescan looks each window up in
-the matcher's memoised table, so the groups are lists shared with every
-other node, walk and scan that met the same window: the search reads
-them and never changes one.  A child is the parent's word with
-the coded rewrite of a triple (memoised from
+from two before the rewrite that made it to the end of its window are
+rescanned and the rest shifted, into a new list, since its siblings
+share the parent's groups (a :class:`frontkit.moves.MoveIndex` along a
+walk splices the same rescan into the one list it holds, in place);
+only the few events the rescan reads are decoded.  A rescan looks each
+window up in the matcher's memoised table, so the groups are lists
+shared with every other node, walk and scan that met the same window:
+the search reads them and never changes one.  A child is the parent's
+word with the coded rewrite of a triple (memoised from
 :func:`frontkit.moves._rewrite`) spliced in.  A new child links to its
 parent by the index and triple of its move, and is queued only when a
 later depth expands it; a :class:`frontkit.moves.Move` is built only for
@@ -190,9 +189,10 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     best_tb, best_link = start_tb, None
     start = _encode(d.events)
     # A frontier entry: the coded word, its tb, its link, and its parent's
-    # groups with the index and the length change of the rewrite that
-    # made it from the parent's word.  The start has no parent.
-    frontier: List[tuple] = [(start, start_tb, None, None, 0, 0)]
+    # groups with the index, the window length and the length change of
+    # the rewrite that made it from the parent's word.  The start has no
+    # parent.
+    frontier: List[tuple] = [(start, start_tb, None, None, 0, 0, 0)]
     seen = {start}
     add = seen.add
     nodes = 1
@@ -200,11 +200,13 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     for depth in range(cfg.max_depth):
         nxt: List[tuple] = []
         queue = depth < last
-        for word, tb, link, parent, site, shift in frontier:
+        for word, tb, link, parent, site, old_len, shift in frontier:
             if parent is None:
                 groups = _scan(d.events, None, 0, len(word), _WINDOW_KINDS)
             else:
-                groups = _regrouped(parent, _Window(word), site, shift, _WINDOW_KINDS)
+                groups = _regrouped(
+                    parent, _Window(word), site, old_len, shift, _WINDOW_KINDS
+                )
             for idx, group in enumerate(groups):
                 if not group:
                     continue
@@ -231,9 +233,10 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                         if child_tb > best_tb:
                             best_tb, best_link = child_tb, (link, idx, triple)
                     if queue:
-                        nxt.append(
-                            (child, child_tb, (link, idx, triple), groups, idx, change)
-                        )
+                        nxt.append((
+                            child, child_tb, (link, idx, triple), groups, idx,
+                            old_len, change,
+                        ))
         if not nxt:
             break
         frontier = nxt

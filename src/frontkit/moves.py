@@ -63,8 +63,7 @@ word and groups in a :class:`MoveIndex` instead of enumerating every
 step, and splices the rescanned windows into the lists it holds, in
 place; the search (:func:`frontkit.explore.bfs_max_tb`) builds each
 child's groups as a new list from its parent's (:func:`_regrouped`),
-since siblings share them, and knowing only the change in length it
-rescans the old windows up to ``idx + 3``, the longest window.
+since siblings share them, rescanning the same windows.
 
 The index checks each step on the window it rewrote: outside the window
 the word is the same, so when the old and the new window, each run from
@@ -362,10 +361,6 @@ def _window_group(window, width: Optional[int], kinds) -> List[Tuple]:
     return _SAME_MOVES.setdefault(tuple(group), group)
 
 
-# The longest window a move rewrites.
-_LONGEST = 3
-
-
 def _rescanned(idx: int, old_len: int, n: int) -> Tuple[int, int]:
     """``(lo, hi)``: the windows ``lo..hi-1`` of a word of ``n`` windows
     that read an event of the ``old_len`` a window move at ``idx``
@@ -374,21 +369,20 @@ def _rescanned(idx: int, old_len: int, n: int) -> Tuple[int, int]:
     return max(idx - 2, 0), min(idx + old_len, n)
 
 
-def _regrouped(groups, events, idx: int, shift: int, kinds,
+def _regrouped(groups, events, idx: int, old_len: int, shift: int, kinds,
                widths: Optional[List[int]] = None) -> List[List[Tuple]]:
     """``_scan(events, ...)`` over the whole word, from the ``groups`` of
     the word that a window move at ``idx`` turned into ``events``,
-    changing its length by ``shift``.
+    rewriting ``old_len`` events and changing the length by ``shift``.
 
     A new list, so the ``groups`` stay the parent's: only the windows
-    that :func:`_rescanned` names for the longest window a move rewrites
-    are rescanned, and the rest are the same lists, shifted.  ``widths``
-    are the slice widths of the word before the move, as a
-    :class:`MoveIndex` holds them; the move leaves the width at the
-    first rescanned window as it was.  Only the R2 expansions read it:
-    without ``widths`` they are left out.
+    that :func:`_rescanned` names for the move are rescanned, and the
+    rest are the same lists, shifted.  ``widths`` are the slice widths
+    of the word before the move, as a :class:`MoveIndex` holds them; the
+    move leaves the width at the first rescanned window as it was.  Only
+    the R2 expansions read it: without ``widths`` they are left out.
     """
-    lo, hi = _rescanned(idx, _LONGEST, len(groups))
+    lo, hi = _rescanned(idx, old_len, len(groups))
     width = None if widths is None else widths[lo]
     rescanned = _scan(events, width, lo, hi + shift, kinds)
     return groups[:lo] + rescanned + groups[hi:]

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from operator import add
+from itertools import compress, repeat
+from operator import is_
 from types import MappingProxyType
 from typing import List, Sequence, Tuple, Union
 
@@ -57,20 +58,33 @@ _HANDLE_RE = re.compile(rf"^handle\s+({_HANDLE_ID.pattern})\s+([0-9]+)$")
 _ATTACH_RE = re.compile(r"^attach\s+(-?[0-9]+)\s+framing\s+(-?[0-9]+)$")
 
 
-def _significant_lines(text: str) -> List[Tuple[int, str]]:
-    """(1-based line number, stripped content) with comments removed.
+def _significant_lines(text: str) -> Tuple[List[int], List[str]]:
+    """The 1-based line numbers and the stripped contents of the lines
+    that hold anything once comments are removed, as two lists built in
+    bulk: the lines are cut at ``#`` only when the text holds one.
     FormatError when ``text`` is not a str."""
     if not isinstance(text, str):
         _fail(f"expected text (a str), got {type(text).__name__}", 1)
-    return [
-        (num, line)
-        for num, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.partition("#")[0].strip())
-    ]
+    raw = text.splitlines()
+    if "#" in text:
+        raw = [line.partition("#")[0] for line in raw]
+    stripped = list(map(str.strip, raw))
+    nums = list(compress(range(1, len(stripped) + 1), stripped))
+    return nums, list(filter(None, stripped))
 
 
 def _fail(message: str, line: int, column: int = 1) -> None:
     raise FormatError(message, line, column)
+
+
+def _int(token: str, num: int) -> int:
+    """``token``, a run of ASCII digits with an optional sign, as an int.
+    FormatError on line ``num`` when it has more digits than ``int``
+    converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(token)
+    except ValueError:
+        _fail(f"integer of {len(token.lstrip('-'))} digits is too long", num)
 
 
 def parse(text: str) -> Document:
@@ -78,59 +92,74 @@ def parse(text: str) -> Document:
     first offending token.  Validation errors keep their class and
     ``index``; one that names an event also names its text line.
 
-    One pass reads both headers.  A line in the token table, before any
-    right port or attachment, is an event: one lookup and two appends.
-    Any other line is a handle, attachment or port (standard documents
-    only) or an event read by the regular expression, so ``L01`` reads
-    as ``L1``.  A port between events is reported after the pass, so a
-    later bad token wins; with no events, half the ports are left ones."""
-    lines = _significant_lines(text)
+    One pass reads both headers.  Every line is looked up once in the
+    token table, and the loop visits only the lines the table misses:
+    the header, handles, attachments and ports (standard documents
+    only), and events the table does not hold, read by the regular
+    expression, so ``L01`` reads as ``L1``.  Each run of table events
+    between two visited lines joins the word as one slice, with its
+    line numbers; a run after an attachment fails on its first line,
+    and a run after a right port marks the document misplaced at the
+    first right port.  A port between events is reported after the
+    pass, so a later bad token wins; with no events, half the ports are
+    left ones."""
+    nums, lines = _significant_lines(text)
     if not lines:
         _fail("empty document: expected 'front' or 'standard' header", 1)
-    num, header = lines[0]
+    header = lines[0]
     if header not in ("front", "standard"):
-        _fail(f"unknown header {header!r}: expected 'front' or 'standard'", num)
+        _fail(f"unknown header {header!r}: expected 'front' or 'standard'", nums[0])
     standard = header == "standard"
     handles, left, events, right, attachments = [], [], [], [], []
-    nums = []  # the text line of each event
+    event_nums = []  # the text line of each event
     first_right = misplaced = 0  # text lines, so 0 is none
-    lookup = _TOKEN_EVENT.get
-    for num, line in lines[1:]:
-        ev = lookup(line)
-        if ev is not None and not (right or attachments):
-            events.append(ev)
-            nums.append(num)
-            continue
+    evs = list(map(_TOKEN_EVENT.get, lines))
+    n = len(lines)
+    # The lines the table misses, the header first, and ``n`` to close
+    # the last run.
+    visited = list(compress(range(n), map(is_, evs, repeat(None))))
+    visited.append(n)
+    for before, j in zip(visited, visited[1:]):
+        if before + 1 < j:  # the table events between two visited lines
+            if attachments:
+                _fail("attach lines must come last", nums[before + 1])
+            events += evs[before + 1 : j]
+            event_nums += nums[before + 1 : j]
+            if right:
+                misplaced = misplaced or first_right
+        if j == n:
+            break
+        num, line = nums[j], lines[j]
         if standard:
             if m := _HANDLE_RE.match(line):
                 if left or events or right or attachments:
                     _fail("handle declarations must precede the body", num)
-                handles.append(OneHandle(m.group(1), int(m.group(2))))
+                handles.append(OneHandle(m.group(1), _int(m.group(2), num)))
                 continue
             if m := _ATTACH_RE.match(line):
                 attachments.append(
-                    TwoHandleAttachment(int(m.group(1)), int(m.group(2)))
+                    TwoHandleAttachment(_int(m.group(1), num), _int(m.group(2), num))
                 )
                 continue
             if attachments:
                 _fail("attach lines must come last", num)
             if m := _PORT_RE.match(line):
-                port = (m.group(1), int(m.group(2)))
+                port = (m.group(1), _int(m.group(2), num))
                 if events:
                     first_right = first_right or num
                     right.append(port)
                 else:
                     left.append(port)
                 continue
-        events.append(ev or _parse_event(num, line))
-        nums.append(num)
+        events.append(_parse_event(num, line))
+        event_nums.append(num)
         misplaced = misplaced or first_right
     if misplaced:
         _fail("port lines must lead or trail the event word", misplaced)
     if not events:
         half = len(left) // 2
         left, right = left[:half], left[half:]
-    with _event_lines(nums):
+    with _event_lines(event_nums):
         if not standard:
             return FrontDiagram(events)
         d = StandardFormDiagram(handles, left, events, right)
@@ -144,7 +173,7 @@ def _parse_event(num: int, line: str) -> Event:
     m = _EVENT_RE.match(line)
     if not m:
         _fail(f"expected an event like L1, R2, or X3, got {line!r}", num)
-    return Event(m.group(1), int(m.group(2)))
+    return Event(m.group(1), _int(m.group(2), num))
 
 
 @contextmanager
@@ -238,10 +267,10 @@ def parse_script(text: str) -> "MoveScript":
     which stays a string even when it is made of digits."""
     from .moves import Move, MoveScript
 
-    lines = _significant_lines(text)
+    nums, lines = _significant_lines(text)
     head = (text.splitlines() or [""])[0]
     moves = []
-    for num, line in lines:
+    for num, line in zip(nums, lines):
         tokens = line.split()
         if len(tokens) < 3 or not (
             _INT_RE.match(tokens[1]) and _INT_RE.match(tokens[2])
@@ -249,9 +278,11 @@ def parse_script(text: str) -> "MoveScript":
             _fail("expected: <kind> <index> <level> [data...]", num)
         start = 4 if tokens[0] in ("PullOff", "CancelPair") else 3
         data = tuple(tokens[3:start]) + tuple(
-            int(t) if _INT_RE.match(t) else t for t in tokens[start:]
+            _int(t, num) if _INT_RE.match(t) else t for t in tokens[start:]
         )
-        moves.append(Move(tokens[0], int(tokens[1]), int(tokens[2]), data))
+        moves.append(
+            Move(tokens[0], _int(tokens[1], num), _int(tokens[2], num), data)
+        )
     return MoveScript(tuple(moves), head[2:] if head.startswith("# ") else "")
 
 
@@ -280,34 +311,30 @@ def _render_ascii(obj: Document) -> str:
     cusp at level ``i`` puts `(` on row ``i`` of ``k + 2`` rows; a right
     cusp puts `)` on row ``i``, keeping the rows of the ``k - 2``
     survivors and the row above the cusp; a crossing marks rows
-    ``i - 1`` and ``i`` of ``k``.  Rows are the columns transposed,
-    right-stripped.  A column pair depends only on the event and ``k``,
-    so each distinct pair is drawn and padded to the height once per
-    call, as one tuple of two-character row cells: a cable repeats a few
-    dozen pairs thousands of times, and the transpose zips one item per
-    event rather than two.
+    ``i - 1`` and ``i`` of ``k``.  A column pair depends only on the
+    event and ``k``, so each distinct pair is drawn once per call, as
+    one string of ``2 * height`` characters: the slice column, then the
+    event column, each padded to the height.  A cable repeats a few
+    dozen pairs thousands of times.  The pairs of the word and the last
+    slice column are joined into one column-major grid, so row ``r`` is
+    the strided slice ``grid[r::height]``, right-stripped.
     """
     d = _strip(obj)
     widths = _kernel.widths(d.events, len(d.left_ports))
     height = max(d.trace.max_width, 1)
+    keys = list(zip(d.events, widths))
     drawn = {}
-    cols = []
-    for ev, k in zip(d.events, widths):
-        pair = drawn.get((ev, k))
-        if pair is None:
-            kind, i = ev
-            if kind == "L":
-                col = "_" * i + "(" + "_" * (k + 1 - i)
-            elif kind == "R":
-                col = ("_" * i + ")").ljust(k - 2, "_")
-            else:
-                col = "_" * (i - 1) + "XX" + "_" * (k - i - 1)
-            pair = drawn[ev, k] = tuple(
-                map(add, ("_" * k).ljust(height), col.ljust(height))
-            )
-        cols.append(pair)
-    cols.append(("_" * widths[-1]).ljust(height))
-    lines = ["".join(row).rstrip() for row in zip(*cols)]
+    for key in set(keys):
+        (kind, i), k = key
+        if kind == "L":
+            col = "_" * i + "(" + "_" * (k + 1 - i)
+        elif kind == "R":
+            col = ("_" * i + ")").ljust(k - 2, "_")
+        else:
+            col = "_" * (i - 1) + "XX" + "_" * (k - i - 1)
+        drawn[key] = ("_" * k).ljust(height) + col.ljust(height)
+    grid = "".join(map(drawn.__getitem__, keys)) + ("_" * widths[-1]).ljust(height)
+    lines = [grid[r::height].rstrip() for r in range(height)]
     while lines and not lines[-1]:
         lines.pop()
     out = "\n".join(lines) + "\n"
@@ -339,11 +366,14 @@ def _render_svg(obj: Document) -> str:
     A strand's polyline is its left-cusp apex (half a step before its
     first slice, on its own row), its turn points, and the tip of the
     right cusp that ends it.  One walk over the word cuts the strand's
-    slices into runs of constant row: a crossing ends the runs of its
-    two strands, and a cusp at level ``i`` ends the runs of every strand
-    on rows ``i - 1`` and below, which it moves or ends.  Each run is
-    written as its first and last slice points, or as one point when it
-    spans one slice, so a polyline keeps only the points where it turns.
+    slices into runs of constant row; each row of the current slice
+    holds its strand's list of points.  A crossing ends the runs of its
+    two rows, written inline, and swaps the rows; a cusp at level ``i``
+    ends the runs of every row from ``i - 1`` down, which it moves or
+    ends, in one pass over the zipped rows, run starts and y texts.
+    Each run is written as its first and last slice points, or as one
+    point when it spans one slice, so a polyline keeps only the points
+    where it turns.
     """
     d = _strip(obj)
     tr = d.trace
@@ -351,37 +381,48 @@ def _render_svg(obj: Document) -> str:
     xs = [str(_SVG_STEP * (t + 1)) for t in range(n_slices)]
     ys = [f",{_SVG_ROW * (r + 1)}" for r in range(tr.max_width)]
     parts: List[List[str]] = [[] for _ in range(tr.n_strands)]
-    cur = list(tr.initial_strands)
-    start = [0] * len(cur)  # per row: the slice where its run began
-
-    def cut(rows, t: int) -> None:
-        # End at slice t the runs of the strands on these rows.
-        for r in rows:
-            s = start[r]
-            if s == t:
-                parts[cur[r]].append(xs[t] + ys[r])
-            else:
-                parts[cur[r]] += (xs[s] + ys[r], xs[t] + ys[r])
-
+    rows = [parts[s] for s in tr.initial_strands]  # per row: its strand's points
+    start = [0] * len(rows)  # per row: the slice where its run began
     for t, ((kind, i), (a, b)) in enumerate(zip(d.events, tr.event_strands)):
+        x = xs[t]
         if kind == "X":
-            cut((i - 1, i), t)
-            cur[i - 1], cur[i] = b, a
+            # End the runs of rows i - 1 and i at slice t, and swap them.
+            upper, lower = rows[i - 1], rows[i]
+            s, y = start[i - 1], ys[i - 1]
+            if s == t:
+                upper.append(x + y)
+            else:
+                upper += (xs[s] + y, x + y)
+            s, y = start[i], ys[i]
+            if s == t:
+                lower.append(x + y)
+            else:
+                lower += (xs[s] + y, x + y)
+            rows[i - 1], rows[i] = lower, upper
             start[i - 1] = start[i] = t + 1
             continue
-        cut(range(i - 1, len(cur)), t)
-        x = _SVG_STEP * (t + 1) + _SVG_STEP // 2
+        for points, s, y in zip(rows[i - 1 :], start[i - 1 :], ys[i - 1 :]):
+            if s == t:
+                points.append(x + y)
+            else:
+                points += (xs[s] + y, x + y)
+        cusp_x = _SVG_STEP * (t + 1) + _SVG_STEP // 2
         if kind == "L":
-            parts[a].append(f"{x},{_SVG_ROW * i}")
-            parts[b].append(f"{x},{_SVG_ROW * (i + 1)}")
-            cur[i - 1 : i - 1] = (a, b)
+            parts[a].append(f"{cusp_x},{_SVG_ROW * i}")
+            parts[b].append(f"{cusp_x},{_SVG_ROW * (i + 1)}")
+            rows[i - 1 : i - 1] = (parts[a], parts[b])
         else:
-            tip = f"{x},{_SVG_ROW * i + _SVG_ROW // 2}"
+            tip = f"{cusp_x},{_SVG_ROW * i + _SVG_ROW // 2}"
             parts[a].append(tip)
             parts[b].append(tip)
-            del cur[i - 1 : i + 1]
-        start[i - 1 :] = [t + 1] * (len(cur) - i + 1)
-    cut(range(len(cur)), n_slices - 1)
+            del rows[i - 1 : i + 1]
+        start[i - 1 :] = [t + 1] * (len(rows) - i + 1)
+    x = xs[-1]
+    for points, s, y in zip(rows, start, ys):
+        if s == n_slices - 1:
+            points.append(x + y)
+        else:
+            points += (xs[s] + y, x + y)
     w = _SVG_STEP * (n_slices + 1)
     h = _SVG_ROW * (max(tr.max_width, 1) + 1)
     out = [

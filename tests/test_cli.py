@@ -144,6 +144,17 @@ def test_domain_error_exits_1():
     assert code == 1
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter converts integers of any length",
+)
+def test_a_level_too_long_to_convert_exits_1():
+    code, out, err = run(["invariants", "-"], stdin=f"front\nL{'1' * 5000}\n")
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 2, column 1: integer of 5000 digits is too long\n"
+
+
 def test_invariants_names_the_line_of_a_bad_event(tmp_path):
     p = tmp_path / "bad.front"
     p.write_text("front\n# c\nL1\n\nL1\nR5\n")

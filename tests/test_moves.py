@@ -803,7 +803,8 @@ def test_regrouped_is_a_full_scan_of_the_child(seed, expand):
             old_len, new = _rewrite(triple)
             child = events[:idx] + new + events[idx + old_len :]
             got = _regrouped(
-                groups, child, idx, len(new) - old_len, _WINDOW_KINDS, widths
+                groups, child, idx, old_len, len(new) - old_len, _WINDOW_KINDS,
+                widths,
             )
             want = _scan(child, scan_width, 0, len(child), _WINDOW_KINDS)
             assert got == want, (idx, triple)

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import random
 import re
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -354,6 +355,40 @@ def test_script_parse_error_positions():
     assert exc.value.line == 1
 
 
+_LONG = "1" * 5000  # past the 4,300 digits int() converts by default
+_STRIP = "standard\nhandle H 1\nPH.1\nL2\nR1\nPH.1\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter converts integers of any length",
+)
+@pytest.mark.parametrize(
+    "read, text, line",
+    [
+        (parse, f"front\nL1\nX{_LONG}\nR1\n", 3),
+        (parse, f"standard\nhandle H {_LONG}\n", 2),
+        (parse, f"standard\nhandle H 1\nPH.{_LONG}\n", 3),
+        (parse, f"{_STRIP}attach {_LONG} framing 0\n", 7),
+        (parse, f"{_STRIP}attach 0 framing -{_LONG}\n", 7),
+        (parse_script, f"R1a {_LONG} 1\n", 1),
+        (parse_script, f"# a note\nR1a 0 -{_LONG}\n", 2),
+        (parse_script, f"PullOff 0 0 H {_LONG}\n", 1),
+    ],
+    ids=[
+        "event-level", "handle-slots", "port-slot", "attach-component",
+        "attach-framing", "script-index", "script-level", "script-data",
+    ],
+)
+def test_an_integer_too_long_to_convert_is_a_format_error(read, text, line):
+    with pytest.raises(FormatError) as exc:
+        read(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (
+        f"line {line}, column 1: integer of 5000 digits is too long"
+    )
+
+
 def test_renderers_are_byte_deterministic():
     for entry in gallery_manifest():
         for mode in ("ascii", "svg"):
@@ -378,6 +413,157 @@ def test_svg_is_well_formed_markup():
 def test_unknown_render_mode_is_a_domain_error():
     with pytest.raises(ParameterOutOfRange, match="png"):
         render(unknot(), "png")
+
+
+# -- the per-line parser, kept as a reference ---------------------------------
+
+
+def _reference_parse(text):
+    """The parser that visits every line: a table event before any right
+    port or attachment is appended; any other line is a handle, an
+    attachment or a port (standard documents only), or an event read by
+    the regular expression."""
+    if not isinstance(text, str):
+        raise FormatError(f"expected text (a str), got {type(text).__name__}", 1)
+    lines = [
+        (num, line)
+        for num, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.partition("#")[0].strip())
+    ]
+    if not lines:
+        raise FormatError("empty document: expected 'front' or 'standard' header", 1)
+    num, header = lines[0]
+    if header not in ("front", "standard"):
+        raise FormatError(
+            f"unknown header {header!r}: expected 'front' or 'standard'", num
+        )
+    standard = header == "standard"
+    handles, left, events, right, attachments = [], [], [], [], []
+    nums = []
+    first_right = misplaced = 0
+    for num, line in lines[1:]:
+        ev = textio._TOKEN_EVENT.get(line)
+        if ev is not None and not (right or attachments):
+            events.append(ev)
+            nums.append(num)
+            continue
+        if standard:
+            if m := textio._HANDLE_RE.match(line):
+                if left or events or right or attachments:
+                    raise FormatError("handle declarations must precede the body", num)
+                handles.append(OneHandle(m.group(1), int(m.group(2))))
+                continue
+            if m := textio._ATTACH_RE.match(line):
+                attachments.append(
+                    TwoHandleAttachment(int(m.group(1)), int(m.group(2)))
+                )
+                continue
+            if attachments:
+                raise FormatError("attach lines must come last", num)
+            if m := textio._PORT_RE.match(line):
+                port = (m.group(1), int(m.group(2)))
+                if events:
+                    first_right = first_right or num
+                    right.append(port)
+                else:
+                    left.append(port)
+                continue
+        if ev is None:
+            m = textio._EVENT_RE.match(line)
+            if not m:
+                raise FormatError(
+                    f"expected an event like L1, R2, or X3, got {line!r}", num
+                )
+            ev = Event(m.group(1), int(m.group(2)))
+        events.append(ev)
+        nums.append(num)
+        misplaced = misplaced or first_right
+    if misplaced:
+        raise FormatError("port lines must lead or trail the event word", misplaced)
+    if not events:
+        half = len(left) // 2
+        left, right = left[:half], left[half:]
+    with textio._event_lines(nums):
+        if not standard:
+            return FrontDiagram(events)
+        d = StandardFormDiagram(handles, left, events, right)
+    if attachments:
+        return SteinHandlebody(d, attachments)
+    return d
+
+
+def _mixed_document(rng):
+    """The printed text of a random front, strip or handlebody, with some
+    of: off-table event tokens in a run of events, a port between events
+    and a bad token after it, an event after the right ports or after
+    an attach line, then comments, blank lines, indents and ``\\r\\n``."""
+    roll = rng.random()
+    if roll < 0.3:
+        doc = random_front(rng, rng.randint(0, 14))
+    else:
+        doc = _random_strip(rng, rng.sample(["H", "7", "K2"], rng.randint(0, 3)))
+        if roll > 0.65:
+            doc = SteinHandlebody(doc, [
+                TwoHandleAttachment(c, rng.randint(-9, 9))
+                for c in doc.components if rng.random() < 0.7
+            ])
+    lines = print_text(doc).splitlines()
+    event_at = [j for j, line in enumerate(lines) if line in textio._TOKEN_EVENT]
+    ports = [line for line in lines if line.startswith("P")] or ["P7.1"]
+    if event_at and rng.random() < 0.4:
+        j = rng.choice(event_at)
+        kind, level = lines[j][0], lines[j][1:]
+        lines[j] = rng.choice([f"{kind}0{level}", f"{kind}00{level}", f"X{level}7"])
+    if event_at and rng.random() < 0.2:
+        lines.insert(rng.choice(event_at), rng.choice(["X300", "L257", "R999"]))
+    if len(event_at) > 1 and rng.random() < 0.25:
+        j = rng.choice(event_at[1:])
+        lines.insert(j, rng.choice(ports))
+        if rng.random() < 0.5:
+            lines.insert(rng.randint(j + 1, len(lines)), rng.choice(["Q9", "L", "X-1"]))
+    if rng.random() < 0.25:
+        last_port = max(
+            (j for j, line in enumerate(lines) if line.startswith("P")), default=0
+        )
+        lines.insert(last_port + 1, rng.choice(["L1", "R1", "X1", "L01"]))
+    if rng.random() < 0.2:
+        lines.append(rng.choice(["L1", "R2", "L300", "PH.1"]))
+    out = []
+    for line in lines:
+        if rng.random() < 0.1:
+            out.append(rng.choice(["", "   ", "# a comment", "\t# indented"]))
+        if rng.random() < 0.1:
+            line = f"  {line}  # trailing"
+        out.append(line)
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    return end.join(out) + end
+
+
+def _outcome(read, text):
+    """What ``read`` gives for ``text``: the class of the document and
+    the document, or the class, message and ``index`` of the error it
+    raises."""
+    try:
+        doc = read(text)
+    except (FormatError, DiagramError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    return type(doc), doc
+
+
+def test_parse_matches_the_per_line_reference():
+    seen = set()
+    for seed in range(1500):
+        text = _mixed_document(random.Random(seed))
+        got = _outcome(parse, text)
+        assert got == _outcome(_reference_parse, text), text
+        seen.add(got[1].split(": ")[-1] if got[0] is FormatError else got[0])
+    # The documents reach every outcome of the two parsers.
+    assert {
+        FrontDiagram, StandardFormDiagram, SteinHandlebody, LevelOutOfRange,
+        "attach lines must come last",
+        "port lines must lead or trail the event word",
+        "expected an event like L1, R2, or X3, got 'Q9'",
+    } <= seen, seen
 
 
 # -- the per-slice renderers, kept as byte references ----------------------
