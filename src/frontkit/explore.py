@@ -6,24 +6,25 @@ breadth-first sweep over word-shrinking moves plus slides recovers tb
 lost to stabilization.  Upper bounds come from genus certificates, not
 from search.
 
-The search runs on coded words, not diagrams: a word is a tuple of
-small ints, one per event, so deduplication hashes ints.  It lists the
-moves that never grow a word (every window move but the R2 expansions)
-as the index-free groups of :func:`frontkit.moves._scan`, and a node
-gets its groups from its parent's when it is expanded: the windows
-from two before the rewrite that made it to the end of its window are
-rescanned and the rest shifted, into a new list, since its siblings
+The search runs on coded words, not diagrams: a word is a str, one code
+point per event, so deduplication hashes a str, which caches its hash,
+and a child is spliced by slicing.  It lists the moves that never grow
+a word (every window move but the R2 expansions) as the index-free
+groups of :func:`frontkit.moves._scan`, looked up by the coded window
+``word[i:i + 3]`` in one table for the process; a window met for the
+first time is decoded and scanned alone, so the groups are lists shared
+with every other node, walk and scan that met the same window: the
+search reads them and never changes one.  A node gets its groups from
+its parent's when it is expanded: the windows that
+:func:`frontkit.moves._rescanned` names for the rewrite that made it
+are looked up and the rest shifted, into a new list, since its siblings
 share the parent's groups (a :class:`frontkit.moves.MoveIndex` along a
-walk splices the same rescan into the one list it holds, in place);
-only the few events the rescan reads are decoded.  A rescan looks each
-window up in the matcher's memoised table, so the groups are lists
-shared with every other node, walk and scan that met the same window:
-the search reads them and never changes one.  A child is the parent's
-word with the coded rewrite of a triple (memoised from
-:func:`frontkit.moves._rewrite`) spliced in.  A new child links to its
-parent by the index and triple of its move, and is queued only when a
-later depth expands it; a :class:`frontkit.moves.Move` is built only for
-the witness, by walking the links back from the best node.
+walk splices the same rescan into the one list it holds, in place).  A
+child is the parent's word with the coded rewrite of a triple (memoised
+from :func:`frontkit.moves._rewrite`) spliced in.  A new child links to
+its parent by the index and triple of its move, and is queued only when
+a later depth expands it; a :class:`frontkit.moves.Move` is built only
+for the witness, by walking the links back from the best node.
 
 Every Reidemeister move and far commutation keeps the tb of each
 component, so such a child carries its parent's tb untraced.  A
@@ -37,6 +38,7 @@ the witness is replayed, once, at the end.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
@@ -49,7 +51,7 @@ from .moves import (
     MoveIndex,
     MoveScript,
     _rebuild,
-    _regrouped,
+    _rescanned,
     _rewrite,
     _scan,
 )
@@ -91,23 +93,28 @@ def _tb_of(d) -> int:
     return min(_tbs(d))
 
 
-# Inside the search a word is a tuple of small ints, one per event: the
-# code of ``Event(kind, level)`` is ``3 * level`` plus the place of
-# ``kind`` in ``_KINDS``, so dedup hashes ints, not event tuples.
+# Inside the search a word is a str, one code point per event, which
+# takes one byte per event while every code is below 256: the code of
+# ``Event(kind, level)`` is ``3 * level`` plus the place of ``kind`` in
+# ``_KINDS``, and ``_MAX_LEVEL`` is the highest level whose codes fit.
 _KINDS = "LRX"
 _KIND_CODES = {kind: k for k, kind in enumerate(_KINDS)}
+_MAX_LEVEL = (sys.maxunicode - 2) // 3
 
 
-def _encode(events) -> Tuple[int, ...]:
-    """The coded word of ``events``."""
-    return tuple(3 * level + _KIND_CODES[kind] for kind, level in events)
+def _encode(events) -> str:
+    """The coded word of ``events``; ParameterOutOfRange past ``_MAX_LEVEL``."""
+    codes = [3 * level + _KIND_CODES[kind] for kind, level in events]
+    if max(codes, default=0) // 3 > _MAX_LEVEL:
+        raise ParameterOutOfRange(f"level {max(codes) // 3} is past {_MAX_LEVEL}")
+    return "".join(map(chr, codes))
 
 
 @lru_cache(maxsize=None)
-def _event(code: int) -> Event:
-    """The event that ``code`` names; memoised, since the codes are
-    bounded by the levels in use."""
-    level, kind = divmod(code, 3)
+def _event(char: str) -> Event:
+    """The event that the code point ``char`` names; memoised, since the
+    codes are bounded by the levels in use."""
+    level, kind = divmod(ord(char), 3)
     return Event(_KINDS[kind], level)
 
 
@@ -115,11 +122,11 @@ def _decode(word) -> Tuple[Event, ...]:
     """The events of the coded ``word``."""
     # From a list, the tuple is built at its size; ``tuple(map(...))``
     # grows a guess and shrinks it, which raised the search's peak RSS.
-    return tuple([_event(code) for code in word])
+    return tuple([_event(char) for char in word])
 
 
 @lru_cache(maxsize=None)
-def _coded_rewrite(triple: Tuple) -> Tuple[int, Tuple[int, ...], int]:
+def _coded_rewrite(triple: Tuple) -> Tuple[int, str, int]:
     """The window length, the coded new events and the change in length
     of the rewrite :func:`_rewrite` gives for ``triple``; memoised as
     that is."""
@@ -127,17 +134,29 @@ def _coded_rewrite(triple: Tuple) -> Tuple[int, Tuple[int, ...], int]:
     return old_len, _encode(new), len(new) - old_len
 
 
-class _Window:
-    """A coded word as :func:`_scan` reads it: it takes one run of
-    events from the word, by a slice, and only that run is decoded."""
+class _CodedTable(dict):
+    """The :func:`_scan` group of every coded window met so far, keyed by
+    ``word[i:i + 3]``, which is shorter only at the last two indices,
+    where the scan pads the window, so it names its window exactly."""
 
-    __slots__ = ("word",)
+    def __missing__(self, key: str) -> List[Tuple]:
+        group = self[key] = _scan(_decode(key), None, 0, 1, _WINDOW_KINDS)[0]
+        return group
 
-    def __init__(self, word: Tuple[int, ...]):
-        self.word = word
 
-    def __getitem__(self, where: slice) -> Tuple[Event, ...]:
-        return _decode(self.word[where])
+_CODED_GROUPS = _CodedTable()
+
+
+def _coded_groups(word: str, parent, site: int, old_len: int, shift: int):
+    """The groups of the coded ``word``, from the ``parent`` groups of
+    the word that a window move at ``site`` turned into ``word``,
+    rewriting ``old_len`` events and changing the length by ``shift``: a
+    new list, with the windows :func:`_rescanned` names looked up and
+    the rest shifted.  The start is looked up whole, as the child of the
+    empty word that puts it in at 0."""
+    lo, hi = _rescanned(site, old_len, len(parent))
+    lookup = [_CODED_GROUPS[word[i : i + 3]] for i in range(lo, hi + shift)]
+    return parent[:lo] + lookup + parent[hi:]
 
 
 def _witnessed(d, best_tb: int, link, nodes: int,
@@ -183,16 +202,15 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         raise ParameterOutOfRange(
             f"search bounds must be a SearchConfig, not a {type(cfg).__name__}"
         )
+    start = _encode(d.events)
     budget = cfg.budget
     last = cfg.max_depth - 1
     start_tb = _tb_of(d)
     best_tb, best_link = start_tb, None
-    start = _encode(d.events)
     # A frontier entry: the coded word, its tb, its link, and its parent's
     # groups with the index, the window length and the length change of
-    # the rewrite that made it from the parent's word.  The start has no
-    # parent.
-    frontier: List[tuple] = [(start, start_tb, None, None, 0, 0, 0)]
+    # the rewrite that made it from the parent's word.
+    frontier: List[tuple] = [(start, start_tb, None, [], 0, 0, len(start))]
     seen = {start}
     add = seen.add
     nodes = 1
@@ -201,12 +219,7 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         nxt: List[tuple] = []
         queue = depth < last
         for word, tb, link, parent, site, old_len, shift in frontier:
-            if parent is None:
-                groups = _scan(d.events, None, 0, len(word), _WINDOW_KINDS)
-            else:
-                groups = _regrouped(
-                    parent, _Window(word), site, old_len, shift, _WINDOW_KINDS
-                )
+            groups = _coded_groups(word, parent, site, old_len, shift)
             for idx, group in enumerate(groups):
                 if not group:
                     continue
@@ -219,11 +232,10 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                         )
                     old_len, new, change = _coded_rewrite(triple)
                     child = head + new + word[idx + old_len :]
-                    # ``seen`` holds the ``nodes`` words found so far, so
-                    # one hash of the child tells whether it is new.
-                    add(child)
-                    if len(seen) == nodes:
+                    # A str caches its hash, so a new child is hashed once.
+                    if child in seen:
                         continue
+                    add(child)
                     nodes += 1
                     child_tb = tb
                     if triple[1] == "Destabilize":

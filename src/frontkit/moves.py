@@ -62,8 +62,8 @@ same lists.  Two callers derive move lists this way: a walk keeps its
 word and groups in a :class:`MoveIndex` instead of enumerating every
 step, and splices the rescanned windows into the lists it holds, in
 place; the search (:func:`frontkit.explore.bfs_max_tb`) builds each
-child's groups as a new list from its parent's (:func:`_regrouped`),
-since siblings share them, rescanning the same windows.
+child's groups as a new list from its parent's, since siblings share
+them, and looks the same windows up by their coded events.
 
 The index checks each step on the window it rewrote: outside the window
 the word is the same, so when the old and the new window, each run from
@@ -297,7 +297,7 @@ def _scan(events, width: Optional[int], lo: int, hi: int,
     get = table.get
     groups: List[List[Tuple]] = []
     add = groups.append
-    # A no-copy call on a tuple, such as a search's decoded run; one copy
+    # A no-copy call on a tuple, such as a search's decoded window; one copy
     # of the few events a step rescans from the list a MoveIndex holds.
     tail = tuple(events[lo : hi + 2]) + _PAD
     windows = zip(tail[: hi - lo], tail[1:], tail[2:])
@@ -367,25 +367,6 @@ def _rescanned(idx: int, old_len: int, n: int) -> Tuple[int, int]:
     rewrites.  The new windows from ``lo`` up to ``hi`` plus the change
     in length replace them (see the module docstring)."""
     return max(idx - 2, 0), min(idx + old_len, n)
-
-
-def _regrouped(groups, events, idx: int, old_len: int, shift: int, kinds,
-               widths: Optional[List[int]] = None) -> List[List[Tuple]]:
-    """``_scan(events, ...)`` over the whole word, from the ``groups`` of
-    the word that a window move at ``idx`` turned into ``events``,
-    rewriting ``old_len`` events and changing the length by ``shift``.
-
-    A new list, so the ``groups`` stay the parent's: only the windows
-    that :func:`_rescanned` names for the move are rescanned, and the
-    rest are the same lists, shifted.  ``widths`` are the slice widths
-    of the word before the move, as a :class:`MoveIndex` holds them; the
-    move leaves the width at the first rescanned window as it was.  Only
-    the R2 expansions read it: without ``widths`` they are left out.
-    """
-    lo, hi = _rescanned(idx, old_len, len(groups))
-    width = None if widths is None else widths[lo]
-    rescanned = _scan(events, width, lo, hi + shift, kinds)
-    return groups[:lo] + rescanned + groups[hi:]
 
 
 def _kind_set(kinds, allowed: frozenset, lister: str) -> frozenset:

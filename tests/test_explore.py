@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_front
-from frontkit import _kernel, gallery, moves
+from frontkit import _kernel, explore, gallery, moves
 from frontkit.certify import GenusCertificate, certify_tb_max
 from frontkit.errors import (
     BudgetExhausted,
@@ -652,3 +652,31 @@ def test_fuzz_seed_must_be_an_int(seed):
 def test_fuzz_steps_must_be_an_int_in_range(steps):
     with pytest.raises(ParameterOutOfRange):
         fuzz_moves(trefoil(), 1, steps)
+
+
+def test_a_level_past_the_last_code_point_is_a_typed_error():
+    # A level codes to three code points; past level 371,369 the highest
+    # of them would pass sys.maxunicode.  Checked before any search work.
+    top = explore._MAX_LEVEL
+    assert top == 371_369
+    events = (X(top), L(top), R(1))
+    assert explore._decode(explore._encode(events)) == events
+    with pytest.raises(ParameterOutOfRange, match="level 371370 "):
+        explore._encode([L(1), L(top + 1)])
+
+
+def test_a_wide_front_searches_as_the_traced_reference_does():
+    # Levels past 85 have codes past 255, so the coded words widen from
+    # one byte to two per event.
+    d = stabilize(n_copy(unknot(), 45), 0, 1)
+    assert max(level for _kind, level in d.events) > 85
+    cfg = SearchConfig(max_depth=2, budget=300)
+    try:
+        res = bfs_max_tb(d, cfg)
+    except BudgetExhausted as exc:
+        res = exc.partial
+    try:
+        want = _reference_bfs(d, cfg)
+    except BudgetExhausted as exc:
+        want = exc.partial
+    assert (res.best_tb, res.witness, res.nodes_expanded, res.exhausted) == want

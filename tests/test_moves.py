@@ -43,7 +43,6 @@ from frontkit.moves import (
     MoveIndex,
     MoveScript,
     _pull_off,
-    _regrouped,
     _rewrite,
     _scan,
     _slide,
@@ -787,27 +786,31 @@ def _regroup_sites(rng):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_regrouped_is_a_full_scan_of_the_child(seed, expand):
-    # The rescan-and-shift invariant of the module docstring: after any
-    # listed move, rescanning the windows around it and shifting the
-    # rest gives what a scan of the whole new word gives.
+@given(st.integers(0, 2**32 - 1))
+def test_regrouped_is_a_full_scan_of_the_child(seed):
+    # The rescan-and-shift invariant of the module docstring, as the
+    # search runs it on coded words: after any listed reduction, looking
+    # up the windows around it and shifting the rest gives what a scan
+    # of the whole new word gives, the two short windows at its end
+    # included, and as the same shared lists.
     d = _regroup_sites(random.Random(seed))
-    events, width = d.events, len(d.left_ports)
-    # A width of None leaves the R2 expansions out.
-    scan_width = width if expand else None
-    groups = _scan(events, scan_width, 0, len(events), _WINDOW_KINDS)
-    widths = _kernel.widths(events, width) if expand else None
+    events = d.events
+    word = explore._encode(events)
+    groups = explore._coded_groups(word, [], 0, 0, len(word))
+    assert list(map(id, groups)) == list(
+        map(id, _scan(events, None, 0, len(events), _WINDOW_KINDS))
+    )
     for idx, group in enumerate(groups):
         for triple in group:
             old_len, new = _rewrite(triple)
             child = events[:idx] + new + events[idx + old_len :]
-            got = _regrouped(
-                groups, child, idx, old_len, len(new) - old_len, _WINDOW_KINDS,
-                widths,
-            )
-            want = _scan(child, scan_width, 0, len(child), _WINDOW_KINDS)
-            assert got == want, (idx, triple)
+            coded_len, coded, shift = explore._coded_rewrite(triple)
+            coded_child = word[:idx] + coded + word[idx + coded_len :]
+            assert explore._decode(coded_child) == child
+            got = explore._coded_groups(coded_child, groups, idx, old_len, shift)
+            want = _scan(child, None, 0, len(child), _WINDOW_KINDS)
+            assert len(got) == len(child)
+            assert list(map(id, got)) == list(map(id, want)), (idx, triple)
 
 
 def test_an_index_step_scans_once(monkeypatch):
@@ -1656,21 +1659,17 @@ def test_search_traces_no_child(monkeypatch):
     link = stabilize(n_copy(trefoil(), 3), 2, -1)
     strip = stabilize(gallery.stein_rep_max(-5, 2).diagram, 1, -1)
     traced, expanded, built, queued = [], [], [], []
-    real_trace, real_scan = _kernel.trace, explore._scan
-    real_regrouped, real_move = explore._regrouped, explore.Move
+    real_trace, real_groups = _kernel.trace, explore._coded_groups
+    real_move = explore.Move
     real_witnessed = explore._witnessed
 
     def counting_trace(*args):
         traced.append(args)
         return real_trace(*args)
 
-    def counting_scan(*args, **kwargs):
+    def counting_groups(*args):
         expanded.append(args)
-        return real_scan(*args, **kwargs)
-
-    def counting_regrouped(*args):
-        expanded.append(args)
-        return real_regrouped(*args)
+        return real_groups(*args)
 
     def counting_move(*args):
         built.append(real_move(*args))
@@ -1684,8 +1683,7 @@ def test_search_traces_no_child(monkeypatch):
         return real_witnessed(*args, **kwargs)
 
     monkeypatch.setattr(_kernel, "trace", counting_trace)
-    monkeypatch.setattr(explore, "_scan", counting_scan)
-    monkeypatch.setattr(explore, "_regrouped", counting_regrouped)
+    monkeypatch.setattr(explore, "_coded_groups", counting_groups)
     monkeypatch.setattr(explore, "Move", counting_move)
     monkeypatch.setattr(explore, "_witnessed", counting_witnessed)
     cfg = SearchConfig(max_depth=4, budget=3000)
