@@ -22,11 +22,14 @@ is a disjoint union of cycles: every strand has one left end, a left cusp
 or a right port.  So one walk around each cycle, from its least strand,
 gives the components and orientations.  The counts come from one closing
 pass over the events and their strand pairs, once the orientations are
-known.
+known.  Neither checks anything, so :func:`trace` runs only the checks,
+and the walk and the count pass each run at most once, on the first read
+of a field they derive: a diagram that is only printed, parsed back or
+rendered pays for neither.
 
 The port links must pair the right-edge positions with the left-edge
 positions one to one, every position in range; :func:`trace` checks this
-before the walk and raises :class:`DiagramError` otherwise.  A repeated
+with the slice pass and raises :class:`DiagramError` otherwise.  A repeated
 link end is reported as ``inconsistent orientation around a component``.
 Once the links are one to one no orientation can clash, because a cusp
 joins two right ends or two left ends and a port joins a right end to a
@@ -51,8 +54,8 @@ straight arc, the same in two windows run from one slice, so their
 summaries differ only where the rows they touch do; an event that leaves
 the slice raises in the slice pass.
 
-The one slice model is built on demand, so ``trace`` pays nothing for
-it: ``slices(events, trace(events, ...))`` gives the strand ids of every
+The one slice model is built on demand too, and ``trace`` pays nothing
+for it: ``slices(events, trace(events, ...))`` gives the strand ids of every
 slice, one tuple per word position, from the strands the trace recorded,
 and :func:`slice_at` the one slice at a position, from the events before
 it; :func:`widths` the width of every slice, from the event kinds and
@@ -70,7 +73,7 @@ run began, so it writes only the points where a strand turns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import itemgetter, sub
 from typing import Dict, List, Tuple
@@ -88,13 +91,28 @@ CROSSING = "X"
 WIDTH_CHANGE = {LEFT_CUSP: 2, RIGHT_CUSP: -2, CROSSING: 0}
 
 
-@dataclass(slots=True)
+# The fields of a TraceResult that the cycle walk derives, and those
+# that the count pass derives once the walk is done.
+_WALKED = frozenset(("strand_component", "strand_orient", "n_components"))
+_COUNTED = frozenset(
+    ("left_cusps", "right_cusps", "up_cusps", "down_cusps", "self_writhe", "inter_sums")
+)
+
+
+@dataclass
 class TraceResult:
     """Everything computed by one pass over a front word.
 
     ``right[s]`` is the right-cusp mate of strand ``s``, or ``~q`` when a
     port carries ``s`` from the right edge on to left-edge position
     ``q``; :func:`arcs` reads it.
+
+    :func:`trace` fills the fields of its slice pass.  The cycle walk
+    fills ``strand_component``, ``strand_orient`` and ``n_components``
+    on the first read of any one of them, and the count pass the six
+    counts on the first read of any one of them, after the walk; each
+    runs at most once.  For them the result keeps the word it traced,
+    as a tuple, and the port map of its left edge.
     """
 
     n_strands: int
@@ -102,16 +120,49 @@ class TraceResult:
     final_strands: List[int]
     event_strands: List[Tuple[int, int]]
     right: List[int]
-    strand_component: List[int]
-    strand_orient: List[int]
-    n_components: int
-    left_cusps: List[int]
-    right_cusps: List[int]
-    up_cusps: List[int]
-    down_cusps: List[int]
-    self_writhe: List[int]
-    inter_sums: Dict[Tuple[int, int], int]
+    strand_component: List[int] = field(init=False)
+    strand_orient: List[int] = field(init=False)
+    n_components: int = field(init=False)
+    left_cusps: List[int] = field(init=False)
+    right_cusps: List[int] = field(init=False)
+    up_cusps: List[int] = field(init=False)
+    down_cusps: List[int] = field(init=False)
+    self_writhe: List[int] = field(init=False)
+    inter_sums: Dict[Tuple[int, int], int] = field(init=False)
     max_width: int
+
+    def __getattr__(self, name):
+        # Called only for a name not in the instance dict: a derived
+        # field not yet read, or no attribute at all.
+        if name in _WALKED:
+            comp_of = [-1] * self.n_strands
+            orient = [1] * self.n_strands
+            from_port = self._from_port
+            self.n_components = _walk_cycles(
+                self.right, from_port, len(from_port), comp_of, orient, 0
+            )
+            self.strand_component = comp_of
+            self.strand_orient = orient
+        elif name in _COUNTED:
+            (
+                self.left_cusps,
+                self.right_cusps,
+                self.up_cusps,
+                self.down_cusps,
+                self.self_writhe,
+                self.inter_sums,
+            ) = _count_pass(
+                self._word,
+                self.event_strands,
+                self.strand_component,
+                self.strand_orient,
+                self.n_components,
+            )
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        return self.__dict__[name]
 
 
 def _slice_pass(events, n_initial):
@@ -262,8 +313,10 @@ def _count_pass(events, event_strands, comp_of, orient, n_components):
 def trace(events, n_initial=0, port_links=()):
     """Run ``events`` over a slice of ``n_initial`` starting strands.
 
-    ``events`` is a sequence of ``(kind, level)`` pairs with 1-based levels;
-    it is read twice, so it must not be a one-shot iterator.
+    ``events`` is a sized sequence of ``(kind, level)`` pairs with
+    1-based levels.  The slice pass reads it; the result keeps it as a
+    tuple (a tuple as it is, any other sequence copied) for the count
+    pass, so a list changed after the call still counts as traced.
     ``port_links`` is a list of ``(final_pos, initial_pos)`` index pairs
     (0-based slice positions) identifying strand ends through 1-handles;
     linked ends keep their traversal direction, cusps reverse it.  The
@@ -273,6 +326,9 @@ def trace(events, n_initial=0, port_links=()):
     Returns a :class:`TraceResult`.  Raises :class:`DiagramError` on the
     first structural problem, including an event that is not a pair or
     whose level is not an int, and port links that are not one to one.
+    Every check runs here, in the slice pass and over the port links;
+    the cycle walk and the count pass, which cannot raise, run on the
+    first read of a field they derive.
     """
     slice_ids, event_strands, right, n, max_width = _slice_pass(events, n_initial)
 
@@ -302,29 +358,19 @@ def trace(events, n_initial=0, port_links=()):
         right[p] = ~initial_pos
         from_port[initial_pos] = p
 
-    comp_of = [-1] * n
-    orient = [1] * n
-    n_components = _walk_cycles(right, from_port, n_initial, comp_of, orient, 0)
-    left, right_c, up, down, writhe, inter = _count_pass(
-        events, event_strands, comp_of, orient, n_components
-    )
-    return TraceResult(
+    result = TraceResult(
         n_strands=n,
         initial_strands=list(range(n_initial)),
         final_strands=slice_ids,
         event_strands=event_strands,
         right=right,
-        strand_component=comp_of,
-        strand_orient=orient,
-        n_components=n_components,
-        left_cusps=left,
-        right_cusps=right_c,
-        up_cusps=up,
-        down_cusps=down,
-        self_writhe=writhe,
-        inter_sums=inter,
         max_width=max_width,
     )
+    # A stored tuple is kept as it is; any other word is copied, so that
+    # the counts are those of the word as traced.
+    result._word = events if type(events) is tuple else tuple(events)
+    result._from_port = from_port
+    return result
 
 
 def arcs(final_strands, right, n_initial):

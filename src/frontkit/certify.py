@@ -46,8 +46,11 @@ class MaxTbCertificate:
 def adjunction_bound(cert: GenusCertificate) -> int:
     """The slice-Bennequin bound: tb + |rotation| <= 2g - 1.
 
-    Valid for every g >= 0; at g = 0 it reads tb + |rot| <= -1.
+    Valid for every g >= 0; at g = 0 it reads tb + |rot| <= -1.  A
+    ``cert`` that is not a GenusCertificate raises ParameterOutOfRange.
     """
+    if not isinstance(cert, GenusCertificate):
+        raise ParameterOutOfRange(f"{cert!r} is not a GenusCertificate")
     return 2 * cert.genus - 1
 
 
@@ -62,13 +65,11 @@ def certify_tb_max(d: FrontDiagram, c: int, cert: GenusCertificate) -> MaxTbCert
     ``c``, or a ``cert`` that is not a GenusCertificate, raises
     ParameterOutOfRange.
     """
-    if not isinstance(cert, GenusCertificate):
-        raise ParameterOutOfRange(f"{cert!r} is not a GenusCertificate")
+    bound = adjunction_bound(cert)
     if cert.component != c:
         raise ParameterOutOfRange(
             f"certificate is for component {cert.component}, not {c}"
         )
-    bound = adjunction_bound(cert)
     tb = thurston_bennequin(d, c)
     rot = rotation(d, c)
     if tb + abs(rot) > bound:

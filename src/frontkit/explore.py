@@ -303,7 +303,8 @@ def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
     Each step is checked on the window it rewrote, splicing the rewrite
     and the rescanned windows into the index in place; a step that the
     window does not prove is rebuilt, traced and fingerprinted.  The
-    final diagram is traced once, at the end.
+    final diagram is traced at the end, which checks its word; its
+    components and counts are derived only when they are read.
     """
     _require_diagram(d)
     # An int seed, so that the walk can be repeated.

@@ -114,8 +114,9 @@ class _Diagram:
 class FrontDiagram(_Diagram):
     """An immutable, validated closed front diagram.
 
-    The word must start and end on the empty slice.  Validation and the
-    component trace run once, at construction; a tuple of Events is
+    The word must start and end on the empty slice.  It is traced once,
+    at construction, which validates it; the components and counts of
+    that trace are derived on their first read.  A tuple of Events is
     stored as given (see :func:`encode_word`).
     """
 

@@ -55,7 +55,13 @@ class BraidWord:
 
     def __post_init__(self):
         _check_int(strands=self.strands)
-        object.__setattr__(self, "letters", tuple(self.letters))
+        try:
+            letters = tuple(self.letters)
+        except TypeError:
+            raise ParameterOutOfRange(
+                f"letters must be a sequence of ints, got {self.letters!r}"
+            ) from None
+        object.__setattr__(self, "letters", letters)
         for w in self.letters:
             _check_int(letter=w)
             if not 1 <= abs(w) < self.strands:
@@ -77,6 +83,8 @@ class TwistBox:
 
 def twist_box_expand(box: TwistBox) -> BraidWord:
     """The uniform-sign braid word (sigma_1 ... sigma_{n-1})^amount."""
+    if not isinstance(box, TwistBox):
+        raise ParameterOutOfRange(f"{box!r} is not a TwistBox")
     _check_int(strands=box.strands, amount=box.amount)
     n = box.strands
     if box.amount >= 0:
@@ -91,8 +99,13 @@ def braid_events(braid: BraidWord, base: int = 1) -> List[Event]:
 
     A positive letter is a single crossing.  A negative letter is its
     Legendrian realization: the lower strand detours through a cusp pair
-    to pass behind, adding one left and one right cusp.
+    to pass behind, adding one left and one right cusp.  A ``braid``
+    that is not a BraidWord, or a ``base`` that is not a positive int,
+    raises ParameterOutOfRange.
     """
+    if not isinstance(braid, BraidWord):
+        raise ParameterOutOfRange(f"{braid!r} is not a BraidWord")
+    _check_int(1, base=base)
     out: List[Event] = []
     for w in braid.letters:
         lvl = base + abs(w) - 1

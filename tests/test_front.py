@@ -272,8 +272,20 @@ _FAMILY = ParameterOutOfRange
             _FAMILY,
             id="twist_box_expand",
         ),
+        pytest.param(lambda: satellite.BraidWord(2, 5), _FAMILY, id="BraidWord-letters"),
+        pytest.param(
+            lambda: satellite.twist_box_expand("x"), _FAMILY, id="twist_box_expand-box"
+        ),
+        pytest.param(
+            lambda: satellite.braid_events(satellite.BraidWord(3, (1, -2)), "1"),
+            _FAMILY,
+            id="braid_events-base",
+        ),
         pytest.param(
             lambda: certify.GenusCertificate(0, "1"), _FAMILY, id="GenusCertificate"
+        ),
+        pytest.param(
+            lambda: certify.adjunction_bound("x"), _FAMILY, id="adjunction_bound"
         ),
         pytest.param(
             lambda: certify.GenusCertificate("0", 0),

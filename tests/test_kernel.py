@@ -1,5 +1,6 @@
 """Trace kernel: validation, orientation, typed errors, and the slices."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,9 +9,11 @@ from conftest import random_front
 from frontkit import _kernel
 from frontkit import _kernel as pure
 from frontkit.errors import DanglingStrand, DiagramError, LevelOutOfRange
-from frontkit.front import L, R, X
-from frontkit.gallery import gallery_manifest
+from frontkit.front import FrontDiagram, L, R, X, thurston_bennequin
+from frontkit.gallery import K_m_front, gallery_manifest
+from frontkit.satellite import cable
 from frontkit.standard import OneHandle, StandardFormDiagram, SteinHandlebody
+from frontkit.textio import parse, print_text, render
 
 LC, RC, XC = pure.LEFT_CUSP, pure.RIGHT_CUSP, pure.CROSSING
 
@@ -160,6 +163,66 @@ def test_malformed_event_is_a_diagram_error(word, index):
     with pytest.raises(DiagramError) as err:
         pure.trace(word)
     assert err.value.index == index
+
+
+# -- the walk and the count pass run on the first read ------------------------
+
+TREFOIL = [L(1), L(3), X(2), X(2), X(2), R(1), R(1)]
+FIELDS = [f.name for f in dataclasses.fields(pure.TraceResult)]
+
+
+def _derivations(monkeypatch):
+    """Count the calls of the cycle walk and the count pass from now on."""
+    calls = {"walk": 0, "count": 0}
+
+    def counted(key, run):
+        def wrapper(*args):
+            calls[key] += 1
+            return run(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(pure, "_walk_cycles", counted("walk", pure._walk_cycles))
+    monkeypatch.setattr(pure, "_count_pass", counted("count", pure._count_pass))
+    return calls
+
+
+def test_a_cable_read_back_and_rendered_is_neither_walked_nor_counted(monkeypatch):
+    c = cable(K_m_front(-5), 3, -1)
+    calls = _derivations(monkeypatch)
+    back = parse(print_text(c))
+    assert render(back, "ascii") and render(back, "svg").startswith("<svg")
+    assert back.events == c.events
+    assert calls == {"walk": 0, "count": 0}
+
+
+def test_the_component_count_walks_and_tb_walks_then_counts(monkeypatch):
+    walked, counted = FrontDiagram(TREFOIL), FrontDiagram(TREFOIL)
+    calls = _derivations(monkeypatch)
+    assert walked.n_components == 1
+    assert calls == {"walk": 1, "count": 0}
+    assert thurston_bennequin(counted) == 1
+    assert calls == {"walk": 2, "count": 1}
+
+
+def test_each_derivation_runs_once_per_trace(monkeypatch):
+    calls = _derivations(monkeypatch)
+    counts_first, walk_first = pure.trace(TREFOIL), pure.trace(TREFOIL)
+    assert counts_first.inter_sums == {} and counts_first.self_writhe == [3]
+    assert walk_first.strand_orient[0] == 1
+    for _ in range(3):
+        for tr in (counts_first, walk_first):
+            for name in FIELDS:
+                getattr(tr, name)
+    assert calls == {"walk": 2, "count": 2}
+
+
+def test_a_traced_list_changed_later_counts_as_traced():
+    word = list(TREFOIL)
+    tr = pure.trace(word)
+    word[2:5] = [L(1)] * 3
+    assert tr.left_cusps == [2] and tr.self_writhe == [3]
+    assert tr == pure.trace(tuple(TREFOIL))
 
 
 def _sliced_diagrams():

@@ -59,6 +59,12 @@ def test_braid_events_negative_letter_costs_a_cusp_pair():
     assert kinds == ["L", "X", "R"]
 
 
+@pytest.mark.parametrize("base", [0, -3])
+def test_braid_events_reject_a_base_below_level_1(base):
+    with pytest.raises(ParameterOutOfRange, match="base must be positive"):
+        braid_events(BraidWord(2, (-1,)), base=base)
+
+
 def test_n_copy_of_unknot():
     d = n_copy(unknot(), 3)
     assert d.n_components == 3
