@@ -10,20 +10,22 @@ The search runs on coded words, not diagrams: a word is a str, one code
 point per event, so deduplication hashes a str, which caches its hash,
 and a child is spliced by slicing.  It lists the moves that never grow
 a word (every window move but the R2 expansions) as the index-free
-groups of :func:`frontkit.moves._scan`, looked up by the coded window
-``word[i:i + 3]`` in one table for the process; a window met for the
-first time is decoded and scanned alone, so the groups are lists shared
-with every other node, walk and scan that met the same window: the
-search reads them and never changes one.  A node gets its groups from
-its parent's when it is expanded: the windows that
-:func:`frontkit.moves._rescanned` names for the rewrite that made it
-are looked up and the rest shifted, into a new list, since its siblings
-share the parent's groups (a :class:`frontkit.moves.MoveIndex` along a
-walk splices the same rescan into the one list it holds, in place).  A
-child is the parent's word with the coded rewrite of a triple (memoised
-from :func:`frontkit.moves._rewrite`) spliced in.  A new child links to
-its parent by the index and triple of its move, and is queued only when
-a later depth expands it; a :class:`frontkit.moves.Move` is built only
+groups of :func:`frontkit.moves._window_group`, looked up by the coded
+window ``word[i:i + 3]`` in one table for the process, the search's
+only cache of groups; a window met for the first time is decoded,
+padded and matched alone.  The matcher hands out one shared list per
+set of moves, so the groups are shared with every other node, walk and
+scan whose window has the same moves: the search reads them and never
+changes one.  A node gets its groups from its parent's when it is
+expanded: the windows that :func:`frontkit.moves._rescanned` names for
+the rewrite that made it are looked up and the rest shifted, into a new
+list, since its siblings share the parent's groups (a
+:class:`frontkit.moves.MoveIndex` along a walk splices the same rescan
+into the one list it holds, in place).  A child is the parent's word
+with the coded rewrite of a triple (memoised from
+:func:`frontkit.moves._rewrite`) spliced in.  A new child links to its
+parent by the index and triple of its move, and is queued only when a
+later depth expands it; a :class:`frontkit.moves.Move` is built only
 for the witness, by walking the links back from the best node.
 
 Every Reidemeister move and far commutation keeps the tb of each
@@ -46,6 +48,7 @@ from typing import List, Tuple
 from .errors import BudgetExhausted, DiagramError, MoveError, ParameterOutOfRange
 from .front import Event, _check_int, _require_diagram, rotation, thurston_bennequin
 from .moves import (
+    _PAD,
     _WINDOW_KINDS,
     Move,
     MoveIndex,
@@ -53,7 +56,7 @@ from .moves import (
     _rebuild,
     _rescanned,
     _rewrite,
-    _scan,
+    _window_group,
 )
 from .standard import homology_vector
 
@@ -135,12 +138,14 @@ def _coded_rewrite(triple: Tuple) -> Tuple[int, str, int]:
 
 
 class _CodedTable(dict):
-    """The :func:`_scan` group of every coded window met so far, keyed by
-    ``word[i:i + 3]``, which is shorter only at the last two indices,
-    where the scan pads the window, so it names its window exactly."""
+    """The :func:`_window_group` of every coded window met so far, with
+    the R2 expansions left out, keyed by ``word[i:i + 3]``, which is
+    shorter only at the last two indices, where the window is padded, so
+    it names its window exactly."""
 
     def __missing__(self, key: str) -> List[Tuple]:
-        group = self[key] = _scan(_decode(key), None, 0, 1, _WINDOW_KINDS)[0]
+        window = (_decode(key) + _PAD)[:3]
+        group = self[key] = _window_group(window, None, _WINDOW_KINDS)
         return group
 
 
@@ -291,15 +296,15 @@ def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
     zero violations.
 
     The word and its moves are held in a :class:`frontkit.moves.MoveIndex`.
-    A step draws the position ``k = rng.randrange(len(index))`` of its
-    move in the sorted move list and steps on the window and triple at
-    ``k``, as :meth:`frontkit.moves.MoveIndex.apply` does once it has
-    found them, so no :class:`frontkit.moves.Move` is built or matched
-    again.  On a non-empty list, ``rng.choice(seq)`` returns
-    ``seq[rng._randbelow(len(seq))]`` and ``rng.randrange(n)`` returns
-    ``rng._randbelow(n)``, so the draw is the move that
-    ``rng.choice(enumerate_moves(...))`` would draw, and a walk repeats
-    the walk of that reference move for move.
+    A step draws the position ``k = rng.randrange(len(index))`` of its move
+    in the sorted move list, finds the window and triple at ``k``
+    (:meth:`frontkit.moves.MoveIndex._site`) and steps on them
+    (:meth:`frontkit.moves.MoveIndex._step`), so no
+    :class:`frontkit.moves.Move` is built or matched.  On a non-empty list,
+    ``rng.choice(seq)`` returns ``seq[rng._randbelow(len(seq))]`` and
+    ``rng.randrange(n)`` returns ``rng._randbelow(n)``, so the draw is the
+    move that ``rng.choice(enumerate_moves(...))`` would draw, and a walk
+    repeats the walk of that reference move for move.
     Each step is checked on the window it rewrote, splicing the rewrite
     and the rescanned windows into the index in place; a step that the
     window does not prove is rebuilt, traced and fingerprinted.  The

@@ -25,30 +25,33 @@ imbalance.  A pair of crossings [X(i), X(i)] is a clasp, not a bigon --
 both crossings carry the same sign in a front -- so it is never a
 reduction site.
 
-One matcher finds them all: a single left-to-right scan over the
-windows of three events of the word (:func:`_scan`) looks each window
-up in one memoised table per ``(kinds, expansions on)``.  A window's
-moves are a pure function of its events and, when a cusp opens it and
-the R2 expansions are listed, of whether the expansion fits the slice,
-so the key holds exactly that and the scan carries the slice width
-for it.  A window met for the first time is matched by
-:func:`_window_group`, which looks it up in a map built from the rows
-and decides far-commutation in closed form (:func:`_slide`).  The
-tables are unbounded, as the :func:`_rewrite` memo is, since the
-levels and widths in use bound their keys.  The scan lists the moves
-of each window index as one sorted group of ``(level, kind, data)``
-triples, which do not name the index.  The groups are shared by every
-scan that meets their window, and windows with the same moves (every
-window with none, say) share one list, so no caller may change one.
-:func:`enumerate_moves` runs the scan over the whole word and turns
-the groups into moves, copying a group before it adds the
-stabilization sites.
-:func:`_match` picks the triple a move names out of the group of its
-window, which :func:`apply_move` scans and a :class:`MoveIndex` holds,
-so a move applies exactly when enumeration lists it; :func:`_rewrite`
-turns a triple into its window length and new events from the same
-rows.  Stabilization sites are every (position, level) of the word,
-up to the slice widths that :func:`frontkit._kernel.widths` counts.
+One matcher finds them all: :func:`_window_group` matches a window of
+three events against a map built from the rows and decides
+far-commutation in closed form (:func:`_slide`).  A window's moves are
+a pure function of its events and, when a cusp opens it, of whether its
+R2 expansion fits the slice.  A single left-to-right scan over the
+windows of the word (:func:`_scan`) carries the slice width, keys each
+window by exactly that, and looks it up in one memoised table per kind
+set, calling the matcher only for a key it has not met.
+:func:`apply_move` and :func:`enumerate_moves` share the table of
+``_WINDOW_KINDS`` (enumeration with fewer kinds, or a
+:class:`MoveIndex`, uses the table of the kinds it lists), and the
+search keeps its own table, by coded window, filled from the matcher
+with the R2 expansions left out.  The tables are unbounded, as the
+:func:`_rewrite` memo is, since the levels and widths in use bound
+their keys.  The scan lists the moves of each window index as one
+sorted group of ``(level, kind, data)`` triples, which do not name the
+index.  The groups are shared by every scan that meets their window,
+and windows with the same moves (every window with none, say) share one
+list, so no caller may change one.  :func:`enumerate_moves` runs the
+scan over the whole word and turns the groups into moves, copying a
+group before it adds the stabilization sites.  :func:`apply_move` scans
+the one window of its move, and :func:`_match` picks the triple the
+move names out of that group, so a move applies exactly when
+enumeration lists it; :func:`_rewrite` turns a triple into its window
+length and new events from the same rows.  Stabilization sites are
+every (position, level) of the word, up to the slice widths that
+:func:`frontkit._kernel.widths` counts.
 
 A word rewritten by one move gets its groups from the groups of the
 word before it.  A move at ``idx`` rewrites ``old_len`` events, at most
@@ -60,10 +63,11 @@ the later windows see the same events and width as before, at an index
 shifted by ``new_len - old_len``, and their index-free groups are the
 same lists.  Two callers derive move lists this way: a walk keeps its
 word and groups in a :class:`MoveIndex` instead of enumerating every
-step, and splices the rescanned windows into the lists it holds, in
-place; the search (:func:`frontkit.explore.bfs_max_tb`) builds each
-child's groups as a new list from its parent's, since siblings share
-them, and looks the same windows up by their coded events.
+step, and steps on a site it draws from the lists it holds, splicing
+the rescanned windows into them in place; the search
+(:func:`frontkit.explore.bfs_max_tb`) builds each child's groups as a
+new list from its parent's, since siblings share them, and looks the
+same windows up by their coded events.
 
 The index checks each step on the window it rewrote: outside the window
 the word is the same, so when the old and the new window, each run from
@@ -261,9 +265,9 @@ def _slide(k1: str, i: int, k2: str, j: int) -> Optional[Tuple[str, int, str, in
     return None
 
 
-# The group of every window :func:`_scan` has met, one table per
-# ``(kinds, expansions on)``: unbounded, as ``_rewrite`` is, since the
-# keys are bounded by the levels and widths in use.
+# The group of every window :func:`_scan` has met, one table per kind
+# set: unbounded, as ``_rewrite`` is, since the keys are bounded by the
+# levels and widths in use.
 _GROUPS: dict = {}
 
 # Every group built so far, by its triples: windows with the same moves,
@@ -275,40 +279,29 @@ _SAME_MOVES: dict = {}
 _PAD = ((None, 0), (None, 0))
 
 
-def _scan(events, width: Optional[int], lo: int, hi: int,
-          kinds) -> List[List[Tuple]]:
+def _scan(events, width: int, lo: int, hi: int, kinds: frozenset) -> List[List[Tuple]]:
     """Word moves of ``kinds`` at window indices lo..hi-1, one sorted
     list of ``(level, kind, data)`` triples per window.
 
     One left-to-right pass that looks each window up in the memoised
-    table of ``(kinds, width is not None)``, and builds the group of a
-    window it has not met with :func:`_window_group`.  ``width`` is the
-    slice width before ``events[lo]`` and is carried along; only the R2
+    table of the kind set ``kinds``, and builds the group of a window it
+    has not met with :func:`_window_group`.  ``width`` is the slice
+    width before ``events[lo]`` and is carried along; only the R2
     expansions read it, so the key of a window that opens with a cusp
     also holds whether the up (``L``) or down (``R``) expansion fits.
-    With ``width`` None the R2 expansions are left out.  Stabilizations
-    are not matched here.  The groups are shared by every scan that
-    meets their window: no caller may change one.
+    Stabilizations are not matched here.  The groups are shared by every
+    scan that meets their window: no caller may change one.
     """
-    expand = width is not None
-    table = _GROUPS.get((kinds, expand))
+    table = _GROUPS.get(kinds)
     if table is None:
-        table = _GROUPS[kinds, expand] = {}
+        table = _GROUPS[kinds] = {}
     get = table.get
     groups: List[List[Tuple]] = []
     add = groups.append
-    # A no-copy call on a tuple, such as a search's decoded window; one copy
-    # of the few events a step rescans from the list a MoveIndex holds.
+    # One copy of the few events a step rescans from the list a MoveIndex
+    # holds.
     tail = tuple(events[lo : hi + 2]) + _PAD
-    windows = zip(tail[: hi - lo], tail[1:], tail[2:])
-    if not expand:
-        for window in windows:
-            group = get(window)
-            if group is None:
-                group = table[window] = _window_group(window, None, kinds)
-            add(group)
-        return groups
-    for window in windows:
+    for window in zip(tail[: hi - lo], tail[1:], tail[2:]):
         k, l = window[0]
         if k == "X":
             key = window
@@ -329,8 +322,9 @@ def _scan(events, width: Optional[int], lo: int, hi: int,
 def _window_group(window, width: Optional[int], kinds) -> List[Tuple]:
     """The sorted ``(level, kind, data)`` triples of ``kinds`` at the
     three events ``window`` (padded past the end of the word), run from
-    a slice of ``width`` strands; with ``width`` None the R2 expansions
-    are left out.  The :func:`_scan` of one window."""
+    a slice of ``width`` strands: the :func:`_scan` of one window.  With
+    ``width`` None the R2 expansions are left out, as the search's coded
+    table builds its groups (:mod:`frontkit.explore`)."""
     (k, l), (k2, l2), (k3, l3) = window
     group: List[Tuple] = []
     add = group.append
@@ -398,7 +392,9 @@ def enumerate_moves(d: _Diagram, kinds: Optional[Sequence[str]] = None) -> List[
         _WORD_KINDS if kinds is None
         else _kind_set(kinds, _WORD_KINDS, "enumerate_moves lists word moves")
     )
-    groups = _scan(d.events, len(d.left_ports), 0, len(d.events), allowed)
+    groups = _scan(
+        d.events, len(d.left_ports), 0, len(d.events), allowed & _WINDOW_KINDS
+    )
     stabilizations = [
         kind for kind in ("StabilizePlus", "StabilizeMinus") if kind in allowed
     ]
@@ -431,14 +427,6 @@ def _rewrite(triple: Tuple) -> Tuple[int, Tuple[Event, ...]]:
         return 2, (Event(k2, j2), Event(k1, j1))
     old, new = _WINDOWS[kind, data]
     return len(old), tuple(Event(k, i + v) for k, v in new)
-
-
-def _window_index(m: Move, n: int) -> int:
-    """The window index of ``m`` in a word of ``n`` events, or
-    MoveNotApplicable when it is out of range."""
-    if not 0 <= m.index < n:
-        raise MoveNotApplicable(f"{m.kind} index {m.index} out of range 0..{n - 1}")
-    return m.index
 
 
 def _match(group: List[Tuple], m: Move) -> Tuple:
@@ -511,38 +499,39 @@ def apply_move(d, m: Move):
             raise MoveNotApplicable(f"no {m} site")
         sign = 1 if m.kind == "StabilizePlus" else -1
         return _stabilize_at(d, m.index, m.level, _strand_at(d, m.index, m.level), sign)
-    events = d.events
-    idx = _window_index(m, len(events))
+    events, idx = d.events, m.index
+    if not 0 <= idx < len(events):
+        raise MoveNotApplicable(f"{m.kind} index {idx} out of range 0..{len(events) - 1}")
     width = _kernel.widths(events, len(d.left_ports))[idx]
-    old_len, new = _rewrite(_match(_scan(events, width, idx, idx + 1, (m.kind,))[0], m))
+    group = _scan(events, width, idx, idx + 1, _WINDOW_KINDS)[0]
+    old_len, new = _rewrite(_match(group, m))
     return _rebuild(d, events[:idx] + new + events[idx + old_len :])
 
 
-class MoveIndex(Sequence):
+class MoveIndex:
     """``enumerate_moves(d, kinds)`` for a word that changes one move at
-    a time, kept current without rescanning the whole word.
+    a time, kept current without rescanning the whole word: the walk of
+    :func:`frontkit.explore.fuzz_moves`.
 
     Each window index holds its moves as the shared :func:`_scan` group
     of sorted ``(level, kind, data)`` triples, which do not name the
-    index, so the windows after a rewrite only shift.  ``len(index)``
-    and ``index[k]`` give the k-th move of the sorted list, found from
-    the count of moves before each window: ``rng.choice(index)`` draws
-    exactly the move that ``rng.choice(enumerate_moves(d, kinds))``
-    draws.  The index also holds the slice width before every event and
-    after the last.
-    :meth:`apply` finds the move in the group it holds for its window;
-    then one step checks the rewritten window (see the module
-    docstring), splices the rewrite into the held word in place,
-    rescans the windows from two before the rewrite to its last new
-    event and splices them into the held groups in place, and splices
-    the widths inside the window.  It recounts the moves before each
-    window from the first rescanned one on, unless the word kept its
-    length and the rescanned windows their count of moves, when the
-    counts after them stay.
-    ``index.diagram`` is the current word's diagram,
-    built and traced on first use.  Only window moves can be listed: a
-    stabilization is a site, not a window, and a handle move rewrites
-    more than the word.
+    index, so the windows after a rewrite only shift.  ``len(index)`` is
+    the number of moves, and :meth:`_site` finds the k-th move of the
+    sorted list from the count of moves before each window, so
+    ``index._site(rng.randrange(len(index)))`` draws exactly the move
+    that ``rng.choice(enumerate_moves(d, kinds))`` draws.  The index
+    also holds the slice width before every event and after the last.
+    :meth:`_step` applies the move at a site: it checks the rewritten
+    window (see the module docstring), splices the rewrite into the held
+    word in place, rescans the windows from two before the rewrite to
+    its last new event and splices them into the held groups in place,
+    and splices the widths inside the window.  It recounts the moves
+    before each window from the first rescanned one on, unless the word
+    kept its length and the rescanned windows their count of moves, when
+    the counts after them stay.  ``index.diagram`` is the current word's
+    diagram, built and traced on first use.  Only window moves can be
+    listed: a stabilization is a site, not a window, and a handle move
+    rewrites more than the word.
     """
 
     def __init__(self, d: _Diagram, kinds: Sequence[str]):
@@ -566,18 +555,6 @@ class MoveIndex(Sequence):
     def __len__(self) -> int:
         return self._ends[-1]
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(*k.indices(len(self)))]
-        if not isinstance(k, int):
-            raise TypeError(f"move index {k!r} is not an int or a slice")
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError(f"move {k} out of range for {len(self)} moves")
-        idx, (level, kind, data) = self._site(k)
-        return Move(kind, idx, level, data)
-
     def _site(self, k: int) -> Tuple[int, Tuple]:
         """The window index and the ``(level, kind, data)`` triple of
         move ``k``, for ``0 <= k < len(self)``."""
@@ -585,32 +562,22 @@ class MoveIndex(Sequence):
         idx = bisect_right(ends, k) - 1
         return idx, self._groups[idx][k - ends[idx]]
 
-    def apply(self, m: Move) -> bool:
-        """Apply ``m``, a move of one of the listed kinds, to the held
-        word, which the index then lists.
+    def _step(self, idx: int, triple: Tuple) -> bool:
+        """Apply the move ``triple`` of the group the index holds at
+        window ``idx``, which it lists, so nothing is checked again.
 
         Returns True when the rewritten window proves that every
         component keeps its tb, its |rotation| and its homology up to
         sign (the memoised :func:`_same_window`, run from the held width
         before the window); otherwise the new diagram is built and
         traced at once, raising DiagramError on an invalid word, and
-        False is returned.  Raises MoveNotApplicable when ``m`` is
-        malformed, of a kind the index does not list, or has no site in
-        the word.  A step that raises leaves the index unchanged.
-        Otherwise the widths inside the window are rewritten from the
-        new events.  The width after the window stays: a proven window
-        has the old out-width, and an unproven step that changed it
-        would leave the word's last slice wrong, so its rebuild raised.
+        False is returned.  A step that raises leaves the index
+        unchanged.  Otherwise the widths inside the window are rewritten
+        from the new events.  The width after the window stays: a proven
+        window has the old out-width, and an unproven step that changed
+        it would leave the word's last slice wrong, so its rebuild
+        raised.
         """
-        _require_move(m)
-        if m.kind not in self._kinds:
-            raise MoveNotApplicable(f"{m.kind} is not a kind this index lists")
-        idx = _window_index(m, len(self._events))
-        return self._step(idx, _match(self._groups[idx], m))
-
-    def _step(self, idx: int, triple: Tuple) -> bool:
-        """:meth:`apply` of the move ``triple`` of the group at window
-        ``idx``, which the index lists, so nothing is checked again."""
         old_len, new = _rewrite(triple)
         events, groups, ends, widths = self._events, self._groups, self._ends, self._widths
         end = idx + old_len
@@ -685,8 +652,9 @@ def stabilize(
     """Stabilize component ``c``: tb drops by 1, rotation moves by ``sign``.
 
     ``site`` is an (event index, level) pair on the component; by default
-    the first such site is used.  Raises MoveNotApplicable unless
-    ``sign`` is the int 1 or -1 (not a bool or a float).
+    the first such site is used.  Raises MoveNotApplicable unless ``c``
+    is None or an int and ``sign`` is the int 1 or -1 (neither a bool nor
+    a float).
     """
     _require_diagram(d)
     if not (_is_int(sign) and sign in (1, -1)):
@@ -696,6 +664,8 @@ def stabilize(
         if tr.n_components != 1:
             raise MoveNotApplicable("ambiguous component for stabilization")
         c = 0
+    elif not _is_int(c):
+        raise MoveNotApplicable(f"component {c!r} is not an int")
     comp = tr.strand_component
     if site is None:
         # c's least strand s names the first slice that holds c: each

@@ -37,6 +37,7 @@ from .front import (
     X,
     _check_int,
     _Diagram,
+    _is_int,
     _require_front,
     thurston_bennequin,
 )
@@ -147,6 +148,8 @@ def cable_expand(
 ) -> Expansion:
     """Replace the strands of one component of a diagram's word, or of
     every component when ``component`` is None, by ``n`` parallel copies.
+    Raises ParameterOutOfRange unless ``component`` is None or the int
+    (not a bool or a float) of a component of ``d``.
 
     ``d`` is a closed front or a strip; its stored trace gives the strands,
     so the word is not traced again.  A whole component is widened, so no
@@ -161,7 +164,7 @@ def cable_expand(
     so no slice wraps around.
     """
     _check_int(1, copies=n)
-    if component is not None and component not in d.components:
+    if component is not None and not (_is_int(component) and component in d.components):
         raise ParameterOutOfRange(f"no component {component!r} to widen")
     word, tr = d.events, d.trace
     width = [

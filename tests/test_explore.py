@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_front
+from conftest import listed_moves, random_front, unexpanded_groups
 from frontkit import _kernel, explore, gallery, moves
 from frontkit.certify import GenusCertificate, certify_tb_max
 from frontkit.errors import (
@@ -43,7 +43,6 @@ from frontkit.moves import (
     MoveIndex,
     MoveScript,
     _rebuild,
-    _scan,
     apply_move,
     enumerate_moves,
     stabilize,
@@ -359,18 +358,18 @@ def test_a_rewrite_off_the_slice_raises_what_the_rebuild_raises(monkeypatch, lev
     )
     for d in (K_m_front(-2), gallery.stein_rep_max(-5, 2).diagram):
         index = MoveIndex(d, _FUZZ_KINDS)
-        before, widths = list(index), list(index._widths)
+        before, widths = listed_moves(index), list(index._widths)
         held = list(index._events), list(index._groups), list(index._ends)
-        m = next(m for m in before if m.kind == "Slide")
+        k = next(k for k, m in enumerate(before) if m.kind == "Slide")
         with pytest.raises(DiagramError) as want:
-            apply_move(d, m)
+            apply_move(d, before[k])
         with pytest.raises(DiagramError) as got:
-            index.apply(m)
+            index._step(*index._site(k))
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         # Nothing changed: the index lists the same moves of the same word
         # and holds the same slice widths, word, groups and move counts.
-        assert list(index) == before
+        assert listed_moves(index) == before
         assert index._widths == widths
         assert (index._events, index._groups, index._ends) == held
         assert index.diagram is d
@@ -394,7 +393,7 @@ def test_a_proven_step_keeps_the_fingerprint(seed):
     for _step in range(25):
         if not index:
             break
-        proven = index.apply(rng.choice(index))
+        proven = index._step(*index._site(rng.randrange(len(index))))
         got = _fingerprint(index.diagram)
         assert got == want or not proven
         want = got
@@ -419,18 +418,18 @@ def test_an_index_step_reads_a_memoised_proof_and_spliced_widths(seed):
     for _step in range(25):
         if not index:
             break
-        m = rng.choice(index)
+        idx, triple = index._site(rng.randrange(len(index)))
         events = tuple(index._events)
-        old_len, new = moves._rewrite(moves._match(index._groups[m.index], m))
-        old = events[m.index : m.index + old_len]
-        width = len(_kernel.slices(events, index.diagram.trace)[m.index])
-        proven = index.apply(m)
+        old_len, new = moves._rewrite(triple)
+        old = events[idx : idx + old_len]
+        width = len(_kernel.slices(events, index.diagram.trace)[idx])
+        proven = index._step(idx, triple)
         fresh = moves._same_window.__wrapped__(old, new, width)
-        assert proven == moves._same_window(old, new, width) == fresh, m
+        assert proven == moves._same_window(old, new, width) == fresh, triple
         events = tuple(index._events)
         assert index._widths == list(
             map(len, _kernel.slices(events, index.diagram.trace))
-        ), m
+        ), triple
 
 
 def test_every_step_of_the_criterion_9_walks_is_proven():
@@ -439,7 +438,8 @@ def test_every_step_of_the_criterion_9_walks_is_proven():
         index = MoveIndex(d, _FUZZ_KINDS)
         steps = 0
         while index and steps < 1000:
-            assert index.apply(rng.choice(index)) is True, (d, steps)
+            proven = index._step(*index._site(rng.randrange(len(index))))
+            assert proven is True, (d, steps)
             steps += 1
         assert steps == (1000 if len(d.events) > 2 else 0)
 
@@ -464,7 +464,7 @@ def _reducing_moves(events):
     """The moves that never grow the word: ``enumerate_moves(d,
     _WINDOW_KINDS)`` without the R2 expansions, where ``d`` has the word
     ``events``."""
-    groups = _scan(events, None, 0, len(events), _WINDOW_KINDS)
+    groups = unexpanded_groups(events)
     return [
         Move(kind, idx, level, data)
         for idx, group in enumerate(groups)

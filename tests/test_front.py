@@ -439,6 +439,15 @@ def _slide_between_nested_unknots():
             MoveNotApplicable, "component 5 has no visible strand",
             id="stabilize-component",
         ),
+        # Equal to 1 as they are, a bool and a float name no component.
+        *(
+            pytest.param(
+                lambda c=c: moves.stabilize(_link(), c),
+                MoveNotApplicable, f"component {c!r} is not an int",
+                id=f"stabilize-component-{c!r}",
+            )
+            for c in (True, 1.0)
+        ),
         pytest.param(
             lambda: moves.handle_slide(_handlebody(), 0, _OUTSIDE),
             MoveNotApplicable, "attachment is not part of the handlebody",
@@ -608,6 +617,14 @@ def _slide_between_nested_unknots():
         pytest.param(
             lambda: satellite.cable_expand(trefoil(), 2, 5),
             ParameterOutOfRange, "no component 5 to widen", id="cable-expand-component",
+        ),
+        *(
+            pytest.param(
+                lambda c=c: satellite.cable_expand(_link(), 2, c),
+                ParameterOutOfRange, f"no component {c!r} to widen",
+                id=f"cable-expand-component-{c!r}",
+            )
+            for c in (True, 1.0)
         ),
     ],
 )

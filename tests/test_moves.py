@@ -4,13 +4,12 @@ import hashlib
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_front, random_knot
+from conftest import listed_moves, random_front, random_knot, unexpanded_groups
 from frontkit import _kernel, explore, gallery, moves
 from frontkit.errors import (
     BandObstructed,
@@ -644,6 +643,9 @@ _KIND_FILTERS = [(kind,) for kind in sorted(_WINDOW_KINDS)] + [
 
 @pytest.mark.parametrize("expand", [True, False])
 def test_scan_is_the_brute_force_matcher(expand):
+    # With the expansions, the scan of the whole word and of a range of its
+    # windows; without them, the matcher alone on each window, as the
+    # search's coded table runs it.
     rng = random.Random(71)
     diagrams = _matcher_diagrams()
     diagrams += [_regroup_sites(rng) for _ in range(60)]
@@ -654,10 +656,13 @@ def test_scan_is_the_brute_force_matcher(expand):
         found.update(kind for group in brute for _level, kind, _data in group)
         lo = rng.randrange(len(events)) if events else 0
         hi = rng.randint(lo, len(events))
-        lo_width = _kernel.widths(events, width)[lo] if expand else None
-        for kinds in _KIND_FILTERS:
+        lo_width = _kernel.widths(events, width)[lo]
+        for kinds in map(frozenset, _KIND_FILTERS):
             want = [[t for t in group if t[1] in kinds] for group in brute]
-            got = _scan(events, width if expand else None, 0, len(events), kinds)
+            if not expand:
+                assert unexpanded_groups(events, kinds) == want, (d, kinds)
+                continue
+            got = _scan(events, width, 0, len(events), kinds)
             assert got == want, (d, kinds)
             part = _scan(events, lo_width, lo, hi, kinds)
             assert part == want[lo:hi], (d, kinds, lo, hi)
@@ -680,7 +685,7 @@ def test_enumeration_leaves_the_shared_groups_as_they_were():
     for d, first in zip(diagrams, firsts):
         events, width = d.events, len(d.left_ports)
         brute = _brute_groups(events, width)
-        assert _scan(events, width, 0, len(events), _WORD_KINDS) == brute, d
+        assert _scan(events, width, 0, len(events), _WINDOW_KINDS) == brute, d
         assert MoveIndex(d, _WINDOW_KINDS)._groups == brute, d
         assert enumerate_moves(d) == first, d
 
@@ -706,12 +711,30 @@ def test_the_width_keys_only_the_cusp_windows():
     crossing = (X(1), X(2), X(1))
     assert scanned(crossing, 2) is scanned(crossing, 6)
     assert scanned((X(1), R(1)), 2) is scanned((X(1), X(1)), 2) == []
-    for key in moves._GROUPS[_WINDOW_KINDS, True]:
+    for key in moves._GROUPS[_WINDOW_KINDS]:
         if len(key) == 2:
             window, fit = key
             assert window[0].kind in "LR" and isinstance(fit, bool), key
         else:
             assert key[0].kind == "X", key
+
+
+def test_one_table_per_kind_set(monkeypatch):
+    # Enumeration with its default kinds, apply_move, an index of the
+    # window moves and a search, with its witness replay, all read the
+    # one table of the window moves; the search's misses are matched
+    # alone, into its own coded table, and fill no table of events.
+    monkeypatch.setattr(moves, "_GROUPS", {})
+    monkeypatch.setattr(explore, "_CODED_GROUPS", explore._CodedTable())
+    d = stabilize(stabilize(trefoil(), 0, 1), 0, -1)
+    for m in enumerate_moves(d):
+        if m.kind in _WINDOW_KINDS:
+            apply_move(d, m)
+    MoveIndex(d, _WINDOW_KINDS)
+    res = explore.bfs_max_tb(d, SearchConfig(max_depth=3, budget=3000))
+    assert res.best_tb == 1 and res.witness.moves
+    assert explore._CODED_GROUPS
+    assert set(moves._GROUPS) == {_WINDOW_KINDS}
 
 
 def test_stabilization_sites_are_what_apply_accepts():
@@ -742,11 +765,7 @@ def _index_walk_diagrams():
 def _assert_index_is(index, kinds):
     want = enumerate_moves(index.diagram, kinds)
     assert len(index) == len(want)
-    assert list(index) == want
-    if want:
-        assert index[-1] == want[-1]
-    with pytest.raises(IndexError):
-        index[len(want)]
+    assert listed_moves(index) == want
 
 
 @pytest.mark.parametrize("kinds", [_FUZZ_KINDS, _WINDOW_KINDS])
@@ -763,12 +782,15 @@ def test_move_index_tracks_enumeration(kinds):
             if not index:
                 break
             shrinking = [
-                m for m in index
+                m for m in listed_moves(index)
                 if m.kind in ("R1a", "R1b", "Destabilize")
                 or m.data[:1] == ("contract",)
             ]
-            pool = shrinking if step % 3 == 2 and shrinking else index
-            index.apply(rng.choice(pool))
+            if step % 3 == 2 and shrinking:
+                m = rng.choice(shrinking)
+                index._step(m.index, (m.level, m.kind, m.data))
+            else:
+                index._step(*index._site(rng.randrange(len(index))))
             _assert_index_is(index, kinds)
 
 
@@ -797,9 +819,7 @@ def test_regrouped_is_a_full_scan_of_the_child(seed):
     events = d.events
     word = explore._encode(events)
     groups = explore._coded_groups(word, [], 0, 0, len(word))
-    assert list(map(id, groups)) == list(
-        map(id, _scan(events, None, 0, len(events), _WINDOW_KINDS))
-    )
+    assert list(map(id, groups)) == list(map(id, unexpanded_groups(events)))
     for idx, group in enumerate(groups):
         for triple in group:
             old_len, new = _rewrite(triple)
@@ -808,13 +828,13 @@ def test_regrouped_is_a_full_scan_of_the_child(seed):
             coded_child = word[:idx] + coded + word[idx + coded_len :]
             assert explore._decode(coded_child) == child
             got = explore._coded_groups(coded_child, groups, idx, old_len, shift)
-            want = _scan(child, None, 0, len(child), _WINDOW_KINDS)
+            want = unexpanded_groups(child)
             assert len(got) == len(child)
             assert list(map(id, got)) == list(map(id, want)), (idx, triple)
 
 
 def test_an_index_step_scans_once(monkeypatch):
-    # The window of the move is matched in the group the index holds,
+    # The move is read from the group the index holds for its window,
     # so the rescan after the rewrite is the step's one scan, over the
     # new windows from two before the rewrite to its last event, and the
     # slice widths are counted only over the new window: the width at
@@ -839,59 +859,29 @@ def test_an_index_step_scans_once(monkeypatch):
         rng = random.Random(5)
         kinds = Counter()
         for _step in range(60):
-            m = rng.choice(index)
-            kinds[m.data[:1] == ("expand",)] += 1
-            new = _rewrite(moves._match(index._groups[m.index], m))[1]
+            idx, triple = index._site(rng.randrange(len(index)))
+            kinds[triple[2][:1] == ("expand",)] += 1
+            new = _rewrite(triple)[1]
             calls.clear()
-            index.apply(m)
-            span = (max(m.index - 2, 0), m.index + len(new))
-            assert calls == {("_scan", span): 1, ("widths", len(new)): 1}, m
+            index._step(idx, triple)
+            span = (max(idx - 2, 0), idx + len(new))
+            assert calls == {("_scan", span): 1, ("widths", len(new)): 1}, triple
         assert kinds[True] and kinds[False]
         monkeypatch.undo()
-
-
-def _near_misses(m):
-    """``m`` with its level, index or data off by one, or with no data."""
-    yield replace(m, level=m.level + 1)
-    yield replace(m, level=m.level - 1)
-    yield replace(m, index=m.index + 1)
-    yield replace(m, data=())
-    if m.data:
-        last = m.data[-1]
-        if isinstance(last, int):
-            last += 1
-        else:
-            last = "down" if last == "up" else "up"
-        yield replace(m, data=m.data[:-1] + (last,))
-
-
-def _outcome(apply):
-    """The word that ``apply()`` makes, or the type and text of the
-    error it raises."""
-    try:
-        return "word", apply().events
-    except MoveError as exc:
-        return "error", type(exc), str(exc)
-
-
-def _after_index_step(d, m):
-    index = MoveIndex(d, _WINDOW_KINDS)
-    index.apply(m)
-    return index.diagram
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_an_index_applies_a_move_as_apply_move_does(seed):
+    # A step on the k-th move an index lists makes the word that
+    # apply_move makes from the k-th move enumeration lists.
     rng = random.Random(seed)
     d = _regroup_sites(rng)
     listed = enumerate_moves(d, _WINDOW_KINDS)
-    tried = rng.sample(listed, min(len(listed), 8))
-    tried += [miss for m in tried for miss in _near_misses(m)]
-    for m in tried:
-        want = _outcome(lambda: apply_move(d, m))
-        assert _outcome(lambda: _after_index_step(d, m)) == want, m
-        assert want[0] == "word" or m not in listed, m
+    for k in rng.sample(range(len(listed)), min(len(listed), 8)):
+        index = MoveIndex(d, _WINDOW_KINDS)
+        index._step(*index._site(k))
+        assert index.diagram.events == apply_move(d, listed[k]).events, listed[k]
 
 
 def test_move_index_lists_window_moves_only():
@@ -899,15 +889,7 @@ def test_move_index_lists_window_moves_only():
         with pytest.raises(MoveError):
             MoveIndex(trefoil(), kinds)
     index = MoveIndex(toy_handlebody().diagram, _FUZZ_KINDS)
-    for m in (
-        Move("PullOff", data=("H", 1)),
-        Move("StabilizePlus", 0, 1),
-        Move("Destabilize", 0, 1),
-        Move("R3", 0, 1),
-    ):
-        with pytest.raises(MoveNotApplicable):
-            index.apply(m)
-        assert list(index) == enumerate_moves(toy_handlebody().diagram, _FUZZ_KINDS)
+    assert listed_moves(index) == enumerate_moves(toy_handlebody().diagram, _FUZZ_KINDS)
 
 
 @pytest.mark.parametrize(
@@ -925,18 +907,6 @@ def test_a_str_of_kinds_is_named_as_a_str():
         MoveIndex(trefoil(), "R3")
     with pytest.raises(MoveError, match="window moves, not 'StabilizePlus'"):
         MoveIndex(trefoil(), ["R3", "StabilizePlus"])
-
-
-def test_move_index_takes_slices():
-    d = gallery.K_m_front(-2)
-    index = MoveIndex(d, _FUZZ_KINDS)
-    want = enumerate_moves(d, _FUZZ_KINDS)
-    assert index[0:2] == want[0:2]
-    assert index[::-3] == want[::-3]
-    assert index[5:1] == []
-    for k in ("1", 1.0, None):
-        with pytest.raises(TypeError, match=f"move index {k!r}"):
-            index[k]
 
 
 def test_fuzz_walk_is_pinned():
@@ -1013,15 +983,11 @@ def test_malformed_move_is_not_applicable(move):
         apply_move(trefoil(), move)
 
 
-def _apply_by_index(d, m):
-    return MoveIndex(d, _WINDOW_KINDS).apply(m)
-
-
 def _apply_by_script(d, m):
     return MoveScript((m,)).replay(d)
 
 
-@pytest.mark.parametrize("apply", [apply_move, _apply_by_index, _apply_by_script])
+@pytest.mark.parametrize("apply", [apply_move, _apply_by_script])
 @pytest.mark.parametrize(
     "move",
     [
@@ -1634,7 +1600,7 @@ def _destabilized_children(d, cfg):
     for _depth in range(cfg.max_depth):
         nxt = []
         for word in frontier:
-            groups = _scan(word, None, 0, len(word), _WINDOW_KINDS)
+            groups = unexpanded_groups(word)
             for idx, group in enumerate(groups):
                 for triple in group:
                     if len(seen) >= cfg.budget:
