@@ -9,24 +9,25 @@ from search.
 The search runs on coded words, not diagrams: a word is a str, one code
 point per event, so deduplication hashes a str, which caches its hash,
 and a child is spliced by slicing.  It lists the moves that never grow
-a word (every window move but the R2 expansions) as the index-free
-groups of :func:`frontkit.moves._window_group`, looked up by the coded
-window ``word[i:i + 3]`` in one table for the process, the search's
-only cache of groups; a window met for the first time is decoded,
-padded and matched alone.  The matcher hands out one shared list per
-set of moves, so the groups are shared with every other node, walk and
-scan whose window has the same moves: the search reads them and never
-changes one.  A node gets its groups from its parent's when it is
-expanded: the windows that :func:`frontkit.moves._rescanned` names for
-the rewrite that made it are looked up and the rest shifted, into a new
-list, since its siblings share the parent's groups (a
-:class:`frontkit.moves.MoveIndex` along a walk splices the same rescan
-into the one list it holds, in place).  A child is the parent's word
-with the coded rewrite of a triple (memoised from
-:func:`frontkit.moves._rewrite`) spliced in.  A new child links to its
-parent by the index and triple of its move, and is queued only when a
-later depth expands it; a :class:`frontkit.moves.Move` is built only
-for the witness, by walking the links back from the best node.
+a word (every window move but the R2 expansions), with their rewrites,
+in one table for the process, the search's only cache of moves: the
+coded window ``word[i:i + 3]`` names a tuple of entries, one per move
+of the index-free group :func:`frontkit.moves._window_group` gives,
+each the move's triple with its window length, coded new events and
+change in length (from :func:`frontkit.moves._rewrite`).  A window met
+for the first time is decoded, padded, matched and rewritten alone;
+the search reads the entries and never changes one.  A node gets its
+groups from its parent's when it is expanded: the windows that
+:func:`frontkit.moves._rescanned` names for the rewrite that made it
+are looked up and the rest shifted, into a new list, since its
+siblings share the parent's groups (a :class:`frontkit.moves.MoveIndex`
+along a walk splices the same rescan into the one list it holds, in
+place).  A child is the parent's word with an entry's coded new events
+spliced in.  A new child links to its parent by the index and entry of
+its move, which the child's own expansion reads its rescan from, and
+is queued only when a later depth expands it; a
+:class:`frontkit.moves.Move` is built only for the witness, by walking
+the links back from the best node.
 
 Every Reidemeister move and far commutation keeps the tb of each
 component, so such a child carries its parent's tb untraced.  A
@@ -128,37 +129,36 @@ def _decode(word) -> Tuple[Event, ...]:
     return tuple([_event(char) for char in word])
 
 
-@lru_cache(maxsize=None)
-def _coded_rewrite(triple: Tuple) -> Tuple[int, str, int]:
-    """The window length, the coded new events and the change in length
-    of the rewrite :func:`_rewrite` gives for ``triple``; memoised as
-    that is."""
-    old_len, new = _rewrite(triple)
-    return old_len, _encode(new), len(new) - old_len
-
-
 class _CodedTable(dict):
-    """The :func:`_window_group` of every coded window met so far, with
-    the R2 expansions left out, keyed by ``word[i:i + 3]``, which is
-    shorter only at the last two indices, where the window is padded, so
-    it names its window exactly."""
+    """The moves of every coded window met so far, keyed by
+    ``word[i:i + 3]``, which is shorter only at the last two indices,
+    where the window is padded, so it names its window exactly.  An
+    entry is a triple of the :func:`_window_group` of the window, with
+    the R2 expansions left out, followed by the window length, the coded
+    new events and the change in length of its :func:`_rewrite`."""
 
-    def __missing__(self, key: str) -> List[Tuple]:
+    def __missing__(self, key: str) -> Tuple[Tuple, ...]:
         window = (_decode(key) + _PAD)[:3]
-        group = self[key] = _window_group(window, None, _WINDOW_KINDS)
+        entries = []
+        for triple in _window_group(window, None, _WINDOW_KINDS):
+            old_len, new = _rewrite(triple)
+            entries.append((triple, old_len, _encode(new), len(new) - old_len))
+        group = self[key] = tuple(entries)
         return group
 
 
 _CODED_GROUPS = _CodedTable()
 
 
-def _coded_groups(word: str, parent, site: int, old_len: int, shift: int):
+def _coded_groups(word: str, parent, link):
     """The groups of the coded ``word``, from the ``parent`` groups of
-    the word that a window move at ``site`` turned into ``word``,
-    rewriting ``old_len`` events and changing the length by ``shift``: a
-    new list, with the windows :func:`_rescanned` names looked up and
-    the rest shifted.  The start is looked up whole, as the child of the
-    empty word that puts it in at 0."""
+    the word that the last move of ``link`` (an index and a table entry)
+    turned into ``word``: a new list, with the windows :func:`_rescanned`
+    names for the move's window looked up and the rest shifted by its
+    change in length.  The start, with no link, is looked up whole."""
+    if link is None:
+        return [_CODED_GROUPS[word[i : i + 3]] for i in range(len(word))]
+    _, site, (_, old_len, _, shift) = link
     lo, hi = _rescanned(site, old_len, len(parent))
     lookup = [_CODED_GROUPS[word[i : i + 3]] for i in range(lo, hi + shift)]
     return parent[:lo] + lookup + parent[hi:]
@@ -168,11 +168,11 @@ def _witnessed(d, best_tb: int, link, nodes: int,
                exhausted: bool = False) -> SearchResult:
     """The search result for the path to ``best_tb``, after replaying
     it from ``d`` and checking the tb it reaches.  ``link`` is None at
-    ``d``, or the ``(parent link, index, triple)`` of the last move; the
-    moves of the path are built here, walking the links back."""
+    ``d``, or the ``(parent link, index, table entry)`` of the last
+    move; the moves of the path are built here, walking the links back."""
     path = []
     while link is not None:
-        link, idx, (level, kind, data) = link
+        link, idx, ((level, kind, data), *_) = link
         path.append(Move(kind, idx, level, data))
     witness = MoveScript(path[::-1])
     got = _tb_of(witness.replay(d))
@@ -212,10 +212,9 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     last = cfg.max_depth - 1
     start_tb = _tb_of(d)
     best_tb, best_link = start_tb, None
-    # A frontier entry: the coded word, its tb, its link, and its parent's
-    # groups with the index, the window length and the length change of
-    # the rewrite that made it from the parent's word.
-    frontier: List[tuple] = [(start, start_tb, None, [], 0, 0, len(start))]
+    # A frontier entry: the coded word, its tb, its link and its
+    # parent's groups.
+    frontier: List[tuple] = [(start, start_tb, None, None)]
     seen = {start}
     add = seen.add
     nodes = 1
@@ -223,19 +222,19 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     for depth in range(cfg.max_depth):
         nxt: List[tuple] = []
         queue = depth < last
-        for word, tb, link, parent, site, old_len, shift in frontier:
-            groups = _coded_groups(word, parent, site, old_len, shift)
+        for word, tb, link, parent in frontier:
+            groups = _coded_groups(word, parent, link)
             for idx, group in enumerate(groups):
                 if not group:
                     continue
                 head = word[:idx]
-                for triple in group:
+                for entry in group:
                     if nodes >= budget:
                         raise BudgetExhausted(
                             f"node budget {budget} exhausted",
                             _witnessed(d, best_tb, best_link, nodes, exhausted=True),
                         )
-                    old_len, new, change = _coded_rewrite(triple)
+                    triple, old_len, new, _ = entry
                     child = head + new + word[idx + old_len :]
                     # A str caches its hash, so a new child is hashed once.
                     if child in seen:
@@ -243,17 +242,15 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                     add(child)
                     nodes += 1
                     child_tb = tb
+                    child_link = (link, idx, entry)
                     if triple[1] == "Destabilize":
                         child_tb = (
                             _tb_of(_rebuild(d, _decode(child))) if several else tb + 1
                         )
                         if child_tb > best_tb:
-                            best_tb, best_link = child_tb, (link, idx, triple)
+                            best_tb, best_link = child_tb, child_link
                     if queue:
-                        nxt.append((
-                            child, child_tb, (link, idx, triple), groups, idx,
-                            old_len, change,
-                        ))
+                        nxt.append((child, child_tb, child_link, groups))
         if not nxt:
             break
         frontier = nxt

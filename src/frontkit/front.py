@@ -15,6 +15,7 @@ ports are empty on a front, and the invariants here take either one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -184,6 +185,16 @@ def _check_int(least: Optional[int] = None, /, **values) -> None:
         rule = "positive" if least == 1 else "non-negative"
         raise ParameterOutOfRange(
             f"{name} must be {rule} (an int >= {least}), got {value!r}"
+        )
+
+
+def _check_repeats(name: str, count: int) -> None:
+    """ParameterOutOfRange naming the parameter ``name`` when ``count``,
+    the repeats of a block that it asks for, is past ``sys.maxsize``,
+    the most a sequence can be repeated."""
+    if abs(count) > sys.maxsize:
+        raise ParameterOutOfRange(
+            f"{name} asks for more than {sys.maxsize} repeats of a block"
         )
 
 

@@ -21,6 +21,7 @@ from .front import (
     R,
     X,
     _check_int,
+    _check_repeats,
     classical_invariants,
     thurston_bennequin,
     trefoil,
@@ -59,6 +60,7 @@ def K_m_front(m: int) -> FrontDiagram:
         raise ParameterOutOfRange(f"K_m needs m <= -1, got {m}")
     kappa = 2 * (1 - m)  # left-handed half twists in the box
     j = 2 * kappa + 1  # positive clasp crossings
+    _check_repeats("m", j)
     word: List[Event] = [L(1), L(3)]
     word += [X(2)] * j
     # Each left-handed half twist detours one strand through a cusp
@@ -112,6 +114,7 @@ def Z_m_handlebody(m: int) -> SteinHandlebody:
     no contact condition imposed or checked.
     """
     _check_int(m=m)
+    _check_repeats("m", 2 * m)
     word: List[Event] = [L(2)]
     if m <= 0:
         word += [X(1)] * (2 * -m)

@@ -36,6 +36,7 @@ from .front import (
     R,
     X,
     _check_int,
+    _check_repeats,
     _Diagram,
     _is_int,
     _require_front,
@@ -55,7 +56,7 @@ class BraidWord:
     letters: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        _check_int(strands=self.strands)
+        _check_int(1, strands=self.strands)
         try:
             letters = tuple(self.letters)
         except TypeError:
@@ -87,6 +88,7 @@ def twist_box_expand(box: TwistBox) -> BraidWord:
     if not isinstance(box, TwistBox):
         raise ParameterOutOfRange(f"{box!r} is not a TwistBox")
     _check_int(strands=box.strands, amount=box.amount)
+    _check_repeats("amount", box.amount)
     n = box.strands
     if box.amount >= 0:
         block = tuple(range(1, n))
@@ -280,6 +282,7 @@ def cable(d: FrontDiagram, n: int, q: int) -> FrontDiagram:
         return d
     exp = n_copy_expansion(d, n)
     if t != 0:
+        _check_repeats("q", t)
         braid = twist_box_expand(TwistBox(n, t))
         exp.splice(
             exp.first_cusp_index,

@@ -155,6 +155,25 @@ def test_a_level_too_long_to_convert_exits_1():
     assert err == "error: line 2, column 1: integer of 5000 digits is too long\n"
 
 
+# A repeat count past sys.maxsize fails before anything is allocated.
+@pytest.mark.parametrize(
+    "args, stdin, name",
+    [
+        (["gallery", "K", "-m", "-100000000000000000000"], "", "m"),
+        (["gallery", "Z", "-m", "-100000000000000000000"], "", "m"),
+        (["cable", "-", "-n", "2", "-q", "99999999999999999999999"],
+         print_text(K_m_front(-1)), "q"),
+    ],
+)
+def test_a_repeat_count_past_maxsize_exits_1(args, stdin, name):
+    code, out, err = run(args, stdin=stdin)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: {name} asks for more than {sys.maxsize} repeats of a block\n"
+    )
+
+
 def test_invariants_names_the_line_of_a_bad_event(tmp_path):
     p = tmp_path / "bad.front"
     p.write_text("front\n# c\nL1\n\nL1\nR5\n")

@@ -585,6 +585,49 @@ def test_search_matches_the_traced_reference():
     assert exhausted > 0
 
 
+def _outcome(search, d, cfg):
+    """What ``search`` returns for ``d`` within ``cfg``, its partial
+    result when the budget runs out."""
+    try:
+        return search(d, cfg)
+    except BudgetExhausted as exc:
+        return exc.partial
+
+
+@pytest.mark.parametrize("kind", ["Slide", "Destabilize"])
+def test_a_no_op_coded_rewrite_fails_the_reference(monkeypatch, kind):
+    # A mutation of the coded table: every entry of ``kind`` splices the
+    # window it read back in unchanged.  On each twice- or thrice-
+    # stabilized knot of the search workload (depth 3, budget 300) the
+    # search then parts from the traced reference.
+    class NoOp(explore._CodedTable):
+        def __missing__(self, key):
+            self[key] = tuple(
+                (triple, old_len, key[:old_len], 0) if triple[1] == kind
+                else (triple, old_len, new, shift)
+                for triple, old_len, new, shift in super().__missing__(key)
+            )
+            return self[key]
+
+    monkeypatch.setattr(explore, "_CODED_GROUPS", NoOp())
+    cfg = SearchConfig(3, 300)
+    queries = []
+    for base in (unknot(), trefoil(), K_m_front(-1), K_m_front(-2)):
+        for k in (2, 3):
+            for signs in itertools.product((1, -1), repeat=k):
+                d = base
+                for sign in signs:
+                    d = stabilize(d, None, sign)
+                queries.append(d)
+    assert len(queries) == 48
+    matched = 0
+    for d in queries:
+        res = _outcome(bfs_max_tb, d, cfg)
+        got = (res.best_tb, res.witness, res.nodes_expanded, res.exhausted)
+        matched += got == _outcome(_reference_bfs, d, cfg)
+    assert matched == 0
+
+
 def _search_sites(seed):
     """A seeded random front or a step-3 strip, stabilized up to twice,
     then walked a few random Reidemeister steps so that contractions

@@ -1,6 +1,7 @@
 """Classical invariants of front words."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -617,6 +618,36 @@ def _slide_between_nested_unknots():
         pytest.param(
             lambda: satellite.cable_expand(trefoil(), 2, 5),
             ParameterOutOfRange, "no component 5 to widen", id="cable-expand-component",
+        ),
+        *(
+            pytest.param(
+                lambda n=n: satellite.BraidWord(n),
+                ParameterOutOfRange,
+                f"strands must be positive (an int >= 1), got {n}",
+                id=f"braid-strands-{n}",
+            )
+            for n in (0, -2)
+        ),
+        pytest.param(
+            lambda: satellite.twist_box_expand(satellite.TwistBox(0, 3)),
+            ParameterOutOfRange, "strands must be positive (an int >= 1), got 0",
+            id="twist-box-strands",
+        ),
+        # Repeat counts past sys.maxsize fail before anything is allocated.
+        *(
+            pytest.param(
+                call, ParameterOutOfRange,
+                f"{name} asks for more than {sys.maxsize} repeats of a block",
+                id=f"repeats-{label}",
+            )
+            for label, call, name in (
+                ("K-m", lambda: gallery.K_m_front(-10**20), "m"),
+                ("Z-negative-m", lambda: gallery.Z_m_handlebody(-10**20), "m"),
+                ("Z-positive-m", lambda: gallery.Z_m_handlebody(10**20), "m"),
+                ("twist-box", lambda: satellite.twist_box_expand(
+                    satellite.TwistBox(2, -10**20)), "amount"),
+                ("cable-q", lambda: satellite.cable(trefoil(), 2, 10**23), "q"),
+            )
         ),
         *(
             pytest.param(

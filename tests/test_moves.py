@@ -812,25 +812,35 @@ def _regroup_sites(rng):
 def test_regrouped_is_a_full_scan_of_the_child(seed):
     # The rescan-and-shift invariant of the module docstring, as the
     # search runs it on coded words: after any listed reduction, looking
-    # up the windows around it and shifting the rest gives what a scan
-    # of the whole new word gives, the two short windows at its end
-    # included, and as the same shared lists.
+    # up the windows around it and shifting the rest gives the moves a
+    # scan of the whole new word gives, the two short windows at its end
+    # included.  Each entry carries the coded rewrite of its triple, and
+    # the shifted windows keep the parent's groups.
     d = _regroup_sites(random.Random(seed))
     events = d.events
     word = explore._encode(events)
-    groups = explore._coded_groups(word, [], 0, 0, len(word))
-    assert list(map(id, groups)) == list(map(id, unexpanded_groups(events)))
+
+    def triples(groups):
+        return [[entry[0] for entry in group] for group in groups]
+
+    groups = explore._coded_groups(word, None, None)
+    assert triples(groups) == unexpanded_groups(events)
     for idx, group in enumerate(groups):
-        for triple in group:
+        for entry in group:
+            triple, coded_len, coded, shift = entry
             old_len, new = _rewrite(triple)
+            assert (coded_len, coded, shift) == (
+                old_len, explore._encode(new), len(new) - old_len
+            )
             child = events[:idx] + new + events[idx + old_len :]
-            coded_len, coded, shift = explore._coded_rewrite(triple)
             coded_child = word[:idx] + coded + word[idx + coded_len :]
             assert explore._decode(coded_child) == child
-            got = explore._coded_groups(coded_child, groups, idx, old_len, shift)
-            want = unexpanded_groups(child)
+            got = explore._coded_groups(coded_child, groups, (None, idx, entry))
             assert len(got) == len(child)
-            assert list(map(id, got)) == list(map(id, want)), (idx, triple)
+            assert triples(got) == unexpanded_groups(child), (idx, triple)
+            lo, hi = moves._rescanned(idx, old_len, len(events))
+            kept = got[:lo] + got[hi + shift :]
+            assert list(map(id, kept)) == list(map(id, groups[:lo] + groups[hi:]))
 
 
 def test_an_index_step_scans_once(monkeypatch):
