@@ -62,7 +62,9 @@ it; :func:`widths` the width of every slice, from the event kinds and
 ``WIDTH_CHANGE`` alone;
 and :func:`arcs` the arcs.  Every module reads them, but for four walks
 kept apart for speed: ``moves._scan`` carries the width along its own
-pass, the hot loop of the move index and the search;
+pass, the hot loop of the move index and the search, and reports it, so
+the index and the stabilization sites of ``moves.enumerate_moves`` do
+not count it again;
 ``moves._split_word`` keeps one flag per row, as
 :func:`slices` made step 3's pull-offs and cancellations slower;
 ``satellite.cable_expand`` keeps the widened width of each row, likewise;

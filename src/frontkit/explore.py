@@ -275,11 +275,14 @@ def _fingerprint(d) -> Tuple:
     component order and orientation: per component, the tb and the tuple
     ``v = (rotation, *homology)`` up to sign (the greater of ``v`` and
     ``-v``), since a slide can reverse a component's canonical
-    orientation.  A front has no handles, so there ``v`` is
-    ``(rotation,)`` and counts as ``|rotation|``."""
+    orientation.  A diagram with no handles, such as every front, has
+    the homology vector ``()``, so there ``v`` is ``(rotation,)`` and
+    counts as ``|rotation|``, and the vector is not computed."""
     per = []
     for c in d.components:
-        v = (rotation(d, c), *homology_vector(d, c))
+        v = (rotation(d, c),)
+        if d.handles:
+            v += homology_vector(d, c)
         per.append((thurston_bennequin(d, c), max(v, tuple(-x for x in v))))
     per.sort()
     return (d.n_components, tuple(per))

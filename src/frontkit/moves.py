@@ -32,7 +32,8 @@ a pure function of its events and, when a cusp opens it, of whether its
 R2 expansion fits the slice.  A single left-to-right scan over the
 windows of the word (:func:`_scan`) carries the slice width, keys each
 window by exactly that, and looks it up in one memoised table per kind
-set, calling the matcher only for a key it has not met.
+set, calling the matcher only for a key it has not met; it reports the
+width before each window and after the last along with the moves.
 :func:`apply_move` and :func:`enumerate_moves` share the table of
 ``_WINDOW_KINDS`` (enumeration with fewer kinds, or a
 :class:`MoveIndex`, uses the table of the kinds it lists), and the
@@ -50,8 +51,8 @@ the one window of its move, and :func:`_match` picks the triple the
 move names out of that group, so a move applies exactly when
 enumeration lists it; :func:`_rewrite` turns a triple into its window
 length and new events from the same rows.  Stabilization sites are
-every (position, level) of the word, up to the slice widths that
-:func:`frontkit._kernel.widths` counts.
+every (position, level) of the word, up to the slice widths that the
+scan reports.
 
 A word rewritten by one move gets its groups from the groups of the
 word before it.  A move at ``idx`` rewrites ``old_len`` events, at most
@@ -82,10 +83,10 @@ for every caller as :func:`_rewrite` is: the keys are bounded by the
 window rows, the levels and the widths in use, and a key holds the
 actual new window, so a wrong rewrite is a new key and is checked
 afresh.  The index also keeps the slice width before every event and
-after the last, as :func:`frontkit._kernel.widths` counts them; a step
-keeps the widths on both sides of its window, so it rewrites only the
-widths inside it, and its rescan reads the width at the first
-rescanned window from the held list.
+after the last, as its first scan reports them; a step keeps the widths
+on both sides of its window, so its rescan, which reads the width at
+the first rescanned window from the held list, reports every width
+that can change, and the step splices them in.
 
 Handle moves (slide, cancellation, finger pull-off) operate on
 standard-form diagrams and live in the second half of this module.
@@ -279,18 +280,24 @@ _SAME_MOVES: dict = {}
 _PAD = ((None, 0), (None, 0))
 
 
-def _scan(events, width: int, lo: int, hi: int, kinds: frozenset) -> List[List[Tuple]]:
+def _scan(
+    events, width: int, lo: int, hi: int, kinds: frozenset
+) -> Tuple[List[List[Tuple]], List[int]]:
     """Word moves of ``kinds`` at window indices lo..hi-1, one sorted
-    list of ``(level, kind, data)`` triples per window.
+    list of ``(level, kind, data)`` triples per window, and the slice
+    widths before each of those windows and after the last:
+    ``_kernel.widths(events, n)[lo : hi + 1]`` of a word that starts on
+    ``n`` strands.
 
     One left-to-right pass that looks each window up in the memoised
     table of the kind set ``kinds``, and builds the group of a window it
     has not met with :func:`_window_group`.  ``width`` is the slice
-    width before ``events[lo]`` and is carried along; only the R2
-    expansions read it, so the key of a window that opens with a cusp
-    also holds whether the up (``L``) or down (``R``) expansion fits.
-    Stabilizations are not matched here.  The groups are shared by every
-    scan that meets their window: no caller may change one.
+    width before ``events[lo]`` and is carried along, and the pass
+    reports it; only the R2 expansions read it, so the key of a window
+    that opens with a cusp also holds whether the up (``L``) or down
+    (``R``) expansion fits.  Stabilizations are not matched here.  The
+    groups are shared by every scan that meets their window: no caller
+    may change one.
     """
     table = _GROUPS.get(kinds)
     if table is None:
@@ -298,6 +305,8 @@ def _scan(events, width: int, lo: int, hi: int, kinds: frozenset) -> List[List[T
     get = table.get
     groups: List[List[Tuple]] = []
     add = groups.append
+    widths = [width]
+    carry = widths.append
     # One copy of the few events a step rescans from the list a MoveIndex
     # holds.
     tail = tuple(events[lo : hi + 2]) + _PAD
@@ -316,7 +325,8 @@ def _scan(events, width: int, lo: int, hi: int, kinds: frozenset) -> List[List[T
             # ``width`` is already the width after the window's first event.
             group = table[key] = _window_group(window, width - WIDTH_CHANGE[k], kinds)
         add(group)
-    return groups
+        carry(width)
+    return groups, widths
 
 
 def _window_group(window, width: Optional[int], kinds) -> List[Tuple]:
@@ -392,7 +402,7 @@ def enumerate_moves(d: _Diagram, kinds: Optional[Sequence[str]] = None) -> List[
         _WORD_KINDS if kinds is None
         else _kind_set(kinds, _WORD_KINDS, "enumerate_moves lists word moves")
     )
-    groups = _scan(
+    groups, widths = _scan(
         d.events, len(d.left_ports), 0, len(d.events), allowed & _WINDOW_KINDS
     )
     stabilizations = [
@@ -406,8 +416,7 @@ def enumerate_moves(d: _Diagram, kinds: Optional[Sequence[str]] = None) -> List[
                 for kind in stabilizations
             ])
             # The last slice holds the sites after the last event.
-            for group, width in zip(groups + [[]],
-                                    _kernel.widths(d.events, len(d.left_ports)))
+            for group, width in zip(groups + [[]], widths)
         ]
     return [
         Move(kind, idx, level, data)
@@ -503,7 +512,7 @@ def apply_move(d, m: Move):
     if not 0 <= idx < len(events):
         raise MoveNotApplicable(f"{m.kind} index {idx} out of range 0..{len(events) - 1}")
     width = _kernel.widths(events, len(d.left_ports))[idx]
-    group = _scan(events, width, idx, idx + 1, _WINDOW_KINDS)[0]
+    group = _scan(events, width, idx, idx + 1, _WINDOW_KINDS)[0][0]
     old_len, new = _rewrite(_match(group, m))
     return _rebuild(d, events[:idx] + new + events[idx + old_len :])
 
@@ -520,27 +529,28 @@ class MoveIndex:
     sorted list from the count of moves before each window, so
     ``index._site(rng.randrange(len(index)))`` draws exactly the move
     that ``rng.choice(enumerate_moves(d, kinds))`` draws.  The index
-    also holds the slice width before every event and after the last.
-    :meth:`_step` applies the move at a site: it checks the rewritten
-    window (see the module docstring), splices the rewrite into the held
-    word in place, rescans the windows from two before the rewrite to
-    its last new event and splices them into the held groups in place,
-    and splices the widths inside the window.  It recounts the moves
-    before each window from the first rescanned one on, unless the word
-    kept its length and the rescanned windows their count of moves, when
-    the counts after them stay.  ``index.diagram`` is the current word's
-    diagram, built and traced on first use.  Only window moves can be
-    listed: a stabilization is a site, not a window, and a handle move
-    rewrites more than the word.
+    also holds the slice width before every event and after the last, as
+    its scan reports them.  :meth:`_step` applies the move at a site: it
+    checks the rewritten window (see the module docstring), splices the
+    rewrite into the held word in place, rescans the windows from two
+    before the rewrite to its last new event, and splices them and the
+    widths the rescan reports into the held lists in place.  It recounts
+    the moves before each window from the first rescanned one on, unless
+    the word kept its length and the rescanned windows their count of
+    moves, when the counts after them stay.  ``index.diagram`` is the
+    current word's diagram, built and traced on first use.  Only window
+    moves can be listed: a stabilization is a site, not a window, and a
+    handle move rewrites more than the word.
     """
 
     def __init__(self, d: _Diagram, kinds: Sequence[str]):
         self._kinds = _kind_set(kinds, _WINDOW_KINDS, "a MoveIndex lists window moves")
         _require_diagram(d)
-        self._groups = _scan(d.events, len(d.left_ports), 0, len(d.events), self._kinds)
+        self._groups, self._widths = _scan(
+            d.events, len(d.left_ports), 0, len(d.events), self._kinds
+        )
         # ``_ends[i]``: the number of moves in the windows before ``i``.
         self._ends = list(accumulate(map(len, self._groups), initial=0))
-        self._widths = _kernel.widths(d.events, len(d.left_ports))
         self._start = d
         self._events = list(d.events)
         self._diagram = d
@@ -572,8 +582,9 @@ class MoveIndex:
         before the window); otherwise the new diagram is built and
         traced at once, raising DiagramError on an invalid word, and
         False is returned.  A step that raises leaves the index
-        unchanged.  Otherwise the widths inside the window are rewritten
-        from the new events.  The width after the window stays: a proven
+        unchanged.  Otherwise the widths the rescan reports replace the
+        held ones, from the first rescanned window to the end of the
+        rewrite.  The width after the window keeps its value: a proven
         window has the old out-width, and an unproven step that changed
         it would leave the word's last slice wrong, so its rebuild
         raised.
@@ -581,8 +592,7 @@ class MoveIndex:
         old_len, new = _rewrite(triple)
         events, groups, ends, widths = self._events, self._groups, self._ends, self._widths
         end = idx + old_len
-        width = widths[idx]
-        proven = _same_window(tuple(events[idx:end]), new, width)
+        proven = _same_window(tuple(events[idx:end]), new, widths[idx])
         # Built before anything changes, so a step that raises changes nothing.
         diagram = (
             None if proven
@@ -591,7 +601,7 @@ class MoveIndex:
         events[idx:end] = new
         lo, hi = _rescanned(idx, old_len, len(groups))
         shift = len(new) - old_len
-        rescanned = _scan(events, widths[lo], lo, hi + shift, self._kinds)
+        rescanned, rewidths = _scan(events, widths[lo], lo, hi + shift, self._kinds)
         # The windows before the first rescanned one kept their moves; when
         # the rescanned ones kept their count in a word of the same length,
         # so did every window after them.
@@ -601,7 +611,7 @@ class MoveIndex:
             ends[lo : hi + 1] = accumulate(map(len, rescanned), initial=ends[lo])
         else:
             ends[lo:] = accumulate(map(len, islice(groups, lo, None)), initial=ends[lo])
-        widths[idx : end + 1] = _kernel.widths(new, width)
+        widths[lo : hi + 1] = rewidths
         self._diagram = diagram
         return proven
 

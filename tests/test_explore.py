@@ -48,7 +48,7 @@ from frontkit.moves import (
     stabilize,
 )
 from frontkit.satellite import cable, n_copy
-from frontkit.standard import StandardFormDiagram, SteinHandlebody
+from frontkit.standard import StandardFormDiagram, SteinHandlebody, homology_vector
 
 
 def twice_stabilized_unknot():
@@ -166,6 +166,31 @@ def test_a_front_fingerprints_rotation_up_to_sign():
     # A front has no handles, so v is (rotation,), kept up to sign.
     up, down = stabilize(unknot(), 0, 1), stabilize(unknot(), 0, -1)
     assert _fingerprint(up) == _fingerprint(down) == (1, ((-2, (1,)),))
+
+
+def test_the_fingerprint_is_its_public_function_form():
+    # _fingerprint skips the homology vector of a diagram with no
+    # handles; it must still equal the form built from the public
+    # functions, on fronts and strips and their stabilizations.
+    def public(d):
+        per = []
+        for c in d.components:
+            v = (rotation(d, c), *homology_vector(d, c))
+            per.append((thurston_bennequin(d, c), max(v, tuple(-x for x in v))))
+        return (d.n_components, tuple(sorted(per)))
+
+    rng = random.Random(29)
+    diagrams = [random_front(rng, rng.randint(2, 24)) for _ in range(25)]
+    diagrams += _gallery_strips()
+    stabilized = [
+        stabilize(d, c, sign)
+        for d in diagrams
+        for c in range(d.n_components)
+        for sign in (1, -1)
+    ]
+    assert any(d.handles for d in diagrams)
+    for d in diagrams + stabilized:
+        assert _fingerprint(d) == public(d), d
 
 
 def test_a_handlebody_or_an_empty_diagram_is_a_typed_error():

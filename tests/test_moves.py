@@ -662,11 +662,32 @@ def test_scan_is_the_brute_force_matcher(expand):
             if not expand:
                 assert unexpanded_groups(events, kinds) == want, (d, kinds)
                 continue
-            got = _scan(events, width, 0, len(events), kinds)
+            got = _scan(events, width, 0, len(events), kinds)[0]
             assert got == want, (d, kinds)
-            part = _scan(events, lo_width, lo, hi, kinds)
+            part = _scan(events, lo_width, lo, hi, kinds)[0]
             assert part == want[lo:hi], (d, kinds, lo, hi)
     assert set(found) == set(_WINDOW_KINDS)
+
+
+def test_scan_reports_the_widths_it_carries():
+    # The widths ``_scan`` reports are the slice widths before each
+    # scanned window and after the last, for every range of windows of
+    # random fronts and the gallery strips, the end of the word included.
+    rng = random.Random(23)
+    strips = [
+        e.artifact.diagram
+        for e in gallery.gallery_manifest()
+        if isinstance(e.artifact, SteinHandlebody)
+    ]
+    assert len(strips) == 5
+    diagrams = [random_front(rng, rng.randint(0, 24)) for _ in range(25)] + strips
+    for d in diagrams:
+        events = d.events
+        want = _kernel.widths(events, len(d.left_ports))
+        for lo in range(len(events) + 1):
+            for hi in range(lo, len(events) + 1):
+                got = _scan(events, want[lo], lo, hi, _WINDOW_KINDS)[1]
+                assert got == want[lo : hi + 1], (d, lo, hi)
 
 
 def test_enumeration_leaves_the_shared_groups_as_they_were():
@@ -685,7 +706,7 @@ def test_enumeration_leaves_the_shared_groups_as_they_were():
     for d, first in zip(diagrams, firsts):
         events, width = d.events, len(d.left_ports)
         brute = _brute_groups(events, width)
-        assert _scan(events, width, 0, len(events), _WINDOW_KINDS) == brute, d
+        assert _scan(events, width, 0, len(events), _WINDOW_KINDS)[0] == brute, d
         assert MoveIndex(d, _WINDOW_KINDS)._groups == brute, d
         assert enumerate_moves(d) == first, d
 
@@ -698,7 +719,7 @@ def test_the_width_keys_only_the_cusp_windows():
     # so it has one entry at every width.  Windows with the same moves,
     # such as every window with none, share one list.
     def scanned(events, width):
-        group = _scan(events, width, 0, 1, _WINDOW_KINDS)[0]
+        group = _scan(events, width, 0, 1, _WINDOW_KINDS)[0][0]
         assert [group] == _brute_groups(events, width)[:1], (events, width)
         return group
 
@@ -847,9 +868,8 @@ def test_an_index_step_scans_once(monkeypatch):
     # The move is read from the group the index holds for its window,
     # so the rescan after the rewrite is the step's one scan, over the
     # new windows from two before the rewrite to its last event, and the
-    # slice widths are counted only over the new window: the width at
-    # the window is read from the widths the index holds, never counted
-    # from the start of the word.
+    # slice widths come from that scan alone: the width at the window is
+    # read from the widths the index holds, and no width is counted.
     calls = Counter()
 
     def counted(module, name):
@@ -875,7 +895,7 @@ def test_an_index_step_scans_once(monkeypatch):
             calls.clear()
             index._step(idx, triple)
             span = (max(idx - 2, 0), idx + len(new))
-            assert calls == {("_scan", span): 1, ("widths", len(new)): 1}, triple
+            assert calls == {("_scan", span): 1}, triple
         assert kinds[True] and kinds[False]
         monkeypatch.undo()
 
