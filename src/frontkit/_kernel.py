@@ -175,7 +175,9 @@ def _slice_pass(events, n_initial):
     max_width)``, where ``right[s]``, one entry per strand, is the
     right-cusp mate of strand ``s`` (0 for a strand that reaches the
     right edge) and strands ``n_initial + 2j`` and ``n_initial + 2j + 1``
-    are the two made by the j-th left cusp.
+    are the two made by the j-th left cusp.  A failing event's index is
+    ``len(event_strands)``, so the loop keeps none; it is -1, with
+    "malformed word", only when ``events`` cannot be sized or iterated.
     """
     slice_ids = list(range(n_initial))
     k = n_initial  # the width of the current slice
@@ -184,16 +186,19 @@ def _slice_pass(events, n_initial):
     add = event_strands.append
     max_width = n_initial
 
-    idx = -1
     try:
         # Each event makes at most two strands.
         right = [0] * (n_initial + 2 * len(events))
-        for idx, (kind, level) in enumerate(events):
+        events_iter = iter(events)
+    except TypeError as exc:
+        raise DiagramError("malformed word", -1) from exc
+    try:
+        for kind, level in events_iter:
             # Crossings are most of a word, so they are tested first.
             if kind == CROSSING:
                 if not 1 <= level <= k - 1:
                     raise LevelOutOfRange(
-                        f"crossing at level {level} with {k} strands", idx
+                        f"crossing at level {level} with {k} strands", len(event_strands)
                     )
                 desc = slice_ids[level - 1]
                 asc = slice_ids[level]
@@ -203,7 +208,7 @@ def _slice_pass(events, n_initial):
             elif kind == LEFT_CUSP:
                 if not 1 <= level <= k + 1:
                     raise LevelOutOfRange(
-                        f"left cusp at level {level} with {k} strands", idx
+                        f"left cusp at level {level} with {k} strands", len(event_strands)
                     )
                 upper = next_id
                 lower = next_id + 1
@@ -217,7 +222,7 @@ def _slice_pass(events, n_initial):
             elif kind == RIGHT_CUSP:
                 if not 1 <= level <= k - 1:
                     raise LevelOutOfRange(
-                        f"right cusp at level {level} with {k} strands", idx
+                        f"right cusp at level {level} with {k} strands", len(event_strands)
                     )
                 upper = slice_ids[level - 1]
                 lower = slice_ids[level]
@@ -227,13 +232,13 @@ def _slice_pass(events, n_initial):
                 add((upper, lower))
                 k -= 2
             else:
-                raise DiagramError(f"unknown event kind {kind!r}", idx)
+                raise DiagramError(f"unknown event kind {kind!r}", len(event_strands))
     except (TypeError, ValueError) as exc:
-        # Raised only by a word that is not a sized iterable, an item that
-        # is not a pair, or a level that is not an int (it cannot be
-        # compared with the width or used as a slice position).
-        what = f"malformed event {events[idx]!r}" if idx >= 0 else "malformed word"
-        raise DiagramError(what, idx) from exc
+        # Raised only by an item that is not a pair, or a level that is
+        # not an int (it cannot be compared with the width or used as a
+        # slice position).
+        idx = len(event_strands)
+        raise DiagramError(f"malformed event {events[idx]!r}", idx) from exc
     del right[next_id:]
     return slice_ids, event_strands, right, next_id, max_width
 

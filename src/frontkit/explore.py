@@ -17,9 +17,9 @@ each the move's triple with its window length, coded new events and
 change in length (from :func:`frontkit.moves._rewrite`).  A window met
 for the first time is decoded, padded, matched and rewritten alone;
 the search reads the entries and never changes one.  A node gets its
-groups from its parent's when it is expanded: the windows that
-:func:`frontkit.moves._rescanned` names for the rewrite that made it
-are looked up and the rest shifted, into a new list, since its
+groups from its parent's when it is expanded: the windows that the
+rescan rule of :mod:`frontkit.moves` names for the rewrite that made
+it are looked up and the rest shifted, into a new list, since its
 siblings share the parent's groups (a :class:`frontkit.moves.MoveIndex`
 along a walk splices the same rescan into the one list it holds, in
 place).  A child is the parent's word with an entry's coded new events
@@ -55,7 +55,6 @@ from .moves import (
     MoveIndex,
     MoveScript,
     _rebuild,
-    _rescanned,
     _rewrite,
     _window_group,
 )
@@ -153,13 +152,14 @@ _CODED_GROUPS = _CodedTable()
 def _coded_groups(word: str, parent, link):
     """The groups of the coded ``word``, from the ``parent`` groups of
     the word that the last move of ``link`` (an index and a table entry)
-    turned into ``word``: a new list, with the windows :func:`_rescanned`
-    names for the move's window looked up and the rest shifted by its
-    change in length.  The start, with no link, is looked up whole."""
+    turned into ``word``: a new list, with the windows the rescan rule
+    of :mod:`frontkit.moves` names for the move's window looked up and
+    the rest shifted by its change in length.  The start, with no link,
+    is looked up whole."""
     if link is None:
         return [_CODED_GROUPS[word[i : i + 3]] for i in range(len(word))]
     _, site, (_, old_len, _, shift) = link
-    lo, hi = _rescanned(site, old_len, len(parent))
+    lo, hi = site - 2 if site > 2 else 0, site + old_len
     lookup = [_CODED_GROUPS[word[i : i + 3]] for i in range(lo, hi + shift)]
     return parent[:lo] + lookup + parent[hi:]
 
@@ -307,16 +307,17 @@ def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
     repeats the walk of that reference move for move.
     Each step is checked on the window it rewrote, splicing the rewrite
     and the rescanned windows into the index in place; a step that the
-    window does not prove is rebuilt, traced and fingerprinted.  The
-    final diagram is traced at the end, which checks its word; its
-    components and counts are derived only when they are read.
+    window does not prove is rebuilt, traced and fingerprinted, and the
+    start at the first such step, since every step before it kept the
+    fingerprint.  The final diagram is traced at the end, which checks
+    its word; its components and counts are derived only when read.
     """
     _require_diagram(d)
     # An int seed, so that the walk can be repeated.
     _check_int(seed=seed)
     _check_int(0, steps=steps)
     rng = random.Random(seed)
-    want = _fingerprint(d)
+    want = None
     violations: List[str] = []
     applied = 0
     moves = MoveIndex(d, _FUZZ_KINDS)
@@ -329,6 +330,8 @@ def fuzz_moves(d, seed: int, steps: int) -> FuzzReport:
         applied += 1
         if proven:
             continue
+        if want is None:
+            want = _fingerprint(d)
         got = _fingerprint(moves.diagram)
         if got != want:
             violations.append(

@@ -57,18 +57,20 @@ scan reports.
 A word rewritten by one move gets its groups from the groups of the
 word before it.  A move at ``idx`` rewrites ``old_len`` events, at most
 three, into ``new_len``, and every move keeps the slice width on both
-sides of its window, so only the old windows starting in ``[idx - 2,
+sides of its window, so only the old windows starting in ``[lo,
 idx + old_len)`` read a rewritten event, and the new windows starting
-in ``[idx - 2, idx + new_len)`` take their place (:func:`_rescanned`);
-the later windows see the same events and width as before, at an index
-shifted by ``new_len - old_len``, and their index-free groups are the
-same lists.  Two callers derive move lists this way: a walk keeps its
-word and groups in a :class:`MoveIndex` instead of enumerating every
-step, and steps on a site it draws from the lists it holds, splicing
-the rescanned windows into them in place; the search
-(:func:`frontkit.explore.bfs_max_tb`) builds each child's groups as a
-new list from its parent's, since siblings share them, and looks the
-same windows up by their coded events.
+in ``[lo, idx + new_len)`` take their place, where ``lo = idx - 2 if
+idx > 2 else 0``: the rescan rule (a listed window fits the word, so
+its end needs no bound).  The later windows see the same events and
+width as before, at an index shifted by ``new_len - old_len``, and
+their index-free groups are the same lists.  Two callers derive move
+lists this way: a walk keeps its word and groups in a
+:class:`MoveIndex` instead of enumerating every step, and steps on a
+site it draws from the lists it holds, splicing the rescanned windows
+into them in place; the search (:func:`frontkit.explore.bfs_max_tb`)
+builds each child's groups as a new list from its parent's, since
+siblings share them, and looks the same windows up by their coded
+events.
 
 The index checks each step on the window it rewrote: outside the window
 the word is the same, so when the old and the new window, each run from
@@ -365,14 +367,6 @@ def _window_group(window, width: Optional[int], kinds) -> List[Tuple]:
     return _SAME_MOVES.setdefault(tuple(group), group)
 
 
-def _rescanned(idx: int, old_len: int, n: int) -> Tuple[int, int]:
-    """``(lo, hi)``: the windows ``lo..hi-1`` of a word of ``n`` windows
-    that read an event of the ``old_len`` a window move at ``idx``
-    rewrites.  The new windows from ``lo`` up to ``hi`` plus the change
-    in length replace them (see the module docstring)."""
-    return max(idx - 2, 0), min(idx + old_len, n)
-
-
 def _kind_set(kinds, allowed: frozenset, lister: str) -> frozenset:
     """``kinds`` as a set, or MoveError when it is a str, is not a
     collection, or names a kind outside ``allowed``; ``lister`` names
@@ -599,7 +593,8 @@ class MoveIndex:
             else _rebuild(self._start, [*events[:idx], *new, *events[end:]])
         )
         events[idx:end] = new
-        lo, hi = _rescanned(idx, old_len, len(groups))
+        # The rescan rule of the module docstring.
+        lo, hi = idx - 2 if idx > 2 else 0, end
         shift = len(new) - old_len
         rescanned, rewidths = _scan(events, widths[lo], lo, hi + shift, self._kinds)
         # The windows before the first rescanned one kept their moves; when
@@ -736,8 +731,10 @@ def _after_handle_move(d: StandardFormDiagram, reslotted, events, event_origin):
     ``reslotted`` is the :func:`_reslot` result and ``events`` the new
     word; ``event_origin[j]`` is the index of the old event that new
     event ``j`` copies, so that its upper strand is a piece of the old
-    event's, or None for new material.  The diagram is a closed front
-    once the move has removed the last 1-handle of ``d``.
+    event's, or None for new material.  The witnesses are the ports and
+    the new left cusps that copy an old event: every strand starts at one
+    of them.  The diagram is a closed front once the move has removed
+    the last 1-handle of ``d``.
     """
     handles, left, right, port_origin = reslotted
     if handles or not d.handles:
@@ -747,7 +744,9 @@ def _after_handle_move(d: StandardFormDiagram, reslotted, events, event_origin):
     old, new = d.trace.event_strands, d_new.trace.event_strands
     pairs = [(pos, j) for j, pos in enumerate(port_origin)]
     pairs += [
-        (old[i][0], new[j][0]) for j, i in enumerate(event_origin) if i is not None
+        (old[i][0], new[j][0])
+        for j, i in enumerate(event_origin)
+        if i is not None and events[j].kind == "L"
     ]
     return d_new, carried_components(d, d_new, pairs)
 
@@ -905,6 +904,8 @@ def _split_word(d: StandardFormDiagram, doomed: Set[int], mixed: str):
     main: List[Event] = []
     inner: List[Event] = []
     origin: List[int] = []
+    # table[kind][i] is Event(kind, i); no level reaches max_width + 2.
+    table = {k: [Event(k, i) for i in range(tr.max_width + 2)] for k in "LRX"}
     # gone[r]: whether the strand on row r of the current slice is
     # doomed, so an event's level among its own group is one count.
     gone = [s in doomed for s in tr.initial_strands]
@@ -917,9 +918,9 @@ def _split_word(d: StandardFormDiagram, doomed: Set[int], mixed: str):
                 )
             # dropped: an inter-component crossing erased with the circle
         elif hit:
-            inner.append(Event(kind, 1 + gone[: i - 1].count(True)))
+            inner.append(table[kind][1 + gone[: i - 1].count(True)])
         else:
-            main.append(Event(kind, 1 + gone[: i - 1].count(False)))
+            main.append(table[kind][1 + gone[: i - 1].count(False)])
             origin.append(idx)
         if kind == "L":
             gone[i - 1 : i - 1] = (hit, hit)

@@ -177,8 +177,8 @@ def carried_components(
     (``d_new`` may be a closed front), and ``pairs`` are ``(old strand,
     new strand)`` witnesses: the new strand is a piece of the old one.
     Every strand starts at a left port or at a left cusp, so witnesses
-    at the left ports and cusps the rewrite kept reach every component
-    that survives it; a component with no witness is absent.
+    at the ports and at the left cusps the rewrite kept reach every
+    component that survives it; a component with no witness is absent.
     """
     old, new = d.trace.strand_component, d_new.trace.strand_component
     out: Dict[int, Set[int]] = {}
@@ -357,12 +357,12 @@ def closure_to_sphere(
     closed = FrontDiagram(word)
 
     # The arc serving left_ports[j] was created by cusp event n - 1 - j,
-    # and strip event i is event n + i of the closed word.
-    t, t_closed = d.trace, closed.trace
-    pairs = [(j, t_closed.event_strands[n - 1 - j][0]) for j in range(n)]
+    # and strip event i is event n + i of the closed word: witnesses at
+    # the ports and the strip's left cusps reach every component.
+    old, new = d.trace.event_strands, closed.trace.event_strands
+    pairs = [(j, new[n - 1 - j][0]) for j in range(n)]
     pairs += [
-        (t.event_strands[i][0], t_closed.event_strands[n + i][0])
-        for i in range(len(d.events))
+        (old[i][0], new[n + i][0]) for i, e in enumerate(d.events) if e.kind == "L"
     ]
     (image,) = carried_components(d, closed, pairs)[c]
     alpha = thurston_bennequin(closed, image) - tb_standard(d, c)

@@ -327,6 +327,44 @@ def test_fuzz_reports_a_wrong_rewrite_as_the_reference_does(monkeypatch, fault):
     assert violations
 
 
+def test_the_start_is_fingerprinted_at_the_first_unproven_step(monkeypatch):
+    # A walk fingerprints its start only when a step is not proven by its
+    # window, and then once, before the first such step's diagram: every
+    # step of a right walk is proven, so it fingerprints nothing, and a
+    # walk with a wrong rewrite still reports what the reference reports.
+    fingerprinted, unproven = [], []
+    fingerprint, step = explore._fingerprint, MoveIndex._step
+
+    def counted_fingerprint(d):
+        fingerprinted.append(d)
+        return fingerprint(d)
+
+    def counted_step(index, idx, triple):
+        proven = step(index, idx, triple)
+        unproven.extend([] if proven else [idx])
+        return proven
+
+    monkeypatch.setattr(explore, "_fingerprint", counted_fingerprint)
+    monkeypatch.setattr(MoveIndex, "_step", counted_step)
+    for d in (trefoil(), K_m_front(-2), gallery.stein_rep_max(-5, 2).diagram):
+        rep = fuzz_moves(d, 1, 200)
+        assert (rep.steps_applied, rep.violations) == (200, ())
+    assert (fingerprinted, unproven) == ([], [])
+    _wrong_replacement(monkeypatch, *_WRONG["an R2 expansion with a zigzag"])
+    walks_with_a_fingerprint = 0
+    for d, seed in _fault_walks():
+        fingerprinted.clear()
+        unproven.clear()
+        rep = fuzz_moves(d, seed, 40)
+        got = (rep.steps_applied, rep.violations, rep.final.events)
+        assert got == _reference_fuzz(d, seed, 40), (d, seed)
+        assert len(fingerprinted) == (len(unproven) + 1 if unproven else 0)
+        if unproven:
+            assert fingerprinted[0] is d
+            walks_with_a_fingerprint += 1
+    assert walks_with_a_fingerprint
+
+
 @pytest.fixture
 def fresh_window_proofs():
     """The memo of ``moves._same_window`` emptied before and after the

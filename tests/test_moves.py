@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import listed_moves, random_front, random_knot, unexpanded_groups
-from frontkit import _kernel, explore, gallery, moves
+from frontkit import _kernel, explore, gallery, moves, standard
 from frontkit.errors import (
     BandObstructed,
     BudgetExhausted,
@@ -859,7 +859,9 @@ def test_regrouped_is_a_full_scan_of_the_child(seed):
             got = explore._coded_groups(coded_child, groups, (None, idx, entry))
             assert len(got) == len(child)
             assert triples(got) == unexpanded_groups(child), (idx, triple)
-            lo, hi = moves._rescanned(idx, old_len, len(events))
+            # The rescan rule: from two windows before the move to the
+            # end of its old window.
+            lo, hi = idx - 2 if idx > 2 else 0, idx + old_len
             kept = got[:lo] + got[hi + shift :]
             assert list(map(id, kept)) == list(map(id, groups[:lo] + groups[hi:]))
 
@@ -1591,6 +1593,102 @@ def test_cancel_keeps_the_other_attachments():
     h = _two_handle_strip()
     _check_cancel(h, "H", h.attachments[0])
     assert [b.component for b in cancel_pair(h, "H", h.attachments[0]).attachments] == [0, 1]
+
+
+# The grid of the benchmark's pipeline: m from -4n+3 down to -4n-5.
+_PIPELINE_GRID = [(-4 * n + 3 - k, n) for n in (2, 3, 4) for k in range(9)]
+
+
+def _move_walk(d, limit):
+    """``d`` and the diagrams a walk of R2 moves and slides from it meets
+    until ``limit`` words are seen, as the alpha tests walk them."""
+    seen, frontier, out = {d.events}, [d], [d]
+    while frontier and len(seen) < limit:
+        cur = frontier.pop()
+        for m in enumerate_moves(cur, ("R2a", "R2b", "Slide")):
+            d2 = apply_move(cur, m)
+            if d2.events not in seen:
+                seen.add(d2.events)
+                frontier.append(d2)
+                out.append(d2)
+    return out
+
+
+def _closed_in_tier1():
+    """Every diagram that a tier-1 test, or a CLI call one makes, closes
+    with closure_to_sphere."""
+    out = [getattr(e.artifact, "diagram", e.artifact) for e in gallery.gallery_manifest()]
+    out.append(n_copy(trefoil(), 2))
+    h1, p1 = [OneHandle("H", 1)], [("H", 1)]
+    out += [
+        StandardFormDiagram(h1, p1, word, p1)
+        for word in ([], [L(2), R(1)], [L(2), X(1), X(1), R(2)])
+    ]
+    h2, p2 = [OneHandle("H", 2)], [("H", 1), ("H", 2)]
+    out.append(pull_off(StandardFormDiagram(h2, p2, [R(1), L(1)], p2), "H", 1))
+    out += _move_walk(StandardFormDiagram(h2, p2, [X(1), L(2), R(1)], p2), 8)
+    out += _move_walk(gallery.stein_rep_max(-5, 2).diagram, 9)
+    handles = [OneHandle("A", 1), OneHandle("B", 1), OneHandle("C", 1)]
+    left, right = [("A", 1), ("B", 1), ("C", 1)], [("B", 1), ("A", 1), ("C", 1)]
+    for word in ([L(4), X(3), R(4), X(2), X(2)], [L(2), R(1)]):
+        d = StandardFormDiagram(handles, left, word, right)
+        out += [d] + [fuzz_moves(d, seed, 30).final for seed in (1, 2)]
+    return out
+
+
+def test_witnesses_at_ports_and_left_cusps_carry_every_component(monkeypatch):
+    # Every strand starts at a left port or a left cusp, so the witnesses
+    # that the handle moves and closure_to_sphere take there carry each
+    # component as one witness per copied event does (the reference):
+    # at each rebuild of the step-3 pipeline on the benchmark grid, of a
+    # slide at every band site of stein_rep_max and stein_rep_variant
+    # there and of this module's slide cases, of a cancellation that
+    # leaves a strand with no cusp, and at each closure tier-1 makes.
+    real_after, real_carried = moves._after_handle_move, standard.carried_components
+    checked = Counter()
+
+    def after(d, reslotted, events, event_origin):
+        d_new, carried = real_after(d, reslotted, events, event_origin)
+        pairs = _witness_pairs(d, d_new, reslotted[3], event_origin)
+        assert carried == carried_components(d, d_new, pairs)
+        checked["rebuild"] += 1
+        return d_new, carried
+
+    def closing(d, closed, pairs):
+        # Left port j is closed by cusp event n - 1 - j, and strip event
+        # i is event n + i of the closed word.
+        n = len(d.left_ports)
+        old, new = d.trace.event_strands, closed.trace.event_strands
+        every = [(j, new[n - 1 - j][0]) for j in range(n)]
+        every += [(old[i][0], new[n + i][0]) for i in range(len(d.events))]
+        carried = real_carried(d, closed, pairs)
+        assert carried == real_carried(d, closed, every)
+        checked["closure"] += 1
+        return carried
+
+    monkeypatch.setattr(moves, "_after_handle_move", after)
+    monkeypatch.setattr(standard, "carried_components", closing)
+    # The doubled strip of the last slide is memoised: build it afresh.
+    moves._doubled_strip.cache_clear()
+    slides = _slide_cases() + _portless_slide_cases()
+    for m, n in _PIPELINE_GRID:
+        gallery.step3_pipeline(m, n)
+        for build in (gallery.stein_rep_max, gallery.stein_rep_variant):
+            h = build(m, n)
+            slides += [
+                (h, k, a)
+                for a in h.attachments
+                for k in set(h.diagram.components) - {a.component}
+            ]
+    for h, k, a in slides:
+        for site in range(len(band_sites(h, k, a))):
+            handle_slide(h, k, a, site)
+    h = _two_handle_strip()
+    cancel_pair(h, "H", h.attachments[0])
+    for d in _closed_in_tier1():
+        for c in d.components:
+            closure_to_sphere(d, c)
+    assert checked == {"rebuild": 4779, "closure": 71}
 
 
 def test_each_built_diagram_is_traced_once(monkeypatch):
