@@ -341,7 +341,8 @@ def test_the_start_is_fingerprinted_at_the_first_unproven_step(monkeypatch):
 
     def counted_step(index, idx, triple):
         proven = step(index, idx, triple)
-        unproven.extend([] if proven else [idx])
+        if not proven:
+            unproven.append(idx)
         return proven
 
     monkeypatch.setattr(explore, "_fingerprint", counted_fingerprint)
