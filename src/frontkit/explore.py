@@ -29,6 +29,20 @@ is queued only when a later depth expands it; a
 :class:`frontkit.moves.Move` is built only for the witness, by walking
 the links back from the best node.
 
+A node other than the start tries only the moves from its first
+rescanned window on (a sleep set, in the terms of partial-order
+reduction).  A move at an earlier window ends at or before the last
+move's site, since a window is at most 3 events long, so the two
+commute, and its group is the parent's own.  The parent tried it before
+the last move, so its child was queued ahead of this node or was seen
+already, and that child's expansion made or had seen the word with the
+two moves swapped.  So every skipped child is a duplicate, and the new
+nodes, their order, ``nodes_expanded``, the best tb and the witness are
+those of the search that tries every move.  Trying a move once the
+budget is spent raises, even when its child is seen, so a node reached
+with the budget spent tries every move, and the budget runs out where
+it would without the skip.
+
 Every Reidemeister move and far commutation keeps the tb of each
 component, so such a child carries its parent's tb untraced.  A
 destabilization raises the tb of the one component it touches by
@@ -190,17 +204,22 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     Explores the closure of word-shrinking moves up to ``cfg.max_depth``
     on coded words, in the order of ``enumerate_moves``, deduplicating on
     the exact word.  Each move the scan lists is spliced into the word as
-    found, not matched again.  ``cfg`` must be a SearchConfig
-    (ParameterOutOfRange otherwise).  A child carries its parent's tb,
-    one higher after a ``Destabilize`` of a knot; the new child of a
-    ``Destabilize`` of several components is traced to read its least
-    tb.  A node links to its parent by the move that made it, and the
-    moves of the best path alone are built, at the end.  A child at the
-    last depth is counted, deduplicated and scored, but not queued.  The
-    witness script is replayed once from ``d``, and it reaches a diagram
-    achieving ``best_tb``.  Raises BudgetExhausted (carrying the partial
-    result) when the node budget runs out; the best found so far is
-    still attached, replayed the same way.
+    found, not matched again.  A node skips the moves before the first
+    window its last move made it rescan: they commute with that move,
+    and an earlier sibling has made their children (see the module
+    docstring), so the skip changes no output.  ``cfg`` must be a
+    SearchConfig (ParameterOutOfRange otherwise).  A child carries its
+    parent's tb, one higher after a ``Destabilize`` of a knot; the new
+    child of a ``Destabilize`` of several components is traced to read
+    its least tb.  A node links to its parent by the move that made it,
+    and the moves of the best path alone are built, at the end.  A child
+    at the last depth is counted, deduplicated and scored, but not
+    queued.  The witness script is replayed once from ``d``, and it
+    reaches a diagram achieving ``best_tb``.  Raises BudgetExhausted
+    (carrying the partial result) when the node budget runs out; the
+    best found so far is still attached, replayed the same way.  Once
+    the budget is spent, the next move tried raises even when its child
+    is already seen, and a node then skips nothing.
     """
     _require_diagram(d)
     if not isinstance(cfg, SearchConfig):
@@ -224,7 +243,15 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
         queue = depth < last
         for word, tb, link, parent in frontier:
             groups = _coded_groups(word, parent, link)
-            for idx, group in enumerate(groups):
+            # From the first window that ``_coded_groups`` rescanned: the
+            # children of the moves before it are seen.  With the budget
+            # spent, from 0, so that the first move raises.
+            lo = 0
+            if link is not None and nodes < budget:
+                site = link[1]
+                lo = site - 2 if site > 2 else 0
+            for idx in range(lo, len(groups)):
+                group = groups[idx]
                 if not group:
                     continue
                 head = word[:idx]

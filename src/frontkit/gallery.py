@@ -135,10 +135,7 @@ def Z_m_handlebody(m: int) -> SteinHandlebody:
 def _candidate_events(extra_zigzags: int = 0) -> List[Event]:
     """The unknotted candidate: enters slots 1 and 2, turns around on
     the left, and re-emerges from a left cusp, optionally stabilized."""
-    word: List[Event] = [R(1), L(1)]
-    for _ in range(extra_zigzags):
-        word += _zigzag(1)
-    return word
+    return [R(1), L(1)] + _zigzag(1) * extra_zigzags
 
 
 def _stein_rep(m: int, n: int, finger_crossings: int,
@@ -157,10 +154,13 @@ def _stein_rep(m: int, n: int, finger_crossings: int,
             "contact -1 framing unattainable: "
             f"need m <= {-finger_crossings - 2}, got {m}"
         )
+    # Counted in events: two per zigzag, one per finger crossing.
+    _check_repeats("n", finger_crossings)
+    _check_repeats("n", 2 * candidate_zigzags)
+    _check_repeats("m", 2 * zigzags)
     word = _candidate_events(candidate_zigzags)
     word += _finger(3, finger_crossings)
-    for _ in range(zigzags):
-        word += _zigzag(3)
+    word += _zigzag(3) * zigzags
     d = StandardFormDiagram(
         [OneHandle("H", 3)],
         [("H", 1), ("H", 2), ("H", 3)],

@@ -166,6 +166,7 @@ def cable_expand(
     so no slice wraps around.
     """
     _check_int(1, copies=n)
+    _check_repeats("copies", n)
     if component is not None and not (_is_int(component) and component in d.components):
         raise ParameterOutOfRange(f"no component {component!r} to widen")
     word, tr = d.events, d.trace

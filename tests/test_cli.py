@@ -163,6 +163,12 @@ def test_a_level_too_long_to_convert_exits_1():
         (["gallery", "Z", "-m", "-100000000000000000000"], "", "m"),
         (["cable", "-", "-n", "2", "-q", "99999999999999999999999"],
          print_text(K_m_front(-1)), "q"),
+        (["gallery", "stein-max", "-m", "-99999999999999999999", "-n", "2"], "", "m"),
+        (["gallery", "step3", "-m", "-99999999999999999999", "-n", "2"], "", "m"),
+        (["gallery", "stein-variant", "-m", "-99999999999999999999", "-n", "2"],
+         "", "m"),
+        (["cable", "-", "-n", "99999999999999999999", "-q", "1"],
+         print_text(K_m_front(-1)), "copies"),
     ],
 )
 def test_a_repeat_count_past_maxsize_exits_1(args, stdin, name):

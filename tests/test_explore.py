@@ -658,6 +658,66 @@ def _outcome(search, d, cfg):
         return exc.partial
 
 
+_BUDGET_EDGE = FrontDiagram([L(1), L(2), R(1), X(1), X(1), L(2), X(3), R(2), R(1)])
+
+
+def test_a_spent_budget_raises_on_a_move_the_search_skips():
+    # Every node of this front within depth 2 is reached by the 7th; at
+    # budget 7 the reference still raises, because a later node tries a
+    # move whose child is already seen.  The search skips the moves that
+    # commute with a node's last move, so it must raise there too.
+    d = _BUDGET_EDGE
+    for budget in (6, 7, 8):
+        cfg = SearchConfig(max_depth=2, budget=budget)
+        res = _outcome(bfs_max_tb, d, cfg)
+        want = _outcome(_reference_bfs, d, cfg)
+        assert (res.best_tb, res.witness, res.nodes_expanded, res.exhausted) == want
+        if budget == 7:
+            assert want[2:] == (7, True)
+
+
+def test_a_node_tries_every_move_that_overlaps_its_last_move():
+    # A move of three events that starts two events before the last
+    # move's site overlaps it, so it need not commute with it.  On this
+    # front a search that skipped those moves too reaches fewer nodes.
+    d = FrontDiagram([
+        L(1), X(1), X(1), L(3), X(1), X(3), X(3), X(2),
+        X(1), R(3), X(1), X(1), L(1), R(3), R(1),
+    ])
+    for depth in (2, 3):
+        cfg = SearchConfig(max_depth=depth, budget=3000)
+        res = bfs_max_tb(d, cfg)
+        want = _reference_bfs(d, cfg)
+        assert (res.best_tb, res.witness, res.nodes_expanded, res.exhausted) == want
+
+
+def _budget_sweep_queries():
+    """Small searches: the unknot and the trefoil stabilized twice,
+    ``K_m_front(-1)`` and the (-5, 2) strip stabilized once, and the
+    budget-edge front."""
+    return [
+        _BUDGET_EDGE,
+        twice_stabilized_unknot(),
+        stabilize(stabilize(trefoil(), 0, 1), 0, -1),
+        stabilize(K_m_front(-1), 0, 1),
+        stabilize(gallery.stein_rep_max(-5, 2).diagram, 1, -1),
+    ]
+
+
+def test_every_budget_ends_the_search_as_the_reference_does():
+    # Each budget from 1 to one past the nodes of the whole search, at
+    # depths 1-3: the budget runs out at every node in turn, at the
+    # moves a node skips as well as at the ones it tries.
+    for d in _budget_sweep_queries():
+        for depth in (1, 2, 3):
+            total = _reference_bfs(d, SearchConfig(depth, 10**6))[2]
+            for budget in range(1, total + 2):
+                cfg = SearchConfig(depth, budget)
+                res = _outcome(bfs_max_tb, d, cfg)
+                got = (res.best_tb, res.witness, res.nodes_expanded, res.exhausted)
+                assert got == _outcome(_reference_bfs, d, cfg), (d, cfg)
+
+
 @pytest.mark.parametrize("kind", ["Slide", "Destabilize"])
 def test_a_no_op_coded_rewrite_fails_the_reference(monkeypatch, kind):
     # A mutation of the coded table: every entry of ``kind`` splices the

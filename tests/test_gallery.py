@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import sys
 
 import pytest
 
@@ -111,6 +112,32 @@ def test_stein_rep_max_range():
         stein_rep_max(-4, 2)
     with pytest.raises(ParameterOutOfRange):
         stein_rep_max(-10, 1)
+
+
+@pytest.mark.parametrize(
+    "build, m, n, name",
+    [
+        (stein_rep_max, -(sys.maxsize + 1), 2, "m"),
+        (stein_rep_variant, -(sys.maxsize + 1), 2, "m"),
+        (gallery.step3_pipeline, -(sys.maxsize + 1), 2, "m"),
+        (stein_rep_max, -8 * sys.maxsize, 2 * sys.maxsize, "n"),
+        (stein_rep_variant, -8 * sys.maxsize, 2 * sys.maxsize, "n"),
+    ],
+)
+def test_a_stein_representative_past_maxsize_builds_no_word(
+    monkeypatch, build, m, n, name
+):
+    # The repeat counts of the zigzags and the finger are checked before
+    # any of the word is built, so no block is repeated past sys.maxsize.
+    def unbuilt(*args):
+        raise AssertionError("the word was built")
+
+    monkeypatch.setattr(gallery, "_candidate_events", unbuilt)
+    with pytest.raises(
+        ParameterOutOfRange,
+        match=f"^{name} asks for more than {sys.maxsize} repeats of a block$",
+    ):
+        build(m, n)
 
 
 def test_stein_rep_variant_contract():

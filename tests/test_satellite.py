@@ -1,6 +1,7 @@
 """Cables, n-copies, braid words, and twist boxes."""
 
 import random
+import sys
 
 import pytest
 
@@ -129,6 +130,32 @@ def test_cable_of_trefoil():
     c = cable(trefoil(), 2, 2 * tb + 1)
     assert c.n_components == 1
     assert thurston_bennequin(c) == 4 * tb + 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        satellite.cable_expand,
+        satellite.n_copy,
+        satellite.n_copy_counts,
+        lambda d, n: satellite.cable(d, n, 1),
+        lambda d, n: gallery.K_mn_cable_front(-1, n),
+    ],
+)
+def test_a_copy_count_past_maxsize_builds_no_level_table(monkeypatch, build):
+    # The copy count is checked before the per-level event tables of
+    # ``cable_expand`` are built, so none is built past sys.maxsize.
+    d = trefoil()
+
+    def unbuilt(*args):
+        raise AssertionError("a level table was built")
+
+    monkeypatch.setattr(satellite, "L", unbuilt)
+    with pytest.raises(
+        ParameterOutOfRange,
+        match=f"^copies asks for more than {sys.maxsize} repeats of a block$",
+    ):
+        build(d, sys.maxsize + 1)
 
 
 def test_cable_n1_identity():
