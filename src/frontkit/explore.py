@@ -55,7 +55,6 @@ the witness is replayed, once, at the end.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
@@ -113,18 +112,17 @@ def _tb_of(d) -> int:
 # Inside the search a word is a str, one code point per event, which
 # takes one byte per event while every code is below 256: the code of
 # ``Event(kind, level)`` is ``3 * level`` plus the place of ``kind`` in
-# ``_KINDS``, and ``_MAX_LEVEL`` is the highest level whose codes fit.
+# ``_KINDS``.  Every code is a code point: a level of a traced word is
+# below its widest slice, which is at most its events plus its left
+# ports, which the size bound ``front._MAX_WORD`` keeps below
+# ``sys.maxunicode // 3``, and no move of the search lengthens a word.
 _KINDS = "LRX"
 _KIND_CODES = {kind: k for k, kind in enumerate(_KINDS)}
-_MAX_LEVEL = (sys.maxunicode - 2) // 3
 
 
 def _encode(events) -> str:
-    """The coded word of ``events``; ParameterOutOfRange past ``_MAX_LEVEL``."""
-    codes = [3 * level + _KIND_CODES[kind] for kind, level in events]
-    if max(codes, default=0) // 3 > _MAX_LEVEL:
-        raise ParameterOutOfRange(f"level {max(codes) // 3} is past {_MAX_LEVEL}")
-    return "".join(map(chr, codes))
+    """The coded word of ``events``."""
+    return "".join([chr(3 * level + _KIND_CODES[kind]) for kind, level in events])
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,6 @@ ports are empty on a front, and the invariants here take either one.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -118,13 +117,15 @@ class FrontDiagram(_Diagram):
     The word must start and end on the empty slice.  It is traced once,
     at construction, which validates it; the components and counts of
     that trace are derived on their first read.  A tuple of Events is
-    stored as given (see :func:`encode_word`).
+    stored as given (see :func:`encode_word`).  A word past the size
+    bound raises ParameterOutOfRange before it is traced.
     """
 
     __slots__ = ()
 
     def __init__(self, events: Sequence[Event]):
         events = encode_word(events)
+        _check_size("word", len(events))
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "_trace", _kernel.trace(events))
 
@@ -188,14 +189,16 @@ def _check_int(least: Optional[int] = None, /, **values) -> None:
         )
 
 
-def _check_repeats(name: str, count: int) -> None:
-    """ParameterOutOfRange naming the parameter ``name`` when ``count``,
-    the repeats of a block that it asks for, is past ``sys.maxsize``,
-    the most a sequence can be repeated."""
-    if abs(count) > sys.maxsize:
-        raise ParameterOutOfRange(
-            f"{name} asks for more than {sys.maxsize} repeats of a block"
-        )
+# The size bound: the most events plus left ports that a diagram may
+# hold.  A constructor checks the size it would build before it builds
+# anything, and a diagram checks its own before it traces.
+_MAX_WORD = 2**18
+
+
+def _check_size(name: str, size: int) -> None:
+    """ParameterOutOfRange naming ``name`` when ``size`` is past ``_MAX_WORD``."""
+    if size > _MAX_WORD:
+        raise ParameterOutOfRange(f"{name} asks for a size past the bound {_MAX_WORD}")
 
 
 def _is_site(site) -> bool:

@@ -11,9 +11,9 @@ to maximize tb.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .errors import DiagramError, ParameterOutOfRange
+from .errors import DiagramError, MoveNotApplicable, ParameterOutOfRange
 from .front import (
     Event,
     FrontDiagram,
@@ -21,7 +21,8 @@ from .front import (
     R,
     X,
     _check_int,
-    _check_repeats,
+    _check_size,
+    _is_int,
     classical_invariants,
     thurston_bennequin,
     trefoil,
@@ -60,7 +61,7 @@ def K_m_front(m: int) -> FrontDiagram:
         raise ParameterOutOfRange(f"K_m needs m <= -1, got {m}")
     kappa = 2 * (1 - m)  # left-handed half twists in the box
     j = 2 * kappa + 1  # positive clasp crossings
-    _check_repeats("m", j)
+    _check_size("m", 5 + 5 * kappa)
     word: List[Event] = [L(1), L(3)]
     word += [X(2)] * j
     # Each left-handed half twist detours one strand through a cusp
@@ -114,7 +115,7 @@ def Z_m_handlebody(m: int) -> SteinHandlebody:
     no contact condition imposed or checked.
     """
     _check_int(m=m)
-    _check_repeats("m", 2 * m)
+    _check_size("m", 3 + (2 * -m if m <= 0 else 6 * m))  # with its one port
     word: List[Event] = [L(2)]
     if m <= 0:
         word += [X(1)] * (2 * -m)
@@ -154,10 +155,11 @@ def _stein_rep(m: int, n: int, finger_crossings: int,
             "contact -1 framing unattainable: "
             f"need m <= {-finger_crossings - 2}, got {m}"
         )
-    # Counted in events: two per zigzag, one per finger crossing.
-    _check_repeats("n", finger_crossings)
-    _check_repeats("n", 2 * candidate_zigzags)
-    _check_repeats("m", 2 * zigzags)
+    # The three ports, the candidate and the finger count against n, and
+    # the circle's zigzags against m.
+    size = 7 + 2 * candidate_zigzags + finger_crossings
+    _check_size("n", size)
+    _check_size("m", size + 2 * zigzags)
     word = _candidate_events(candidate_zigzags)
     word += _finger(3, finger_crossings)
     word += _zigzag(3) * zigzags
@@ -213,51 +215,62 @@ def stein_rep_variant(m: int, n: int) -> SteinHandlebody:
     return h
 
 
-def step3_pipeline(m: int, n: int) -> Tuple[FrontDiagram, MoveScript]:
-    """Slide the candidate over the 2-handle twice, retract its fingers,
-    and cancel the handle pair, landing in a closed S³ front.
+def close_handlebody(
+    h: SteinHandlebody, slides: Sequence[int] = ()
+) -> Tuple[FrontDiagram, MoveScript]:
+    """Close a one-handle handlebody to a front: slide its candidate over
+    the 2-handle once per item of ``slides``, at the band site with that
+    index in :func:`clean_band_sites`, retract its fingers, and cancel
+    the handle pair.
 
-    The two slides use opposite-direction splices so the candidate's
-    homology returns to zero, and the whole sequence is tb-neutral: the
-    emitted front recomputes to tb = -1.  Each move is applied through
-    apply_move, so the returned MoveScript is the moves as applied and
-    replays deterministically from stein_rep_max(m, n).
+    Each pull-off retracts a finger through the first two adjacent slots
+    that the candidate passes with opposite signs.  Each move is applied
+    through apply_move, so the returned MoveScript is the moves as
+    applied and replays deterministically from ``h``.
     """
-    h = stein_rep_max(m, n)
+    if not isinstance(h, SteinHandlebody) or not (
+        len(h.diagram.handles) == len(h.attachments) == 1
+    ):
+        raise DiagramError("expected a handlebody with one 1-handle and one 2-handle")
     moves: List[Move] = []
-    # Two slides, each at the first clean band site, bring the
-    # candidate's homology back to zero.
-    for _ in range(2):
+    for index in slides:
         a = h.attachments[0]
         k = candidate_component(h)
-        site = clean_band_sites(h, k, a)[0]
-        moves.append(Move("HandleSlide", data=(k, a.component, a.framing, site)))
+        sites = clean_band_sites(h, k, a)
+        if not (_is_int(index) and 0 <= index < len(sites)):
+            raise MoveNotApplicable(f"no clean band site {index!r} of {len(sites)}")
+        moves.append(Move("HandleSlide", data=(k, a.component, a.framing, sites[index])))
         h = apply_move(h, moves[-1])
     _require(
         not any(homology_vector(h.diagram, candidate_component(h))),
-        "candidate homology is not zero after two slides",
+        "candidate homology is not zero after the slides",
     )
-    # Each pull-off retracts a finger through the first two adjacent
-    # slots that the candidate passes with opposite signs.
     while ps := pass_signs(h.diagram, candidate_component(h)):
-        slot = [
-            (hd.id, s)
-            for hd in h.diagram.handles
-            for s in range(1, hd.slots)
+        hd = h.diagram.handles[0]
+        slots = [
+            s for s in range(1, hd.slots)
             if ps.get((hd.id, s), 0) * ps.get((hd.id, s + 1), 0) == -1
-        ][0]
-        moves.append(Move("PullOff", data=slot))
+        ]
+        if not slots:
+            raise MoveNotApplicable("no adjacent slots of opposite signs to pull off")
+        moves.append(Move("PullOff", data=(hd.id, slots[0])))
         h = apply_move(h, moves[-1])
-
     a = h.attachments[0]
     moves.append(Move("CancelPair", data=(h.diagram.handles[0].id, a.component, a.framing)))
-    closed = apply_move(h, moves[-1])
-    _require(isinstance(closed, FrontDiagram), "cancellation left handles behind")
+    closed = apply_move(h, moves[-1])  # a front, since no 1-handle is left
     _require(closed.n_components == 1, "closed front is not a knot")
+    return closed, MoveScript(tuple(moves))
+
+
+def step3_pipeline(m: int, n: int) -> Tuple[FrontDiagram, MoveScript]:
+    """:func:`close_handlebody` of stein_rep_max(m, n) with two slides,
+    each at the first clean band site.  The slides splice in opposite
+    directions, so the candidate's homology returns to zero, and the
+    front recomputes to tb = -1."""
+    closed, script = close_handlebody(stein_rep_max(m, n), (0, 0))
     tb = thurston_bennequin(closed)
     _require(tb == -1, f"pipeline front recomputed tb {tb} != -1")
-    script = MoveScript(tuple(moves), note=f"step3 m={m} n={n}")
-    return closed, script
+    return closed, MoveScript(script.moves, note=f"step3 m={m} n={n}")
 
 
 @dataclass(frozen=True)

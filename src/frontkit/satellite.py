@@ -36,7 +36,7 @@ from .front import (
     R,
     X,
     _check_int,
-    _check_repeats,
+    _check_size,
     _Diagram,
     _is_int,
     _require_front,
@@ -88,7 +88,7 @@ def twist_box_expand(box: TwistBox) -> BraidWord:
     if not isinstance(box, TwistBox):
         raise ParameterOutOfRange(f"{box!r} is not a TwistBox")
     _check_int(strands=box.strands, amount=box.amount)
-    _check_repeats("amount", box.amount)
+    _check_size("amount", abs(box.amount) * (box.strands - 1))
     n = box.strands
     if box.amount >= 0:
         block = tuple(range(1, n))
@@ -166,10 +166,11 @@ def cable_expand(
     so no slice wraps around.
     """
     _check_int(1, copies=n)
-    _check_repeats("copies", n)
     if component is not None and not (_is_int(component) and component in d.components):
         raise ParameterOutOfRange(f"no component {component!r} to widen")
     word, tr = d.events, d.trace
+    # At most n * n events for each event, and n ports for each port.
+    _check_size("copies", n * (n * len(word) + len(d.left_ports)))
     width = [
         n if component is None or c == component else 1 for c in tr.strand_component
     ]
@@ -272,7 +273,8 @@ def cable(d: FrontDiagram, n: int, q: int) -> FrontDiagram:
     recomputed rather than asserted.
     """
     _require_knot(d)
-    _check_int(n=n, q=q)
+    _check_int(1, copies=n)
+    _check_int(q=q)
     tb = thurston_bennequin(d)
     t = q - n * tb
     if n == 1:
@@ -281,9 +283,12 @@ def cable(d: FrontDiagram, n: int, q: int) -> FrontDiagram:
                 f"(1,{q})-cable is not realizable on a tb {tb} front"
             )
         return d
+    # The n-copy, then at most three events per letter of the twists.
+    size = n * n * len(d.events)
+    _check_size("copies", size)
+    _check_size("q", size + 3 * abs(t) * (n - 1))
     exp = n_copy_expansion(d, n)
     if t != 0:
-        _check_repeats("q", t)
         braid = twist_box_expand(TwistBox(n, t))
         exp.splice(
             exp.first_cusp_index,

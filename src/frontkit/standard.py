@@ -28,6 +28,7 @@ from .front import (
     L,
     R,
     X,
+    _check_size,
     _component_arg,
     _Diagram,
     _is_int,
@@ -62,6 +63,7 @@ class OneHandle:
             raise PortMismatch(
                 f"handle {self.id!r} slot count {self.slots!r} is not an int >= 0"
             )
+        _check_size(f"handle {self.id!r}", self.slots)
 
     def ports(self) -> List[Port]:
         return [(self.id, s) for s in range(1, self.slots + 1)]
@@ -121,6 +123,8 @@ class StandardFormDiagram(_Diagram):
         ids = {h.id for h in self.handles}
         if len(ids) != len(self.handles):
             raise PortMismatch("duplicate handle ids")
+        # The declared slots are the left ports of a diagram that traces.
+        _check_size("word", len(self.events) + sum(h.slots for h in self.handles))
         declared = {(h.id, s) for h in self.handles for s in range(1, h.slots + 1)}
         for side_name, side in (("left", self.left_ports), ("right", self.right_ports)):
             seen = set()

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from frontkit import cli
-from frontkit.front import trefoil, unknot
+from frontkit.front import _MAX_WORD, trefoil, unknot
 from frontkit.gallery import (
     K_m_front,
     K_mn_cable_front,
@@ -155,7 +155,8 @@ def test_a_level_too_long_to_convert_exits_1():
     assert err == "error: line 2, column 1: integer of 5000 digits is too long\n"
 
 
-# A repeat count past sys.maxsize fails before anything is allocated.
+# A size past the bound fails before anything is allocated, for counts
+# past sys.maxsize and for counts below it.
 @pytest.mark.parametrize(
     "args, stdin, name",
     [
@@ -169,15 +170,20 @@ def test_a_level_too_long_to_convert_exits_1():
          "", "m"),
         (["cable", "-", "-n", "99999999999999999999", "-q", "1"],
          print_text(K_m_front(-1)), "copies"),
+        (["gallery", "K", "-m", "-1099511627776"], "", "m"),
+        (["gallery", "stein-variant", "-m", "-9223372036854775808",
+          "-n", "2305843009213693952"], "", "n"),
+        (["gallery", "cable", "-m", "-1", "-n", "99999999999999"], "", "copies"),
+        (["cable", "-", "-n", "2", "-q", "99999999999999999"],
+         print_text(K_m_front(-1)), "q"),
+        (["invariants", "-"], "standard\nhandle H 99999999999\n", "handle 'H'"),
     ],
 )
 def test_a_repeat_count_past_maxsize_exits_1(args, stdin, name):
     code, out, err = run(args, stdin=stdin)
     assert code == 1
     assert out == ""
-    assert err == (
-        f"error: {name} asks for more than {sys.maxsize} repeats of a block\n"
-    )
+    assert err == f"error: {name} asks for a size past the bound {_MAX_WORD}\n"
 
 
 def test_invariants_names_the_line_of_a_bad_event(tmp_path):

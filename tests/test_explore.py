@@ -27,6 +27,7 @@ from frontkit.explore import (
     fuzz_moves,
 )
 from frontkit.front import (
+    _MAX_WORD,
     FrontDiagram,
     L,
     R,
@@ -821,15 +822,25 @@ def test_fuzz_steps_must_be_an_int_in_range(steps):
         fuzz_moves(trefoil(), 1, steps)
 
 
-def test_a_level_past_the_last_code_point_is_a_typed_error():
-    # A level codes to three code points; past level 371,369 the highest
-    # of them would pass sys.maxunicode.  Checked before any search work.
-    top = explore._MAX_LEVEL
-    assert top == 371_369
-    events = (X(top), L(top), R(1))
-    assert explore._decode(explore._encode(events)) == events
-    with pytest.raises(ParameterOutOfRange, match="level 371370 "):
-        explore._encode([L(1), L(top + 1)])
+def test_a_word_past_the_size_bound_is_refused_before_it_is_traced(monkeypatch):
+    # A level of a traced word is below its widest slice, so below its
+    # size.  The nested word L1 L3 ... R3 R1 of the size bound reaches the
+    # highest level that leaves, and its codes are still code points.
+    k = _MAX_WORD // 2
+    word = [L(2 * i + 1) for i in range(k)] + [R(2 * i + 1) for i in reversed(range(k))]
+    assert len(word) == _MAX_WORD
+    assert max(level for _kind, level in word) == _MAX_WORD - 1
+    assert explore._decode(explore._encode(word)) == tuple(word)
+
+    def untraced(*args):
+        raise AssertionError("the word was traced")
+
+    monkeypatch.setattr(_kernel, "trace", untraced)
+    with pytest.raises(
+        ParameterOutOfRange, match=f"^word asks for a size past the bound {_MAX_WORD}$"
+    ):
+        # One crossing on the innermost cusp pair: a front one past the bound.
+        FrontDiagram(word[:k] + [X(2 * k - 1)] + word[k:])
 
 
 def test_a_wide_front_searches_as_the_traced_reference_does():

@@ -1,7 +1,6 @@
 """Classical invariants of front words."""
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +24,8 @@ from frontkit.front import (
     L,
     R,
     X,
+    _MAX_WORD,
+    _check_size,
     classical_invariants,
     encode_word,
     linking_number,
@@ -633,11 +634,12 @@ def _slide_between_nested_unknots():
             ParameterOutOfRange, "strands must be positive (an int >= 1), got 0",
             id="twist-box-strands",
         ),
-        # Repeat counts past sys.maxsize fail before anything is allocated.
+        # A size past the bound fails before anything is allocated, for
+        # counts past sys.maxsize and for counts below it.
         *(
             pytest.param(
                 call, ParameterOutOfRange,
-                f"{name} asks for more than {sys.maxsize} repeats of a block",
+                f"{name} asks for a size past the bound {_MAX_WORD}",
                 id=f"repeats-{label}",
             )
             for label, call, name in (
@@ -647,6 +649,16 @@ def _slide_between_nested_unknots():
                 ("twist-box", lambda: satellite.twist_box_expand(
                     satellite.TwistBox(2, -10**20)), "amount"),
                 ("cable-q", lambda: satellite.cable(trefoil(), 2, 10**23), "q"),
+                ("K-m-2**40", lambda: gallery.K_m_front(-2**40), "m"),
+                ("Z-m-2**40", lambda: gallery.Z_m_handlebody(-2**40), "m"),
+                ("twist-box-strands", lambda: satellite.twist_box_expand(
+                    satellite.TwistBox(10**12, 1)), "amount"),
+                ("cable-q-below-maxsize", lambda: satellite.cable(
+                    gallery.K_m_front(-1), 2, 99999999999999999), "q"),
+                ("cable-front-n", lambda: gallery.K_mn_cable_front(
+                    -1, 99999999999999), "copies"),
+                ("parse-handle-slots", lambda: textio.parse(
+                    "standard\nhandle H 99999999999\n"), "handle 'H'"),
             )
         ),
         *(
@@ -664,3 +676,28 @@ def test_each_typed_error_is_raised_with_its_message(call, error, message):
         call()
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+def test_the_size_bound_holds_at_the_bound_and_fails_past_it():
+    _check_size("m", _MAX_WORD)
+    assert OneHandle("H", _MAX_WORD).slots == _MAX_WORD
+    with pytest.raises(
+        ParameterOutOfRange, match=f"^m asks for a size past the bound {_MAX_WORD}$"
+    ):
+        _check_size("m", _MAX_WORD + 1)
+    with pytest.raises(ParameterOutOfRange, match="^handle 'H' asks for a size past"):
+        OneHandle("H", _MAX_WORD + 1)
+
+
+def test_a_strip_past_the_size_bound_is_not_traced(monkeypatch):
+    # The declared slots count as the left ports, before any port set is
+    # built: one slot and a word of the bound are one past it.
+    def untraced(*args):
+        raise AssertionError("the word was traced")
+
+    monkeypatch.setattr(_kernel, "trace", untraced)
+    port = [("H", 1)]
+    with pytest.raises(ParameterOutOfRange, match="^word asks for a size past"):
+        StandardFormDiagram([OneHandle("H", 1)], port, [X(1)] * _MAX_WORD, port)
+    with pytest.raises(ParameterOutOfRange, match="^word asks for a size past"):
+        StandardFormDiagram([OneHandle("H", _MAX_WORD), OneHandle("G", 1)], [], [], [])

@@ -13,21 +13,33 @@ from frontkit.certify import (
     GenusCertificate,
     certify_tb_max,
 )
-from frontkit.errors import DiagramError, ParameterOutOfRange
+from frontkit.errors import DiagramError, MoveNotApplicable, ParameterOutOfRange
 from frontkit.explore import SearchConfig, bfs_max_tb
-from frontkit.front import FrontDiagram, rotation, thurston_bennequin
+from frontkit.front import (
+    _MAX_WORD,
+    FrontDiagram,
+    L,
+    R,
+    X,
+    rotation,
+    thurston_bennequin,
+)
 from frontkit.gallery import (
     K_m_front,
     K_mn_cable_front,
     Z_m_handlebody,
     candidate_component,
+    close_handlebody,
     gallery_manifest,
     stein_rep_max,
     stein_rep_variant,
     step3_pipeline,
 )
-from frontkit.moves import Move, apply_move
+from frontkit.moves import Move, SteinHandlebody, apply_move
 from frontkit.standard import (
+    OneHandle,
+    StandardFormDiagram,
+    TwoHandleAttachment,
     geometric_passes,
     homology_vector,
     stein_check,
@@ -122,20 +134,25 @@ def test_stein_rep_max_range():
         (gallery.step3_pipeline, -(sys.maxsize + 1), 2, "m"),
         (stein_rep_max, -8 * sys.maxsize, 2 * sys.maxsize, "n"),
         (stein_rep_variant, -8 * sys.maxsize, 2 * sys.maxsize, "n"),
+        (stein_rep_variant, -(2**63), 2**61, "n"),
+        (stein_rep_max, -(2**40), 2, "m"),
+        (stein_rep_max, -131073, 2, "m"),
     ],
 )
 def test_a_stein_representative_past_maxsize_builds_no_word(
     monkeypatch, build, m, n, name
 ):
-    # The repeat counts of the zigzags and the finger are checked before
-    # any of the word is built, so no block is repeated past sys.maxsize.
+    # The size of the strip is checked against the size bound before any
+    # of its word is built: its ports, the candidate and the finger count
+    # against n, and the circle's zigzags against m.  At m = -131072 the
+    # size is the bound.
     def unbuilt(*args):
         raise AssertionError("the word was built")
 
     monkeypatch.setattr(gallery, "_candidate_events", unbuilt)
     with pytest.raises(
         ParameterOutOfRange,
-        match=f"^{name} asks for more than {sys.maxsize} repeats of a block$",
+        match=f"^{name} asks for a size past the bound {_MAX_WORD}$",
     ):
         build(m, n)
 
@@ -182,6 +199,64 @@ def test_step3_front_destabilizes_past_its_certificate(m, n):
     assert certify_tb_max(front, 0, genus0).verdict == CERTIFIED
     witness = certify_tb_max(result.witness.replay(front), 0, genus0)
     assert (witness.tb, witness.verdict) == (1, INCONSISTENT)
+
+
+# With no slide, one pull-off and the cancellation close the candidate
+# to the unknot L1 R1 at each of the points above, while the two slides
+# of step 3 close it to a front that reaches tb 1, which no unknot does.
+# This pins that contradiction with
+# test_step3_front_destabilizes_past_its_certificate; mending the handle
+# move that makes it will change this test.
+@pytest.mark.parametrize("m, n", sorted(_STEP3_NODES))
+def test_the_candidate_closes_to_the_unknot_with_no_slide(m, n):
+    closed, script = close_handlebody(stein_rep_max(m, n))
+    assert closed.events == (L(1), R(1))
+    assert script.moves == (
+        Move("PullOff", data=("H", 1)),
+        Move("CancelPair", data=("H", 0, m)),
+    )
+    assert script.replay(stein_rep_max(m, n)) == closed
+
+
+def test_step3_is_the_closing_with_two_slides_at_the_first_site():
+    closed, script = close_handlebody(stein_rep_max(-5, 2), (0, 0))
+    want, want_script = step3_pipeline(-5, 2)
+    assert (closed, script.moves) == (want, want_script.moves)
+
+
+def _candidate_around_the_circle():
+    # The candidate passes slots 1 and 3 with opposite signs, and the
+    # circle passes slot 2 between them.
+    ports = [("H", 1), ("H", 2), ("H", 3)]
+    d = StandardFormDiagram([OneHandle("H", 3)], ports, [X(2), R(1), L(1), X(2)], ports)
+    return SteinHandlebody(d, [TwoHandleAttachment(d.component_of_port(("H", 2)), -1)])
+
+
+@pytest.mark.parametrize(
+    "build, slides, error, message",
+    [
+        (_candidate_around_the_circle, (), MoveNotApplicable,
+         "no adjacent slots of opposite signs to pull off"),
+        (lambda: Z_m_handlebody(-3).diagram, (), DiagramError,
+         "expected a handlebody with one 1-handle and one 2-handle"),
+        (lambda: SteinHandlebody(stein_rep_max(-5, 2).diagram, []), (), DiagramError,
+         "expected a handlebody with one 1-handle and one 2-handle"),
+        (lambda: stein_rep_max(-5, 2), (21,), MoveNotApplicable,
+         "no clean band site 21 of 21"),
+        (lambda: stein_rep_max(-5, 2), (True,), MoveNotApplicable,
+         "no clean band site True of 21"),
+        (lambda: stein_rep_max(-5, 2), (0,), DiagramError,
+         "gallery reconstruction drifted: "
+         "candidate homology is not zero after the slides"),
+    ],
+)
+def test_a_closing_route_that_cannot_close_is_a_typed_error(
+    build, slides, error, message
+):
+    with pytest.raises(error) as err:
+        close_handlebody(build(), slides)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_K_m_front_reaches_tb_3():

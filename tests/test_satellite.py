@@ -18,6 +18,7 @@ from frontkit.front import (
     L,
     R,
     X,
+    _MAX_WORD,
     linking_number,
     reflect,
     thurston_bennequin,
@@ -143,19 +144,21 @@ def test_cable_of_trefoil():
     ],
 )
 def test_a_copy_count_past_maxsize_builds_no_level_table(monkeypatch, build):
-    # The copy count is checked before the per-level event tables of
-    # ``cable_expand`` are built, so none is built past sys.maxsize.
+    # The copy count is checked against the size bound before the
+    # per-level event tables of ``cable_expand`` are built, so none is
+    # built for a count past sys.maxsize or for one below it.
     d = trefoil()
 
     def unbuilt(*args):
         raise AssertionError("a level table was built")
 
     monkeypatch.setattr(satellite, "L", unbuilt)
-    with pytest.raises(
-        ParameterOutOfRange,
-        match=f"^copies asks for more than {sys.maxsize} repeats of a block$",
-    ):
-        build(d, sys.maxsize + 1)
+    for n in (sys.maxsize + 1, 99999999999999, 194):
+        with pytest.raises(
+            ParameterOutOfRange,
+            match=f"^copies asks for a size past the bound {_MAX_WORD}$",
+        ):
+            build(d, n)
 
 
 def test_cable_n1_identity():
