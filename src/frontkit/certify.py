@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import ParameterOutOfRange
-from .front import FrontDiagram, _check_int, rotation, thurston_bennequin
+from .front import FrontDiagram, _check_int, _shown, rotation, thurston_bennequin
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,8 @@ def certify_tb_max(d: FrontDiagram, c: int, cert: GenusCertificate) -> MaxTbCert
     bound = adjunction_bound(cert)
     if cert.component != c:
         raise ParameterOutOfRange(
-            f"certificate is for component {cert.component}, not {c}"
+            f"certificate is for component {_shown(cert.component)},"
+            f" not {_shown(c)}"
         )
     tb = thurston_bennequin(d, c)
     rot = rotation(d, c)
@@ -117,9 +118,11 @@ def reducibility_report(m: int, n: int) -> SurgeryClaim:
     """
     _check_int(m=m, n=n)
     if n < 2:
-        raise ParameterOutOfRange(f"need n >= 2, got {n}")
+        raise ParameterOutOfRange(f"need n >= 2, got {_shown(n)}")
     if m > -4 * n + 3:
-        raise ParameterOutOfRange(f"need m <= {-4 * n + 3}, got {m}")
+        raise ParameterOutOfRange(
+            f"need m <= {_shown(-4 * n + 3)}, got {_shown(m)}"
+        )
     tb_max = -1
     coefficient = -n  # tb of the (n-2)-times-stabilized representative, minus 1
     slope = n * -1

@@ -29,6 +29,7 @@ from .gallery import (
     stein_rep_max,
     stein_rep_variant,
     step3_pipeline,
+    torus_front,
 )
 from .moves import cancel_pair, handle_slide
 from .satellite import cable
@@ -93,7 +94,8 @@ def _emit_invariants(obj, out) -> None:
             print(f"violation: {v}", file=out)
 
 
-# Each gallery family: the function that makes it and the -m/-n flags it takes.
+# Each gallery family: the function that makes it and the -m/-n/-p/-q
+# flags it takes.
 _GALLERY = {
     "K": (K_m_front, "m"),
     "cable": (K_mn_cable_front, "mn"),
@@ -101,17 +103,18 @@ _GALLERY = {
     "stein-max": (stein_rep_max, "mn"),
     "stein-variant": (stein_rep_variant, "mn"),
     "step3": (lambda m, n: step3_pipeline(m, n)[0], "mn"),
+    "torus": (torus_front, "pq"),
     "unknot": (unknot, ""),
     "trefoil": (trefoil, ""),
 }
 
 
 def _gallery_params(parser, args) -> None:
-    """Give a gallery family the -m/-n defaults it takes, or exit with a
-    usage error naming a flag that it does not take (``list`` takes
-    none)."""
+    """Give a gallery family the -m/-n/-p/-q defaults it takes, or exit
+    with a usage error naming a flag that it does not take (``list``
+    takes none)."""
     takes = _GALLERY.get(args.name, (None, ""))[1]
-    for flag, default in (("m", -1), ("n", 2)):
+    for flag, default in (("m", -1), ("n", 2), ("p", 2), ("q", 3)):
         if getattr(args, flag) is None:
             setattr(args, flag, default)
         elif flag not in takes:
@@ -165,6 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", choices=sorted(_GALLERY) + ["list"])
     sp.add_argument("-m", type=int)
     sp.add_argument("-n", type=int)
+    sp.add_argument("-p", type=int)
+    sp.add_argument("-q", type=int)
     sp.add_argument("--render", choices=["ascii", "svg"])
 
     sp = sub.add_parser("report", help="reducible-surgery arithmetic ledger")

@@ -49,7 +49,11 @@ destabilization raises the tb of the one component it touches by
 exactly 1: on one component that is the child's tb, and on several
 components, closed or in a strip, the child of a destabilization is
 decoded and traced to read its least tb.  Nothing else is traced until
-the witness is replayed, once, at the end.
+the witness is replayed, once, at the end, by
+:meth:`frontkit.moves.MoveScript.replay`: each of its moves is matched
+against the scan of its window in the word the replay holds, not read
+from the search's table, and spliced into that word, which is traced
+once.
 """
 
 from __future__ import annotations
@@ -212,8 +216,9 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     its least tb.  A node links to its parent by the move that made it,
     and the moves of the best path alone are built, at the end.  A child
     at the last depth is counted, deduplicated and scored, but not
-    queued.  The witness script is replayed once from ``d``, and it
-    reaches a diagram achieving ``best_tb``.  Raises BudgetExhausted
+    queued.  The witness script is replayed once from ``d``, every move
+    matched and the word it ends on traced once, and it reaches a
+    diagram achieving ``best_tb``.  Raises BudgetExhausted
     (carrying the partial result) when the node budget runs out; the
     best found so far is still attached, replayed the same way.  Once
     the budget is spent, the next move tried raises even when its child

@@ -15,6 +15,7 @@ ports are empty on a front, and the invariants here take either one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -165,13 +166,34 @@ def _component_arg(d: _Diagram, c: Optional[int]) -> int:
     if not _is_int(c):
         raise DiagramError(f"component {c!r} is not an int")
     if not 0 <= c < d.n_components:
-        raise DiagramError(f"no component {c} in a {d.n_components}-component diagram")
+        raise DiagramError(
+            f"no component {_shown(c)} in a {d.n_components}-component diagram"
+        )
     return c
 
 
 def _is_int(x) -> bool:
     """Whether ``x`` is an int and not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+# The most digits of an int that a message spells out.  ``str`` refuses
+# an int of more than ``sys.get_int_max_str_digits()`` digits (4,300 by
+# default), so a longer one is named by its digit count.
+_SHOWN_DIGITS = 30
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a message, or, for an int of more than
+    ``_SHOWN_DIGITS`` digits, its sign and its digit count."""
+    if not isinstance(value, int) or abs(value) < 10**_SHOWN_DIGITS:
+        return repr(value)
+    size = abs(value)
+    # The float log is off by at most one digit either way.
+    digits = int(math.log10(size)) + 1
+    digits += size >= 10**digits
+    digits -= size < 10 ** (digits - 1)
+    return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
 
 
 def _check_int(least: Optional[int] = None, /, **values) -> None:
@@ -182,10 +204,10 @@ def _check_int(least: Optional[int] = None, /, **values) -> None:
         if _is_int(value) and (least is None or value >= least):
             continue
         if least is None:
-            raise ParameterOutOfRange(f"{name} must be an int, got {value!r}")
+            raise ParameterOutOfRange(f"{name} must be an int, got {_shown(value)}")
         rule = "positive" if least == 1 else "non-negative"
         raise ParameterOutOfRange(
-            f"{name} must be {rule} (an int >= {least}), got {value!r}"
+            f"{name} must be {rule} (an int >= {least}), got {_shown(value)}"
         )
 
 

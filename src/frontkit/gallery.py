@@ -10,6 +10,7 @@ to maximize tb.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -23,6 +24,7 @@ from .front import (
     _check_int,
     _check_size,
     _is_int,
+    _shown,
     classical_invariants,
     thurston_bennequin,
     trefoil,
@@ -58,7 +60,7 @@ def K_m_front(m: int) -> FrontDiagram:
     """
     _check_int(m=m)
     if m > -1:
-        raise ParameterOutOfRange(f"K_m needs m <= -1, got {m}")
+        raise ParameterOutOfRange(f"K_m needs m <= -1, got {_shown(m)}")
     kappa = 2 * (1 - m)  # left-handed half twists in the box
     j = 2 * kappa + 1  # positive clasp crossings
     _check_size("m", 5 + 5 * kappa)
@@ -84,11 +86,46 @@ def K_mn_cable_front(m: int, n: int) -> FrontDiagram:
     """The (n,-1)-cable of K_m_front(m); recomputes to tb = -2n+1."""
     _check_int(n=n)
     if n < 2:
-        raise ParameterOutOfRange(f"cable needs n >= 2, got {n}")
+        raise ParameterOutOfRange(f"cable needs n >= 2, got {_shown(n)}")
     d = cable(K_m_front(m), n, -1)
     _require(d.n_components == 1, "cable is not a knot")
     tb = thurston_bennequin(d)
     _require(tb == -2 * n + 1, f"cable tb {tb} != {-2 * n + 1}")
+    return d
+
+
+def torus_front(p: int, q: int) -> FrontDiagram:
+    """The positive (p, q) torus knot: the Legendrian closure of the
+    braid (σ1 … σ(p−1))^q, as the word
+    ``L1 … Lp (X1 … X(p−1))^q Rp … R1`` (nested left cusps, the braid on
+    the top p rows, nested right cusps), recomputed to tb = pq − p − q,
+    the maximum (Etnyre–Honda), and rotation 0.
+
+    Needs p >= 2, q >= 1 and gcd(p, q) = 1, and checks its size,
+    2p + (p − 1)q events, before it builds the word.
+    """
+    _check_int(p=p, q=q)
+    if p < 2:
+        raise ParameterOutOfRange(f"torus needs p >= 2, got {_shown(p)}")
+    if q < 1:
+        raise ParameterOutOfRange(f"torus needs q >= 1, got {_shown(q)}")
+    # The word at q = 1 counts against p, its braid words against q.
+    _check_size("p", 3 * p - 1)
+    _check_size("q", 2 * p + (p - 1) * q)
+    if math.gcd(p, q) != 1:
+        raise ParameterOutOfRange(
+            f"torus needs gcd(p, q) = 1, got gcd({p}, {q}) = {math.gcd(p, q)}"
+        )
+    word = [L(i) for i in range(1, p + 1)]
+    word += [X(i) for i in range(1, p)] * q
+    word += [R(i) for i in range(p, 0, -1)]
+    d = FrontDiagram(word)
+    name = f"T({p},{q})"
+    _require(d.n_components == 1, f"{name} traced to {d.n_components} components")
+    inv = classical_invariants(d)
+    tb = p * q - p - q
+    _require(inv.tb == tb, f"{name} recomputed tb {inv.tb} != {tb}")
+    _require(inv.rotation == 0, f"{name} recomputed rotation {inv.rotation} != 0")
     return d
 
 
@@ -148,12 +185,12 @@ def _stein_rep(m: int, n: int, finger_crossings: int,
     stabilizing zigzags to land on tb = m + 1 exactly.
     """
     if n < 2:
-        raise ParameterOutOfRange(f"need n >= 2, got {n}")
+        raise ParameterOutOfRange(f"need n >= 2, got {_shown(n)}")
     zigzags = -m - finger_crossings - 2
     if zigzags < 0:
         raise ParameterOutOfRange(
             "contact -1 framing unattainable: "
-            f"need m <= {-finger_crossings - 2}, got {m}"
+            f"need m <= {_shown(-finger_crossings - 2)}, got {_shown(m)}"
         )
     # The three ports, the candidate and the finger count against n, and
     # the circle's zigzags against m.

@@ -46,13 +46,15 @@ index.  The groups are shared by every scan that meets their window,
 and windows with the same moves (every window with none, say) share one
 list, so no caller may change one.  :func:`enumerate_moves` runs the
 scan over the whole word and turns the groups into moves, copying a
-group before it adds the stabilization sites.  :func:`apply_move` scans
-the one window of its move, and :func:`_match` picks the triple the
-move names out of that group, so a move applies exactly when
+group before it adds the stabilization sites.  :func:`_splice`, the
+window match that :func:`apply_move` and :meth:`MoveScript.replay`
+share, scans the one window of its move, and :func:`_match` picks the
+triple the move names out of that group, so a move applies exactly when
 enumeration lists it; :func:`_rewrite` turns a triple into its window
-length and new events from the same rows.  Stabilization sites are
-every (position, level) of the word, up to the slice widths that the
-scan reports.
+length and new events from the same rows.  A replay splices a run of
+window moves into one word and traces only the word the run ends on.
+Stabilization sites are every (position, level) of the word, up to the
+slice widths that the scan reports.
 
 A word rewritten by one move gets its groups from the groups of the
 word before it.  A move at ``idx`` rewrites ``old_len`` events, at most
@@ -115,6 +117,7 @@ from ._kernel import WIDTH_CHANGE
 from .errors import (
     BandObstructed,
     DiagramError,
+    FrontkitError,
     GeometricPassNotOne,
     MoveError,
     MoveNotApplicable,
@@ -131,6 +134,7 @@ from .front import (
     _is_int,
     _is_site,
     _require_diagram,
+    _shown,
 )
 from .satellite import cable_expand
 from .standard import (
@@ -149,7 +153,9 @@ class Move:
 
     ``data`` carries kind-specific parameters (rewrite direction,
     commuted levels, handle/attachment names) and is part of identity so
-    scripts replay exactly.
+    scripts replay exactly.  A window move (a row of ``_PATTERNS`` or a
+    Slide) is matched against the scan of its one window wherever it is
+    applied, by :func:`apply_move` or inside :meth:`MoveScript.replay`.
     """
 
     kind: str
@@ -159,7 +165,7 @@ class Move:
 
     def __str__(self):
         extra = f" {self.data!r}" if self.data else ""
-        return f"{self.kind}@{self.index}/{self.level}{extra}"
+        return f"{self.kind}@{_shown(self.index)}/{_shown(self.level)}{extra}"
 
 
 @dataclass(frozen=True)
@@ -187,10 +193,32 @@ class MoveScript:
         object.__setattr__(self, "moves", moves)
 
     def replay(self, start):
-        """Apply every move in order, returning the final object."""
-        current = start
-        for m in self.moves:
-            current = apply_move(current, m)
+        """Apply every move in order, returning the final object.
+
+        Each move is matched as :func:`apply_move` matches it, but a run
+        of window moves on a diagram is spliced into one word, which is
+        rebuilt, and so traced, once: before a stabilization or a handle
+        move, and at the end.  A failure raises its own error type with
+        ``step k: `` before its message, k counting the moves from 1; a
+        word that a run's trace refuses names the last step of the run.
+        """
+        current, word, step = start, None, 0
+        try:
+            for m in self.moves:
+                if m.kind in _WINDOW_KINDS and isinstance(current, _Diagram):
+                    step += 1
+                    events = current.events if word is None else word
+                    word = _splice(events, len(current.left_ports), m)
+                    continue
+                if word is not None:
+                    current, word = _rebuild(current, word), None
+                step += 1
+                current = apply_move(current, m)
+            if word is not None:
+                current = _rebuild(current, word)
+        except FrontkitError as exc:
+            exc.args = (f"step {step}: {exc}",)
+            raise
         return current
 
 
@@ -502,13 +530,24 @@ def apply_move(d, m: Move):
             raise MoveNotApplicable(f"no {m} site")
         sign = 1 if m.kind == "StabilizePlus" else -1
         return _stabilize_at(d, m.index, m.level, _strand_at(d, m.index, m.level), sign)
-    events, idx = d.events, m.index
+    return _rebuild(d, _splice(d.events, len(d.left_ports), m))
+
+
+def _splice(events: Tuple[Event, ...], ports: int, m: Move) -> Tuple[Event, ...]:
+    """The word ``events``, which starts on ``ports`` strands, with the
+    window move ``m`` spliced in, untraced: MoveNotApplicable unless its
+    index is in range and the :func:`_scan` of its one window lists it.
+    The one match of a window move, for :func:`apply_move` and for
+    :meth:`MoveScript.replay`."""
+    idx = m.index
     if not 0 <= idx < len(events):
-        raise MoveNotApplicable(f"{m.kind} index {idx} out of range 0..{len(events) - 1}")
-    width = _kernel.widths(events, len(d.left_ports))[idx]
+        raise MoveNotApplicable(
+            f"{m.kind} index {_shown(idx)} out of range 0..{len(events) - 1}"
+        )
+    width = _kernel.widths(events[:idx], ports)[-1]
     group = _scan(events, width, idx, idx + 1, _WINDOW_KINDS)[0][0]
     old_len, new = _rewrite(_match(group, m))
-    return _rebuild(d, events[:idx] + new + events[idx + old_len :])
+    return events[:idx] + new + events[idx + old_len :]
 
 
 class MoveIndex:
@@ -663,7 +702,7 @@ def stabilize(
     """
     _require_diagram(d)
     if not (_is_int(sign) and sign in (1, -1)):
-        raise MoveNotApplicable(f"stabilization sign must be ±1, got {sign!r}")
+        raise MoveNotApplicable(f"stabilization sign must be ±1, got {_shown(sign)}")
     tr = d.trace
     if c is None:
         if tr.n_components != 1:

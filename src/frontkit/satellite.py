@@ -40,6 +40,7 @@ from .front import (
     _Diagram,
     _is_int,
     _require_front,
+    _shown,
     thurston_bennequin,
 )
 
@@ -68,7 +69,8 @@ class BraidWord:
             _check_int(letter=w)
             if not 1 <= abs(w) < self.strands:
                 raise DiagramError(
-                    f"braid letter {w} out of range for {self.strands} strands"
+                    f"braid letter {_shown(w)} out of range"
+                    f" for {_shown(self.strands)} strands"
                 )
 
 
@@ -167,7 +169,7 @@ def cable_expand(
     """
     _check_int(1, copies=n)
     if component is not None and not (_is_int(component) and component in d.components):
-        raise ParameterOutOfRange(f"no component {component!r} to widen")
+        raise ParameterOutOfRange(f"no component {_shown(component)} to widen")
     word, tr = d.events, d.trace
     # At most n * n events for each event, and n ports for each port.
     _check_size("copies", n * (n * len(word) + len(d.left_ports)))
@@ -280,7 +282,7 @@ def cable(d: FrontDiagram, n: int, q: int) -> FrontDiagram:
     if n == 1:
         if t != 0:
             raise ParameterOutOfRange(
-                f"(1,{q})-cable is not realizable on a tb {tb} front"
+                f"(1,{_shown(q)})-cable is not realizable on a tb {tb} front"
             )
         return d
     # The n-copy, then at most three events per letter of the twists.

@@ -14,8 +14,9 @@ from frontkit.gallery import (
     Z_m_handlebody,
     step3_pipeline,
     stein_rep_max,
+    torus_front,
 )
-from frontkit.moves import MoveScript, stabilize
+from frontkit.moves import Move, MoveScript, stabilize
 from frontkit.satellite import n_copy
 from frontkit.textio import print_script, print_text
 
@@ -243,6 +244,21 @@ def test_apply_command(tmp_path):
     assert out == "front\nL1\nR1\n"
 
 
+def test_apply_names_the_step_that_does_not_match(tmp_path):
+    front = tmp_path / "d.front"
+    front.write_text("front\nL1\nL2\nX1\nR2\nR1\n")
+    script = tmp_path / "s.moves"
+    script.write_text("R1a 1 1\nR1a 1 1\n")
+    code, out, err = run(["apply", str(front), str(script)])
+    assert (code, out) == (1, "")
+    assert err == "error: step 2: no R1a@1/1 site\n"
+    script.write_text(print_script(MoveScript((Move("StabilizePlus", 1, 1),
+                                               Move("R3", 1, 1)))))
+    code, out, err = run(["apply", str(front), str(script)])
+    assert (code, out) == (1, "")
+    assert err == "error: step 2: no R3@1/1 site\n"
+
+
 # Every subcommand that reads a document, on every kind of document: a
 # knot, an empty front, a link, a strip, a handlebody and an empty
 # strip.  Each run answers or fails with one "error:" line; none ends
@@ -291,6 +307,9 @@ def test_every_subcommand_answers_or_names_its_error(tmp_path, capsys, command, 
         (["K", "-m", "-2", "-n", "3"], "-n"),
         (["trefoil", "-n", "2"], "-n"),
         (["list", "--render", "svg"], "--render"),
+        (["torus", "-m", "-1"], "-m"),
+        (["K", "-p", "3"], "-p"),
+        (["stein-max", "-q", "5"], "-q"),
     ],
 )
 def test_gallery_rejects_a_flag_its_family_does_not_take(capsys, args, flag):
@@ -309,6 +328,9 @@ def test_gallery_rejects_a_flag_its_family_does_not_take(capsys, args, flag):
         (["Z", "-m", "-2"], lambda: Z_m_handlebody(-2)),
         (["stein-max", "-m", "-5"], lambda: stein_rep_max(-5, 2)),
         (["unknot"], unknot),
+        (["torus"], lambda: torus_front(2, 3)),
+        (["torus", "-p", "3", "-q", "4"], lambda: torus_front(3, 4)),
+        (["torus", "-q", "7"], lambda: torus_front(2, 7)),
     ],
 )
 def test_gallery_takes_its_flags_with_their_defaults(capsys, args, want):

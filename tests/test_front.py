@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_front, random_knot
-from frontkit import _kernel, certify, gallery, moves, satellite, standard, textio
+from frontkit import _kernel, certify, front, gallery, moves, satellite, standard, textio
 from frontkit.errors import (
     BandObstructed,
     DiagramError,
@@ -676,6 +676,117 @@ def test_each_typed_error_is_raised_with_its_message(call, error, message):
         call()
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+# An int of more than 4,300 digits is past what ``str`` converts, so a
+# range message names such a value by its digit count.
+_HUGE = 10**5000
+_HUGE_DIGITS = "an int of 5001 digits"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: front._check_int(0, x=-_HUGE), ParameterOutOfRange,
+            f"x must be non-negative (an int >= 0), got a negative {_HUGE_DIGITS[3:]}",
+            id="check-int",
+        ),
+        pytest.param(
+            lambda: gallery.K_m_front(_HUGE), ParameterOutOfRange,
+            f"K_m needs m <= -1, got {_HUGE_DIGITS}", id="K-m",
+        ),
+        pytest.param(
+            lambda: gallery.K_mn_cable_front(-1, -_HUGE), ParameterOutOfRange,
+            f"cable needs n >= 2, got a negative {_HUGE_DIGITS[3:]}", id="cable-n",
+        ),
+        pytest.param(
+            lambda: gallery.stein_rep_max(_HUGE, 2), ParameterOutOfRange,
+            "contact -1 framing unattainable: need m <= -5, "
+            f"got {_HUGE_DIGITS}", id="stein-m",
+        ),
+        pytest.param(
+            lambda: gallery.stein_rep_max(-5, _HUGE), ParameterOutOfRange,
+            "contact -1 framing unattainable: need m <= a negative int of 5001 "
+            "digits, got -5", id="stein-n-bound",
+        ),
+        pytest.param(
+            lambda: gallery.stein_rep_variant(-5, -_HUGE), ParameterOutOfRange,
+            f"need n >= 2, got a negative {_HUGE_DIGITS[3:]}", id="stein-n",
+        ),
+        pytest.param(
+            lambda: certify.reducibility_report(-5, -_HUGE), ParameterOutOfRange,
+            f"need n >= 2, got a negative {_HUGE_DIGITS[3:]}", id="report-n",
+        ),
+        pytest.param(
+            lambda: certify.reducibility_report(_HUGE, 2), ParameterOutOfRange,
+            f"need m <= -5, got {_HUGE_DIGITS}", id="report-m",
+        ),
+        pytest.param(
+            lambda: certify.reducibility_report(-5, _HUGE), ParameterOutOfRange,
+            "need m <= a negative int of 5001 digits, got -5", id="report-m-bound",
+        ),
+        pytest.param(
+            lambda: gallery.torus_front(2, -_HUGE), ParameterOutOfRange,
+            f"torus needs q >= 1, got a negative {_HUGE_DIGITS[3:]}", id="torus-q",
+        ),
+        # A sign is a move's data, so its error is the move's.
+        pytest.param(
+            lambda: moves.stabilize(trefoil(), 0, _HUGE), MoveNotApplicable,
+            f"stabilization sign must be ±1, got {_HUGE_DIGITS}", id="stabilize-sign",
+        ),
+        pytest.param(
+            lambda: certify.certify_tb_max(
+                trefoil(), 0, certify.GenusCertificate(_HUGE, 1)
+            ),
+            ParameterOutOfRange,
+            f"certificate is for component {_HUGE_DIGITS}, not 0", id="certificate",
+        ),
+        pytest.param(
+            lambda: thurston_bennequin(trefoil(), _HUGE), DiagramError,
+            f"no component {_HUGE_DIGITS} in a 1-component diagram", id="component",
+        ),
+        pytest.param(
+            lambda: satellite.BraidWord(3, (_HUGE,)), DiagramError,
+            f"braid letter {_HUGE_DIGITS} out of range for 3 strands", id="braid-letter",
+        ),
+        pytest.param(
+            lambda: satellite.cable_expand(trefoil(), 2, _HUGE), ParameterOutOfRange,
+            f"no component {_HUGE_DIGITS} to widen", id="cable-expand-component",
+        ),
+        pytest.param(
+            lambda: satellite.cable(trefoil(), 1, _HUGE), ParameterOutOfRange,
+            f"(1,{_HUGE_DIGITS})-cable is not realizable on a tb 1 front", id="cable-1-q",
+        ),
+        pytest.param(
+            lambda: moves.apply_move(trefoil(), moves.Move("R1a", _HUGE, 1)),
+            MoveNotApplicable, f"R1a index {_HUGE_DIGITS} out of range 0..6",
+            id="move-index",
+        ),
+        pytest.param(
+            lambda: moves.apply_move(trefoil(), moves.Move("R1a", 0, -_HUGE)),
+            MoveNotApplicable, f"no R1a@0/a negative {_HUGE_DIGITS[3:]} site",
+            id="move-level",
+        ),
+    ],
+)
+def test_a_huge_int_in_a_message_is_named_by_its_digit_count(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_a_shown_int_is_spelled_out_up_to_its_digit_limit():
+    limit = 10**front._SHOWN_DIGITS
+    assert front._shown(limit - 1) == "9" * front._SHOWN_DIGITS
+    assert front._shown(1 - limit) == "-" + "9" * front._SHOWN_DIGITS
+    assert front._shown(limit) == f"an int of {front._SHOWN_DIGITS + 1} digits"
+    for digits in (4299, 4300, 4301, 5000, 5001):
+        for value in (10 ** (digits - 1), 10**digits - 1):
+            assert front._shown(value) == f"an int of {digits} digits"
+            assert front._shown(-value) == f"a negative int of {digits} digits"
+    assert front._shown(True) == "True" and front._shown("x") == "'x'"
 
 
 def test_the_size_bound_holds_at_the_bound_and_fails_past_it():

@@ -23,6 +23,7 @@ from frontkit.front import (
     X,
     rotation,
     thurston_bennequin,
+    trefoil,
 )
 from frontkit.gallery import (
     K_m_front,
@@ -34,6 +35,7 @@ from frontkit.gallery import (
     stein_rep_max,
     stein_rep_variant,
     step3_pipeline,
+    torus_front,
 )
 from frontkit.moves import Move, SteinHandlebody, apply_move
 from frontkit.standard import (
@@ -309,3 +311,75 @@ def test_manifest_entries_carry_recomputed_invariants():
         assert entry.invariants["components"] >= 1
         if entry.name in ("unknot", "K_m", "step3_front"):
             assert entry.invariants["tb"] == -1
+
+
+# The positive torus knots and their tb_max = pq - p - q (Etnyre-Honda).
+_TORUS_TB = {
+    (2, 3): 1, (2, 5): 3, (2, 7): 5, (3, 4): 5,
+    (3, 5): 7, (3, 7): 11, (4, 5): 11, (5, 6): 19,
+}
+
+
+@pytest.mark.parametrize("p, q", sorted(_TORUS_TB))
+def test_torus_front_has_its_known_tb(p, q):
+    d = torus_front(p, q)
+    assert len(d.events) == 2 * p + (p - 1) * q
+    assert d.events[:p] == tuple(L(i) for i in range(1, p + 1))
+    assert d.events[-p:] == tuple(R(i) for i in range(p, 0, -1))
+    assert set(d.events[p:-p]) == {X(i) for i in range(1, p)}
+    assert d.n_components == 1
+    assert (thurston_bennequin(d), rotation(d)) == (_TORUS_TB[p, q], 0)
+
+
+def test_torus_front_2_3_is_the_trefoil_front_at_its_tb():
+    d, t = torus_front(2, 3), trefoil()
+    assert d.events != t.events
+    for f in (thurston_bennequin, rotation):
+        assert f(d) == f(t)
+
+
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        pytest.param(1, 3, "torus needs p >= 2, got 1", id="p-1"),
+        pytest.param(
+            -(10**5000), 3, "torus needs p >= 2, got a negative int of 5001 digits",
+            id="p-huge-negative",
+        ),
+        pytest.param(2, 0, "torus needs q >= 1, got 0", id="q-0"),
+        pytest.param(
+            2, -(10**5000), "torus needs q >= 1, got a negative int of 5001 digits",
+            id="q-huge-negative",
+        ),
+        pytest.param(
+            2, 4, r"torus needs gcd\(p, q\) = 1, got gcd\(2, 4\) = 2", id="gcd-2"
+        ),
+        pytest.param(6, 9, r"got gcd\(6, 9\) = 3", id="gcd-3"),
+        pytest.param(True, 3, "p must be an int, got True", id="p-bool"),
+        pytest.param(2, 3.0, "q must be an int, got 3.0", id="q-float"),
+        pytest.param(
+            10**5000, 3, f"p asks for a size past the bound {_MAX_WORD}", id="p-huge"
+        ),
+        pytest.param(
+            _MAX_WORD // 3 + 1, 1, f"p asks for a size past the bound {_MAX_WORD}",
+            id="p-past-the-bound",
+        ),
+        pytest.param(
+            2, 10**5000, f"q asks for a size past the bound {_MAX_WORD}", id="q-huge"
+        ),
+        pytest.param(
+            2, _MAX_WORD - 3, f"q asks for a size past the bound {_MAX_WORD}",
+            id="q-past-the-bound",
+        ),
+    ],
+)
+def test_torus_front_refuses_what_it_cannot_build(monkeypatch, p, q, message):
+    # Each refusal comes before the word is built.
+    monkeypatch.setattr(gallery, "FrontDiagram", None)
+    with pytest.raises(ParameterOutOfRange, match=message):
+        torus_front(p, q)
+
+
+def test_torus_front_at_the_size_bound():
+    # 2p + (p - 1)q events: 4 + q at p = 2.
+    assert len(torus_front(2, _MAX_WORD - 5).events) == _MAX_WORD - 1

@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -200,6 +201,178 @@ def test_move_script_replays():
     ms = enumerate_moves(d, ("R3",))
     script = MoveScript((ms[0], Move("R3", ms[0].index, ms[0].level)))
     assert script.replay(d).events == d.events
+
+
+# --- script replay: one trace per run of window moves ------------------------
+
+
+def _fold(start, script):
+    """``script`` applied as it once was replayed: one apply_move, and so
+    one trace, per move."""
+    current = start
+    for m in script.moves:
+        current = apply_move(current, m)
+    return current
+
+
+def _walk(current, rng, steps, moves_):
+    """``steps`` moves drawn from enumerate_moves (stabilizations and R2
+    expansions too) applied to ``current``, each appended to ``moves_``."""
+    for _ in range(steps):
+        m = rng.choice(enumerate_moves(current))
+        moves_.append(m)
+        current = apply_move(current, m)
+    return current
+
+
+def _mixed_script(rng):
+    """A start and a script on it that mixes window moves,
+    stabilizations and handle moves: a step-3 script and then a walk on
+    its closed front, or a walk on the (-5, 2) Stein strip with the
+    finger of its candidate pulled off partway, or a walk on a random
+    front."""
+    kind = rng.randrange(3)
+    moves_ = []
+    if kind == 0:
+        start = gallery.stein_rep_max(*rng.choice(((-5, 2), (-6, 2))))
+        moves_ += gallery.close_handlebody(start, (0, 0))[1].moves
+        _walk(_fold(start, MoveScript(moves_)), rng, rng.randint(1, 8), moves_)
+    elif kind == 1:
+        start = gallery.stein_rep_max(-5, 2).diagram
+        # Moves after the first event leave the candidate's finger whole.
+        current = start
+        for _ in range(rng.randint(0, 4)):
+            m = rng.choice([m for m in enumerate_moves(current) if m.index > 2])
+            moves_.append(m)
+            current = apply_move(current, m)
+        moves_.append(Move("PullOff", data=("H", 1)))
+        _walk(apply_move(current, moves_[-1]), rng, rng.randint(1, 6), moves_)
+    else:
+        start = random_front(rng, rng.randint(2, 16))
+        _walk(start, rng, rng.randint(1, 10), moves_)
+    return start, MoveScript(tuple(moves_))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_replay_is_the_fold_of_apply_move(seed):
+    # A run of window moves is spliced into one word and traced once,
+    # and the replay ends where one apply_move per move ends.
+    start, script = _mixed_script(random.Random(seed))
+    assert script.replay(start) == _fold(start, script)
+
+
+def test_a_replay_traces_once_per_run_of_window_moves(monkeypatch):
+    traced = []
+    real_trace = _kernel.trace
+
+    def counting_trace(*args):
+        traced.append(args)
+        return real_trace(*args)
+
+    d = stabilize(stabilize(trefoil(), 0, 1), 0, -1)
+    res = explore.bfs_max_tb(d, SearchConfig(max_depth=3, budget=3000))
+    window = res.witness.moves
+    assert len(window) >= 2 and {m.kind for m in window} <= _WINDOW_KINDS
+    stab = Move("StabilizePlus", 1, 1)
+    # The zigzag the stabilization put in, taken out again.
+    undo = enumerate_moves(_fold(d, MoveScript(window + (stab,))), ("Destabilize",))[0]
+    monkeypatch.setattr(_kernel, "trace", counting_trace)
+    for moves_, traces in (
+        ((), 0),
+        (window, 1),
+        # Flushed before the stabilization, which traces its own result.
+        (window + (stab,), 2),
+        (window + (stab, undo), 3),
+    ):
+        traced.clear()
+        out = MoveScript(moves_).replay(d)
+        assert len(traced) == traces, moves_
+        monkeypatch.setattr(_kernel, "trace", real_trace)
+        assert out == _fold(d, MoveScript(moves_))
+        monkeypatch.setattr(_kernel, "trace", counting_trace)
+    assert MoveScript(()).replay(d) is d
+
+
+def test_a_replay_error_names_its_step():
+    d = r3_site_diagram()
+    good = enumerate_moves(d, ("R3",))[0]
+    back = Move("R3", good.index, good.level)
+    bad = Move("R1a", 0, 1)
+    for moves_, step in (
+        ((bad,), 1),
+        ((good, bad), 2),
+        ((good, back, good, bad), 4),
+        # A stabilization off the diagram, after a run of window moves.
+        ((good, Move("StabilizePlus", 0, 99)), 2),
+        ((good, Move("R3", 10**5000, 1)), 2),
+    ):
+        with pytest.raises(MoveNotApplicable) as exc:
+            MoveScript(moves_).replay(d)
+        assert str(exc.value).startswith(f"step {step}: "), str(exc.value)
+    # A handle move keeps its own error type.
+    h = gallery.stein_rep_max(-5, 2)
+    script = gallery.close_handlebody(h, (0, 0))[1]
+    wrong = replace(script.moves[2], data=("H", 99))
+    with pytest.raises(MoveNotApplicable, match=r"^step 3: no port \('H', 99\)"):
+        MoveScript(script.moves[:2] + (wrong,)).replay(h)
+    slide = script.moves[0]
+    with pytest.raises(BandObstructed, match="^step 1: band site 99 of"):
+        MoveScript((replace(slide, data=slide.data[:3] + (99,)),)).replay(h)
+
+
+def _wrong_rewrite(monkeypatch, kind, data, window):
+    """Make ``moves._rewrite`` give the (kind, data) row ``window`` (its
+    events at levels above the base level) for its new events."""
+    real = moves._rewrite
+
+    def wrong(triple):
+        old_len, new = real(triple)
+        if triple[1:] == (kind, data):
+            new = tuple(Event(k, triple[0] + v) for k, v in window)
+        return old_len, new
+
+    monkeypatch.setattr(moves, "_rewrite", wrong)
+
+
+def test_a_wrong_rewrite_fails_the_replay(monkeypatch):
+    # A row whose rewrite leaves the slice: the one trace of the run
+    # refuses the word, and names the run's last step.
+    d = gallery.K_m_front(-1)
+    up = next(m for m in enumerate_moves(d, ("R2a",)) if m.data == ("expand", "up"))
+    script = MoveScript((up, replace(up, data=("contract", "up"))))
+    assert script.replay(d) == d
+    _wrong_rewrite(monkeypatch, "R2a", ("contract", "up"), (L(7),))
+    with pytest.raises(DiagramError, match="^step 2: "):
+        script.replay(d)
+    with pytest.raises(DiagramError, match="^step 2: "):
+        MoveScript(script.moves + (Move("StabilizePlus", 0, 1),)).replay(d)
+
+
+def test_a_wrong_rewrite_fails_the_search(monkeypatch):
+    # A Destabilize that keeps its zigzag: the search reads its own coded
+    # table and finds the witness, but its replay keeps the first zigzag,
+    # and the second Destabilize no longer matches.
+    d = stabilize(stabilize(trefoil(), 0, 1), 0, -1)
+    cfg = SearchConfig(max_depth=3, budget=3000)
+    assert explore.bfs_max_tb(d, cfg).best_tb == 1
+    for data, window in _WINDOWS.items():
+        if data[0] == "Destabilize":
+            _wrong_rewrite(monkeypatch, *data, window[0])
+    with pytest.raises(MoveError, match=r"^step \d+: no Destabilize"):
+        explore.bfs_max_tb(d, cfg)
+
+
+def test_a_witness_move_at_a_wrong_index_fails_the_search(monkeypatch):
+    d = stabilize(stabilize(trefoil(), 0, 1), 0, -1)
+    cfg = SearchConfig(max_depth=3, budget=3000)
+    real_move = explore.Move
+
+    def shifted(kind, index, level, data):
+        return real_move(kind, index + 1, level, data)
+
+    monkeypatch.setattr(explore, "Move", shifted)
+    with pytest.raises(MoveNotApplicable, match="^step 1: no Destabilize"):
+        explore.bfs_max_tb(d, cfg)
 
 
 # --- handle moves ----------------------------------------------------------
@@ -1744,10 +1917,10 @@ def _destabilized_children(d, cfg):
 
 
 def test_search_traces_no_child(monkeypatch):
-    # A knot is traced only along the witness replay.  On several
-    # components, the new child of each Destabilize is traced too, and
-    # no other node: not the start, which is traced already, nor a node
-    # when it is expanded.  The moves of the witness are the only moves
+    # A knot is traced only once, by the witness replay, whose window
+    # moves are spliced into one word.  On several components, the new
+    # child of each Destabilize is traced too, and no other node: not the
+    # start, which is traced already, nor a node when it is expanded.  The moves of the witness are the only moves
     # built, and no child of the last depth is queued.
     knot = stabilize(stabilize(gallery.K_m_front(-1), 0, 1), 0, 1)
     link = stabilize(n_copy(trefoil(), 3), 2, -1)
@@ -1798,7 +1971,6 @@ def test_search_traces_no_child(monkeypatch):
         (depth, left), = queued
         if not res.exhausted:
             assert (depth, left) == (cfg.max_depth - 1, 0)
-        replays = len(res.witness.moves)
         destabilized = _destabilized_children(d, cfg)
         assert destabilized
-        assert len(traced) == (destabilized if several else 0) + replays
+        assert len(traced) == (destabilized if several else 0) + 1
