@@ -13,10 +13,12 @@ from .front import (
     L,
     R,
     X,
+    bennequin_gap,
     classical_invariants,
     linking_number,
     reflect,
     rotation,
+    seifert_genus,
     thurston_bennequin,
     trefoil,
     unknot,

@@ -80,7 +80,7 @@ from itertools import accumulate, chain
 from operator import itemgetter, sub
 from typing import Dict, List, Tuple
 
-from .errors import DanglingStrand, DiagramError, LevelOutOfRange
+from .errors import DanglingStrand, DiagramError, LevelOutOfRange, _shown
 
 BACKEND = "pure"
 
@@ -198,7 +198,8 @@ def _slice_pass(events, n_initial):
             if kind == CROSSING:
                 if not 1 <= level <= k - 1:
                     raise LevelOutOfRange(
-                        f"crossing at level {level} with {k} strands", len(event_strands)
+                        f"crossing at level {_shown(level)} with {k} strands",
+                        len(event_strands),
                     )
                 desc = slice_ids[level - 1]
                 asc = slice_ids[level]
@@ -208,7 +209,8 @@ def _slice_pass(events, n_initial):
             elif kind == LEFT_CUSP:
                 if not 1 <= level <= k + 1:
                     raise LevelOutOfRange(
-                        f"left cusp at level {level} with {k} strands", len(event_strands)
+                        f"left cusp at level {_shown(level)} with {k} strands",
+                        len(event_strands),
                     )
                 upper = next_id
                 lower = next_id + 1
@@ -222,7 +224,8 @@ def _slice_pass(events, n_initial):
             elif kind == RIGHT_CUSP:
                 if not 1 <= level <= k - 1:
                     raise LevelOutOfRange(
-                        f"right cusp at level {level} with {k} strands", len(event_strands)
+                        f"right cusp at level {_shown(level)} with {k} strands",
+                        len(event_strands),
                     )
                 upper = slice_ids[level - 1]
                 lower = slice_ids[level]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class FrontkitError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -69,7 +71,7 @@ class ParameterOutOfRange(FrontkitError):
     cannot be built, a genus certificate whose component or genus is not
     a non-negative int, a certificate that is not a GenusCertificate, a
     search depth, search budget or fuzz step count that is not an int in
-    range, or an unknown render mode."""
+    range, an unknown render mode, or an int too long to print as text."""
 
 
 class BudgetExhausted(FrontkitError):
@@ -90,3 +92,26 @@ class FormatError(FrontkitError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+# The most digits of an int that a message spells out.  ``str`` refuses
+# an int of more than ``sys.get_int_max_str_digits()`` digits (4,300 by
+# default), so a longer one is named by its digit count.
+_SHOWN_DIGITS = 30
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a message, but an int of more than
+    ``_SHOWN_DIGITS`` digits, alone or in a tuple, is named by its sign
+    and its digit count."""
+    if type(value) is tuple:
+        items = list(map(_shown, value))
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    if not isinstance(value, int) or abs(value) < 10**_SHOWN_DIGITS:
+        return repr(value)
+    size = abs(value)
+    # The float log is off by at most one digit either way.
+    digits = int(math.log10(size)) + 1
+    digits += size >= 10**digits
+    digits -= size < 10 ** (digits - 1)
+    return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"

@@ -54,6 +54,12 @@ the witness is replayed, once, at the end, by
 against the scan of its window in the word the replay holds, not read
 from the search's table, and spliced into that word, which is traced
 once.
+
+A search reports its work as data: :class:`SearchResult`, and the
+partial result that :class:`frontkit.errors.BudgetExhausted` carries,
+hold a :class:`SearchStats` record of the new nodes of each depth and
+the nodes each depth queued for the next.  The loop fills it from the
+counts it keeps anyway, once per depth, and never per node.
 """
 
 from __future__ import annotations
@@ -92,13 +98,29 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """What a search did, by depth: ``nodes[k]`` is the count of new
+    nodes at depth ``k`` (the start is depth 0's one), and ``queued[k]``
+    the count of nodes that expanding depth ``k`` queued for depth
+    ``k + 1``, 0 at the last depth.  ``queued`` has one entry per depth
+    expanded and ``nodes`` one more; ``sum(nodes)`` is the search's
+    ``nodes_expanded``.  A search that ran out of budget counts the depth
+    it stopped in up to the node it stopped at."""
+
+    nodes: Tuple[int, ...] = (1,)
+    queued: Tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
 class SearchResult:
-    """Best tb reached, a replayable witness, and the work done."""
+    """Best tb reached, a replayable witness, and the work done: the
+    nodes in all and, in ``stats``, by depth."""
 
     best_tb: int
     witness: MoveScript
     nodes_expanded: int
     exhausted: bool = False
+    stats: SearchStats = SearchStats()
 
 
 def _tbs(d) -> List[int]:
@@ -180,12 +202,14 @@ def _coded_groups(word: str, parent, link):
     return parent[:lo] + lookup + parent[hi:]
 
 
-def _witnessed(d, best_tb: int, link, nodes: int,
+def _witnessed(d, best_tb: int, link, nodes, queued,
                exhausted: bool = False) -> SearchResult:
     """The search result for the path to ``best_tb``, after replaying
     it from ``d`` and checking the tb it reaches.  ``link`` is None at
     ``d``, or the ``(parent link, index, table entry)`` of the last
-    move; the moves of the path are built here, walking the links back."""
+    move; the moves of the path are built here, walking the links back.
+    ``nodes`` and ``queued`` are the new and the queued nodes of each
+    depth, the fields of its :class:`SearchStats`."""
     path = []
     while link is not None:
         link, idx, ((level, kind, data), *_) = link
@@ -197,7 +221,8 @@ def _witnessed(d, best_tb: int, link, nodes: int,
             f"search carried tb {best_tb} along {len(path)} moves, "
             f"but the replayed witness has tb {got}"
         )
-    return SearchResult(best_tb, witness, nodes, exhausted)
+    stats = SearchStats(tuple(nodes), tuple(queued))
+    return SearchResult(best_tb, witness, sum(nodes), exhausted, stats)
 
 
 def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -222,7 +247,9 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     (carrying the partial result) when the node budget runs out; the
     best found so far is still attached, replayed the same way.  Once
     the budget is spent, the next move tried raises even when its child
-    is already seen, and a node then skips nothing.
+    is already seen, and a node then skips nothing.  The result's
+    ``stats`` (:class:`SearchStats`) hold the new nodes and the queued
+    nodes of each depth, the partial result's up to where it stopped.
     """
     _require_diagram(d)
     if not isinstance(cfg, SearchConfig):
@@ -241,9 +268,12 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     add = seen.add
     nodes = 1
     several = d.n_components > 1
+    # The new nodes and the queued nodes of each depth done.
+    counts, queued = [1], []
     for depth in range(cfg.max_depth):
         nxt: List[tuple] = []
         queue = depth < last
+        first = nodes
         for word, tb, link, parent in frontier:
             groups = _coded_groups(word, parent, link)
             # From the first window that ``_coded_groups`` rescanned: the
@@ -260,9 +290,11 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                 head = word[:idx]
                 for entry in group:
                     if nodes >= budget:
+                        counts.append(nodes - first)
+                        queued.append(len(nxt))
                         raise BudgetExhausted(
                             f"node budget {budget} exhausted",
-                            _witnessed(d, best_tb, best_link, nodes, exhausted=True),
+                            _witnessed(d, best_tb, best_link, counts, queued, True),
                         )
                     triple, old_len, new, _ = entry
                     child = head + new + word[idx + old_len :]
@@ -281,10 +313,12 @@ def bfs_max_tb(d, cfg: SearchConfig = SearchConfig()) -> SearchResult:
                             best_tb, best_link = child_tb, child_link
                     if queue:
                         nxt.append((child, child_tb, child_link, groups))
+        counts.append(nodes - first)
+        queued.append(len(nxt))
         if not nxt:
             break
         frontier = nxt
-    return _witnessed(d, best_tb, best_link, nodes)
+    return _witnessed(d, best_tb, best_link, counts, queued)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,11 @@ ports are empty on a front, and the invariants here take either one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _kernel
-from .errors import DiagramError, NotAKnot, ParameterOutOfRange
+from .errors import DiagramError, NotAKnot, ParameterOutOfRange, _shown
 
 
 class Event(NamedTuple):
@@ -177,25 +176,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# The most digits of an int that a message spells out.  ``str`` refuses
-# an int of more than ``sys.get_int_max_str_digits()`` digits (4,300 by
-# default), so a longer one is named by its digit count.
-_SHOWN_DIGITS = 30
-
-
-def _shown(value) -> str:
-    """``repr(value)`` for a message, or, for an int of more than
-    ``_SHOWN_DIGITS`` digits, its sign and its digit count."""
-    if not isinstance(value, int) or abs(value) < 10**_SHOWN_DIGITS:
-        return repr(value)
-    size = abs(value)
-    # The float log is off by at most one digit either way.
-    digits = int(math.log10(size)) + 1
-    digits += size >= 10**digits
-    digits -= size < 10 ** (digits - 1)
-    return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
-
-
 def _check_int(least: Optional[int] = None, /, **values) -> None:
     """The one check of integer parameters: ParameterOutOfRange unless
     each named value is an int (not a bool) of at least ``least``, if
@@ -279,6 +259,46 @@ def linking_number(d: _Diagram, c1: int, c2: int) -> int:
     if total % 2:
         raise DiagramError("odd inter-component crossing sum")
     return total // 2
+
+
+def _seifert_smoothing(d: _Diagram) -> List[Event]:
+    """The word of ``d`` with each crossing smoothed along the strands'
+    orientations: a crossing of two strands that run the same way is
+    dropped, and one of strands that run opposite ways becomes
+    ``R(i) L(i)``, which turns each strand back."""
+    orient = d.trace.strand_orient
+    out = []
+    for ev, (a, b) in zip(d.events, d.trace.event_strands):
+        if ev.kind != "X":
+            out.append(ev)
+        elif orient[a] != orient[b]:
+            out += (R(ev.level), L(ev.level))
+    return out
+
+
+def seifert_genus(d: FrontDiagram) -> int:
+    """The genus g = (c - s + 1) / 2 of the surface that Seifert's
+    algorithm gives the knot of the closed front ``d``, for c crossings
+    and s Seifert circles, the components of :func:`_seifert_smoothing`
+    (one trace of that word, which may be up to twice as long as ``d``'s
+    and so is not held to the size bound).  It bounds the knot's 3- and
+    4-genus from above.  DiagramError unless ``d`` is a closed front,
+    NotAKnot for a link."""
+    _require_front(d)
+    _component_arg(d, None)
+    circles = _kernel.trace(_seifert_smoothing(d)).n_components
+    crossings = sum(kind == "X" for kind, _ in d.events)
+    return (crossings - circles + 1) // 2
+
+
+def bennequin_gap(d: FrontDiagram) -> int:
+    """2g - 1 - tb - |rot| for the knot front ``d``, with g its
+    :func:`seifert_genus`: even and at least 0 by the slice-Bennequin
+    inequality, and 0 exactly when ``d`` reaches that bound, which then
+    certifies g as the 4-genus.  Takes what :func:`seifert_genus`
+    takes."""
+    g = seifert_genus(d)
+    return 2 * g - 1 - thurston_bennequin(d) - abs(rotation(d))
 
 
 def reflect(d: FrontDiagram) -> FrontDiagram:

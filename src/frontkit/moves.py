@@ -164,7 +164,7 @@ class Move:
     data: Tuple = ()
 
     def __str__(self):
-        extra = f" {self.data!r}" if self.data else ""
+        extra = f" {_shown(self.data)}" if self.data else ""
         return f"{self.kind}@{_shown(self.index)}/{_shown(self.level)}{extra}"
 
 
@@ -672,7 +672,7 @@ def _strand_at(d: _Diagram, idx: int, lvl: int) -> int:
         here = _kernel.slice_at(d.events, d.trace, idx)
         if 1 <= lvl <= len(here):
             return here[lvl - 1]
-    raise MoveNotApplicable(f"no strand at {idx}/{lvl}")
+    raise MoveNotApplicable(f"no strand at {_shown(idx)}/{_shown(lvl)}")
 
 
 def _stabilize_at(d: _Diagram, idx: int, lvl: int, strand: int, sign: int) -> _Diagram:
@@ -720,7 +720,9 @@ def stabilize(
         try:
             strand = comp.index(c)
         except ValueError:
-            raise MoveNotApplicable(f"component {c} has no visible strand") from None
+            raise MoveNotApplicable(
+                f"component {_shown(c)} has no visible strand"
+            ) from None
         n = len(tr.initial_strands)
         if strand < n:
             idx, lvl = 0, strand + 1
@@ -917,7 +919,7 @@ def handle_slide(
     if not sites:
         raise BandObstructed("no band location between the two curves")
     if not 0 <= site < len(sites):
-        raise BandObstructed(f"band site {site} of {len(sites)} does not exist")
+        raise BandObstructed(f"band site {_shown(site)} of {len(sites)} does not exist")
     pos, lvl = sites[site]
     d3, carried = _after_handle_move(
         h.diagram,
@@ -999,7 +1001,7 @@ def _pull_off(d: StandardFormDiagram, hid, slot: int):
     pa, pb = (hid, slot), (hid, slot + 1)
     for p in (pa, pb):
         if p not in d.left_ports:
-            raise MoveNotApplicable(f"no port {p!r}")
+            raise MoveNotApplicable(f"no port {_shown(p)}")
     tr = d.trace
     la, lb = d.left_ports.index(pa), d.left_ports.index(pb)
     ra, rb = d.right_ports.index(pa), d.right_ports.index(pb)
@@ -1044,7 +1046,7 @@ def cancel_pair(h: SteinHandlebody, hid, a: TwoHandleAttachment):
     d = h.diagram
     _require_attachment(h, a)
     if not any(x.id == hid for x in d.handles):
-        raise MoveNotApplicable(f"no handle {hid!r}")
+        raise MoveNotApplicable(f"no handle {_shown(hid)}")
     c = a.component
     passes = geometric_passes(d, c, hid)
     if passes != 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import _kernel
-from .errors import DiagramError, PortMismatch
+from .errors import DiagramError, PortMismatch, _shown
 from .front import (
     Event,
     FrontDiagram,
@@ -61,7 +61,7 @@ class OneHandle:
             )
         if not _is_int(self.slots) or self.slots < 0:
             raise PortMismatch(
-                f"handle {self.id!r} slot count {self.slots!r} is not an int >= 0"
+                f"handle {self.id!r} slot count {_shown(self.slots)} is not an int >= 0"
             )
         _check_size(f"handle {self.id!r}", self.slots)
 
@@ -134,9 +134,9 @@ class StandardFormDiagram(_Diagram):
                 except TypeError:  # unhashable, so no (handle id, slot) pair
                     undeclared = True
                 if undeclared:
-                    raise PortMismatch(f"{side_name} port {p!r} not declared")
+                    raise PortMismatch(f"{side_name} port {_shown(p)} not declared")
                 if p in seen:
-                    raise PortMismatch(f"{side_name} port {p!r} used twice")
+                    raise PortMismatch(f"{side_name} port {_shown(p)} used twice")
                 seen.add(p)
             if seen != declared:
                 missing = sorted(map(repr, declared - seen))
@@ -153,7 +153,7 @@ class StandardFormDiagram(_Diagram):
     def component_of_port(self, port: Port) -> int:
         # The left-port strands are ids 0..len(left_ports)-1.
         if port not in self.left_ports:
-            raise PortMismatch(f"port {port!r} not declared")
+            raise PortMismatch(f"port {_shown(port)} not declared")
         return self._trace.strand_component[self.left_ports.index(port)]
 
 
@@ -272,11 +272,13 @@ class SteinHandlebody:
                     f"{a!r} has a component or framing that is not an int"
                 )
             if not 0 <= a.component < diagram.n_components:
-                raise DiagramError(f"attachment on missing component {a.component}")
+                raise DiagramError(
+                    f"attachment on missing component {_shown(a.component)}"
+                )
         seen = set()
         for a in attachments:
             if a.component in seen:
-                raise DiagramError(f"component {a.component} attached twice")
+                raise DiagramError(f"component {_shown(a.component)} attached twice")
             seen.add(a.component)
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "attachments", tuple(attachments))

@@ -208,6 +208,12 @@ def _event_tokens(events: Sequence[Event]) -> List[str]:
         return [_EVENT_TOKEN.get(e) or f"{e.kind}{e.level:d}" for e in events]
 
 
+# ``str`` refuses an int of more than ``sys.get_int_max_str_digits()``
+# digits, and :func:`parse` refuses the same, so a document or a script
+# that holds one has no text.
+_TOO_LONG = "an int too long to print as digits, which parse could not read back"
+
+
 def print_text(obj: Document) -> str:
     """The canonical document: parse(print_text(x)) reproduces x.
 
@@ -215,7 +221,9 @@ def print_text(obj: Document) -> str:
     handles, the left ports, the events, the right ports and the
     attachments, all but the events empty on a front.  Each event's text
     is read from the token table that :func:`parse` reads the other way,
-    so a level prints as its digits, a bool level as 1."""
+    so a level prints as its digits, a bool level as 1.  An int too long
+    to print, such as a framing past ``sys.get_int_max_str_digits()``
+    digits, raises ParameterOutOfRange."""
     d = _strip(obj)
     attachments = obj.attachments if isinstance(obj, SteinHandlebody) else ()
     lines = ["front" if isinstance(obj, FrontDiagram) else "standard"]
@@ -223,9 +231,14 @@ def print_text(obj: Document) -> str:
     lines += [f"P{hid}.{slot:d}" for hid, slot in d.left_ports]
     lines += _event_tokens(d.events)
     lines += [f"P{hid}.{slot:d}" for hid, slot in d.right_ports]
-    lines += [
-        f"attach {a.component:d} framing {a.framing:d}" for a in attachments
-    ]
+    # The size bound keeps every other int of a document short; a
+    # framing is bounded by nothing.
+    try:
+        lines += [
+            f"attach {a.component:d} framing {a.framing:d}" for a in attachments
+        ]
+    except ValueError:
+        raise ParameterOutOfRange(_TOO_LONG) from None
     return "\n".join(lines) + "\n"
 
 
@@ -246,7 +259,8 @@ def print_script(script: "MoveScript") -> str:
     kind-specific data tokens, after a first line ``# <note>`` when the
     script has a note.  Ints print as digits, as levels do in
     :func:`print_text`, so a bool field parses back as its int.  Raises
-    MoveError when ``script`` is not a MoveScript."""
+    MoveError when ``script`` is not a MoveScript, and ParameterOutOfRange
+    when a field is an int too long to print."""
     from .moves import MoveScript
 
     if not isinstance(script, MoveScript):
@@ -254,9 +268,12 @@ def print_script(script: "MoveScript") -> str:
     lines = []
     if script.note:
         lines.append(f"# {script.note}")
-    for m in script.moves:
-        fields = (m.index, m.level, *m.data)
-        lines.append(" ".join([m.kind, *map(_token, fields)]))
+    try:
+        for m in script.moves:
+            fields = (m.index, m.level, *m.data)
+            lines.append(" ".join([m.kind, *map(_token, fields)]))
+    except ValueError:
+        raise ParameterOutOfRange(_TOO_LONG) from None
     return "\n".join(lines) + "\n"
 
 

@@ -569,19 +569,22 @@ def test_bfs_outputs_are_pinned():
 
 def _reference_bfs(d, cfg):
     """The search as it was before it carried tb: every new child is
-    rebuilt and traced, and its tb read from the trace."""
+    rebuilt and traced, and its tb read from the trace.  Its last item is
+    the new nodes of each depth."""
     best = (_tb_of(d), MoveScript(()))
     frontier = [(d, ())]
     seen = {d.events}
     nodes = 1
+    per_depth = [1]
     for _depth in range(cfg.max_depth):
         nxt = []
+        per_depth.append(0)
         for node, path in frontier:
             for m in _reducing_moves(node.events):
                 if nodes >= cfg.budget:
                     raise BudgetExhausted(
                         f"node budget {cfg.budget} exhausted",
-                        (best[0], best[1], nodes, True),
+                        (best[0], best[1], nodes, True, tuple(per_depth)),
                     )
                 word = _splice(node.events, m)
                 if word in seen:
@@ -589,6 +592,7 @@ def _reference_bfs(d, cfg):
                 seen.add(word)
                 child = _rebuild(node, word)
                 nodes += 1
+                per_depth[-1] += 1
                 child_path = path + (m,)
                 tb = _tb_of(child)
                 if tb > best[0]:
@@ -597,7 +601,14 @@ def _reference_bfs(d, cfg):
         if not nxt:
             break
         frontier = nxt
-    return (best[0], best[1], nodes, False)
+    return (best[0], best[1], nodes, False, tuple(per_depth))
+
+
+def _compared(res):
+    """What a search result is compared on with the reference's: its
+    best tb, witness, nodes, whether it ran out of budget, and its new
+    nodes by depth."""
+    return (res.best_tb, res.witness, res.nodes_expanded, res.exhausted, res.stats.nodes)
 
 
 def _comparison_queries():
@@ -642,7 +653,7 @@ def test_search_matches_the_traced_reference():
             want = _reference_bfs(d, cfg)
         except BudgetExhausted as exc:
             want = exc.partial
-        got = (res.best_tb, res.witness, res.nodes_expanded, res.exhausted)
+        got = _compared(res)
         assert got == want, (d, cfg)
         assert _tb_of(res.witness.replay(d)) == res.best_tb
         exhausted += res.exhausted
@@ -672,9 +683,9 @@ def test_a_spent_budget_raises_on_a_move_the_search_skips():
         cfg = SearchConfig(max_depth=2, budget=budget)
         res = _outcome(bfs_max_tb, d, cfg)
         want = _outcome(_reference_bfs, d, cfg)
-        assert (res.best_tb, res.witness, res.nodes_expanded, res.exhausted) == want
+        assert _compared(res) == want
         if budget == 7:
-            assert want[2:] == (7, True)
+            assert want[2:4] == (7, True)
 
 
 def test_a_node_tries_every_move_that_overlaps_its_last_move():
@@ -689,7 +700,7 @@ def test_a_node_tries_every_move_that_overlaps_its_last_move():
         cfg = SearchConfig(max_depth=depth, budget=3000)
         res = bfs_max_tb(d, cfg)
         want = _reference_bfs(d, cfg)
-        assert (res.best_tb, res.witness, res.nodes_expanded, res.exhausted) == want
+        assert _compared(res) == want
 
 
 def _budget_sweep_queries():
@@ -715,7 +726,8 @@ def test_every_budget_ends_the_search_as_the_reference_does():
             for budget in range(1, total + 2):
                 cfg = SearchConfig(depth, budget)
                 res = _outcome(bfs_max_tb, d, cfg)
-                got = (res.best_tb, res.witness, res.nodes_expanded, res.exhausted)
+                assert sum(res.stats.nodes) == res.nodes_expanded, (d, cfg)
+                got = _compared(res)
                 assert got == _outcome(_reference_bfs, d, cfg), (d, cfg)
 
 
@@ -748,7 +760,7 @@ def test_a_no_op_coded_rewrite_fails_the_reference(monkeypatch, kind):
     matched = 0
     for d in queries:
         res = _outcome(bfs_max_tb, d, cfg)
-        got = (res.best_tb, res.witness, res.nodes_expanded, res.exhausted)
+        got = _compared(res)
         matched += got == _outcome(_reference_bfs, d, cfg)
     assert matched == 0
 
@@ -857,4 +869,4 @@ def test_a_wide_front_searches_as_the_traced_reference_does():
         want = _reference_bfs(d, cfg)
     except BudgetExhausted as exc:
         want = exc.partial
-    assert (res.best_tb, res.witness, res.nodes_expanded, res.exhausted) == want
+    assert _compared(res) == want

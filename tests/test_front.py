@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_front, random_knot
-from frontkit import _kernel, certify, front, gallery, moves, satellite, standard, textio
+from frontkit import (
+    _kernel, certify, errors, front, gallery, moves, satellite, standard, textio,
+)
 from frontkit.errors import (
     BandObstructed,
     DiagramError,
     FormatError,
+    LevelOutOfRange,
     MoveError,
     MoveNotApplicable,
     NotAKnot,
@@ -684,6 +687,11 @@ _HUGE = 10**5000
 _HUGE_DIGITS = "an int of 5001 digits"
 
 
+def _with_stein(call):
+    """``call`` of the (-5, 2) Stein representative."""
+    return call(gallery.stein_rep_max(-5, 2))
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -768,6 +776,88 @@ _HUGE_DIGITS = "an int of 5001 digits"
             MoveNotApplicable, f"no R1a@0/a negative {_HUGE_DIGITS[3:]} site",
             id="move-level",
         ),
+        pytest.param(
+            lambda: moves.apply_move(trefoil(), moves.Move("R2a", 0, 1, (_HUGE,))),
+            MoveNotApplicable, f"no R2a@0/1 ({_HUGE_DIGITS},) site", id="move-data",
+        ),
+        pytest.param(
+            lambda: moves.apply_move(trefoil(), moves.Move("StabilizePlus", _HUGE, 1)),
+            MoveNotApplicable, f"no strand at {_HUGE_DIGITS}/1", id="stabilize-move",
+        ),
+        pytest.param(
+            lambda: moves.stabilize(trefoil(), 0, 1, (_HUGE, 1)),
+            MoveNotApplicable, f"no strand at {_HUGE_DIGITS}/1", id="stabilize-index",
+        ),
+        pytest.param(
+            lambda: moves.stabilize(trefoil(), 0, 1, (1, _HUGE)),
+            MoveNotApplicable, f"no strand at 1/{_HUGE_DIGITS}", id="stabilize-level",
+        ),
+        pytest.param(
+            lambda: moves.stabilize(trefoil(), _HUGE, 1), MoveNotApplicable,
+            f"component {_HUGE_DIGITS} has no visible strand", id="stabilize-component",
+        ),
+        pytest.param(
+            lambda: _with_stein(lambda h: moves.handle_slide(h, 0, h.attachments[0], _HUGE)),
+            BandObstructed, f"band site {_HUGE_DIGITS} of 22 does not exist",
+            id="slide-site",
+        ),
+        pytest.param(
+            lambda: _with_stein(lambda h: moves.pull_off(h, "H", _HUGE)),
+            MoveNotApplicable, f"no port ('H', {_HUGE_DIGITS})", id="pull-off-slot",
+        ),
+        pytest.param(
+            lambda: _with_stein(lambda h: moves.cancel_pair(h, _HUGE, h.attachments[0])),
+            MoveNotApplicable, f"no handle {_HUGE_DIGITS}", id="cancel-handle",
+        ),
+        pytest.param(
+            lambda: _with_stein(lambda h: h.diagram.component_of_port(("H", _HUGE))),
+            PortMismatch, f"port ('H', {_HUGE_DIGITS}) not declared", id="port-component",
+        ),
+        pytest.param(
+            lambda: _with_stein(
+                lambda h: moves.apply_move(h, moves.Move("PullOff", data=("H", _HUGE)))
+            ),
+            MoveNotApplicable, f"no port ('H', {_HUGE_DIGITS})", id="pull-off-move",
+        ),
+        pytest.param(
+            lambda: OneHandle("H", -_HUGE), PortMismatch,
+            f"handle 'H' slot count a negative {_HUGE_DIGITS[3:]} is not an int >= 0",
+            id="handle-slots",
+        ),
+        pytest.param(
+            lambda: _with_stein(
+                lambda h: SteinHandlebody(h.diagram, [TwoHandleAttachment(_HUGE, 0)])
+            ),
+            DiagramError, f"attachment on missing component {_HUGE_DIGITS}",
+            id="attachment-component",
+        ),
+        pytest.param(
+            lambda: FrontDiagram([L(_HUGE), R(1)]), LevelOutOfRange,
+            f"event 0: left cusp at level {_HUGE_DIGITS} with 0 strands", id="left-cusp",
+        ),
+        pytest.param(
+            lambda: FrontDiagram([L(1), X(_HUGE), R(1)]), LevelOutOfRange,
+            f"event 1: crossing at level {_HUGE_DIGITS} with 2 strands", id="crossing",
+        ),
+        pytest.param(
+            lambda: StandardFormDiagram(
+                [OneHandle("H", 1)], [("H", _HUGE)], [], [("H", 1)]
+            ),
+            PortMismatch, f"left port ('H', {_HUGE_DIGITS}) not declared",
+            id="left-port",
+        ),
+        pytest.param(
+            lambda: _with_stein(lambda h: textio.print_text(
+                SteinHandlebody(h.diagram, [TwoHandleAttachment(0, _HUGE)])
+            )),
+            ParameterOutOfRange, textio._TOO_LONG, id="print-framing",
+        ),
+        pytest.param(
+            lambda: textio.print_script(
+                moves.MoveScript([moves.Move("PullOff", data=("H", _HUGE))])
+            ),
+            ParameterOutOfRange, textio._TOO_LONG, id="print-slot",
+        ),
     ],
 )
 def test_a_huge_int_in_a_message_is_named_by_its_digit_count(call, error, message):
@@ -778,15 +868,24 @@ def test_a_huge_int_in_a_message_is_named_by_its_digit_count(call, error, messag
 
 
 def test_a_shown_int_is_spelled_out_up_to_its_digit_limit():
-    limit = 10**front._SHOWN_DIGITS
-    assert front._shown(limit - 1) == "9" * front._SHOWN_DIGITS
-    assert front._shown(1 - limit) == "-" + "9" * front._SHOWN_DIGITS
-    assert front._shown(limit) == f"an int of {front._SHOWN_DIGITS + 1} digits"
+    limit = 10**errors._SHOWN_DIGITS
+    assert errors._shown(limit - 1) == "9" * errors._SHOWN_DIGITS
+    assert errors._shown(1 - limit) == "-" + "9" * errors._SHOWN_DIGITS
+    assert errors._shown(limit) == f"an int of {errors._SHOWN_DIGITS + 1} digits"
     for digits in (4299, 4300, 4301, 5000, 5001):
         for value in (10 ** (digits - 1), 10**digits - 1):
-            assert front._shown(value) == f"an int of {digits} digits"
-            assert front._shown(-value) == f"a negative int of {digits} digits"
-    assert front._shown(True) == "True" and front._shown("x") == "'x'"
+            assert errors._shown(value) == f"an int of {digits} digits"
+            assert errors._shown(-value) == f"a negative int of {digits} digits"
+    assert errors._shown(True) == "True" and errors._shown("x") == "'x'"
+    # A tuple prints as its repr, with each huge int in it named.
+    for value in ((), (1,), ("H", 2), (("expand",), -3, True)):
+        assert errors._shown(value) == repr(value)
+    assert errors._shown(("H", -limit)) == (
+        f"('H', a negative int of {errors._SHOWN_DIGITS + 1} digits)"
+    )
+    # So a move prints as it did, and one with a huge int prints too.
+    assert str(moves.Move("R2a", 0, 1, ("expand", 2))) == "R2a@0/1 ('expand', 2)"
+    assert str(moves.Move("R2a", 0, 1, (_HUGE,))) == f"R2a@0/1 ({_HUGE_DIGITS},)"
 
 
 def test_the_size_bound_holds_at_the_bound_and_fails_past_it():

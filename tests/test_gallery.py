@@ -6,24 +6,27 @@ import sys
 
 import pytest
 
-from frontkit import gallery
+from frontkit import front, gallery
 from frontkit.certify import (
     CERTIFIED,
     INCONSISTENT,
     GenusCertificate,
     certify_tb_max,
 )
-from frontkit.errors import DiagramError, MoveNotApplicable, ParameterOutOfRange
-from frontkit.explore import SearchConfig, bfs_max_tb
+from frontkit.errors import DiagramError, MoveNotApplicable, NotAKnot, ParameterOutOfRange
+from frontkit.explore import SearchConfig, bfs_max_tb, fuzz_moves
 from frontkit.front import (
     _MAX_WORD,
     FrontDiagram,
     L,
     R,
     X,
+    bennequin_gap,
     rotation,
+    seifert_genus,
     thurston_bennequin,
     trefoil,
+    unknot,
 )
 from frontkit.gallery import (
     K_m_front,
@@ -383,3 +386,82 @@ def test_torus_front_refuses_what_it_cannot_build(monkeypatch, p, q, message):
 def test_torus_front_at_the_size_bound():
     # 2p + (p - 1)q events: 4 + q at p = 2.
     assert len(torus_front(2, _MAX_WORD - 5).events) == _MAX_WORD - 1
+
+
+# The genus of the Seifert surface of a knot front, and its Bennequin
+# gap 2g - 1 - tb - |rot|: (name, front, g, gap).  The torus fronts and
+# the trefoil reach the bound, so their g is the 4-genus.
+_SEIFERT = [
+    ("unknot", unknot, 0, 0),
+    ("trefoil", trefoil, 1, 0),
+    ("L1 R1", lambda: FrontDiagram([L(1), R(1)]), 0, 0),
+    *(
+        (f"torus-{p}-{q}", lambda p=p, q=q: torus_front(p, q), (p - 1) * (q - 1) // 2, 0)
+        for p, q in sorted(_TORUS_TB)
+    ),
+    *(
+        (f"K_m-{-m}", lambda m=m: K_m_front(m), g, 2 * g)
+        for m, g in ((-1, 6), (-2, 9), (-3, 12))
+    ),
+    *(
+        (f"step3-{-m}-{n}", lambda m=m, n=n: step3_pipeline(m, n)[0], g, 2 * g)
+        for (m, n), g in (
+            ((-5, 2), 4), ((-10, 2), 4), ((-9, 3), 8),
+            ((-14, 3), 8), ((-13, 4), 12), ((-18, 4), 12),
+        )
+    ),
+]
+
+
+def _seifert_mismatches():
+    """The names of the ``_SEIFERT`` fronts whose g or gap is not the
+    known one."""
+    mismatched = []
+    for name, build, g, gap in _SEIFERT:
+        d = build()
+        if (seifert_genus(d), bennequin_gap(d)) != (g, gap):
+            mismatched.append(name)
+    return mismatched
+
+
+def test_seifert_genus_and_bennequin_gap_have_their_known_values():
+    assert len(_SEIFERT) == 20
+    assert _seifert_mismatches() == []
+
+
+def test_a_smoothing_that_drops_every_crossing_fails_the_known_values(monkeypatch):
+    # A mutation of the smoothing: a crossing of strands that run
+    # opposite ways is dropped too.  The positive torus fronts have none,
+    # so they keep their values, but K_m_front(-1) reads g 5 and gap 10.
+    monkeypatch.setattr(
+        front, "_seifert_smoothing", lambda d: [ev for ev in d.events if ev.kind != "X"]
+    )
+    d = K_m_front(-1)
+    assert (seifert_genus(d), bennequin_gap(d)) == (5, 10)
+    mismatched = _seifert_mismatches()
+    assert {"K_m-1", "K_m-2", "K_m-3"} <= set(mismatched)
+    assert not any(name.startswith(("torus", "trefoil")) for name in mismatched)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        pytest.param(lambda: FrontDiagram([L(1), R(1), L(1), R(1)]), NotAKnot, id="link"),
+        pytest.param(lambda: stein_rep_max(-5, 2).diagram, DiagramError, id="strip"),
+        pytest.param(lambda: stein_rep_max(-5, 2), DiagramError, id="handlebody"),
+    ],
+)
+def test_seifert_genus_takes_a_knot_front(build, error):
+    for f in (seifert_genus, bennequin_gap):
+        with pytest.raises(error):
+            f(build())
+
+
+def test_the_bennequin_gap_is_even_and_not_negative_along_fuzz_walks():
+    # 20 seeded 30-step walks from each closed front of the manifest.
+    fronts = [e.artifact for e in gallery_manifest() if isinstance(e.artifact, FrontDiagram)]
+    assert len(fronts) == 7
+    for d in fronts:
+        for seed in range(20):
+            gap = bennequin_gap(fuzz_moves(d, seed, 30).final)
+            assert gap >= 0 and gap % 2 == 0, (d, seed)

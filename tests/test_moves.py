@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -1925,10 +1924,9 @@ def test_search_traces_no_child(monkeypatch):
     knot = stabilize(stabilize(gallery.K_m_front(-1), 0, 1), 0, 1)
     link = stabilize(n_copy(trefoil(), 3), 2, -1)
     strip = stabilize(gallery.stein_rep_max(-5, 2).diagram, 1, -1)
-    traced, expanded, built, queued = [], [], [], []
+    traced, expanded, built = [], [], []
     real_trace, real_groups = _kernel.trace, explore._coded_groups
     real_move = explore.Move
-    real_witnessed = explore._witnessed
 
     def counting_trace(*args):
         traced.append(args)
@@ -1942,23 +1940,14 @@ def test_search_traces_no_child(monkeypatch):
         built.append(real_move(*args))
         return built[-1]
 
-    def counting_witnessed(*args, **kwargs):
-        # The search's own frame: the depth it ends at, and the children
-        # it queued there.
-        search = sys._getframe(1).f_locals
-        queued.append((search["depth"], len(search["nxt"])))
-        return real_witnessed(*args, **kwargs)
-
     monkeypatch.setattr(_kernel, "trace", counting_trace)
     monkeypatch.setattr(explore, "_coded_groups", counting_groups)
     monkeypatch.setattr(explore, "Move", counting_move)
-    monkeypatch.setattr(explore, "_witnessed", counting_witnessed)
     cfg = SearchConfig(max_depth=4, budget=3000)
     for d, several in ((knot, False), (link, True), (strip, True)):
         traced.clear()
         expanded.clear()
         built.clear()
-        queued.clear()
         try:
             res = explore.bfs_max_tb(d, cfg)
         except BudgetExhausted as exc:
@@ -1967,8 +1956,10 @@ def test_search_traces_no_child(monkeypatch):
         # The moves built are the witness's, the partial one's when the
         # budget ran out.
         assert built == list(res.witness.moves)
-        # A search that ran its last depth queued nothing there.
-        (depth, left), = queued
+        # A search that ran its last depth queued nothing there: the
+        # depth it ends at, and the children it queued there.
+        depth, left = len(res.stats.queued) - 1, res.stats.queued[-1]
+        assert sum(res.stats.nodes) == res.nodes_expanded
         if not res.exhausted:
             assert (depth, left) == (cfg.max_depth - 1, 0)
         destabilized = _destabilized_children(d, cfg)
