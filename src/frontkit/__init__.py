@@ -13,6 +13,7 @@ from .front import (
     L,
     R,
     X,
+    alexander_polynomial,
     bennequin_gap,
     classical_invariants,
     linking_number,

@@ -55,10 +55,13 @@ summaries differ only where the rows they touch do; an event that leaves
 the slice raises in the slice pass.
 
 The one slice model is built on demand too, and ``trace`` pays nothing
-for it: ``slices(events, trace(events, ...))`` gives the strand ids of every
-slice, one tuple per word position, from the strands the trace recorded,
-and :func:`slice_at` the one slice at a position, from the events before
-it; :func:`widths` the width of every slice, from the event kinds and
+for it.  Its generator form, ``iter_slices(events, trace(events, ...))``,
+yields the strand ids of each slice, one tuple per word position, from
+the strands the trace recorded, as it builds them, so a reader that
+stops at the slice it needs builds none past it: the band sites of a
+slide read it so.  :func:`slices` lists every item, and
+:func:`slice_at` takes the one at a position, from the events before
+it; :func:`widths` gives the width of every slice, from the event kinds and
 ``WIDTH_CHANGE`` alone;
 and :func:`arcs` the arcs.  Every module reads them, but for four walks
 kept apart for speed: ``moves._scan`` carries the width along its own
@@ -76,7 +79,7 @@ run began, so it writes only the points where a strand turns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import itemgetter, sub
 from typing import Dict, List, Tuple
 
@@ -235,13 +238,15 @@ def _slice_pass(events, n_initial):
                 add((upper, lower))
                 k -= 2
             else:
-                raise DiagramError(f"unknown event kind {kind!r}", len(event_strands))
+                raise DiagramError(
+                    f"unknown event kind {_shown(kind)}", len(event_strands)
+                )
     except (TypeError, ValueError) as exc:
         # Raised only by an item that is not a pair, or a level that is
         # not an int (it cannot be compared with the width or used as a
         # slice position).
         idx = len(event_strands)
-        raise DiagramError(f"malformed event {events[idx]!r}", idx) from exc
+        raise DiagramError(f"malformed event {_shown(events[idx])}", idx) from exc
     del right[next_id:]
     return slice_ids, event_strands, right, next_id, max_width
 
@@ -357,11 +362,11 @@ def trace(events, n_initial=0, port_links=()):
         try:
             final_pos, initial_pos = link
             if not (0 <= final_pos < n_final and 0 <= initial_pos < n_initial):
-                raise DiagramError(f"port link {link!r} out of range")
+                raise DiagramError(f"port link {_shown(link)} out of range")
             p = slice_ids[final_pos]
             repeated = right[p] < 0 or from_port[initial_pos] >= 0
         except (TypeError, ValueError) as exc:
-            raise DiagramError(f"malformed port link {link!r}") from exc
+            raise DiagramError(f"malformed port link {_shown(link)}") from exc
         if repeated:
             # A repeated end: the links are not one to one.
             raise DiagramError("inconsistent orientation around a component")
@@ -486,18 +491,20 @@ def widths(events, n_initial):
     return list(accumulate(deltas, initial=n_initial))
 
 
-def slices(events, result):
-    """The strand ids of every vertical slice of a traced word.
+def iter_slices(events, result):
+    """The strand ids of every vertical slice of a traced word, one at a
+    time, each yielded as it is built.
 
-    ``result`` is ``trace(events, ...)``.  Returns one tuple per word
-    position ``0..len(events)``: entry ``idx`` is the slice just before
-    ``events[idx]``, top level first, so the first entry is
+    ``result`` is ``trace(events, ...)``.  Yields one tuple per word
+    position ``0..len(events)``: item ``idx`` is the slice just before
+    ``events[idx]``, top level first, so the first item is
     ``result.initial_strands`` and the last is ``result.final_strands``.
     The strands come from ``result.event_strands``; nothing is checked
-    again.  Built on demand, so ``trace`` itself stays one bare pass.
+    again.  A reader that stops early builds no slice past the last one
+    it took.
     """
     cur = list(result.initial_strands)
-    out = [tuple(cur)]
+    yield tuple(cur)
     for (kind, level), (a, b) in zip(events, result.event_strands):
         if kind == LEFT_CUSP:
             cur[level - 1 : level - 1] = (a, b)
@@ -505,12 +512,18 @@ def slices(events, result):
             del cur[level - 1 : level + 1]
         else:
             cur[level - 1 : level + 1] = (b, a)
-        out.append(tuple(cur))
-    return out
+        yield tuple(cur)
+
+
+def slices(events, result):
+    """Every item of :func:`iter_slices`, as a list: one tuple per word
+    position ``0..len(events)``.  Built on demand, so ``trace`` itself
+    stays one bare pass."""
+    return list(iter_slices(events, result))
 
 
 def slice_at(events, result, idx):
-    """Entry ``idx`` of ``slices(events, result)``, for a word position
-    ``idx`` in ``0..len(events)``, built from ``result.initial_strands``
-    over the first ``idx`` events alone.  Nothing is checked again."""
-    return slices(events[:idx], result)[idx]
+    """Item ``idx`` of :func:`iter_slices`, for a word position ``idx``
+    in ``0..len(events)``, built over the first ``idx`` events alone.
+    Nothing is checked again."""
+    return next(islice(iter_slices(events, result), idx, None))

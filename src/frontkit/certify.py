@@ -50,7 +50,7 @@ def adjunction_bound(cert: GenusCertificate) -> int:
     ``cert`` that is not a GenusCertificate raises ParameterOutOfRange.
     """
     if not isinstance(cert, GenusCertificate):
-        raise ParameterOutOfRange(f"{cert!r} is not a GenusCertificate")
+        raise ParameterOutOfRange(f"{_shown(cert)} is not a GenusCertificate")
     return 2 * cert.genus - 1
 
 

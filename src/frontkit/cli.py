@@ -20,7 +20,16 @@ from .certify import (
 )
 from .errors import BudgetExhausted, FormatError, FrontkitError
 from .explore import SearchConfig, bfs_max_tb
-from .front import FrontDiagram, rotation, thurston_bennequin, trefoil, unknot
+from .front import (
+    ALEXANDER_CAP,
+    FrontDiagram,
+    _require_front,
+    alexander_polynomial,
+    rotation,
+    thurston_bennequin,
+    trefoil,
+    unknot,
+)
 from .gallery import (
     K_m_front,
     K_mn_cable_front,
@@ -94,6 +103,20 @@ def _emit_invariants(obj, out) -> None:
             print(f"violation: {v}", file=out)
 
 
+def _emit_alexander(obj, out) -> None:
+    """The Alexander polynomial of each component of a closed front, its
+    coefficients lowest degree first, or *skipped* past the cap."""
+    d = _strip(obj)
+    _require_front(d)
+    for c in d.components:
+        poly = alexander_polynomial(d, c)
+        text = (
+            " ".join(map(str, poly)) if poly is not None
+            else f"skipped (more than {ALEXANDER_CAP} crossings)"
+        )
+        print(text if d.n_components == 1 else f"component {c}: {text}", file=out)
+
+
 # Each gallery family: the function that makes it and the -m/-n/-p/-q
 # flags it takes.
 _GALLERY = {
@@ -130,6 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("invariants", help="classical invariants of a diagram")
+    sp.add_argument("file")
+
+    sp = sub.add_parser("alexander", help="Alexander polynomial of a closed front")
     sp.add_argument("file")
 
     sp = sub.add_parser("apply", help="replay a move script")
@@ -182,6 +208,8 @@ def _run(args, out) -> int:
     cmd = args.command
     if cmd == "invariants":
         _emit_invariants(parse(_read(args.file)), out)
+    elif cmd == "alexander":
+        _emit_alexander(parse(_read(args.file)), out)
     elif cmd == "apply":
         obj = parse(_read(args.file))
         script = parse_script(_read(args.script))

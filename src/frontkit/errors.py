@@ -103,11 +103,18 @@ _SHOWN_DIGITS = 30
 def _shown(value) -> str:
     """``repr(value)`` for a message, but an int of more than
     ``_SHOWN_DIGITS`` digits, alone or in a tuple, is named by its sign
-    and its digit count."""
+    and its digit count, and any other value whose ``repr`` cannot print
+    an int it holds (one of more than ``sys.get_int_max_str_digits()``
+    digits) by its type."""
     if type(value) is tuple:
         items = list(map(_shown, value))
         return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
-    if not isinstance(value, int) or abs(value) < 10**_SHOWN_DIGITS:
+    if not isinstance(value, int):
+        try:
+            return repr(value)
+        except ValueError:
+            return f"a {type(value).__name__} that does not print"
+    if abs(value) < 10**_SHOWN_DIGITS:
         return repr(value)
     size = abs(value)
     # The float log is off by at most one digit either way.

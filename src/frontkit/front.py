@@ -69,7 +69,7 @@ def encode_word(events: Iterable[Event]) -> Tuple[Event, ...]:
         return word
     for idx, ev in enumerate(word):
         if not isinstance(ev, Event):
-            raise DiagramError(f"not an event: {ev!r}", idx)
+            raise DiagramError(f"not an event: {_shown(ev)}", idx)
     return tuple(Event(*ev) for ev in word)
 
 
@@ -163,7 +163,7 @@ def _component_arg(d: _Diagram, c: Optional[int]) -> int:
             )
         return 0
     if not _is_int(c):
-        raise DiagramError(f"component {c!r} is not an int")
+        raise DiagramError(f"component {_shown(c)} is not an int")
     if not 0 <= c < d.n_components:
         raise DiagramError(
             f"no component {_shown(c)} in a {d.n_components}-component diagram"
@@ -299,6 +299,201 @@ def bennequin_gap(d: FrontDiagram) -> int:
     takes."""
     g = seifert_genus(d)
     return 2 * g - 1 - thurston_bennequin(d) - abs(rotation(d))
+
+
+# The Fox row of a crossing of sign +1 and -1 (Fox 1953), at its over
+# arc, the under arc that runs into it and the under arc that runs out:
+# (1 - t, t, -1) and (t - 1, 1, -t), each entry as its (constant,
+# t-coefficient) pair.
+_FOX_ROWS = {
+    1: ((1, -1), (0, 1), (-1, 0)),
+    -1: ((-1, 1), (1, 0), (0, -1)),
+}
+# The primes that the Alexander determinant is taken modulo, as many of
+# them, in order, as its coefficient bound asks for: the first two serve
+# up to 48 crossings.
+_ALEXANDER_PRIMES = (
+    2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543,
+)
+# The most crossings of a component with itself that alexander_polynomial
+# reads; past it the polynomial is skipped.
+ALEXANDER_CAP = 140
+
+
+def _fox_arcs(d: FrontDiagram, c: int) -> List[Tuple[int, int]]:
+    """The crossings of component ``c`` of ``d`` with itself, as
+    ``(sign, over)`` per under arc ``j`` in walk order: the crossing that
+    ends arc ``j`` and starts arc ``j + 1`` (arc 0 after the last), with
+    its sign and the arc over it.
+
+    The passage walk follows ``c`` along its orientation from its least
+    strand: a strand oriented +1 continues into its right-cusp mate, one
+    oriented -1 into the strand its left cusp made with it.  Along each
+    strand the crossings come in event order, or reversed against it.
+    The over strand of a crossing is the one that descends,
+    ``event_strands[i][0]``.
+    """
+    tr = d.trace
+    comp, orient, pairs = tr.strand_component, tr.strand_orient, tr.event_strands
+    on = [[] for _ in range(tr.n_strands)]
+    for i, ((kind, _level), (a, b)) in enumerate(zip(d.events, pairs)):
+        if kind == "X" and comp[a] == c == comp[b]:
+            on[a].append(i)
+            on[b].append(i)
+    n = sum(map(len, on)) // 2
+    under = {}  # crossing -> the arc that runs into it under
+    over = {}  # crossing -> the arc over it
+    arc = 0
+    start = s = comp.index(c)
+    while True:
+        for i in on[s] if orient[s] > 0 else reversed(on[s]):
+            if pairs[i][1] == s:
+                under[i] = arc
+                arc += 1
+            else:
+                over[i] = arc % n
+        # A closed front has no left port, so strand 2j's left cusp made
+        # strand 2j + 1 with it.
+        s = tr.right[s] if orient[s] > 0 else s ^ 1
+        if s == start:
+            break
+    fox = [None] * n
+    for i, j in under.items():
+        a, b = pairs[i]
+        fox[j] = (orient[a] * orient[b], over[i])
+    return fox
+
+
+def _charpoly(h: List[List[int]], p: int) -> List[int]:
+    """The coefficients, lowest degree first, of det(xI - h) modulo the
+    prime ``p``: ``h`` is brought to upper Hessenberg form by similarity
+    in place, and the polynomial read off it by the usual recurrence
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.2.9)."""
+    n = len(h)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(h[m][m - 1], -1, p)
+        hm = h[m]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], hm)]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        new = [0] + prev
+        for k, v in enumerate(prev):
+            new[k] = (new[k] - h[m][m] * v) % p
+        prod = 1
+        for i in range(m - 1, -1, -1):
+            prod = prod * h[i + 1][i] % p
+            if not prod:
+                break
+            f = h[i][m] * prod % p
+            if f:
+                for k, v in enumerate(polys[i]):
+                    new[k] = (new[k] - f * v) % p
+        polys.append(new)
+    return polys[n]
+
+
+def _fox_determinant(a: List[List[int]], b: List[List[int]], p: int) -> List[int]:
+    """The coefficients, lowest degree first, of det(a + t b) modulo the
+    prime ``p``, for square int matrices with a + b invertible modulo
+    ``p``: det(a + b) det(I + (t - 1) C) with C = (a + b)^-1 b, whose
+    expansion in s = t - 1 is read off the characteristic polynomial of
+    C, and then shifted to t."""
+    n = len(a)
+    # Gauss-Jordan on [a + b | b] gives C and det(a + b).
+    rows = [
+        [(x + y) % p for x, y in zip(ra, rb)] + [y % p for y in rb]
+        for ra, rb in zip(a, b)
+    ]
+    det = 1
+    for col in range(n):
+        piv = next(i for i in range(col, n) if rows[i][col])
+        if piv != col:
+            rows[piv], rows[col] = rows[col], rows[piv]
+            det = -det
+        det = det * rows[col][col] % p
+        inv = pow(rows[col][col], -1, p)
+        rc = rows[col] = [x * inv % p for x in rows[col]]
+        for i in range(n):
+            u = rows[i][col]
+            if u and i != col:
+                rows[i] = [(x - u * y) % p for x, y in zip(rows[i], rc)]
+    chi = _charpoly([row[n:] for row in rows], p)
+    # det(I + sC) = sum of e_k s^k, where chi has e_k (-1)^k at x^(n-k).
+    e = [chi[n - k] * (-1) ** k for k in range(n + 1)]
+    # Horner in s = t - 1: out = out * (t - 1) + e_k, from the top down.
+    out = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        out = [(x - y) % p for x, y in zip([0] + out[:-1], out)]
+        out[0] = (out[0] + e[k]) % p
+    return [v * det % p for v in out]
+
+
+def alexander_polynomial(
+    d: FrontDiagram, c: Optional[int] = None
+) -> Optional[Tuple[int, ...]]:
+    """The Alexander polynomial of component ``c`` of the closed front
+    ``d``, read as a knot (its crossings with other components dropped):
+    its integer coefficients, lowest degree first, with no zero at
+    either end, normalised so that Δ(1) = 1.  None, for *skipped*, when
+    the component crosses itself more than ``ALEXANDER_CAP`` times.
+
+    The Fox rows (``_FOX_ROWS``) of the passage walk (:func:`_fox_arcs`)
+    make a square matrix a + t b over the arcs; one row and one column
+    dropped, its determinant is ±t^k Δ.  That determinant is taken
+    modulo the primes of ``_ALEXANDER_PRIMES``, as many as make their
+    product more than twice the Hadamard bound 6^(N/2) on its
+    coefficients (each of its N rows has norm at most √6 on the unit
+    circle), so the Chinese remainder theorem gives each coefficient
+    exactly.  DiagramError unless ``d`` is a closed front; ``c`` as
+    :func:`thurston_bennequin` takes it.
+    """
+    _require_front(d)
+    c = _component_arg(d, c)
+    fox = _fox_arcs(d, c)
+    n = len(fox)
+    if n > ALEXANDER_CAP:
+        return None
+    if not n:
+        return (1,)
+    size = n - 1  # row n - 1 and column n - 1 are dropped
+    a = [[0] * size for _ in range(size)]
+    b = [[0] * size for _ in range(size)]
+    for j, (sign, over) in enumerate(fox[:size]):
+        for arc, (const, slope) in zip((over, j, j + 1), _FOX_ROWS[sign]):
+            if arc < size:
+                a[j][arc] += const
+                b[j][arc] += slope
+    coeffs, modulus = [0] * (size + 1), 1
+    for p in _ALEXANDER_PRIMES:
+        if modulus * modulus > 4 * 6**size:
+            break
+        residues = _fox_determinant(a, b, p)
+        # Chinese remainder: the value mod modulus * p that is each
+        # coefficient mod modulus and its residue mod p.
+        step = pow(modulus, -1, p)
+        coeffs = [
+            x + modulus * ((r - x) * step % p) for x, r in zip(coeffs, residues)
+        ]
+        modulus *= p
+    coeffs = [x - modulus if 2 * x > modulus else x for x in coeffs]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    first = next(k for k, x in enumerate(coeffs) if x)
+    sign = 1 if sum(coeffs) > 0 else -1
+    return tuple(sign * x for x in coeffs[first:])
 
 
 def reflect(d: FrontDiagram) -> FrontDiagram:

@@ -30,7 +30,15 @@ from .front import (
     trefoil,
     unknot,
 )
-from .moves import Move, MoveScript, SteinHandlebody, apply_move, clean_band_sites
+from .moves import (
+    Move,
+    MoveScript,
+    SteinHandlebody,
+    _clean_sites,
+    _nth,
+    apply_move,
+    clean_band_sites,
+)
 from .satellite import cable
 from .standard import (
     OneHandle,
@@ -273,10 +281,12 @@ def close_handlebody(
     for index in slides:
         a = h.attachments[0]
         k = candidate_component(h)
-        sites = clean_band_sites(h, k, a)
-        if not (_is_int(index) and 0 <= index < len(sites)):
-            raise MoveNotApplicable(f"no clean band site {index!r} of {len(sites)}")
-        moves.append(Move("HandleSlide", data=(k, a.component, a.framing, sites[index])))
+        # The clean sites are walked only as far as the one taken.
+        site = _nth(_clean_sites(h, k, a), index) if _is_int(index) else None
+        if site is None:
+            n_sites = len(clean_band_sites(h, k, a))
+            raise MoveNotApplicable(f"no clean band site {_shown(index)} of {n_sites}")
+        moves.append(Move("HandleSlide", data=(k, a.component, a.framing, site)))
         h = apply_move(h, moves[-1])
     _require(
         not any(homology_vector(h.diagram, candidate_component(h))),

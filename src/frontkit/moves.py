@@ -183,11 +183,13 @@ class MoveScript:
     def __post_init__(self):
         note = self.note
         if not isinstance(note, str) or note.splitlines() not in ([], [note]):
-            raise MoveError(f"note {note!r} is not one line of text")
+            raise MoveError(f"note {_shown(note)} is not one line of text")
         try:
             moves = tuple(self.moves)
         except TypeError:
-            raise MoveNotApplicable(f"moves {self.moves!r} are not a sequence") from None
+            raise MoveNotApplicable(
+                f"moves {_shown(self.moves)} are not a sequence"
+            ) from None
         for m in moves:
             _require_move(m)
         object.__setattr__(self, "moves", moves)
@@ -404,9 +406,9 @@ def _kind_set(kinds, allowed: frozenset, lister: str) -> frozenset:
     try:
         out = frozenset(kinds)
     except TypeError:
-        raise MoveError(f"kinds are a collection of kinds, not {kinds!r}") from None
+        raise MoveError(f"kinds are a collection of kinds, not {_shown(kinds)}") from None
     if not out <= allowed:
-        others = ", ".join(sorted(map(repr, out - allowed)))
+        others = ", ".join(sorted(map(_shown, out - allowed)))
         raise MoveError(f"{lister}, not {others}")
     return out
 
@@ -493,7 +495,7 @@ def _require_move(m) -> None:
         and _is_int(m.level)
         and isinstance(m.data, tuple)
     ):
-        raise MoveNotApplicable(f"malformed move {m!r}")
+        raise MoveNotApplicable(f"malformed move {_shown(m)}")
 
 
 def apply_move(d, m: Move):
@@ -522,7 +524,7 @@ def apply_move(d, m: Move):
         hid, circle, framing = m.data
         return cancel_pair(d, hid, TwoHandleAttachment(circle, framing))
     if m.kind not in _WORD_KINDS:
-        raise MoveNotApplicable(f"unknown move kind {m.kind!r}")
+        raise MoveNotApplicable(f"unknown move kind {_shown(m.kind)}")
     if not isinstance(d, _Diagram):
         raise MoveNotApplicable(f"{m.kind} does not act on a {type(d).__name__}")
     if m.kind in ("StabilizePlus", "StabilizeMinus"):
@@ -709,7 +711,7 @@ def stabilize(
             raise MoveNotApplicable("ambiguous component for stabilization")
         c = 0
     elif not _is_int(c):
-        raise MoveNotApplicable(f"component {c!r} is not an int")
+        raise MoveNotApplicable(f"component {_shown(c)} is not an int")
     comp = tr.strand_component
     if site is None:
         # c's least strand s names the first slice that holds c: each
@@ -731,7 +733,7 @@ def stabilize(
             j = lefts[(strand - n) // 2]
             idx, lvl = j + 1, d.events[j].level
     elif not _is_site(site):
-        raise MoveNotApplicable(f"site {site!r} is not an (index, level) pair")
+        raise MoveNotApplicable(f"site {_shown(site)} is not an (index, level) pair")
     else:
         idx, lvl = site
         strand = _strand_at(d, idx, lvl)
@@ -808,8 +810,30 @@ def band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> list:
     Each entry is an (event index, level) pair in the doubled diagram
     where the sliding component runs adjacent to one push-off copy of
     the attaching circle.  Exposed so scripts can name sites stably.
+    It lists in full the walk of :func:`_band_sites`, which
+    :func:`handle_slide` stops at the site it uses.
     """
-    return list(_slide_setup(h, k, a)[3])
+    return [(pos, lvl) for pos, lvl, _s in _band_sites(_slide_setup(h, k, a))]
+
+
+def _clean_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
+    """An iterator over the items of :func:`clean_band_sites`, in order.
+
+    The slide is checked, and the arcs of the doubled strip taken, at the
+    call; the band sites are walked as the iterator is read, so a reader
+    that stops at the clean site it needs walks no slice past it.
+    """
+    strip = _slide_setup(h, k, a)
+    d2 = strip[0]
+    tr = d2.trace
+    label = _kernel.arcs(tr.final_strands, tr.right, len(d2.left_ports))[0]
+    # The left ends are the strands 0..len(left_ports)-1.
+    port_arcs = set(label[: len(d2.left_ports)])
+    return (
+        i
+        for i, (_pos, _lvl, s) in enumerate(_band_sites(strip))
+        if label[s] not in port_arcs
+    )
 
 
 def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List[int]:
@@ -819,14 +843,21 @@ def clean_band_sites(h: SteinHandlebody, k: int, a: TwoHandleAttachment) -> List
     port would thread that finger through the push-off, blocking later
     pull-offs; this filter keeps only sites on pieces whose arc, in the
     doubled word run as an open tangle (:func:`_kernel.arcs`), has no
-    left end.
+    left end.  It lists :func:`_clean_sites` in full; the closing driver
+    (:func:`frontkit.gallery.close_handlebody`) reads it only as far as
+    the index it slides at.
     """
-    d2, _reslotted, _origin, _sites, k_strands = _slide_setup(h, k, a)
-    tr = d2.trace
-    label = _kernel.arcs(tr.final_strands, tr.right, len(d2.left_ports))[0]
-    # The left ends are the strands 0..len(left_ports)-1.
-    port_arcs = set(label[: len(d2.left_ports)])
-    return [i for i, s in enumerate(k_strands) if label[s] not in port_arcs]
+    return list(_clean_sites(h, k, a))
+
+
+def _nth(items, n: int):
+    """Item ``n`` of the iterable ``items``, read no further, or None
+    when ``n`` is negative or past the last item."""
+    if n >= 0:
+        for j, item in enumerate(items):
+            if j == n:
+                return item
+    return None
 
 
 def _require_attachment(h: SteinHandlebody, a) -> None:
@@ -843,7 +874,7 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
         raise MoveNotApplicable(f"a handle slide does not act on a {type(h).__name__}")
     d = h.diagram
     if not _is_int(k):
-        raise MoveNotApplicable(f"component {k!r} is not an int")
+        raise MoveNotApplicable(f"component {_shown(k)} is not an int")
     # The handlebody checked the component of each of its attachments.
     _require_attachment(h, a)
     if not 0 <= k < d.n_components:
@@ -861,10 +892,11 @@ def _slide_setup(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
 @lru_cache(maxsize=1)
 def _doubled_strip(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
     """The doubled strip of a checked slide, shared by every band site:
-    ``(d2, reslotted, origin, sites, k_strands)``, with the band sites
-    and ``k``'s strand at each.  Its readers leave it untouched; it is
-    memoised for the last slide, so clean_band_sites then handle_slide
-    on one handlebody build it once."""
+    ``(d2, reslotted, origin, comp_k, copies)``, with the component that
+    ``k`` is carried to and the set of the circle's two copies, which
+    :func:`_band_sites` reads its sites from.  Its readers leave it
+    untouched; it is memoised for the last slide, so clean_band_sites
+    then handle_slide on one handlebody build it once."""
     d = h.diagram
     exp = cable_expand(d, 2, a.component)
     if exp.first_cusp_index is None:
@@ -882,20 +914,27 @@ def _doubled_strip(h: SteinHandlebody, k: int, a: TwoHandleAttachment):
     reslotted = _reslot(d, lambda p: 2 if owner[p] == a.component else 1)
     d2, carried = _after_handle_move(d, reslotted, exp.events, exp.origins)
     (comp_k,), copies = carried[k], carried[a.component]
+    return d2, reslotted, exp.origins, comp_k, copies
+
+
+def _band_sites(strip):
+    """The band sites of the :func:`_doubled_strip` ``strip``, in order:
+    ``(pos, lvl, k_strand)`` for each level ``lvl`` of slice ``pos``
+    where ``k``'s strand and a copy's are adjacent, with ``k``'s strand.
+
+    The slices come from :func:`_kernel.iter_slices` as it yields them,
+    so a reader that stops at a site builds no slice past it."""
+    d2, _reslotted, _origin, comp_k, copies = strip
     comp2 = d2.trace.strand_component
-    sites, k_strands = [], []
-    for pos, slc in enumerate(_kernel.slices(d2.events, d2.trace)):
+    for pos, slc in enumerate(_kernel.iter_slices(d2.events, d2.trace)):
         for lvl in range(1, len(slc)):
             s1, s2 = slc[lvl - 1], slc[lvl]
             c1, c2 = comp2[s1], comp2[s2]
             # k and the copies are carried to distinct components.
             if c1 == comp_k and c2 in copies:
-                sites.append((pos, lvl))
-                k_strands.append(s1)
+                yield pos, lvl, s1
             elif c2 == comp_k and c1 in copies:
-                sites.append((pos, lvl))
-                k_strands.append(s2)
-    return d2, reslotted, exp.origins, sites, k_strands
+                yield pos, lvl, s2
 
 
 def handle_slide(
@@ -910,17 +949,21 @@ def handle_slide(
     The push-off is the contact parallel copy with one extra negative
     kink (linking the circle tb - 1 times); the band is a cusp pair
     splicing ``k`` to the copy at the ``site``-th location of
-    :func:`band_sites`.  All invariants of the result are recomputed
-    from the rewritten diagram.
+    :func:`band_sites`, whose walk stops there: only a site that does
+    not exist lists them all, to count them.  All invariants of the
+    result are recomputed from the rewritten diagram.
     """
-    d2, reslotted, origin, sites, _k_strands = _slide_setup(h, k, a)
+    strip = _slide_setup(h, k, a)
+    d2, reslotted, origin = strip[:3]
     if not _is_int(site):
-        raise MoveNotApplicable(f"band site {site!r} is not an int")
-    if not sites:
-        raise BandObstructed("no band location between the two curves")
-    if not 0 <= site < len(sites):
-        raise BandObstructed(f"band site {_shown(site)} of {len(sites)} does not exist")
-    pos, lvl = sites[site]
+        raise MoveNotApplicable(f"band site {_shown(site)} is not an int")
+    found = _nth(_band_sites(strip), site)
+    if found is None:
+        n_sites = sum(1 for _site in _band_sites(strip))
+        if not n_sites:
+            raise BandObstructed("no band location between the two curves")
+        raise BandObstructed(f"band site {_shown(site)} of {n_sites} does not exist")
+    pos, lvl, _k_strand = found
     d3, carried = _after_handle_move(
         h.diagram,
         reslotted,
@@ -997,7 +1040,7 @@ def pull_off(d, hid, slot: int):
 
 def _pull_off(d: StandardFormDiagram, hid, slot: int):
     if not _is_int(slot):
-        raise MoveNotApplicable(f"slot {slot!r} is not an int")
+        raise MoveNotApplicable(f"slot {_shown(slot)} is not an int")
     pa, pb = (hid, slot), (hid, slot + 1)
     for p in (pa, pb):
         if p not in d.left_ports:

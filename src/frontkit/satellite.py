@@ -62,7 +62,7 @@ class BraidWord:
             letters = tuple(self.letters)
         except TypeError:
             raise ParameterOutOfRange(
-                f"letters must be a sequence of ints, got {self.letters!r}"
+                f"letters must be a sequence of ints, got {_shown(self.letters)}"
             ) from None
         object.__setattr__(self, "letters", letters)
         for w in self.letters:
@@ -88,7 +88,7 @@ class TwistBox:
 def twist_box_expand(box: TwistBox) -> BraidWord:
     """The uniform-sign braid word (sigma_1 ... sigma_{n-1})^amount."""
     if not isinstance(box, TwistBox):
-        raise ParameterOutOfRange(f"{box!r} is not a TwistBox")
+        raise ParameterOutOfRange(f"{_shown(box)} is not a TwistBox")
     _check_int(strands=box.strands, amount=box.amount)
     _check_size("amount", abs(box.amount) * (box.strands - 1))
     n = box.strands
@@ -109,7 +109,7 @@ def braid_events(braid: BraidWord, base: int = 1) -> List[Event]:
     raises ParameterOutOfRange.
     """
     if not isinstance(braid, BraidWord):
-        raise ParameterOutOfRange(f"{braid!r} is not a BraidWord")
+        raise ParameterOutOfRange(f"{_shown(braid)} is not a BraidWord")
     _check_int(1, base=base)
     out: List[Event] = []
     for w in braid.letters:

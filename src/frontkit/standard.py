@@ -119,7 +119,7 @@ class StandardFormDiagram(_Diagram):
 
     def _run_trace(self):
         if not all(isinstance(h, OneHandle) for h in self.handles):
-            raise PortMismatch(f"handles {self.handles!r} are not all OneHandles")
+            raise PortMismatch(f"handles {_shown(self.handles)} are not all OneHandles")
         ids = {h.id for h in self.handles}
         if len(ids) != len(self.handles):
             raise PortMismatch("duplicate handle ids")
@@ -263,13 +263,13 @@ class SteinHandlebody:
         if not isinstance(diagram, StandardFormDiagram):
             raise DiagramError(f"expected a strip, got a {type(diagram).__name__}")
         if not isinstance(attachments, Sequence):
-            raise DiagramError(f"attachments {attachments!r} are not a sequence")
+            raise DiagramError(f"attachments {_shown(attachments)} are not a sequence")
         for a in attachments:
             if not isinstance(a, TwoHandleAttachment):
-                raise DiagramError(f"{a!r} is not a TwoHandleAttachment")
+                raise DiagramError(f"{_shown(a)} is not a TwoHandleAttachment")
             if not (_is_int(a.component) and _is_int(a.framing)):
                 raise DiagramError(
-                    f"{a!r} has a component or framing that is not an int"
+                    f"{_shown(a)} has a component or framing that is not an int"
                 )
             if not 0 <= a.component < diagram.n_components:
                 raise DiagramError(

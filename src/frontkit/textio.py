@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import List, Sequence, Tuple, Union
 
 from . import _kernel
-from .errors import DiagramError, FormatError, MoveError, ParameterOutOfRange
+from .errors import DiagramError, FormatError, MoveError, ParameterOutOfRange, _shown
 from .front import Event, FrontDiagram, _Diagram, _require_diagram
 from .standard import (
     _HANDLE_ID,
@@ -314,7 +314,7 @@ def render(d: Document, mode: str = "ascii") -> str:
         return _render_ascii(d)
     if mode == "svg":
         return _render_svg(d)
-    raise ParameterOutOfRange(f"unknown render mode {mode!r}")
+    raise ParameterOutOfRange(f"unknown render mode {_shown(mode)}")
 
 
 def _render_ascii(obj: Document) -> str:

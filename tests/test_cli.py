@@ -272,6 +272,7 @@ _SWEEP_DOCS = {
     "empty-strip": lambda: "standard\n",
 }
 _SWEEP_ARGS = {
+    "alexander": [],
     "invariants": [],
     "apply": ["SCRIPT"],
     "cable": ["-n", "2", "-q", "-1"],

@@ -801,6 +801,48 @@ def _with_stein(call):
             BandObstructed, f"band site {_HUGE_DIGITS} of 22 does not exist",
             id="slide-site",
         ),
+        # A huge int inside a value that a message names: the value is
+        # shown with the int named, or, when its repr cannot print it, by
+        # its type, and the call raises what it raises for a small one.
+        pytest.param(
+            lambda: _with_stein(
+                lambda h: moves.handle_slide(h, 0, h.attachments[0], (_HUGE,))
+            ),
+            MoveNotApplicable, f"band site ({_HUGE_DIGITS},) is not an int",
+            id="slide-site-tuple",
+        ),
+        pytest.param(
+            lambda: _with_stein(lambda h: SteinHandlebody(h.diagram, [(_HUGE, 0)])),
+            DiagramError, f"({_HUGE_DIGITS}, 0) is not a TwoHandleAttachment",
+            id="attachment-tuple",
+        ),
+        pytest.param(
+            lambda: _with_stein(
+                lambda h: SteinHandlebody(h.diagram, [TwoHandleAttachment(_HUGE, "x")])
+            ),
+            DiagramError,
+            "a TwoHandleAttachment that does not print has a component or framing"
+            " that is not an int",
+            id="attachment-framing",
+        ),
+        pytest.param(
+            lambda: _with_stein(lambda h: moves.stabilize(h.diagram, 0, 1, (_HUGE,))),
+            MoveNotApplicable, f"site ({_HUGE_DIGITS},) is not an (index, level) pair",
+            id="stabilize-site",
+        ),
+        pytest.param(
+            lambda: moves.MoveScript([(_HUGE,)]), MoveNotApplicable,
+            f"malformed move ({_HUGE_DIGITS},)", id="script-tuple",
+        ),
+        pytest.param(
+            lambda: moves.MoveScript([moves.Move(_HUGE)]), MoveNotApplicable,
+            "malformed move a Move that does not print", id="script-move",
+        ),
+        pytest.param(
+            lambda: gallery.close_handlebody(gallery.stein_rep_max(-5, 2), (_HUGE,)),
+            MoveNotApplicable, f"no clean band site {_HUGE_DIGITS} of 21",
+            id="close-slide-index",
+        ),
         pytest.param(
             lambda: _with_stein(lambda h: moves.pull_off(h, "H", _HUGE)),
             MoveNotApplicable, f"no port ('H', {_HUGE_DIGITS})", id="pull-off-slot",

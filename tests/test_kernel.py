@@ -270,6 +270,12 @@ def test_one_slice_is_that_slice_of_slices():
         assert [_kernel.slice_at(d.events, tr, idx) for idx in range(len(sl))] == sl
 
 
+def test_the_slices_are_the_items_of_their_generator():
+    for d in _sliced_diagrams():
+        tr = d.trace
+        assert list(_kernel.iter_slices(d.events, tr)) == _kernel.slices(d.events, tr)
+
+
 def test_widths_are_the_lengths_of_the_slices():
     for d in _sliced_diagrams():
         want = list(map(len, _kernel.slices(d.events, d.trace)))

@@ -1245,10 +1245,37 @@ def _replayed_slice(d, idx):
     return cur
 
 
+def _reference_band_sites(h, k, a):
+    """band_sites as it was, with k's strand at each site: every slice of
+    the doubled strip listed by ``_kernel.slices``, then scanned whole."""
+    d2, _reslotted, _origin, comp_k, copies = _slide_setup(h, k, a)
+    comp2 = d2.trace.strand_component
+    sites, k_strands = [], []
+    for pos, slc in enumerate(_kernel.slices(d2.events, d2.trace)):
+        for lvl in range(1, len(slc)):
+            s1, s2 = slc[lvl - 1], slc[lvl]
+            c1, c2 = comp2[s1], comp2[s2]
+            if c1 == comp_k and c2 in copies:
+                sites.append((pos, lvl))
+                k_strands.append(s1)
+            elif c2 == comp_k and c1 in copies:
+                sites.append((pos, lvl))
+                k_strands.append(s2)
+    return sites, k_strands
+
+
+def _walked_band_sites(h, k, a):
+    """The band sites and k's strand at each, as the slide's own walk
+    yields them."""
+    walked = list(moves._band_sites(_slide_setup(h, k, a)))
+    return [(pos, lvl) for pos, lvl, _s in walked], [s for _p, _l, s in walked]
+
+
 def _reference_clean_band_sites(h, k, a):
     """clean_band_sites as it was: a cusp graph built by replaying the
     doubled word, and a depth-first search from each site's strand."""
-    d2, reslotted, origin, sites, _k_strands = _slide_setup(h, k, a)
+    d2, reslotted, origin = _slide_setup(h, k, a)[:3]
+    sites = _reference_band_sites(h, k, a)[0]
     comp_k = _reference_marker_component(
         d2, reslotted[3], origin, _reference_markers(h.diagram)[k]
     )
@@ -1338,6 +1365,47 @@ def test_clean_band_sites_match_the_search_they_replaced():
         assert clean_band_sites(h, k, a) == _reference_clean_band_sites(h, k, a)
 
 
+def _step3_slide_cases():
+    """(handlebody, sliding component, attachment) of both slides of
+    step 3 at the six criterion 5-8 points."""
+    cases = []
+    for m, n in ((-5, 2), (-10, 2), (-9, 3), (-14, 3), (-13, 4), (-18, 4)):
+        h = gallery.stein_rep_max(m, n)
+        for _slide in range(2):
+            k, a = gallery.candidate_component(h), h.attachments[0]
+            cases.append((h, k, a))
+            h = handle_slide(h, k, a, clean_band_sites(h, k, a)[0])
+    return cases
+
+
+def test_band_sites_match_the_full_slice_scan():
+    # _slide_cases covers every gallery handlebody, before and after one
+    # slide; the walk that handle_slide stops early lists the same sites,
+    # with the same strand of k at each.
+    for h, k, a in _slide_cases() + _step3_slide_cases():
+        sites, k_strands = _reference_band_sites(h, k, a)
+        assert band_sites(h, k, a) == sites
+        assert _walked_band_sites(h, k, a) == (sites, k_strands)
+
+
+def test_a_slide_walks_only_the_slices_before_its_site(monkeypatch):
+    # Each slide of step 3 walks the doubled strip twice, for the clean
+    # site and for the band sum, and each walk stops at the first clean
+    # site, a few slices into a word of 84 and 181 events.
+    drawn = []
+    real = _kernel.iter_slices
+
+    def counting(events, result):
+        drawn.append(0)
+        for slc in real(events, result):
+            drawn[-1] += 1
+            yield slc
+
+    monkeypatch.setattr(_kernel, "iter_slices", counting)
+    gallery.step3_pipeline(-18, 4)
+    assert drawn == [3, 3, 5, 5]
+
+
 def _counted_cable_expands(monkeypatch):
     """The argument tuples of every later moves.cable_expand call."""
     expanded = []
@@ -1383,7 +1451,9 @@ def test_a_band_that_merges_both_push_off_copies_is_obstructed(monkeypatch):
     # copy, merges both copies into k, and the check names it.
     h = gallery.stein_rep_max(-5, 2)
     k, a = gallery.candidate_component(h), h.attachments[0]
-    d2, reslotted, origin, sites, k_strands = _slide_setup(h, k, a)
+    strip = _slide_setup(h, k, a)
+    d2, reslotted, origin = strip[:3]
+    sites, k_strands = _walked_band_sites(h, k, a)
     comp = d2.trace.strand_component
     slices = _kernel.slices(d2.events, d2.trace)
     copies = [
@@ -1397,8 +1467,13 @@ def test_a_band_that_merges_both_push_off_copies_is_obstructed(monkeypatch):
         d2.events[:pos] + (R(lvl), L(lvl)) + d2.events[pos:], d2.right_ports,
     )
     mutated = (banded, reslotted, origin[:pos] + [None, None] + origin[pos:],
-               sites[:1], k_strands[:1])
+               *strip[3:])
     monkeypatch.setattr(moves, "_doubled_strip", lambda *args: mutated)
+    # Its one band site is the first site of the unmutated strip.
+    monkeypatch.setattr(
+        moves, "_band_sites",
+        lambda _strip: ((*site, ks) for site, ks in zip(sites[:1], k_strands[:1])),
+    )
     with pytest.raises(BandObstructed, match="band did not merge exactly one push-off copy"):
         handle_slide(h, k, a, 0)
 
@@ -1590,7 +1665,8 @@ def test_slide_carries_components_as_markers_did():
         d = h.diagram
         markers = _reference_markers(d)
         for site in range(len(band_sites(h, k, a))):
-            d2, reslotted, origin, sites, k_strands = _slide_setup(h, k, a)
+            d2, reslotted, origin = _slide_setup(h, k, a)[:3]
+            sites, k_strands = _walked_band_sites(h, k, a)
             ports = reslotted[3]
             carried = carried_components(
                 d, d2, _witness_pairs(d, d2, ports, origin)
